@@ -22,8 +22,8 @@ import numpy as np
 
 from .chain import ChainSpec, index_of, multi_indices
 from .errors import NonInvertibleQ, RootOnForbiddenNode, SingularCZeta
-from .numerics import (CDTYPE, frob, lagrange_cardinal, poly_coeffs_from_samples,
-                       poly_eval, random_complex, trim_trailing)
+from .numerics import (CDTYPE, _Barycentric, frob, poly_coeffs_from_samples, poly_eval,
+                       random_complex, trim_trailing)
 from .sov_bases import CovectorBasis, sklyanin_basis
 from .spectrum import (TransferPolynomial, brute_force_spectrum, site_q_values,
                        wavefunction_sov2)
@@ -125,7 +125,11 @@ class CZetaSystem:
 
 
 class _Interpolation:
-    """Lagrange grid: nodes xi_a^(h), h = 1..2s_a, plus the auxiliary zeta."""
+    """Lagrange grid: nodes xi_a^(h), h = 1..2s_a, plus the auxiliary zeta.
+
+    All cardinals come from one barycentric evaluator over this node set;
+    the zeta cardinal is the last one.
+    """
 
     def __init__(self, chain: ChainSpec, zeta: complex):
         self.chain = chain
@@ -134,20 +138,17 @@ class _Interpolation:
                       for h in range(1, site.two_s + 1)]
         self.nodes = np.array([chain.node(a, h) for a, h in self.pairs] + [self.zeta],
                               dtype=CDTYPE)
+        self.bary = _Barycentric(self.nodes)
+        self._pair_sites = np.array([a for a, _ in self.pairs], dtype=int)
 
-    def cardinal(self, j, lam):
-        return lagrange_cardinal(self.nodes, j, lam)
-
-    def zeta_cardinal(self, lam):
-        return lagrange_cardinal(self.nodes, len(self.pairs), lam)
-
-    def site_sum(self, b, lam, q_grid):
-        """F_b(lam): cardinal-weighted grid ratios of site b."""
-        out = 0.0 + 0.0j
-        for j, (a, h) in enumerate(self.pairs):
-            if a == b:
-                out += self.cardinal(j, lam) * q_grid[(a, h)]
-        return out
+    def site_sums(self, lam, q_grid):
+        """(F, g): F_b(lam), the cardinal-weighted grid ratios of each site b,
+        and g(lam), the zeta cardinal."""
+        card = self.bary.cardinals(lam)
+        weighted = card[:-1] * np.array([q_grid[pair] for pair in self.pairs], dtype=CDTYPE)
+        f = np.zeros(self.chain.n_sites, dtype=CDTYPE)
+        np.add.at(f, self._pair_sites, weighted)
+        return f, card[-1]
 
 
 def _closure_system(interp: _Interpolation, q_grid) -> CZetaSystem:
@@ -156,10 +157,8 @@ def _closure_system(interp: _Interpolation, q_grid) -> CZetaSystem:
     c = np.zeros((n, n), dtype=CDTYPE)
     rhs = np.zeros(n, dtype=CDTYPE)
     for a in range(n):
-        top = chain.node(a, 0)
-        rhs[a] = -interp.zeta_cardinal(top)
-        for b in range(n):
-            c[a, b] = interp.site_sum(b, top, q_grid)
+        c[a], g = interp.site_sums(chain.node(a, 0), q_grid)
+        rhs[a] = -g
         c[a, a] -= q_grid[(a, 0)]
     det = complex(np.linalg.det(c))
     col_dets = np.zeros(n, dtype=CDTYPE)
@@ -214,9 +213,7 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10,
     # the N conditions at the top nodes were not used in the interpolation
     worst = 0.0
     for a in range(chain.n_sites):
-        top = chain.node(a, 0)
-        direct = interp.zeta_cardinal(top) + sum(
-            interp.cardinal(j, top) * sample_values[j] for j in range(len(interp.pairs)))
+        direct = interp.bary(sample_values, chain.node(a, 0))
         target = node_values[(a, 0)]
         worst = max(worst, abs(direct - target) / max(1.0, abs(target)))
 
@@ -375,9 +372,7 @@ def _determinant_eigen_fn(t: TransferPolynomial, zeta: complex):
         raise SingularCZeta("closure system is singular; pick another zeta")
 
     def evaluate(lam: complex) -> complex:
-        g = interp.zeta_cardinal(lam)
-        f = np.array([interp.site_sum(b, lam, q_grid) for b in range(chain.n_sites)],
-                     dtype=CDTYPE)
+        f, g = interp.site_sums(lam, q_grid)
         if abs(g) > 1e-8:
             delta = np.outer(system.rhs / g, f)
             return complex(np.linalg.det(system.matrix + delta) / system.det * g)

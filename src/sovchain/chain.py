@@ -13,6 +13,7 @@ of each site, which drives every separation-of-variables formula below.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -180,7 +181,11 @@ class Site:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Full model definition; immutable after construction."""
+    """Full model definition; immutable after construction.
+
+    ``dims`` and ``dim`` are cached on first access (``dataclasses.replace``
+    gives a new instance with an empty cache).
+    """
 
     eta: complex
     sites: tuple
@@ -192,11 +197,11 @@ class ChainSpec:
     def n_sites(self) -> int:
         return len(self.sites)
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple:
         return tuple(site.dim for site in self.sites)
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         out = 1
         for d in self.dims:

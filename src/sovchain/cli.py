@@ -494,7 +494,8 @@ def suite_baxter(chain: ChainSpec, samples: int):
         cb = np.zeros(pad, dtype=CDTYPE)
         ca[:len(qpoly.coeffs)] = qpoly.coeffs
         cb[:len(qpoly_b.coeffs)] = qpoly_b.coeffs
-        worst_unique = max(worst_unique, float(np.max(np.abs(ca - cb))))
+        worst_unique = max(worst_unique, float(np.max(np.abs(ca - cb)))
+                           / max(1.0, float(np.max(np.abs(ca)))))
         lams = [complex(z) for z in random_complex(rng, size=4, box=3.0)]
         worst_wronsk = max(worst_wronsk, wronskian_values(qpoly, qpoly_b, chain, lams))
         for root in qpoly.roots():

@@ -41,6 +41,44 @@ def lagrange_cardinal(nodes, j, lam):
     return num / den
 
 
+class _Barycentric:
+    """Lagrange interpolation over fixed nodes in the first barycentric form.
+
+    The weights w_j = 1 / prod_{k != j} (x_j - x_k) are computed once per node
+    set, so an evaluation costs O(n). At a node the exact stored value is
+    returned. Berrut & Trefethen, SIAM Rev. 46 (2004) 501; Higham, IMA J.
+    Numer. Anal. 24 (2004) 547 (backward stability of this form).
+    """
+
+    def __init__(self, nodes):
+        self.nodes = np.asarray(nodes, dtype=CDTYPE)
+        diff = self.nodes[:, None] - self.nodes[None, :]
+        np.fill_diagonal(diff, 1.0)
+        self.weights = 1.0 / np.prod(diff, axis=1)
+
+    def cardinals(self, lam) -> np.ndarray:
+        """All cardinal polynomials at ``lam``; the unit vector e_j at node j."""
+        diff = lam - self.nodes
+        hit = np.flatnonzero(diff == 0)
+        if hit.size:
+            out = np.zeros(len(self.nodes), dtype=CDTYPE)
+            out[hit[0]] = 1.0
+            return out
+        return np.prod(diff) * self.weights / diff
+
+    def __call__(self, values, lam, lead=0.0) -> complex:
+        """Degree-n polynomial with leading coefficient ``lead`` through ``values``.
+
+        That is ell(lam) [lead + sum_j w_j values_j / (lam - x_j)], with
+        ell(lam) = prod_j (lam - x_j); ``values[j]`` exactly at node j.
+        """
+        diff = lam - self.nodes
+        hit = np.flatnonzero(diff == 0)
+        if hit.size:
+            return complex(values[hit[0]])
+        return complex(np.prod(diff) * (lead + np.sum(self.weights * values / diff)))
+
+
 def poly_coeffs_from_samples(nodes, values, rcond=None):
     """Coefficients (ascending) of the degree len(nodes)-1 interpolant.
 

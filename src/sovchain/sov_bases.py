@@ -24,7 +24,7 @@ import numpy as np
 
 from .chain import ChainSpec, index_of, multi_indices
 from .errors import DegenerateBasis
-from .numerics import CDTYPE, frob, lagrange_cardinal
+from .numerics import CDTYPE, _Barycentric, frob
 from .transfer import (TransferEvaluator, global_fused_twist_product,
                        monodromy_blocks, reference_covector)
 
@@ -337,8 +337,8 @@ def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
             diag = np.prod([lam - z for z in hnodes]) if hnodes else 1.0
             rhs_a = a_entry * diag * basis.rows[i]
             rhs_d = d_entry * diag * basis.rows[i]
-            for n in range(chain.n_sites):
-                card = lagrange_cardinal(hnodes, n, lam)
+            cards = _Barycentric(hnodes).cardinals(lam)
+            for n, card in enumerate(cards):
                 up = list(h)
                 up[n] += 1
                 down = list(h)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chain import ChainSpec, multi_indices
 from .errors import CountMismatch, NearDegenerateSpectrum, NonConvergence, ResidualTooLarge
-from .numerics import CDTYPE, frob, lagrange_cardinal, random_complex
+from .numerics import CDTYPE, _Barycentric, frob, random_complex
 from .transfer import TransferEvaluator
 
 __all__ = [
@@ -43,26 +43,26 @@ __all__ = [
 @dataclass
 class TransferPolynomial:
     """Degree-N polynomial with leading coefficient tr(K), stored by its
-    values x_a at the top grid nodes."""
+    values x_a at the top grid nodes z_a.
+
+    Evaluated in barycentric form, t(lam) = ell(lam) [tr K + sum_a w_a x_a /
+    (lam - z_a)] with ell(lam) = prod_a (lam - z_a); the weights w_a are
+    computed once per polynomial and t(z_a) returns x_a exactly.
+    """
 
     chain: ChainSpec
     x: np.ndarray
     _fused_cache: dict = field(default_factory=dict, repr=False)
+    _interp: _Barycentric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=CDTYPE)
         if self.x.shape != (self.chain.n_sites,):
             raise ValueError(f"expected {self.chain.n_sites} node values, got {self.x.shape}")
+        self._interp = _Barycentric([self.chain.node(a, 0) for a in range(self.chain.n_sites)])
 
     def __call__(self, lam: complex) -> complex:
-        chain = self.chain
-        nodes0 = [chain.node(a, 0) for a in range(chain.n_sites)]
-        out = chain.twist.trace
-        for z in nodes0:
-            out *= lam - z
-        for a in range(chain.n_sites):
-            out += lagrange_cardinal(nodes0, a, lam) * self.x[a]
-        return complex(out)
+        return self._interp(self.x, lam, lead=self.chain.twist.trace)
 
     def fused_value(self, level: int, lam: complex) -> complex:
         """Scalar fusion recursion t^(level)(lam); level 0 gives 1."""
@@ -193,13 +193,13 @@ class _DiscreteSystem:
     def __init__(self, chain: ChainSpec):
         self.chain = chain
         nodes0 = [chain.node(a, 0) for a in range(chain.n_sites)]
+        interp = _Barycentric(nodes0)
         self.sites = []
         for n in range(chain.n_sites):
             nodes, sup, sub = _site_data(chain, n)
             base = np.array([chain.twist.trace * np.prod([z - w for w in nodes0])
                              for z in nodes], dtype=CDTYPE)
-            coeff = np.array([[lagrange_cardinal(nodes0, a, z)
-                               for a in range(chain.n_sites)] for z in nodes], dtype=CDTYPE)
+            coeff = np.array([interp.cardinals(z) for z in nodes], dtype=CDTYPE)
             self.sites.append((base, coeff, sup, sub))
 
     def residual(self, x):
@@ -425,49 +425,50 @@ def wavefunction_sov1(t: TransferPolynomial) -> dict:
     return out
 
 
+def _sov2_array(t: TransferPolynomial) -> np.ndarray:
+    """Second-basis wavefunction as an N-d array indexed by h (site order)."""
+    chain = t.chain
+    psi = site_q_values(t, 0)
+    for n in range(1, chain.n_sites):
+        psi = psi[..., None] * site_q_values(t, n)
+    return psi
+
+
 def wavefunction_sov2(t: TransferPolynomial) -> dict:
     """Coordinates in the second SoV basis, normalized to 1 at h = (2s..2s)."""
-    chain = t.chain
-    per_site = [site_q_values(t, n) for n in range(chain.n_sites)]
-    out = {}
-    for h in multi_indices(chain):
-        val = 1.0 + 0.0j
-        for n, hn in enumerate(h):
-            val *= per_site[n][hn]
-        out[h] = val
-    return out
+    psi = _sov2_array(t)
+    return {h: psi[h] for h in multi_indices(t.chain)}
 
 
 def wavefunction_action_report(t: TransferPolynomial) -> float:
     """Pointwise eigen-relation residual of the factorized wavefunction.
 
     Checks k1 a(node) psi(h+e_n) + k2 d(node) psi(h-e_n) = t(node) psi(h)
-    for every h and n, with out-of-range entries treated as zero.
+    for every h and n, with out-of-range entries treated as zero. psi is
+    built as an N-d array, t, k1 a and k2 d are evaluated once at each
+    site's grid nodes, and each site is checked with one shifted-slice
+    comparison along its axis.
     """
     chain = t.chain
     twist = chain.twist
-    psi = wavefunction_sov2(t)
+    psi = _sov2_array(t)
+    shape = (-1,) + (1,) * (chain.n_sites - 1)
     worst = 0.0
-    for h in multi_indices(chain):
-        for n in range(chain.n_sites):
-            node = chain.node(n, h[n])
-            up = list(h)
-            up[n] += 1
-            down = list(h)
-            down[n] -= 1
-            lhs = (twist.k1 * chain.a(node) * _get_or_zero(psi, up, chain)
-                   + twist.k2 * chain.d(node) * _get_or_zero(psi, down, chain))
-            rhs = t(node) * psi[h]
-            scale = max(1.0, abs(lhs), abs(rhs))
-            worst = max(worst, abs(lhs - rhs) / scale)
+    for n in range(chain.n_sites):
+        nodes = chain.nodes(n)
+        t_vals = np.array([t(z) for z in nodes], dtype=CDTYPE).reshape(shape)
+        a_vals = np.array([twist.k1 * chain.a(z) for z in nodes], dtype=CDTYPE).reshape(shape)
+        d_vals = np.array([twist.k2 * chain.d(z) for z in nodes], dtype=CDTYPE).reshape(shape)
+        p = np.moveaxis(psi, n, 0)
+        up = np.zeros_like(p)
+        up[:-1] = p[1:]
+        down = np.zeros_like(p)
+        down[1:] = p[:-1]
+        lhs = a_vals * up + d_vals * down
+        rhs = t_vals * p
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
     return worst
-
-
-def _get_or_zero(psi, h, chain):
-    for hn, d in zip(h, chain.dims):
-        if not 0 <= hn < d:
-            return 0.0 + 0.0j
-    return psi[tuple(h)]
 
 
 def eigenvector_from_sov(t: TransferPolynomial, basis, evaluator=None,
@@ -479,9 +480,7 @@ def eigenvector_from_sov(t: TransferPolynomial, basis, evaluator=None,
     """
     chain = t.chain
     evaluator = evaluator or TransferEvaluator(chain)
-    psi = wavefunction_sov2(t)
-    rhs = np.array([psi[h] for h in multi_indices(chain)], dtype=CDTYPE)
-    v = np.linalg.solve(basis.rows, rhs)
+    v = np.linalg.solve(basis.rows, _sov2_array(t).ravel())
     rng = chain.rng(17)
     worst = 0.0
     for _ in range(n_checks):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
-from .local_ops import kron_embed, lax, r_matrix, symmetric_basis
+from .local_ops import lax, r_matrix, symmetric_basis
 from .numerics import CDTYPE, commutator_residual, frob, lagrange_cardinal
 
 __all__ = [
@@ -57,15 +57,30 @@ def monodromy_matrix(chain: ChainSpec, lam: complex, twist_matrix=None) -> np.nd
 
     The auxiliary C^2 is the slowest Kronecker factor. ``twist_matrix``
     overrides the chain twist (used for identity-twist and conjugated runs).
+    The running product is kept with its column index split into the legs
+    (aux, site 1, ..., site N); each Lax operator is contracted onto its
+    (aux, site n) legs, O(D^2 d_n) work, with no embedded (2D)^2 factor.
     """
     k = chain.twist.matrix if twist_matrix is None else np.asarray(twist_matrix, dtype=CDTYPE)
-    dims = [2] + list(chain.dims)
-    mat = kron_embed(k, [0], dims)
+    d = chain.dim
+    mat = np.einsum("ab,ij->aibj", k, np.eye(d, dtype=CDTYPE)).reshape((2 * d, 2) + chain.dims)
     for n in range(chain.n_sites - 1, -1, -1):
         site = chain.sites[n]
-        l_local = lax(lam - site.xi, site.two_s, chain.eta)
-        mat = mat @ kron_embed(l_local, [0, n + 1], dims)
-    return mat
+        l_local = lax(lam - site.xi, site.two_s, chain.eta).reshape((2, site.dim) * 2)
+        mat = _apply_legs(mat, l_local, (1, n + 2))
+    return np.ascontiguousarray(mat.reshape(2 * d, 2 * d))
+
+
+def _apply_legs(tensor: np.ndarray, op: np.ndarray, legs) -> np.ndarray:
+    """Contract two legs of ``tensor`` with the first two axes of ``op``.
+
+    The last two axes of ``op`` take the place of the contracted legs, so
+    the result keeps the axis order of ``tensor``. With ``op`` an operator
+    reshaped to (row legs, column legs) this multiplies ``tensor`` by it
+    from the right; pass the transposed operator to multiply from the left.
+    """
+    out = np.tensordot(tensor, op, axes=(list(legs), [0, 1]))
+    return np.moveaxis(out, (-2, -1), legs)
 
 
 def monodromy_blocks(chain: ChainSpec, lam: complex, twist_matrix=None) -> MonodromyBlocks:
@@ -124,23 +139,25 @@ class TransferEvaluator:
 def fused_transfer_projector(chain: ChainSpec, level: int, lam: complex) -> np.ndarray:
     """Fused transfer matrix via the symmetrized auxiliary-space product.
 
-    Independent of the recursion: embeds ``level`` shifted monodromies on
-    (C^2)^{x level} (x) H, multiplies them, and traces against the
-    orthonormal symmetric-subspace basis.
+    Independent of the recursion: the product of ``level`` shifted
+    monodromies on (C^2)^{x level} (x) H, monodromy i acting on auxiliary
+    leg i and H, is traced against the orthonormal symmetric-subspace basis
+    U. The product is applied, rightmost factor first, to U (x) Id_H held as
+    a tensor with legs (aux_1, ..., aux_level, H, column); each monodromy is
+    contracted onto its (aux_i, H) legs, so no (2^level D)^2 matrix is built.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     d = chain.dim
-    dims = [2] * level + [d]
-    prod = np.eye(int(np.prod(dims)), dtype=CDTYPE)
-    for i in range(level):
-        shift = lam + (level - 1 - i) * chain.eta
-        m_i = monodromy_matrix(chain, shift)
-        prod = prod @ kron_embed(m_i, [i, level], dims)
     u = symmetric_basis(level)
-    aux = 2 ** level
-    tensor = prod.reshape(aux, d, aux, d)
-    return np.einsum("ak,aibj,bk->ij", u.conj(), tensor, u)
+    cols = np.einsum("ak,ij->aikj", u, np.eye(d, dtype=CDTYPE))
+    cols = cols.reshape((2,) * level + (d, (level + 1) * d))
+    for i in range(level - 1, -1, -1):
+        shift = lam + (level - 1 - i) * chain.eta
+        m_i = monodromy_matrix(chain, shift).reshape(2, d, 2, d)
+        cols = _apply_legs(cols, m_i.transpose(2, 3, 0, 1), (i, level))
+    tensor = cols.reshape(2 ** level, d, level + 1, d)
+    return np.einsum("ak,aikj->ij", u.conj(), tensor)
 
 
 def global_fused_twist_product(chain: ChainSpec, k_matrix=None) -> np.ndarray:
@@ -174,14 +191,20 @@ def tridiagonal_operator_det(diag, sup, sub) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rtt_residual(chain: ChainSpec, lam: complex, mu: complex) -> float:
-    """Exchange-relation residual for the monodromy on C^2 x C^2 x H."""
+    """Exchange-relation residual for the monodromy on C^2 x C^2 x H.
+
+    Both sides of R12 M1 M2 = M2 M1 R12 are formed as tensors with legs
+    (a, b, H, a', b', H') by contracting the shared H leg of the two
+    monodromies and the auxiliary legs of R, with no embedded (4D)^2 factor.
+    """
     d = chain.dim
-    dims = [2, 2, d]
-    r12 = kron_embed(r_matrix(lam - mu, chain.eta), [0, 1], dims)
-    m1 = kron_embed(monodromy_matrix(chain, lam), [0, 2], dims)
-    m2 = kron_embed(monodromy_matrix(chain, mu), [1, 2], dims)
-    lhs = r12 @ m1 @ m2
-    rhs = m2 @ m1 @ r12
+    r12 = r_matrix(lam - mu, chain.eta).reshape(2, 2, 2, 2)
+    m1 = monodromy_matrix(chain, lam).reshape(2, d, 2, d)
+    m2 = monodromy_matrix(chain, mu).reshape(2, d, 2, d)
+    m1m2 = np.tensordot(m1, m2, axes=(3, 1)).transpose(0, 3, 1, 2, 4, 5)
+    m2m1 = np.tensordot(m2, m1, axes=(3, 1)).transpose(3, 0, 1, 4, 2, 5)
+    lhs = np.tensordot(r12, m1m2, axes=([2, 3], [0, 1]))
+    rhs = np.moveaxis(np.tensordot(m2m1, r12, axes=([3, 4], [0, 1])), (4, 5), (3, 4))
     return frob(lhs - rhs) / max(1.0, frob(lhs))
 
 

@@ -42,6 +42,14 @@ def chain112():
     return make_chain(1.0, sites, TWIST_FULL, seed=13)
 
 
+@pytest.fixture(scope="session", params=["full", "diag"])
+def chain123(request):
+    """N=3, two_s=(1,2,3), D=24, with the full twist and with the b = 0 twist."""
+    twist = TWIST_FULL if request.param == "full" else TWIST_DIAG
+    sites = [(1, XI_N3[0]), (2, XI_N3[1]), (3, XI_N3[2])]
+    return make_chain(1.0, sites, twist, seed=17)
+
+
 @pytest.fixture(scope="session")
 def chain12_k2zero():
     """Degenerate twist diag(2, 0) on the reference sites."""

@@ -7,6 +7,7 @@ from sovchain.baxter import (_closure_system, _Interpolation, build_q_operator,
                              solve_q_polynomial, sov_from_q, sov_q_factorization,
                              tq_residual, tq_residual_shifted, wronskian_values)
 from sovchain.chain import multi_indices
+from sovchain.errors import SingularCZeta
 from sovchain.numerics import frob, poly_eval, random_complex
 from sovchain.sov_bases import gram_rank, sklyanin_basis
 from sovchain.spectrum import TransferPolynomial, brute_force_spectrum
@@ -157,8 +158,7 @@ def test_closure_rank_one_update(chain12):
     system = _closure_system(interp, grid)
     rng = np.random.default_rng(4)
     for lam in random_complex(rng, size=3, box=2.0):
-        g = interp.zeta_cardinal(lam)
-        f = np.array([interp.site_sum(b, lam, grid) for b in range(chain12.n_sites)])
+        f, g = interp.site_sums(lam, grid)
         delta = np.outer(system.rhs / g, f)
         sv = np.linalg.svd(delta, compute_uv=False)
         assert sv[0] > 1e-12 and (len(sv) == 1 or sv[1] < 1e-12 * sv[0])
@@ -259,3 +259,9 @@ def test_leading_coefficient_constraint(chain12, ev12):
         k1 = chain.twist.k1
         assert abs(lead - chain.twist.trace) < 1e-9
         assert abs(k1 ** 2 - k1 * lead + chain.twist.det) < 1e-8
+
+
+def test_singular_closure_system_raises(chain12):
+    rec = brute_force_spectrum(chain12)[0]
+    with pytest.raises(SingularCZeta):
+        solve_q_polynomial(rec.t, det_floor=1e30)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,10 @@ def test_multi_index_order(chain12):
 def test_tolerances_defaults():
     tol = Tolerances()
     assert tol.residual == 1e-10 and tol.zero == 1e-8 and tol.gram == 1e-10
+
+
+def test_replace_gives_fresh_shape_cache(chain12):
+    assert chain12.dims == (2, 3) and chain12.dim == 6
+    one_site = dataclasses.replace(chain12, sites=chain12.sites[:1])
+    assert one_site.dims == (2,) and one_site.dim == 2
+    assert chain12.dims == (2, 3) and chain12.dim == 6

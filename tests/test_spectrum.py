@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sovchain.chain import multi_indices
-from sovchain.errors import CountMismatch
-from sovchain.numerics import frob
+from sovchain.chain import Tolerances, multi_indices
+from sovchain.cli import chain_from_config, load_config
+from sovchain.errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
+from sovchain.numerics import frob, lagrange_cardinal, random_complex
 from sovchain.spectrum import (TransferPolynomial, brute_force_spectrum,
                                closed_form_solutions, discrete_matrix,
                                discrete_residuals, eigenvector_from_sov,
@@ -210,3 +213,69 @@ def test_closed_form_solutions_leading(chain12_k2zero):
         lead = t(lam) / np.prod([lam - chain12_k2zero.node(a, 0)
                                  for a in range(chain12_k2zero.n_sites)])
         assert abs(lead - chain12_k2zero.twist.trace) < 1e-6
+
+
+def _lagrange_terms(t, lam):
+    """Terms of t(lam) = tr K prod_a (lam - z_a) + sum_a x_a l_a(lam), cardinal by cardinal."""
+    chain = t.chain
+    nodes0 = [chain.node(a, 0) for a in range(chain.n_sites)]
+    lead = chain.twist.trace * np.prod([lam - z for z in nodes0])
+    return [lead] + [lagrange_cardinal(nodes0, a, lam) * t.x[a] for a in range(chain.n_sites)]
+
+
+def test_transfer_polynomial_matches_lagrange_sum(chain112):
+    rng = np.random.default_rng(23)
+    t = TransferPolynomial(chain112, random_complex(rng, size=chain112.n_sites))
+    for lam in random_complex(rng, size=20, box=4.0):
+        terms = _lagrange_terms(t, lam)
+        assert abs(t(lam) - sum(terms)) <= 1e-14 * sum(abs(z) for z in terms)
+    for a in range(chain112.n_sites):
+        assert t(chain112.node(a, 0)) == t.x[a]
+
+
+def _action_report_loop(t):
+    """Reference route: the eigen-relation checked entry by entry over h and n."""
+    chain = t.chain
+    twist = chain.twist
+    psi = wavefunction_sov2(t)
+
+    def get(h):
+        inside = all(0 <= hn < d for hn, d in zip(h, chain.dims))
+        return psi[tuple(h)] if inside else 0.0
+
+    worst = 0.0
+    for h in multi_indices(chain):
+        for n in range(chain.n_sites):
+            node = chain.node(n, h[n])
+            up = list(h)
+            up[n] += 1
+            down = list(h)
+            down[n] -= 1
+            lhs = twist.k1 * chain.a(node) * get(up) + twist.k2 * chain.d(node) * get(down)
+            rhs = t(node) * psi[h]
+            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+    return worst
+
+
+def test_action_report_matches_entrywise_loop():
+    chain = chain_from_config(load_config("n3_mixed"))
+    for rec in brute_force_spectrum(chain):
+        assert wavefunction_action_report(rec.t) < 1e-10
+        assert _action_report_loop(rec.t) < 1e-10
+        off = TransferPolynomial(chain, rec.t.x * (1 + 1e-3))
+        want = _action_report_loop(off)
+        assert want > 1e-6
+        assert abs(wavefunction_action_report(off) - want) <= 1e-12 * want
+
+
+def test_near_degenerate_spectrum_raises(chain12):
+    coarse = dataclasses.replace(chain12, tolerances=Tolerances(zero=10.0))
+    with pytest.raises(NearDegenerateSpectrum):
+        brute_force_spectrum(coarse)
+
+
+def test_eigenvector_residual_too_large_raises(chain12, ev12):
+    basis = sov_basis_2(chain12, evaluator=ev12)
+    rec = brute_force_spectrum(chain12, evaluator=ev12)[0]
+    with pytest.raises(ResidualTooLarge):
+        eigenvector_from_sov(rec.t, basis, evaluator=ev12, check_tol=0.0)

@@ -1,13 +1,56 @@
 import numpy as np
 import pytest
 
-from sovchain.local_ops import r_matrix
+from sovchain.local_ops import kron_embed, lax, r_matrix, symmetric_basis
 from sovchain.numerics import commutator_residual, frob, random_complex
 from sovchain.transfer import (TransferEvaluator, central_zero_residual,
-                               fused_transfer_projector, monodromy_blocks,
+                               fused_transfer_projector, monodromy_blocks, monodromy_matrix,
                                polynomiality_residual, quantum_det_residual,
                                reference_covector, rtt_residual, symmetry_residual,
                                transfer, tridiagonal_operator_det)
+
+
+def _dense_monodromy(chain, lam, twist_matrix=None):
+    """Reference route: product of (2D)^2 embedded twist and Lax operators."""
+    k = chain.twist.matrix if twist_matrix is None else np.asarray(twist_matrix, dtype=complex)
+    dims = [2] + list(chain.dims)
+    mat = kron_embed(k, [0], dims)
+    for n in range(chain.n_sites - 1, -1, -1):
+        site = chain.sites[n]
+        mat = mat @ kron_embed(lax(lam - site.xi, site.two_s, chain.eta), [0, n + 1], dims)
+    return mat
+
+
+def _dense_fused_projector(chain, level, lam):
+    """Reference route: embedded monodromies multiplied as (2^level D)^2 matrices."""
+    d = chain.dim
+    dims = [2] * level + [d]
+    prod = np.eye(2 ** level * d, dtype=complex)
+    for i in range(level):
+        m_i = _dense_monodromy(chain, lam + (level - 1 - i) * chain.eta)
+        prod = prod @ kron_embed(m_i, [i, level], dims)
+    u = symmetric_basis(level)
+    tensor = prod.reshape(2 ** level, d, 2 ** level, d)
+    return np.einsum("ak,aibj,bk->ij", u.conj(), tensor, u)
+
+
+def test_monodromy_matches_dense_product(chain123):
+    rng = np.random.default_rng(31)
+    twists = (None, np.eye(2), chain123.twist.conjugated())
+    for lam in random_complex(rng, size=3, box=3.0):
+        for twist in twists:
+            got = monodromy_matrix(chain123, lam, twist_matrix=twist)
+            want = _dense_monodromy(chain123, lam, twist_matrix=twist)
+            assert frob(got - want) <= 1e-13 * frob(want)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_fused_projector_matches_dense_product(chain123, level):
+    rng = np.random.default_rng(40 + level)
+    for lam in random_complex(rng, size=2, box=2.5):
+        want = _dense_fused_projector(chain123, level, lam)
+        got = fused_transfer_projector(chain123, level, lam)
+        assert frob(got - want) <= 1e-12 * max(1.0, frob(want))
 
 
 def test_single_site_monodromy_is_r_matrix(chain1):
