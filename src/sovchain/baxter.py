@@ -24,9 +24,9 @@ from .chain import ChainSpec, index_of, multi_indices
 from .errors import NonInvertibleQ, RootOnForbiddenNode, SingularCZeta
 from .numerics import (CDTYPE, _Barycentric, frob, poly_coeffs_from_samples, poly_eval,
                        random_complex, trim_trailing)
-from .sov_bases import CovectorBasis, sklyanin_basis
-from .spectrum import (TransferPolynomial, brute_force_spectrum, site_q_values,
-                       wavefunction_sov2)
+from .sov_bases import CovectorBasis, _require_full_rank, sklyanin_basis
+from .spectrum import (TransferPolynomial, _site_product, _sov2_array, brute_force_spectrum,
+                       site_q_values)
 from .transfer import TransferEvaluator
 
 __all__ = [
@@ -170,6 +170,24 @@ def _closure_system(interp: _Interpolation, q_grid) -> CZetaSystem:
                        q_grid=q_grid, zeta=interp.zeta)
 
 
+def _require_regular_closure(system: CZetaSystem, det_floor=1e-10) -> float:
+    """Determinant ratio of the closure matrix C; SingularCZeta below ``det_floor``.
+
+    The ratio is |det C_eq| / prod_a ||row_a of C_eq||, with C_eq
+    the column-equilibrated C (each column scaled to unit norm). The ratio is
+    at most 1 (Hadamard) and does not change when a column of C is rescaled,
+    so unknowns of very different magnitude do not read as a singularity.
+    """
+    norms = np.linalg.norm(system.matrix, axis=0)
+    eq = system.matrix / np.where(norms > 0, norms, 1.0)
+    row_product = float(np.prod(np.linalg.norm(eq, axis=1)))
+    ratio = abs(np.linalg.det(eq)) / row_product if row_product > 0 else 0.0
+    if not ratio >= det_floor:
+        raise SingularCZeta(f"closure system determinant ratio {ratio:.3e} "
+                            f"below floor {det_floor:.1e} at zeta={system.zeta}")
+    return ratio
+
+
 def default_zeta(chain: ChainSpec, salt=20, min_dist=1.0, max_tries=32) -> complex:
     """Seeded auxiliary point at least ``min_dist * |eta|`` from every grid node."""
     rng = chain.rng(salt)
@@ -189,8 +207,10 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10,
     Sets Q(zeta) = 1, solves the closure system for the bottom-node values,
     interpolates through the full node set, verifies the N left-out top-node
     conditions, and strips the result to monic coefficients. Raises
-    SingularCZeta for an unlucky auxiliary point and RootOnForbiddenNode if
-    a root lands on a bottom grid node.
+    SingularCZeta for an unlucky auxiliary point, judged on the
+    column-equilibrated closure matrix against ``det_floor`` (see
+    ``_require_regular_closure``), and RootOnForbiddenNode if a root lies
+    within ``root_floor`` of a bottom grid node.
     """
     chain = t.chain
     if zeta is None:
@@ -198,10 +218,7 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10,
     q_grid = q_values(t)
     interp = _Interpolation(chain, zeta)
     system = _closure_system(interp, q_grid)
-    scale = max(1.0, float(np.prod(np.linalg.norm(system.matrix, axis=1))))
-    if abs(system.det) < det_floor * scale:
-        raise SingularCZeta(f"closure system determinant {abs(system.det):.3e} "
-                            f"below floor at zeta={zeta}")
+    _require_regular_closure(system, det_floor)
     q_bottom = np.linalg.solve(system.matrix, system.rhs)
 
     node_values = {}
@@ -328,7 +345,7 @@ class QOperator:
 
 
 def build_q_operator(chain: ChainSpec, method="eigenbasis", zeta=None,
-                     records=None, evaluator=None) -> QOperator:
+                     records=None, evaluator=None, q_solver=None) -> QOperator:
     """Assemble the Q-operator from the simultaneous transfer eigenbasis.
 
     ``method='eigenbasis'`` uses each record's interpolated Q-polynomial.
@@ -337,19 +354,20 @@ def build_q_operator(chain: ChainSpec, method="eigenbasis", zeta=None,
     is the rank-one update whose column space is the scaled closure
     right-hand side; every entry is a polynomial in the commuting transfer
     values, so operator entries reduce to these scalars in the eigenbasis.
+    ``q_solver(index, zeta)``, when given, supplies the Q-polynomial of
+    ``records[index]`` in place of a fresh ``solve_q_polynomial`` call.
     """
-    twist = chain.twist
-    if not twist.invertible or abs(twist.k1 - twist.k2) < 1e-12 * (1 + abs(twist.k1)):
-        raise ValueError("Q-operator requires invertible twist with distinct eigenvalues")
+    _require_q_twist(chain)
     evaluator = evaluator or TransferEvaluator(chain)
     if records is None:
         records = brute_force_spectrum(chain, evaluator=evaluator)
     if zeta is None:
         zeta = default_zeta(chain)
     eigen_fns = []
-    for rec in records:
+    for i, rec in enumerate(records):
         if method == "eigenbasis":
-            qpoly = solve_q_polynomial(rec.t, zeta=zeta)
+            qpoly = (q_solver(i, zeta) if q_solver is not None
+                     else solve_q_polynomial(rec.t, zeta=zeta))
             norm = qpoly(zeta)
             eigen_fns.append(lambda lam, qp=qpoly, nz=norm: qp(lam) / nz)
         elif method == "determinant":
@@ -362,14 +380,19 @@ def build_q_operator(chain: ChainSpec, method="eigenbasis", zeta=None,
                      vectors=vectors, left=left, _eigen_fns=eigen_fns)
 
 
+def _require_q_twist(chain: ChainSpec):
+    """The Q-operator needs an invertible twist with distinct eigenvalues."""
+    twist = chain.twist
+    if not twist.invertible or abs(twist.k1 - twist.k2) < 1e-12 * (1 + abs(twist.k1)):
+        raise ValueError("Q-operator requires invertible twist with distinct eigenvalues")
+
+
 def _determinant_eigen_fn(t: TransferPolynomial, zeta: complex):
     chain = t.chain
     q_grid = q_values(t)
     interp = _Interpolation(chain, zeta)
     system = _closure_system(interp, q_grid)
-    scale = max(1.0, float(np.prod(np.linalg.norm(system.matrix, axis=1))))
-    if abs(system.det) < 1e-10 * scale:
-        raise SingularCZeta("closure system is singular; pick another zeta")
+    _require_regular_closure(system)
 
     def evaluate(lam: complex) -> complex:
         f, g = interp.site_sums(lam, q_grid)
@@ -426,12 +449,15 @@ def q_operator_invertibility(qop: QOperator, cond_limit=1e8) -> dict:
     return out
 
 
-def sov_from_q(chain: ChainSpec, qop: QOperator, source=None, validate=True) -> CovectorBasis:
+def sov_from_q(chain: ChainSpec, qop: QOperator, source=None, validate=True,
+               sklyanin=None) -> CovectorBasis:
     """Covector basis generated by Q-operator products on a left covector.
 
     Row h applies prod_a Q(xi_a^(h_a)) to the source. The default source is
     the top Sklyanin row hit by the inverse Q at every bottom node, for which
-    the family reproduces the Sklyanin basis row by row.
+    the family reproduces the Sklyanin basis row by row. That Sklyanin basis
+    is ``sklyanin`` when given (an already built one), else built here; it
+    must have full rank either way (DegenerateBasis).
     """
     cache = {}
 
@@ -442,7 +468,8 @@ def sov_from_q(chain: ChainSpec, qop: QOperator, source=None, validate=True) -> 
         return cache[key]
 
     if source is None:
-        skl = sklyanin_basis(chain)
+        skl = sklyanin if sklyanin is not None else sklyanin_basis(chain, validate=False)
+        _require_full_rank(skl)
         top = tuple(site.two_s for site in chain.sites)
         source = skl.row(top).copy()
         for n, site in enumerate(chain.sites):
@@ -462,8 +489,6 @@ def sov_from_q(chain: ChainSpec, qop: QOperator, source=None, validate=True) -> 
         rows[index_of(chain, h)] = vec
     basis = CovectorBasis(rows=rows, kind="q_generated", chain=chain, source=source)
     if validate:
-        from .sov_bases import _require_full_rank
-
         _require_full_rank(basis)
     return basis
 
@@ -472,14 +497,14 @@ def sov_q_factorization(t: TransferPolynomial, qpoly) -> float:
     """Spread of wavefunction(h) around c * prod_n Q(xi_n^(h_n)).
 
     Fits the single global constant in least squares and reports the max
-    deviation relative to the largest wavefunction coordinate.
+    deviation relative to the largest wavefunction coordinate. Q is evaluated
+    once at each grid node, sum_n (2s_n + 1) values, and the products over
+    all h are their outer product, like the wavefunction itself.
     """
     chain = t.chain
-    psi = wavefunction_sov2(t)
-    hs = multi_indices(chain)
-    prod_q = np.array([np.prod([qpoly(chain.node(n, hn)) for n, hn in enumerate(h)])
-                       for h in hs], dtype=CDTYPE)
-    target = np.array([psi[h] for h in hs], dtype=CDTYPE)
+    target = _sov2_array(t).ravel()
+    prod_q = _site_product([np.array([qpoly(z) for z in chain.nodes(n)], dtype=CDTYPE)
+                            for n in range(chain.n_sites)]).ravel()
     denom = np.vdot(prod_q, prod_q)
     if abs(denom) == 0.0:
         return float(np.max(np.abs(target)))

@@ -22,17 +22,21 @@ import warnings
 import numpy as np
 
 from . import __version__
+from .baxter import (_require_q_twist, build_q_operator, default_zeta,
+                     q_operator_commutation_residual, q_operator_invertibility,
+                     q_operator_tq_residual, solve_q_polynomial, sov_from_q,
+                     sov_q_factorization, tq_residual, wronskian_values)
 from .chain import (ChainSpec, Tolerances, fused_twist, genericity_check,
                     make_chain, normalize_twist)
 from .errors import SingularTwistWarning, SovChainError
 from .local_ops import kron_embed, lax, r_matrix, spin_matrices
 from .numerics import CDTYPE, commutator_residual, frob, random_complex
-from .sov_bases import (b_eigen_report, gram_rank, separate_action_report,
-                        shift_action_report, sklyanin_basis, sov_basis_1,
-                        sov_basis_2, tensor_generating_covector)
-from .spectrum import (brute_force_spectrum, discrete_residuals, eigenvector_from_sov,
-                       jacobian_smallest_sv, match_to_oracle, solve_discrete_system,
-                       wavefunction_action_report)
+from .sov_bases import (_require_full_rank, b_eigen_report, gram_rank,
+                        separate_action_report, shift_action_report, sklyanin_basis,
+                        sov_basis_1, sov_basis_2, tensor_generating_covector)
+from .spectrum import (brute_force_spectrum, closed_form_solutions, discrete_residuals,
+                       eigenvector_from_sov, jacobian_smallest_sv, match_to_oracle,
+                       solve_discrete_system, wavefunction_action_report)
 from .transfer import (TransferEvaluator, central_zero_residual, fused_transfer_projector,
                        polynomiality_residual, quantum_det_residual, rtt_residual,
                        symmetry_residual, tridiagonal_operator_det)
@@ -206,6 +210,53 @@ def _config_echo(chain: ChainSpec) -> dict:
     }
 
 
+class _RunContext:
+    """Results shared by the suites of one ``run`` call, each computed on first use.
+
+    Holds the oracle records, the Q-polynomials keyed by (record index,
+    zeta), the eigenbasis Q-operator, the Sklyanin basis and the
+    default-source second SoV basis: the same calls with the same inputs
+    that each suite would otherwise repeat. A computation that raises is not
+    stored, so it raises again in every suite that needs it and each suite
+    reports its own error row. Callers validate what they read as they would
+    a fresh result (bases are built unvalidated).
+    """
+
+    def __init__(self, chain: ChainSpec):
+        self.chain = chain
+        self._values = {}
+
+    def _get(self, key, compute):
+        if key not in self._values:
+            self._values[key] = compute()
+        return self._values[key]
+
+    def records(self, evaluator=None):
+        return self._get("records", lambda: brute_force_spectrum(self.chain,
+                                                                 evaluator=evaluator))
+
+    def q_polynomial(self, index: int, zeta: complex):
+        return self._get(("q", index, complex(zeta)),
+                         lambda: solve_q_polynomial(self.records()[index].t, zeta=zeta))
+
+    def q_operator(self, evaluator):
+        """Eigenbasis Q-operator at the default zeta."""
+        def build():
+            _require_q_twist(self.chain)   # before the records, as build_q_operator does
+            return build_q_operator(self.chain, records=self.records(evaluator),
+                                    evaluator=evaluator, q_solver=self.q_polynomial)
+
+        return self._get("qop", build)
+
+    def sklyanin(self):
+        return self._get("sklyanin", lambda: sklyanin_basis(self.chain, validate=False))
+
+    def sov2(self, evaluator):
+        """Second SoV basis from the default (seeded Gaussian) source."""
+        return self._get("sov2", lambda: sov_basis_2(self.chain, evaluator=evaluator,
+                                                     validate=False))
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -343,12 +394,13 @@ def suite_fusion(chain: ChainSpec, samples: int):
     return checks
 
 
-def suite_basis(chain: ChainSpec, kind: str, samples: int, precision="double"):
+def suite_basis(chain: ChainSpec, kind: str, samples: int, precision="double", ctx=None):
     checks = []
+    ctx = ctx or _RunContext(chain)
     rng = chain.rng(300)
     evaluator = TransferEvaluator(chain)
     if kind == "sklyanin":
-        basis = sklyanin_basis(chain, validate=False)
+        basis = ctx.sklyanin()
         rank, smallest = gram_rank(basis, precision=precision)
         checks.append(_check("basis.sklyanin.rank_deficit", chain.dim - rank, 0,
                              smallest_sv=smallest))
@@ -368,26 +420,24 @@ def suite_basis(chain: ChainSpec, kind: str, samples: int, precision="double"):
         checks.append(_check("basis.sov1.tensor_source_rank_deficit", chain.dim - rank_t, 0,
                              smallest_sv=smallest_t))
     elif kind == "sov2":
-        basis = sov_basis_2(chain, evaluator=evaluator, validate=False)
+        basis = ctx.sov2(evaluator)
         rank, smallest = gram_rank(basis, precision=precision)
         checks.append(_check("basis.sov2.rank_deficit", chain.dim - rank, 0,
                              smallest_sv=smallest))
         checks.append(_check("basis.sov2.separate_action",
                              separate_action_report(basis, evaluator), 1e-8))
-        skl = sklyanin_basis(chain, validate=False)
+        skl = ctx.sklyanin()
         top = tuple(site.two_s for site in chain.sites)
         ident = sov_basis_2(chain, source=skl.row(top), evaluator=evaluator, validate=False)
         checks.append(_check("basis.sov2.sklyanin_identification",
                              _basis_difference(ident, skl), 1e-7))
     elif kind == "q":
-        from .baxter import build_q_operator, sov_from_q
-
-        qop = build_q_operator(chain, evaluator=evaluator)
-        basis = sov_from_q(chain, qop, validate=False)
+        qop = ctx.q_operator(evaluator)
+        skl = ctx.sklyanin()
+        basis = sov_from_q(chain, qop, validate=False, sklyanin=skl)
         rank, smallest = gram_rank(basis, precision=precision)
         checks.append(_check("basis.q.rank_deficit", chain.dim - rank, 0,
                              smallest_sv=smallest))
-        skl = sklyanin_basis(chain, validate=False)
         checks.append(_check("basis.q.sklyanin_identification",
                              _basis_difference(basis, skl), 1e-7))
     else:
@@ -407,10 +457,11 @@ def _basis_difference(got, want) -> float:
     return worst
 
 
-def suite_spectrum(chain: ChainSpec, samples: int):
+def suite_spectrum(chain: ChainSpec, samples: int, ctx=None):
     checks = []
+    ctx = ctx or _RunContext(chain)
     evaluator = TransferEvaluator(chain)
-    records = brute_force_spectrum(chain, evaluator=evaluator)
+    records = ctx.records(evaluator)
 
     worst = 0.0
     for rec in records:
@@ -431,7 +482,8 @@ def suite_spectrum(chain: ChainSpec, samples: int):
     worst = max(wavefunction_action_report(rec.t) for rec in records)
     checks.append(_check("spectrum.wavefunction_separate_action", worst, 1e-8))
 
-    basis = sov_basis_2(chain, evaluator=evaluator)
+    basis = ctx.sov2(evaluator)
+    _require_full_rank(basis)
     worst_res = 0.0
     worst_overlap = 0.0
     for rec in records:
@@ -449,8 +501,6 @@ def suite_spectrum(chain: ChainSpec, samples: int):
 
 def _closed_form_vs_oracle(chain: ChainSpec) -> float:
     """Spectrum of the k2 = 0 degeneration vs its closed form, multiset distance."""
-    from .spectrum import closed_form_solutions
-
     k1 = chain.twist.k1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SingularTwistWarning)
@@ -463,14 +513,10 @@ def _closed_form_vs_oracle(chain: ChainSpec) -> float:
     return _multiset_distance(vals, want) / max(1.0, float(np.max(np.abs(want))))
 
 
-def suite_baxter(chain: ChainSpec, samples: int):
-    from .baxter import solve_q_polynomial, sov_q_factorization, tq_residual, wronskian_values
-
+def suite_baxter(chain: ChainSpec, samples: int, ctx=None):
     checks = []
-    evaluator = TransferEvaluator(chain)
-    records = brute_force_spectrum(chain, evaluator=evaluator)
-    from .baxter import default_zeta
-
+    ctx = ctx or _RunContext(chain)
+    records = ctx.records()
     zeta_a = default_zeta(chain, salt=20)
     zeta_b = default_zeta(chain, salt=24)
     rng = chain.rng(400)
@@ -482,9 +528,9 @@ def suite_baxter(chain: ChainSpec, samples: int):
     worst_wronsk = 0.0
     worst_root = np.inf
     worst_facto = 0.0
-    for rec in records:
-        qpoly = solve_q_polynomial(rec.t, zeta=zeta_a)
-        qpoly_b = solve_q_polynomial(rec.t, zeta=zeta_b)
+    for i, rec in enumerate(records):
+        qpoly = ctx.q_polynomial(i, zeta_a)
+        qpoly_b = ctx.q_polynomial(i, zeta_b)
         worst_deg = max(worst_deg, qpoly.degree - chain.n_s)
         max_deg = max(max_deg, qpoly.degree)
         worst_leftout = max(worst_leftout, qpoly.leftout_residual)
@@ -515,15 +561,13 @@ def suite_baxter(chain: ChainSpec, samples: int):
     return checks
 
 
-def suite_qop(chain: ChainSpec, samples: int):
-    from .baxter import (build_q_operator, q_operator_commutation_residual,
-                         q_operator_invertibility, q_operator_tq_residual)
-
+def suite_qop(chain: ChainSpec, samples: int, ctx=None):
     checks = []
+    ctx = ctx or _RunContext(chain)
     evaluator = TransferEvaluator(chain)
-    records = brute_force_spectrum(chain, evaluator=evaluator)
+    records = ctx.records(evaluator)
     rng = chain.rng(500)
-    qop = build_q_operator(chain, method="eigenbasis", records=records, evaluator=evaluator)
+    qop = ctx.q_operator(evaluator)
     qop_det = build_q_operator(chain, method="determinant", zeta=qop.zeta,
                                records=records, evaluator=evaluator)
 
@@ -549,9 +593,20 @@ def suite_qop(chain: ChainSpec, samples: int):
 # runner
 # ---------------------------------------------------------------------------
 
+_SUITE_ERRORS = (SovChainError, ValueError, np.linalg.LinAlgError)
+
+
 def run(command: str, chain: ChainSpec, samples=20, precision="double",
         basis_kind=None, tol_override=None) -> dict:
     """Execute a command's check suites and assemble the report.
+
+    The suites of one call share a ``_RunContext``: one oracle
+    diagonalization, one Q-polynomial solve per (eigenvalue, zeta), one
+    eigenbasis Q-operator, one Sklyanin basis and one default-source second
+    SoV basis, each computed when a suite first needs it and dropped when
+    the call returns. A suite that raises becomes its ``<suite>.error`` row;
+    the spectrum table is built from the shared records, so when they fail
+    the report carries ``suite_spectrum.error`` and no table.
 
     ``tol_override`` replaces the tolerance of every residual-type check
     (those with a positive default); structural checks (ranks, counts) keep
@@ -560,11 +615,12 @@ def run(command: str, chain: ChainSpec, samples=20, precision="double",
     start = time.perf_counter()
     checks = [_check("model.genericity", 0.0 if genericity_check(chain)["ok"] else 1.0, 0)]
     spectrum_table = None
+    ctx = _RunContext(chain)
 
     def guarded(fn, *args):
         try:
             return fn(chain, *args)
-        except (SovChainError, ValueError, np.linalg.LinAlgError) as err:
+        except _SUITE_ERRORS as err:
             return [_check(f"{fn.__name__}.error", np.inf, 0, message=str(err))]
 
     if command in ("verify-algebra", "all"):
@@ -574,14 +630,19 @@ def run(command: str, chain: ChainSpec, samples=20, precision="double",
     if command in ("basis", "all"):
         kinds = [basis_kind] if command == "basis" else list(BASIS_KINDS)
         for kind in kinds:
-            checks += guarded(suite_basis, kind, samples, precision)
+            checks += guarded(suite_basis, kind, samples, precision, ctx)
     if command in ("spectrum", "all"):
-        checks += guarded(suite_spectrum, samples)
-        spectrum_table = _spectrum_table(chain)
+        checks += guarded(suite_spectrum, samples, ctx)
+        try:
+            spectrum_table = _spectrum_table(chain, ctx)
+        except _SUITE_ERRORS:
+            # the table reads only the records, whose failure suite_spectrum
+            # (which reads them first) has already reported as its error row
+            pass
     if command in ("baxter", "all"):
-        checks += guarded(suite_baxter, samples)
+        checks += guarded(suite_baxter, samples, ctx)
     if command in ("qop", "all"):
-        checks += guarded(suite_qop, samples)
+        checks += guarded(suite_qop, samples, ctx)
 
     if tol_override is not None:
         for c in checks:
@@ -605,10 +666,9 @@ def run(command: str, chain: ChainSpec, samples=20, precision="double",
     return report
 
 
-def _spectrum_table(chain: ChainSpec):
-    records = brute_force_spectrum(chain)
+def _spectrum_table(chain: ChainSpec, ctx: _RunContext):
     table = []
-    for rec in records:
+    for rec in ctx.records():
         table.append({
             "x": [_cpx(z) for z in rec.t.x],
             "value_at_probe": _cpx(rec.value_at_lam0),

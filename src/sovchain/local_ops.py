@@ -9,6 +9,7 @@ two_s=1 literally equals the 4x4 rational 6-vertex R-matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -79,13 +80,23 @@ def permutation_4x4() -> np.ndarray:
 def lax(lam: complex, two_s: int, eta: complex) -> np.ndarray:
     """Lax operator on (auxiliary C^2) x (spin-s site), size 2(two_s+1).
 
-    Block form [[lam + eta(1/2 + Sz), eta Sm], [eta Sp, lam + eta(1/2 - Sz)]].
+    Block form [[lam + eta(1/2 + Sz), eta Sm], [eta Sp, lam + eta(1/2 - Sz)]],
+    i.e. lam Id + eta P with the lam-independent P cached per ``two_s``.
     """
+    eye, p = _lax_parts(two_s)
+    return lam * eye + eta * p
+
+
+@functools.lru_cache(maxsize=None)
+def _lax_parts(two_s: int):
+    """(Id, P) of the Lax operator, P = [[1/2 + Sz, Sm], [Sp, 1/2 - Sz]]; read-only."""
     ops = spin_matrices(two_s)
     eye = np.eye(ops.dim, dtype=CDTYPE)
-    a = lam * eye + eta * (0.5 * eye + ops.sz)
-    d = lam * eye + eta * (0.5 * eye - ops.sz)
-    return np.block([[a, eta * ops.sm], [eta * ops.sp, d]])
+    p = np.block([[0.5 * eye + ops.sz, ops.sm], [ops.sp, 0.5 * eye - ops.sz]])
+    big_eye = np.eye(2 * ops.dim, dtype=CDTYPE)
+    for arr in (big_eye, p):
+        arr.flags.writeable = False
+    return big_eye, p
 
 
 def _permutation_matrix(perm, m):

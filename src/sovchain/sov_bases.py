@@ -24,7 +24,7 @@ import numpy as np
 
 from .chain import ChainSpec, index_of, multi_indices
 from .errors import DegenerateBasis
-from .numerics import CDTYPE, _Barycentric, frob
+from .numerics import CDTYPE, frob
 from .transfer import (TransferEvaluator, global_fused_twist_product,
                        monodromy_blocks, reference_covector)
 
@@ -319,37 +319,77 @@ def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
     At a spectral parameter equal to a grid value of site a the action
     collapses to the single shifted row; at general lam it is the
     interpolation sum plus the diagonal term carrying the twist's own
-    diagonal entry times prod_n (lam - xi_n^(h_n)).
+    diagonal entry times prod_n (lam - xi_n^(h_n)). Default lams: every grid
+    value.
+
+    Vectorized over the rows: the interpolation points xi_n^(h_n) of every
+    row and their barycentric weights are formed once for all lam, the
+    cardinals of all rows at one lam form one (D, N) array (the unit vector
+    e_n on an exact node hit, as in ``_Barycentric``), and the rows h +- e_n
+    are zero-padded slices of the rows arranged as a (d_1, ..., d_N, D) array.
     """
     chain = basis.chain
     twist = chain.twist
     if lams is None:
         lams = [node for _, _, node in chain.all_nodes()]
+    n_sites = chain.n_sites
+    hs = np.array(multi_indices(chain))
+    points = np.empty(hs.shape, dtype=CDTYPE)   # row h, column n: xi_n^(h_n)
+    a_at = np.empty(hs.shape, dtype=CDTYPE)
+    d_at = np.empty(hs.shape, dtype=CDTYPE)
+    for n in range(n_sites):
+        nodes = chain.nodes(n)
+        points[:, n] = nodes[hs[:, n]]
+        a_at[:, n] = np.array([chain.a(z) for z in nodes], dtype=CDTYPE)[hs[:, n]]
+        d_at[:, n] = np.array([chain.d(z) for z in nodes], dtype=CDTYPE)[hs[:, n]]
+    pair_diff = points[:, :, None] - points[:, None, :]
+    pair_diff[:, np.arange(n_sites), np.arange(n_sites)] = 1.0
+    weights = 1.0 / np.prod(pair_diff, axis=2)
+
+    shape = chain.dims + (chain.dim,)
+    cube = basis.rows.reshape(shape)
     worst_a = 0.0
     worst_d = 0.0
     for lam in lams:
         blocks, a_entry, _, d_entry = _acting_blocks(chain, lam)
-        acted_a = basis.rows @ blocks.a
-        acted_d = basis.rows @ blocks.d
-        for h in multi_indices(chain):
-            i = index_of(chain, h)
-            hnodes = [chain.node(n, hn) for n, hn in enumerate(h)]
-            diag = np.prod([lam - z for z in hnodes]) if hnodes else 1.0
-            rhs_a = a_entry * diag * basis.rows[i]
-            rhs_d = d_entry * diag * basis.rows[i]
-            cards = _Barycentric(hnodes).cardinals(lam)
-            for n, card in enumerate(cards):
-                up = list(h)
-                up[n] += 1
-                down = list(h)
-                down[n] -= 1
-                rhs_a = rhs_a + card * twist.k1 * chain.a(hnodes[n]) * basis.row_or_zero(up)
-                rhs_d = rhs_d + card * twist.k2 * chain.d(hnodes[n]) * basis.row_or_zero(down)
-            scale_a = max(1.0, frob(acted_a[i]), frob(rhs_a))
-            scale_d = max(1.0, frob(acted_d[i]), frob(rhs_d))
-            worst_a = max(worst_a, frob(acted_a[i] - rhs_a) / scale_a)
-            worst_d = max(worst_d, frob(acted_d[i] - rhs_d) / scale_d)
+        gap = lam - points
+        diag = np.prod(gap, axis=1)
+        cards = _row_cardinals(gap, weights)
+        rhs_a = ((a_entry * diag)[:, None] * basis.rows).reshape(shape)
+        rhs_d = ((d_entry * diag)[:, None] * basis.rows).reshape(shape)
+        up = (cards * twist.k1 * a_at).reshape(chain.dims + (n_sites,))
+        down = (cards * twist.k2 * d_at).reshape(chain.dims + (n_sites,))
+        for n in range(n_sites):
+            lo = (slice(None),) * n + (slice(None, -1),)
+            hi = (slice(None),) * n + (slice(1, None),)
+            rhs_a[lo] += up[lo][..., n, None] * cube[hi]
+            rhs_d[hi] += down[hi][..., n, None] * cube[lo]
+        worst_a = max(worst_a, _worst_row_residual(basis.rows @ blocks.a,
+                                                   rhs_a.reshape(chain.dim, -1)))
+        worst_d = max(worst_d, _worst_row_residual(basis.rows @ blocks.d,
+                                                   rhs_d.reshape(chain.dim, -1)))
     return {"a_action": worst_a, "d_action": worst_d}
+
+
+def _row_cardinals(gap: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Cardinals of every row's node set at one point, from gap = lam - nodes.
+
+    Row i is prod(gap_i) * weights_i / gap_i, or e_j where gap_i[j] == 0.
+    """
+    hit = gap == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cards = np.prod(gap, axis=1)[:, None] * weights / gap
+    on_node = np.flatnonzero(hit.any(axis=1))
+    cards[on_node] = 0.0
+    cards[on_node, hit[on_node].argmax(axis=1)] = 1.0
+    return cards
+
+
+def _worst_row_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Max over rows of ||lhs_i - rhs_i|| / max(1, ||lhs_i||, ||rhs_i||)."""
+    scale = np.maximum(1.0, np.maximum(np.linalg.norm(lhs, axis=1),
+                                       np.linalg.norm(rhs, axis=1)))
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=1) / scale))
 
 
 def separate_action_report(basis: CovectorBasis, evaluator=None) -> float:

@@ -230,9 +230,16 @@ class _DiscreteSystem:
 
 
 def jacobian_smallest_sv(t: TransferPolynomial) -> float:
-    """Smallest singular value of the system Jacobian at t, relative to the largest."""
+    """Smallest singular value of the normalized system Jacobian at t, over max(1, largest).
+
+    The Jacobian is that of the scale-normalized residual res / scales that
+    Newton tests (row n divided by site n's magnitude scale, held fixed), so
+    each site's determinant counts on its own scale and rescaling one site's
+    equation leaves the value unchanged.
+    """
     system = _DiscreteSystem(t.chain)
-    sv = np.linalg.svd(system.jacobian(t.x), compute_uv=False)
+    _, scales = system.residual(t.x)
+    sv = np.linalg.svd(system.jacobian(t.x) / scales[:, None], compute_uv=False)
     return float(sv[-1] / max(1.0, sv[0]))
 
 
@@ -425,13 +432,17 @@ def wavefunction_sov1(t: TransferPolynomial) -> dict:
     return out
 
 
+def _site_product(factors) -> np.ndarray:
+    """N-d array of prod_n factors[n][h_n]; axis n is indexed by h_n (site order)."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = out[..., None] * f
+    return out
+
+
 def _sov2_array(t: TransferPolynomial) -> np.ndarray:
     """Second-basis wavefunction as an N-d array indexed by h (site order)."""
-    chain = t.chain
-    psi = site_q_values(t, 0)
-    for n in range(1, chain.n_sites):
-        psi = psi[..., None] * site_q_values(t, n)
-    return psi
+    return _site_product([site_q_values(t, n) for n in range(t.chain.n_sites)])
 
 
 def wavefunction_sov2(t: TransferPolynomial) -> dict:

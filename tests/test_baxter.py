@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sovchain.baxter import (_closure_system, _Interpolation, build_q_operator,
-                             default_zeta, degenerate_q_closed_form, q_operator_commutation_residual,
-                             q_operator_invertibility, q_operator_tq_residual, q_values,
-                             solve_q_polynomial, sov_from_q, sov_q_factorization,
-                             tq_residual, tq_residual_shifted, wronskian_values)
+from sovchain.baxter import (_closure_system, _Interpolation, _require_regular_closure,
+                             build_q_operator, default_zeta, degenerate_q_closed_form,
+                             q_operator_commutation_residual, q_operator_invertibility,
+                             q_operator_tq_residual, q_values, solve_q_polynomial, sov_from_q,
+                             sov_q_factorization, tq_residual, tq_residual_shifted,
+                             wronskian_values)
 from sovchain.chain import multi_indices
-from sovchain.errors import SingularCZeta
+from sovchain.errors import (DegenerateBasis, NonInvertibleQ, RootOnForbiddenNode,
+                             SingularCZeta)
 from sovchain.numerics import frob, poly_eval, random_complex
 from sovchain.sov_bases import gram_rank, sklyanin_basis
 from sovchain.spectrum import TransferPolynomial, brute_force_spectrum
@@ -265,3 +269,104 @@ def test_singular_closure_system_raises(chain12):
     rec = brute_force_spectrum(chain12)[0]
     with pytest.raises(SingularCZeta):
         solve_q_polynomial(rec.t, det_floor=1e30)
+
+
+def _closure(chain, rec):
+    return _closure_system(_Interpolation(chain, default_zeta(chain)), q_values(rec.t))
+
+
+def test_closure_guard_fires_on_singular_matrix(chain112):
+    system = _closure(chain112, brute_force_spectrum(chain112)[0])
+    dependent = dataclasses.replace(system, matrix=system.matrix.copy())
+    dependent.matrix[:, 2] = 3.0 * dependent.matrix[:, 0] - dependent.matrix[:, 1]
+    zero_column = dataclasses.replace(system, matrix=system.matrix.copy())
+    zero_column.matrix[:, 1] = 0.0
+    for singular in (dependent, zero_column):
+        with pytest.raises(SingularCZeta):
+            _require_regular_closure(singular)
+
+
+def test_closure_guard_ignores_column_scale(chain112):
+    for rec in brute_force_spectrum(chain112):
+        system = _closure(chain112, rec)
+        ratio = _require_regular_closure(system)
+        assert 1e-10 < ratio <= 1.0
+        for j in range(chain112.n_sites):
+            for factor in (1e-12, 1e9):
+                scaled = dataclasses.replace(system, matrix=system.matrix.copy())
+                scaled.matrix[:, j] *= factor
+                assert _require_regular_closure(scaled) == pytest.approx(ratio, rel=1e-10)
+                if factor < 1:
+                    # the unequilibrated test read a small column as a singularity
+                    raw = abs(np.linalg.det(scaled.matrix))
+                    assert raw < 1e-10 * np.prod(np.linalg.norm(scaled.matrix, axis=1))
+
+
+def test_root_on_forbidden_node_raises(chain12):
+    zeta = default_zeta(chain12)
+    rec = next(r for r in brute_force_spectrum(chain12)
+               if solve_q_polynomial(r.t, zeta=zeta).degree > 0)
+    with pytest.raises(RootOnForbiddenNode):
+        solve_q_polynomial(rec.t, zeta=zeta, root_floor=1e30)
+
+
+def test_non_invertible_q_raises(chain12, ev12):
+    qop = build_q_operator(chain12, evaluator=ev12)
+    with pytest.raises(NonInvertibleQ):
+        q_operator_invertibility(qop, cond_limit=0)
+
+
+def test_q_operator_takes_q_polynomials_from_solver(chain12, ev12):
+    records = brute_force_spectrum(chain12, evaluator=ev12)
+    asked = []
+
+    def solver(index, zeta):
+        asked.append(index)
+        return solve_q_polynomial(records[index].t, zeta=zeta)
+
+    qop = build_q_operator(chain12, records=records, evaluator=ev12, q_solver=solver)
+    ref = build_q_operator(chain12, records=records, evaluator=ev12)
+    assert asked == list(range(chain12.dim))
+    for lam in (0.3 - 0.8j, -1.7 + 0.2j):
+        assert np.array_equal(qop(lam), ref(lam))
+
+
+def test_sov_from_q_validates_given_sklyanin_basis(chain12, ev12):
+    qop = build_q_operator(chain12, evaluator=ev12)
+    skl = sklyanin_basis(chain12)
+    assert np.array_equal(sov_from_q(chain12, qop, sklyanin=skl).rows,
+                          sov_from_q(chain12, qop).rows)
+    flat = dataclasses.replace(skl, rows=skl.rows.copy())
+    flat.rows[1] = flat.rows[0]
+    with pytest.raises(DegenerateBasis):
+        sov_from_q(chain12, qop, sklyanin=flat)
+
+
+def _sov_q_factorization_loop(t, qpoly):
+    """Entry-by-entry reference: one Q evaluation per (h, n)."""
+    from sovchain.spectrum import wavefunction_sov2
+
+    chain = t.chain
+    psi = wavefunction_sov2(t)
+    hs = multi_indices(chain)
+    prod_q = np.array([np.prod([qpoly(chain.node(n, hn)) for n, hn in enumerate(h)])
+                       for h in hs])
+    target = np.array([psi[h] for h in hs])
+    c = np.vdot(prod_q, target) / np.vdot(prod_q, prod_q)
+    return float(np.max(np.abs(target - c * prod_q)) / max(1.0, np.max(np.abs(target))))
+
+
+def test_sov_q_factorization_matches_loop(chain112):
+    zeta = default_zeta(chain112)
+    rng = np.random.default_rng(4)
+    for rec in brute_force_spectrum(chain112):
+        qpoly = solve_q_polynomial(rec.t, zeta=zeta)
+        assert abs(sov_q_factorization(rec.t, qpoly) - _sov_q_factorization_loop(rec.t, qpoly)) \
+            < 1e-13
+        if qpoly.degree == 0:   # a constant Q factorizes whatever its value
+            continue
+        noise = 1 + 1e-3 * rng.standard_normal(len(qpoly.coeffs))
+        off = dataclasses.replace(qpoly, coeffs=qpoly.coeffs * noise)
+        want = _sov_q_factorization_loop(rec.t, off)
+        assert want > 1e-6
+        assert sov_q_factorization(rec.t, off) == pytest.approx(want, rel=1e-10)

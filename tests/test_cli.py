@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from sovchain import cli
 from sovchain.cli import (ConfigError, chain_from_config, load_config, main,
                           parse_config, run)
 
@@ -173,3 +175,111 @@ def test_qop_failure_becomes_failed_check(tmp_path):
     assert main(["qop", "--config", str(cfg), "--out", str(out)]) == 1
     report = json.loads(out.read_text())
     assert not report["passed"]
+
+
+JORDAN = {
+    "eta": [1.0, 0.0],
+    "sites": [{"two_s": 1, "xi": [0.0, 0.0]}],
+    "twist": {"a": [1.0, 0.0], "b": [1.0, 0.0], "c": [0.0, 0.0], "d": [1.0, 0.0]},
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "all"])
+def test_spectrum_failure_becomes_error_row(tmp_path, command):
+    # equal twist eigenvalues: the oracle spectrum is degenerate, so the
+    # spectrum suite and its table fail; the report is still written
+    cfg = tmp_path / "jordan.json"
+    cfg.write_text(json.dumps(JORDAN))
+    out = tmp_path / "report.json"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert "suite_spectrum.error" in failed
+    assert "spectrum" not in report
+
+
+def test_all_rows_equal_separate_commands():
+    chain = chain_from_config(load_config("n2_mixed"))
+    together = run("all", chain)
+    rows = [c for c in together["checks"] if c["name"] != "model.genericity"]
+    separate = []
+    for command, kind in [("verify-algebra", None), ("verify-fusion", None),
+                          ("basis", "sklyanin"), ("basis", "sov1"), ("basis", "sov2"),
+                          ("basis", "q"), ("spectrum", None), ("baxter", None), ("qop", None)]:
+        report = run(command, chain, basis_kind=kind)
+        separate += [c for c in report["checks"] if c["name"] != "model.genericity"]
+        if command == "spectrum":
+            assert report["spectrum"] == together["spectrum"]
+    assert json.dumps(rows, sort_keys=True) == json.dumps(separate, sort_keys=True)
+
+
+def test_all_diagonalizes_once(monkeypatch):
+    calls = []
+    oracle = cli.brute_force_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "brute_force_spectrum", counted)
+    chain = chain_from_config(load_config("n2_mixed"))
+    assert run("all", chain)["passed"]
+    assert len(calls) == 1
+
+
+def test_q_basis_still_validates_the_sklyanin_basis(monkeypatch):
+    build = cli.sklyanin_basis
+
+    def rank_one(chain, validate=True):
+        basis = build(chain, validate=False)
+        basis.rows[:] = basis.rows[0]
+        return basis
+
+    monkeypatch.setattr(cli, "sklyanin_basis", rank_one)
+    chain = chain_from_config(load_config("n2_mixed"))
+    report = run("basis", chain, basis_kind="q")
+    error = [c for c in report["checks"] if c["name"] == "suite_basis.error"]
+    assert error and "rank" in error[0]["info"]["message"]
+
+
+@pytest.mark.parametrize("seed", [240, 4249])
+def test_wide_scale_chains_fail_only_the_known_limit(seed):
+    # closure matrices with column norms 5e3 apart and site determinants of
+    # very different scale: well-posed systems the singularity guards must pass
+    from conftest import TWIST_FULL
+    from sovchain.chain import random_chain
+
+    report = run("all", random_chain((1,) * 6, 1.0, TWIST_FULL, seed))
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert set(failed) <= {"basis.q.sklyanin_identification"}
+
+
+def test_run_context_keys_and_failures(monkeypatch):
+    from sovchain.baxter import default_zeta, solve_q_polynomial
+    from sovchain.errors import NearDegenerateSpectrum
+
+    chain = chain_from_config(load_config("n2_mixed"))
+    oracle = cli.brute_force_spectrum
+    attempts = []
+
+    def flaky(*args, **kwargs):
+        attempts.append(1)
+        if len(attempts) == 1:
+            raise NearDegenerateSpectrum("first attempt fails")
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "brute_force_spectrum", flaky)
+    ctx = cli._RunContext(chain)
+    with pytest.raises(NearDegenerateSpectrum):
+        ctx.records()
+    records = ctx.records()          # a failure is not stored
+    assert ctx.records() is records and len(attempts) == 2
+
+    for salt in (20, 24):
+        zeta = default_zeta(chain, salt=salt)
+        for i in (0, chain.dim - 1):
+            q = ctx.q_polynomial(i, zeta)
+            assert ctx.q_polynomial(i, zeta) is q
+            assert q.zeta == zeta
+            assert np.array_equal(q.coeffs, solve_q_polynomial(records[i].t, zeta=zeta).coeffs)

@@ -162,3 +162,19 @@ def test_kron_embed_errors():
         kron_embed(np.eye(2), [0, 0], [2, 2])
     with pytest.raises(ValueError):
         kron_embed(np.eye(3), [0], [2, 2])
+
+
+def test_lax_matches_block_form():
+    # lam Id + eta P with P cached per spin: same entries as the block formula
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        lam, eta = random_complex(rng, size=2)
+        two_s = int(rng.integers(1, 6))
+        ops = spin_matrices(two_s)
+        eye = np.eye(two_s + 1)
+        want = np.block([[lam * eye + eta * (0.5 * eye + ops.sz), eta * ops.sm],
+                         [eta * ops.sp, lam * eye + eta * (0.5 * eye - ops.sz)]])
+        got = lax(lam, two_s, eta)
+        assert np.array_equal(got, want)
+        got[0, 0] = 99.0   # the result belongs to the caller, not to the cache
+        assert np.array_equal(lax(lam, two_s, eta), want)

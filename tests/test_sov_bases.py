@@ -4,7 +4,8 @@ import pytest
 from sovchain.chain import make_chain, multi_indices
 from sovchain.errors import DegenerateBasis
 from sovchain.numerics import commutator_residual, frob, random_complex
-from sovchain.sov_bases import (b_eigen_report, gram_rank, separate_action_report,
+from sovchain.sov_bases import (CovectorBasis, _acting_blocks, b_eigen_report, gram_rank,
+                                separate_action_report,
                                 shift_action_report, sklyanin_basis, sklyanin_norm,
                                 sov_basis_1, sov_basis_2, tensor_generating_covector)
 from sovchain.transfer import TransferEvaluator, monodromy_blocks, reference_covector
@@ -195,3 +196,53 @@ def test_gram_rank_extended_precision(chain12):
     assert abs(sv_d - sv_x) < 1e-8
     with pytest.raises(ValueError):
         gram_rank(basis, precision="quad")
+
+
+def _shift_action_loop(basis, lams):
+    """Row-by-row reference of shift_action_report, one cardinal set per (h, lam)."""
+    from sovchain.numerics import _Barycentric
+
+    chain = basis.chain
+    twist = chain.twist
+    worst_a = worst_d = 0.0
+    for lam in lams:
+        blocks, a_entry, _, d_entry = _acting_blocks(chain, lam)
+        acted_a = basis.rows @ blocks.a
+        acted_d = basis.rows @ blocks.d
+        for i, h in enumerate(multi_indices(chain)):
+            hnodes = [chain.node(n, hn) for n, hn in enumerate(h)]
+            diag = np.prod([lam - z for z in hnodes])
+            rhs_a = a_entry * diag * basis.rows[i]
+            rhs_d = d_entry * diag * basis.rows[i]
+            for n, card in enumerate(_Barycentric(hnodes).cardinals(lam)):
+                up = list(h)
+                up[n] += 1
+                down = list(h)
+                down[n] -= 1
+                rhs_a = rhs_a + card * twist.k1 * chain.a(hnodes[n]) * basis.row_or_zero(up)
+                rhs_d = rhs_d + card * twist.k2 * chain.d(hnodes[n]) * basis.row_or_zero(down)
+            worst_a = max(worst_a, frob(acted_a[i] - rhs_a)
+                          / max(1.0, frob(acted_a[i]), frob(rhs_a)))
+            worst_d = max(worst_d, frob(acted_d[i] - rhs_d)
+                          / max(1.0, frob(acted_d[i]), frob(rhs_d)))
+    return {"a_action": worst_a, "d_action": worst_d}
+
+
+def test_shift_action_report_matches_row_loop(chain123):
+    chain = chain123
+    rng = np.random.default_rng(12)
+    lams = ([node for _, _, node in chain.all_nodes()]
+            + [complex(z) for z in random_complex(rng, size=2, box=2.5)])
+    basis = sklyanin_basis(chain)
+    got = shift_action_report(basis, lams)
+    want = _shift_action_loop(basis, lams)
+    for key in ("a_action", "d_action"):
+        assert got[key] < 1e-12 and want[key] < 1e-12
+    # rows off the Sklyanin family: O(1e-6) residuals that both routes must agree on
+    noisy = CovectorBasis(rows=basis.rows * (1 + 1e-6 * rng.standard_normal(basis.rows.shape)),
+                          kind="noisy", chain=chain, source=basis.source)
+    got = shift_action_report(noisy, lams)
+    want = _shift_action_loop(noisy, lams)
+    for key in ("a_action", "d_action"):
+        assert want[key] > 1e-9
+        assert got[key] == pytest.approx(want[key], rel=1e-8)

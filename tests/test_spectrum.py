@@ -7,7 +7,7 @@ from sovchain.chain import Tolerances, multi_indices
 from sovchain.cli import chain_from_config, load_config
 from sovchain.errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
 from sovchain.numerics import frob, lagrange_cardinal, random_complex
-from sovchain.spectrum import (TransferPolynomial, brute_force_spectrum,
+from sovchain.spectrum import (TransferPolynomial, _DiscreteSystem, brute_force_spectrum,
                                closed_form_solutions, discrete_matrix,
                                discrete_residuals, eigenvector_from_sov,
                                fused_eigenvalues, jacobian_smallest_sv, leading_minor,
@@ -279,3 +279,30 @@ def test_eigenvector_residual_too_large_raises(chain12, ev12):
     rec = brute_force_spectrum(chain12, evaluator=ev12)[0]
     with pytest.raises(ResidualTooLarge):
         eigenvector_from_sov(rec.t, basis, evaluator=ev12, check_tol=0.0)
+
+
+def test_jacobian_regularity_ignores_site_scale(chain112, monkeypatch):
+    solutions, _ = solve_discrete_system(chain112)
+    before = [jacobian_smallest_sv(sol) for sol in solutions]
+    residual, jacobian = _DiscreteSystem.residual, _DiscreteSystem.jacobian
+    # one site's determinant on a scale 1e7 larger, as for a wide-spread chain
+    row_scale = np.array([1e7, 1.0, 1.0])
+    monkeypatch.setattr(_DiscreteSystem, "residual",
+                        lambda self, x: tuple(v * row_scale for v in residual(self, x)))
+    monkeypatch.setattr(_DiscreteSystem, "jacobian",
+                        lambda self, x: jacobian(self, x) * row_scale[:, None])
+    after = [jacobian_smallest_sv(sol) for sol in solutions]
+    assert after == pytest.approx(before, rel=1e-10)
+
+
+def test_jacobian_regularity_fires_on_singular_jacobian(chain112, monkeypatch):
+    solutions, _ = solve_discrete_system(chain112)
+    jacobian = _DiscreteSystem.jacobian
+
+    def dependent_rows(self, x):
+        jac = jacobian(self, x)
+        jac[1] = 2.5 * jac[0]
+        return jac
+
+    monkeypatch.setattr(_DiscreteSystem, "jacobian", dependent_rows)
+    assert jacobian_smallest_sv(solutions[0]) < 1e-8
