@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, index_of, multi_indices
+from .chain import ChainSpec
 from .errors import NonInvertibleQ, RootOnForbiddenNode, SingularCZeta
 from .numerics import (CDTYPE, _Barycentric, frob, poly_coeffs_from_samples, poly_eval,
                        random_complex, trim_trailing)
@@ -458,36 +458,27 @@ def sov_from_q(chain: ChainSpec, qop: QOperator, source=None, validate=True,
     the family reproduces the Sklyanin basis row by row. That Sklyanin basis
     is ``sklyanin`` when given (an already built one), else built here; it
     must have full rank either way (DegenerateBasis).
+
+    Products are taken in Q's eigenbasis: row h is (c * prod_a q(xi_a^(h_a)))
+    @ left with c = source @ vectors and q the eigenvalues of Q, so no dense Q
+    or inverse of Q is formed.
     """
-    cache = {}
-
-    def q_at(n, h):
-        key = (n, h)
-        if key not in cache:
-            cache[key] = qop(chain.node(n, h))
-        return cache[key]
-
+    per_site = [np.array([qop.eigenvalues(z) for z in chain.nodes(n)])
+                for n in range(chain.n_sites)]
     if source is None:
         skl = sklyanin if sklyanin is not None else sklyanin_basis(chain, validate=False)
         _require_full_rank(skl)
         top = tuple(site.two_s for site in chain.sites)
-        source = skl.row(top).copy()
-        for n, site in enumerate(chain.sites):
-            source = source @ np.linalg.inv(q_at(n, site.two_s))
-    source = np.asarray(source, dtype=CDTYPE)
-
-    d = chain.dim
-    rows = np.zeros((d, d), dtype=CDTYPE)
-    partial = {(): source}
-    for h in multi_indices(chain):
-        vec = partial[()]
-        for n in range(chain.n_sites):
-            key = h[: n + 1]
-            if key not in partial:
-                partial[key] = partial[h[:n]] @ q_at(n, h[n])
-            vec = partial[key]
-        rows[index_of(chain, h)] = vec
-    basis = CovectorBasis(rows=rows, kind="q_generated", chain=chain, source=source)
+        coords = skl.row(top) @ qop.vectors / np.prod([q[-1] for q in per_site], axis=0)
+        source = coords @ qop.left
+    else:
+        source = np.asarray(source, dtype=CDTYPE)
+        coords = source @ qop.vectors
+    weights = np.ones((1, chain.dim), dtype=CDTYPE)
+    for q in per_site:
+        weights = (weights[:, None, :] * q).reshape(-1, chain.dim)
+    basis = CovectorBasis(rows=(weights * coords) @ qop.left, kind="q_generated",
+                          chain=chain, source=source)
     if validate:
         _require_full_rank(basis)
     return basis

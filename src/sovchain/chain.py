@@ -320,6 +320,21 @@ def genericity_check(chain: ChainSpec) -> dict:
     return {"ok": True, "pairs_checked": pairs, "min_separation": float(min_sep)}
 
 
+def _tower_denominators(chain: ChainSpec, n: int) -> np.ndarray:
+    """k2^(2s_n - h) prod_{k=h+1}^{2s_n} d(xi_n^(k)) for h = 0..2s_n.
+
+    Level 2s_n - h of site n's fused tower at its bottom node, divided by
+    entry h, is the grid ratio Q(xi_n^(h)) / Q(xi_n^(2s_n)).
+    """
+    k2 = chain.twist.k2
+    if k2 == 0:
+        raise ValueError("the fused-tower denominators require k2 != 0")
+    out = [1.0]
+    for k in range(chain.sites[n].two_s, 0, -1):
+        out.append(out[-1] * k2 * chain.d(chain.node(n, k)))
+    return np.array(out[::-1])
+
+
 def multi_indices(chain: ChainSpec):
     """All multi-indices h = (h_1..h_N), h_n in 0..2s_n, lexicographic order."""
     return list(itertools.product(*[range(d) for d in chain.dims]))

@@ -25,10 +25,6 @@ class NearDegenerateSpectrum(SovChainError):
     """Brute-force diagonalization found an eigenvalue gap below tolerance."""
 
 
-class NonConvergence(SovChainError):
-    """Newton refinement of a spectrum candidate did not converge."""
-
-
 class CountMismatch(SovChainError):
     """Number of distinct discrete-system solutions differs from dim(H)."""
 

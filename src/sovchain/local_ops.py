@@ -150,10 +150,7 @@ def fuse_2x2(k: np.ndarray, m: int) -> np.ndarray:
     if m == 1:
         return np.asarray(k, dtype=CDTYPE).copy()
     u = symmetric_basis(m)
-    full = np.ones((1, 1), dtype=CDTYPE)
-    for _ in range(m):
-        full = np.kron(full, np.asarray(k, dtype=CDTYPE))
-    return u.conj().T @ full @ u
+    return u.conj().T @ kron_chain([k] * m) @ u
 
 
 def kron_embed(op: np.ndarray, legs, dims) -> np.ndarray:

@@ -73,10 +73,10 @@ class _Barycentric:
         ell(lam) = prod_j (lam - x_j); ``values[j]`` exactly at node j.
         """
         diff = lam - self.nodes
-        hit = np.flatnonzero(diff == 0)
-        if hit.size:
-            return complex(values[hit[0]])
-        return complex(np.prod(diff) * (lead + np.sum(self.weights * values / diff)))
+        hit = diff == 0
+        if hit.any():
+            return complex(values[hit.argmax()])
+        return complex(diff.prod() * (lead + (self.weights * values / diff).sum()))
 
 
 def poly_coeffs_from_samples(nodes, values, rcond=None):

@@ -1,7 +1,9 @@
 """The three covector separation-of-variables bases and their verifiers.
 
 Three constructions of a covector basis indexed by h = (h_1..h_N),
-h_n in 0..2s_n:
+h_n in 0..2s_n. Each is a site product: row h is a source covector times
+one operator per site and grid level, O_1(h_1) ... O_N(h_N), and all rows
+are built together by ``_site_product_rows``:
 
 * ``sklyanin_basis``: repeated action of the twisted A-operator at grid
   points on the tensor-product reference covector. The rows are
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, index_of, multi_indices
+from .chain import ChainSpec, _tower_denominators, index_of, multi_indices
 from .errors import DegenerateBasis
+from .local_ops import kron_chain
 from .numerics import CDTYPE, frob
 from .transfer import (TransferEvaluator, global_fused_twist_product,
                        monodromy_blocks, reference_covector)
@@ -75,22 +78,15 @@ def sklyanin_norm(chain: ChainSpec) -> complex:
     return out
 
 
-def _build_rows_from_site_factors(chain, start, factor):
-    """Rows <h| = start @ prod_n factor(n, h_n), filled in lexicographic order.
+def _site_product_rows(source, per_site) -> np.ndarray:
+    """Rows source @ per_site[0][h_0] @ ... @ per_site[N-1][h_{N-1}], h lexicographic.
 
-    ``factor(n, k)`` must return the operator advancing slot n from k-1 to k;
-    factors at different sites are assumed to commute in effect, so each row
-    is derived from the predecessor with one slot decremented.
+    One site at a time: each (site, level) operator multiplies every row
+    built so far in a single matrix product.
     """
-    d = chain.dim
-    rows = np.zeros((d, d), dtype=CDTYPE)
-    order = multi_indices(chain)
-    rows[0] = start
-    for h in order[1:]:
-        m = max(n for n, hn in enumerate(h) if hn > 0)
-        parent = list(h)
-        parent[m] -= 1
-        rows[index_of(chain, h)] = rows[index_of(chain, tuple(parent))] @ factor(m, h[m])
+    rows = np.asarray(source, dtype=CDTYPE)[None, :]
+    for ops in per_site:
+        rows = np.stack([rows @ op for op in ops], axis=1).reshape(-1, rows.shape[1])
     return rows
 
 
@@ -108,19 +104,20 @@ def sklyanin_basis(chain: ChainSpec, validate=True) -> CovectorBasis:
     conj = twist.needs_conjugation
     k_build = twist.conjugated() if conj else twist.matrix
 
-    a_ops = {}
+    per_site = []
     for n, site in enumerate(chain.sites):
+        ops = [np.eye(chain.dim, dtype=CDTYPE)]
         for k in range(site.two_s):
             node = chain.node(n, k)
             blocks = monodromy_blocks(chain, node, twist_matrix=k_build)
-            a_ops[(n, k)] = blocks.a / (twist.k1 * chain.a(node))
+            ops.append(ops[-1] @ blocks.a / (twist.k1 * chain.a(node)))
+        per_site.append(ops)
 
     norm = sklyanin_norm(chain)
     if abs(norm) < 1e-150:
         # coinciding top nodes; keep rows finite so the rank check can report
         norm = 1.0
-    start = reference_covector(chain) / norm
-    rows = _build_rows_from_site_factors(chain, start, lambda n, k: a_ops[(n, k - 1)])
+    rows = _site_product_rows(reference_covector(chain) / norm, per_site)
     if conj:
         w_glob = global_fused_twist_product(chain, twist.w)
         rows = rows @ np.linalg.inv(w_glob)
@@ -145,7 +142,8 @@ def sov_basis_1(chain: ChainSpec, source=None, evaluator=None, validate=True) ->
                for n, site in enumerate(chain.sites)]
     if source is None:
         source = _gaussian_covector(chain, salt=1)
-    rows = _build_rows_from_site_factors(chain, source, lambda n, k: charges[n])
+    rows = _site_product_rows(source, [[np.linalg.matrix_power(c, h) for h in range(site.dim)]
+                                       for c, site in zip(charges, chain.sites)])
     basis = CovectorBasis(rows=rows, kind="sov1", chain=chain, source=np.asarray(source))
     if validate:
         _require_full_rank(basis)
@@ -165,29 +163,13 @@ def sov_basis_2(chain: ChainSpec, source=None, evaluator=None, validate=True) ->
     evaluator = evaluator or TransferEvaluator(chain)
     if source is None:
         source = _gaussian_covector(chain, salt=2)
-    factors = []
+    per_site = []
     for n, site in enumerate(chain.sites):
-        per_site = []
         bottom = chain.node(n, site.two_s)
-        for hn in range(site.two_s + 1):
-            denom = 1.0 + 0.0j
-            for k in range(site.two_s - hn):
-                denom *= chain.d(chain.node(n, site.two_s - k))
-            coeff = twist.k2 ** (hn - site.two_s) / denom
-            per_site.append(coeff * evaluator.fused(site.two_s - hn, bottom))
-        factors.append(per_site)
-
-    d = chain.dim
-    rows = np.zeros((d, d), dtype=CDTYPE)
-    partial = {(): np.asarray(source, dtype=CDTYPE)}
-    for h in multi_indices(chain):
-        vec = partial[()]
-        for n in range(chain.n_sites):
-            key = h[: n + 1]
-            if key not in partial:
-                partial[key] = partial[h[:n]] @ factors[n][h[n]]
-            vec = partial[key]
-        rows[index_of(chain, h)] = vec
+        denoms = _tower_denominators(chain, n)
+        per_site.append([evaluator.fused(site.two_s - hn, bottom) / denoms[hn]
+                         for hn in range(site.dim)])
+    rows = _site_product_rows(source, per_site)
     basis = CovectorBasis(rows=rows, kind="sov2", chain=chain, source=np.asarray(source))
     if validate:
         _require_full_rank(basis)
@@ -221,10 +203,7 @@ def tensor_generating_covector(chain: ChainSpec, salt=3, max_tries=16) -> np.nda
         else:
             raise DegenerateBasis("no spanning local covector found; twist "
                                   "orbit is degenerate")
-    out = locals_[0]
-    for vec in locals_[1:]:
-        out = np.kron(out, vec)
-    return out
+    return kron_chain(locals_).ravel()
 
 
 def gram_rank(basis: CovectorBasis, precision="double"):

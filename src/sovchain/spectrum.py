@@ -4,8 +4,11 @@ Spectrum candidates are degree-N polynomials with leading coefficient tr(K),
 parametrized by their values x_a at the top grid nodes xi_a^(0). A candidate
 is on-shell iff, for every site n, the (2s_n+1)-dimensional tridiagonal
 scalar matrix with diagonal t(xi_n^(0))..t(xi_n^(2s_n)), superdiagonal
--k1 a(node) and subdiagonal -k2 d(node) is singular. Determinants and their
-x-derivatives are evaluated by the three-term recurrence.
+-k1 a(node) and subdiagonal -k2 d(node) is singular. Every determinant, the
+fused eigenvalues included, comes from one three-term recurrence for the
+leading minors of a tridiagonal matrix (``_tridiagonal_minors``); the
+x-derivatives of a site determinant are its diagonal cofactors, each a
+leading minor times a trailing one.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, multi_indices
-from .errors import CountMismatch, NearDegenerateSpectrum, NonConvergence, ResidualTooLarge
+from .chain import ChainSpec, _tower_denominators, multi_indices
+from .errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
 from .numerics import CDTYPE, _Barycentric, frob, random_complex
 from .transfer import TransferEvaluator
 
@@ -52,7 +55,6 @@ class TransferPolynomial:
 
     chain: ChainSpec
     x: np.ndarray
-    _fused_cache: dict = field(default_factory=dict, repr=False)
     _interp: _Barycentric = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,19 +70,7 @@ class TransferPolynomial:
         """Scalar fusion recursion t^(level)(lam); level 0 gives 1."""
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
-        key = (level, complex(lam))
-        if key in self._fused_cache:
-            return self._fused_cache[key]
-        if level == 0:
-            out = 1.0 + 0.0j
-        elif level == 1:
-            out = self(lam)
-        else:
-            shift = lam + (level - 1) * self.chain.eta
-            out = (self(shift) * self.fused_value(level - 1, lam)
-                   - self.chain.det_q(shift) * self.fused_value(level - 2, lam))
-        self._fused_cache[key] = out
-        return out
+        return complex(_fused_tower(self, lam, level)[level])
 
 
 @dataclass
@@ -149,30 +139,34 @@ def discrete_matrix(t: TransferPolynomial, n: int) -> np.ndarray:
 
 
 def _site_data(chain: ChainSpec, n: int):
-    """Nodes and off-diagonal entries for site n's tridiagonal matrix."""
-    site = chain.sites[n]
-    nodes = [chain.node(n, k) for k in range(site.two_s + 1)]
-    sup = [-chain.twist.k1 * chain.a(z) for z in nodes[:-1]]
-    sub = [-chain.twist.k2 * chain.d(z) for z in nodes[1:]]
-    return nodes, sup, sub
+    """Nodes of site n and the off-diagonal products sup[j] * sub[j] of its matrix."""
+    nodes = [chain.node(n, k) for k in range(chain.sites[n].dim)]
+    k1, k2 = chain.twist.k1, chain.twist.k2
+    return nodes, [k1 * chain.a(z) * k2 * chain.d(w) for z, w in zip(nodes, nodes[1:])]
 
 
-def _leading_minors(diag, sup, sub):
-    """Principal minors f_0..f_m (f_0 = 1) of a scalar tridiagonal matrix."""
-    m = len(diag)
-    f = [1.0 + 0.0j, diag[0]]
-    for j in range(2, m + 1):
-        f.append(diag[j - 1] * f[j - 1] - sup[j - 2] * sub[j - 2] * f[j - 2])
-    return f
+def _tridiagonal_minors(diag, offprod) -> np.ndarray:
+    """Leading principal minors f_0..f_m (f_0 = 1) of an m x m tridiagonal matrix.
+
+    ``offprod[j]`` is sup[j] * sub[j], the product of the off-diagonal pair
+    coupling rows j and j + 1: f_j = diag[j-1] f_{j-1} - offprod[j-2] f_{j-2}.
+    """
+    f = [1.0, *diag[:1]]
+    for j in range(1, len(diag)):
+        f.append(diag[j] * f[j] - offprod[j - 1] * f[j - 1])
+    return np.array(f)
 
 
-def _magnitude_scale(diag, sup, sub) -> float:
+def _fused_tower(t: TransferPolynomial, lam: complex, top: int) -> np.ndarray:
+    """t^(0..top)(lam): the recurrence on t(lam + k eta) and det_q(lam + (k+1) eta)."""
+    shifts = [lam + k * t.chain.eta for k in range(top)]
+    return _tridiagonal_minors([t(z) for z in shifts],
+                               [t.chain.det_q(z) for z in shifts[1:]])
+
+
+def _magnitude_scale(diag, offprod) -> float:
     """Same recurrence on absolute values; bounds the determinant magnitude."""
-    m = len(diag)
-    f = [1.0, abs(diag[0])]
-    for j in range(2, m + 1):
-        f.append(abs(diag[j - 1]) * f[j - 1] + abs(sup[j - 2] * sub[j - 2]) * f[j - 2])
-    return max(1.0, f[m])
+    return max(1.0, _tridiagonal_minors([abs(z) for z in diag], [-abs(c) for c in offprod])[-1])
 
 
 def discrete_residuals(t: TransferPolynomial, chain=None) -> np.ndarray:
@@ -180,10 +174,9 @@ def discrete_residuals(t: TransferPolynomial, chain=None) -> np.ndarray:
     chain = chain or t.chain
     out = np.zeros(chain.n_sites, dtype=CDTYPE)
     for n in range(chain.n_sites):
-        nodes, sup, sub = _site_data(chain, n)
+        nodes, offprod = _site_data(chain, n)
         diag = [t(z) for z in nodes]
-        f = _leading_minors(diag, sup, sub)
-        out[n] = f[-1] / _magnitude_scale(diag, sup, sub)
+        out[n] = _tridiagonal_minors(diag, offprod)[-1] / _magnitude_scale(diag, offprod)
     return out
 
 
@@ -196,36 +189,34 @@ class _DiscreteSystem:
         interp = _Barycentric(nodes0)
         self.sites = []
         for n in range(chain.n_sites):
-            nodes, sup, sub = _site_data(chain, n)
+            nodes, offprod = _site_data(chain, n)
             base = np.array([chain.twist.trace * np.prod([z - w for w in nodes0])
                              for z in nodes], dtype=CDTYPE)
             coeff = np.array([interp.cardinals(z) for z in nodes], dtype=CDTYPE)
-            self.sites.append((base, coeff, sup, sub))
+            self.sites.append((base, coeff, offprod))
 
     def residual(self, x):
         """(raw determinants, per-site magnitude scales)."""
         res = np.zeros(self.chain.n_sites, dtype=CDTYPE)
         scales = np.zeros(self.chain.n_sites)
-        for n, (base, coeff, sup, sub) in enumerate(self.sites):
+        for n, (base, coeff, offprod) in enumerate(self.sites):
             diag = base + coeff @ x
-            f = _leading_minors(diag, sup, sub)
-            res[n] = f[-1]
-            scales[n] = _magnitude_scale(diag, sup, sub)
+            res[n] = _tridiagonal_minors(diag, offprod)[-1]
+            scales[n] = _magnitude_scale(diag, offprod)
         return res, scales
 
     def jacobian(self, x):
-        n_sites = self.chain.n_sites
-        jac = np.zeros((n_sites, n_sites), dtype=CDTYPE)
-        for n, (base, coeff, sup, sub) in enumerate(self.sites):
+        """d res / dx; row n is sum_k f_k g_{m-1-k} coeff[k].
+
+        f_k g_{m-1-k} (leading times trailing minor) is the diagonal cofactor
+        of site n's matrix at entry k, and coeff[k] = d diag[k] / dx.
+        """
+        jac = np.zeros((self.chain.n_sites, self.chain.n_sites), dtype=CDTYPE)
+        for n, (base, coeff, offprod) in enumerate(self.sites):
             diag = base + coeff @ x
-            m = len(diag)
-            f = [1.0 + 0.0j, diag[0]]
-            df = [np.zeros(n_sites, dtype=CDTYPE), coeff[0].copy()]
-            for j in range(2, m + 1):
-                off = sup[j - 2] * sub[j - 2]
-                f.append(diag[j - 1] * f[j - 1] - off * f[j - 2])
-                df.append(coeff[j - 1] * f[j - 1] + diag[j - 1] * df[j - 1] - off * df[j - 2])
-            jac[n] = df[-1]
+            f = _tridiagonal_minors(diag, offprod)
+            g = _tridiagonal_minors(diag[::-1], offprod[::-1])
+            jac[n] = (f[:-1] * g[-2::-1]) @ coeff
         return jac
 
 
@@ -309,12 +300,12 @@ def solve_discrete_system(chain: ChainSpec, seeds=None, max_iter=50,
         if converged:
             solutions.append(x)
         else:
-            failures.append(NonConvergence(f"seed {idx} did not converge"))
+            failures.append(f"seed {idx} did not converge")
     distinct = _dedup(solutions, dedup_tol)
     diag = {
         "branch": "newton",
         "newton_iterations": total_iters,
-        "failures": [str(f) for f in failures],
+        "failures": failures,
         "duplicates_collapsed": len(solutions) - len(distinct),
     }
     if len(distinct) != chain.dim:
@@ -367,51 +358,33 @@ def fused_eigenvalues(t: TransferPolynomial, chain=None) -> dict:
     chain = chain or t.chain
     out = {}
     for n, site in enumerate(chain.sites):
-        bottom = chain.node(n, site.two_s)
-        for level in range(site.two_s + 2):
-            out[(n, level)] = t.fused_value(level, bottom)
+        tower = _fused_tower(t, chain.node(n, site.two_s), site.two_s + 1)
+        out.update({(n, level): complex(val) for level, val in enumerate(tower)})
     return out
 
 
 def trailing_minors(t: TransferPolynomial, n: int):
     """Determinants of the trailing l x l blocks of site n's matrix, l = 0..m."""
-    chain = t.chain
-    nodes, sup, sub = _site_data(chain, n)
-    diag = [t(z) for z in nodes]
-    m = len(diag)
-    g = [1.0 + 0.0j, diag[-1]]
-    for l in range(2, m + 1):
-        j = m - l  # top row of the trailing block
-        g.append(diag[j] * g[l - 1] - sup[j] * sub[j] * g[l - 2])
-    return g
+    nodes, offprod = _site_data(t.chain, n)
+    return _tridiagonal_minors([t(z) for z in nodes[::-1]], offprod[::-1])
 
 
 def leading_minor(t: TransferPolynomial, n: int) -> complex:
     """Determinant of site n's matrix with its last row and column removed."""
-    chain = t.chain
-    nodes, sup, sub = _site_data(chain, n)
-    diag = [t(z) for z in nodes]
-    return complex(_leading_minors(diag, sup, sub)[-2])
+    nodes, offprod = _site_data(t.chain, n)
+    return complex(_tridiagonal_minors([t(z) for z in nodes], offprod)[-2])
 
 
 def site_q_values(t: TransferPolynomial, n: int) -> np.ndarray:
     """Ratios Q(xi_n^(h)) / Q(xi_n^(2s_n)) for h = 0..2s_n.
 
     Closed form: the (2s_n - h)-th fused value at the bottom node over
-    k2^(2s_n-h) times the partial product of d above level h.
+    k2^(2s_n-h) times the partial product of d above level h. Raises
+    ValueError when k2 = 0.
     """
-    chain = t.chain
-    site = chain.sites[n]
-    twist = chain.twist
-    bottom = chain.node(n, site.two_s)
-    vals = np.zeros(site.two_s + 1, dtype=CDTYPE)
-    for h in range(site.two_s + 1):
-        level = site.two_s - h
-        denom = twist.k2 ** level
-        for k in range(level):
-            denom *= chain.d(chain.node(n, site.two_s - k))
-        vals[h] = t.fused_value(level, bottom) / denom
-    return vals
+    two_s = t.chain.sites[n].two_s
+    denoms = _tower_denominators(t.chain, n)
+    return _fused_tower(t, t.chain.node(n, two_s), two_s)[::-1] / denoms
 
 
 def wavefunction_sov1(t: TransferPolynomial) -> dict:

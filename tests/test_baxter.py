@@ -243,6 +243,44 @@ def test_sov_from_q_random_source_full_rank(chain12):
     assert gram_rank(basis)[0] == chain12.dim
 
 
+def _sov_from_q_dense(chain, qop, source=None):
+    """Reference route: rows as products of dense Q operators on the source.
+
+    The default source is the top Sklyanin row times the dense inverse of Q
+    at every bottom node; each row extends a cached prefix by one operator.
+    """
+    q_at = {(n, h): qop(chain.node(n, h))
+            for n, site in enumerate(chain.sites) for h in range(site.dim)}
+    if source is None:
+        top = tuple(site.two_s for site in chain.sites)
+        source = sklyanin_basis(chain).row(top)
+        for n, site in enumerate(chain.sites):
+            source = source @ np.linalg.inv(q_at[(n, site.two_s)])
+    partial = {(): np.asarray(source, dtype=complex)}
+    rows = []
+    for h in multi_indices(chain):
+        for n in range(chain.n_sites):
+            if h[:n + 1] not in partial:
+                partial[h[:n + 1]] = partial[h[:n]] @ q_at[(n, h[n])]
+        rows.append(partial[h])
+    return np.array(rows)
+
+
+def test_sov_from_q_matches_dense_operator_products(chain12, chain12_diag):
+    from sovchain.cli import chain_from_config, load_config
+
+    n3_mixed = chain_from_config(load_config("n3_mixed"))
+    for chain in (chain12, chain12_diag, n3_mixed):
+        qop = build_q_operator(chain)
+        rng = np.random.default_rng(16)
+        random_source = random_complex(rng, size=chain.dim)
+        for source in (None, random_source):
+            got = sov_from_q(chain, qop, source=source).rows
+            want = _sov_from_q_dense(chain, qop, source=source)
+            scale = np.linalg.norm(want, axis=1)
+            assert np.max(np.linalg.norm(got - want, axis=1) / scale) < 1e-10
+
+
 def test_sov_q_factorization(chain12, chain112):
     for chain in (chain12, chain112):
         zeta = default_zeta(chain)

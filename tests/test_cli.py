@@ -6,6 +6,7 @@ import pytest
 from sovchain import cli
 from sovchain.cli import (ConfigError, chain_from_config, load_config, main,
                           parse_config, run)
+from sovchain.errors import SingularTwistWarning
 
 MINIMAL = """
 {
@@ -243,16 +244,36 @@ def test_q_basis_still_validates_the_sklyanin_basis(monkeypatch):
     assert error and "rank" in error[0]["info"]["message"]
 
 
-@pytest.mark.parametrize("seed", [240, 4249])
-def test_wide_scale_chains_fail_only_the_known_limit(seed):
+@pytest.mark.parametrize("seed", [7, 240, 4249])
+def test_wide_scale_chains_fail_no_row(seed):
     # closure matrices with column norms 5e3 apart and site determinants of
-    # very different scale: well-posed systems the singularity guards must pass
+    # very different scale: well-posed systems the singularity guards must
+    # pass; at seed 7 the Q-generated basis must still match the Sklyanin one
     from conftest import TWIST_FULL
     from sovchain.chain import random_chain
 
     report = run("all", random_chain((1,) * 6, 1.0, TWIST_FULL, seed))
-    failed = [c["name"] for c in report["checks"] if not c["passed"]]
-    assert set(failed) <= {"basis.q.sklyanin_identification"}
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "baxter", "all"])
+def test_vanishing_k2_becomes_error_rows(tmp_path, command):
+    # twist diag(2, 0): the grid ratios Q(xi^(h)) / Q(xi^(2s)) divide by k2,
+    # so the spectrum and baxter suites report errors and the report is written
+    cfg = json.loads(cli.bundled_config_path("n2_mixed").read_text())
+    cfg["twist"] = {"a": [2.0, 0.0], "b": [0.0, 0.0], "c": [0.0, 0.0], "d": [0.0, 0.0]}
+    path = tmp_path / "k2zero.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    with pytest.warns(SingularTwistWarning):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    errors = {c["name"]: c["info"]["message"] for c in report["checks"]
+              if c["name"].endswith(".error")}
+    expected = {"spectrum": ["suite_spectrum.error"], "baxter": ["suite_baxter.error"],
+                "all": ["suite_spectrum.error", "suite_baxter.error"]}[command]
+    for name in expected:
+        assert "k2" in errors[name]
 
 
 def test_run_context_keys_and_failures(monkeypatch):

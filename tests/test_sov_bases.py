@@ -4,7 +4,8 @@ import pytest
 from sovchain.chain import make_chain, multi_indices
 from sovchain.errors import DegenerateBasis
 from sovchain.numerics import commutator_residual, frob, random_complex
-from sovchain.sov_bases import (CovectorBasis, _acting_blocks, b_eigen_report, gram_rank,
+from sovchain.sov_bases import (CovectorBasis, _acting_blocks, _site_product_rows,
+                                b_eigen_report, gram_rank,
                                 separate_action_report,
                                 shift_action_report, sklyanin_basis, sklyanin_norm,
                                 sov_basis_1, sov_basis_2, tensor_generating_covector)
@@ -113,6 +114,24 @@ def test_sov_basis_charges_commute_with_transfer(chain12, ev12):
         charge2 = ev12.fused(site.two_s, chain12.node(n, site.two_s))
         assert commutator_residual(charge1, t_mu) < 1e-10
         assert commutator_residual(charge2, t_mu) < 1e-10
+
+
+def test_site_product_rows_match_per_row_products():
+    import itertools
+
+    rng = np.random.default_rng(31)
+    dim = 5
+    per_site = [[random_complex(rng, size=(dim, dim)) for _ in range(levels)]
+                for levels in (2, 3, 2)]
+    source = random_complex(rng, size=dim)
+    rows = _site_product_rows(source, per_site)
+    hs = list(itertools.product(*(range(len(ops)) for ops in per_site)))
+    assert rows.shape == (len(hs), dim)
+    for row, h in zip(rows, hs):
+        want = source
+        for ops, hn in zip(per_site, h):
+            want = want @ ops[hn]
+        assert frob(row - want) <= 1e-13 * frob(want)
 
 
 def test_sov_basis_2_top_row_is_source(chain12, ev12):

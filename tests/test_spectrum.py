@@ -7,7 +7,8 @@ from sovchain.chain import Tolerances, multi_indices
 from sovchain.cli import chain_from_config, load_config
 from sovchain.errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
 from sovchain.numerics import frob, lagrange_cardinal, random_complex
-from sovchain.spectrum import (TransferPolynomial, _DiscreteSystem, brute_force_spectrum,
+from sovchain.spectrum import (TransferPolynomial, _DiscreteSystem, _tridiagonal_minors,
+                               brute_force_spectrum,
                                closed_form_solutions, discrete_matrix,
                                discrete_residuals, eigenvector_from_sov,
                                fused_eigenvalues, jacobian_smallest_sv, leading_minor,
@@ -104,6 +105,37 @@ def test_jacobian_regular_at_solutions(chain12):
     solutions, _ = solve_discrete_system(chain12)
     for sol in solutions:
         assert jacobian_smallest_sv(sol) > 1e-8
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_tridiagonal_minors_match_dense_determinants(m):
+    rng = np.random.default_rng(100 + m)
+    diag, sup, sub = (random_complex(rng, size=k, box=2.0) for k in (m, m - 1, m - 1))
+    mat = np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
+    f = _tridiagonal_minors(diag, sup * sub)
+    want = [1.0] + [np.linalg.det(mat[:k, :k]) for k in range(1, m + 1)]
+    assert len(f) == m + 1
+    for got, ref in zip(f, want):
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("spins", [(1, 2, 3), (2, 2, 2, 2), (3, 1)])
+def test_jacobian_matches_central_differences(spins):
+    from conftest import TWIST_FULL
+    from sovchain.chain import random_chain
+
+    chain = random_chain(spins, 1.0, TWIST_FULL, seed=7)
+    system = _DiscreteSystem(chain)
+    for rec in brute_force_spectrum(chain)[:: max(1, chain.dim // 4)]:
+        x = rec.t.x
+        jac = system.jacobian(x)
+        fd = np.zeros_like(jac)
+        for j in range(chain.n_sites):
+            step = np.zeros(chain.n_sites, dtype=complex)
+            step[j] = 1e-5 * (1.0 + abs(x[j]))
+            diff = system.residual(x + step)[0] - system.residual(x - step)[0]
+            fd[:, j] = diff / (2 * step[j])
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
 
 def test_degenerate_twist_closed_form(chain12_k2zero):
