@@ -10,8 +10,8 @@ on a bottom grid node. Its values on the grid are fixed ratios built from
 the fused eigenvalues; the one remaining degree of freedom per site (the
 bottom-node values) is pinned by interpolating through the grid plus one
 auxiliary point zeta and enforcing the left-out top-node conditions, an
-N x N linear system solved here both directly and through its Cramer
-determinants.
+N x N closure system that each Q-polynomial keeps for the determinant
+Q-operator route.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from .errors import NonInvertibleQ, RootOnForbiddenNode, SingularCZeta
 from .numerics import (CDTYPE, _Barycentric, frob, poly_coeffs_from_samples, poly_eval,
                        random_complex, trim_trailing)
 from .sov_bases import CovectorBasis, _require_full_rank, sklyanin_basis
-from .spectrum import (TransferPolynomial, _site_product, _sov2_array, brute_force_spectrum,
-                       site_q_values)
+from .spectrum import TransferPolynomial, _site_product, _sov2_array, brute_force_spectrum
 from .transfer import TransferEvaluator
 
 __all__ = [
@@ -49,79 +48,38 @@ __all__ = [
 ]
 
 
-def q_values(t: TransferPolynomial, cross_check=True, tol=1e-9) -> dict:
-    """Grid ratios Q(xi_n^(h)) / Q(xi_n^(2s_n)) keyed by (n, h).
-
-    Closed form from the fused eigenvalues; when ``cross_check`` is set the
-    values are re-derived by the backward two-term recursion
+def _checked_ratios(t: TransferPolynomial) -> list:
+    """``t.grid_ratios``, each site's array re-derived by the backward two-term recursion
 
         Qr(h-1) = [t(xi^(h)) Qr(h) - k1 a(xi^(h)) Qr(h+1)] / (k2 d(xi^(h)))
 
-    and the two routes must agree.
+    from Qr(2s_n) = 1; raises ValueError when the routes differ by over 1e-9 relative.
     """
     chain = t.chain
     twist = chain.twist
-    out = {}
-    for n, site in enumerate(chain.sites):
-        closed = site_q_values(t, n)
-        if cross_check:
-            m = site.two_s
-            rec = np.zeros(m + 1, dtype=CDTYPE)
-            rec[m] = 1.0
-            node_m = chain.node(n, m)
-            rec[m - 1] = t(node_m) / (twist.k2 * chain.d(node_m))
-            for h in range(m - 1, 0, -1):
-                node = chain.node(n, h)
-                rec[h - 1] = (t(node) * rec[h] - twist.k1 * chain.a(node) * rec[h + 1]) \
-                    / (twist.k2 * chain.d(node))
-            scale = max(1.0, float(np.max(np.abs(closed))))
-            if np.max(np.abs(rec - closed)) > tol * scale:
-                raise ValueError(
-                    f"site {n}: recursion and closed-form Q values disagree by "
-                    f"{np.max(np.abs(rec - closed)):.3e}")
-        for h in range(site.two_s + 1):
-            out[(n, h)] = complex(closed[h])
-    return out
+    ratios = t.grid_ratios
+    for n, (site, closed) in enumerate(zip(chain.sites, ratios)):
+        m = site.two_s
+        rec = np.zeros(m + 1, dtype=CDTYPE)
+        rec[m] = 1.0
+        node_m = chain.node(n, m)
+        rec[m - 1] = t(node_m) / (twist.k2 * chain.d(node_m))
+        for h in range(m - 1, 0, -1):
+            node = chain.node(n, h)
+            rec[h - 1] = (t(node) * rec[h] - twist.k1 * chain.a(node) * rec[h + 1]) \
+                / (twist.k2 * chain.d(node))
+        scale = max(1.0, float(np.max(np.abs(closed))))
+        if np.max(np.abs(rec - closed)) > 1e-9 * scale:
+            raise ValueError(
+                f"site {n}: recursion and closed-form Q values disagree by "
+                f"{np.max(np.abs(rec - closed)):.3e}")
+    return ratios
 
 
-@dataclass
-class QPolynomial:
-    """Monic Q-polynomial for one spectrum point.
-
-    ``coeffs`` are monic ascending coefficients after trailing-coefficient
-    truncation; ``node_values`` hold the zeta-normalized (Q(zeta) = 1)
-    solution values on the full grid.
-    """
-
-    chain: ChainSpec
-    coeffs: np.ndarray
-    node_values: dict
-    zeta: complex
-    leftout_residual: float
-
-    def __call__(self, lam: complex) -> complex:
-        return complex(poly_eval(self.coeffs, lam))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def roots(self) -> np.ndarray:
-        if self.degree == 0:
-            return np.zeros(0, dtype=CDTYPE)
-        return np.roots(self.coeffs[::-1])
-
-
-@dataclass
-class CZetaSystem:
-    """The N x N interpolation-closure system and its Cramer data."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    det: complex
-    column_dets: np.ndarray
-    q_grid: dict = field(repr=False)
-    zeta: complex = 0j
+def q_values(t: TransferPolynomial) -> dict:
+    """``t.grid_ratios`` keyed by (n, h), cross-checked by ``_checked_ratios``."""
+    return {(n, h): complex(val) for n, ratios in enumerate(_checked_ratios(t))
+            for h, val in enumerate(ratios)}
 
 
 class _Interpolation:
@@ -141,33 +99,74 @@ class _Interpolation:
         self.bary = _Barycentric(self.nodes)
         self._pair_sites = np.array([a for a, _ in self.pairs], dtype=int)
 
-    def site_sums(self, lam, q_grid):
+    def site_sums(self, lam, q_flat):
         """(F, g): F_b(lam), the cardinal-weighted grid ratios of each site b,
-        and g(lam), the zeta cardinal."""
+        and g(lam), the zeta cardinal; ``q_flat`` is in ``pairs`` order."""
         card = self.bary.cardinals(lam)
-        weighted = card[:-1] * np.array([q_grid[pair] for pair in self.pairs], dtype=CDTYPE)
         f = np.zeros(self.chain.n_sites, dtype=CDTYPE)
-        np.add.at(f, self._pair_sites, weighted)
+        np.add.at(f, self._pair_sites, card[:-1] * q_flat)
         return f, card[-1]
 
 
-def _closure_system(interp: _Interpolation, q_grid) -> CZetaSystem:
+@dataclass
+class CZetaSystem:
+    """The N x N closure system C q_bottom = rhs at one zeta; ``det`` is det C and
+    ``q_flat`` the grid ratios at h = 1..2s_a in ``interp.pairs`` order."""
+
+    matrix: np.ndarray
+    rhs: np.ndarray
+    det: complex
+    q_flat: np.ndarray = field(repr=False)
+    interp: _Interpolation = field(repr=False)
+
+    @property
+    def zeta(self) -> complex:
+        return self.interp.zeta
+
+
+@dataclass
+class QPolynomial:
+    """Monic Q-polynomial for one spectrum point.
+
+    ``coeffs`` are monic ascending coefficients after trailing-coefficient
+    truncation; ``closure`` is the closure system solved for them, whose
+    solution is normalized to Q(zeta) = 1.
+    """
+
+    chain: ChainSpec
+    coeffs: np.ndarray
+    leftout_residual: float
+    closure: CZetaSystem = field(repr=False)
+
+    def __call__(self, lam: complex) -> complex:
+        return complex(poly_eval(self.coeffs, lam))
+
+    @property
+    def zeta(self) -> complex:
+        return self.closure.zeta
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def roots(self) -> np.ndarray:
+        if self.degree == 0:
+            return np.zeros(0, dtype=CDTYPE)
+        return np.roots(self.coeffs[::-1])
+
+
+def _closure_system(interp: _Interpolation, ratios) -> CZetaSystem:
     chain = interp.chain
     n = chain.n_sites
+    q_flat = np.concatenate([r[1:] for r in ratios])
     c = np.zeros((n, n), dtype=CDTYPE)
     rhs = np.zeros(n, dtype=CDTYPE)
     for a in range(n):
-        c[a], g = interp.site_sums(chain.node(a, 0), q_grid)
+        c[a], g = interp.site_sums(chain.node(a, 0), q_flat)
         rhs[a] = -g
-        c[a, a] -= q_grid[(a, 0)]
-    det = complex(np.linalg.det(c))
-    col_dets = np.zeros(n, dtype=CDTYPE)
-    for j in range(n):
-        cj = c.copy()
-        cj[:, j] = rhs
-        col_dets[j] = np.linalg.det(cj)
-    return CZetaSystem(matrix=c, rhs=rhs, det=det, column_dets=col_dets,
-                       q_grid=q_grid, zeta=interp.zeta)
+        c[a, a] -= ratios[a][0]
+    return CZetaSystem(matrix=c, rhs=rhs, det=complex(np.linalg.det(c)), q_flat=q_flat,
+                       interp=interp)
 
 
 def _require_regular_closure(system: CZetaSystem, det_floor=1e-10) -> float:
@@ -215,30 +214,26 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10,
     chain = t.chain
     if zeta is None:
         zeta = default_zeta(chain)
-    q_grid = q_values(t)
+    ratios = _checked_ratios(t)
     interp = _Interpolation(chain, zeta)
-    system = _closure_system(interp, q_grid)
+    system = _closure_system(interp, ratios)
     _require_regular_closure(system, det_floor)
     q_bottom = np.linalg.solve(system.matrix, system.rhs)
 
-    node_values = {}
-    for (a, h), val in q_grid.items():
-        node_values[(a, h)] = complex(val * q_bottom[a])
-    sample_values = np.array(
-        [node_values[pair] for pair in interp.pairs] + [1.0], dtype=CDTYPE)
+    node_values = [r * q_bottom[a] for a, r in enumerate(ratios)]
+    sample_values = np.concatenate([v[1:] for v in node_values] + [[1.0]])
 
     # the N conditions at the top nodes were not used in the interpolation
     worst = 0.0
-    for a in range(chain.n_sites):
+    for a, values in enumerate(node_values):
         direct = interp.bary(sample_values, chain.node(a, 0))
-        target = node_values[(a, 0)]
-        worst = max(worst, abs(direct - target) / max(1.0, abs(target)))
+        worst = max(worst, abs(direct - values[0]) / max(1.0, abs(values[0])))
 
     coeffs = poly_coeffs_from_samples(interp.nodes, sample_values)
     coeffs = trim_trailing(coeffs, trim_tol)
     coeffs = coeffs / coeffs[-1]
-    qpoly = QPolynomial(chain=chain, coeffs=coeffs, node_values=node_values,
-                        zeta=complex(zeta), leftout_residual=float(worst))
+    qpoly = QPolynomial(chain=chain, coeffs=coeffs, leftout_residual=float(worst),
+                        closure=system)
     forbidden = [chain.node(b, chain.sites[b].two_s) for b in range(chain.n_sites)]
     for root in qpoly.roots():
         if any(abs(root - z) < root_floor for z in forbidden):
@@ -348,32 +343,33 @@ def build_q_operator(chain: ChainSpec, method="eigenbasis", zeta=None,
                      records=None, evaluator=None, q_solver=None) -> QOperator:
     """Assemble the Q-operator from the simultaneous transfer eigenbasis.
 
-    ``method='eigenbasis'`` uses each record's interpolated Q-polynomial.
-    ``method='determinant'`` evaluates, per joint eigenvalue, the ratio
-    det[C + Delta(lam)] / det[C] times the node-ratio prefactor, where Delta
-    is the rank-one update whose column space is the scaled closure
-    right-hand side; every entry is a polynomial in the commuting transfer
-    values, so operator entries reduce to these scalars in the eigenbasis.
-    ``q_solver(index, zeta)``, when given, supplies the Q-polynomial of
-    ``records[index]`` in place of a fresh ``solve_q_polynomial`` call.
+    Each record's Q-polynomial at ``zeta`` comes from ``q_solver(index,
+    zeta)`` when given, else from ``solve_q_polynomial`` (so either method
+    raises what that solve raises). ``method='eigenbasis'`` evaluates the
+    interpolated Q-polynomial. ``method='determinant'`` evaluates, per joint
+    eigenvalue, the ratio det[C + Delta(lam)] / det[C] times the node-ratio
+    prefactor, on the closure system C the solve built, where Delta is the
+    rank-one update whose column space is the scaled closure right-hand
+    side; every entry is a polynomial in the commuting transfer values, so
+    operator entries reduce to these scalars in the eigenbasis.
     """
+    if method not in ("eigenbasis", "determinant"):
+        raise ValueError(f"unknown method {method!r}")
     _require_q_twist(chain)
     evaluator = evaluator or TransferEvaluator(chain)
     if records is None:
         records = brute_force_spectrum(chain, evaluator=evaluator)
     if zeta is None:
         zeta = default_zeta(chain)
+    q_solver = q_solver or (lambda index, z: solve_q_polynomial(records[index].t, zeta=z))
     eigen_fns = []
-    for i, rec in enumerate(records):
+    for i in range(len(records)):
+        qpoly = q_solver(i, zeta)
         if method == "eigenbasis":
-            qpoly = (q_solver(i, zeta) if q_solver is not None
-                     else solve_q_polynomial(rec.t, zeta=zeta))
             norm = qpoly(zeta)
             eigen_fns.append(lambda lam, qp=qpoly, nz=norm: qp(lam) / nz)
-        elif method == "determinant":
-            eigen_fns.append(_determinant_eigen_fn(rec.t, zeta))
         else:
-            raise ValueError(f"unknown method {method!r}")
+            eigen_fns.append(_determinant_eigen_fn(qpoly.closure))
     vectors = np.column_stack([rec.vector for rec in records])
     left = np.vstack([rec.left for rec in records])
     return QOperator(chain=chain, zeta=complex(zeta), method=method,
@@ -387,15 +383,9 @@ def _require_q_twist(chain: ChainSpec):
         raise ValueError("Q-operator requires invertible twist with distinct eigenvalues")
 
 
-def _determinant_eigen_fn(t: TransferPolynomial, zeta: complex):
-    chain = t.chain
-    q_grid = q_values(t)
-    interp = _Interpolation(chain, zeta)
-    system = _closure_system(interp, q_grid)
-    _require_regular_closure(system)
-
+def _determinant_eigen_fn(system: CZetaSystem):
     def evaluate(lam: complex) -> complex:
-        f, g = interp.site_sums(lam, q_grid)
+        f, g = system.interp.site_sums(lam, system.q_flat)
         if abs(g) > 1e-8:
             delta = np.outer(system.rhs / g, f)
             return complex(np.linalg.det(system.matrix + delta) / system.det * g)

@@ -569,7 +569,7 @@ def suite_qop(chain: ChainSpec, samples: int, ctx=None):
     rng = chain.rng(500)
     qop = ctx.q_operator(evaluator)
     qop_det = build_q_operator(chain, method="determinant", zeta=qop.zeta,
-                               records=records, evaluator=evaluator)
+                               records=records, evaluator=evaluator, q_solver=ctx.q_polynomial)
 
     lams = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
     mus = [complex(z) for z in random_complex(rng, size=3, box=2.5)]

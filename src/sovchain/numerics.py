@@ -79,7 +79,7 @@ class _Barycentric:
         return complex(diff.prod() * (lead + (self.weights * values / diff).sum()))
 
 
-def poly_coeffs_from_samples(nodes, values, rcond=None):
+def poly_coeffs_from_samples(nodes, values):
     """Coefficients (ascending) of the degree len(nodes)-1 interpolant.
 
     Solved as a column-scaled Vandermonde least-squares problem; with
@@ -90,7 +90,7 @@ def poly_coeffs_from_samples(nodes, values, rcond=None):
     deg = len(nodes) - 1
     v = np.vander(nodes, deg + 1, increasing=True)
     col_scale = np.maximum(np.abs(v).max(axis=0), 1e-300)
-    coeffs, *_ = np.linalg.lstsq(v / col_scale, values, rcond=rcond)
+    coeffs, *_ = np.linalg.lstsq(v / col_scale, values, rcond=None)
     return coeffs / col_scale
 
 

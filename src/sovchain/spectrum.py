@@ -8,12 +8,15 @@ scalar matrix with diagonal t(xi_n^(0))..t(xi_n^(2s_n)), superdiagonal
 fused eigenvalues included, comes from one three-term recurrence for the
 leading minors of a tridiagonal matrix (``_tridiagonal_minors``); the
 x-derivatives of a site determinant are its diagonal cofactors, each a
-leading minor times a trailing one.
+leading minor times a trailing one. ``TransferPolynomial.grid_ratios``
+computes, once per polynomial, the grid ratios behind the wavefunction and
+the Q-closure system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +38,6 @@ __all__ = [
     "fused_eigenvalues",
     "trailing_minors",
     "leading_minor",
-    "site_q_values",
     "wavefunction_sov1",
     "wavefunction_sov2",
     "wavefunction_action_report",
@@ -71,6 +73,18 @@ class TransferPolynomial:
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
         return complex(_fused_tower(self, lam, level)[level])
+
+    @cached_property
+    def grid_ratios(self) -> list:
+        """Ratios Q(xi_n^(h)) / Q(xi_n^(2s_n)), one array over h = 0..2s_n per site n.
+
+        Closed form: the (2s_n - h)-th fused value at the bottom node over
+        k2^(2s_n-h) times the partial product of d above level h. Computed
+        on first access and kept; raises ValueError (not kept) when k2 = 0.
+        """
+        chain = self.chain
+        return [_fused_tower(self, chain.node(n, site.two_s), site.two_s)[::-1]
+                / _tower_denominators(chain, n) for n, site in enumerate(chain.sites)]
 
 
 @dataclass
@@ -375,18 +389,6 @@ def leading_minor(t: TransferPolynomial, n: int) -> complex:
     return complex(_tridiagonal_minors([t(z) for z in nodes], offprod)[-2])
 
 
-def site_q_values(t: TransferPolynomial, n: int) -> np.ndarray:
-    """Ratios Q(xi_n^(h)) / Q(xi_n^(2s_n)) for h = 0..2s_n.
-
-    Closed form: the (2s_n - h)-th fused value at the bottom node over
-    k2^(2s_n-h) times the partial product of d above level h. Raises
-    ValueError when k2 = 0.
-    """
-    two_s = t.chain.sites[n].two_s
-    denoms = _tower_denominators(t.chain, n)
-    return _fused_tower(t, t.chain.node(n, two_s), two_s)[::-1] / denoms
-
-
 def wavefunction_sov1(t: TransferPolynomial) -> dict:
     """Coordinates of the eigenvector in the first SoV basis.
 
@@ -415,7 +417,7 @@ def _site_product(factors) -> np.ndarray:
 
 def _sov2_array(t: TransferPolynomial) -> np.ndarray:
     """Second-basis wavefunction as an N-d array indexed by h (site order)."""
-    return _site_product([site_q_values(t, n) for n in range(t.chain.n_sites)])
+    return _site_product(t.grid_ratios)
 
 
 def wavefunction_sov2(t: TransferPolynomial) -> dict:

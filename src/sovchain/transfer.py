@@ -89,10 +89,9 @@ def monodromy_blocks(chain: ChainSpec, lam: complex, twist_matrix=None) -> Monod
     return MonodromyBlocks(a=m[:d, :d], b=m[:d, d:], c=m[d:, :d], d=m[d:, d:])
 
 
-def transfer(chain: ChainSpec, lam: complex, twist_matrix=None) -> np.ndarray:
+def transfer(chain: ChainSpec, lam: complex) -> np.ndarray:
     """Transfer matrix: auxiliary-space trace of the monodromy."""
-    blocks = monodromy_blocks(chain, lam, twist_matrix)
-    return blocks.a + blocks.d
+    return monodromy_blocks(chain, lam).transfer
 
 
 class TransferEvaluator:
@@ -104,16 +103,15 @@ class TransferEvaluator:
     warmed; interleaved first-time insertions need external locking.
     """
 
-    def __init__(self, chain: ChainSpec, twist_matrix=None):
+    def __init__(self, chain: ChainSpec):
         self.chain = chain
-        self._twist_matrix = twist_matrix
         self._plain = {}
         self._fused = {}
 
     def transfer(self, lam: complex) -> np.ndarray:
         key = complex(lam)
         if key not in self._plain:
-            self._plain[key] = transfer(self.chain, key, self._twist_matrix)
+            self._plain[key] = transfer(self.chain, key)
         return self._plain[key]
 
     def fused(self, level: int, lam: complex) -> np.ndarray:

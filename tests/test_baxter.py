@@ -158,11 +158,10 @@ def test_closure_rank_one_update(chain12):
     rec = brute_force_spectrum(chain12)[0]
     zeta = default_zeta(chain12)
     interp = _Interpolation(chain12, zeta)
-    grid = q_values(rec.t)
-    system = _closure_system(interp, grid)
+    system = _closure_system(interp, rec.t.grid_ratios)
     rng = np.random.default_rng(4)
     for lam in random_complex(rng, size=3, box=2.0):
-        f, g = interp.site_sums(lam, grid)
+        f, g = interp.site_sums(lam, system.q_flat)
         delta = np.outer(system.rhs / g, f)
         sv = np.linalg.svd(delta, compute_uv=False)
         assert sv[0] > 1e-12 and (len(sv) == 1 or sv[1] < 1e-12 * sv[0])
@@ -171,11 +170,14 @@ def test_closure_rank_one_update(chain12):
 def test_cramer_dets_match_solution(chain12):
     rec = brute_force_spectrum(chain12)[3]
     zeta = default_zeta(chain12)
-    interp = _Interpolation(chain12, zeta)
-    grid = q_values(rec.t)
-    system = _closure_system(interp, grid)
+    system = _closure_system(_Interpolation(chain12, zeta), rec.t.grid_ratios)
     by_solve = np.linalg.solve(system.matrix, system.rhs)
-    by_cramer = system.column_dets / system.det
+    column_dets = []
+    for j in range(chain12.n_sites):
+        cj = system.matrix.copy()
+        cj[:, j] = system.rhs
+        column_dets.append(np.linalg.det(cj))
+    by_cramer = np.array(column_dets) / np.linalg.det(system.matrix)
     assert np.max(np.abs(by_solve - by_cramer)) < 1e-10 * max(1.0, np.max(np.abs(by_solve)))
 
 
@@ -310,7 +312,7 @@ def test_singular_closure_system_raises(chain12):
 
 
 def _closure(chain, rec):
-    return _closure_system(_Interpolation(chain, default_zeta(chain)), q_values(rec.t))
+    return _closure_system(_Interpolation(chain, default_zeta(chain)), rec.t.grid_ratios)
 
 
 def test_closure_guard_fires_on_singular_matrix(chain112):

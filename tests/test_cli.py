@@ -304,3 +304,28 @@ def test_run_context_keys_and_failures(monkeypatch):
             assert ctx.q_polynomial(i, zeta) is q
             assert q.zeta == zeta
             assert np.array_equal(q.coeffs, solve_q_polynomial(records[i].t, zeta=zeta).coeffs)
+
+
+def test_run_all_builds_grid_ratios_and_closures_once(monkeypatch):
+    # one fused tower per (record, site) and one closure system per (record, zeta):
+    # the wavefunction, eigenvector and Q-factorization checks and the Q solves
+    # share each record's grid ratios, and the determinant Q route reads the
+    # closure systems of the Q solves
+    from conftest import TWIST_FULL
+    from sovchain import baxter, spectrum
+    from sovchain.chain import random_chain
+
+    calls = {"tower": 0, "closure": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectrum, "_fused_tower", counted("tower", spectrum._fused_tower))
+    monkeypatch.setattr(baxter, "_closure_system", counted("closure", baxter._closure_system))
+    chain = random_chain((1, 2), 1.0, TWIST_FULL, seed=7)
+    report = run("all", chain)
+    assert report["passed"]
+    assert calls == {"tower": chain.n_sites * chain.dim, "closure": 2 * chain.dim}

@@ -7,12 +7,12 @@ from sovchain.chain import Tolerances, multi_indices
 from sovchain.cli import chain_from_config, load_config
 from sovchain.errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
 from sovchain.numerics import frob, lagrange_cardinal, random_complex
-from sovchain.spectrum import (TransferPolynomial, _DiscreteSystem, _tridiagonal_minors,
-                               brute_force_spectrum,
+from sovchain.spectrum import (TransferPolynomial, _DiscreteSystem, _site_product,
+                               _tridiagonal_minors, brute_force_spectrum,
                                closed_form_solutions, discrete_matrix,
                                discrete_residuals, eigenvector_from_sov,
                                fused_eigenvalues, jacobian_smallest_sv, leading_minor,
-                               match_to_oracle, site_q_values, solve_discrete_system,
+                               match_to_oracle, solve_discrete_system,
                                trailing_minors, wavefunction_action_report,
                                wavefunction_sov1, wavefunction_sov2)
 from sovchain.sov_bases import sov_basis_1, sov_basis_2
@@ -147,6 +147,9 @@ def test_degenerate_twist_closed_form(chain12_k2zero):
     got = np.sort_complex(np.linalg.eigvals(ev.transfer(lam0)))
     want = np.sort_complex(np.array([t(lam0) for t in solutions]))
     assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+    for _ in range(2):   # no grid ratios at k2 = 0, on every access
+        with pytest.raises(ValueError, match="k2"):
+            solutions[0].grid_ratios
 
 
 def test_fused_values_low_levels(chain12):
@@ -204,13 +207,17 @@ def test_wavefunction_sov2_separate_action(chain12, chain112):
             assert wavefunction_action_report(rec.t) < 1e-8
 
 
-def test_site_q_values_match_wavefunction(chain12):
-    rec = brute_force_spectrum(chain12)[2]
-    psi = wavefunction_sov2(rec.t)
-    vals = [site_q_values(rec.t, n) for n in range(chain12.n_sites)]
-    for h in multi_indices(chain12):
-        prod = np.prod([vals[n][hn] for n, hn in enumerate(h)])
-        assert abs(psi[h] - prod) < 1e-12 * max(1.0, abs(prod))
+def test_grid_ratios_match_eigenvector_coordinates(chain12, chain112):
+    # psi(h) = prod_n ratios[n][h_n] against <h|v> / <top|v>, with the rows of
+    # the second basis (operator fusion) and v the dense-eig oracle vector
+    for chain in (chain12, chain112):
+        ev = TransferEvaluator(chain)
+        basis = sov_basis_2(chain, evaluator=ev)
+        top = tuple(site.two_s for site in chain.sites)
+        for rec in brute_force_spectrum(chain, evaluator=ev):
+            want = basis.rows @ rec.vector / (basis.row(top) @ rec.vector)
+            got = _site_product(rec.t.grid_ratios).ravel()
+            assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_eigenvector_reconstruction(chain12, ev12):
