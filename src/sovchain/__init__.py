@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .chain import (ChainSpec, Site, Tolerances, Twist, fused_twist, genericity_check,
                     index_of, make_chain, multi_indices, normalize_twist, random_chain)
-from .local_ops import kron_embed, lax, r_matrix, spin_matrices, symmetric_basis, symmetrizer
+from .local_ops import kron_embed, lax, r_matrix, spin_matrices, symmetric_basis
 from .sov_bases import (CovectorBasis, gram_rank, sklyanin_basis, sov_basis_1, sov_basis_2)
 from .spectrum import (EigenRecord, TransferPolynomial, brute_force_spectrum,
                        discrete_residuals, eigenvector_from_sov, solve_discrete_system,
@@ -19,7 +19,7 @@ __all__ = [
     "__version__",
     "ChainSpec", "Site", "Tolerances", "Twist", "fused_twist", "genericity_check",
     "index_of", "make_chain", "multi_indices", "normalize_twist", "random_chain",
-    "kron_embed", "lax", "r_matrix", "spin_matrices", "symmetric_basis", "symmetrizer",
+    "kron_embed", "lax", "r_matrix", "spin_matrices", "symmetric_basis",
     "CovectorBasis", "gram_rank", "sklyanin_basis", "sov_basis_1", "sov_basis_2",
     "EigenRecord", "TransferPolynomial", "brute_force_spectrum", "discrete_residuals",
     "eigenvector_from_sov", "solve_discrete_system", "wavefunction_sov1", "wavefunction_sov2",

@@ -48,37 +48,9 @@ __all__ = [
 ]
 
 
-def _checked_ratios(t: TransferPolynomial) -> list:
-    """``t.grid_ratios``, each site's array re-derived by the backward two-term recursion
-
-        Qr(h-1) = [t(xi^(h)) Qr(h) - k1 a(xi^(h)) Qr(h+1)] / (k2 d(xi^(h)))
-
-    from Qr(2s_n) = 1; raises ValueError when the routes differ by over 1e-9 relative.
-    """
-    chain = t.chain
-    twist = chain.twist
-    ratios = t.grid_ratios
-    for n, (site, closed) in enumerate(zip(chain.sites, ratios)):
-        m = site.two_s
-        rec = np.zeros(m + 1, dtype=CDTYPE)
-        rec[m] = 1.0
-        node_m = chain.node(n, m)
-        rec[m - 1] = t(node_m) / (twist.k2 * chain.d(node_m))
-        for h in range(m - 1, 0, -1):
-            node = chain.node(n, h)
-            rec[h - 1] = (t(node) * rec[h] - twist.k1 * chain.a(node) * rec[h + 1]) \
-                / (twist.k2 * chain.d(node))
-        scale = max(1.0, float(np.max(np.abs(closed))))
-        if np.max(np.abs(rec - closed)) > 1e-9 * scale:
-            raise ValueError(
-                f"site {n}: recursion and closed-form Q values disagree by "
-                f"{np.max(np.abs(rec - closed)):.3e}")
-    return ratios
-
-
 def q_values(t: TransferPolynomial) -> dict:
-    """``t.grid_ratios`` keyed by (n, h), cross-checked by ``_checked_ratios``."""
-    return {(n, h): complex(val) for n, ratios in enumerate(_checked_ratios(t))
+    """``t.checked_grid_ratios`` keyed by (n, h)."""
+    return {(n, h): complex(val) for n, ratios in enumerate(t.checked_grid_ratios)
             for h, val in enumerate(ratios)}
 
 
@@ -214,7 +186,7 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10,
     chain = t.chain
     if zeta is None:
         zeta = default_zeta(chain)
-    ratios = _checked_ratios(t)
+    ratios = t.checked_grid_ratios
     interp = _Interpolation(chain, zeta)
     system = _closure_system(interp, ratios)
     _require_regular_closure(system, det_floor)

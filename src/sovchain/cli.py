@@ -34,9 +34,9 @@ from .numerics import CDTYPE, commutator_residual, frob, random_complex
 from .sov_bases import (_require_full_rank, b_eigen_report, gram_rank,
                         separate_action_report, shift_action_report, sklyanin_basis,
                         sov_basis_1, sov_basis_2, tensor_generating_covector)
-from .spectrum import (brute_force_spectrum, closed_form_solutions, discrete_residuals,
-                       eigenvector_from_sov, jacobian_smallest_sv, match_to_oracle,
-                       solve_discrete_system, wavefunction_action_report)
+from .spectrum import (brute_force_spectrum, closed_form_solutions, eigenvector_from_sov,
+                       jacobian_smallest_sv, match_to_oracle, solve_discrete_system,
+                       wavefunction_action_report)
 from .transfer import (TransferEvaluator, central_zero_residual, fused_transfer_projector,
                        polynomiality_residual, quantum_det_residual, rtt_residual,
                        symmetry_residual, tridiagonal_operator_det)
@@ -465,7 +465,7 @@ def suite_spectrum(chain: ChainSpec, samples: int, ctx=None):
 
     worst = 0.0
     for rec in records:
-        worst = max(worst, float(np.max(np.abs(discrete_residuals(rec.t)))))
+        worst = max(worst, rec.t.discrete_residual)
     checks.append(_check("spectrum.oracle_discrete_residual", worst, 1e-8))
 
     solutions, diag = solve_discrete_system(chain, seeds=[r.t.x for r in records])
@@ -672,7 +672,7 @@ def _spectrum_table(chain: ChainSpec, ctx: _RunContext):
         table.append({
             "x": [_cpx(z) for z in rec.t.x],
             "value_at_probe": _cpx(rec.value_at_lam0),
-            "discrete_residual": float(np.max(np.abs(discrete_residuals(rec.t)))),
+            "discrete_residual": rec.t.discrete_residual,
         })
     return table
 

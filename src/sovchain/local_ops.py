@@ -1,4 +1,4 @@
-"""Local building blocks: spin matrices, R-matrix, Lax operators, symmetrizers.
+"""Local building blocks: spin matrices, R-matrix, Lax operators, symmetric basis.
 
 Conventions. A spin-s site carries the (2s+1)-dimensional irreducible sl(2)
 representation with Sz = diag(s, s-1, ..., -s) and raising entries
@@ -10,8 +10,6 @@ two_s=1 literally equals the 4x4 rational 6-vertex R-matrix.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +22,6 @@ __all__ = [
     "r_matrix",
     "permutation_4x4",
     "lax",
-    "symmetrizer",
     "symmetric_basis",
     "fuse_2x2",
     "kron_embed",
@@ -97,32 +94,6 @@ def _lax_parts(two_s: int):
     for arr in (big_eye, p):
         arr.flags.writeable = False
     return big_eye, p
-
-
-def _permutation_matrix(perm, m):
-    """Matrix of v_1 x ... x v_m -> v_perm(1) x ... x v_perm(m) on (C^2)^m."""
-    dim = 2 ** m
-    mat = np.zeros((dim, dim), dtype=CDTYPE)
-    for idx in range(dim):
-        bits = [(idx >> (m - 1 - k)) & 1 for k in range(m)]
-        # output leg k carries the vector from input leg perm[k]
-        out_bits = [bits[perm[k]] for k in range(m)]
-        out = 0
-        for b in out_bits:
-            out = (out << 1) | b
-        mat[out, idx] = 1.0
-    return mat
-
-
-def symmetrizer(m: int) -> np.ndarray:
-    """Symmetric projector on (C^2)^m, built as the mean of all m! permutations."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    dim = 2 ** m
-    total = np.zeros((dim, dim), dtype=CDTYPE)
-    for perm in itertools.permutations(range(m)):
-        total += _permutation_matrix(perm, m)
-    return total / math.factorial(m)
 
 
 def symmetric_basis(m: int) -> np.ndarray:

@@ -10,7 +10,8 @@ leading minors of a tridiagonal matrix (``_tridiagonal_minors``); the
 x-derivatives of a site determinant are its diagonal cofactors, each a
 leading minor times a trailing one. ``TransferPolynomial.grid_ratios``
 computes, once per polynomial, the grid ratios behind the wavefunction and
-the Q-closure system.
+the Q-closure system; ``checked_grid_ratios`` confirms them, also once, by
+an independent backward recursion before the Q routes use them.
 """
 
 from __future__ import annotations
@@ -85,6 +86,35 @@ class TransferPolynomial:
         chain = self.chain
         return [_fused_tower(self, chain.node(n, site.two_s), site.two_s)[::-1]
                 / _tower_denominators(chain, n) for n, site in enumerate(chain.sites)]
+
+    @cached_property
+    def checked_grid_ratios(self) -> list:
+        """``grid_ratios``, each site's array confirmed once by the backward recursion
+
+            Qr(h-1) = [t(xi^(h)) Qr(h) - k1 a(xi^(h)) Qr(h+1)] / (k2 d(xi^(h)))
+
+        from Qr(2s_n) = 1; raises ValueError (not kept) when the routes differ
+        by over 1e-9 relative.
+        """
+        chain, twist = self.chain, self.chain.twist
+        ratios = self.grid_ratios
+        for n, (site, closed) in enumerate(zip(chain.sites, ratios)):
+            rec = np.zeros(site.two_s + 2, dtype=CDTYPE)  # rec[2s_n + 1] = 0
+            rec[site.two_s] = 1.0
+            for h in range(site.two_s, 0, -1):
+                node = chain.node(n, h)
+                rec[h - 1] = (self(node) * rec[h] - twist.k1 * chain.a(node) * rec[h + 1]) \
+                    / (twist.k2 * chain.d(node))
+            err = float(np.max(np.abs(rec[:-1] - closed)))
+            if err > 1e-9 * max(1.0, float(np.max(np.abs(closed)))):
+                raise ValueError(
+                    f"site {n}: recursion and closed-form Q values disagree by {err:.3e}")
+        return ratios
+
+    @cached_property
+    def discrete_residual(self) -> float:
+        """Largest entry of |discrete_residuals(self)|; computed on first access and kept."""
+        return float(np.max(np.abs(discrete_residuals(self))))
 
 
 @dataclass

@@ -1,5 +1,9 @@
 """Global operators: monodromy blocks, transfer matrix, fused hierarchy.
 
+Every dense product of Lax operators (monodromy, transfer matrix, projector
+fusion route, RTT and twist-symmetry residuals) is grown one site at a time
+by one kernel, ``_lax_chain``, which can take the aux trace at the last site.
+
 The fused transfer matrices are produced by the three-term recursion
 
     T^(l+1)(lam) = T(lam + l eta) T^(l)(lam) - detq(lam + l eta) T^(l-1)(lam)
@@ -16,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec
-from .local_ops import lax, r_matrix, symmetric_basis
-from .numerics import CDTYPE, commutator_residual, frob, lagrange_cardinal
+from .chain import ChainSpec, fused_twist
+from .local_ops import kron_chain, lax, permutation_4x4, r_matrix, symmetric_basis
+from .numerics import CDTYPE, frob, lagrange_cardinal
 
 __all__ = [
     "MonodromyBlocks",
@@ -47,40 +51,57 @@ class MonodromyBlocks:
     c: np.ndarray
     d: np.ndarray
 
-    @property
-    def transfer(self) -> np.ndarray:
-        return self.a + self.d
-
 
 def monodromy_matrix(chain: ChainSpec, lam: complex, twist_matrix=None) -> np.ndarray:
     """Full 2D x 2D monodromy K_0 L_0N(lam - xi_N) ... L_01(lam - xi_1).
 
     The auxiliary C^2 is the slowest Kronecker factor. ``twist_matrix``
     overrides the chain twist (used for identity-twist and conjugated runs).
-    The running product is kept with its column index split into the legs
-    (aux, site 1, ..., site N); each Lax operator is contracted onto its
-    (aux, site n) legs, O(D^2 d_n) work, with no embedded (2D)^2 factor.
+    Built by ``_lax_chain`` from I_2, one site at a time.
     """
     k = chain.twist.matrix if twist_matrix is None else np.asarray(twist_matrix, dtype=CDTYPE)
-    d = chain.dim
-    mat = np.einsum("ab,ij->aibj", k, np.eye(d, dtype=CDTYPE)).reshape((2 * d, 2) + chain.dims)
-    for n in range(chain.n_sites - 1, -1, -1):
-        site = chain.sites[n]
-        l_local = lax(lam - site.xi, site.two_s, chain.eta).reshape((2, site.dim) * 2)
-        mat = _apply_legs(mat, l_local, (1, n + 2))
-    return np.ascontiguousarray(mat.reshape(2 * d, 2 * d))
+    return _lax_chain(_site_laxes(chain, lam), np.eye(2, dtype=CDTYPE), twist=k)
 
 
-def _apply_legs(tensor: np.ndarray, op: np.ndarray, legs) -> np.ndarray:
-    """Contract two legs of ``tensor`` with the first two axes of ``op``.
+def _site_laxes(chain: ChainSpec, lam: complex) -> list:
+    """L_0n(lam - xi_n) for n = 1..N, each with legs (aux, site, aux, site)."""
+    return [lax(lam - site.xi, site.two_s, chain.eta).reshape(2, site.dim, 2, site.dim)
+            for site in chain.sites]
 
-    The last two axes of ``op`` take the place of the contracted legs, so
-    the result keeps the axis order of ``tensor``. With ``op`` an operator
-    reshaped to (row legs, column legs) this multiplies ``tensor`` by it
-    from the right; pass the transposed operator to multiply from the left.
+
+def _lax_chain(site_ops, start, twist=None, close=None) -> np.ndarray:
+    """twist . op_N ... op_1 . start on (aux) x H, site 1 slowest.
+
+    ``site_ops[n]`` has legs (A, d, A, d), ``start`` is A x R, ``twist`` A x A.
+    The product over sites 1..k is an (A, D_k, R, D_k) array; each site costs
+    one tensordot over the aux index and one transposed reshape. Returns the
+    (A D) x (R D) product, or with an R x A ``close`` the D x D aux trace
+    tr(close . product), which is taken at the last site without assembling it.
     """
-    out = np.tensordot(tensor, op, axes=(list(legs), [0, 1]))
-    return np.moveaxis(out, (-2, -1), legs)
+    ops = list(site_ops)
+    for left in (twist, close):
+        if left is not None:
+            ops[-1] = np.tensordot(left, ops[-1], axes=(1, 0))
+    a_dim, r_dim = start.shape
+    prod = start.reshape(a_dim, 1, r_dim, 1)
+    for n, op in enumerate(ops):
+        dk = prod.shape[1] * op.shape[1]
+        if close is not None and n == len(ops) - 1:
+            out = np.tensordot(op, prod, axes=([0, 2], [2, 0]))
+            return out.transpose(2, 0, 3, 1).reshape(dk, dk)
+        out = np.tensordot(op, prod, axes=(2, 0))
+        prod = out.transpose(0, 3, 1, 4, 5, 2).reshape(a_dim, dk, r_dim, dk)
+    return prod.reshape(a_dim * dk, r_dim * dk)
+
+
+def _aux_product(factors) -> np.ndarray:
+    """X_0 ... X_{m-1}, X_i (legs (2, d, 2, d)) on aux leg i of (C^2)^{x m} x V, leg 0 slowest."""
+    op = factors[0]
+    for x in factors[1:]:
+        a, d = op.shape[:2]
+        op = np.tensordot(op, x, axes=(3, 1)).transpose(0, 3, 1, 2, 4, 5)
+        op = op.reshape(2 * a, d, 2 * a, d)
+    return op
 
 
 def monodromy_blocks(chain: ChainSpec, lam: complex, twist_matrix=None) -> MonodromyBlocks:
@@ -90,8 +111,9 @@ def monodromy_blocks(chain: ChainSpec, lam: complex, twist_matrix=None) -> Monod
 
 
 def transfer(chain: ChainSpec, lam: complex) -> np.ndarray:
-    """Transfer matrix: auxiliary-space trace of the monodromy."""
-    return monodromy_blocks(chain, lam).transfer
+    """Transfer matrix: the monodromy chain closed by the aux trace, no 2D x 2D build."""
+    eye = np.eye(2, dtype=CDTYPE)
+    return _lax_chain(_site_laxes(chain, lam), eye, twist=chain.twist.matrix, close=eye)
 
 
 class TransferEvaluator:
@@ -137,32 +159,22 @@ class TransferEvaluator:
 def fused_transfer_projector(chain: ChainSpec, level: int, lam: complex) -> np.ndarray:
     """Fused transfer matrix via the symmetrized auxiliary-space product.
 
-    Independent of the recursion: the product of ``level`` shifted
-    monodromies on (C^2)^{x level} (x) H, monodromy i acting on auxiliary
-    leg i and H, is traced against the orthonormal symmetric-subspace basis
-    U. The product is applied, rightmost factor first, to U (x) Id_H held as
-    a tensor with legs (aux_1, ..., aux_level, H, column); each monodromy is
-    contracted onto its (aux_i, H) legs, so no (2^level D)^2 matrix is built.
+    Independent of the recursion: M_0(lam + (level-1) eta) ... M_{level-1}(lam),
+    M_i on aux leg i of (C^2)^{x level} and on H, traced against the orthonormal
+    symmetric-subspace basis U. It equals K^{x level} G_N ... G_1 with site
+    operators G_n = L_0n(lam + (level-1) eta) ... L_{level-1,n}(lam), grown
+    from U and closed by U^dagger.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    d = chain.dim
+    laxes = [_site_laxes(chain, lam + (level - 1 - i) * chain.eta) for i in range(level)]
+    ops = [_aux_product(per_leg) for per_leg in zip(*laxes)]
     u = symmetric_basis(level)
-    cols = np.einsum("ak,ij->aikj", u, np.eye(d, dtype=CDTYPE))
-    cols = cols.reshape((2,) * level + (d, (level + 1) * d))
-    for i in range(level - 1, -1, -1):
-        shift = lam + (level - 1 - i) * chain.eta
-        m_i = monodromy_matrix(chain, shift).reshape(2, d, 2, d)
-        cols = _apply_legs(cols, m_i.transpose(2, 3, 0, 1), (i, level))
-    tensor = cols.reshape(2 ** level, d, level + 1, d)
-    return np.einsum("ak,aikj->ij", u.conj(), tensor)
+    return _lax_chain(ops, u, twist=kron_chain([chain.twist.matrix] * level), close=u.conj().T)
 
 
 def global_fused_twist_product(chain: ChainSpec, k_matrix=None) -> np.ndarray:
     """Tensor product over sites of the fused twist, acting on H."""
-    from .chain import fused_twist
-    from .local_ops import kron_chain
-
     mat = chain.twist.matrix if k_matrix is None else k_matrix
     return kron_chain([fused_twist(mat, site.two_s) for site in chain.sites])
 
@@ -189,20 +201,16 @@ def tridiagonal_operator_det(diag, sup, sub) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rtt_residual(chain: ChainSpec, lam: complex, mu: complex) -> float:
-    """Exchange-relation residual for the monodromy on C^2 x C^2 x H.
+    """Exchange-relation residual of R12 M1(lam) M2(mu) = M2(mu) M1(lam) R12.
 
-    Both sides of R12 M1 M2 = M2 M1 R12 are formed as tensors with legs
-    (a, b, H, a', b', H') by contracting the shared H leg of the two
-    monodromies and the auxiliary legs of R, with no embedded (4D)^2 factor.
+    Grown on the aux space C^2 x C^2: M1(lam) M2(mu) = (K x K) prod_n
+    L_1n(lam) L_2n(mu), and M2(mu) M1(lam) = P12 M1(mu) M2(lam) P12.
     """
-    d = chain.dim
-    r12 = r_matrix(lam - mu, chain.eta).reshape(2, 2, 2, 2)
-    m1 = monodromy_matrix(chain, lam).reshape(2, d, 2, d)
-    m2 = monodromy_matrix(chain, mu).reshape(2, d, 2, d)
-    m1m2 = np.tensordot(m1, m2, axes=(3, 1)).transpose(0, 3, 1, 2, 4, 5)
-    m2m1 = np.tensordot(m2, m1, axes=(3, 1)).transpose(3, 0, 1, 4, 2, 5)
-    lhs = np.tensordot(r12, m1m2, axes=([2, 3], [0, 1]))
-    rhs = np.moveaxis(np.tensordot(m2m1, r12, axes=([3, 4], [0, 1])), (4, 5), (3, 4))
+    kk = kron_chain([chain.twist.matrix] * 2)
+    r12, p12 = r_matrix(lam - mu, chain.eta), permutation_4x4()
+    pairs = list(zip(_site_laxes(chain, lam), _site_laxes(chain, mu)))
+    lhs = _lax_chain([_aux_product(p) for p in pairs], np.eye(4, dtype=CDTYPE), twist=r12 @ kk)
+    rhs = _lax_chain([_aux_product(p[::-1]) for p in pairs], p12 @ r12, twist=p12 @ kk)
     return frob(lhs - rhs) / max(1.0, frob(lhs))
 
 
@@ -216,11 +224,17 @@ def quantum_det_residual(chain: ChainSpec, lam: complex) -> float:
 
 
 def symmetry_residual(chain: ChainSpec, lam: complex, k_matrix=None) -> float:
-    """Residual of [M^(I)(lam), K_0 (x) prod_n K^(2s_n)] = 0."""
+    """Residual of [M^(I)(lam), K] = 0, K = K_0 (x) prod_n K^(2s_n), relative to ||K M^(I)||.
+
+    Grown as K M^(I) = K_0 prod_n (K_n L_0n) and M^(I) K = prod_n (L_0n K_n) K_0.
+    """
     k = chain.twist.matrix if k_matrix is None else np.asarray(k_matrix, dtype=CDTYPE)
-    m_id = monodromy_matrix(chain, lam, twist_matrix=np.eye(2, dtype=CDTYPE))
-    big_k = np.kron(k, global_fused_twist_product(chain, k))
-    return commutator_residual(m_id, big_k)
+    pairs = [(fused_twist(k, site.two_s), op)
+             for site, op in zip(chain.sites, _site_laxes(chain, lam))]
+    left = _lax_chain([np.einsum("ij,ajbk->aibk", t, op) for t, op in pairs],
+                      np.eye(2, dtype=CDTYPE), twist=k)
+    right = _lax_chain([np.einsum("ajbk,kl->ajbl", op, t) for t, op in pairs], k)
+    return frob(left - right) / max(1.0, frob(left))
 
 
 def central_zero_residual(chain: ChainSpec, evaluator: TransferEvaluator,

@@ -38,6 +38,14 @@ def test_q_values_first_step_formula(chain12):
         assert abs(vals[(n, site.two_s - 1)] - want) < 1e-10 * max(1.0, abs(want))
 
 
+def test_backward_check_rejects_wrong_ratios(chain12):
+    t = TransferPolynomial(chain12, brute_force_spectrum(chain12)[1].t.x)
+    t.grid_ratios = [r * (1 + 1e-6) for r in t.grid_ratios]
+    for _ in range(2):  # a failed check is not kept, so it runs and raises again
+        with pytest.raises(ValueError, match="disagree"):
+            q_values(t)
+
+
 def test_hand_case_q_polynomials(chain1):
     recs = _records_by_x(chain1)
     q0 = solve_q_polynomial(recs[2].t, zeta=1.0)  # t = 3 lam + 2

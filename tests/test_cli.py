@@ -310,12 +310,13 @@ def test_run_all_builds_grid_ratios_and_closures_once(monkeypatch):
     # one fused tower per (record, site) and one closure system per (record, zeta):
     # the wavefunction, eigenvector and Q-factorization checks and the Q solves
     # share each record's grid ratios, and the determinant Q route reads the
-    # closure systems of the Q solves
+    # closure systems of the Q solves; the backward cross-check of the ratios and
+    # the discrete residual of the spectrum check and table run once per record
     from conftest import TWIST_FULL
     from sovchain import baxter, spectrum
     from sovchain.chain import random_chain
 
-    calls = {"tower": 0, "closure": 0}
+    calls = {"tower": 0, "closure": 0, "backward": 0, "discrete": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -325,7 +326,12 @@ def test_run_all_builds_grid_ratios_and_closures_once(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_fused_tower", counted("tower", spectrum._fused_tower))
     monkeypatch.setattr(baxter, "_closure_system", counted("closure", baxter._closure_system))
+    monkeypatch.setattr(spectrum, "discrete_residuals",
+                        counted("discrete", spectrum.discrete_residuals))
+    checked = vars(spectrum.TransferPolynomial)["checked_grid_ratios"]
+    monkeypatch.setattr(checked, "func", counted("backward", checked.func))
     chain = random_chain((1, 2), 1.0, TWIST_FULL, seed=7)
     report = run("all", chain)
     assert report["passed"]
-    assert calls == {"tower": chain.n_sites * chain.dim, "closure": 2 * chain.dim}
+    per_record = {"backward": chain.dim, "discrete": chain.dim}
+    assert calls == {"tower": chain.n_sites * chain.dim, "closure": 2 * chain.dim, **per_record}

@@ -1,9 +1,36 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from sovchain.local_ops import (kron_embed, lax, permutation_4x4, r_matrix,
-                                spin_matrices, symmetric_basis, symmetrizer)
+from sovchain.local_ops import (kron_embed, lax, permutation_4x4, r_matrix, spin_matrices,
+                                symmetric_basis)
 from sovchain.numerics import frob, random_complex
+
+
+def _permutation_matrix(perm, m):
+    """Matrix of v_1 x ... x v_m -> v_perm(1) x ... x v_perm(m) on (C^2)^m."""
+    dim = 2 ** m
+    mat = np.zeros((dim, dim), dtype=complex)
+    for idx in range(dim):
+        bits = [(idx >> (m - 1 - k)) & 1 for k in range(m)]
+        # output leg k carries the vector from input leg perm[k]
+        out_bits = [bits[perm[k]] for k in range(m)]
+        out = 0
+        for b in out_bits:
+            out = (out << 1) | b
+        mat[out, idx] = 1.0
+    return mat
+
+
+def symmetrizer(m):
+    """Reference route: symmetric projector on (C^2)^m, the mean of all m! permutations."""
+    dim = 2 ** m
+    total = np.zeros((dim, dim), dtype=complex)
+    for perm in itertools.permutations(range(m)):
+        total += _permutation_matrix(perm, m)
+    return total / math.factorial(m)
 
 
 def test_spin_half_is_pauli():
@@ -117,8 +144,6 @@ def test_symmetrizer_projector_properties(m):
     assert abs(np.trace(p) - (m + 1)) < 1e-12
     assert np.linalg.matrix_rank(p) == m + 1
     # invariant under any adjacent transposition
-    from sovchain.local_ops import _permutation_matrix
-
     for k in range(m - 1):
         perm = list(range(m))
         perm[k], perm[k + 1] = perm[k + 1], perm[k]

@@ -1,13 +1,20 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from sovchain.local_ops import kron_embed, lax, r_matrix, symmetric_basis
+from sovchain.chain import ChainSpec, fused_twist
+from sovchain.local_ops import kron_chain, kron_embed, lax, r_matrix, symmetric_basis
 from sovchain.numerics import commutator_residual, frob, random_complex
 from sovchain.transfer import (TransferEvaluator, central_zero_residual,
                                fused_transfer_projector, monodromy_blocks, monodromy_matrix,
                                polynomiality_residual, quantum_det_residual,
                                reference_covector, rtt_residual, symmetry_residual,
                                transfer, tridiagonal_operator_det)
+
+# the package re-exports the function ``transfer``, which shadows the module attribute
+transfer_module = importlib.import_module("sovchain.transfer")
+spectrum_module = importlib.import_module("sovchain.spectrum")
 
 
 def _dense_monodromy(chain, lam, twist_matrix=None):
@@ -34,6 +41,24 @@ def _dense_fused_projector(chain, level, lam):
     return np.einsum("ak,aibj,bk->ij", u.conj(), tensor, u)
 
 
+def _dense_rtt_residual(chain, lam, mu, r12):
+    """Reference route: R12 M1 M2 - M2 M1 R12 with (4D)^2 embedded dense monodromies."""
+    dims = [2, 2, chain.dim]
+    m1 = kron_embed(_dense_monodromy(chain, lam), [0, 2], dims)
+    m2 = kron_embed(_dense_monodromy(chain, mu), [1, 2], dims)
+    big_r = kron_embed(r12, [0, 1], dims)
+    lhs = big_r @ m1 @ m2
+    return frob(lhs - m2 @ m1 @ big_r) / max(1.0, frob(lhs))
+
+
+def _dense_twist_commutator(chain, lam, k, site_twists):
+    """Reference route: [M^(I), K] with the dense (2D)^2 K = k (x) site_twists[0] (x) ..."""
+    m_id = _dense_monodromy(chain, lam, twist_matrix=np.eye(2))
+    big_k = np.kron(k, kron_chain(site_twists))
+    left = big_k @ m_id
+    return frob(left - m_id @ big_k) / max(1.0, frob(left))
+
+
 def test_monodromy_matches_dense_product(chain123):
     rng = np.random.default_rng(31)
     twists = (None, np.eye(2), chain123.twist.conjugated())
@@ -44,13 +69,46 @@ def test_monodromy_matches_dense_product(chain123):
             assert frob(got - want) <= 1e-13 * frob(want)
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
+def test_transfer_matches_dense_trace(chain123):
+    rng = np.random.default_rng(33)
+    d = chain123.dim
+    for lam in random_complex(rng, size=3, box=3.0):
+        dense = _dense_monodromy(chain123, lam)
+        want = dense[:d, :d] + dense[d:, d:]
+        got = transfer(chain123, lam)
+        assert frob(got - want) <= 1e-13 * frob(want)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_fused_projector_matches_dense_product(chain123, level):
     rng = np.random.default_rng(40 + level)
     for lam in random_complex(rng, size=2, box=2.5):
         want = _dense_fused_projector(chain123, level, lam)
         got = fused_transfer_projector(chain123, level, lam)
         assert frob(got - want) <= 1e-12 * max(1.0, frob(want))
+
+
+def test_aux_product_matches_embedded_factors():
+    # X_0 X_1 X_2 with X_i on aux leg i (leg 0 slowest) and on a shared spin-1 site
+    rng = np.random.default_rng(36)
+    factors = [lax(z, 2, 1.0) for z in random_complex(rng, size=3)]
+    dims = [2, 2, 2, 3]
+    want = np.eye(24, dtype=complex)
+    for i, f in enumerate(factors):
+        want = want @ kron_embed(f, [i, 3], dims)
+    got = transfer_module._aux_product([f.reshape(2, 3, 2, 3) for f in factors])
+    assert frob(got.reshape(24, 24) - want) <= 1e-14 * frob(want)
+
+
+def test_projector_route_uses_no_recursion(chain12, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the projector route reached the fusion recursion")
+
+    monkeypatch.setattr(TransferEvaluator, "fused", forbidden)
+    monkeypatch.setattr(ChainSpec, "det_q", forbidden)
+    monkeypatch.setattr(transfer_module, "tridiagonal_operator_det", forbidden)
+    monkeypatch.setattr(spectrum_module, "_tridiagonal_minors", forbidden)
+    assert frob(fused_transfer_projector(chain12, 3, 0.3 - 0.2j)) > 0
 
 
 def test_single_site_monodromy_is_r_matrix(chain1):
@@ -86,6 +144,21 @@ def test_rtt_exchange(chain12, chain112):
         for _ in range(5):
             lam, mu = random_complex(rng, size=2, box=3.0)
             assert rtt_residual(chain, lam, mu) < 1e-11
+
+
+def test_rtt_matches_dense_product(chain123, monkeypatch):
+    rng = np.random.default_rng(35)
+    lam, mu = random_complex(rng, size=2, box=3.0)
+    r12 = r_matrix(lam - mu, chain123.eta)
+    assert rtt_residual(chain123, lam, mu) < 1e-13
+    assert _dense_rtt_residual(chain123, lam, mu, r12) < 1e-13
+    # an R-matrix with a wrong eta breaks the exchange relation; both routes must see it
+    wrong = r_matrix(lam - mu, chain123.eta * (1 + 1e-6))
+    monkeypatch.setattr(transfer_module, "r_matrix", lambda z, eta: wrong)
+    got = rtt_residual(chain123, lam, mu)
+    want = _dense_rtt_residual(chain123, lam, mu, wrong)
+    assert got > 1e-8
+    assert abs(got - want) <= 1e-8 * want
 
 
 def test_transfer_family_commutes(chain12, ev12):
@@ -193,6 +266,32 @@ def test_symmetry_commutation(chain12):
         k = random_complex(rng, size=(2, 2))
         lam = complex(random_complex(rng, box=3.0))
         assert symmetry_residual(chain12, lam, k_matrix=k) < 1e-10
+
+
+def test_symmetry_matches_dense_commutator(chain123):
+    rng = np.random.default_rng(14)
+    k = chain123.twist.matrix
+    site_twists = [fused_twist(k, site.two_s) for site in chain123.sites]
+    for lam in random_complex(rng, size=2, box=3.0):
+        assert symmetry_residual(chain123, lam) < 1e-13
+        assert _dense_twist_commutator(chain123, lam, k, site_twists) < 1e-13
+
+
+def test_symmetry_detects_a_wrong_site_twist(chain123, monkeypatch):
+    # perturb the fused twist of the spin-3/2 site only; the commutator must see it
+    bump = 1e-6 * random_complex(np.random.default_rng(15), size=(4, 4))
+
+    def wrong_fused_twist(k, level):
+        return fused_twist(k, level) + (bump if level == 3 else 0.0)
+
+    monkeypatch.setattr(transfer_module, "fused_twist", wrong_fused_twist)
+    k = chain123.twist.matrix
+    site_twists = [wrong_fused_twist(k, site.two_s) for site in chain123.sites]
+    lam = 0.7 - 0.4j
+    got = symmetry_residual(chain123, lam)
+    want = _dense_twist_commutator(chain123, lam, k, site_twists)
+    assert got > 1e-8
+    assert abs(got - want) <= 1e-8 * want
 
 
 def test_single_site_symmetry_reduces_to_local(chain1):
