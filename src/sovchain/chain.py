@@ -90,12 +90,6 @@ class Twist:
     def invertible(self) -> bool:
         return abs(self.k1 * self.k2) > 1e-14 * max(1.0, abs(self.k1) + abs(self.k2)) ** 2
 
-    @property
-    def needs_conjugation(self) -> bool:
-        """True when b = 0 and the W-conjugated construction must be used."""
-        scale = max(1.0, float(np.max(np.abs(self.matrix))))
-        return abs(self.b) <= 1e-14 * scale
-
     def conjugated(self) -> np.ndarray:
         """w^-1 K w, guaranteed to have nonzero b and c entries."""
         return np.linalg.solve(self.w, self.matrix @ self.w)

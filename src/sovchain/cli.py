@@ -30,7 +30,7 @@ from .chain import (ChainSpec, Tolerances, fused_twist, genericity_check,
                     make_chain, normalize_twist)
 from .errors import SingularTwistWarning, SovChainError
 from .local_ops import kron_embed, lax, r_matrix, spin_matrices
-from .numerics import CDTYPE, commutator_residual, frob, random_complex
+from .numerics import CDTYPE, commutator_residual, frob, nearest_match, random_complex
 from .sov_bases import (_require_full_rank, b_eigen_report, gram_rank,
                         separate_action_report, shift_action_report, sklyanin_basis,
                         sov_basis_1, sov_basis_2, tensor_generating_covector)
@@ -168,13 +168,9 @@ def load_config(path_or_name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _multiset_distance(got, want) -> float:
-    """Greedy nearest-pair distance between two complex value multisets."""
-    got = list(np.asarray(got))
-    worst = 0.0
-    for w in np.asarray(want):
-        j = int(np.argmin([abs(g - w) for g in got]))
-        worst = max(worst, abs(got.pop(j) - w))
-    return worst
+    """Largest nearest-match gap between two complex value multisets; inf unless a bijection."""
+    _, gaps, bijection = nearest_match(got, want)
+    return float(np.max(gaps)) if bijection else np.inf
 
 
 def _check(name, value, tolerance, **info):
@@ -449,12 +445,9 @@ def _basis_difference(got, want) -> float:
     """Max relative row difference after a single global scalar fit."""
     num = np.vdot(want.rows.ravel(), got.rows.ravel())
     den = np.vdot(want.rows.ravel(), want.rows.ravel())
-    scale = num / den if abs(den) > 0 else 1.0
-    worst = 0.0
-    for i in range(got.rows.shape[0]):
-        diff = frob(got.rows[i] - scale * want.rows[i])
-        worst = max(worst, diff / max(1e-300, frob(scale * want.rows[i])))
-    return worst
+    ref = (num / den if abs(den) > 0 else 1.0) * want.rows
+    return float(np.max(np.linalg.norm(got.rows - ref, axis=1)
+                        / np.maximum(1e-300, np.linalg.norm(ref, axis=1))))
 
 
 def suite_spectrum(chain: ChainSpec, samples: int, ctx=None):
@@ -475,7 +468,7 @@ def suite_spectrum(chain: ChainSpec, samples: int, ctx=None):
     checks.append(_check("spectrum.oracle_bijection", 0.0 if bijection else 1.0, 0))
     checks.append(_check("spectrum.oracle_match_distance", max(dists), 1e-8))
 
-    worst_j = min(jacobian_smallest_sv(sol) for sol in solutions)
+    worst_j = jacobian_smallest_sv(solutions)
     checks.append(_check("spectrum.jacobian_regularity", 1e-8 - worst_j, 0,
                          smallest_relative_sv=worst_j))
 

@@ -28,6 +28,20 @@ def random_complex(rng, size=None, box=3.0):
     return re + 1j * im
 
 
+def nearest_match(got, want):
+    """Nearest entry of ``got`` to each entry of ``want``, in the max norm over trailing axes.
+
+    Returns (indices, distances, is_bijection): indices[i] is the entry of
+    ``got`` matched to want[i] at distance distances[i]. When the match is a
+    bijection it is also the exclusive greedy match, in any order.
+    """
+    got = np.asarray(got)
+    dists = [np.abs(got - w).reshape(len(got), -1).max(axis=1) for w in np.asarray(want)]
+    indices = [int(np.argmin(d)) for d in dists]
+    gaps = np.array([d[j] for d, j in zip(dists, indices)])
+    return indices, gaps, len(set(indices)) == len(indices) == len(got)
+
+
 def lagrange_cardinal(nodes, j, lam):
     """j-th Lagrange cardinal polynomial over ``nodes`` evaluated at ``lam``."""
     nodes = np.asarray(nodes)
@@ -47,24 +61,26 @@ class _Barycentric:
     The weights w_j = 1 / prod_{k != j} (x_j - x_k) are computed once per node
     set, so an evaluation costs O(n). At a node the exact stored value is
     returned. Berrut & Trefethen, SIAM Rev. 46 (2004) 501; Higham, IMA J.
-    Numer. Anal. 24 (2004) 547 (backward stability of this form).
+    Numer. Anal. 24 (2004) 547 (backward stability of this form). ``nodes``
+    may stack several node sets along leading axes; ``cardinals`` serves
+    them all at once, ``__call__`` takes one set.
     """
 
     def __init__(self, nodes):
         self.nodes = np.asarray(nodes, dtype=CDTYPE)
-        diff = self.nodes[:, None] - self.nodes[None, :]
-        np.fill_diagonal(diff, 1.0)
-        self.weights = 1.0 / np.prod(diff, axis=1)
+        diff = self.nodes[..., :, None] - self.nodes[..., None, :]
+        diag = np.arange(self.nodes.shape[-1])
+        diff[..., diag, diag] = 1.0
+        self.weights = 1.0 / np.prod(diff, axis=-1)
 
     def cardinals(self, lam) -> np.ndarray:
-        """All cardinal polynomials at ``lam``; the unit vector e_j at node j."""
+        """All cardinal polynomials at ``lam`` per node set; the unit vector e_j at node j."""
         diff = lam - self.nodes
-        hit = np.flatnonzero(diff == 0)
-        if hit.size:
-            out = np.zeros(len(self.nodes), dtype=CDTYPE)
-            out[hit[0]] = 1.0
-            return out
-        return np.prod(diff) * self.weights / diff
+        hit = diff == 0
+        out = np.prod(diff, axis=-1, keepdims=True) * self.weights / np.where(hit, 1.0, diff)
+        on_node = hit.any(axis=-1)
+        out[on_node] = hit[on_node]
+        return out
 
     def __call__(self, values, lam, lead=0.0) -> complex:
         """Degree-n polynomial with leading coefficient ``lead`` through ``values``.

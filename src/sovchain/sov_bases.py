@@ -6,9 +6,10 @@ one operator per site and grid level, O_1(h_1) ... O_N(h_N), and all rows
 are built together by ``_site_product_rows``:
 
 * ``sklyanin_basis``: repeated action of the twisted A-operator at grid
-  points on the tensor-product reference covector. The rows are
-  eigencovectors of the twisted B-family (of its W-conjugate when the
-  twist's b entry vanishes).
+  points on a tensor-product source covector, in the aux frame W^-1 M W of
+  the twist's conjugator W (the plain monodromy and the reference covector
+  unless the twist's b entry vanishes). The rows are eigencovectors of that
+  frame's B-family.
 * ``sov_basis_1``: powers of the site-local fundamental fused transfer
   matrices acting on a generic covector.
 * ``sov_basis_2``: the full fused tower evaluated at the bottom grid nodes;
@@ -16,6 +17,10 @@ are built together by ``_site_product_rows``:
   coincide row by row.
 
 Out-of-range shifted multi-indices denote the zero covector throughout.
+Every action identity is checked on the h-cube, the rows arranged as a
+(d_1, ..., d_N, R) array: one node grid holds xi_n^(h_n) for every row, and
+one zero-padded neighbour shift along axis n (``_neighbour_slices``) gives
+the rows h +- e_n.
 """
 
 from __future__ import annotations
@@ -24,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _tower_denominators, index_of, multi_indices
+from .chain import ChainSpec, _tower_denominators, fused_twist, index_of
 from .errors import DegenerateBasis
 from .local_ops import kron_chain
-from .numerics import CDTYPE, frob
-from .transfer import (TransferEvaluator, global_fused_twist_product,
-                       monodromy_blocks, reference_covector)
+from .numerics import CDTYPE, _Barycentric
+from .transfer import MonodromyBlocks, TransferEvaluator, monodromy_matrix
 
 __all__ = [
     "CovectorBasis",
@@ -57,13 +61,6 @@ class CovectorBasis:
     def row(self, h) -> np.ndarray:
         return self.rows[index_of(self.chain, h)]
 
-    def row_or_zero(self, h) -> np.ndarray:
-        """Row for h, or the zero covector when h is out of range."""
-        for hn, d in zip(h, self.chain.dims):
-            if not 0 <= hn < d:
-                return np.zeros(self.chain.dim, dtype=CDTYPE)
-        return self.row(h)
-
 
 def sklyanin_norm(chain: ChainSpec) -> complex:
     """Overall normalization prod_{b<a} (xi_a^(0) - xi_b^(0))^(1/2).
@@ -90,39 +87,48 @@ def _site_product_rows(source, per_site) -> np.ndarray:
     return rows
 
 
-def sklyanin_basis(chain: ChainSpec, validate=True) -> CovectorBasis:
-    """Covector eigenbasis of the twisted B-family.
+def _acting_blocks(chain: ChainSpec, lam: complex):
+    """Blocks of the aux frame W^-1 M(lam) W and the frame twist K_bar = W^-1 K W.
 
-    Row h is the reference covector hit by A^(K)(xi_n^(k)) / (k1 a(xi_n^(k)))
-    for k = 0..h_n-1 at every site, divided by the global normalization.
-    When the twist has b = 0 the W-conjugated twist drives the products and
-    the rows are multiplied by the inverse of the fused conjugator.
+    W = ``twist.w``, the identity unless the twist's b entry vanishes. The
+    Sklyanin rows are eigencovectors of the frame's B block and are shifted
+    by its A and D blocks, with prefactors read off K_bar. M is the plain
+    ``monodromy_matrix``; with W the identity the frame is M bit for bit.
+    """
+    w, d = chain.twist.w, chain.dim
+    left = np.linalg.inv(w) @ monodromy_matrix(chain, lam).reshape(2, -1)   # W^-1 M
+    f = np.matmul(w.T, left.reshape(2 * d, 2, d)).reshape(2, d, 2, d)     # (W^-1 M) W
+    blocks = MonodromyBlocks(a=f[0, :, 0], b=f[0, :, 1], c=f[1, :, 0], d=f[1, :, 1])
+    return blocks, chain.twist.conjugated()
+
+
+def sklyanin_basis(chain: ChainSpec, validate=True) -> CovectorBasis:
+    """Covector eigenbasis of the twisted B-family, in the aux frame of ``_acting_blocks``.
+
+    Row h is the frame source hit by A(xi_n^(k)) / (k1 a(xi_n^(k))) for
+    k = 0..h_n-1 at every site, divided by the global normalization, with A
+    the frame's A block. The frame source is the tensor product of row 0 of
+    each site's fused W^-1: the reference covector when W is the identity.
     """
     twist = chain.twist
     if not twist.invertible:
         raise ValueError("Sklyanin construction requires an invertible twist")
-    conj = twist.needs_conjugation
-    k_build = twist.conjugated() if conj else twist.matrix
-
     per_site = []
     for n, site in enumerate(chain.sites):
         ops = [np.eye(chain.dim, dtype=CDTYPE)]
         for k in range(site.two_s):
             node = chain.node(n, k)
-            blocks = monodromy_blocks(chain, node, twist_matrix=k_build)
-            ops.append(ops[-1] @ blocks.a / (twist.k1 * chain.a(node)))
+            ops.append(ops[-1] @ _acting_blocks(chain, node)[0].a / (twist.k1 * chain.a(node)))
         per_site.append(ops)
 
     norm = sklyanin_norm(chain)
     if abs(norm) < 1e-150:
         # coinciding top nodes; keep rows finite so the rank check can report
         norm = 1.0
-    rows = _site_product_rows(reference_covector(chain) / norm, per_site)
-    if conj:
-        w_glob = global_fused_twist_product(chain, twist.w)
-        rows = rows @ np.linalg.inv(w_glob)
-    basis = CovectorBasis(rows=rows, kind="sklyanin", chain=chain,
-                          source=reference_covector(chain))
+    w_inv = np.linalg.inv(twist.w)
+    source = kron_chain([fused_twist(w_inv, site.two_s)[0] for site in chain.sites]).ravel()
+    basis = CovectorBasis(rows=_site_product_rows(source / norm, per_site), kind="sklyanin",
+                          chain=chain, source=source)
     if validate:
         _require_full_rank(basis)
     return basis
@@ -182,7 +188,6 @@ def tensor_generating_covector(chain: ChainSpec, salt=3, max_tries=16) -> np.nda
     Each local covector is re-drawn until its orbit under powers of the
     site's fused twist spans the local space.
     """
-    from .chain import fused_twist
     from .numerics import random_complex
 
     rng = chain.rng(salt)
@@ -251,44 +256,18 @@ def _gaussian_covector(chain: ChainSpec, salt: int) -> np.ndarray:
 # verification reports
 # ---------------------------------------------------------------------------
 
-def _acting_blocks(chain: ChainSpec, lam: complex):
-    """Blocks whose actions the Sklyanin rows diagonalize/shift.
-
-    For b != 0 these are the plain twisted blocks. For b = 0 they are the
-    conjugated family W_glob . block(K_bar) . W_glob^-1, with the eigenvalue
-    prefactors read off the conjugated twist.
-    """
-    twist = chain.twist
-    if not twist.needs_conjugation:
-        blocks = monodromy_blocks(chain, lam)
-        return blocks, twist.a, twist.b, twist.d
-    kbar = twist.conjugated()
-    blocks = monodromy_blocks(chain, lam, twist_matrix=kbar)
-    w_glob = global_fused_twist_product(chain, twist.w)
-    w_inv = np.linalg.inv(w_glob)
-    conj = lambda mat: w_glob @ mat @ w_inv
-    from .transfer import MonodromyBlocks
-
-    blocks = MonodromyBlocks(a=conj(blocks.a), b=conj(blocks.b),
-                             c=conj(blocks.c), d=conj(blocks.d))
-    return blocks, complex(kbar[0, 0]), complex(kbar[0, 1]), complex(kbar[1, 1])
-
-
 def b_eigen_report(basis: CovectorBasis, lams) -> float:
-    """Max relative residual of the B-eigenvalue relation over rows and lams."""
-    chain = basis.chain
+    """Max relative residual of row(h) B(lam) = b prod_n (lam - xi_n^(h_n)) row(h).
+
+    Over every row and every lam, with B and b those of the aux frame
+    (``_acting_blocks``).
+    """
+    points = _node_grid(basis.chain)[0]
     worst = 0.0
     for lam in lams:
-        blocks, _, b_entry, _ = _acting_blocks(chain, lam)
-        acted = basis.rows @ blocks.b
-        for h in multi_indices(chain):
-            i = index_of(chain, h)
-            eig = b_entry
-            for n, hn in enumerate(h):
-                eig *= lam - chain.node(n, hn)
-            resid = acted[i] - eig * basis.rows[i]
-            scale = max(1.0, abs(eig) * frob(basis.rows[i]), frob(acted[i]))
-            worst = max(worst, frob(resid) / scale)
+        blocks, kbar = _acting_blocks(basis.chain, lam)
+        eig = kbar[0, 1] * np.prod(lam - points, axis=1)
+        worst = max(worst, _worst_row_residual(basis.rows @ blocks.b, eig[:, None] * basis.rows))
     return worst
 
 
@@ -297,71 +276,94 @@ def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
 
     At a spectral parameter equal to a grid value of site a the action
     collapses to the single shifted row; at general lam it is the
-    interpolation sum plus the diagonal term carrying the twist's own
+    interpolation sum plus the diagonal term carrying the frame twist's own
     diagonal entry times prod_n (lam - xi_n^(h_n)). Default lams: every grid
-    value.
-
-    Vectorized over the rows: the interpolation points xi_n^(h_n) of every
-    row and their barycentric weights are formed once for all lam, the
-    cardinals of all rows at one lam form one (D, N) array (the unit vector
-    e_n on an exact node hit, as in ``_Barycentric``), and the rows h +- e_n
-    are zero-padded slices of the rows arranged as a (d_1, ..., d_N, D) array.
+    value. The cardinals of all rows at one lam form one (D, N) array.
     """
     chain = basis.chain
-    twist = chain.twist
     if lams is None:
         lams = [node for _, _, node in chain.all_nodes()]
     n_sites = chain.n_sites
-    hs = np.array(multi_indices(chain))
-    points = np.empty(hs.shape, dtype=CDTYPE)   # row h, column n: xi_n^(h_n)
-    a_at = np.empty(hs.shape, dtype=CDTYPE)
-    d_at = np.empty(hs.shape, dtype=CDTYPE)
-    for n in range(n_sites):
-        nodes = chain.nodes(n)
-        points[:, n] = nodes[hs[:, n]]
-        a_at[:, n] = np.array([chain.a(z) for z in nodes], dtype=CDTYPE)[hs[:, n]]
-        d_at[:, n] = np.array([chain.d(z) for z in nodes], dtype=CDTYPE)[hs[:, n]]
-    pair_diff = points[:, :, None] - points[:, None, :]
-    pair_diff[:, np.arange(n_sites), np.arange(n_sites)] = 1.0
-    weights = 1.0 / np.prod(pair_diff, axis=2)
-
+    points, up_at, down_at = _node_grid(chain)
+    rows_interp = _Barycentric(points)   # one node set per row
     shape = chain.dims + (chain.dim,)
     cube = basis.rows.reshape(shape)
-    worst_a = 0.0
-    worst_d = 0.0
+    worst = {"a_action": 0.0, "d_action": 0.0}
     for lam in lams:
-        blocks, a_entry, _, d_entry = _acting_blocks(chain, lam)
-        gap = lam - points
-        diag = np.prod(gap, axis=1)
-        cards = _row_cardinals(gap, weights)
-        rhs_a = ((a_entry * diag)[:, None] * basis.rows).reshape(shape)
-        rhs_d = ((d_entry * diag)[:, None] * basis.rows).reshape(shape)
-        up = (cards * twist.k1 * a_at).reshape(chain.dims + (n_sites,))
-        down = (cards * twist.k2 * d_at).reshape(chain.dims + (n_sites,))
-        for n in range(n_sites):
-            lo = (slice(None),) * n + (slice(None, -1),)
-            hi = (slice(None),) * n + (slice(1, None),)
-            rhs_a[lo] += up[lo][..., n, None] * cube[hi]
-            rhs_d[hi] += down[hi][..., n, None] * cube[lo]
-        worst_a = max(worst_a, _worst_row_residual(basis.rows @ blocks.a,
-                                                   rhs_a.reshape(chain.dim, -1)))
-        worst_d = max(worst_d, _worst_row_residual(basis.rows @ blocks.d,
-                                                   rhs_d.reshape(chain.dim, -1)))
-    return {"a_action": worst_a, "d_action": worst_d}
+        blocks, kbar = _acting_blocks(chain, lam)
+        diag = np.prod(lam - points, axis=1)
+        cards = rows_interp.cardinals(lam)
+        for key, block, entry, at, step in (("a_action", blocks.a, kbar[0, 0], up_at, 1),
+                                            ("d_action", blocks.d, kbar[1, 1], down_at, -1)):
+            rhs = ((entry * diag)[:, None] * basis.rows).reshape(shape)
+            coeff = (cards * at).reshape(chain.dims + (n_sites,))
+            for n in range(n_sites):
+                dst, src = _neighbour_slices(n, step)
+                rhs[dst] += coeff[dst][..., n, None] * cube[src]
+            worst[key] = max(worst[key], _worst_row_residual(basis.rows @ block,
+                                                             rhs.reshape(chain.dim, -1)))
+    return worst
 
 
-def _row_cardinals(gap: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Cardinals of every row's node set at one point, from gap = lam - nodes.
+def separate_action_report(basis: CovectorBasis, evaluator=None) -> float:
+    """Residual of the transfer-matrix separate action on the tower basis.
 
-    Row i is prod(gap_i) * weights_i / gap_i, or e_j where gap_i[j] == 0.
+    Checks row(h) T(xi_n^(h_n)) = k1 a row(h+e_n) + k2 d row(h-e_n) for every
+    h and n (``_separate_action_residual`` with R = D).
     """
-    hit = gap == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cards = np.prod(gap, axis=1)[:, None] * weights / gap
-    on_node = np.flatnonzero(hit.any(axis=1))
-    cards[on_node] = 0.0
-    cards[on_node, hit[on_node].argmax(axis=1)] = 1.0
-    return cards
+    chain = basis.chain
+    evaluator = evaluator or TransferEvaluator(chain)
+    return _separate_action_residual(chain, basis.rows.reshape(chain.dims + (chain.dim,)),
+                                     lambda nodes: np.stack([evaluator.transfer(z) for z in nodes]))
+
+
+def _separate_action_residual(chain: ChainSpec, cube, ops_at) -> float:
+    """Worst residual of cube[h] T(xi_n^(h_n)) = k1 a cube[h+e_n] + k2 d cube[h-e_n].
+
+    ``cube`` holds one R-vector per multi-index h, shape dims + (R,);
+    ``ops_at(nodes)`` gives the (len(nodes), R, R) stack of T at the nodes.
+    Each site is one batched matmul of the (d_n, D / d_n, R) slabs h_n = k
+    with the stack at its nodes. Out-of-range neighbours are the zero padding
+    of the shift; their coefficients a (top node) and d (bottom node) vanish.
+    """
+    r = cube.shape[-1]
+    worst = 0.0
+    for n in range(chain.n_sites):
+        nodes, k1a, k2d = _site_nodes(chain, n)
+        slabs = np.moveaxis(cube, n, 0).reshape(len(nodes), -1, r)
+        rhs = np.zeros_like(slabs)
+        for coeff, step in ((k1a, 1), (k2d, -1)):
+            dst, src = _neighbour_slices(0, step)
+            rhs[dst] += coeff[dst][:, None, None] * slabs[src]
+        worst = max(worst, _worst_row_residual((slabs @ ops_at(nodes)).reshape(-1, r),
+                                               rhs.reshape(-1, r)))
+    return worst
+
+
+def _site_nodes(chain: ChainSpec, n: int):
+    """Site n's grid nodes, with k1 a and k2 d at each of them."""
+    twist = chain.twist
+    nodes = chain.nodes(n)
+    return (nodes, twist.k1 * np.array([chain.a(z) for z in nodes]),
+            twist.k2 * np.array([chain.d(z) for z in nodes]))
+
+
+def _node_grid(chain: ChainSpec):
+    """``_site_nodes`` values at xi_n^(h_n): (D, N) arrays, row h in basis order, column n."""
+    hs = np.indices(chain.dims).reshape(chain.n_sites, -1)
+    per_site = [[vals[h] for vals in _site_nodes(chain, n)] for n, h in enumerate(hs)]
+    return tuple(np.stack(col, axis=1) for col in zip(*per_site))
+
+
+def _neighbour_slices(axis: int, step: int):
+    """Index pair (dst, src) with x[src] = x at h + step e_axis for every h in dst (step = +-1).
+
+    The h outside dst have no neighbour in the array: their shifted entry is
+    the zero padding.
+    """
+    head = (slice(None),) * axis
+    lo, hi = head + (slice(None, -1),), head + (slice(1, None),)
+    return (lo, hi) if step > 0 else (hi, lo)
 
 
 def _worst_row_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -369,29 +371,3 @@ def _worst_row_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     scale = np.maximum(1.0, np.maximum(np.linalg.norm(lhs, axis=1),
                                        np.linalg.norm(rhs, axis=1)))
     return float(np.max(np.linalg.norm(lhs - rhs, axis=1) / scale))
-
-
-def separate_action_report(basis: CovectorBasis, evaluator=None) -> float:
-    """Residual of the transfer-matrix separate action on the tower basis.
-
-    Checks row(h) T(xi_n^(h_n)) = k1 a row(h+e_n) + k2 d row(h-e_n) for every
-    h and n; boundary terms vanish through a (top node) and d (bottom node).
-    """
-    chain = basis.chain
-    twist = chain.twist
-    evaluator = evaluator or TransferEvaluator(chain)
-    worst = 0.0
-    for h in multi_indices(chain):
-        row = basis.row(h)
-        for n in range(chain.n_sites):
-            node = chain.node(n, h[n])
-            lhs = row @ evaluator.transfer(node)
-            up = list(h)
-            up[n] += 1
-            down = list(h)
-            down[n] -= 1
-            rhs = (twist.k1 * chain.a(node) * basis.row_or_zero(up)
-                   + twist.k2 * chain.d(node) * basis.row_or_zero(down))
-            scale = max(1.0, frob(lhs), frob(rhs))
-            worst = max(worst, frob(lhs - rhs) / scale)
-    return worst

@@ -23,7 +23,8 @@ import numpy as np
 
 from .chain import ChainSpec, _tower_denominators, multi_indices
 from .errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
-from .numerics import CDTYPE, _Barycentric, frob, random_complex
+from .numerics import CDTYPE, _Barycentric, frob, nearest_match, random_complex
+from .sov_bases import _node_grid, _separate_action_residual
 from .transfer import TransferEvaluator
 
 __all__ = [
@@ -264,18 +265,21 @@ class _DiscreteSystem:
         return jac
 
 
-def jacobian_smallest_sv(t: TransferPolynomial) -> float:
-    """Smallest singular value of the normalized system Jacobian at t, over max(1, largest).
+def jacobian_smallest_sv(solutions) -> float:
+    """Min over ``solutions`` t of the normalized Jacobian's smallest singular value at t.
 
-    The Jacobian is that of the scale-normalized residual res / scales that
-    Newton tests (row n divided by site n's magnitude scale, held fixed), so
-    each site's determinant counts on its own scale and rescaling one site's
-    equation leaves the value unchanged.
+    Each value is over max(1, largest). The Jacobian is that of the
+    scale-normalized residual res / scales that Newton tests (row n divided
+    by site n's magnitude scale, held fixed), so rescaling one site's
+    equation leaves the value unchanged. One discrete system serves all t.
     """
-    system = _DiscreteSystem(t.chain)
-    _, scales = system.residual(t.x)
-    sv = np.linalg.svd(system.jacobian(t.x) / scales[:, None], compute_uv=False)
-    return float(sv[-1] / max(1.0, sv[0]))
+    system = _DiscreteSystem(solutions[0].chain)
+    worst = np.inf
+    for t in solutions:
+        _, scales = system.residual(t.x)
+        sv = np.linalg.svd(system.jacobian(t.x) / scales[:, None], compute_uv=False)
+        worst = min(worst, float(sv[-1] / max(1.0, sv[0])))
+    return worst
 
 
 def closed_form_solutions(chain: ChainSpec):
@@ -286,13 +290,10 @@ def closed_form_solutions(chain: ChainSpec):
     """
     twist = chain.twist
     k = twist.k1 if abs(twist.k2) <= abs(twist.k1) else twist.k2
-    sols = []
-    for h in multi_indices(chain):
-        hnodes = [chain.node(n, hn) for n, hn in enumerate(h)]
-        x = np.array([k * np.prod([chain.node(a, 0) - z for z in hnodes])
-                      for a in range(chain.n_sites)], dtype=CDTYPE)
-        sols.append(TransferPolynomial(chain, x))
-    return sols
+    top = np.array([chain.node(a, 0) for a in range(chain.n_sites)])
+    points = _node_grid(chain)[0]   # row h: xi_n^(h_n)
+    xs = k * np.prod(top[None, :, None] - points[:, None, :], axis=2)
+    return [TransferPolynomial(chain, x) for x in xs]
 
 
 def solve_discrete_system(chain: ChainSpec, seeds=None, max_iter=50,
@@ -370,22 +371,14 @@ def _dedup(xs, tol_rel):
 
 
 def match_to_oracle(solutions, records):
-    """Greedy nearest-match of discrete solutions to oracle records.
+    """Nearest match (``nearest_match``) of discrete solutions to oracle records.
 
     Returns (indices, distances, is_bijection): indices[i] is the solution
     matched to records[i]; distances are max-norm gaps scaled by 1+max|x|.
     """
-    used = set()
-    indices = []
-    distances = []
-    for rec in records:
-        scale = 1.0 + float(np.max(np.abs(rec.t.x)))
-        dists = [float(np.max(np.abs(sol.x - rec.t.x))) / scale for sol in solutions]
-        j = int(np.argmin(dists))
-        indices.append(j)
-        distances.append(dists[j])
-        used.add(j)
-    return indices, distances, len(used) == len(records)
+    want = np.array([rec.t.x for rec in records])
+    indices, gaps, bijection = nearest_match([sol.x for sol in solutions], want)
+    return indices, gaps / (1.0 + np.max(np.abs(want), axis=1)), bijection
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +419,9 @@ def wavefunction_sov1(t: TransferPolynomial) -> dict:
     (equivalently the leading minor of the discrete matrix).
     """
     chain = t.chain
-    charges = [t.fused_value(site.two_s, chain.node(n, site.two_s - 1))
-               for n, site in enumerate(chain.sites)]
-    out = {}
-    for h in multi_indices(chain):
-        val = 1.0 + 0.0j
-        for n, hn in enumerate(h):
-            val *= charges[n] ** hn
-        out[h] = val
-    return out
+    psi = _site_product([t.fused_value(site.two_s, chain.node(n, site.two_s - 1))
+                         ** np.arange(site.dim) for n, site in enumerate(chain.sites)])
+    return {h: psi[h] for h in multi_indices(chain)}
 
 
 def _site_product(factors) -> np.ndarray:
@@ -460,31 +447,12 @@ def wavefunction_action_report(t: TransferPolynomial) -> float:
     """Pointwise eigen-relation residual of the factorized wavefunction.
 
     Checks k1 a(node) psi(h+e_n) + k2 d(node) psi(h-e_n) = t(node) psi(h)
-    for every h and n, with out-of-range entries treated as zero. psi is
-    built as an N-d array, t, k1 a and k2 d are evaluated once at each
-    site's grid nodes, and each site is checked with one shifted-slice
-    comparison along its axis.
+    for every h and n, with out-of-range entries treated as zero: the
+    separate-action stencil of ``sov_bases`` on psi as an h-cube with R = 1
+    and t at each site's grid nodes as 1 x 1 operators.
     """
-    chain = t.chain
-    twist = chain.twist
-    psi = _sov2_array(t)
-    shape = (-1,) + (1,) * (chain.n_sites - 1)
-    worst = 0.0
-    for n in range(chain.n_sites):
-        nodes = chain.nodes(n)
-        t_vals = np.array([t(z) for z in nodes], dtype=CDTYPE).reshape(shape)
-        a_vals = np.array([twist.k1 * chain.a(z) for z in nodes], dtype=CDTYPE).reshape(shape)
-        d_vals = np.array([twist.k2 * chain.d(z) for z in nodes], dtype=CDTYPE).reshape(shape)
-        p = np.moveaxis(psi, n, 0)
-        up = np.zeros_like(p)
-        up[:-1] = p[1:]
-        down = np.zeros_like(p)
-        down[1:] = p[:-1]
-        lhs = a_vals * up + d_vals * down
-        rhs = t_vals * p
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
-    return worst
+    return _separate_action_residual(t.chain, _sov2_array(t)[..., None],
+                                     lambda nodes: np.array([t(z) for z in nodes])[:, None, None])
 
 
 def eigenvector_from_sov(t: TransferPolynomial, basis, evaluator=None,

@@ -31,7 +31,6 @@ __all__ = [
     "transfer",
     "TransferEvaluator",
     "fused_transfer_projector",
-    "global_fused_twist_product",
     "tridiagonal_operator_det",
     "rtt_residual",
     "quantum_det_residual",
@@ -52,15 +51,13 @@ class MonodromyBlocks:
     d: np.ndarray
 
 
-def monodromy_matrix(chain: ChainSpec, lam: complex, twist_matrix=None) -> np.ndarray:
+def monodromy_matrix(chain: ChainSpec, lam: complex) -> np.ndarray:
     """Full 2D x 2D monodromy K_0 L_0N(lam - xi_N) ... L_01(lam - xi_1).
 
-    The auxiliary C^2 is the slowest Kronecker factor. ``twist_matrix``
-    overrides the chain twist (used for identity-twist and conjugated runs).
-    Built by ``_lax_chain`` from I_2, one site at a time.
+    The auxiliary C^2 is the slowest Kronecker factor. Built by
+    ``_lax_chain`` from I_2, one site at a time.
     """
-    k = chain.twist.matrix if twist_matrix is None else np.asarray(twist_matrix, dtype=CDTYPE)
-    return _lax_chain(_site_laxes(chain, lam), np.eye(2, dtype=CDTYPE), twist=k)
+    return _lax_chain(_site_laxes(chain, lam), np.eye(2, dtype=CDTYPE), twist=chain.twist.matrix)
 
 
 def _site_laxes(chain: ChainSpec, lam: complex) -> list:
@@ -104,8 +101,8 @@ def _aux_product(factors) -> np.ndarray:
     return op
 
 
-def monodromy_blocks(chain: ChainSpec, lam: complex, twist_matrix=None) -> MonodromyBlocks:
-    m = monodromy_matrix(chain, lam, twist_matrix)
+def monodromy_blocks(chain: ChainSpec, lam: complex) -> MonodromyBlocks:
+    m = monodromy_matrix(chain, lam)
     d = chain.dim
     return MonodromyBlocks(a=m[:d, :d], b=m[:d, d:], c=m[d:, :d], d=m[d:, d:])
 
@@ -173,12 +170,6 @@ def fused_transfer_projector(chain: ChainSpec, level: int, lam: complex) -> np.n
     return _lax_chain(ops, u, twist=kron_chain([chain.twist.matrix] * level), close=u.conj().T)
 
 
-def global_fused_twist_product(chain: ChainSpec, k_matrix=None) -> np.ndarray:
-    """Tensor product over sites of the fused twist, acting on H."""
-    mat = chain.twist.matrix if k_matrix is None else k_matrix
-    return kron_chain([fused_twist(mat, site.two_s) for site in chain.sites])
-
-
 def tridiagonal_operator_det(diag, sup, sub) -> np.ndarray:
     """Determinant of a tridiagonal matrix with commuting operator entries.
 
@@ -215,10 +206,17 @@ def rtt_residual(chain: ChainSpec, lam: complex, mu: complex) -> float:
 
 
 def quantum_det_residual(chain: ChainSpec, lam: complex) -> float:
-    """Residual of A(lam) D(lam-eta) - B(lam) C(lam-eta) = detq(lam) Id."""
-    blocks_lam = monodromy_blocks(chain, lam)
-    blocks_shift = monodromy_blocks(chain, lam - chain.eta)
-    op = blocks_lam.a @ blocks_shift.d - blocks_lam.b @ blocks_shift.c
+    """Residual of A(lam) D(lam-eta) - B(lam) C(lam-eta) = detq(lam) Id.
+
+    The left side is entry ((0,1), (0,1)) minus entry ((0,1), (1,0)) of
+    M1(lam) M2(lam - eta) on C^2 x C^2, grown by ``_lax_chain`` as in
+    ``rtt_residual`` from the column e_(0,1) - e_(1,0) and closed by the row e_(0,1).
+    """
+    pairs = zip(_site_laxes(chain, lam), _site_laxes(chain, lam - chain.eta))
+    start = np.array([[0.0], [1.0], [-1.0], [0.0]], dtype=CDTYPE)
+    close = np.array([[0.0, 1.0, 0.0, 0.0]], dtype=CDTYPE)
+    op = _lax_chain([_aux_product(p) for p in pairs], start,
+                    twist=kron_chain([chain.twist.matrix] * 2), close=close)
     target = chain.det_q(lam) * np.eye(chain.dim, dtype=CDTYPE)
     return frob(op - target) / max(1.0, frob(target), frob(op))
 

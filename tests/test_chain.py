@@ -68,7 +68,7 @@ def test_normalize_twist_diagonal():
     tw = normalize_twist(np.diag([2.0, 1.0]).astype(complex))
     assert tw.k1 == pytest.approx(2.0)
     assert tw.k2 == pytest.approx(1.0)
-    assert tw.needs_conjugation
+    assert not np.allclose(tw.w, np.eye(2))   # b = 0: a proper conjugator
     kbar = tw.conjugated()
     assert abs(kbar[0, 1] - 0.5) < 1e-12
     assert abs(kbar[1, 0] - 0.5) < 1e-12
@@ -78,8 +78,7 @@ def test_normalize_twist_antiperiodic():
     tw = normalize_twist(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert tw.k1 == pytest.approx(1.0)
     assert tw.k2 == pytest.approx(-1.0)
-    assert not tw.needs_conjugation
-    assert np.allclose(tw.w, np.eye(2))
+    assert np.array_equal(tw.w, np.eye(2))
 
 
 def test_normalize_twist_lower_triangular_paths():

@@ -335,3 +335,26 @@ def test_run_all_builds_grid_ratios_and_closures_once(monkeypatch):
     assert report["passed"]
     per_record = {"backward": chain.dim, "discrete": chain.dim}
     assert calls == {"tower": chain.n_sites * chain.dim, "closure": 2 * chain.dim, **per_record}
+
+
+def _exclusive_greedy_distance(got, want):
+    """Reference: each wanted value takes its nearest still-unused value, in order."""
+    got = list(got)
+    worst = 0.0
+    for w in want:
+        j = int(np.argmin([abs(g - w) for g in got]))
+        worst = max(worst, abs(got.pop(j) - w))
+    return worst
+
+
+def test_multiset_distance_is_the_exclusive_greedy_match_on_a_bijection():
+    rng = np.random.default_rng(5)
+    want = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    got = rng.permutation(want + 1e-9 * rng.standard_normal(12))
+    assert cli._multiset_distance(got, want) == _exclusive_greedy_distance(got, want)
+
+
+def test_multiset_distance_is_inf_without_a_bijection():
+    # both wanted values are nearest to 0; the exclusive greedy match would pair 0.2 with 10
+    assert cli._multiset_distance([0.0, 10.0], [0.1, 0.2]) == np.inf
+    assert cli._multiset_distance([0.0, 10.0], [0.1, 9.0]) == pytest.approx(1.0)

@@ -1,16 +1,34 @@
 import numpy as np
 import pytest
 
-from sovchain.chain import make_chain, multi_indices
+from sovchain.chain import fused_twist, make_chain, multi_indices, random_chain
 from sovchain.errors import DegenerateBasis
+from sovchain.local_ops import kron_chain
 from sovchain.numerics import commutator_residual, frob, random_complex
 from sovchain.sov_bases import (CovectorBasis, _acting_blocks, _site_product_rows,
                                 b_eigen_report, gram_rank,
                                 separate_action_report,
                                 shift_action_report, sklyanin_basis, sklyanin_norm,
                                 sov_basis_1, sov_basis_2, tensor_generating_covector)
-from sovchain.transfer import TransferEvaluator, monodromy_blocks, reference_covector
-from conftest import TWIST_FULL, XI_N2
+from sovchain.transfer import (TransferEvaluator, _lax_chain, _site_laxes, monodromy_blocks,
+                               reference_covector)
+from conftest import TWIST_DIAG, TWIST_FULL, XI_N2
+
+# b = 0 twists: diagonal, lower triangular, lower triangular with equal eigenvalues,
+# and lower triangular with c = d - a, whose conjugator W is not its own inverse
+B_ZERO_TWISTS = {
+    "diag": TWIST_DIAG,
+    "lower": np.array([[1.3 + 0.2j, 0.0], [0.7 - 0.4j, -0.5 + 0.9j]]),
+    "jordan": np.array([[1.0, 0.0], [1.0, 1.0]]),
+    "mixing": np.array([[1.3 + 0.2j, 0.0], [-1.8 + 0.7j, -0.5 + 0.9j]]),
+}
+
+
+def _row_or_zero(basis, h):
+    """Row for h, or the zero covector when h is out of range."""
+    if all(0 <= hn < d for hn, d in zip(h, basis.chain.dims)):
+        return basis.row(h)
+    return np.zeros(basis.chain.dim, dtype=complex)
 
 
 def test_reference_covector_shape(chain12):
@@ -74,21 +92,20 @@ def test_a_action_at_grid_point_isolates_single_term(chain12):
     # the shifted index is out of range: the action annihilates the row
     blocks = monodromy_blocks(chain, chain.node(0, 1))
     lhs = basis.row((1, 1)) @ blocks.a
-    assert frob(basis.row_or_zero((2, 1))) == 0.0
+    with pytest.raises(IndexError):
+        basis.row((2, 1))
     assert frob(lhs) < 1e-8 * max(1.0, frob(basis.row((1, 1))))
 
 
 def test_d_action_lowering_killed_at_zero(chain1):
     # single site, h = 0: the lowering coefficient d(xi^(0)) vanishes, so the
     # D-action keeps the row proportional to itself at every lam
-    from sovchain.sov_bases import _acting_blocks
-
     basis = sklyanin_basis(chain1)
     assert abs(chain1.d(chain1.node(0, 0))) < 1e-14
     for lam in (0.9, -0.4 + 1.7j):
-        blocks, _, _, d_entry = _acting_blocks(chain1, lam)
+        blocks, kbar = _acting_blocks(chain1, lam)
         acted = basis.row((0,)) @ blocks.d
-        want = d_entry * (lam - chain1.node(0, 0)) * basis.row((0,))
+        want = kbar[1, 1] * (lam - chain1.node(0, 0)) * basis.row((0,))
         assert frob(acted - want) < 1e-12 * max(1.0, frob(want))
 
 
@@ -225,7 +242,8 @@ def _shift_action_loop(basis, lams):
     twist = chain.twist
     worst_a = worst_d = 0.0
     for lam in lams:
-        blocks, a_entry, _, d_entry = _acting_blocks(chain, lam)
+        blocks, kbar = _acting_blocks(chain, lam)
+        a_entry, d_entry = kbar[0, 0], kbar[1, 1]
         acted_a = basis.rows @ blocks.a
         acted_d = basis.rows @ blocks.d
         for i, h in enumerate(multi_indices(chain)):
@@ -238,8 +256,8 @@ def _shift_action_loop(basis, lams):
                 up[n] += 1
                 down = list(h)
                 down[n] -= 1
-                rhs_a = rhs_a + card * twist.k1 * chain.a(hnodes[n]) * basis.row_or_zero(up)
-                rhs_d = rhs_d + card * twist.k2 * chain.d(hnodes[n]) * basis.row_or_zero(down)
+                rhs_a = rhs_a + card * twist.k1 * chain.a(hnodes[n]) * _row_or_zero(basis, up)
+                rhs_d = rhs_d + card * twist.k2 * chain.d(hnodes[n]) * _row_or_zero(basis, down)
             worst_a = max(worst_a, frob(acted_a[i] - rhs_a)
                           / max(1.0, frob(acted_a[i]), frob(rhs_a)))
             worst_d = max(worst_d, frob(acted_d[i] - rhs_d)
@@ -265,3 +283,132 @@ def test_shift_action_report_matches_row_loop(chain123):
     for key in ("a_action", "d_action"):
         assert want[key] > 1e-9
         assert got[key] == pytest.approx(want[key], rel=1e-8)
+
+
+def _b_eigen_loop(basis, lams):
+    """Row-by-row reference of b_eigen_report."""
+    chain = basis.chain
+    worst = 0.0
+    for lam in lams:
+        blocks, kbar = _acting_blocks(chain, lam)
+        acted = basis.rows @ blocks.b
+        for i, h in enumerate(multi_indices(chain)):
+            eig = kbar[0, 1]
+            for n, hn in enumerate(h):
+                eig *= lam - chain.node(n, hn)
+            resid = acted[i] - eig * basis.rows[i]
+            scale = max(1.0, abs(eig) * frob(basis.rows[i]), frob(acted[i]))
+            worst = max(worst, frob(resid) / scale)
+    return worst
+
+
+def _separate_action_loop(basis, evaluator):
+    """Row-by-row reference of separate_action_report."""
+    chain = basis.chain
+    twist = chain.twist
+    worst = 0.0
+    for h in multi_indices(chain):
+        row = basis.row(h)
+        for n in range(chain.n_sites):
+            node = chain.node(n, h[n])
+            lhs = row @ evaluator.transfer(node)
+            up = list(h)
+            up[n] += 1
+            down = list(h)
+            down[n] -= 1
+            rhs = (twist.k1 * chain.a(node) * _row_or_zero(basis, up)
+                   + twist.k2 * chain.d(node) * _row_or_zero(basis, down))
+            worst = max(worst, frob(lhs - rhs) / max(1.0, frob(lhs), frob(rhs)))
+    return worst
+
+
+def _noisy(basis, rng):
+    """The basis with every entry perturbed by 1e-6 relative: rows off every action identity."""
+    rows = basis.rows * (1 + 1e-6 * rng.standard_normal(basis.rows.shape))
+    return CovectorBasis(rows=rows, kind="noisy", chain=basis.chain, source=basis.source)
+
+
+def test_b_eigen_report_matches_row_loop(chain123):
+    rng = np.random.default_rng(13)
+    lams = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
+    basis = sklyanin_basis(chain123)
+    assert b_eigen_report(basis, lams) < 1e-12 and _b_eigen_loop(basis, lams) < 1e-12
+    noisy = _noisy(basis, rng)
+    want = _b_eigen_loop(noisy, lams)
+    assert want > 1e-9
+    assert b_eigen_report(noisy, lams) == pytest.approx(want, rel=1e-8)
+
+
+def test_separate_action_report_matches_row_loop(chain123):
+    rng = np.random.default_rng(14)
+    ev = TransferEvaluator(chain123)
+    basis = sov_basis_2(chain123, evaluator=ev)
+    assert separate_action_report(basis, ev) < 1e-10
+    assert _separate_action_loop(basis, ev) < 1e-10
+    noisy = _noisy(basis, rng)
+    want = _separate_action_loop(noisy, ev)
+    assert want > 1e-9
+    assert separate_action_report(noisy, ev) == pytest.approx(want, rel=1e-8)
+
+
+def _conjugated_twist_blocks(chain, lam):
+    """A, B, D blocks of the monodromy built with the twist K_bar = W^-1 K W."""
+    m = _lax_chain(_site_laxes(chain, lam), np.eye(2, dtype=complex),
+                   twist=chain.twist.conjugated())
+    d = chain.dim
+    return [m[i * d:(i + 1) * d, j * d:(j + 1) * d] for i, j in ((0, 0), (0, 1), (1, 1))]
+
+
+def _w_glob(chain):
+    """The dense D x D conjugator: the fused W on every site."""
+    return kron_chain([fused_twist(chain.twist.w, site.two_s) for site in chain.sites])
+
+
+def _dense_frame_blocks(chain, lam):
+    """Reference route of _acting_blocks: W_glob block(K_bar) W_glob^-1."""
+    w_glob = _w_glob(chain)
+    w_inv = np.linalg.inv(w_glob)
+    return [w_glob @ block @ w_inv for block in _conjugated_twist_blocks(chain, lam)]
+
+
+def _dense_frame_sklyanin_rows(chain):
+    """Reference route of sklyanin_basis: products of the K_bar A blocks, times W_glob^-1."""
+    per_site = []
+    for n, site in enumerate(chain.sites):
+        ops = [np.eye(chain.dim, dtype=complex)]
+        for k in range(site.two_s):
+            node = chain.node(n, k)
+            a_block = _conjugated_twist_blocks(chain, node)[0]
+            ops.append(ops[-1] @ a_block / (chain.twist.k1 * chain.a(node)))
+        per_site.append(ops)
+    rows = _site_product_rows(reference_covector(chain) / sklyanin_norm(chain), per_site)
+    return rows @ np.linalg.inv(_w_glob(chain))
+
+
+@pytest.mark.parametrize("name", sorted(B_ZERO_TWISTS))
+@pytest.mark.parametrize("spins", [(1, 2, 1), (2, 2, 2, 2), (1, 3)])
+def test_frame_matches_dense_conjugation(name, spins):
+    chain = random_chain(spins, 1.0, B_ZERO_TWISTS[name], seed=7)
+    assert not np.allclose(chain.twist.w, np.eye(2))
+    for lam in (0.3 - 0.7j, chain.node(0, 0)):
+        blocks, kbar = _acting_blocks(chain, lam)
+        assert np.array_equal(kbar, chain.twist.conjugated())
+        for got, ref in zip((blocks.a, blocks.b, blocks.d), _dense_frame_blocks(chain, lam)):
+            assert frob(got - ref) <= 1e-13 * frob(ref)
+    basis = sklyanin_basis(chain)
+    want = _dense_frame_sklyanin_rows(chain)
+    assert np.max(np.linalg.norm(basis.rows - want, axis=1)
+                  / np.linalg.norm(want, axis=1)) < 1e-13
+    assert b_eigen_report(basis, [0.4 + 0.2j, -1.1 + 0.8j]) < 1e-12
+    report = shift_action_report(basis)
+    assert report["a_action"] < 1e-12 and report["d_action"] < 1e-12
+
+
+def test_frame_is_the_plain_monodromy_for_b_nonzero(chain12):
+    lam = 0.3 - 0.7j
+    blocks, kbar = _acting_blocks(chain12, lam)
+    plain = monodromy_blocks(chain12, lam)
+    for got, want in zip((blocks.a, blocks.b, blocks.c, blocks.d),
+                         (plain.a, plain.b, plain.c, plain.d)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(kbar, chain12.twist.matrix)

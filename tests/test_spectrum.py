@@ -103,8 +103,9 @@ def test_duplicate_seeds_raise_count_mismatch(chain12):
 
 def test_jacobian_regular_at_solutions(chain12):
     solutions, _ = solve_discrete_system(chain12)
-    for sol in solutions:
-        assert jacobian_smallest_sv(sol) > 1e-8
+    assert jacobian_smallest_sv(solutions) > 1e-8
+    assert jacobian_smallest_sv(solutions) == min(jacobian_smallest_sv([sol])
+                                                  for sol in solutions)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -322,7 +323,7 @@ def test_eigenvector_residual_too_large_raises(chain12, ev12):
 
 def test_jacobian_regularity_ignores_site_scale(chain112, monkeypatch):
     solutions, _ = solve_discrete_system(chain112)
-    before = [jacobian_smallest_sv(sol) for sol in solutions]
+    before = [jacobian_smallest_sv([sol]) for sol in solutions]
     residual, jacobian = _DiscreteSystem.residual, _DiscreteSystem.jacobian
     # one site's determinant on a scale 1e7 larger, as for a wide-spread chain
     row_scale = np.array([1e7, 1.0, 1.0])
@@ -330,7 +331,7 @@ def test_jacobian_regularity_ignores_site_scale(chain112, monkeypatch):
                         lambda self, x: tuple(v * row_scale for v in residual(self, x)))
     monkeypatch.setattr(_DiscreteSystem, "jacobian",
                         lambda self, x: jacobian(self, x) * row_scale[:, None])
-    after = [jacobian_smallest_sv(sol) for sol in solutions]
+    after = [jacobian_smallest_sv([sol]) for sol in solutions]
     assert after == pytest.approx(before, rel=1e-10)
 
 
@@ -344,4 +345,27 @@ def test_jacobian_regularity_fires_on_singular_jacobian(chain112, monkeypatch):
         return jac
 
     monkeypatch.setattr(_DiscreteSystem, "jacobian", dependent_rows)
-    assert jacobian_smallest_sv(solutions[0]) < 1e-8
+    assert jacobian_smallest_sv(solutions) < 1e-8
+
+
+def test_jacobian_regularity_builds_one_system(chain112, monkeypatch):
+    solutions, _ = solve_discrete_system(chain112)
+    built = []
+    init = _DiscreteSystem.__init__
+
+    def counting_init(self, chain):
+        built.append(chain)
+        init(self, chain)
+
+    monkeypatch.setattr(_DiscreteSystem, "__init__", counting_init)
+    jacobian_smallest_sv(solutions)
+    assert len(built) == 1
+
+
+def test_match_to_oracle_flags_a_shared_nearest_solution(chain12):
+    records = brute_force_spectrum(chain12)
+    solutions = [rec.t for rec in records]
+    indices, dists, bijection = match_to_oracle(solutions, records)
+    assert bijection and indices == list(range(len(records))) and max(dists) == 0.0
+    indices, _, bijection = match_to_oracle(solutions[:1] * len(records), records)
+    assert not bijection and set(indices) == {0}

@@ -59,12 +59,22 @@ def _dense_twist_commutator(chain, lam, k, site_twists):
     return frob(left - m_id @ big_k) / max(1.0, frob(left))
 
 
+def _identity_twist_blocks(chain, lam):
+    """A, B, C, D of the monodromy with K = I, grown by the Lax-chain kernel."""
+    m = transfer_module._lax_chain(transfer_module._site_laxes(chain, lam),
+                                   np.eye(2, dtype=complex))
+    d = chain.dim
+    return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
+
+
 def test_monodromy_matches_dense_product(chain123):
     rng = np.random.default_rng(31)
-    twists = (None, np.eye(2), chain123.twist.conjugated())
     for lam in random_complex(rng, size=3, box=3.0):
-        for twist in twists:
-            got = monodromy_matrix(chain123, lam, twist_matrix=twist)
+        want = _dense_monodromy(chain123, lam)
+        assert frob(monodromy_matrix(chain123, lam) - want) <= 1e-13 * frob(want)
+        for twist in (np.eye(2), chain123.twist.conjugated()):
+            got = transfer_module._lax_chain(transfer_module._site_laxes(chain123, lam),
+                                             np.eye(2, dtype=complex), twist=twist)
             want = _dense_monodromy(chain123, lam, twist_matrix=twist)
             assert frob(got - want) <= 1e-13 * frob(want)
 
@@ -113,12 +123,12 @@ def test_projector_route_uses_no_recursion(chain12, monkeypatch):
 
 def test_single_site_monodromy_is_r_matrix(chain1):
     lam = 0.83 - 0.21j
-    blocks = monodromy_blocks(chain1, lam, twist_matrix=np.eye(2))
+    a, b, c, d = _identity_twist_blocks(chain1, lam)
     r = r_matrix(lam, 1.0)
-    assert np.allclose(blocks.a, r[:2, :2])
-    assert np.allclose(blocks.b, r[:2, 2:])
-    assert np.allclose(blocks.c, r[2:, :2])
-    assert np.allclose(blocks.d, r[2:, 2:])
+    assert np.allclose(a, r[:2, :2])
+    assert np.allclose(b, r[:2, 2:])
+    assert np.allclose(c, r[2:, :2])
+    assert np.allclose(d, r[2:, 2:])
 
 
 def test_single_site_transfer_hand_formula(chain1):
@@ -130,12 +140,12 @@ def test_single_site_transfer_hand_formula(chain1):
 
 def test_reference_covector_actions(chain12):
     lam = 0.37 + 0.21j
-    blocks = monodromy_blocks(chain12, lam, twist_matrix=np.eye(2))
+    a, b, c, d = _identity_twist_blocks(chain12, lam)
     v0 = reference_covector(chain12)
-    assert frob(v0 @ blocks.a - chain12.a(lam) * v0) < 1e-12
-    assert frob(v0 @ blocks.d - chain12.d(lam) * v0) < 1e-12
-    assert frob(v0 @ blocks.b) < 1e-13
-    assert frob(v0 @ blocks.c) > 1e-3  # C does not annihilate the reference
+    assert frob(v0 @ a - chain12.a(lam) * v0) < 1e-12
+    assert frob(v0 @ d - chain12.d(lam) * v0) < 1e-12
+    assert frob(v0 @ b) < 1e-13
+    assert frob(v0 @ c) > 1e-3  # C does not annihilate the reference
 
 
 def test_rtt_exchange(chain12, chain112):
@@ -230,6 +240,15 @@ def test_tridiagonal_determinant_matches_fusion(chain12, ev12):
         assert frob(det - target) / max(1.0, frob(target)) < 1e-9
 
 
+def _dense_quantum_det_residual(chain, lam):
+    """Reference route: A(lam) D(lam-eta) - B(lam) C(lam-eta) from two full monodromies."""
+    blocks_lam = monodromy_blocks(chain, lam)
+    blocks_shift = monodromy_blocks(chain, lam - chain.eta)
+    op = blocks_lam.a @ blocks_shift.d - blocks_lam.b @ blocks_shift.c
+    target = chain.det_q(lam) * np.eye(chain.dim, dtype=complex)
+    return frob(op - target) / max(1.0, frob(target), frob(op))
+
+
 def test_quantum_det_operator_identity(chain12, chain112):
     rng = np.random.default_rng(9)
     for chain in (chain12, chain112):
@@ -238,12 +257,35 @@ def test_quantum_det_operator_identity(chain12, chain112):
             assert quantum_det_residual(chain, lam) < 1e-10
 
 
+def test_quantum_det_matches_two_monodromy_route(chain123):
+    rng = np.random.default_rng(10)
+    for lam in random_complex(rng, size=3, box=3.0):
+        assert quantum_det_residual(chain123, lam) < 1e-13
+        assert _dense_quantum_det_residual(chain123, lam) < 1e-13
+
+
+def test_quantum_det_detects_a_wrong_lax_entry(chain123, monkeypatch):
+    # one entry of every Lax operator scaled by 1 + 1e-6 breaks the identity;
+    # both routes read the patched Lax and must agree on the residual
+    def wrong_lax(lam, two_s, eta):
+        out = lax(lam, two_s, eta).copy()
+        out[two_s + 1, 1] *= 1 + 1e-6   # eta S+ entry of the lower-left aux block
+        return out
+
+    monkeypatch.setattr(transfer_module, "lax", wrong_lax)
+    lam = 0.7 - 0.4j
+    got = quantum_det_residual(chain123, lam)
+    want = _dense_quantum_det_residual(chain123, lam)
+    assert got > 1e-8
+    assert abs(got - want) <= 1e-8 * want
+
+
 def test_quantum_det_identity_twist_scalar(chain12):
     # with K = I the scalar is a(lam) d(lam - eta)
     lam = 1.21 - 0.44j
-    blocks = monodromy_blocks(chain12, lam, twist_matrix=np.eye(2))
-    shift = monodromy_blocks(chain12, lam - chain12.eta, twist_matrix=np.eye(2))
-    op = blocks.a @ shift.d - blocks.b @ shift.c
+    a, b, _, _ = _identity_twist_blocks(chain12, lam)
+    _, _, c, d = _identity_twist_blocks(chain12, lam - chain12.eta)
+    op = a @ d - b @ c
     target = chain12.a(lam) * chain12.d(lam - chain12.eta) * np.eye(chain12.dim)
     assert frob(op - target) / max(1.0, frob(target)) < 1e-11
 
