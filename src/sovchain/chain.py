@@ -177,8 +177,8 @@ class Site:
 class ChainSpec:
     """Full model definition; immutable after construction.
 
-    ``dims`` and ``dim`` are cached on first access (``dataclasses.replace``
-    gives a new instance with an empty cache).
+    ``dims``, ``dim`` and ``grid`` are cached on first access
+    (``dataclasses.replace`` gives a new instance with an empty cache).
     """
 
     eta: complex
@@ -215,6 +215,15 @@ class ChainSpec:
     def nodes(self, n: int) -> np.ndarray:
         site = self.sites[n]
         return np.array([self.node(n, k) for k in range(site.two_s + 1)], dtype=CDTYPE)
+
+    @functools.cached_property
+    def grid(self) -> tuple:
+        """Per site n, a read-only (3, 2s_n + 1) array: its nodes, a and d at each of them."""
+        out = tuple(np.array([z, [self.a(x) for x in z], [self.d(x) for x in z]])
+                    for z in map(self.nodes, range(self.n_sites)))
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
     def all_nodes(self):
         """Iterate (site, k, node value) over the whole grid."""

@@ -30,7 +30,7 @@ from .chain import (ChainSpec, Tolerances, fused_twist, genericity_check,
                     make_chain, normalize_twist)
 from .errors import SingularTwistWarning, SovChainError
 from .local_ops import kron_embed, lax, r_matrix, spin_matrices
-from .numerics import CDTYPE, commutator_residual, frob, nearest_match, random_complex
+from .numerics import CDTYPE, commutator_residual, frob, greedy_match, random_complex
 from .sov_bases import (_require_full_rank, b_eigen_report, gram_rank,
                         separate_action_report, shift_action_report, sklyanin_basis,
                         sov_basis_1, sov_basis_2, tensor_generating_covector)
@@ -168,9 +168,8 @@ def load_config(path_or_name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _multiset_distance(got, want) -> float:
-    """Largest nearest-match gap between two complex value multisets; inf unless a bijection."""
-    _, gaps, bijection = nearest_match(got, want)
-    return float(np.max(gaps)) if bijection else np.inf
+    """Largest gap of the exclusive greedy match (``greedy_match``) of two value multisets."""
+    return float(np.max(greedy_match(got, want)[1]))
 
 
 def _check(name, value, tolerance, **info):

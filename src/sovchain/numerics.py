@@ -28,18 +28,25 @@ def random_complex(rng, size=None, box=3.0):
     return re + 1j * im
 
 
-def nearest_match(got, want):
-    """Nearest entry of ``got`` to each entry of ``want``, in the max norm over trailing axes.
+def greedy_match(got, want):
+    """Each want[i] in turn takes its nearest unused entry of ``got`` (max norm over trailing axes).
 
-    Returns (indices, distances, is_bijection): indices[i] is the entry of
-    ``got`` matched to want[i] at distance distances[i]. When the match is a
-    bijection it is also the exclusive greedy match, in any order.
+    Returns (indices, distances, is_bijection): want[i] is matched to
+    got[indices[i]] at distances[i]; is_bijection says whether the plain
+    nearest match is a bijection (then it is this pairing). A repeated
+    wanted value leaves the flag False but its distances small.
     """
     got = np.asarray(got)
-    dists = [np.abs(got - w).reshape(len(got), -1).max(axis=1) for w in np.asarray(want)]
-    indices = [int(np.argmin(d)) for d in dists]
-    gaps = np.array([d[j] for d, j in zip(dists, indices)])
-    return indices, gaps, len(set(indices)) == len(indices) == len(got)
+    free = np.ones(len(got), dtype=bool)
+    indices, gaps, nearest = [], [], len(got) == len(want)
+    for w in np.asarray(want):
+        dist = np.abs(got - w).reshape(len(got), -1).max(axis=1)
+        j = int(np.argmin(np.where(free, dist, np.inf)))
+        nearest &= j == int(np.argmin(dist))
+        free[j] = False
+        indices.append(j)
+        gaps.append(dist[j])
+    return indices, np.array(gaps), nearest
 
 
 def lagrange_cardinal(nodes, j, lam):

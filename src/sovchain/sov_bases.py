@@ -33,7 +33,7 @@ from .chain import ChainSpec, _tower_denominators, fused_twist, index_of
 from .errors import DegenerateBasis
 from .local_ops import kron_chain
 from .numerics import CDTYPE, _Barycentric
-from .transfer import MonodromyBlocks, TransferEvaluator, monodromy_matrix
+from .transfer import TransferEvaluator, monodromy_matrix
 
 __all__ = [
     "CovectorBasis",
@@ -90,16 +90,20 @@ def _site_product_rows(source, per_site) -> np.ndarray:
 def _acting_blocks(chain: ChainSpec, lam: complex):
     """Blocks of the aux frame W^-1 M(lam) W and the frame twist K_bar = W^-1 K W.
 
-    W = ``twist.w``, the identity unless the twist's b entry vanishes. The
-    Sklyanin rows are eigencovectors of the frame's B block and are shifted
-    by its A and D blocks, with prefactors read off K_bar. M is the plain
-    ``monodromy_matrix``; with W the identity the frame is M bit for bit.
+    Returns (block, K_bar). block(i, j) forms block (i, j) of the frame: the
+    sum of (W^-1)_ia W_bj M_ab over the blocks M_ab of ``monodromy_matrix``
+    with a nonzero coefficient, so M_ij itself when W = ``twist.w`` is the
+    identity (b != 0). The Sklyanin rows are eigencovectors of the frame's B
+    and are shifted by its A and D, with prefactors read off K_bar.
     """
-    w, d = chain.twist.w, chain.dim
-    left = np.linalg.inv(w) @ monodromy_matrix(chain, lam).reshape(2, -1)   # W^-1 M
-    f = np.matmul(w.T, left.reshape(2 * d, 2, d)).reshape(2, d, 2, d)     # (W^-1 M) W
-    blocks = MonodromyBlocks(a=f[0, :, 0], b=f[0, :, 1], c=f[1, :, 0], d=f[1, :, 1])
-    return blocks, chain.twist.conjugated()
+    w, w_inv = chain.twist.w, np.linalg.inv(chain.twist.w)
+    m = monodromy_matrix(chain, lam).reshape(2, chain.dim, 2, chain.dim)
+
+    def block(i, j):
+        coeff = np.outer(w_inv[i], w[:, j])
+        return sum(coeff[a, b] * m[a, :, b] for a, b in zip(*np.nonzero(coeff)))
+
+    return block, chain.twist.conjugated()
 
 
 def sklyanin_basis(chain: ChainSpec, validate=True) -> CovectorBasis:
@@ -118,15 +122,15 @@ def sklyanin_basis(chain: ChainSpec, validate=True) -> CovectorBasis:
         ops = [np.eye(chain.dim, dtype=CDTYPE)]
         for k in range(site.two_s):
             node = chain.node(n, k)
-            ops.append(ops[-1] @ _acting_blocks(chain, node)[0].a / (twist.k1 * chain.a(node)))
+            ops.append(ops[-1] @ _acting_blocks(chain, node)[0](0, 0) / (twist.k1 * chain.a(node)))
         per_site.append(ops)
 
     norm = sklyanin_norm(chain)
     if abs(norm) < 1e-150:
         # coinciding top nodes; keep rows finite so the rank check can report
         norm = 1.0
-    w_inv = np.linalg.inv(twist.w)
-    source = kron_chain([fused_twist(w_inv, site.two_s)[0] for site in chain.sites]).ravel()
+    source = kron_chain([fused_twist(np.linalg.inv(twist.w), site.two_s)[0]
+                         for site in chain.sites]).ravel()
     basis = CovectorBasis(rows=_site_product_rows(source / norm, per_site), kind="sklyanin",
                           chain=chain, source=source)
     if validate:
@@ -265,9 +269,9 @@ def b_eigen_report(basis: CovectorBasis, lams) -> float:
     points = _node_grid(basis.chain)[0]
     worst = 0.0
     for lam in lams:
-        blocks, kbar = _acting_blocks(basis.chain, lam)
+        block, kbar = _acting_blocks(basis.chain, lam)
         eig = kbar[0, 1] * np.prod(lam - points, axis=1)
-        worst = max(worst, _worst_row_residual(basis.rows @ blocks.b, eig[:, None] * basis.rows))
+        worst = max(worst, _worst_row_residual(basis.rows @ block(0, 1), eig[:, None] * basis.rows))
     return worst
 
 
@@ -290,17 +294,16 @@ def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
     cube = basis.rows.reshape(shape)
     worst = {"a_action": 0.0, "d_action": 0.0}
     for lam in lams:
-        blocks, kbar = _acting_blocks(chain, lam)
+        block, kbar = _acting_blocks(chain, lam)
         diag = np.prod(lam - points, axis=1)
         cards = rows_interp.cardinals(lam)
-        for key, block, entry, at, step in (("a_action", blocks.a, kbar[0, 0], up_at, 1),
-                                            ("d_action", blocks.d, kbar[1, 1], down_at, -1)):
-            rhs = ((entry * diag)[:, None] * basis.rows).reshape(shape)
+        for key, i, at, step in (("a_action", 0, up_at, 1), ("d_action", 1, down_at, -1)):
+            rhs = ((kbar[i, i] * diag)[:, None] * basis.rows).reshape(shape)
             coeff = (cards * at).reshape(chain.dims + (n_sites,))
             for n in range(n_sites):
                 dst, src = _neighbour_slices(n, step)
                 rhs[dst] += coeff[dst][..., n, None] * cube[src]
-            worst[key] = max(worst[key], _worst_row_residual(basis.rows @ block,
+            worst[key] = max(worst[key], _worst_row_residual(basis.rows @ block(i, i),
                                                              rhs.reshape(chain.dim, -1)))
     return worst
 
@@ -329,10 +332,10 @@ def _separate_action_residual(chain: ChainSpec, cube, ops_at) -> float:
     r = cube.shape[-1]
     worst = 0.0
     for n in range(chain.n_sites):
-        nodes, k1a, k2d = _site_nodes(chain, n)
+        nodes, a, d = chain.grid[n]
         slabs = np.moveaxis(cube, n, 0).reshape(len(nodes), -1, r)
         rhs = np.zeros_like(slabs)
-        for coeff, step in ((k1a, 1), (k2d, -1)):
+        for coeff, step in ((chain.twist.k1 * a, 1), (chain.twist.k2 * d, -1)):
             dst, src = _neighbour_slices(0, step)
             rhs[dst] += coeff[dst][:, None, None] * slabs[src]
         worst = max(worst, _worst_row_residual((slabs @ ops_at(nodes)).reshape(-1, r),
@@ -340,19 +343,11 @@ def _separate_action_residual(chain: ChainSpec, cube, ops_at) -> float:
     return worst
 
 
-def _site_nodes(chain: ChainSpec, n: int):
-    """Site n's grid nodes, with k1 a and k2 d at each of them."""
-    twist = chain.twist
-    nodes = chain.nodes(n)
-    return (nodes, twist.k1 * np.array([chain.a(z) for z in nodes]),
-            twist.k2 * np.array([chain.d(z) for z in nodes]))
-
-
 def _node_grid(chain: ChainSpec):
-    """``_site_nodes`` values at xi_n^(h_n): (D, N) arrays, row h in basis order, column n."""
+    """xi_n^(h_n) and k1 a, k2 d there: (D, N) arrays, row h in basis order, column n."""
     hs = np.indices(chain.dims).reshape(chain.n_sites, -1)
-    per_site = [[vals[h] for vals in _site_nodes(chain, n)] for n, h in enumerate(hs)]
-    return tuple(np.stack(col, axis=1) for col in zip(*per_site))
+    points, a, d = np.stack([chain.grid[n][:, h] for n, h in enumerate(hs)], axis=2)
+    return points, chain.twist.k1 * a, chain.twist.k2 * d
 
 
 def _neighbour_slices(axis: int, step: int):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .chain import ChainSpec, _tower_denominators, multi_indices
 from .errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
-from .numerics import CDTYPE, _Barycentric, frob, nearest_match, random_complex
+from .numerics import CDTYPE, _Barycentric, frob, greedy_match, random_complex
 from .sov_bases import _node_grid, _separate_action_residual
 from .transfer import TransferEvaluator
 
@@ -371,13 +371,13 @@ def _dedup(xs, tol_rel):
 
 
 def match_to_oracle(solutions, records):
-    """Nearest match (``nearest_match``) of discrete solutions to oracle records.
+    """Greedy match (``greedy_match``) of discrete solutions to oracle records.
 
     Returns (indices, distances, is_bijection): indices[i] is the solution
     matched to records[i]; distances are max-norm gaps scaled by 1+max|x|.
     """
     want = np.array([rec.t.x for rec in records])
-    indices, gaps, bijection = nearest_match([sol.x for sol in solutions], want)
+    indices, gaps, bijection = greedy_match([sol.x for sol in solutions], want)
     return indices, gaps / (1.0 + np.max(np.abs(want), axis=1)), bijection
 
 

@@ -181,3 +181,14 @@ def test_replace_gives_fresh_shape_cache(chain12):
     one_site = dataclasses.replace(chain12, sites=chain12.sites[:1])
     assert one_site.dims == (2,) and one_site.dim == 2
     assert chain12.dims == (2, 3) and chain12.dim == 6
+
+
+def test_grid_holds_nodes_and_a_d_read_only():
+    chain = make_chain(1.0, [(2, 0.3 - 0.2j), (1, 1.7 + 0.4j)], TWIST_FULL, seed=7)
+    for n, site_grid in enumerate(chain.grid):
+        nodes, a, d = site_grid
+        assert np.array_equal(nodes, chain.nodes(n))
+        assert np.array_equal(a, [chain.a(z) for z in nodes])
+        assert np.array_equal(d, [chain.d(z) for z in nodes])
+        with pytest.raises(ValueError):
+            site_grid[1, 0] = 0.0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sovchain import cli
+from sovchain import cli, make_chain
 from sovchain.cli import (ConfigError, chain_from_config, load_config, main,
                           parse_config, run)
 from sovchain.errors import SingularTwistWarning
@@ -354,7 +354,17 @@ def test_multiset_distance_is_the_exclusive_greedy_match_on_a_bijection():
     assert cli._multiset_distance(got, want) == _exclusive_greedy_distance(got, want)
 
 
-def test_multiset_distance_is_inf_without_a_bijection():
-    # both wanted values are nearest to 0; the exclusive greedy match would pair 0.2 with 10
-    assert cli._multiset_distance([0.0, 10.0], [0.1, 0.2]) == np.inf
-    assert cli._multiset_distance([0.0, 10.0], [0.1, 9.0]) == pytest.approx(1.0)
+def test_multiset_distance_pairs_repeated_values_exclusively():
+    # both wanted 1's are nearest to the same value; each must take its own
+    assert cli._multiset_distance([1.0, -1.0, 1.0 + 1e-15], [1.0, -1.0, 1.0]) < 2e-15
+    # a shared nearest value leaves the second wanted value the far leftover
+    assert cli._multiset_distance([0.0, 10.0], [0.1, 0.2]) == pytest.approx(9.8)
+
+
+def test_fusion_suite_passes_on_the_antiperiodic_twist():
+    # k1 = 1, k2 = -1: the fused twist spectrum k1^(a+1-h) k2^(h-1) repeats values
+    chain = make_chain(1.0, [(2, 0.3 - 0.2j), (1, 1.7 + 0.4j)],
+                       np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), seed=7)
+    checks = {c["name"]: c for c in run("verify-fusion", chain)["checks"]}
+    assert checks["fusion.fused_twist_spectrum"]["passed"]
+    assert checks["fusion.fused_twist_spectrum"]["value"] < 1e-12

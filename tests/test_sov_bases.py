@@ -103,8 +103,8 @@ def test_d_action_lowering_killed_at_zero(chain1):
     basis = sklyanin_basis(chain1)
     assert abs(chain1.d(chain1.node(0, 0))) < 1e-14
     for lam in (0.9, -0.4 + 1.7j):
-        blocks, kbar = _acting_blocks(chain1, lam)
-        acted = basis.row((0,)) @ blocks.d
+        block, kbar = _acting_blocks(chain1, lam)
+        acted = basis.row((0,)) @ block(1, 1)
         want = kbar[1, 1] * (lam - chain1.node(0, 0)) * basis.row((0,))
         assert frob(acted - want) < 1e-12 * max(1.0, frob(want))
 
@@ -242,10 +242,10 @@ def _shift_action_loop(basis, lams):
     twist = chain.twist
     worst_a = worst_d = 0.0
     for lam in lams:
-        blocks, kbar = _acting_blocks(chain, lam)
+        block, kbar = _acting_blocks(chain, lam)
         a_entry, d_entry = kbar[0, 0], kbar[1, 1]
-        acted_a = basis.rows @ blocks.a
-        acted_d = basis.rows @ blocks.d
+        acted_a = basis.rows @ block(0, 0)
+        acted_d = basis.rows @ block(1, 1)
         for i, h in enumerate(multi_indices(chain)):
             hnodes = [chain.node(n, hn) for n, hn in enumerate(h)]
             diag = np.prod([lam - z for z in hnodes])
@@ -290,8 +290,8 @@ def _b_eigen_loop(basis, lams):
     chain = basis.chain
     worst = 0.0
     for lam in lams:
-        blocks, kbar = _acting_blocks(chain, lam)
-        acted = basis.rows @ blocks.b
+        block, kbar = _acting_blocks(chain, lam)
+        acted = basis.rows @ block(0, 1)
         for i, h in enumerate(multi_indices(chain)):
             eig = kbar[0, 1]
             for n, hn in enumerate(h):
@@ -351,12 +351,15 @@ def test_separate_action_report_matches_row_loop(chain123):
     assert separate_action_report(noisy, ev) == pytest.approx(want, rel=1e-8)
 
 
+FRAME_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def _conjugated_twist_blocks(chain, lam):
-    """A, B, D blocks of the monodromy built with the twist K_bar = W^-1 K W."""
+    """Blocks (0, 0), (0, 1), (1, 0), (1, 1) of the monodromy built with the twist K_bar = W^-1 K W."""
     m = _lax_chain(_site_laxes(chain, lam), np.eye(2, dtype=complex),
                    twist=chain.twist.conjugated())
     d = chain.dim
-    return [m[i * d:(i + 1) * d, j * d:(j + 1) * d] for i, j in ((0, 0), (0, 1), (1, 1))]
+    return [m[i * d:(i + 1) * d, j * d:(j + 1) * d] for i, j in FRAME_BLOCKS]
 
 
 def _w_glob(chain):
@@ -391,9 +394,10 @@ def test_frame_matches_dense_conjugation(name, spins):
     chain = random_chain(spins, 1.0, B_ZERO_TWISTS[name], seed=7)
     assert not np.allclose(chain.twist.w, np.eye(2))
     for lam in (0.3 - 0.7j, chain.node(0, 0)):
-        blocks, kbar = _acting_blocks(chain, lam)
+        block, kbar = _acting_blocks(chain, lam)
         assert np.array_equal(kbar, chain.twist.conjugated())
-        for got, ref in zip((blocks.a, blocks.b, blocks.d), _dense_frame_blocks(chain, lam)):
+        for (i, j), ref in zip(FRAME_BLOCKS, _dense_frame_blocks(chain, lam)):
+            got = block(i, j)
             assert frob(got - ref) <= 1e-13 * frob(ref)
     basis = sklyanin_basis(chain)
     want = _dense_frame_sklyanin_rows(chain)
@@ -406,9 +410,8 @@ def test_frame_matches_dense_conjugation(name, spins):
 
 def test_frame_is_the_plain_monodromy_for_b_nonzero(chain12):
     lam = 0.3 - 0.7j
-    blocks, kbar = _acting_blocks(chain12, lam)
+    block, kbar = _acting_blocks(chain12, lam)
     plain = monodromy_blocks(chain12, lam)
-    for got, want in zip((blocks.a, blocks.b, blocks.c, blocks.d),
-                         (plain.a, plain.b, plain.c, plain.d)):
-        assert np.array_equal(got, want)
+    for (i, j), want in zip(FRAME_BLOCKS, (plain.a, plain.b, plain.c, plain.d)):
+        assert np.array_equal(block(i, j), want)
     assert np.array_equal(kbar, chain12.twist.matrix)
