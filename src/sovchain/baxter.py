@@ -25,8 +25,7 @@ from .errors import NonInvertibleQ, RootOnForbiddenNode, SingularCZeta
 from .numerics import (CDTYPE, _Barycentric, frob, poly_coeffs_from_samples, poly_eval,
                        random_complex, trim_trailing)
 from .sov_bases import CovectorBasis, _require_full_rank, sklyanin_basis
-from .spectrum import TransferPolynomial, _site_product, _sov2_array, brute_force_spectrum
-from .transfer import TransferEvaluator
+from .spectrum import TransferPolynomial, _site_product, _sov2_array
 
 __all__ = [
     "q_values",
@@ -159,12 +158,12 @@ def _require_regular_closure(system: CZetaSystem, det_floor=1e-10) -> float:
     return ratio
 
 
-def default_zeta(chain: ChainSpec, salt=20, min_dist=1.0, max_tries=32) -> complex:
-    """Seeded auxiliary point at least ``min_dist * |eta|`` from every grid node."""
+def default_zeta(chain: ChainSpec, salt=20) -> complex:
+    """Seeded auxiliary point more than |eta| from every grid node (32 draws at most)."""
     rng = chain.rng(salt)
     nodes = [node for _, _, node in chain.all_nodes()]
-    floor = min_dist * abs(chain.eta)
-    for _ in range(max_tries):
+    floor = abs(chain.eta)
+    for _ in range(32):
         cand = complex(random_complex(rng, box=6.0))
         if all(abs(cand - z) > floor for z in nodes):
             return cand
@@ -172,12 +171,13 @@ def default_zeta(chain: ChainSpec, salt=20, min_dist=1.0, max_tries=32) -> compl
 
 
 def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10,
-                       trim_tol=1e-9, root_floor=1e-6) -> QPolynomial:
+                       root_floor=1e-6) -> QPolynomial:
     """Unique monic Q-polynomial paired with the eigenvalue t.
 
     Sets Q(zeta) = 1, solves the closure system for the bottom-node values,
     interpolates through the full node set, verifies the N left-out top-node
-    conditions, and strips the result to monic coefficients. Raises
+    conditions, and strips the result to monic coefficients (trailing
+    coefficients below 1e-9 dropped). Raises
     SingularCZeta for an unlucky auxiliary point, judged on the
     column-equilibrated closure matrix against ``det_floor`` (see
     ``_require_regular_closure``), and RootOnForbiddenNode if a root lies
@@ -202,7 +202,7 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10,
         worst = max(worst, abs(direct - values[0]) / max(1.0, abs(values[0])))
 
     coeffs = poly_coeffs_from_samples(interp.nodes, sample_values)
-    coeffs = trim_trailing(coeffs, trim_tol)
+    coeffs = trim_trailing(coeffs, 1e-9)
     coeffs = coeffs / coeffs[-1]
     qpoly = QPolynomial(chain=chain, coeffs=coeffs, leftout_residual=float(worst),
                         closure=system)
@@ -213,16 +213,14 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10,
     return qpoly
 
 
-def tq_residual(t: TransferPolynomial, q, n_samples=None, rng=None) -> float:
-    """Max relative residual of the finite-difference equation on random points."""
+def tq_residual(t: TransferPolynomial, q, rng=None) -> float:
+    """Max relative residual of the finite-difference equation on 3N random points."""
     chain = t.chain
     eta = chain.eta
     k1 = chain.twist.k1
-    if n_samples is None:
-        n_samples = 3 * chain.n_sites
     rng = rng or chain.rng(21)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(3 * chain.n_sites):
         lam = complex(random_complex(rng, box=3.0))
         beta = k1 * chain.a(lam)
         alpha = beta * k1 * chain.a(lam - eta)
@@ -235,20 +233,18 @@ def tq_residual(t: TransferPolynomial, q, n_samples=None, rng=None) -> float:
     return worst
 
 
-def tq_residual_shifted(t: TransferPolynomial, q, n_samples=None, rng=None) -> float:
+def tq_residual_shifted(t: TransferPolynomial, q, rng=None) -> float:
     """Residual of the first-order-normalized form of the spectral curve.
 
-    Checks k1 a(lam) Q(lam-eta) - t(lam) Q(lam) + k2 d(lam) Q(lam+eta) = 0,
-    which stays nontrivial in the k1 = 0 degeneration where every term of
-    the second-order form carries a k1 factor.
+    Checks k1 a(lam) Q(lam-eta) - t(lam) Q(lam) + k2 d(lam) Q(lam+eta) = 0
+    on 3N random points; it stays nontrivial in the k1 = 0 degeneration
+    where every term of the second-order form carries a k1 factor.
     """
     chain = t.chain
     eta = chain.eta
-    if n_samples is None:
-        n_samples = 3 * chain.n_sites
     rng = rng or chain.rng(22)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(3 * chain.n_sites):
         lam = complex(random_complex(rng, box=3.0))
         terms = np.array([
             chain.twist.k1 * chain.a(lam) * q(lam - eta),
@@ -311,40 +307,32 @@ class QOperator:
         return (self.vectors * self.eigenvalues(lam)) @ self.left
 
 
-def build_q_operator(chain: ChainSpec, method="eigenbasis", zeta=None,
-                     records=None, evaluator=None, q_solver=None) -> QOperator:
+def build_q_operator(records, qpolys, method="eigenbasis") -> QOperator:
     """Assemble the Q-operator from the simultaneous transfer eigenbasis.
 
-    Each record's Q-polynomial at ``zeta`` comes from ``q_solver(index,
-    zeta)`` when given, else from ``solve_q_polynomial`` (so either method
-    raises what that solve raises). ``method='eigenbasis'`` evaluates the
-    interpolated Q-polynomial. ``method='determinant'`` evaluates, per joint
-    eigenvalue, the ratio det[C + Delta(lam)] / det[C] times the node-ratio
-    prefactor, on the closure system C the solve built, where Delta is the
-    rank-one update whose column space is the scaled closure right-hand
-    side; every entry is a polynomial in the commuting transfer values, so
-    operator entries reduce to these scalars in the eigenbasis.
+    ``qpolys[i]`` is the Q-polynomial of ``records[i]``, all solved at one
+    zeta. ``method='eigenbasis'`` evaluates the interpolated Q-polynomial.
+    ``method='determinant'`` evaluates, per joint eigenvalue, the ratio
+    det[C + Delta(lam)] / det[C] times the node-ratio prefactor, on the
+    closure system C the solve built, where Delta is the rank-one update
+    whose column space is the scaled closure right-hand side; every entry is
+    a polynomial in the commuting transfer values, so operator entries
+    reduce to these scalars in the eigenbasis.
     """
     if method not in ("eigenbasis", "determinant"):
         raise ValueError(f"unknown method {method!r}")
+    chain = records[0].t.chain
     _require_q_twist(chain)
-    evaluator = evaluator or TransferEvaluator(chain)
-    if records is None:
-        records = brute_force_spectrum(chain, evaluator=evaluator)
-    if zeta is None:
-        zeta = default_zeta(chain)
-    q_solver = q_solver or (lambda index, z: solve_q_polynomial(records[index].t, zeta=z))
-    eigen_fns = []
-    for i in range(len(records)):
-        qpoly = q_solver(i, zeta)
-        if method == "eigenbasis":
-            norm = qpoly(zeta)
-            eigen_fns.append(lambda lam, qp=qpoly, nz=norm: qp(lam) / nz)
-        else:
-            eigen_fns.append(_determinant_eigen_fn(qpoly.closure))
+    zeta = qpolys[0].zeta
+    if len(qpolys) != len(records) or any(qpoly.zeta != zeta for qpoly in qpolys):
+        raise ValueError("build_q_operator needs one Q-polynomial per record, all at one zeta")
+    if method == "eigenbasis":
+        eigen_fns = [lambda lam, qp=qpoly, nz=qpoly(zeta): qp(lam) / nz for qpoly in qpolys]
+    else:
+        eigen_fns = [_determinant_eigen_fn(qpoly.closure) for qpoly in qpolys]
     vectors = np.column_stack([rec.vector for rec in records])
     left = np.vstack([rec.left for rec in records])
-    return QOperator(chain=chain, zeta=complex(zeta), method=method,
+    return QOperator(chain=chain, zeta=zeta, method=method,
                      vectors=vectors, left=left, _eigen_fns=eigen_fns)
 
 
@@ -411,24 +399,25 @@ def q_operator_invertibility(qop: QOperator, cond_limit=1e8) -> dict:
     return out
 
 
-def sov_from_q(chain: ChainSpec, qop: QOperator, source=None, validate=True,
-               sklyanin=None) -> CovectorBasis:
+def sov_from_q(qop: QOperator, source=None, sklyanin=None) -> CovectorBasis:
     """Covector basis generated by Q-operator products on a left covector.
 
     Row h applies prod_a Q(xi_a^(h_a)) to the source. The default source is
     the top Sklyanin row hit by the inverse Q at every bottom node, for which
     the family reproduces the Sklyanin basis row by row. That Sklyanin basis
     is ``sklyanin`` when given (an already built one), else built here; it
-    must have full rank either way (DegenerateBasis).
+    must have full rank either way (DegenerateBasis). The family's own rank
+    is not checked.
 
     Products are taken in Q's eigenbasis: row h is (c * prod_a q(xi_a^(h_a)))
     @ left with c = source @ vectors and q the eigenvalues of Q, so no dense Q
     or inverse of Q is formed.
     """
+    chain = qop.chain
     per_site = [np.array([qop.eigenvalues(z) for z in chain.nodes(n)])
                 for n in range(chain.n_sites)]
     if source is None:
-        skl = sklyanin if sklyanin is not None else sklyanin_basis(chain, validate=False)
+        skl = sklyanin if sklyanin is not None else sklyanin_basis(chain)
         _require_full_rank(skl)
         top = tuple(site.two_s for site in chain.sites)
         coords = skl.row(top) @ qop.vectors / np.prod([q[-1] for q in per_site], axis=0)
@@ -439,11 +428,8 @@ def sov_from_q(chain: ChainSpec, qop: QOperator, source=None, validate=True,
     weights = np.ones((1, chain.dim), dtype=CDTYPE)
     for q in per_site:
         weights = (weights[:, None, :] * q).reshape(-1, chain.dim)
-    basis = CovectorBasis(rows=(weights * coords) @ qop.left, kind="q_generated",
-                          chain=chain, source=source)
-    if validate:
-        _require_full_rank(basis)
-    return basis
+    return CovectorBasis(rows=(weights * coords) @ qop.left, kind="q_generated",
+                         chain=chain, source=source)
 
 
 def sov_q_factorization(t: TransferPolynomial, qpoly) -> float:

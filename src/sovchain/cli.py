@@ -208,13 +208,13 @@ def _config_echo(chain: ChainSpec) -> dict:
 class _RunContext:
     """Results shared by the suites of one ``run`` call, each computed on first use.
 
-    Holds the oracle records, the Q-polynomials keyed by (record index,
-    zeta), the eigenbasis Q-operator, the Sklyanin basis and the
-    default-source second SoV basis: the same calls with the same inputs
-    that each suite would otherwise repeat. A computation that raises is not
-    stored, so it raises again in every suite that needs it and each suite
-    reports its own error row. Callers validate what they read as they would
-    a fresh result (bases are built unvalidated).
+    Holds the oracle records, the list of their Q-polynomials at each zeta,
+    the eigenbasis Q-operator, the Sklyanin basis and the default-source
+    second SoV basis: the same calls with the same inputs that each suite
+    would otherwise repeat. A computation that raises is not stored, so it
+    raises again in every suite that needs it and each suite reports its own
+    error row. Callers check the rank of a basis they need to be full
+    (``_require_full_rank``); each basis keeps its rank.
     """
 
     def __init__(self, chain: ChainSpec):
@@ -230,26 +230,26 @@ class _RunContext:
         return self._get("records", lambda: brute_force_spectrum(self.chain,
                                                                  evaluator=evaluator))
 
-    def q_polynomial(self, index: int, zeta: complex):
-        return self._get(("q", index, complex(zeta)),
-                         lambda: solve_q_polynomial(self.records()[index].t, zeta=zeta))
+    def q_polynomials(self, zeta: complex) -> list:
+        """Every record's Q-polynomial at zeta, in record order."""
+        return self._get(("q", complex(zeta)),
+                         lambda: [solve_q_polynomial(rec.t, zeta=zeta) for rec in self.records()])
 
     def q_operator(self, evaluator):
         """Eigenbasis Q-operator at the default zeta."""
         def build():
-            _require_q_twist(self.chain)   # before the records, as build_q_operator does
-            return build_q_operator(self.chain, records=self.records(evaluator),
-                                    evaluator=evaluator, q_solver=self.q_polynomial)
+            _require_q_twist(self.chain)   # before the oracle, which a Jordan twist also fails
+            records = self.records(evaluator)
+            return build_q_operator(records, self.q_polynomials(default_zeta(self.chain)))
 
         return self._get("qop", build)
 
     def sklyanin(self):
-        return self._get("sklyanin", lambda: sklyanin_basis(self.chain, validate=False))
+        return self._get("sklyanin", lambda: sklyanin_basis(self.chain))
 
     def sov2(self, evaluator):
         """Second SoV basis from the default (seeded Gaussian) source."""
-        return self._get("sov2", lambda: sov_basis_2(self.chain, evaluator=evaluator,
-                                                     validate=False))
+        return self._get("sov2", lambda: sov_basis_2(self.chain, evaluator=evaluator))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +320,7 @@ def suite_algebra(chain: ChainSpec, samples: int):
     return checks
 
 
-def suite_fusion(chain: ChainSpec, samples: int):
+def suite_fusion(chain: ChainSpec):
     checks = []
     rng = chain.rng(200)
     evaluator = TransferEvaluator(chain)
@@ -389,9 +389,8 @@ def suite_fusion(chain: ChainSpec, samples: int):
     return checks
 
 
-def suite_basis(chain: ChainSpec, kind: str, samples: int, precision="double", ctx=None):
+def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext, precision="double"):
     checks = []
-    ctx = ctx or _RunContext(chain)
     rng = chain.rng(300)
     evaluator = TransferEvaluator(chain)
     if kind == "sklyanin":
@@ -405,12 +404,12 @@ def suite_basis(chain: ChainSpec, kind: str, samples: int, precision="double", c
         checks.append(_check("basis.sklyanin.a_shift", report["a_action"], 1e-8))
         checks.append(_check("basis.sklyanin.d_shift", report["d_action"], 1e-8))
     elif kind == "sov1":
-        basis = sov_basis_1(chain, evaluator=evaluator, validate=False)
+        basis = sov_basis_1(chain, evaluator=evaluator)
         rank, smallest = gram_rank(basis, precision=precision)
         checks.append(_check("basis.sov1.rank_deficit", chain.dim - rank, 0,
                              smallest_sv=smallest))
         tensor = tensor_generating_covector(chain)
-        basis_t = sov_basis_1(chain, source=tensor, evaluator=evaluator, validate=False)
+        basis_t = sov_basis_1(chain, source=tensor, evaluator=evaluator)
         rank_t, smallest_t = gram_rank(basis_t, precision=precision)
         checks.append(_check("basis.sov1.tensor_source_rank_deficit", chain.dim - rank_t, 0,
                              smallest_sv=smallest_t))
@@ -423,13 +422,13 @@ def suite_basis(chain: ChainSpec, kind: str, samples: int, precision="double", c
                              separate_action_report(basis, evaluator), 1e-8))
         skl = ctx.sklyanin()
         top = tuple(site.two_s for site in chain.sites)
-        ident = sov_basis_2(chain, source=skl.row(top), evaluator=evaluator, validate=False)
+        ident = sov_basis_2(chain, source=skl.row(top), evaluator=evaluator)
         checks.append(_check("basis.sov2.sklyanin_identification",
                              _basis_difference(ident, skl), 1e-7))
     elif kind == "q":
         qop = ctx.q_operator(evaluator)
         skl = ctx.sklyanin()
-        basis = sov_from_q(chain, qop, validate=False, sklyanin=skl)
+        basis = sov_from_q(qop, sklyanin=skl)
         rank, smallest = gram_rank(basis, precision=precision)
         checks.append(_check("basis.q.rank_deficit", chain.dim - rank, 0,
                              smallest_sv=smallest))
@@ -449,9 +448,8 @@ def _basis_difference(got, want) -> float:
                         / np.maximum(1e-300, np.linalg.norm(ref, axis=1))))
 
 
-def suite_spectrum(chain: ChainSpec, samples: int, ctx=None):
+def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
     checks = []
-    ctx = ctx or _RunContext(chain)
     evaluator = TransferEvaluator(chain)
     records = ctx.records(evaluator)
 
@@ -476,15 +474,12 @@ def suite_spectrum(chain: ChainSpec, samples: int, ctx=None):
 
     basis = ctx.sov2(evaluator)
     _require_full_rank(basis)
-    worst_res = 0.0
-    worst_overlap = 0.0
-    for rec in records:
-        v, res = eigenvector_from_sov(rec.t, basis, evaluator=evaluator)
-        worst_res = max(worst_res, res)
-        cosine = abs(np.vdot(rec.vector, v)) / (np.linalg.norm(rec.vector) * np.linalg.norm(v))
-        worst_overlap = max(worst_overlap, 1.0 - cosine)
-    checks.append(_check("spectrum.eigenvector_residual", worst_res, 1e-7))
-    checks.append(_check("spectrum.eigenvector_overlap", worst_overlap, 1e-8))
+    vectors, residuals = eigenvector_from_sov([rec.t for rec in records], basis, evaluator)
+    oracle = np.column_stack([rec.vector for rec in records])
+    cosine = np.abs(np.sum(oracle.conj() * vectors, axis=0)) / (
+        np.linalg.norm(oracle, axis=0) * np.linalg.norm(vectors, axis=0))
+    checks.append(_check("spectrum.eigenvector_residual", np.max(residuals), 1e-7))
+    checks.append(_check("spectrum.eigenvector_overlap", np.max(1.0 - cosine), 1e-8))
 
     checks.append(_check("spectrum.degenerate_twist_closed_form",
                          _closed_form_vs_oracle(chain), 1e-10))
@@ -505,9 +500,8 @@ def _closed_form_vs_oracle(chain: ChainSpec) -> float:
     return _multiset_distance(vals, want) / max(1.0, float(np.max(np.abs(want))))
 
 
-def suite_baxter(chain: ChainSpec, samples: int, ctx=None):
+def suite_baxter(chain: ChainSpec, ctx: _RunContext):
     checks = []
-    ctx = ctx or _RunContext(chain)
     records = ctx.records()
     zeta_a = default_zeta(chain, salt=20)
     zeta_b = default_zeta(chain, salt=24)
@@ -520,9 +514,7 @@ def suite_baxter(chain: ChainSpec, samples: int, ctx=None):
     worst_wronsk = 0.0
     worst_root = np.inf
     worst_facto = 0.0
-    for i, rec in enumerate(records):
-        qpoly = ctx.q_polynomial(i, zeta_a)
-        qpoly_b = ctx.q_polynomial(i, zeta_b)
+    for rec, qpoly, qpoly_b in zip(records, ctx.q_polynomials(zeta_a), ctx.q_polynomials(zeta_b)):
         worst_deg = max(worst_deg, qpoly.degree - chain.n_s)
         max_deg = max(max_deg, qpoly.degree)
         worst_leftout = max(worst_leftout, qpoly.leftout_residual)
@@ -553,15 +545,12 @@ def suite_baxter(chain: ChainSpec, samples: int, ctx=None):
     return checks
 
 
-def suite_qop(chain: ChainSpec, samples: int, ctx=None):
+def suite_qop(chain: ChainSpec, ctx: _RunContext):
     checks = []
-    ctx = ctx or _RunContext(chain)
     evaluator = TransferEvaluator(chain)
-    records = ctx.records(evaluator)
     rng = chain.rng(500)
     qop = ctx.q_operator(evaluator)
-    qop_det = build_q_operator(chain, method="determinant", zeta=qop.zeta,
-                               records=records, evaluator=evaluator, q_solver=ctx.q_polynomial)
+    qop_det = build_q_operator(ctx.records(), ctx.q_polynomials(qop.zeta), method="determinant")
 
     lams = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
     mus = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
@@ -618,23 +607,23 @@ def run(command: str, chain: ChainSpec, samples=20, precision="double",
     if command in ("verify-algebra", "all"):
         checks += guarded(suite_algebra, samples)
     if command in ("verify-fusion", "all"):
-        checks += guarded(suite_fusion, samples)
+        checks += guarded(suite_fusion)
     if command in ("basis", "all"):
         kinds = [basis_kind] if command == "basis" else list(BASIS_KINDS)
         for kind in kinds:
-            checks += guarded(suite_basis, kind, samples, precision, ctx)
+            checks += guarded(suite_basis, kind, ctx, precision)
     if command in ("spectrum", "all"):
-        checks += guarded(suite_spectrum, samples, ctx)
+        checks += guarded(suite_spectrum, ctx)
         try:
-            spectrum_table = _spectrum_table(chain, ctx)
+            spectrum_table = _spectrum_table(ctx)
         except _SUITE_ERRORS:
             # the table reads only the records, whose failure suite_spectrum
             # (which reads them first) has already reported as its error row
             pass
     if command in ("baxter", "all"):
-        checks += guarded(suite_baxter, samples, ctx)
+        checks += guarded(suite_baxter, ctx)
     if command in ("qop", "all"):
-        checks += guarded(suite_qop, samples, ctx)
+        checks += guarded(suite_qop, ctx)
 
     if tol_override is not None:
         for c in checks:
@@ -658,15 +647,9 @@ def run(command: str, chain: ChainSpec, samples=20, precision="double",
     return report
 
 
-def _spectrum_table(chain: ChainSpec, ctx: _RunContext):
-    table = []
-    for rec in ctx.records():
-        table.append({
-            "x": [_cpx(z) for z in rec.t.x],
-            "value_at_probe": _cpx(rec.value_at_lam0),
-            "discrete_residual": rec.t.discrete_residual,
-        })
-    return table
+def _spectrum_table(ctx: _RunContext):
+    return [{"x": [_cpx(z) for z in rec.t.x], "value_at_probe": _cpx(rec.value_at_lam0),
+             "discrete_residual": rec.t.discrete_residual} for rec in ctx.records()]
 
 
 def render_report(report: dict) -> str:

@@ -26,13 +26,14 @@ the rows h +- e_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .chain import ChainSpec, _tower_denominators, fused_twist, index_of
 from .errors import DegenerateBasis
 from .local_ops import kron_chain
-from .numerics import CDTYPE, _Barycentric
+from .numerics import CDTYPE, _Barycentric, random_complex
 from .transfer import TransferEvaluator, monodromy_matrix
 
 __all__ = [
@@ -51,7 +52,11 @@ __all__ = [
 
 @dataclass
 class CovectorBasis:
-    """Ordered family of dim(H) covectors; row order is lexicographic in h."""
+    """Ordered family of dim(H) covectors; row order is lexicographic in h.
+
+    ``rows`` must not be changed after construction: the double-precision
+    ``gram_rank`` is computed on first use and kept.
+    """
 
     rows: np.ndarray
     kind: str
@@ -60,6 +65,11 @@ class CovectorBasis:
 
     def row(self, h) -> np.ndarray:
         return self.rows[index_of(self.chain, h)]
+
+    @cached_property
+    def double_rank(self) -> tuple:
+        """``gram_rank(self)`` at double precision: (rank, smallest singular value)."""
+        return _rank(self)
 
 
 def sklyanin_norm(chain: ChainSpec) -> complex:
@@ -106,7 +116,7 @@ def _acting_blocks(chain: ChainSpec, lam: complex):
     return block, chain.twist.conjugated()
 
 
-def sklyanin_basis(chain: ChainSpec, validate=True) -> CovectorBasis:
+def sklyanin_basis(chain: ChainSpec) -> CovectorBasis:
     """Covector eigenbasis of the twisted B-family, in the aux frame of ``_acting_blocks``.
 
     Row h is the frame source hit by A(xi_n^(k)) / (k1 a(xi_n^(k))) for
@@ -131,14 +141,11 @@ def sklyanin_basis(chain: ChainSpec, validate=True) -> CovectorBasis:
         norm = 1.0
     source = kron_chain([fused_twist(np.linalg.inv(twist.w), site.two_s)[0]
                          for site in chain.sites]).ravel()
-    basis = CovectorBasis(rows=_site_product_rows(source / norm, per_site), kind="sklyanin",
-                          chain=chain, source=source)
-    if validate:
-        _require_full_rank(basis)
-    return basis
+    return CovectorBasis(rows=_site_product_rows(source / norm, per_site), kind="sklyanin",
+                         chain=chain, source=source)
 
 
-def sov_basis_1(chain: ChainSpec, source=None, evaluator=None, validate=True) -> CovectorBasis:
+def sov_basis_1(chain: ChainSpec, source=None, evaluator=None) -> CovectorBasis:
     """Basis from powers of the fundamental fused charges.
 
     Row h applies (T^(2s_n) at the next-to-bottom node of site n)^(h_n) to the
@@ -154,13 +161,10 @@ def sov_basis_1(chain: ChainSpec, source=None, evaluator=None, validate=True) ->
         source = _gaussian_covector(chain, salt=1)
     rows = _site_product_rows(source, [[np.linalg.matrix_power(c, h) for h in range(site.dim)]
                                        for c, site in zip(charges, chain.sites)])
-    basis = CovectorBasis(rows=rows, kind="sov1", chain=chain, source=np.asarray(source))
-    if validate:
-        _require_full_rank(basis)
-    return basis
+    return CovectorBasis(rows=rows, kind="sov1", chain=chain, source=np.asarray(source))
 
 
-def sov_basis_2(chain: ChainSpec, source=None, evaluator=None, validate=True) -> CovectorBasis:
+def sov_basis_2(chain: ChainSpec, source=None, evaluator=None) -> CovectorBasis:
     """Basis from the fused tower at the bottom grid nodes.
 
     Row h multiplies the generating covector by, per site,
@@ -179,26 +183,21 @@ def sov_basis_2(chain: ChainSpec, source=None, evaluator=None, validate=True) ->
         denoms = _tower_denominators(chain, n)
         per_site.append([evaluator.fused(site.two_s - hn, bottom) / denoms[hn]
                          for hn in range(site.dim)])
-    rows = _site_product_rows(source, per_site)
-    basis = CovectorBasis(rows=rows, kind="sov2", chain=chain, source=np.asarray(source))
-    if validate:
-        _require_full_rank(basis)
-    return basis
+    return CovectorBasis(rows=_site_product_rows(source, per_site), kind="sov2", chain=chain,
+                         source=np.asarray(source))
 
 
-def tensor_generating_covector(chain: ChainSpec, salt=3, max_tries=16) -> np.ndarray:
+def tensor_generating_covector(chain: ChainSpec, salt=3) -> np.ndarray:
     """Tensor-product generating covector with per-site orbit validation.
 
-    Each local covector is re-drawn until its orbit under powers of the
-    site's fused twist spans the local space.
+    Each local covector is re-drawn, up to 16 times, until its orbit under
+    powers of the site's fused twist spans the local space.
     """
-    from .numerics import random_complex
-
     rng = chain.rng(salt)
     locals_ = []
     for site in chain.sites:
         k_loc = fused_twist(chain.twist, site.two_s)
-        for _ in range(max_tries):
+        for _ in range(16):
             cand = random_complex(rng, size=site.dim, box=1.0)
             orbit = np.zeros((site.dim, site.dim), dtype=CDTYPE)
             vec = cand.copy()
@@ -220,31 +219,34 @@ def gram_rank(basis: CovectorBasis, precision="double"):
 
     Rows are norm-equilibrated before the SVD so the rank decision is not
     distorted by the widely different row magnitudes of the raw products.
-    ``precision='extended'`` reruns the decision with 30-digit arithmetic.
+    ``precision='double'`` reads ``basis.double_rank`` (computed once per
+    basis); ``precision='extended'`` reruns the decision with 30-digit
+    arithmetic.
     """
-    rows = basis.rows
-    norms = np.linalg.norm(rows, axis=1)
+    if precision not in ("double", "extended"):
+        raise ValueError(f"unknown precision {precision!r}")
+    return basis.double_rank if precision == "double" else _rank(basis, extended=True)
+
+
+def _rank(basis: CovectorBasis, extended=False):
+    norms = np.linalg.norm(basis.rows, axis=1)
     if np.any(norms == 0.0):
         return 0, 0.0
-    eq = rows / norms[:, None]
-    tol = basis.chain.tolerances.gram
-    if precision == "extended":
+    eq = basis.rows / norms[:, None]
+    if extended:
         import mpmath
 
         with mpmath.workdps(30):
             m = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in eq])
-            sv = mpmath.svd_c(m, compute_uv=False)
-            svals = sorted((float(s) for s in sv), reverse=True)
-    elif precision == "double":
-        svals = np.linalg.svd(eq, compute_uv=False)
+            svals = np.array(sorted((float(s) for s in mpmath.svd_c(m, compute_uv=False)),
+                                    reverse=True))
     else:
-        raise ValueError(f"unknown precision {precision!r}")
-    rank = int(np.sum(np.asarray(svals) > tol * svals[0]))
-    return rank, float(svals[-1])
+        svals = np.linalg.svd(eq, compute_uv=False)
+    return int(np.sum(svals > basis.chain.tolerances.gram * svals[0])), float(svals[-1])
 
 
 def _require_full_rank(basis: CovectorBasis):
-    rank, smallest = gram_rank(basis)
+    rank, smallest = basis.double_rank
     if rank < basis.chain.dim:
         raise DegenerateBasis(
             f"{basis.kind} covector family has rank {rank} < {basis.chain.dim} "

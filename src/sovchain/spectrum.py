@@ -23,7 +23,7 @@ import numpy as np
 
 from .chain import ChainSpec, _tower_denominators, multi_indices
 from .errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
-from .numerics import CDTYPE, _Barycentric, frob, greedy_match, random_complex
+from .numerics import CDTYPE, _Barycentric, greedy_match, random_complex
 from .sov_bases import _node_grid, _separate_action_residual
 from .transfer import TransferEvaluator
 
@@ -214,9 +214,9 @@ def _magnitude_scale(diag, offprod) -> float:
     return max(1.0, _tridiagonal_minors([abs(z) for z in diag], [-abs(c) for c in offprod])[-1])
 
 
-def discrete_residuals(t: TransferPolynomial, chain=None) -> np.ndarray:
+def discrete_residuals(t: TransferPolynomial) -> np.ndarray:
     """Per-site determinants of the discrete system, scale-normalized."""
-    chain = chain or t.chain
+    chain = t.chain
     out = np.zeros(chain.n_sites, dtype=CDTYPE)
     for n in range(chain.n_sites):
         nodes, offprod = _site_data(chain, n)
@@ -296,12 +296,13 @@ def closed_form_solutions(chain: ChainSpec):
     return [TransferPolynomial(chain, x) for x in xs]
 
 
-def solve_discrete_system(chain: ChainSpec, seeds=None, max_iter=50,
-                          newton_tol=1e-13, dedup_tol=1e-6):
+def solve_discrete_system(chain: ChainSpec, seeds=None):
     """All solutions of the discrete system, refined by damped Newton.
 
     Seeds default to the brute-force oracle node values (the honest check is
-    that Newton converges from them and the refined set is complete). With a
+    that Newton converges from them and the refined set is complete). Each
+    seed gets at most 50 steps to bring the scale-normalized residual under
+    1e-13; converged duplicates are collapsed (``_dedup``). With a
     non-invertible twist the closed-form branch is returned with zero Newton
     iterations. Returns (solutions, diagnostics); raises CountMismatch when
     the number of distinct converged solutions differs from dim(H).
@@ -322,10 +323,10 @@ def solve_discrete_system(chain: ChainSpec, seeds=None, max_iter=50,
     for idx, seed in enumerate(seeds):
         x = np.asarray(seed, dtype=CDTYPE).copy()
         converged = False
-        for _ in range(max_iter):
+        for _ in range(50):
             res, scales = system.residual(x)
             err = float(np.max(np.abs(res) / scales))
-            if err < newton_tol:
+            if err < 1e-13:
                 converged = True
                 break
             try:
@@ -346,7 +347,7 @@ def solve_discrete_system(chain: ChainSpec, seeds=None, max_iter=50,
             solutions.append(x)
         else:
             failures.append(f"seed {idx} did not converge")
-    distinct = _dedup(solutions, dedup_tol)
+    distinct = _dedup(solutions)
     diag = {
         "branch": "newton",
         "newton_iterations": total_iters,
@@ -361,13 +362,17 @@ def solve_discrete_system(chain: ChainSpec, seeds=None, max_iter=50,
     return sols, diag
 
 
-def _dedup(xs, tol_rel):
-    kept = []
-    for x in xs:
+def _dedup(xs):
+    """``xs`` in order, less each x within 1e-6 (1 + max|x|) of an x kept before it.
+
+    Each x is compared with all kept ones in one array operation.
+    """
+    xs = np.asarray(xs, dtype=CDTYPE)
+    keep = np.zeros(len(xs), dtype=bool)
+    for i, x in enumerate(xs):
         scale = 1.0 + float(np.max(np.abs(x)))
-        if all(np.max(np.abs(x - y)) >= tol_rel * scale for y in kept):
-            kept.append(x)
-    return kept
+        keep[i] = np.all(np.max(np.abs(xs[keep] - x), axis=1) >= 1e-6 * scale)
+    return list(xs[keep])
 
 
 def match_to_oracle(solutions, records):
@@ -385,14 +390,14 @@ def match_to_oracle(solutions, records):
 # fused eigenvalues, wavefunctions, eigenvectors
 # ---------------------------------------------------------------------------
 
-def fused_eigenvalues(t: TransferPolynomial, chain=None) -> dict:
+def fused_eigenvalues(t: TransferPolynomial) -> dict:
     """Values t^(l) at each site's bottom node for l = 0..2s_n+1.
 
     Computed by the scalar fusion recursion; equal to the trailing principal
     minors of the site's tridiagonal matrix (checked in the tests), and zero
     at l = 2s_n + 1 exactly when t is on-shell.
     """
-    chain = chain or t.chain
+    chain = t.chain
     out = {}
     for n, site in enumerate(chain.sites):
         tower = _fused_tower(t, chain.node(n, site.two_s), site.two_s + 1)
@@ -455,22 +460,26 @@ def wavefunction_action_report(t: TransferPolynomial) -> float:
                                      lambda nodes: np.array([t(z) for z in nodes])[:, None, None])
 
 
-def eigenvector_from_sov(t: TransferPolynomial, basis, evaluator=None,
-                         n_checks=3, check_tol=1e-7):
-    """Solve rows(basis) . v = wavefunction for the eigenvector v.
+def eigenvector_from_sov(ts, basis, evaluator=None):
+    """Solve rows(basis) . V = Psi for the eigenvectors V, one column per t in ``ts``.
 
-    Verifies T(mu) v = t(mu) v at ``n_checks`` random points; raises
-    ResidualTooLarge beyond ``check_tol``. Returns (v, residual).
+    Column j of Psi is the second-basis wavefunction of ts[j]; one solve
+    serves every column. Verifies T(mu) V = V diag(t(mu)) at 3 seeded points
+    mu and returns (V, residuals), residuals[j] the worst relative residual
+    of column j; raises ResidualTooLarge when one exceeds 1e-7.
     """
-    chain = t.chain
+    chain = basis.chain
     evaluator = evaluator or TransferEvaluator(chain)
-    v = np.linalg.solve(basis.rows, _sov2_array(t).ravel())
+    vectors = np.linalg.solve(basis.rows, np.column_stack([_sov2_array(t).ravel() for t in ts]))
+    norms = np.linalg.norm(vectors, axis=0)
     rng = chain.rng(17)
-    worst = 0.0
-    for _ in range(n_checks):
+    residuals = np.zeros(len(ts))
+    for _ in range(3):
         mu = complex(random_complex(rng, box=2.0))
-        lhs = evaluator.transfer(mu) @ v
-        worst = max(worst, frob(lhs - t(mu) * v) / max(1.0, frob(lhs), abs(t(mu)) * frob(v)))
-    if worst > check_tol:
-        raise ResidualTooLarge(f"eigen-relation residual {worst:.3e} > {check_tol:.1e}")
-    return v, worst
+        lhs = evaluator.transfer(mu) @ vectors
+        vals = np.array([t(mu) for t in ts])
+        scale = np.maximum(1.0, np.maximum(np.linalg.norm(lhs, axis=0), np.abs(vals) * norms))
+        residuals = np.maximum(residuals, np.linalg.norm(lhs - vectors * vals, axis=0) / scale)
+    if np.max(residuals) > 1e-7:
+        raise ResidualTooLarge(f"eigen-relation residual {np.max(residuals):.3e} > 1.0e-07")
+    return vectors, residuals

@@ -156,8 +156,9 @@ def test_criterion_6_basis_identifications(chain12, chain12_diag):
         top = tuple(site.two_s for site in chain.sites)
         b2 = sov_basis_2(chain, source=skl.row(top), evaluator=ev)
         worst = max(worst, _row_diff(b2, skl))
-        qop = build_q_operator(chain, evaluator=ev)
-        qb = sov_from_q(chain, qop)
+        records = brute_force_spectrum(chain, evaluator=ev)
+        qop = build_q_operator(records, [solve_q_polynomial(rec.t) for rec in records])
+        qb = sov_from_q(qop)
         worst = max(worst, _row_diff(qb, skl))
     assert worst < 1e-7
     _report("criterion 6 (basis identifications)",
@@ -205,9 +206,10 @@ def test_criterion_8_eigenvectors(chain12, ev12, records12, basis2_12, chain112,
     basis112 = sov_basis_2(chain112, evaluator=ev112)
     for chain, ev, records, basis in ((chain12, ev12, records12, basis2_12),
                                       (chain112, ev112, records112, basis112)):
-        for rec in records:
-            v, res = eigenvector_from_sov(rec.t, basis, evaluator=ev)
-            worst_res = max(worst_res, res)
+        vectors, residuals = eigenvector_from_sov([rec.t for rec in records], basis,
+                                                  evaluator=ev)
+        worst_res = max(worst_res, float(np.max(residuals)))
+        for rec, v in zip(records, vectors.T):
             cosine = abs(np.vdot(rec.vector, v)) / (np.linalg.norm(rec.vector)
                                                     * np.linalg.norm(v))
             worst_overlap = max(worst_overlap, 1.0 - cosine)
@@ -229,7 +231,7 @@ def test_criterion_9_tq_suite(chain1, chain12, records12, chain112, records112):
             qa = solve_q_polynomial(rec.t, zeta=zeta_a)
             qb = solve_q_polynomial(rec.t, zeta=zeta_b)
             assert qa.degree <= chain.n_s
-            worst_tq = max(worst_tq, tq_residual(rec.t, qa, n_samples=3 * chain.n_sites))
+            worst_tq = max(worst_tq, tq_residual(rec.t, qa))
             pad = max(len(qa.coeffs), len(qb.coeffs))
             ca = np.zeros(pad, dtype=complex)
             cb = np.zeros(pad, dtype=complex)
@@ -256,9 +258,9 @@ def test_criterion_9_tq_suite(chain1, chain12, records12, chain112, records112):
 
 def test_criterion_10_q_operator(chain12, ev12, records12):
     rng = np.random.default_rng(1010)
-    qop = build_q_operator(chain12, records=records12, evaluator=ev12)
-    qop_det = build_q_operator(chain12, method="determinant", zeta=qop.zeta,
-                               records=records12, evaluator=ev12)
+    qpolys = [solve_q_polynomial(rec.t) for rec in records12]
+    qop = build_q_operator(records12, qpolys)
+    qop_det = build_q_operator(records12, qpolys, method="determinant")
     lams = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
     mus = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
     commute = q_operator_commutation_residual(qop, ev12, lams, mus)

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -15,3 +16,42 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+REMOVED_PARAMETERS = {
+    "sov_bases.sklyanin_basis": {"validate"},
+    "sov_bases.sov_basis_1": {"validate"},
+    "sov_bases.sov_basis_2": {"validate"},
+    "sov_bases.tensor_generating_covector": {"max_tries"},
+    "spectrum.eigenvector_from_sov": {"n_checks", "check_tol"},
+    "spectrum.solve_discrete_system": {"max_iter", "newton_tol", "dedup_tol"},
+    "spectrum.discrete_residuals": {"chain"},
+    "spectrum.fused_eigenvalues": {"chain"},
+    "baxter.build_q_operator": {"chain", "zeta", "evaluator", "q_solver"},
+    "baxter.sov_from_q": {"chain", "validate"},
+    "baxter.default_zeta": {"min_dist", "max_tries"},
+    "baxter.solve_q_polynomial": {"trim_tol"},
+    "baxter.tq_residual": {"n_samples"},
+    "baxter.tq_residual_shifted": {"n_samples"},
+    "cli.suite_fusion": {"samples"},
+    "cli.suite_basis": {"samples"},
+    "cli.suite_spectrum": {"samples"},
+    "cli.suite_baxter": {"samples"},
+    "cli.suite_qop": {"samples"},
+    "cli._spectrum_table": {"chain"},
+}
+
+
+@pytest.mark.parametrize("qualname", sorted(REMOVED_PARAMETERS))
+def test_removed_parameters_stay_gone(qualname):
+    module, name = qualname.split(".")
+    params = inspect.signature(getattr(importlib.import_module(f"sovchain.{module}"), name))
+    assert REMOVED_PARAMETERS[qualname].isdisjoint(params.parameters)
+
+
+def test_q_operator_is_built_from_finished_inputs():
+    from sovchain.baxter import build_q_operator
+
+    params = inspect.signature(build_q_operator).parameters
+    assert list(params) == ["records", "qpolys", "method"]
+    assert params["records"].default is inspect.Parameter.empty

@@ -14,8 +14,13 @@ from sovchain.errors import (DegenerateBasis, NonInvertibleQ, RootOnForbiddenNod
                              SingularCZeta)
 from sovchain.numerics import frob, poly_eval, random_complex
 from sovchain.sov_bases import gram_rank, sklyanin_basis
-from sovchain.spectrum import TransferPolynomial, brute_force_spectrum
-from sovchain.transfer import TransferEvaluator
+from sovchain.spectrum import EigenRecord, TransferPolynomial, brute_force_spectrum
+
+
+def _q_operator(chain, evaluator=None):
+    """Eigenbasis Q-operator from the oracle records and their Q-polynomials at the default zeta."""
+    records = brute_force_spectrum(chain, evaluator=evaluator)
+    return build_q_operator(records, [solve_q_polynomial(rec.t) for rec in records])
 
 
 def _records_by_x(chain):
@@ -190,8 +195,7 @@ def test_cramer_dets_match_solution(chain12):
 
 
 def test_q_operator_identities(chain12, ev12):
-    records = brute_force_spectrum(chain12, evaluator=ev12)
-    qop = build_q_operator(chain12, records=records, evaluator=ev12)
+    qop = _q_operator(chain12, ev12)
     rng = np.random.default_rng(91)
     lams = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
     mus = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
@@ -205,11 +209,11 @@ def test_q_operator_identities(chain12, ev12):
 
 def test_q_operator_method_agreement(chain12, ev12, chain112):
     for chain in (chain12, chain112):
-        ev = TransferEvaluator(chain)
-        records = brute_force_spectrum(chain, evaluator=ev)
-        qop = build_q_operator(chain, records=records, evaluator=ev)
-        qop_det = build_q_operator(chain, method="determinant", zeta=qop.zeta,
-                                   records=records, evaluator=ev)
+        records = brute_force_spectrum(chain)
+        qpolys = [solve_q_polynomial(rec.t) for rec in records]
+        qop = build_q_operator(records, qpolys)
+        qop_det = build_q_operator(records, qpolys, method="determinant")
+        assert qop.zeta == qop_det.zeta == default_zeta(chain)
         rng = np.random.default_rng(93)
         worst = 0.0
         for lam in random_complex(rng, size=5, box=2.5):
@@ -225,15 +229,31 @@ def test_q_operator_rejects_equal_eigenvalues(chain12):
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     chain = make_chain(chain12.eta, [(s.two_s, s.xi) for s in chain12.sites],
                        jordan, seed=chain12.seed)
-    with pytest.raises(ValueError):
-        build_q_operator(chain)
+    # the guard reads only the records' chain, so one hand-made record trips it
+    # (the oracle itself refuses this chain: its spectrum is degenerate)
+    rec = EigenRecord(t=TransferPolynomial(chain, np.zeros(chain.n_sites)),
+                      vector=np.eye(chain.dim)[0], left=np.eye(chain.dim)[0],
+                      lam0=0.0, value_at_lam0=0.0)
+    with pytest.raises(ValueError, match="distinct eigenvalues"):
+        build_q_operator([rec], [])
+
+
+def test_q_operator_rejects_mismatched_q_polynomials(chain12):
+    records = brute_force_spectrum(chain12)
+    qpolys = [solve_q_polynomial(rec.t) for rec in records]
+    with pytest.raises(ValueError, match="one Q-polynomial per record"):
+        build_q_operator(records, qpolys[:-1])
+    other = solve_q_polynomial(records[-1].t, zeta=default_zeta(chain12, salt=24))
+    with pytest.raises(ValueError, match="one zeta"):
+        build_q_operator(records, qpolys[:-1] + [other])
+    with pytest.raises(ValueError, match="unknown method"):
+        build_q_operator(records, qpolys, method="dense")
 
 
 def test_sov_from_q_reproduces_sklyanin(chain12, chain12_diag):
     for chain in (chain12, chain12_diag):
-        ev = TransferEvaluator(chain)
-        qop = build_q_operator(chain, evaluator=ev)
-        basis = sov_from_q(chain, qop)
+        qop = _q_operator(chain)
+        basis = sov_from_q(qop)
         skl = sklyanin_basis(chain)
         worst = max(
             frob(basis.rows[i] - skl.rows[i]) / max(1e-300, frob(skl.rows[i]))
@@ -245,11 +265,10 @@ def test_sov_from_q_reproduces_sklyanin(chain12, chain12_diag):
 
 
 def test_sov_from_q_random_source_full_rank(chain12):
-    ev = TransferEvaluator(chain12)
-    qop = build_q_operator(chain12, evaluator=ev)
+    qop = _q_operator(chain12)
     rng = np.random.default_rng(15)
     source = rng.standard_normal(chain12.dim) + 1j * rng.standard_normal(chain12.dim)
-    basis = sov_from_q(chain12, qop, source=source)
+    basis = sov_from_q(qop, source=source)
     assert gram_rank(basis)[0] == chain12.dim
 
 
@@ -281,11 +300,11 @@ def test_sov_from_q_matches_dense_operator_products(chain12, chain12_diag):
 
     n3_mixed = chain_from_config(load_config("n3_mixed"))
     for chain in (chain12, chain12_diag, n3_mixed):
-        qop = build_q_operator(chain)
+        qop = _q_operator(chain)
         rng = np.random.default_rng(16)
         random_source = random_complex(rng, size=chain.dim)
         for source in (None, random_source):
-            got = sov_from_q(chain, qop, source=source).rows
+            got = sov_from_q(qop, source=source).rows
             want = _sov_from_q_dense(chain, qop, source=source)
             scale = np.linalg.norm(want, axis=1)
             assert np.max(np.linalg.norm(got - want, axis=1) / scale) < 1e-10
@@ -359,35 +378,37 @@ def test_root_on_forbidden_node_raises(chain12):
 
 
 def test_non_invertible_q_raises(chain12, ev12):
-    qop = build_q_operator(chain12, evaluator=ev12)
+    qop = _q_operator(chain12, ev12)
     with pytest.raises(NonInvertibleQ):
         q_operator_invertibility(qop, cond_limit=0)
 
 
-def test_q_operator_takes_q_polynomials_from_solver(chain12, ev12):
-    records = brute_force_spectrum(chain12, evaluator=ev12)
-    asked = []
+def test_q_operator_takes_q_polynomials_from_solver(chain12, monkeypatch):
+    # the caller's solver (here at a non-default zeta) supplies every Q-polynomial;
+    # the assembly solves none itself
+    import sovchain.baxter as baxter
 
-    def solver(index, zeta):
-        asked.append(index)
-        return solve_q_polynomial(records[index].t, zeta=zeta)
-
-    qop = build_q_operator(chain12, records=records, evaluator=ev12, q_solver=solver)
-    ref = build_q_operator(chain12, records=records, evaluator=ev12)
-    assert asked == list(range(chain12.dim))
-    for lam in (0.3 - 0.8j, -1.7 + 0.2j):
-        assert np.array_equal(qop(lam), ref(lam))
+    records = brute_force_spectrum(chain12)
+    zeta = default_zeta(chain12, salt=24)
+    qpolys = [solve_q_polynomial(rec.t, zeta=zeta) for rec in records]
+    monkeypatch.setattr(baxter, "solve_q_polynomial", None)
+    for method in ("eigenbasis", "determinant"):
+        qop = build_q_operator(records, qpolys, method=method)
+        assert qop.zeta == zeta
+        assert frob(qop(zeta) - np.eye(chain12.dim)) < 1e-10
+    lam = 0.3 - 0.8j
+    want = np.array([qp(lam) / qp(zeta) for qp in qpolys])
+    assert np.array_equal(build_q_operator(records, qpolys).eigenvalues(lam), want)
 
 
 def test_sov_from_q_validates_given_sklyanin_basis(chain12, ev12):
-    qop = build_q_operator(chain12, evaluator=ev12)
+    qop = _q_operator(chain12, ev12)
     skl = sklyanin_basis(chain12)
-    assert np.array_equal(sov_from_q(chain12, qop, sklyanin=skl).rows,
-                          sov_from_q(chain12, qop).rows)
-    flat = dataclasses.replace(skl, rows=skl.rows.copy())
-    flat.rows[1] = flat.rows[0]
+    assert np.array_equal(sov_from_q(qop, sklyanin=skl).rows, sov_from_q(qop).rows)
+    rows = skl.rows.copy()
+    rows[1] = rows[0]
     with pytest.raises(DegenerateBasis):
-        sov_from_q(chain12, qop, sklyanin=flat)
+        sov_from_q(qop, sklyanin=dataclasses.replace(skl, rows=rows))
 
 
 def _sov_q_factorization_loop(t, qpoly):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -229,13 +230,35 @@ def test_all_diagonalizes_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_all_takes_each_basis_rank_once(monkeypatch):
+    # five rank rows (sklyanin, sov1 twice, sov2, q); the full-rank guards on the
+    # Sklyanin and second bases read the ranks those rows took
+    import sys
+
+    from conftest import TWIST_FULL
+    from sovchain.chain import random_chain
+    from sovchain.sov_bases import gram_rank
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].kind)
+        return gram_rank(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sovchain.") and getattr(module, "gram_rank", None) is gram_rank:
+            monkeypatch.setattr(module, "gram_rank", counted)
+    report = run("all", random_chain((1,) * 6, 1.0, TWIST_FULL, 7))
+    assert report["passed"]
+    assert sorted(calls) == ["q_generated", "sklyanin", "sov1", "sov1", "sov2"]
+
+
 def test_q_basis_still_validates_the_sklyanin_basis(monkeypatch):
     build = cli.sklyanin_basis
 
-    def rank_one(chain, validate=True):
-        basis = build(chain, validate=False)
-        basis.rows[:] = basis.rows[0]
-        return basis
+    def rank_one(chain):
+        basis = build(chain)
+        return dataclasses.replace(basis, rows=np.repeat(basis.rows[:1], chain.dim, axis=0))
 
     monkeypatch.setattr(cli, "sklyanin_basis", rank_one)
     chain = chain_from_config(load_config("n2_mixed"))
@@ -299,11 +322,12 @@ def test_run_context_keys_and_failures(monkeypatch):
 
     for salt in (20, 24):
         zeta = default_zeta(chain, salt=salt)
+        qpolys = ctx.q_polynomials(zeta)
+        assert ctx.q_polynomials(zeta) is qpolys and len(qpolys) == chain.dim
         for i in (0, chain.dim - 1):
-            q = ctx.q_polynomial(i, zeta)
-            assert ctx.q_polynomial(i, zeta) is q
-            assert q.zeta == zeta
-            assert np.array_equal(q.coeffs, solve_q_polynomial(records[i].t, zeta=zeta).coeffs)
+            assert qpolys[i].zeta == zeta
+            assert np.array_equal(qpolys[i].coeffs,
+                                  solve_q_polynomial(records[i].t, zeta=zeta).coeffs)
 
 
 def test_run_all_builds_grid_ratios_and_closures_once(monkeypatch):

@@ -5,8 +5,8 @@ from sovchain.chain import fused_twist, make_chain, multi_indices, random_chain
 from sovchain.errors import DegenerateBasis
 from sovchain.local_ops import kron_chain
 from sovchain.numerics import commutator_residual, frob, random_complex
-from sovchain.sov_bases import (CovectorBasis, _acting_blocks, _site_product_rows,
-                                b_eigen_report, gram_rank,
+from sovchain.sov_bases import (CovectorBasis, _acting_blocks, _require_full_rank,
+                                _site_product_rows, b_eigen_report, gram_rank,
                                 separate_action_report,
                                 shift_action_report, sklyanin_basis, sklyanin_norm,
                                 sov_basis_1, sov_basis_2, tensor_generating_covector)
@@ -190,8 +190,8 @@ def test_random_sources_almost_always_full_rank(chain12, ev12):
     for trial in range(20):
         rng = np.random.default_rng((1234, trial))
         source = rng.standard_normal(chain12.dim) + 1j * rng.standard_normal(chain12.dim)
-        b1 = sov_basis_1(chain12, source=source, evaluator=ev12, validate=False)
-        b2 = sov_basis_2(chain12, source=source, evaluator=ev12, validate=False)
+        b1 = sov_basis_1(chain12, source=source, evaluator=ev12)
+        b2 = sov_basis_2(chain12, source=source, evaluator=ev12)
         if gram_rank(b1)[0] == chain12.dim and gram_rank(b2)[0] == chain12.dim:
             hits += 1
     assert hits >= 19
@@ -217,11 +217,11 @@ def test_degenerate_inhomogeneities_lose_rank():
     # duplicated xi collapses the covector family; the builder must flag it
     chain = make_chain(1.0, [(1, XI_N2[0]), (1, XI_N2[0])], TWIST_FULL,
                        seed=7, check=False)
-    basis = sklyanin_basis(chain, validate=False)
+    basis = sklyanin_basis(chain)
     rank, _ = gram_rank(basis)
     assert rank < chain.dim
     with pytest.raises(DegenerateBasis):
-        sklyanin_basis(chain)
+        _require_full_rank(basis)
 
 
 def test_gram_rank_extended_precision(chain12):

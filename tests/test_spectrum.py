@@ -7,8 +7,8 @@ from sovchain.chain import Tolerances, multi_indices
 from sovchain.cli import chain_from_config, load_config
 from sovchain.errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
 from sovchain.numerics import frob, lagrange_cardinal, random_complex
-from sovchain.spectrum import (TransferPolynomial, _DiscreteSystem, _site_product,
-                               _tridiagonal_minors, brute_force_spectrum,
+from sovchain.spectrum import (TransferPolynomial, _dedup, _DiscreteSystem, _site_product,
+                               _sov2_array, _tridiagonal_minors, brute_force_spectrum,
                                closed_form_solutions, discrete_matrix,
                                discrete_residuals, eigenvector_from_sov,
                                fused_eigenvalues, jacobian_smallest_sv, leading_minor,
@@ -223,14 +223,44 @@ def test_grid_ratios_match_eigenvector_coordinates(chain12, chain112):
 
 def test_eigenvector_reconstruction(chain12, ev12):
     basis = sov_basis_2(chain12, evaluator=ev12)
-    for rec in brute_force_spectrum(chain12, evaluator=ev12):
-        v, residual = eigenvector_from_sov(rec.t, basis, evaluator=ev12)
-        assert residual < 1e-7
+    records = brute_force_spectrum(chain12, evaluator=ev12)
+    vectors, residuals = eigenvector_from_sov([rec.t for rec in records], basis, evaluator=ev12)
+    assert vectors.shape == (chain12.dim, chain12.dim) and residuals.shape == (chain12.dim,)
+    assert np.max(residuals) < 1e-7
+    top = tuple(site.two_s for site in chain12.sites)
+    for rec, v in zip(records, vectors.T):
         cosine = abs(np.vdot(rec.vector, v)) / (np.linalg.norm(rec.vector) * np.linalg.norm(v))
         assert cosine > 1 - 1e-8
         # normalization from the top row: <S|v> = 1
-        top = tuple(site.two_s for site in chain12.sites)
         assert abs(basis.row(top) @ v - 1.0) < 1e-9
+
+
+def _eigenvector_per_record(t, basis, evaluator):
+    """Reference route: one solve and one residual per eigenvalue t.
+
+    Residual: the worst of ||T(mu) v - t(mu) v|| / max(1, ||T(mu) v||, |t(mu)| ||v||)
+    over the same 3 seeded points mu as ``eigenvector_from_sov``.
+    """
+    v = np.linalg.solve(basis.rows, _sov2_array(t).ravel())
+    rng = t.chain.rng(17)
+    worst = 0.0
+    for _ in range(3):
+        mu = complex(random_complex(rng, box=2.0))
+        lhs = evaluator.transfer(mu) @ v
+        worst = max(worst, frob(lhs - t(mu) * v) / max(1.0, frob(lhs), abs(t(mu)) * frob(v)))
+    return v, worst
+
+
+def test_eigenvectors_match_per_record_solves(chain12, chain112, chain123):
+    for chain in (chain12, chain112, chain123):
+        ev = TransferEvaluator(chain)
+        basis = sov_basis_2(chain, evaluator=ev)
+        ts = [rec.t for rec in brute_force_spectrum(chain, evaluator=ev)]
+        vectors, residuals = eigenvector_from_sov(ts, basis, evaluator=ev)
+        for j, t in enumerate(ts):
+            v, residual = _eigenvector_per_record(t, basis, ev)
+            assert np.max(np.abs(vectors[:, j] - v)) <= 1e-13 * np.max(np.abs(v))
+            assert abs(residuals[j] - residual) <= 1e-13
 
 
 def test_eigenvector_via_first_basis(chain12, ev12):
@@ -316,9 +346,37 @@ def test_near_degenerate_spectrum_raises(chain12):
 
 def test_eigenvector_residual_too_large_raises(chain12, ev12):
     basis = sov_basis_2(chain12, evaluator=ev12)
-    rec = brute_force_spectrum(chain12, evaluator=ev12)[0]
+    ts = [rec.t for rec in brute_force_spectrum(chain12, evaluator=ev12)]
+    eigenvector_from_sov(ts, basis, evaluator=ev12)
+    rows = basis.rows.copy()
+    rows[1] *= 1 + 1e-4
     with pytest.raises(ResidualTooLarge):
-        eigenvector_from_sov(rec.t, basis, evaluator=ev12, check_tol=0.0)
+        eigenvector_from_sov(ts, dataclasses.replace(basis, rows=rows), evaluator=ev12)
+
+
+def _dedup_loop(xs, tol_rel=1e-6):
+    """Reference route: each x against every kept y, one pair at a time."""
+    kept = []
+    for x in xs:
+        scale = 1.0 + float(np.max(np.abs(x)))
+        if all(np.max(np.abs(x - y)) >= tol_rel * scale for y in kept):
+            kept.append(x)
+    return kept
+
+
+def test_dedup_matches_pairwise_loop():
+    rng = np.random.default_rng(31)
+    base = random_complex(rng, size=(40, 4), box=3.0)
+    # near-duplicates planted just inside and just outside the 1e-6 relative gap
+    scale = 1.0 + np.max(np.abs(base), axis=1, keepdims=True)
+    inside = base[:10] + 0.4e-6 * scale[:10]
+    outside = base[10:20] + 3e-6 * scale[10:20]
+    xs = list(rng.permutation(np.vstack([base, inside, outside, base[:5]])))
+    got, want = _dedup(xs), _dedup_loop(xs)
+    assert len(got) == 50
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert _dedup([]) == []
 
 
 def test_jacobian_regularity_ignores_site_scale(chain112, monkeypatch):
