@@ -11,7 +11,10 @@ the fused eigenvalues; the one remaining degree of freedom per site (the
 bottom-node values) is pinned by interpolating through the grid plus one
 auxiliary point zeta and enforcing the left-out top-node conditions, an
 N x N closure system that each Q-polynomial keeps for the determinant
-Q-operator route.
+Q-operator route. A (D, N) stack of eigenvalues is solved at once (one
+(D, N, N) closure stack per zeta, one fit with D right-hand sides); the T-Q,
+Wronskian and factorization checks and both Q-operator routes are array
+operations over it, with Q evaluated in one Horner pass (``q_coefficients``).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "CZetaSystem",
     "default_zeta",
     "solve_q_polynomial",
+    "q_coefficients",
     "tq_residual",
     "tq_residual_shifted",
     "degenerate_q_closed_form",
@@ -57,7 +61,8 @@ class _Interpolation:
     """Lagrange grid: nodes xi_a^(h), h = 1..2s_a, plus the auxiliary zeta.
 
     All cardinals come from one barycentric evaluator over this node set;
-    the zeta cardinal is the last one.
+    the zeta cardinal is the last one; ``top_cards`` (N, M + 1) holds them
+    at the top nodes xi_a^(0), for every eigenvalue.
     """
 
     def __init__(self, chain: ChainSpec, zeta: complex):
@@ -68,21 +73,24 @@ class _Interpolation:
         self.nodes = np.array([chain.node(a, h) for a, h in self.pairs] + [self.zeta],
                               dtype=CDTYPE)
         self.bary = _Barycentric(self.nodes)
-        self._pair_sites = np.array([a for a, _ in self.pairs], dtype=int)
+        self.top_cards = self.bary.cardinals(np.array([g[0, 0] for g in chain.grid])[:, None])
+        self._starts = np.cumsum([0] + [site.two_s for site in chain.sites[:-1]])
 
     def site_sums(self, lam, q_flat):
         """(F, g): F_b(lam), the cardinal-weighted grid ratios of each site b,
-        and g(lam), the zeta cardinal; ``q_flat`` is in ``pairs`` order."""
-        card = self.bary.cardinals(lam)
-        f = np.zeros(self.chain.n_sites, dtype=CDTYPE)
-        np.add.at(f, self._pair_sites, card[:-1] * q_flat)
-        return f, card[-1]
+        and g(lam), the zeta cardinal; ``q_flat`` (..., M) is in ``pairs`` order."""
+        return self.binned(self.bary.cardinals(lam), q_flat)
+
+    def binned(self, card, q_flat):
+        """``site_sums`` from the cardinals ``card`` (..., M + 1) at some points."""
+        return np.add.reduceat(card[..., :-1] * q_flat, self._starts, axis=-1), card[..., -1]
 
 
 @dataclass
 class CZetaSystem:
     """The N x N closure system C q_bottom = rhs at one zeta; ``det`` is det C and
-    ``q_flat`` the grid ratios at h = 1..2s_a in ``interp.pairs`` order."""
+    ``q_flat`` the grid ratios at h = 1..2s_a in ``interp.pairs`` order; fields
+    may carry a leading axis stacking one system per eigenvalue."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -101,16 +109,20 @@ class QPolynomial:
 
     ``coeffs`` are monic ascending coefficients after trailing-coefficient
     truncation; ``closure`` is the closure system solved for them, whose
-    solution is normalized to Q(zeta) = 1.
+    solution is normalized to Q(zeta) = 1. The roots are computed once.
     """
 
     chain: ChainSpec
     coeffs: np.ndarray
     leftout_residual: float
     closure: CZetaSystem = field(repr=False)
+    _roots: np.ndarray = field(init=False, repr=False)
 
-    def __call__(self, lam: complex) -> complex:
-        return complex(poly_eval(self.coeffs, lam))
+    def __post_init__(self):
+        self._roots = np.roots(self.coeffs[::-1])
+
+    def __call__(self, lam):
+        return poly_eval(self.coeffs, lam)
 
     @property
     def zeta(self) -> complex:
@@ -121,41 +133,44 @@ class QPolynomial:
         return len(self.coeffs) - 1
 
     def roots(self) -> np.ndarray:
-        if self.degree == 0:
-            return np.zeros(0, dtype=CDTYPE)
-        return np.roots(self.coeffs[::-1])
+        return self._roots
+
+
+def q_coefficients(qpolys) -> np.ndarray:
+    """Ascending coefficients zero-padded to one (D, L) array; ``poly_eval`` on it
+    gives each Q-polynomial's own values (the padding adds exact zeros)."""
+    width = max(len(qp.coeffs) for qp in qpolys)
+    return np.array([np.pad(qp.coeffs, (0, width - len(qp.coeffs))) for qp in qpolys])
 
 
 def _closure_system(interp: _Interpolation, ratios) -> CZetaSystem:
-    chain = interp.chain
-    n = chain.n_sites
-    q_flat = np.concatenate([r[1:] for r in ratios])
-    c = np.zeros((n, n), dtype=CDTYPE)
-    rhs = np.zeros(n, dtype=CDTYPE)
-    for a in range(n):
-        c[a], g = interp.site_sums(chain.node(a, 0), q_flat)
-        rhs[a] = -g
-        c[a, a] -= ratios[a][0]
-    return CZetaSystem(matrix=c, rhs=rhs, det=complex(np.linalg.det(c)), q_flat=q_flat,
-                       interp=interp)
+    """Closure system(s) of the grid ratios (per site, shape (..., 2s_a + 1)) at interp's zeta."""
+    n = interp.chain.n_sites
+    q_flat = np.concatenate([r[..., 1:] for r in ratios], axis=-1)
+    c, g = interp.binned(interp.top_cards, q_flat[..., None, :])
+    c[..., range(n), range(n)] -= np.stack([r[..., 0] for r in ratios], axis=-1)
+    return CZetaSystem(matrix=c, rhs=np.broadcast_to(-g, c.shape[:-1]).copy(),
+                       det=np.linalg.det(c)[()], q_flat=q_flat, interp=interp)
 
 
-def _require_regular_closure(system: CZetaSystem, det_floor=1e-10) -> float:
-    """Determinant ratio of the closure matrix C; SingularCZeta below ``det_floor``.
+def _require_regular_closure(system: CZetaSystem, det_floor=1e-10):
+    """Determinant ratio of each closure matrix C; SingularCZeta (the first) below ``det_floor``.
 
     The ratio is |det C_eq| / prod_a ||row_a of C_eq||, with C_eq
     the column-equilibrated C (each column scaled to unit norm). The ratio is
     at most 1 (Hadamard) and does not change when a column of C is rescaled,
     so unknowns of very different magnitude do not read as a singularity.
     """
-    norms = np.linalg.norm(system.matrix, axis=0)
-    eq = system.matrix / np.where(norms > 0, norms, 1.0)
-    row_product = float(np.prod(np.linalg.norm(eq, axis=1)))
-    ratio = abs(np.linalg.det(eq)) / row_product if row_product > 0 else 0.0
-    if not ratio >= det_floor:
-        raise SingularCZeta(f"closure system determinant ratio {ratio:.3e} "
+    norms = np.linalg.norm(system.matrix, axis=-2)
+    eq = system.matrix / np.where(norms > 0, norms, 1.0)[..., None, :]
+    row_product = np.prod(np.linalg.norm(eq, axis=-1), axis=-1)
+    ratio = np.where(row_product > 0, np.abs(np.linalg.det(eq))
+                     / np.where(row_product > 0, row_product, 1.0), 0.0)
+    low = ratio[~(ratio >= det_floor)].ravel()
+    if low.size:
+        raise SingularCZeta(f"closure system determinant ratio {low[0]:.3e} "
                             f"below floor {det_floor:.1e} at zeta={system.zeta}")
-    return ratio
+    return ratio[()]
 
 
 def default_zeta(chain: ChainSpec, salt=20) -> complex:
@@ -170,89 +185,85 @@ def default_zeta(chain: ChainSpec, salt=20) -> complex:
     raise SingularCZeta("could not place the auxiliary interpolation point")
 
 
-def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10,
-                       root_floor=1e-6) -> QPolynomial:
-    """Unique monic Q-polynomial paired with the eigenvalue t.
+def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10, root_floor=1e-6):
+    """Unique monic Q-polynomial paired with the eigenvalue t; a list, one per row, for a stack.
 
     Sets Q(zeta) = 1, solves the closure system for the bottom-node values,
     interpolates through the full node set, verifies the N left-out top-node
     conditions, and strips the result to monic coefficients (trailing
-    coefficients below 1e-9 dropped). Raises
-    SingularCZeta for an unlucky auxiliary point, judged on the
+    coefficients below 1e-9 dropped); a stack shares the interpolation data.
+    Raises SingularCZeta for an unlucky auxiliary point, judged on the
     column-equilibrated closure matrix against ``det_floor`` (see
     ``_require_regular_closure``), and RootOnForbiddenNode if a root lies
-    within ``root_floor`` of a bottom grid node.
+    within ``root_floor`` of a bottom grid node, each for the first such row.
     """
     chain = t.chain
     if zeta is None:
         zeta = default_zeta(chain)
-    ratios = t.checked_grid_ratios
+    ratios = [np.atleast_2d(r) for r in t.checked_grid_ratios]
     interp = _Interpolation(chain, zeta)
     system = _closure_system(interp, ratios)
     _require_regular_closure(system, det_floor)
-    q_bottom = np.linalg.solve(system.matrix, system.rhs)
+    q_bottom = np.linalg.solve(system.matrix, system.rhs[..., None])[..., 0]
 
-    node_values = [r * q_bottom[a] for a, r in enumerate(ratios)]
-    sample_values = np.concatenate([v[1:] for v in node_values] + [[1.0]])
-
+    node_values = [r * q_bottom[:, a, None] for a, r in enumerate(ratios)]
+    samples = np.concatenate([v[:, 1:] for v in node_values] + [np.ones_like(q_bottom[:, :1])], 1)
     # the N conditions at the top nodes were not used in the interpolation
-    worst = 0.0
-    for a, values in enumerate(node_values):
-        direct = interp.bary(sample_values, chain.node(a, 0))
-        worst = max(worst, abs(direct - values[0]) / max(1.0, abs(values[0])))
+    tops = np.stack([v[:, 0] for v in node_values], axis=1)
+    leftout = np.max(np.abs(samples @ interp.top_cards.T - tops) / np.maximum(1.0, np.abs(tops)),
+                     axis=1)
 
-    coeffs = poly_coeffs_from_samples(interp.nodes, sample_values)
-    coeffs = trim_trailing(coeffs, 1e-9)
-    coeffs = coeffs / coeffs[-1]
-    qpoly = QPolynomial(chain=chain, coeffs=coeffs, leftout_residual=float(worst),
-                        closure=system)
-    forbidden = [chain.node(b, chain.sites[b].two_s) for b in range(chain.n_sites)]
-    for root in qpoly.roots():
-        if any(abs(root - z) < root_floor for z in forbidden):
-            raise RootOnForbiddenNode(f"Q root {root} collides with a bottom node")
-    return qpoly
-
-
-def tq_residual(t: TransferPolynomial, q, rng=None) -> float:
-    """Max relative residual of the finite-difference equation on 3N random points."""
-    chain = t.chain
-    eta = chain.eta
-    k1 = chain.twist.k1
-    rng = rng or chain.rng(21)
-    worst = 0.0
-    for _ in range(3 * chain.n_sites):
-        lam = complex(random_complex(rng, box=3.0))
-        beta = k1 * chain.a(lam)
-        alpha = beta * k1 * chain.a(lam - eta)
-        terms = np.array([
-            alpha * q(lam - 2 * eta),
-            -beta * t(lam - eta) * q(lam - eta),
-            chain.det_q(lam) * q(lam),
-        ])
-        worst = max(worst, abs(terms.sum()) / max(1.0, np.abs(terms).sum()))
-    return worst
+    forbidden = np.array([g[0, -1] for g in chain.grid])
+    qpolys = []
+    for row, coeffs in enumerate(poly_coeffs_from_samples(interp.nodes, samples)):
+        coeffs = trim_trailing(coeffs, 1e-9)
+        closure = CZetaSystem(system.matrix[row], system.rhs[row], complex(system.det[row]),
+                              system.q_flat[row], interp)
+        qpolys.append(QPolynomial(chain, coeffs / coeffs[-1], float(leftout[row]), closure))
+        for root in qpolys[-1].roots():
+            if np.any(np.abs(root - forbidden) < root_floor):
+                raise RootOnForbiddenNode(f"Q root {root} collides with a bottom node")
+    return qpolys if t.x.ndim > 1 else qpolys[0]
 
 
-def tq_residual_shifted(t: TransferPolynomial, q, rng=None) -> float:
+def _seeded_points(chain: ChainSpec, salt: int) -> np.ndarray:
+    """3N points of [-3, 3]^2 drawn from ``chain.rng(salt)`` as (re, im) pairs in turn."""
+    u = chain.rng(salt).uniform(-3.0, 3.0, size=6 * chain.n_sites)
+    return u[0::2] + 1j * u[1::2]
+
+
+def _worst_cancellation(terms):
+    """Max over the last axis of |sum of the terms| / max(1, sum of their moduli)."""
+    terms = np.array(terms)
+    return np.max(np.abs(terms.sum(axis=0)) / np.maximum(1.0, np.abs(terms).sum(axis=0)),
+                  axis=-1)
+
+
+def tq_residual(t: TransferPolynomial, q, lams=None):
+    """Max relative residual of the finite-difference equation at ``lams``, per row of t.
+
+    ``q`` evaluates each row's Q-polynomial elementwise (a ``QPolynomial``, or
+    ``poly_eval`` on ``q_coefficients``); ``lams`` defaults to 3N seeded points.
+    """
+    chain, eta, k1 = t.chain, t.chain.eta, t.chain.twist.k1
+    lams = _seeded_points(chain, 21) if lams is None else np.asarray(lams, dtype=CDTYPE)
+    beta = k1 * chain.a(lams)
+    return _worst_cancellation([beta * k1 * chain.a(lams - eta) * q(lams - 2 * eta),
+                                -beta * t(lams - eta) * q(lams - eta),
+                                chain.det_q(lams) * q(lams)])
+
+
+def tq_residual_shifted(t: TransferPolynomial, q, lams=None):
     """Residual of the first-order-normalized form of the spectral curve.
 
     Checks k1 a(lam) Q(lam-eta) - t(lam) Q(lam) + k2 d(lam) Q(lam+eta) = 0
-    on 3N random points; it stays nontrivial in the k1 = 0 degeneration
-    where every term of the second-order form carries a k1 factor.
+    at ``lams`` as ``tq_residual`` does; it stays nontrivial in the k1 = 0
+    degeneration where every term of the second-order form carries a k1 factor.
     """
-    chain = t.chain
-    eta = chain.eta
-    rng = rng or chain.rng(22)
-    worst = 0.0
-    for _ in range(3 * chain.n_sites):
-        lam = complex(random_complex(rng, box=3.0))
-        terms = np.array([
-            chain.twist.k1 * chain.a(lam) * q(lam - eta),
-            -t(lam) * q(lam),
-            chain.twist.k2 * chain.d(lam) * q(lam + eta),
-        ])
-        worst = max(worst, abs(terms.sum()) / max(1.0, np.abs(terms).sum()))
-    return worst
+    chain, eta = t.chain, t.chain.eta
+    lams = _seeded_points(chain, 22) if lams is None else np.asarray(lams, dtype=CDTYPE)
+    return _worst_cancellation([chain.twist.k1 * chain.a(lams) * q(lams - eta), -t(lams) * q(lams),
+                                chain.twist.k2 * chain.d(lams) * q(lams + eta)])
 
 
 def degenerate_q_closed_form(chain: ChainSpec, h) -> np.ndarray:
@@ -270,14 +281,14 @@ def degenerate_q_closed_form(chain: ChainSpec, h) -> np.ndarray:
     return coeffs
 
 
-def wronskian_values(p, q, chain: ChainSpec, lams) -> float:
-    """Max of |Q(lam) P(lam-eta) - P(lam) Q(lam-eta)| over the sample points."""
-    worst = 0.0
-    for lam in lams:
-        w = q(lam) * p(lam - chain.eta) - p(lam) * q(lam - chain.eta)
-        scale = max(1.0, abs(q(lam) * p(lam - chain.eta)) + abs(p(lam) * q(lam - chain.eta)))
-        worst = max(worst, abs(w) / scale)
-    return worst
+def wronskian_values(p, q, chain: ChainSpec, lams):
+    """Max of |Q(lam) P(lam-eta) - P(lam) Q(lam-eta)| / scale over the last axis of ``lams``.
+
+    ``p`` and ``q`` evaluate elementwise, so stacked polynomials (``poly_eval``
+    on ``q_coefficients``) at points (D, P) pair row d with row d.
+    """
+    lams = np.asarray(lams, dtype=CDTYPE)
+    return _worst_cancellation([q(lams) * p(lams - chain.eta), -p(lams) * q(lams - chain.eta)])
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +309,10 @@ class QOperator:
     method: str
     vectors: np.ndarray
     left: np.ndarray
-    _eigen_fns: list
+    _eigenvalues: object   # lam -> the D eigenvalues at lam, one array operation
 
     def eigenvalues(self, lam: complex) -> np.ndarray:
-        return np.array([fn(lam) for fn in self._eigen_fns], dtype=CDTYPE)
+        return self._eigenvalues(lam)
 
     def __call__(self, lam: complex) -> np.ndarray:
         return (self.vectors * self.eigenvalues(lam)) @ self.left
@@ -311,13 +322,14 @@ def build_q_operator(records, qpolys, method="eigenbasis") -> QOperator:
     """Assemble the Q-operator from the simultaneous transfer eigenbasis.
 
     ``qpolys[i]`` is the Q-polynomial of ``records[i]``, all solved at one
-    zeta. ``method='eigenbasis'`` evaluates the interpolated Q-polynomial.
+    zeta. ``method='eigenbasis'`` evaluates the interpolated Q-polynomials.
     ``method='determinant'`` evaluates, per joint eigenvalue, the ratio
     det[C + Delta(lam)] / det[C] times the node-ratio prefactor, on the
     closure system C the solve built, where Delta is the rank-one update
     whose column space is the scaled closure right-hand side; every entry is
     a polynomial in the commuting transfer values, so operator entries
-    reduce to these scalars in the eigenbasis.
+    reduce to these scalars in the eigenbasis. Either gives all D
+    eigenvalues at lam in one array operation.
     """
     if method not in ("eigenbasis", "determinant"):
         raise ValueError(f"unknown method {method!r}")
@@ -327,13 +339,15 @@ def build_q_operator(records, qpolys, method="eigenbasis") -> QOperator:
     if len(qpolys) != len(records) or any(qpoly.zeta != zeta for qpoly in qpolys):
         raise ValueError("build_q_operator needs one Q-polynomial per record, all at one zeta")
     if method == "eigenbasis":
-        eigen_fns = [lambda lam, qp=qpoly, nz=qpoly(zeta): qp(lam) / nz for qpoly in qpolys]
+        coeffs = q_coefficients(qpolys)
+        norm = poly_eval(coeffs, zeta)
+        eigenvalues = lambda lam: poly_eval(coeffs, lam) / norm  # noqa: E731
     else:
-        eigen_fns = [_determinant_eigen_fn(qpoly.closure) for qpoly in qpolys]
+        eigenvalues = _determinant_eigenvalues([qpoly.closure for qpoly in qpolys])
     vectors = np.column_stack([rec.vector for rec in records])
     left = np.vstack([rec.left for rec in records])
     return QOperator(chain=chain, zeta=zeta, method=method,
-                     vectors=vectors, left=left, _eigen_fns=eigen_fns)
+                     vectors=vectors, left=left, _eigenvalues=eigenvalues)
 
 
 def _require_q_twist(chain: ChainSpec):
@@ -343,16 +357,20 @@ def _require_q_twist(chain: ChainSpec):
         raise ValueError("Q-operator requires invertible twist with distinct eigenvalues")
 
 
-def _determinant_eigen_fn(system: CZetaSystem):
-    def evaluate(lam: complex) -> complex:
+def _determinant_eigenvalues(closures):
+    """lam -> the determinant-route eigenvalues of the closure systems, stacked once."""
+    system = CZetaSystem(*(np.array([getattr(c, key) for c in closures])
+                           for key in ("matrix", "rhs", "det", "q_flat")), closures[0].interp)
+
+    def evaluate(lam: complex) -> np.ndarray:
         f, g = system.interp.site_sums(lam, system.q_flat)
         if abs(g) > 1e-8:
-            delta = np.outer(system.rhs / g, f)
-            return complex(np.linalg.det(system.matrix + delta) / system.det * g)
+            delta = (system.rhs / g)[:, :, None] * f[:, None, :]
+            return np.linalg.det(system.matrix + delta) / system.det * g
         # lam sits on (or hugs) a grid node: use the rank-one expansion of the
         # same determinant, which stays finite there
-        adj_r = np.linalg.solve(system.matrix, system.rhs)
-        return complex(g + f @ adj_r)
+        adj_r = np.linalg.solve(system.matrix, system.rhs[:, :, None])[:, :, 0]
+        return g + np.sum(f * adj_r, axis=1)
 
     return evaluate
 
@@ -432,20 +450,20 @@ def sov_from_q(qop: QOperator, source=None, sklyanin=None) -> CovectorBasis:
                          chain=chain, source=source)
 
 
-def sov_q_factorization(t: TransferPolynomial, qpoly) -> float:
-    """Spread of wavefunction(h) around c * prod_n Q(xi_n^(h_n)).
+def sov_q_factorization(t: TransferPolynomial, q):
+    """Spread of wavefunction(h) around c * prod_n Q(xi_n^(h_n)), per row of t.
 
     Fits the single global constant in least squares and reports the max
-    deviation relative to the largest wavefunction coordinate. Q is evaluated
-    once at each grid node, sum_n (2s_n + 1) values, and the products over
-    all h are their outer product, like the wavefunction itself.
+    deviation relative to the largest wavefunction coordinate. Q (as in
+    ``tq_residual``) is evaluated once at each grid node, sum_n (2s_n + 1)
+    values, and the products over all h are their outer product, like the
+    wavefunction itself.
     """
     chain = t.chain
-    target = _sov2_array(t).ravel()
-    prod_q = _site_product([np.array([qpoly(z) for z in chain.nodes(n)], dtype=CDTYPE)
-                            for n in range(chain.n_sites)]).ravel()
-    denom = np.vdot(prod_q, prod_q)
-    if abs(denom) == 0.0:
-        return float(np.max(np.abs(target)))
-    c = np.vdot(prod_q, target) / denom
-    return float(np.max(np.abs(target - c * prod_q)) / max(1.0, np.max(np.abs(target))))
+    target = _sov2_array(t).reshape(chain.dim, -1)
+    prod_q = _site_product([q(nodes) for nodes, _, _ in chain.grid]).reshape(chain.dim, -1)
+    denom = np.sum(np.abs(prod_q) ** 2, axis=0)
+    c = np.sum(prod_q.conj() * target, axis=0) / np.where(denom > 0, denom, 1.0)
+    largest = np.max(np.abs(target), axis=0)
+    spread = np.max(np.abs(target - c * prod_q), axis=0) / np.maximum(1.0, largest)
+    return np.where(denom > 0, spread, largest).reshape(t.x.shape[:-1])[()]

@@ -101,6 +101,15 @@ def normalize_twist(k_matrix) -> Twist:
     Raises SimpleSpectrumViolation for K proportional to the identity and
     warns (SingularTwistWarning) when an eigenvalue vanishes.
     """
+    twist = _twist(k_matrix)
+    if abs(twist.det) <= 1e-14 * max(1.0, float(np.max(np.abs(twist.matrix)))) ** 2:
+        warnings.warn("twist has a vanishing eigenvalue; invertibility-gated "
+                      "constructions are unavailable", SingularTwistWarning, stacklevel=2)
+    return twist
+
+
+def _twist(k_matrix) -> Twist:
+    """``normalize_twist`` without the warning, for a singular twist built on purpose."""
     k = np.asarray(k_matrix, dtype=CDTYPE)
     if k.shape != (2, 2):
         raise ValueError(f"twist must be 2x2, got shape {k.shape}")
@@ -110,9 +119,6 @@ def normalize_twist(k_matrix) -> Twist:
     evals, evecs = np.linalg.eig(k)
     order = sorted(range(2), key=lambda i: (evals[i].real, evals[i].imag), reverse=True)
     k1, k2 = complex(evals[order[0]]), complex(evals[order[1]])
-    if abs(k1 * k2) <= 1e-14 * scale * scale:
-        warnings.warn("twist has a vanishing eigenvalue; invertibility-gated "
-                      "constructions are unavailable", SingularTwistWarning, stacklevel=2)
     if abs(k[0, 1]) > 1e-14 * scale:
         w = np.eye(2, dtype=CDTYPE)
     else:

@@ -17,26 +17,26 @@ import importlib.resources
 import json
 import sys
 import time
-import warnings
+from functools import partial, reduce
 
 import numpy as np
 
 from . import __version__
 from .baxter import (_require_q_twist, build_q_operator, default_zeta,
                      q_operator_commutation_residual, q_operator_invertibility,
-                     q_operator_tq_residual, solve_q_polynomial, sov_from_q,
+                     q_coefficients, q_operator_tq_residual, solve_q_polynomial, sov_from_q,
                      sov_q_factorization, tq_residual, wronskian_values)
-from .chain import (ChainSpec, Tolerances, fused_twist, genericity_check,
-                    make_chain, normalize_twist)
-from .errors import SingularTwistWarning, SovChainError
+from .chain import ChainSpec, Tolerances, _twist, fused_twist, genericity_check, make_chain
+from .errors import SovChainError
 from .local_ops import kron_embed, lax, r_matrix, spin_matrices
-from .numerics import CDTYPE, commutator_residual, frob, greedy_match, random_complex
+from .numerics import (CDTYPE, commutator_residual, frob, greedy_match, poly_eval,
+                       random_complex)
 from .sov_bases import (_require_full_rank, b_eigen_report, gram_rank,
                         separate_action_report, shift_action_report, sklyanin_basis,
                         sov_basis_1, sov_basis_2, tensor_generating_covector)
-from .spectrum import (brute_force_spectrum, closed_form_solutions, eigenvector_from_sov,
-                       jacobian_smallest_sv, match_to_oracle, solve_discrete_system,
-                       wavefunction_action_report)
+from .spectrum import (TransferPolynomial, brute_force_spectrum, closed_form_solutions,
+                       eigenvector_from_sov, jacobian_smallest_sv, match_to_oracle,
+                       solve_discrete_system, wavefunction_action_report)
 from .transfer import (TransferEvaluator, central_zero_residual, fused_transfer_projector,
                        polynomiality_residual, quantum_det_residual, rtt_residual,
                        symmetry_residual, tridiagonal_operator_det)
@@ -208,12 +208,12 @@ def _config_echo(chain: ChainSpec) -> dict:
 class _RunContext:
     """Results shared by the suites of one ``run`` call, each computed on first use.
 
-    Holds the oracle records, the list of their Q-polynomials at each zeta,
-    the eigenbasis Q-operator, the Sklyanin basis and the default-source
-    second SoV basis: the same calls with the same inputs that each suite
-    would otherwise repeat. A computation that raises is not stored, so it
-    raises again in every suite that needs it and each suite reports its own
-    error row. Callers check the rank of a basis they need to be full
+    Holds the oracle records, their eigenvalues as one (D, N) stack, their
+    Q-polynomials at each zeta, the eigenbasis Q-operator, the Sklyanin basis
+    and the default-source second SoV basis: what each suite would otherwise
+    recompute. A computation that raises is not stored, so it raises again in
+    every suite that needs it and each suite reports its own error row.
+    Callers check the rank of a basis they need to be full
     (``_require_full_rank``); each basis keeps its rank.
     """
 
@@ -230,10 +230,15 @@ class _RunContext:
         return self._get("records", lambda: brute_force_spectrum(self.chain,
                                                                  evaluator=evaluator))
 
+    def eigenvalues(self) -> TransferPolynomial:
+        """The records' transfer eigenvalues as one stack, row i = record i."""
+        return self._get("stack", lambda: TransferPolynomial(
+            self.chain, [rec.t.x for rec in self.records()]))
+
     def q_polynomials(self, zeta: complex) -> list:
         """Every record's Q-polynomial at zeta, in record order."""
         return self._get(("q", complex(zeta)),
-                         lambda: [solve_q_polynomial(rec.t, zeta=zeta) for rec in self.records()])
+                         lambda: solve_q_polynomial(self.eigenvalues(), zeta=zeta))
 
     def q_operator(self, evaluator):
         """Eigenbasis Q-operator at the default zeta."""
@@ -452,11 +457,9 @@ def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
     checks = []
     evaluator = TransferEvaluator(chain)
     records = ctx.records(evaluator)
-
-    worst = 0.0
-    for rec in records:
-        worst = max(worst, rec.t.discrete_residual)
-    checks.append(_check("spectrum.oracle_discrete_residual", worst, 1e-8))
+    stack = ctx.eigenvalues()
+    checks.append(_check("spectrum.oracle_discrete_residual", np.max(stack.discrete_residual),
+                         1e-8))
 
     solutions, diag = solve_discrete_system(chain, seeds=[r.t.x for r in records])
     checks.append(_check("spectrum.count_mismatch", abs(len(solutions) - chain.dim), 0,
@@ -469,12 +472,12 @@ def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
     checks.append(_check("spectrum.jacobian_regularity", 1e-8 - worst_j, 0,
                          smallest_relative_sv=worst_j))
 
-    worst = max(wavefunction_action_report(rec.t) for rec in records)
-    checks.append(_check("spectrum.wavefunction_separate_action", worst, 1e-8))
+    checks.append(_check("spectrum.wavefunction_separate_action",
+                         wavefunction_action_report(stack), 1e-8))
 
     basis = ctx.sov2(evaluator)
     _require_full_rank(basis)
-    vectors, residuals = eigenvector_from_sov([rec.t for rec in records], basis, evaluator)
+    vectors, residuals = eigenvector_from_sov(stack, basis, evaluator)
     oracle = np.column_stack([rec.vector for rec in records])
     cosine = np.abs(np.sum(oracle.conj() * vectors, axis=0)) / (
         np.linalg.norm(oracle, axis=0) * np.linalg.norm(vectors, axis=0))
@@ -488,60 +491,52 @@ def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
 
 def _closed_form_vs_oracle(chain: ChainSpec) -> float:
     """Spectrum of the k2 = 0 degeneration vs its closed form, multiset distance."""
-    k1 = chain.twist.k1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SingularTwistWarning)
-        twist = normalize_twist(np.array([[k1, 0], [0, 0]], dtype=CDTYPE))
+    twist = _twist(np.array([[chain.twist.k1, 0], [0, 0]], dtype=CDTYPE))  # singular by design
     degenerate = make_chain(chain.eta, [(s.two_s, s.xi) for s in chain.sites],
                             twist, tolerances=chain.tolerances, seed=chain.seed)
     lam0 = complex(random_complex(degenerate.rng(10), box=2.0)) + 0.25j
     vals = np.linalg.eigvals(TransferEvaluator(degenerate).transfer(lam0))
-    want = np.array([t(lam0) for t in closed_form_solutions(degenerate)], dtype=CDTYPE)
+    want = TransferPolynomial(degenerate, [t.x for t in closed_form_solutions(degenerate)])(lam0)
     return _multiset_distance(vals, want) / max(1.0, float(np.max(np.abs(want))))
 
 
 def suite_baxter(chain: ChainSpec, ctx: _RunContext):
+    """Each row is one array reduction over the records. Record d's sample points are
+    row d of one draw from ``chain.rng(400)``: its 3N T-Q points as (re, im) pairs in
+    turn, then its 4 Wronskian points (4 real parts, 4 imaginary parts)."""
     checks = []
-    records = ctx.records()
-    zeta_a = default_zeta(chain, salt=20)
-    zeta_b = default_zeta(chain, salt=24)
-    rng = chain.rng(400)
-    worst_deg = 0
-    max_deg = 0
-    worst_tq = 0.0
-    worst_leftout = 0.0
-    worst_unique = 0.0
-    worst_wronsk = 0.0
-    worst_root = np.inf
-    worst_facto = 0.0
-    for rec, qpoly, qpoly_b in zip(records, ctx.q_polynomials(zeta_a), ctx.q_polynomials(zeta_b)):
-        worst_deg = max(worst_deg, qpoly.degree - chain.n_s)
-        max_deg = max(max_deg, qpoly.degree)
-        worst_leftout = max(worst_leftout, qpoly.leftout_residual)
-        worst_tq = max(worst_tq, tq_residual(rec.t, qpoly, rng=rng))
-        pad = max(len(qpoly.coeffs), len(qpoly_b.coeffs))
-        ca = np.zeros(pad, dtype=CDTYPE)
-        cb = np.zeros(pad, dtype=CDTYPE)
-        ca[:len(qpoly.coeffs)] = qpoly.coeffs
-        cb[:len(qpoly_b.coeffs)] = qpoly_b.coeffs
-        worst_unique = max(worst_unique, float(np.max(np.abs(ca - cb)))
-                           / max(1.0, float(np.max(np.abs(ca)))))
-        lams = [complex(z) for z in random_complex(rng, size=4, box=3.0)]
-        worst_wronsk = max(worst_wronsk, wronskian_values(qpoly, qpoly_b, chain, lams))
-        for root in qpoly.roots():
-            for b, site in enumerate(chain.sites):
-                worst_root = min(worst_root, abs(root - chain.node(b, site.two_s)))
-        worst_facto = max(worst_facto, sov_q_factorization(rec.t, qpoly))
-    checks.append(_check("baxter.degree_budget_excess", worst_deg, 0, max_degree=max_deg))
+    stack = ctx.eigenvalues()
+    qpolys = ctx.q_polynomials(default_zeta(chain, salt=20))
+    qpolys_b = ctx.q_polynomials(default_zeta(chain, salt=24))
+    n, count = chain.n_sites, len(qpolys)
+    draws = chain.rng(400).uniform(-3.0, 3.0, size=(count, 6 * n + 8))
+    ca, cb = np.split(q_coefficients(qpolys + qpolys_b), [count])
+    q, q_b = partial(poly_eval, ca), partial(poly_eval, cb)
+
+    degrees = np.array([qpoly.degree for qpoly in qpolys])
+    max_deg = int(degrees.max())
+    sectors = reduce(np.convolve, [np.ones(site.dim, dtype=int) for site in chain.sites])
+    checks.append(_check("baxter.degree_budget_excess", max(0, max_deg - chain.n_s), 0,
+                         max_degree=max_deg,
+                         degree_histogram=np.bincount(degrees, minlength=chain.n_s + 1).tolist(),
+                         magnon_sector_counts=sectors.tolist()))
     checks.append(_check("baxter.nontrivial_degree", 1.0 if max_deg < 1 else 0.0, 0))
-    checks.append(_check("baxter.interpolation_leftout", worst_leftout, 1e-9))
-    checks.append(_check("baxter.tq_equation", worst_tq, 1e-8))
-    checks.append(_check("baxter.uniqueness_coefficient_spread", worst_unique, 1e-8))
-    checks.append(_check("baxter.uniqueness_wronskian", worst_wronsk, 1e-9))
+    checks.append(_check("baxter.interpolation_leftout",
+                         max(qpoly.leftout_residual for qpoly in qpolys), 1e-9))
+    tq = tq_residual(stack, q, draws[:, 0:6 * n:2] + 1j * draws[:, 1:6 * n:2])
+    checks.append(_check("baxter.tq_equation", np.max(tq), 1e-8))
+    spread = np.max(np.abs(ca - cb), axis=1) / np.maximum(1.0, np.max(np.abs(ca), axis=1))
+    checks.append(_check("baxter.uniqueness_coefficient_spread", np.max(spread), 1e-8))
+    wronsk = wronskian_values(q, q_b, chain, draws[:, 6 * n:6 * n + 4] + 1j * draws[:, 6 * n + 4:])
+    checks.append(_check("baxter.uniqueness_wronskian", np.max(wronsk), 1e-9))
+    roots = np.concatenate([qpoly.roots() for qpoly in qpolys])
+    bottoms = np.array([grid[0, -1] for grid in chain.grid])
+    worst_root = float(np.min(np.abs(roots[:, None] - bottoms), initial=np.inf))
     root_gap = 0.0 if not np.isfinite(worst_root) else max(0.0, 1e-6 - worst_root)
     checks.append(_check("baxter.forbidden_root_gap", root_gap, 0,
                          min_distance=None if not np.isfinite(worst_root) else worst_root))
-    checks.append(_check("baxter.sov_q_factorization", worst_facto, 1e-7))
+    checks.append(_check("baxter.sov_q_factorization",
+                         np.max(sov_q_factorization(stack, q)), 1e-7))
     return checks
 
 
@@ -649,7 +644,8 @@ def run(command: str, chain: ChainSpec, samples=20, precision="double",
 
 def _spectrum_table(ctx: _RunContext):
     return [{"x": [_cpx(z) for z in rec.t.x], "value_at_probe": _cpx(rec.value_at_lam0),
-             "discrete_residual": rec.t.discrete_residual} for rec in ctx.records()]
+             "discrete_residual": float(residual)}
+            for rec, residual in zip(ctx.records(), ctx.eigenvalues().discrete_residual)]
 
 
 def render_report(report: dict) -> str:

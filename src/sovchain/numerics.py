@@ -70,7 +70,7 @@ class _Barycentric:
     returned. Berrut & Trefethen, SIAM Rev. 46 (2004) 501; Higham, IMA J.
     Numer. Anal. 24 (2004) 547 (backward stability of this form). ``nodes``
     may stack several node sets along leading axes; ``cardinals`` serves
-    them all at once, ``__call__`` takes one set.
+    them all at once, ``__call__`` takes one set (and stacked values on it).
     """
 
     def __init__(self, nodes):
@@ -89,39 +89,46 @@ class _Barycentric:
         out[on_node] = hit[on_node]
         return out
 
-    def __call__(self, values, lam, lead=0.0) -> complex:
-        """Degree-n polynomial with leading coefficient ``lead`` through ``values``.
+    def __call__(self, values, lam, lead=0.0):
+        """Degree-n polynomials with leading coefficient ``lead`` through ``values`` (..., n).
 
         That is ell(lam) [lead + sum_j w_j values_j / (lam - x_j)], with
-        ell(lam) = prod_j (lam - x_j); ``values[j]`` exactly at node j.
+        ell(lam) = prod_j (lam - x_j); ``values[..., j]`` exactly at node j.
+        A (D, n) stack at points (P,), or at its own points (D, P), gives (D, P).
         """
-        diff = lam - self.nodes
+        lam = np.asarray(lam, dtype=CDTYPE)
+        values = np.asarray(values)[..., None, :] if lam.ndim else np.asarray(values)
+        diff = lam[..., None] - self.nodes
         hit = diff == 0
-        if hit.any():
-            return complex(values[hit.argmax()])
-        return complex(diff.prod() * (lead + (self.weights * values / diff).sum()))
+        out = diff.prod(axis=-1) * (lead + (self.weights * values / np.where(hit, 1.0, diff))
+                                    .sum(axis=-1))
+        return np.where(hit.any(axis=-1), (hit * values).sum(axis=-1), out)[()]
 
 
 def poly_coeffs_from_samples(nodes, values):
-    """Coefficients (ascending) of the degree len(nodes)-1 interpolant.
+    """Coefficients (ascending) of the degree len(nodes)-1 interpolant of each row of ``values``.
 
-    Solved as a column-scaled Vandermonde least-squares problem; with
-    len(values) == len(nodes) the fit is exact up to roundoff.
+    Solved as one column-scaled Vandermonde least-squares problem, one
+    right-hand side per row; with as many values as nodes the fit is exact
+    up to roundoff.
     """
     nodes = np.asarray(nodes, dtype=CDTYPE)
     values = np.asarray(values, dtype=CDTYPE)
     deg = len(nodes) - 1
     v = np.vander(nodes, deg + 1, increasing=True)
     col_scale = np.maximum(np.abs(v).max(axis=0), 1e-300)
-    coeffs, *_ = np.linalg.lstsq(v / col_scale, values, rcond=None)
-    return coeffs / col_scale
+    coeffs, *_ = np.linalg.lstsq(v / col_scale, values.T, rcond=None)
+    return coeffs.T / col_scale
 
 
 def poly_eval(coeffs, lam):
-    """Horner evaluation; ``coeffs`` ascending."""
+    """Horner evaluation, ``coeffs`` ascending along the last axis; a (D, L) stack
+    gives (D, P) at points (P,), or row d at lam[d] for lam of shape (D, P)."""
+    coeffs, lam = np.asarray(coeffs), np.asarray(lam)
+    tail = (1,) if coeffs.ndim > 1 and lam.ndim else ()
     result = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        result = result * lam + c
+    for c in np.moveaxis(coeffs, -1, 0)[::-1]:
+        result = result * lam + c.reshape(c.shape + tail)
     return result
 
 

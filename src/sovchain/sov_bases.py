@@ -325,23 +325,24 @@ def separate_action_report(basis: CovectorBasis, evaluator=None) -> float:
 def _separate_action_residual(chain: ChainSpec, cube, ops_at) -> float:
     """Worst residual of cube[h] T(xi_n^(h_n)) = k1 a cube[h+e_n] + k2 d cube[h-e_n].
 
-    ``cube`` holds one R-vector per multi-index h, shape dims + (R,);
-    ``ops_at(nodes)`` gives the (len(nodes), R, R) stack of T at the nodes.
-    Each site is one batched matmul of the (d_n, D / d_n, R) slabs h_n = k
+    ``cube`` holds R-vectors per multi-index h, shape dims + (..., R); each
+    is a residual row. ``ops_at(nodes)`` gives T at the nodes as a stack
+    (len(nodes), ..., R, R) that broadcasts against the slabs h_n = k.
+    Each site is one batched matmul of the (d_n, dim / d_n, ..., R) slabs
     with the stack at its nodes. Out-of-range neighbours are the zero padding
     of the shift; their coefficients a (top node) and d (bottom node) vanish.
     """
-    r = cube.shape[-1]
+    tail = cube.shape[chain.n_sites:]
     worst = 0.0
     for n in range(chain.n_sites):
         nodes, a, d = chain.grid[n]
-        slabs = np.moveaxis(cube, n, 0).reshape(len(nodes), -1, r)
+        slabs = np.moveaxis(cube, n, 0).reshape((len(nodes), -1) + tail)
         rhs = np.zeros_like(slabs)
         for coeff, step in ((chain.twist.k1 * a, 1), (chain.twist.k2 * d, -1)):
             dst, src = _neighbour_slices(0, step)
-            rhs[dst] += coeff[dst][:, None, None] * slabs[src]
-        worst = max(worst, _worst_row_residual((slabs @ ops_at(nodes)).reshape(-1, r),
-                                               rhs.reshape(-1, r)))
+            rhs[dst] += coeff[dst].reshape((-1,) + (1,) * (slabs.ndim - 1)) * slabs[src]
+        worst = max(worst, _worst_row_residual((slabs @ ops_at(nodes)).reshape(-1, tail[-1]),
+                                               rhs.reshape(-1, tail[-1])))
     return worst
 
 

@@ -8,10 +8,11 @@ scalar matrix with diagonal t(xi_n^(0))..t(xi_n^(2s_n)), superdiagonal
 fused eigenvalues included, comes from one three-term recurrence for the
 leading minors of a tridiagonal matrix (``_tridiagonal_minors``); the
 x-derivatives of a site determinant are its diagonal cofactors, each a
-leading minor times a trailing one. ``TransferPolynomial.grid_ratios``
-computes, once per polynomial, the grid ratios behind the wavefunction and
-the Q-closure system; ``checked_grid_ratios`` confirms them, also once, by
-an independent backward recursion before the Q routes use them.
+leading minor times a trailing one. A ``TransferPolynomial`` holds one
+node-value vector or a (D, N) stack of them; every scalar routine is one
+array computation over the stack. ``grid_ratios`` computes the ratios
+behind the wavefunction and the Q-closure system once per stack, and
+``checked_grid_ratios`` confirms them once by a backward recursion.
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ __all__ = [
 @dataclass
 class TransferPolynomial:
     """Degree-N polynomial with leading coefficient tr(K), stored by its
-    values x_a at the top grid nodes z_a.
+    values x_a at the top grid nodes z_a; x of shape (D, N) stacks D of them.
 
     Evaluated in barycentric form, t(lam) = ell(lam) [tr K + sum_a w_a x_a /
     (lam - z_a)] with ell(lam) = prod_a (lam - z_a); the weights w_a are
-    computed once per polynomial and t(z_a) returns x_a exactly.
+    computed once per polynomial and t(z_a) returns x_a exactly, row by row.
     """
 
     chain: ChainSpec
@@ -63,29 +64,29 @@ class TransferPolynomial:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=CDTYPE)
-        if self.x.shape != (self.chain.n_sites,):
+        if self.x.shape[-1:] != (self.chain.n_sites,) or self.x.ndim > 2:
             raise ValueError(f"expected {self.chain.n_sites} node values, got {self.x.shape}")
         self._interp = _Barycentric([self.chain.node(a, 0) for a in range(self.chain.n_sites)])
 
-    def __call__(self, lam: complex) -> complex:
+    def __call__(self, lam):
         return self._interp(self.x, lam, lead=self.chain.twist.trace)
 
-    def fused_value(self, level: int, lam: complex) -> complex:
-        """Scalar fusion recursion t^(level)(lam); level 0 gives 1."""
+    def fused_value(self, level: int, lam: complex):
+        """Scalar fusion recursion t^(level)(lam), one value per row; level 0 gives 1."""
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
-        return complex(_fused_tower(self, lam, level)[level])
+        return _fused_tower(self, lam, level)[level]
 
     @cached_property
     def grid_ratios(self) -> list:
-        """Ratios Q(xi_n^(h)) / Q(xi_n^(2s_n)), one array over h = 0..2s_n per site n.
+        """Ratios Q(xi_n^(h)) / Q(xi_n^(2s_n)), one (..., 2s_n + 1) array over h per site n.
 
         Closed form: the (2s_n - h)-th fused value at the bottom node over
         k2^(2s_n-h) times the partial product of d above level h. Computed
         on first access and kept; raises ValueError (not kept) when k2 = 0.
         """
         chain = self.chain
-        return [_fused_tower(self, chain.node(n, site.two_s), site.two_s)[::-1]
+        return [np.moveaxis(_fused_tower(self, chain.node(n, site.two_s), site.two_s)[::-1], 0, -1)
                 / _tower_denominators(chain, n) for n, site in enumerate(chain.sites)]
 
     @cached_property
@@ -94,28 +95,30 @@ class TransferPolynomial:
 
             Qr(h-1) = [t(xi^(h)) Qr(h) - k1 a(xi^(h)) Qr(h+1)] / (k2 d(xi^(h)))
 
-        from Qr(2s_n) = 1; raises ValueError (not kept) when the routes differ
-        by over 1e-9 relative.
+        from Qr(2s_n) = 1; raises ValueError (not kept), for the first row and
+        site where the routes differ by over 1e-9 relative.
         """
-        chain, twist = self.chain, self.chain.twist
-        ratios = self.grid_ratios
-        for n, (site, closed) in enumerate(zip(chain.sites, ratios)):
-            rec = np.zeros(site.two_s + 2, dtype=CDTYPE)  # rec[2s_n + 1] = 0
-            rec[site.two_s] = 1.0
-            for h in range(site.two_s, 0, -1):
-                node = chain.node(n, h)
-                rec[h - 1] = (self(node) * rec[h] - twist.k1 * chain.a(node) * rec[h + 1]) \
-                    / (twist.k2 * chain.d(node))
-            err = float(np.max(np.abs(rec[:-1] - closed)))
-            if err > 1e-9 * max(1.0, float(np.max(np.abs(closed)))):
-                raise ValueError(
-                    f"site {n}: recursion and closed-form Q values disagree by {err:.3e}")
-        return ratios
+        twist = self.chain.twist
+        gaps = []   # per site: (error, allowed error), one entry per row
+        for (nodes, a, d), closed in zip(self.chain.grid, self.grid_ratios):
+            vals = self(nodes)
+            rec = np.zeros(closed.shape[:-1] + (len(nodes) + 1,), dtype=CDTYPE)  # rec[2s_n+1] = 0
+            rec[..., -2] = 1.0
+            for h in range(len(nodes) - 1, 0, -1):
+                rec[..., h - 1] = (vals[..., h] * rec[..., h] - twist.k1 * a[h] * rec[..., h + 1]) \
+                    / (twist.k2 * d[h])
+            gaps.append((np.max(np.abs(rec[..., :-1] - closed), axis=-1),
+                         1e-9 * np.maximum(1.0, np.max(np.abs(closed), axis=-1))))
+        err, allowed = (np.stack(v, axis=-1).reshape(-1, len(gaps)) for v in zip(*gaps))
+        for row, n in np.argwhere(err > allowed)[:1]:
+            raise ValueError(f"site {n}: recursion and closed-form Q values disagree by "
+                             f"{err[row, n]:.3e}")
+        return self.grid_ratios
 
     @cached_property
-    def discrete_residual(self) -> float:
-        """Largest entry of |discrete_residuals(self)|; computed on first access and kept."""
-        return float(np.max(np.abs(discrete_residuals(self))))
+    def discrete_residual(self):
+        """Largest |discrete_residuals(self)| entry per row; computed on first access and kept."""
+        return np.max(np.abs(discrete_residuals(self)), axis=-1)
 
 
 @dataclass
@@ -185,9 +188,8 @@ def discrete_matrix(t: TransferPolynomial, n: int) -> np.ndarray:
 
 def _site_data(chain: ChainSpec, n: int):
     """Nodes of site n and the off-diagonal products sup[j] * sub[j] of its matrix."""
-    nodes = [chain.node(n, k) for k in range(chain.sites[n].dim)]
-    k1, k2 = chain.twist.k1, chain.twist.k2
-    return nodes, [k1 * chain.a(z) * k2 * chain.d(w) for z, w in zip(nodes, nodes[1:])]
+    nodes, a, d = chain.grid[n]
+    return nodes, chain.twist.k1 * a[:-1] * chain.twist.k2 * d[1:]
 
 
 def _tridiagonal_minors(diag, offprod) -> np.ndarray:
@@ -195,34 +197,36 @@ def _tridiagonal_minors(diag, offprod) -> np.ndarray:
 
     ``offprod[j]`` is sup[j] * sub[j], the product of the off-diagonal pair
     coupling rows j and j + 1: f_j = diag[j-1] f_{j-1} - offprod[j-2] f_{j-2}.
+    Axes of ``diag`` after the first are batch axes; entries are read as
+    (0-d) arrays, so one row computes exactly as it does inside a batch.
     """
-    f = [1.0, *diag[:1]]
+    diag, offprod = np.asarray(diag), np.asarray(offprod)
+    f = [np.ones(diag.shape[1:]), *diag[:1]]
     for j in range(1, len(diag)):
-        f.append(diag[j] * f[j] - offprod[j - 1] * f[j - 1])
+        f.append(diag[j, ...] * f[j] - offprod[j - 1, ...] * f[j - 1])
     return np.array(f)
 
 
 def _fused_tower(t: TransferPolynomial, lam: complex, top: int) -> np.ndarray:
-    """t^(0..top)(lam): the recurrence on t(lam + k eta) and det_q(lam + (k+1) eta)."""
-    shifts = [lam + k * t.chain.eta for k in range(top)]
-    return _tridiagonal_minors([t(z) for z in shifts],
-                               [t.chain.det_q(z) for z in shifts[1:]])
+    """t^(0..top)(lam), rows of t along the trailing axis: the recurrence on
+    t(lam + k eta) and det_q(lam + (k+1) eta)."""
+    shifts = lam + t.chain.eta * np.arange(top)
+    return _tridiagonal_minors(np.moveaxis(t(shifts), -1, 0), t.chain.det_q(shifts[1:]))
 
 
-def _magnitude_scale(diag, offprod) -> float:
+def _magnitude_scale(diag, offprod):
     """Same recurrence on absolute values; bounds the determinant magnitude."""
-    return max(1.0, _tridiagonal_minors([abs(z) for z in diag], [-abs(c) for c in offprod])[-1])
+    return np.maximum(1.0, _tridiagonal_minors(np.abs(diag), -np.abs(offprod))[-1])
 
 
 def discrete_residuals(t: TransferPolynomial) -> np.ndarray:
-    """Per-site determinants of the discrete system, scale-normalized."""
-    chain = t.chain
-    out = np.zeros(chain.n_sites, dtype=CDTYPE)
-    for n in range(chain.n_sites):
-        nodes, offprod = _site_data(chain, n)
-        diag = [t(z) for z in nodes]
-        out[n] = _tridiagonal_minors(diag, offprod)[-1] / _magnitude_scale(diag, offprod)
-    return out
+    """Per-site determinants of the discrete system, scale-normalized; (..., N) for t's rows."""
+    out = []
+    for n in range(t.chain.n_sites):
+        nodes, offprod = _site_data(t.chain, n)
+        diag = np.moveaxis(t(nodes), -1, 0)
+        out.append(_tridiagonal_minors(diag, offprod)[-1] / _magnitude_scale(diag, offprod))
+    return np.stack(out, axis=-1)
 
 
 class _DiscreteSystem:
@@ -240,29 +244,27 @@ class _DiscreteSystem:
             coeff = np.array([interp.cardinals(z) for z in nodes], dtype=CDTYPE)
             self.sites.append((base, coeff, offprod))
 
+    def _diags(self, x):
+        """Per site, its matrix diagonal at the unknowns x (..., N), batch axes trailing."""
+        for base, coeff, offprod in self.sites:
+            yield np.moveaxis(base + x @ coeff.T, -1, 0), coeff, offprod
+
     def residual(self, x):
-        """(raw determinants, per-site magnitude scales)."""
-        res = np.zeros(self.chain.n_sites, dtype=CDTYPE)
-        scales = np.zeros(self.chain.n_sites)
-        for n, (base, coeff, offprod) in enumerate(self.sites):
-            diag = base + coeff @ x
-            res[n] = _tridiagonal_minors(diag, offprod)[-1]
-            scales[n] = _magnitude_scale(diag, offprod)
-        return res, scales
+        """(raw determinants, per-site magnitude scales), each (..., N) for x of shape (..., N)."""
+        out = [(_tridiagonal_minors(diag, offprod)[-1], _magnitude_scale(diag, offprod))
+               for diag, _, offprod in self._diags(x)]
+        return tuple(np.stack(part, axis=-1) for part in zip(*out))
 
     def jacobian(self, x):
-        """d res / dx; row n is sum_k f_k g_{m-1-k} coeff[k].
+        """d res / dx, (..., N, N); row n is sum_k f_k g_{m-1-k} coeff[k].
 
         f_k g_{m-1-k} (leading times trailing minor) is the diagonal cofactor
         of site n's matrix at entry k, and coeff[k] = d diag[k] / dx.
         """
-        jac = np.zeros((self.chain.n_sites, self.chain.n_sites), dtype=CDTYPE)
-        for n, (base, coeff, offprod) in enumerate(self.sites):
-            diag = base + coeff @ x
-            f = _tridiagonal_minors(diag, offprod)
-            g = _tridiagonal_minors(diag[::-1], offprod[::-1])
-            jac[n] = (f[:-1] * g[-2::-1]) @ coeff
-        return jac
+        rows = [np.moveaxis(_tridiagonal_minors(diag, offprod)[:-1]
+                            * _tridiagonal_minors(diag[::-1], offprod[::-1])[-2::-1], 0, -1) @ coeff
+                for diag, coeff, offprod in self._diags(x)]
+        return np.stack(rows, axis=-2)
 
 
 def jacobian_smallest_sv(solutions) -> float:
@@ -271,15 +273,14 @@ def jacobian_smallest_sv(solutions) -> float:
     Each value is over max(1, largest). The Jacobian is that of the
     scale-normalized residual res / scales that Newton tests (row n divided
     by site n's magnitude scale, held fixed), so rescaling one site's
-    equation leaves the value unchanged. One discrete system serves all t.
+    equation leaves the value unchanged. One discrete system serves all t:
+    their Jacobians form one (D, N, N) array with one batched SVD.
     """
     system = _DiscreteSystem(solutions[0].chain)
-    worst = np.inf
-    for t in solutions:
-        _, scales = system.residual(t.x)
-        sv = np.linalg.svd(system.jacobian(t.x) / scales[:, None], compute_uv=False)
-        worst = min(worst, float(sv[-1] / max(1.0, sv[0])))
-    return worst
+    x = np.array([t.x for t in solutions])
+    _, scales = system.residual(x)
+    sv = np.linalg.svd(system.jacobian(x) / scales[..., None], compute_uv=False)
+    return float(np.min(sv[:, -1] / np.maximum(1.0, sv[:, 0])))
 
 
 def closed_form_solutions(chain: ChainSpec):
@@ -300,9 +301,10 @@ def solve_discrete_system(chain: ChainSpec, seeds=None):
     """All solutions of the discrete system, refined by damped Newton.
 
     Seeds default to the brute-force oracle node values (the honest check is
-    that Newton converges from them and the refined set is complete). Each
-    seed gets at most 50 steps to bring the scale-normalized residual under
-    1e-13; converged duplicates are collapsed (``_dedup``). With a
+    that Newton converges from them and the refined set is complete). All
+    seeds are tested in one residual pass; each seed above 1e-13 gets at
+    most 50 steps to bring the scale-normalized residual under 1e-13;
+    converged duplicates are collapsed (``_dedup``). With a
     non-invertible twist the closed-form branch is returned with zero Newton
     iterations. Returns (solutions, diagnostics); raises CountMismatch when
     the number of distinct converged solutions differs from dim(H).
@@ -317,17 +319,16 @@ def solve_discrete_system(chain: ChainSpec, seeds=None):
     if seeds is None:
         seeds = [rec.t.x for rec in brute_force_spectrum(chain)]
     system = _DiscreteSystem(chain)
-    solutions = []
-    failures = []
+    xs = np.array(seeds, dtype=CDTYPE)
+    res, scales = system.residual(xs)
+    converged = np.max(np.abs(res) / scales, axis=-1) < 1e-13
     total_iters = 0
-    for idx, seed in enumerate(seeds):
-        x = np.asarray(seed, dtype=CDTYPE).copy()
-        converged = False
+    for idx in np.flatnonzero(~converged):
+        x = xs[idx]
         for _ in range(50):
             res, scales = system.residual(x)
-            err = float(np.max(np.abs(res) / scales))
-            if err < 1e-13:
-                converged = True
+            if float(np.max(np.abs(res) / scales)) < 1e-13:
+                converged[idx] = True
                 break
             try:
                 step = np.linalg.solve(system.jacobian(x), res)
@@ -343,10 +344,9 @@ def solve_discrete_system(chain: ChainSpec, seeds=None):
                 factor *= 0.5
             x = x - factor * step
             total_iters += 1
-        if converged:
-            solutions.append(x)
-        else:
-            failures.append(f"seed {idx} did not converge")
+        xs[idx] = x
+    solutions = xs[converged]
+    failures = [f"seed {idx} did not converge" for idx in np.flatnonzero(~converged)]
     distinct = _dedup(solutions)
     diag = {
         "branch": "newton",
@@ -430,15 +430,16 @@ def wavefunction_sov1(t: TransferPolynomial) -> dict:
 
 
 def _site_product(factors) -> np.ndarray:
-    """N-d array of prod_n factors[n][h_n]; axis n is indexed by h_n (site order)."""
+    """prod_n factors[n][..., h_n], axis n indexed by h_n; leading (row) axes go last."""
+    factors = [np.moveaxis(f, -1, 0) for f in factors]
     out = factors[0]
     for f in factors[1:]:
-        out = out[..., None] * f
+        out = np.expand_dims(out, out.ndim - f.ndim + 1) * f
     return out
 
 
 def _sov2_array(t: TransferPolynomial) -> np.ndarray:
-    """Second-basis wavefunction as an N-d array indexed by h (site order)."""
+    """Second-basis wavefunction indexed by h (site order), rows of t along the trailing axis."""
     return _site_product(t.grid_ratios)
 
 
@@ -449,35 +450,36 @@ def wavefunction_sov2(t: TransferPolynomial) -> dict:
 
 
 def wavefunction_action_report(t: TransferPolynomial) -> float:
-    """Pointwise eigen-relation residual of the factorized wavefunction.
+    """Pointwise eigen-relation residual of the factorized wavefunction, worst over t's rows.
 
     Checks k1 a(node) psi(h+e_n) + k2 d(node) psi(h-e_n) = t(node) psi(h)
-    for every h and n, with out-of-range entries treated as zero: the
-    separate-action stencil of ``sov_bases`` on psi as an h-cube with R = 1
-    and t at each site's grid nodes as 1 x 1 operators.
+    for every h, n and row, with out-of-range entries treated as zero: the
+    separate-action stencil of ``sov_bases`` on psi as a (d_1, ..., d_N, D, 1, 1)
+    h-cube: each (h, row) entry is its own residual row, t a 1 x 1 operator.
     """
-    return _separate_action_residual(t.chain, _sov2_array(t)[..., None],
-                                     lambda nodes: np.array([t(z) for z in nodes])[:, None, None])
+    return _separate_action_residual(
+        t.chain, _sov2_array(t).reshape(t.chain.dims + (-1, 1, 1)),
+        lambda nodes: np.moveaxis(t(nodes), -1, 0).reshape(len(nodes), 1, -1, 1, 1))
 
 
-def eigenvector_from_sov(ts, basis, evaluator=None):
-    """Solve rows(basis) . V = Psi for the eigenvectors V, one column per t in ``ts``.
+def eigenvector_from_sov(ts: TransferPolynomial, basis, evaluator=None):
+    """Solve rows(basis) . V = Psi for the eigenvectors V, one column per row of ``ts``.
 
-    Column j of Psi is the second-basis wavefunction of ts[j]; one solve
+    Column j of Psi is the second-basis wavefunction of row j; one solve
     serves every column. Verifies T(mu) V = V diag(t(mu)) at 3 seeded points
     mu and returns (V, residuals), residuals[j] the worst relative residual
     of column j; raises ResidualTooLarge when one exceeds 1e-7.
     """
     chain = basis.chain
     evaluator = evaluator or TransferEvaluator(chain)
-    vectors = np.linalg.solve(basis.rows, np.column_stack([_sov2_array(t).ravel() for t in ts]))
+    vectors = np.linalg.solve(basis.rows, _sov2_array(ts).reshape(chain.dim, -1))
     norms = np.linalg.norm(vectors, axis=0)
     rng = chain.rng(17)
-    residuals = np.zeros(len(ts))
+    residuals = np.zeros(vectors.shape[1])
     for _ in range(3):
         mu = complex(random_complex(rng, box=2.0))
         lhs = evaluator.transfer(mu) @ vectors
-        vals = np.array([t(mu) for t in ts])
+        vals = ts(mu)
         scale = np.maximum(1.0, np.maximum(np.linalg.norm(lhs, axis=0), np.abs(vals) * norms))
         residuals = np.maximum(residuals, np.linalg.norm(lhs - vectors * vals, axis=0) / scale)
     if np.max(residuals) > 1e-7:

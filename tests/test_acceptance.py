@@ -18,7 +18,7 @@ from sovchain.local_ops import kron_embed, lax, r_matrix
 from sovchain.numerics import commutator_residual, frob, random_complex
 from sovchain.sov_bases import (b_eigen_report, gram_rank, shift_action_report,
                                 sklyanin_basis, sov_basis_2)
-from sovchain.spectrum import (brute_force_spectrum, discrete_residuals,
+from sovchain.spectrum import (TransferPolynomial, brute_force_spectrum, discrete_residuals,
                                eigenvector_from_sov, match_to_oracle,
                                solve_discrete_system)
 from sovchain.transfer import (TransferEvaluator, central_zero_residual,
@@ -206,8 +206,8 @@ def test_criterion_8_eigenvectors(chain12, ev12, records12, basis2_12, chain112,
     basis112 = sov_basis_2(chain112, evaluator=ev112)
     for chain, ev, records, basis in ((chain12, ev12, records12, basis2_12),
                                       (chain112, ev112, records112, basis112)):
-        vectors, residuals = eigenvector_from_sov([rec.t for rec in records], basis,
-                                                  evaluator=ev)
+        stack = TransferPolynomial(chain, [rec.t.x for rec in records])
+        vectors, residuals = eigenvector_from_sov(stack, basis, evaluator=ev)
         worst_res = max(worst_res, float(np.max(residuals)))
         for rec, v in zip(records, vectors.T):
             cosine = abs(np.vdot(rec.vector, v)) / (np.linalg.norm(rec.vector)

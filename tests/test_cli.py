@@ -331,11 +331,12 @@ def test_run_context_keys_and_failures(monkeypatch):
 
 
 def test_run_all_builds_grid_ratios_and_closures_once(monkeypatch):
-    # one fused tower per (record, site) and one closure system per (record, zeta):
-    # the wavefunction, eigenvector and Q-factorization checks and the Q solves
-    # share each record's grid ratios, and the determinant Q route reads the
-    # closure systems of the Q solves; the backward cross-check of the ratios and
-    # the discrete residual of the spectrum check and table run once per record
+    # the scalar layer runs once on the stack of all records: one fused tower per
+    # site and one closure stack per zeta; the wavefunction, eigenvector and
+    # Q-factorization checks and the Q solves share the stack's grid ratios, the
+    # determinant Q route reads the closure systems of the Q solves, and the
+    # backward cross-check of the ratios and the discrete residuals of the
+    # spectrum check and table run once
     from conftest import TWIST_FULL
     from sovchain import baxter, spectrum
     from sovchain.chain import random_chain
@@ -357,8 +358,7 @@ def test_run_all_builds_grid_ratios_and_closures_once(monkeypatch):
     chain = random_chain((1, 2), 1.0, TWIST_FULL, seed=7)
     report = run("all", chain)
     assert report["passed"]
-    per_record = {"backward": chain.dim, "discrete": chain.dim}
-    assert calls == {"tower": chain.n_sites * chain.dim, "closure": 2 * chain.dim, **per_record}
+    assert calls == {"tower": chain.n_sites, "closure": 2, "backward": 1, "discrete": 1}
 
 
 def _exclusive_greedy_distance(got, want):

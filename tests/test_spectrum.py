@@ -224,7 +224,8 @@ def test_grid_ratios_match_eigenvector_coordinates(chain12, chain112):
 def test_eigenvector_reconstruction(chain12, ev12):
     basis = sov_basis_2(chain12, evaluator=ev12)
     records = brute_force_spectrum(chain12, evaluator=ev12)
-    vectors, residuals = eigenvector_from_sov([rec.t for rec in records], basis, evaluator=ev12)
+    stack = TransferPolynomial(chain12, [rec.t.x for rec in records])
+    vectors, residuals = eigenvector_from_sov(stack, basis, evaluator=ev12)
     assert vectors.shape == (chain12.dim, chain12.dim) and residuals.shape == (chain12.dim,)
     assert np.max(residuals) < 1e-7
     top = tuple(site.two_s for site in chain12.sites)
@@ -256,7 +257,8 @@ def test_eigenvectors_match_per_record_solves(chain12, chain112, chain123):
         ev = TransferEvaluator(chain)
         basis = sov_basis_2(chain, evaluator=ev)
         ts = [rec.t for rec in brute_force_spectrum(chain, evaluator=ev)]
-        vectors, residuals = eigenvector_from_sov(ts, basis, evaluator=ev)
+        stack = TransferPolynomial(chain, [t.x for t in ts])
+        vectors, residuals = eigenvector_from_sov(stack, basis, evaluator=ev)
         for j, t in enumerate(ts):
             v, residual = _eigenvector_per_record(t, basis, ev)
             assert np.max(np.abs(vectors[:, j] - v)) <= 1e-13 * np.max(np.abs(v))
@@ -346,7 +348,8 @@ def test_near_degenerate_spectrum_raises(chain12):
 
 def test_eigenvector_residual_too_large_raises(chain12, ev12):
     basis = sov_basis_2(chain12, evaluator=ev12)
-    ts = [rec.t for rec in brute_force_spectrum(chain12, evaluator=ev12)]
+    ts = TransferPolynomial(chain12, [rec.t.x for rec in brute_force_spectrum(chain12,
+                                                                               evaluator=ev12)])
     eigenvector_from_sov(ts, basis, evaluator=ev12)
     rows = basis.rows.copy()
     rows[1] *= 1 + 1e-4
@@ -399,7 +402,7 @@ def test_jacobian_regularity_fires_on_singular_jacobian(chain112, monkeypatch):
 
     def dependent_rows(self, x):
         jac = jacobian(self, x)
-        jac[1] = 2.5 * jac[0]
+        jac[..., 1, :] = 2.5 * jac[..., 0, :]
         return jac
 
     monkeypatch.setattr(_DiscreteSystem, "jacobian", dependent_rows)
