@@ -154,11 +154,18 @@ def _b_zero_conjugator(k, evals, evecs, scale):
 
 
 def fused_twist(twist, level: int) -> np.ndarray:
-    """(level+1)-dimensional symmetric-subspace restriction of K^{x level}."""
+    """(level+1)-dimensional symmetric-subspace restriction of K^{x level}; cached, read-only."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     mat = twist.matrix if isinstance(twist, Twist) else np.asarray(twist, dtype=CDTYPE)
-    return fuse_2x2(mat, level)
+    return _fused_twist(mat.tobytes(), level)
+
+
+@functools.lru_cache(maxsize=256)
+def _fused_twist(key: bytes, level: int) -> np.ndarray:
+    out = fuse_2x2(np.frombuffer(key, dtype=CDTYPE).reshape(2, 2), level)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)

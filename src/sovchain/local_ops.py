@@ -96,23 +96,22 @@ def _lax_parts(two_s: int):
     return big_eye, p
 
 
+@functools.lru_cache(maxsize=None)
 def symmetric_basis(m: int) -> np.ndarray:
     """Orthonormal basis of the symmetric subspace of (C^2)^m, shape (2^m, m+1).
 
     Column k is the normalized sum of basis states with exactly k ones,
-    ordered k = 0..m. This matches the spin-(m/2) convention: the symmetric
-    realization of sum(sigma_z)/2 is diagonal with entries m/2 - k, so fused
-    2x2 operators expressed in these columns act with the spin matrices of
-    :func:`spin_matrices`.
+    ordered k = 0..m (cached, read-only). This matches the spin-(m/2)
+    convention: the symmetric realization of sum(sigma_z)/2 is diagonal with
+    entries m/2 - k, so fused 2x2 operators expressed in these columns act
+    with the spin matrices of :func:`spin_matrices`.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    dim = 2 ** m
-    basis = np.zeros((dim, m + 1), dtype=CDTYPE)
-    for idx in range(dim):
-        k = bin(idx).count("1")
-        basis[idx, k] = 1.0
-    basis /= np.sqrt(np.sum(np.abs(basis) ** 2, axis=0))
+    popcount = np.array([bin(idx).count("1") for idx in range(2 ** m)])
+    basis = (popcount[:, None] == np.arange(m + 1)).astype(CDTYPE)
+    basis /= np.sqrt(basis.real.sum(axis=0))
+    basis.flags.writeable = False
     return basis
 
 

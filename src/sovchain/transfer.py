@@ -1,8 +1,12 @@
 """Global operators: monodromy blocks, transfer matrix, fused hierarchy.
 
-Every dense product of Lax operators (monodromy, transfer matrix, projector
-fusion route, RTT and twist-symmetry residuals) is grown one site at a time
-by one kernel, ``_lax_chain``, which can take the aux trace at the last site.
+Every dense product of Lax operators is grown by one kernel, ``_lax_legs``,
+one GEMM per site, in leg order (A, j_N, k_N, ..., j_1, k_1, R); it can take
+the aux trace at the last site. The RTT, quantum-determinant and symmetry
+residuals compare both sides in that order; RTT and symmetry subtract in
+place, so no third (4D)^2 or (2D)^2 array is made. ``_lax_chain`` turns leg
+order into matrix order by one final transpose, for the monodromy, the
+transfer matrix and the projector route, whose results are multiplied further.
 
 The fused transfer matrices are produced by the three-term recursion
 
@@ -16,6 +20,7 @@ kept as an independent route and used as the test oracle for the recursion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,29 +71,37 @@ def _site_laxes(chain: ChainSpec, lam: complex) -> list:
             for site in chain.sites]
 
 
-def _lax_chain(site_ops, start, twist=None, close=None) -> np.ndarray:
-    """twist . op_N ... op_1 . start on (aux) x H, site 1 slowest.
+def _lax_legs(site_ops, start, twist=None, close=None) -> np.ndarray:
+    """twist . op_N ... op_1 . start in leg order (A, j_N, k_N, ..., j_1, k_1, R).
 
     ``site_ops[n]`` has legs (A, d, A, d), ``start`` is A x R, ``twist`` A x A.
-    The product over sites 1..k is an (A, D_k, R, D_k) array; each site costs
-    one tensordot over the aux index and one transposed reshape. Returns the
-    (A D) x (R D) product, or with an R x A ``close`` the D x D aux trace
-    tr(close . product), which is taken at the last site without assembling it.
+    The product so far stays an A x (rest) matrix, so each site costs one
+    GEMM, (A d^2, A) @ (A, rest), and no transposed copy. With an R x A
+    ``close`` the aux trace tr(close . product) is taken at the last site and
+    the legs are (j_N, k_N, ..., j_1, k_1).
     """
     ops = list(site_ops)
     for left in (twist, close):
         if left is not None:
             ops[-1] = np.tensordot(left, ops[-1], axes=(1, 0))
-    a_dim, r_dim = start.shape
-    prod = start.reshape(a_dim, 1, r_dim, 1)
-    for n, op in enumerate(ops):
-        dk = prod.shape[1] * op.shape[1]
-        if close is not None and n == len(ops) - 1:
-            out = np.tensordot(op, prod, axes=([0, 2], [2, 0]))
-            return out.transpose(2, 0, 3, 1).reshape(dk, dk)
-        out = np.tensordot(op, prod, axes=(2, 0))
-        prod = out.transpose(0, 3, 1, 4, 5, 2).reshape(a_dim, dk, r_dim, dk)
-    return prod.reshape(a_dim * dk, r_dim * dk)
+    legs = [ops[-1].shape[0], *(d for op in reversed(ops) for d in op.shape[1::2]), start.shape[1]]
+    last, prod = ops.pop() if close is not None else None, start
+    for op in ops:
+        prod = op.transpose(0, 1, 3, 2).reshape(-1, op.shape[2]) @ prod.reshape(op.shape[2], -1)
+    if last is None:
+        return prod.reshape(legs)
+    prod = prod.reshape(last.shape[2], -1, legs[-1])
+    return np.tensordot(last, prod, axes=([0, 2], [2, 0])).reshape(legs[1:-1])
+
+
+def _lax_chain(site_ops, start, twist=None, close=None) -> np.ndarray:
+    """``_lax_legs`` as an (A D) x (R D) matrix, or D x D with ``close``, site 1 slowest."""
+    legs = _lax_legs(site_ops, start, twist, close)
+    n, off = len(site_ops), int(close is None)
+    sites = list(range(off + 2 * n - 2, off - 1, -2))    # leg j_n of site n = 1..N; k_n follows
+    rows, cols = [0] * off + sites, [2 * n + 1] * off + [j + 1 for j in sites]
+    out = legs.transpose(rows + cols)
+    return out.reshape(int(np.prod(out.shape[:len(rows)])), -1)
 
 
 def _aux_product(factors) -> np.ndarray:
@@ -117,9 +130,9 @@ class TransferEvaluator:
     """Memoizing evaluator for the transfer matrix and its fused tower.
 
     Cache keys are the exact complex bit patterns of the requested points;
-    no fuzzy matching. Returned arrays are owned by the cache and must be
-    treated as read-only. Instances are safe for concurrent reads once
-    warmed; interleaved first-time insertions need external locking.
+    no fuzzy matching. Returned arrays are owned by the cache and are
+    read-only. Instances are safe for concurrent reads once warmed;
+    interleaved first-time insertions need external locking.
     """
 
     def __init__(self, chain: ChainSpec):
@@ -130,7 +143,8 @@ class TransferEvaluator:
     def transfer(self, lam: complex) -> np.ndarray:
         key = complex(lam)
         if key not in self._plain:
-            self._plain[key] = transfer(self.chain, key)
+            out = self._plain[key] = transfer(self.chain, key)
+            out.flags.writeable = False
         return self._plain[key]
 
     def fused(self, level: int, lam: complex) -> np.ndarray:
@@ -149,6 +163,7 @@ class TransferEvaluator:
             shift = lam + lcur * self.chain.eta
             out = (self.transfer(shift) @ self.fused(lcur, lam)
                    - self.chain.det_q(shift) * self.fused(lcur - 1, lam))
+        out.flags.writeable = False
         self._fused[key] = out
         return out
 
@@ -167,7 +182,8 @@ def fused_transfer_projector(chain: ChainSpec, level: int, lam: complex) -> np.n
     laxes = [_site_laxes(chain, lam + (level - 1 - i) * chain.eta) for i in range(level)]
     ops = [_aux_product(per_leg) for per_leg in zip(*laxes)]
     u = symmetric_basis(level)
-    return _lax_chain(ops, u, twist=kron_chain([chain.twist.matrix] * level), close=u.conj().T)
+    kk = _twist_power(chain.twist.matrix.tobytes(), level)
+    return _lax_chain(ops, u, twist=kk, close=u.conj().T)
 
 
 def tridiagonal_operator_det(diag, sup, sub) -> np.ndarray:
@@ -197,27 +213,30 @@ def rtt_residual(chain: ChainSpec, lam: complex, mu: complex) -> float:
     Grown on the aux space C^2 x C^2: M1(lam) M2(mu) = (K x K) prod_n
     L_1n(lam) L_2n(mu), and M2(mu) M1(lam) = P12 M1(mu) M2(lam) P12.
     """
-    kk = kron_chain([chain.twist.matrix] * 2)
+    kk = _twist_power(chain.twist.matrix.tobytes(), 2)
     r12, p12 = r_matrix(lam - mu, chain.eta), permutation_4x4()
     pairs = list(zip(_site_laxes(chain, lam), _site_laxes(chain, mu)))
-    lhs = _lax_chain([_aux_product(p) for p in pairs], np.eye(4, dtype=CDTYPE), twist=r12 @ kk)
-    rhs = _lax_chain([_aux_product(p[::-1]) for p in pairs], p12 @ r12, twist=p12 @ kk)
-    return frob(lhs - rhs) / max(1.0, frob(lhs))
+    lhs = _lax_legs([_aux_product(p) for p in pairs], np.eye(4, dtype=CDTYPE), twist=r12 @ kk)
+    rhs = _lax_legs([_aux_product(p[::-1]) for p in pairs], p12 @ r12, twist=p12 @ kk)
+    return frob(np.subtract(rhs, lhs, out=rhs)) / max(1.0, frob(lhs))
 
 
 def quantum_det_residual(chain: ChainSpec, lam: complex) -> float:
     """Residual of A(lam) D(lam-eta) - B(lam) C(lam-eta) = detq(lam) Id.
 
     The left side is entry ((0,1), (0,1)) minus entry ((0,1), (1,0)) of
-    M1(lam) M2(lam - eta) on C^2 x C^2, grown by ``_lax_chain`` as in
-    ``rtt_residual`` from the column e_(0,1) - e_(1,0) and closed by the row e_(0,1).
+    M1(lam) M2(lam - eta) on C^2 x C^2, grown by ``_lax_legs`` as in
+    ``rtt_residual`` from the column e_(0,1) - e_(1,0) and closed by the row
+    e_(0,1). In leg order the identity is the Kronecker product of the
+    flattened per-site identities, site N slowest.
     """
     pairs = zip(_site_laxes(chain, lam), _site_laxes(chain, lam - chain.eta))
     start = np.array([[0.0], [1.0], [-1.0], [0.0]], dtype=CDTYPE)
     close = np.array([[0.0, 1.0, 0.0, 0.0]], dtype=CDTYPE)
-    op = _lax_chain([_aux_product(p) for p in pairs], start,
-                    twist=kron_chain([chain.twist.matrix] * 2), close=close)
-    target = chain.det_q(lam) * np.eye(chain.dim, dtype=CDTYPE)
+    op = _lax_legs([_aux_product(p) for p in pairs], start,
+                   twist=_twist_power(chain.twist.matrix.tobytes(), 2), close=close)
+    eye = functools.reduce(np.multiply.outer, [np.eye(d).ravel() for d in reversed(chain.dims)])
+    target = chain.det_q(lam) * eye.reshape(op.shape)
     return frob(op - target) / max(1.0, frob(target), frob(op))
 
 
@@ -229,10 +248,18 @@ def symmetry_residual(chain: ChainSpec, lam: complex, k_matrix=None) -> float:
     k = chain.twist.matrix if k_matrix is None else np.asarray(k_matrix, dtype=CDTYPE)
     pairs = [(fused_twist(k, site.two_s), op)
              for site, op in zip(chain.sites, _site_laxes(chain, lam))]
-    left = _lax_chain([np.einsum("ij,ajbk->aibk", t, op) for t, op in pairs],
-                      np.eye(2, dtype=CDTYPE), twist=k)
-    right = _lax_chain([np.einsum("ajbk,kl->ajbl", op, t) for t, op in pairs], k)
-    return frob(left - right) / max(1.0, frob(left))
+    left = _lax_legs([np.einsum("ij,ajbk->aibk", t, op) for t, op in pairs],
+                     np.eye(2, dtype=CDTYPE), twist=k)
+    right = _lax_legs([np.einsum("ajbk,kl->ajbl", op, t) for t, op in pairs], k)
+    return frob(np.subtract(right, left, out=right)) / max(1.0, frob(left))
+
+
+@functools.lru_cache(maxsize=64)
+def _twist_power(key: bytes, m: int) -> np.ndarray:
+    """K^{x m} of the 2 x 2 twist with bytes ``key``; read-only."""
+    out = kron_chain([np.frombuffer(key, dtype=CDTYPE).reshape(2, 2)] * m)
+    out.flags.writeable = False
+    return out
 
 
 def central_zero_residual(chain: ChainSpec, evaluator: TransferEvaluator,

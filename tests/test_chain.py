@@ -7,7 +7,9 @@ from sovchain.chain import (Site, Tolerances, fused_twist, genericity_check, ind
                             make_chain, multi_indices, normalize_twist, random_chain)
 from sovchain.errors import (GenericityViolation, SimpleSpectrumViolation,
                              SingularTwistWarning)
+from sovchain.local_ops import kron_chain
 from conftest import TWIST_FULL
+from test_local_ops import _fresh_symmetric_basis
 
 
 def test_scalar_functions_hand_case(chain1):
@@ -129,6 +131,17 @@ def test_fused_twist_spectrum_general(level):
         [tw.k1 ** (level + 1 - h) * tw.k2 ** (h - 1) for h in range(1, level + 2)]))
     assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
     assert len(set(np.round(got, 8))) == level + 1
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_fused_twist_is_cached_and_read_only(level):
+    got = fused_twist(normalize_twist(TWIST_FULL), level)
+    assert got is fused_twist(TWIST_FULL.copy(), level)
+    u = _fresh_symmetric_basis(level)
+    fresh = u.conj().T @ kron_chain([TWIST_FULL] * level) @ u
+    assert np.array_equal(got, fresh)
+    with pytest.raises(ValueError):
+        got[0, 0] = 0.0
 
 
 def test_genericity_pass_and_fail():

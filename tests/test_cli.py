@@ -8,6 +8,8 @@ from sovchain import cli, make_chain
 from sovchain.cli import (ConfigError, chain_from_config, load_config, main,
                           parse_config, run)
 from sovchain.errors import SingularTwistWarning
+from sovchain.local_ops import kron_embed, lax, r_matrix
+from sovchain.numerics import frob, random_complex
 
 MINIMAL = """
 {
@@ -80,6 +82,74 @@ def test_run_verify_algebra_passes():
     report = run("verify-algebra", chain, samples=5)
     assert report["passed"]
     assert any(c["name"] == "algebra.ybe" for c in report["checks"])
+
+
+def _per_sample_ybe_rll(chain, samples):
+    """YBE and RLL rows by embedding R and L for every draw; returns (ybe, rll, rng after)."""
+    rng = chain.rng(100)
+    dims3 = [2, 2, 2]
+    ybe = 0.0
+    for _ in range(samples):
+        lam, mu = random_complex(rng, size=2, box=3.0)
+        r12 = kron_embed(r_matrix(lam - mu, chain.eta), [0, 1], dims3)
+        r13 = kron_embed(r_matrix(lam, chain.eta), [0, 2], dims3)
+        r23 = kron_embed(r_matrix(mu, chain.eta), [1, 2], dims3)
+        lhs = r12 @ r13 @ r23
+        ybe = max(ybe, frob(lhs - r23 @ r13 @ r12) / max(1.0, frob(lhs)))
+    rll = 0.0
+    for two_s in sorted({site.two_s for site in chain.sites} | {1, 2, 3}):
+        dims = [2, 2, two_s + 1]
+        for _ in range(samples):
+            lam, mu = random_complex(rng, size=2, box=3.0)
+            r12 = kron_embed(r_matrix(lam - mu, chain.eta), [0, 1], dims)
+            l1 = kron_embed(lax(lam, two_s, chain.eta), [0, 2], dims)
+            l2 = kron_embed(lax(mu, two_s, chain.eta), [1, 2], dims)
+            lhs = r12 @ l1 @ l2
+            rll = max(rll, frob(lhs - l2 @ l1 @ r12) / max(1.0, frob(lhs)))
+    return ybe, rll, rng
+
+
+@pytest.mark.parametrize("name", ["n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22",
+                                  "n3_mixed"])
+@pytest.mark.parametrize("samples", [0, 1, 20])
+def test_stacked_ybe_rll_match_per_sample_loop(name, samples, monkeypatch):
+    chain = chain_from_config(load_config(name))
+    ybe, rll, rng = _per_sample_ybe_rll(chain, samples)
+    seen = []
+    for fn in ("rtt_residual", "quantum_det_residual", "symmetry_residual"):
+        def record(chain, *points, fn=fn, real=getattr(cli, fn)):
+            seen.append((fn, points))
+            return real(chain, *points)
+        monkeypatch.setattr(cli, fn, record)
+    rows = {c["name"]: c["value"] for c in cli.suite_algebra(chain, samples)}
+    # both rows are roundoff-sized, so the relative bound is what shows the same draws
+    for got, want in ((rows["algebra.ybe"], ybe), (rows["algebra.rll"], rll)):
+        assert abs(got - want) <= 1e-15
+        assert got == pytest.approx(want, rel=1e-6, abs=0)
+    # the stacked blocks leave the generator where the loops did, so the later rows
+    # read the same points
+    pairs = max(4, samples // 2)
+    want = ([("rtt_residual", tuple(random_complex(rng, size=2, box=3.0))) for _ in range(pairs)]
+            + [("quantum_det_residual", (complex(random_complex(rng, box=3.0)),))
+               for _ in range(pairs)]
+            + [("symmetry_residual", (complex(random_complex(rng, box=3.0)),)) for _ in range(4)])
+    assert seen == want
+
+
+@pytest.mark.parametrize("fn, row", [("rtt_residual", "algebra.rtt"),
+                                     ("quantum_det_residual", "algebra.quantum_det"),
+                                     ("symmetry_residual", "algebra.twist_symmetry")])
+def test_algebra_row_fails_on_a_nan_sample(monkeypatch, fn, row):
+    chain = chain_from_config(load_config("n2_mixed"))
+    real, calls = getattr(cli, fn), []
+
+    def nan_on_second(*args):
+        calls.append(1)
+        return float("nan") if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(cli, fn, nan_on_second)
+    rows = {c["name"]: c for c in cli.suite_algebra(chain, 20)}
+    assert not rows[row]["passed"]
 
 
 def test_run_tolerance_override_forces_failure():

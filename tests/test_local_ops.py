@@ -159,6 +159,25 @@ def test_symmetric_basis_spans_projector(m):
     assert frob(u @ u.conj().T - symmetrizer(m)) < 1e-12
 
 
+def _fresh_symmetric_basis(m):
+    """Loop build of the symmetric basis, the reference for the cached one."""
+    basis = np.zeros((2 ** m, m + 1), dtype=complex)
+    for idx in range(2 ** m):
+        basis[idx, bin(idx).count("1")] = 1.0
+    return basis / np.sqrt(np.sum(np.abs(basis) ** 2, axis=0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_symmetric_basis_is_cached_and_read_only(m):
+    u = symmetric_basis(m)
+    assert u is symmetric_basis(m)
+    assert np.array_equal(u, _fresh_symmetric_basis(m))
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        symmetric_basis(0)
+
+
 def test_kron_embed_identity():
     dims = [2, 3, 2]
     out = kron_embed(np.eye(3), [1], dims)

@@ -3,8 +3,12 @@ import importlib
 import numpy as np
 import pytest
 
+from conftest import TWIST_FULL, XI_N3
+from sovchain import make_chain
 from sovchain.chain import ChainSpec, fused_twist
-from sovchain.local_ops import kron_chain, kron_embed, lax, r_matrix, symmetric_basis
+from sovchain.cli import chain_from_config, load_config
+from sovchain.local_ops import (kron_chain, kron_embed, lax, permutation_4x4, r_matrix,
+                                symmetric_basis)
 from sovchain.numerics import commutator_residual, frob, random_complex
 from sovchain.transfer import (TransferEvaluator, central_zero_residual,
                                fused_transfer_projector, monodromy_blocks, monodromy_matrix,
@@ -364,3 +368,173 @@ def test_evaluator_cache_is_exact(chain12, ev12):
     assert a is b
     c = ev12.fused(2, 0.5 + 0.25j)
     assert c is ev12.fused(2, 0.5 + 0.25j)
+
+
+# ---------------------------------------------------------------------------
+# leg-order kernel against the matrix-order oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_lax_chain(site_ops, start, twist=None, close=None):
+    """Matrix-order kernel: one tensordot and one transposed reshape after every site.
+
+    Returns twist . op_N ... op_1 . start as the (A D) x (R D) matrix on (aux) x H,
+    site 1 slowest, or with an R x A ``close`` the D x D trace tr(close . product).
+    """
+    ops = list(site_ops)
+    for left in (twist, close):
+        if left is not None:
+            ops[-1] = np.tensordot(left, ops[-1], axes=(1, 0))
+    a_dim, r_dim = start.shape
+    prod = start.reshape(a_dim, 1, r_dim, 1)
+    for n, op in enumerate(ops):
+        dk = prod.shape[1] * op.shape[1]
+        if close is not None and n == len(ops) - 1:
+            out = np.tensordot(op, prod, axes=([0, 2], [2, 0]))
+            return out.transpose(2, 0, 3, 1).reshape(dk, dk)
+        out = np.tensordot(op, prod, axes=(2, 0))
+        prod = out.transpose(0, 3, 1, 4, 5, 2).reshape(a_dim, dk, r_dim, dk)
+    return prod.reshape(a_dim * dk, r_dim * dk)
+
+
+def _oracle_rtt(chain, lam, mu, kernel):
+    laxes, aux = transfer_module._site_laxes, transfer_module._aux_product
+    kk = kron_chain([chain.twist.matrix] * 2)
+    r12, p12 = r_matrix(lam - mu, chain.eta), permutation_4x4()
+    pairs = list(zip(laxes(chain, lam), laxes(chain, mu)))
+    lhs = kernel([aux(p) for p in pairs], np.eye(4, dtype=complex), twist=r12 @ kk)
+    rhs = kernel([aux(p[::-1]) for p in pairs], p12 @ r12, twist=p12 @ kk)
+    return frob(lhs - rhs) / max(1.0, frob(lhs))
+
+
+def _oracle_quantum_det(chain, lam, kernel):
+    laxes, aux = transfer_module._site_laxes, transfer_module._aux_product
+    pairs = zip(laxes(chain, lam), laxes(chain, lam - chain.eta))
+    start = np.array([[0.0], [1.0], [-1.0], [0.0]], dtype=complex)
+    close = np.array([[0.0, 1.0, 0.0, 0.0]], dtype=complex)
+    op = kernel([aux(p) for p in pairs], start, twist=kron_chain([chain.twist.matrix] * 2),
+                close=close)
+    target = chain.det_q(lam) * np.eye(chain.dim, dtype=complex)
+    return frob(op - target) / max(1.0, frob(target), frob(op))
+
+
+def _oracle_symmetry(chain, lam, kernel):
+    k = chain.twist.matrix
+    pairs = [(fused_twist(k, site.two_s), op)
+             for site, op in zip(chain.sites, transfer_module._site_laxes(chain, lam))]
+    left = kernel([np.einsum("ij,ajbk->aibk", t, op) for t, op in pairs],
+                  np.eye(2, dtype=complex), twist=k)
+    right = kernel([np.einsum("ajbk,kl->ajbl", op, t) for t, op in pairs], k)
+    return frob(left - right) / max(1.0, frob(left))
+
+
+def _residuals(fns, reset):
+    out = []
+    for fn in fns:
+        reset()
+        out.append(fn())
+    return tuple(out)
+
+
+def _oracle_residuals(chain, lam, mu, kernel=_oracle_lax_chain, reset=lambda: None):
+    """RTT, quantum-determinant and symmetry residuals with both sides in matrix order."""
+    return _residuals((lambda: _oracle_rtt(chain, lam, mu, kernel),
+                       lambda: _oracle_quantum_det(chain, lam, kernel),
+                       lambda: _oracle_symmetry(chain, lam, kernel)), reset)
+
+
+def _leg_residuals(chain, lam, mu, reset=lambda: None):
+    """The library's residuals, both sides in leg order; ``reset`` runs before each."""
+    return _residuals((lambda: rtt_residual(chain, lam, mu),
+                       lambda: quantum_det_residual(chain, lam),
+                       lambda: symmetry_residual(chain, lam)), reset)
+
+
+def _chain121():
+    sites = [(1, XI_N3[0]), (2, XI_N3[1]), (1, XI_N3[2])]
+    return make_chain(1.0, sites, TWIST_FULL, seed=19)
+
+
+LEG_ORDER_CHAINS = ("n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22", "n3_mixed",
+                    "one_site_spin1", "spins_121")
+
+
+def _leg_order_chain(name):
+    if name == "one_site_spin1":
+        return make_chain(1.0, [(2, 0.37 - 0.52j)], TWIST_FULL, seed=5)
+    if name == "spins_121":
+        return _chain121()
+    return chain_from_config(load_config(name))
+
+
+@pytest.mark.parametrize("name", LEG_ORDER_CHAINS)
+def test_leg_order_residuals_match_matrix_order_oracle(name):
+    chain = _leg_order_chain(name)
+    rng = np.random.default_rng(61)
+    for lam, mu in random_complex(rng, size=(3, 2), box=3.0):
+        got, want = _leg_residuals(chain, lam, mu), _oracle_residuals(chain, lam, mu)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+
+
+@pytest.mark.parametrize("close", [False, True])
+def test_lax_chain_matches_matrix_order_oracle(chain123, close):
+    lam = 0.61 - 1.7j
+    ops = transfer_module._site_laxes(chain123, lam)
+    eye = np.eye(2, dtype=complex)
+    args = dict(twist=chain123.twist.matrix, close=eye if close else None)
+    got = transfer_module._lax_chain(ops, eye, **args)
+    want = _oracle_lax_chain(ops, eye, **args)
+    assert frob(got - want) <= 1e-14 * frob(want)
+
+
+def _perturb_first_call(kernel, calls):
+    """``kernel`` with entry (1, 1, 1, 1) of the middle site's operator moved by 1e-9
+    on its first call only, i.e. on one side of the identity."""
+    def perturbed(site_ops, *args, **kwargs):
+        ops = list(site_ops)
+        if not calls:
+            mid = len(ops) // 2
+            ops[mid] = ops[mid].copy()
+            ops[mid][1, 1, 1, 1] += 1e-9
+        calls.append(1)
+        return kernel(ops, *args, **kwargs)
+    return perturbed
+
+
+def test_leg_order_residuals_see_a_one_sided_perturbation(monkeypatch):
+    # a 1e-9 change of one middle-site entry on one side lifts each residual over
+    # its gate, and the leg-order value is the matrix-order value of the same defect
+    chain = _chain121()
+    lam, mu = 2.1 + 1.5j, -0.2 - 2.4j
+    clean = _leg_residuals(chain, lam, mu)
+    assert max(clean) < 1e-14
+    legs_calls, oracle_calls = [], []
+    monkeypatch.setattr(transfer_module, "_lax_legs",
+                        _perturb_first_call(transfer_module._lax_legs, legs_calls))
+    oracle = _perturb_first_call(_oracle_lax_chain, oracle_calls)
+    got = _leg_residuals(chain, lam, mu, reset=legs_calls.clear)
+    want = _oracle_residuals(chain, lam, mu, kernel=oracle, reset=oracle_calls.clear)
+    gates = (1e-11, 1e-10, 1e-10)   # algebra.rtt, algebra.quantum_det, algebra.twist_symmetry
+    assert all(g > gate for g, gate in zip(got, gates))
+    assert np.allclose(got, want, rtol=1e-6, atol=0)
+
+
+def test_evaluator_cache_is_read_only(chain12):
+    ev = TransferEvaluator(chain12)
+    lam = 0.5 + 0.25j
+    want = transfer(chain12, lam)
+    for arr in (ev.transfer(lam), ev.fused(0, lam), ev.fused(1, lam), ev.fused(2, lam)):
+        with pytest.raises(ValueError):
+            arr += 1.0
+    with pytest.raises(ValueError):
+        ev.transfer(lam)[0, 0] = 0.0
+    assert np.array_equal(ev.transfer(lam), want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_twist_power_is_cached_and_read_only(chain12, m):
+    key = chain12.twist.matrix.tobytes()
+    got = transfer_module._twist_power(key, m)
+    assert got is transfer_module._twist_power(key, m)
+    assert np.array_equal(got, kron_chain([chain12.twist.matrix] * m))
+    with pytest.raises(ValueError):
+        got[0, 0] = 0.0
