@@ -376,21 +376,22 @@ def _determinant_eigenvalues(closures):
 
 
 def q_operator_commutation_residual(qop: QOperator, evaluator, lams, mus) -> float:
-    worst = 0.0
+    """Worst [Q(lam), T(mu)] residual over the point pairs; a NaN pair makes it NaN."""
+    residuals = []
     for lam in lams:
         q = qop(lam)
         for mu in mus:
             tm = evaluator.transfer(mu)
-            worst = max(worst, frob(q @ tm - tm @ q) / max(1.0, frob(q) * frob(tm)))
-    return worst
+            residuals.append(frob(q @ tm - tm @ q) / max(1.0, frob(q) * frob(tm)))
+    return float(np.max(residuals, initial=0.0))
 
 
 def q_operator_tq_residual(qop: QOperator, evaluator, lams) -> float:
-    """Operator-level spectral-curve residual at the sample points."""
+    """Operator-level spectral-curve residual, worst over the sample points (NaN kept)."""
     chain = qop.chain
     eta = chain.eta
     k1 = chain.twist.k1
-    worst = 0.0
+    residuals = []
     for lam in lams:
         beta = k1 * chain.a(lam)
         alpha = beta * k1 * chain.a(lam - eta)
@@ -400,8 +401,8 @@ def q_operator_tq_residual(qop: QOperator, evaluator, lams) -> float:
         scale = max(1.0, abs(alpha) * frob(qop(lam - 2 * eta)),
                     abs(beta) * frob(evaluator.transfer(lam - eta)) * frob(qop(lam - eta)),
                     abs(chain.det_q(lam)) * frob(qop(lam)))
-        worst = max(worst, frob(op) / scale)
-    return worst
+        residuals.append(frob(op) / scale)
+    return float(np.max(residuals, initial=0.0))
 
 
 def q_operator_invertibility(qop: QOperator, cond_limit=1e8) -> dict:

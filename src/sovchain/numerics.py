@@ -13,7 +13,9 @@ CDTYPE = np.complex128
 
 
 def frob(x) -> float:
-    return float(np.linalg.norm(np.asarray(x)))
+    """Frobenius norm as one BLAS dot product, with no |x|^2 temporary."""
+    x = np.asarray(x)
+    return float(np.sqrt(np.vdot(x, x).real))
 
 
 def commutator_residual(a, b) -> float:

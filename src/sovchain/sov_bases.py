@@ -100,18 +100,16 @@ def _site_product_rows(source, per_site) -> np.ndarray:
 def _acting_blocks(chain: ChainSpec, lam: complex):
     """Blocks of the aux frame W^-1 M(lam) W and the frame twist K_bar = W^-1 K W.
 
-    Returns (block, K_bar). block(i, j) forms block (i, j) of the frame: the
-    sum of (W^-1)_ia W_bj M_ab over the blocks M_ab of ``monodromy_matrix``
-    with a nonzero coefficient, so M_ij itself when W = ``twist.w`` is the
-    identity (b != 0). The Sklyanin rows are eigencovectors of the frame's B
-    and are shifted by its A and D, with prefactors read off K_bar.
+    Returns (block, K_bar). block(i, j) grows block (i, j) of the frame
+    directly, as ``monodromy_matrix`` from start W e_j closed by e_i^T W^-1:
+    M_ij itself when W = ``twist.w`` is the identity (b != 0). The Sklyanin
+    rows are eigencovectors of the frame's B and are shifted by its A and D,
+    with prefactors read off K_bar.
     """
     w, w_inv = chain.twist.w, np.linalg.inv(chain.twist.w)
-    m = monodromy_matrix(chain, lam).reshape(2, chain.dim, 2, chain.dim)
 
     def block(i, j):
-        coeff = np.outer(w_inv[i], w[:, j])
-        return sum(coeff[a, b] * m[a, :, b] for a, b in zip(*np.nonzero(coeff)))
+        return monodromy_matrix(chain, lam, start=w[:, j:j + 1], close=w_inv[i:i + 1])
 
     return block, chain.twist.conjugated()
 
@@ -269,12 +267,12 @@ def b_eigen_report(basis: CovectorBasis, lams) -> float:
     (``_acting_blocks``).
     """
     points = _node_grid(basis.chain)[0]
-    worst = 0.0
+    residuals = []
     for lam in lams:
         block, kbar = _acting_blocks(basis.chain, lam)
         eig = kbar[0, 1] * np.prod(lam - points, axis=1)
-        worst = max(worst, _worst_row_residual(basis.rows @ block(0, 1), eig[:, None] * basis.rows))
-    return worst
+        residuals.append(_worst_row_residual(basis.rows @ block(0, 1), eig[:, None] * basis.rows))
+    return float(np.max(residuals, initial=0.0))
 
 
 def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
@@ -294,7 +292,7 @@ def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
     rows_interp = _Barycentric(points)   # one node set per row
     shape = chain.dims + (chain.dim,)
     cube = basis.rows.reshape(shape)
-    worst = {"a_action": 0.0, "d_action": 0.0}
+    residuals = {"a_action": [], "d_action": []}
     for lam in lams:
         block, kbar = _acting_blocks(chain, lam)
         diag = np.prod(lam - points, axis=1)
@@ -305,9 +303,9 @@ def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
             for n in range(n_sites):
                 dst, src = _neighbour_slices(n, step)
                 rhs[dst] += coeff[dst][..., n, None] * cube[src]
-            worst[key] = max(worst[key], _worst_row_residual(basis.rows @ block(i, i),
-                                                             rhs.reshape(chain.dim, -1)))
-    return worst
+            residuals[key].append(_worst_row_residual(basis.rows @ block(i, i),
+                                                      rhs.reshape(chain.dim, -1)))
+    return {key: float(np.max(vals, initial=0.0)) for key, vals in residuals.items()}
 
 
 def separate_action_report(basis: CovectorBasis, evaluator=None) -> float:
@@ -333,7 +331,7 @@ def _separate_action_residual(chain: ChainSpec, cube, ops_at) -> float:
     of the shift; their coefficients a (top node) and d (bottom node) vanish.
     """
     tail = cube.shape[chain.n_sites:]
-    worst = 0.0
+    residuals = []
     for n in range(chain.n_sites):
         nodes, a, d = chain.grid[n]
         slabs = np.moveaxis(cube, n, 0).reshape((len(nodes), -1) + tail)
@@ -341,9 +339,9 @@ def _separate_action_residual(chain: ChainSpec, cube, ops_at) -> float:
         for coeff, step in ((chain.twist.k1 * a, 1), (chain.twist.k2 * d, -1)):
             dst, src = _neighbour_slices(0, step)
             rhs[dst] += coeff[dst].reshape((-1,) + (1,) * (slabs.ndim - 1)) * slabs[src]
-        worst = max(worst, _worst_row_residual((slabs @ ops_at(nodes)).reshape(-1, tail[-1]),
-                                               rhs.reshape(-1, tail[-1])))
-    return worst
+        residuals.append(_worst_row_residual((slabs @ ops_at(nodes)).reshape(-1, tail[-1]),
+                                             rhs.reshape(-1, tail[-1])))
+    return float(np.max(residuals))
 
 
 def _node_grid(chain: ChainSpec):

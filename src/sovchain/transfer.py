@@ -7,6 +7,8 @@ residuals compare both sides in that order; RTT and symmetry subtract in
 place, so no third (4D)^2 or (2D)^2 array is made. ``_lax_chain`` turns leg
 order into matrix order by one final transpose, for the monodromy, the
 transfer matrix and the projector route, whose results are multiplied further.
+RTT, symmetry and the projector route take all their points at once and grow
+each into buffers allocated once per call, so no point faults in fresh pages.
 
 The fused transfer matrices are produced by the three-term recursion
 
@@ -56,13 +58,16 @@ class MonodromyBlocks:
     d: np.ndarray
 
 
-def monodromy_matrix(chain: ChainSpec, lam: complex) -> np.ndarray:
-    """Full 2D x 2D monodromy K_0 L_0N(lam - xi_N) ... L_01(lam - xi_1).
+def monodromy_matrix(chain: ChainSpec, lam: complex, start=None, close=None) -> np.ndarray:
+    """Monodromy K_0 L_0N(lam - xi_N) ... L_01(lam - xi_1), the auxiliary C^2 slowest.
 
-    The auxiliary C^2 is the slowest Kronecker factor. Built by
-    ``_lax_chain`` from I_2, one site at a time.
+    The full 2D x 2D matrix, built by ``_lax_chain`` from I_2 one site at a
+    time. With a 2 x R ``start`` and an R x 2 ``close`` it is the D x D
+    operator tr_0(close M start), grown without the 2D x 2D matrix: block
+    (i, j) of W^-1 M W from start W e_j and close e_i^T W^-1.
     """
-    return _lax_chain(_site_laxes(chain, lam), np.eye(2, dtype=CDTYPE), twist=chain.twist.matrix)
+    start = np.eye(2, dtype=CDTYPE) if start is None else start
+    return _lax_chain(_site_laxes(chain, lam), start, twist=chain.twist.matrix, close=close)
 
 
 def _site_laxes(chain: ChainSpec, lam: complex) -> list:
@@ -71,14 +76,17 @@ def _site_laxes(chain: ChainSpec, lam: complex) -> list:
             for site in chain.sites]
 
 
-def _lax_legs(site_ops, start, twist=None, close=None) -> np.ndarray:
+def _lax_legs(site_ops, start, twist=None, close=None, bufs=None) -> np.ndarray:
     """twist . op_N ... op_1 . start in leg order (A, j_N, k_N, ..., j_1, k_1, R).
 
     ``site_ops[n]`` has legs (A, d, A, d), ``start`` is A x R, ``twist`` A x A.
     The product so far stays an A x (rest) matrix, so each site costs one
     GEMM, (A d^2, A) @ (A, rest), and no transposed copy. With an R x A
     ``close`` the aux trace tr(close . product) is taken at the last site and
-    the legs are (j_N, k_N, ..., j_1, k_1).
+    the legs are (j_N, k_N, ..., j_1, k_1); that step first copies the
+    product with R slowest. Each write is a fresh array, or, with ``bufs`` a
+    pair of flat buffers that each hold the largest write (A R D^2 entries
+    open), alternates between them: the result is a view of ``bufs[0]``.
     """
     ops = list(site_ops)
     for left in (twist, close):
@@ -86,17 +94,31 @@ def _lax_legs(site_ops, start, twist=None, close=None) -> np.ndarray:
             ops[-1] = np.tensordot(left, ops[-1], axes=(1, 0))
     legs = [ops[-1].shape[0], *(d for op in reversed(ops) for d in op.shape[1::2]), start.shape[1]]
     last, prod = ops.pop() if close is not None else None, start
-    for op in ops:
-        prod = op.transpose(0, 1, 3, 2).reshape(-1, op.shape[2]) @ prod.reshape(op.shape[2], -1)
+    writes = len(ops) + (0 if last is None else 2)
+
+    def dest(k, rows, cols):    # write k of ``writes``; the last one lands in bufs[0]
+        buf = np.empty(rows * cols, dtype=CDTYPE) if bufs is None else bufs[(writes - 1 - k) % 2]
+        return buf[:rows * cols].reshape(rows, cols)
+
+    for k, op in enumerate(ops):
+        lhs = op.transpose(0, 1, 3, 2).reshape(-1, op.shape[2])
+        rhs = prod.reshape(op.shape[2], -1)
+        prod = np.matmul(lhs, rhs, out=dest(k, lhs.shape[0], rhs.shape[1]))
     if last is None:
         return prod.reshape(legs)
-    prod = prod.reshape(last.shape[2], -1, legs[-1])
-    return np.tensordot(last, prod, axes=([0, 2], [2, 0])).reshape(legs[1:-1])
+    # tr(close . product) = sum over (R, A) of last[r, j, a, k] prod[a, rest, r]
+    r_dim, a_dim = last.shape[0], last.shape[2]
+    prod = prod.reshape(a_dim, -1, r_dim).transpose(2, 0, 1)
+    rhs = dest(len(ops), r_dim * a_dim, prod.shape[2])
+    np.copyto(rhs.reshape(prod.shape), prod)
+    lhs = last.transpose(1, 3, 0, 2).reshape(-1, r_dim * a_dim)
+    return np.dot(lhs, rhs, out=dest(len(ops) + 1, lhs.shape[0], rhs.shape[1])).reshape(legs[1:-1])
 
 
-def _lax_chain(site_ops, start, twist=None, close=None) -> np.ndarray:
-    """``_lax_legs`` as an (A D) x (R D) matrix, or D x D with ``close``, site 1 slowest."""
-    legs = _lax_legs(site_ops, start, twist, close)
+def _lax_chain(site_ops, start, twist=None, close=None, bufs=None) -> np.ndarray:
+    """``_lax_legs`` as an (A D) x (R D) matrix, or D x D with ``close``, site 1 slowest
+    (a view of ``bufs`` when the transpose is trivial, N = 1)."""
+    legs = _lax_legs(site_ops, start, twist, close, bufs)
     n, off = len(site_ops), int(close is None)
     sites = list(range(off + 2 * n - 2, off - 1, -2))    # leg j_n of site n = 1..N; k_n follows
     rows, cols = [0] * off + sites, [2 * n + 1] * off + [j + 1 for j in sites]
@@ -168,22 +190,30 @@ class TransferEvaluator:
         return out
 
 
-def fused_transfer_projector(chain: ChainSpec, level: int, lam: complex) -> np.ndarray:
+def fused_transfer_projector(chain: ChainSpec, level: int, lam) -> np.ndarray:
     """Fused transfer matrix via the symmetrized auxiliary-space product.
 
     Independent of the recursion: M_0(lam + (level-1) eta) ... M_{level-1}(lam),
     M_i on aux leg i of (C^2)^{x level} and on H, traced against the orthonormal
     symmetric-subspace basis U. It equals K^{x level} G_N ... G_1 with site
     operators G_n = L_0n(lam + (level-1) eta) ... L_{level-1,n}(lam), grown
-    from U and closed by U^dagger.
+    from U and closed by U^dagger. ``lam`` is one point (a D x D result) or an
+    array of points (one D x D matrix per point), all grown through one buffer pair.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    laxes = [_site_laxes(chain, lam + (level - 1 - i) * chain.eta) for i in range(level)]
-    ops = [_aux_product(per_leg) for per_leg in zip(*laxes)]
+    lams = np.asarray(lam, dtype=CDTYPE)
     u = symmetric_basis(level)
     kk = _twist_power(chain.twist.matrix.tobytes(), level)
-    return _lax_chain(ops, u, twist=kk, close=u.conj().T)
+    # the largest write: the product of sites 1..N-1 (A R (D / d_N)^2 entries) or D^2
+    size = max(2 ** level * (level + 1) * (chain.dim // chain.dims[-1]) ** 2, chain.dim ** 2)
+    bufs, out = np.empty((2, size), dtype=CDTYPE), np.empty(lams.shape + (chain.dim,) * 2, CDTYPE)
+    for z, dest in zip(lams.ravel(), out.reshape(-1, chain.dim, chain.dim)):
+        laxes = [_site_laxes(chain, complex(z) + (level - 1 - i) * chain.eta)
+                 for i in range(level)]
+        ops = [_aux_product(per_leg) for per_leg in zip(*laxes)]
+        dest[...] = _lax_chain(ops, u, twist=kk, close=u.conj().T, bufs=bufs)
+    return out
 
 
 def tridiagonal_operator_det(diag, sup, sub) -> np.ndarray:
@@ -207,18 +237,24 @@ def tridiagonal_operator_det(diag, sup, sub) -> np.ndarray:
 # identity checks
 # ---------------------------------------------------------------------------
 
-def rtt_residual(chain: ChainSpec, lam: complex, mu: complex) -> float:
-    """Exchange-relation residual of R12 M1(lam) M2(mu) = M2(mu) M1(lam) R12.
+def rtt_residual(chain: ChainSpec, lams, mus) -> np.ndarray:
+    """Exchange-relation residual of R12 M1(lam) M2(mu) = M2(mu) M1(lam) R12, one per pair.
 
     Grown on the aux space C^2 x C^2: M1(lam) M2(mu) = (K x K) prod_n
-    L_1n(lam) L_2n(mu), and M2(mu) M1(lam) = P12 M1(mu) M2(lam) P12.
+    L_1n(lam) L_2n(mu), and M2(mu) M1(lam) = P12 M1(mu) M2(lam) P12. Every
+    pair's two sides are grown into the same three buffers.
     """
-    kk = _twist_power(chain.twist.matrix.tobytes(), 2)
-    r12, p12 = r_matrix(lam - mu, chain.eta), permutation_4x4()
-    pairs = list(zip(_site_laxes(chain, lam), _site_laxes(chain, mu)))
-    lhs = _lax_legs([_aux_product(p) for p in pairs], np.eye(4, dtype=CDTYPE), twist=r12 @ kk)
-    rhs = _lax_legs([_aux_product(p[::-1]) for p in pairs], p12 @ r12, twist=p12 @ kk)
-    return frob(np.subtract(rhs, lhs, out=rhs)) / max(1.0, frob(lhs))
+    kk, p12 = _twist_power(chain.twist.matrix.tobytes(), 2), permutation_4x4()
+    eye, bufs = np.eye(4, dtype=CDTYPE), np.empty((3, 16 * chain.dim ** 2), dtype=CDTYPE)
+    out = []
+    for lam, mu in zip(lams, mus, strict=True):
+        r12 = r_matrix(lam - mu, chain.eta)
+        pairs = list(zip(_site_laxes(chain, lam), _site_laxes(chain, mu)))
+        lhs = _lax_legs([_aux_product(p) for p in pairs], eye, twist=r12 @ kk, bufs=bufs[:2])
+        rhs = _lax_legs([_aux_product(p[::-1]) for p in pairs], p12 @ r12, twist=p12 @ kk,
+                        bufs=bufs[:0:-1])
+        out.append(frob(np.subtract(rhs, lhs, out=rhs)) / max(1.0, frob(lhs)))
+    return np.array(out)
 
 
 def quantum_det_residual(chain: ChainSpec, lam: complex) -> float:
@@ -240,18 +276,24 @@ def quantum_det_residual(chain: ChainSpec, lam: complex) -> float:
     return frob(op - target) / max(1.0, frob(target), frob(op))
 
 
-def symmetry_residual(chain: ChainSpec, lam: complex, k_matrix=None) -> float:
+def symmetry_residual(chain: ChainSpec, lams, k_matrix=None) -> np.ndarray:
     """Residual of [M^(I)(lam), K] = 0, K = K_0 (x) prod_n K^(2s_n), relative to ||K M^(I)||.
 
-    Grown as K M^(I) = K_0 prod_n (K_n L_0n) and M^(I) K = prod_n (L_0n K_n) K_0.
+    One residual per point of ``lams``, each grown as K M^(I) = K_0 prod_n (K_n L_0n)
+    and M^(I) K = prod_n (L_0n K_n) K_0 into the same three buffers.
     """
     k = chain.twist.matrix if k_matrix is None else np.asarray(k_matrix, dtype=CDTYPE)
-    pairs = [(fused_twist(k, site.two_s), op)
-             for site, op in zip(chain.sites, _site_laxes(chain, lam))]
-    left = _lax_legs([np.einsum("ij,ajbk->aibk", t, op) for t, op in pairs],
-                     np.eye(2, dtype=CDTYPE), twist=k)
-    right = _lax_legs([np.einsum("ajbk,kl->ajbl", op, t) for t, op in pairs], k)
-    return frob(np.subtract(right, left, out=right)) / max(1.0, frob(left))
+    site_twists = [fused_twist(k, site.two_s) for site in chain.sites]
+    eye, bufs = np.eye(2, dtype=CDTYPE), np.empty((3, 4 * chain.dim ** 2), dtype=CDTYPE)
+    out = []
+    for lam in lams:
+        pairs = list(zip(site_twists, _site_laxes(chain, lam)))
+        left = _lax_legs([np.einsum("ij,ajbk->aibk", t, op) for t, op in pairs], eye, twist=k,
+                         bufs=bufs[:2])
+        right = _lax_legs([np.einsum("ajbk,kl->ajbl", op, t) for t, op in pairs], k,
+                          bufs=bufs[:0:-1])
+        out.append(frob(np.subtract(right, left, out=right)) / max(1.0, frob(left)))
+    return np.array(out)
 
 
 @functools.lru_cache(maxsize=64)

@@ -65,9 +65,8 @@ def test_criterion_1_algebra_suite(chain12):
             l2 = kron_embed(lax(mu, two_s, chain12.eta), [1, 2], dims)
             lhs = r12 @ l1 @ l2
             worst = max(worst, frob(lhs - l2 @ l1 @ r12) / max(1.0, frob(lhs)))
-    for _ in range(20):
-        lam, mu = random_complex(rng, size=2, box=3.0)
-        worst = max(worst, rtt_residual(chain12, lam, mu))
+    lams, mus = np.array([random_complex(rng, size=2, box=3.0) for _ in range(20)]).T
+    worst = max(worst, np.max(rtt_residual(chain12, lams, mus)))
     assert worst < 1e-11
     _report("criterion 1 (algebra suite)", f"max YBE/RLL/RTT residual {worst:.2e} < 1e-11")
 
@@ -89,11 +88,10 @@ def test_criterion_3_fusion_routes_and_central_zeros(chain12, ev12, chain112, ev
     rng = np.random.default_rng(1003)
     worst_route = 0.0
     for chain, ev in ((chain12, ev12), (chain112, ev112)):
-        for _ in range(3):
-            lam = complex(random_complex(rng, box=2.5))
-            for level in (1, 2, 3):
+        lams = [complex(random_complex(rng, box=2.5)) for _ in range(3)]
+        for level in (1, 2, 3):
+            for lam, proj in zip(lams, fused_transfer_projector(chain, level, lams)):
                 rec = ev.fused(level, lam)
-                proj = fused_transfer_projector(chain, level, lam)
                 worst_route = max(worst_route, frob(rec - proj) / max(1.0, frob(proj)))
     worst_zero = 0.0
     for chain, ev in ((chain12, ev12), (chain112, ev112)):

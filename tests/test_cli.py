@@ -10,6 +10,7 @@ from sovchain.cli import (ConfigError, chain_from_config, load_config, main,
 from sovchain.errors import SingularTwistWarning
 from sovchain.local_ops import kron_embed, lax, r_matrix
 from sovchain.numerics import frob, random_complex
+from sovchain.transfer import TransferEvaluator, monodromy_matrix
 
 MINIMAL = """
 {
@@ -118,7 +119,8 @@ def test_stacked_ybe_rll_match_per_sample_loop(name, samples, monkeypatch):
     seen = []
     for fn in ("rtt_residual", "quantum_det_residual", "symmetry_residual"):
         def record(chain, *points, fn=fn, real=getattr(cli, fn)):
-            seen.append((fn, points))
+            # one entry per sample point: RTT and symmetry take all their points at once
+            seen.extend((fn, p) for p in zip(*(np.atleast_1d(x) for x in points)))
             return real(chain, *points)
         monkeypatch.setattr(cli, fn, record)
     rows = {c["name"]: c["value"] for c in cli.suite_algebra(chain, samples)}
@@ -136,20 +138,82 @@ def test_stacked_ybe_rll_match_per_sample_loop(name, samples, monkeypatch):
     assert seen == want
 
 
-@pytest.mark.parametrize("fn, row", [("rtt_residual", "algebra.rtt"),
-                                     ("quantum_det_residual", "algebra.quantum_det"),
-                                     ("symmetry_residual", "algebra.twist_symmetry")])
-def test_algebra_row_fails_on_a_nan_sample(monkeypatch, fn, row):
-    chain = chain_from_config(load_config("n2_mixed"))
-    real, calls = getattr(cli, fn), []
+def _spoil(real, mode):
+    """``real`` with one sample read as NaN: ``("call", k)`` spoils the k-th call's whole
+    result, ``"sample"`` entry 1 of the one call's per-sample result."""
+    calls = []
 
-    def nan_on_second(*args):
+    def spoiled(*args, **kwargs):
+        out = real(*args, **kwargs)
         calls.append(1)
-        return float("nan") if len(calls) == 2 else real(*args)
+        if mode == "sample":
+            out = np.array(out)
+            out[1] = np.nan
+        elif len(calls) == mode[1]:
+            out = out * np.nan
+        return out
 
-    monkeypatch.setattr(cli, fn, nan_on_second)
-    rows = {c["name"]: c for c in cli.suite_algebra(chain, 20)}
+    return spoiled
+
+
+# one case per fold of sample residuals into a row; np.max keeps a NaN sample, a
+# max(worst, x) fold from worst = 0.0 drops it and the row passes
+NAN_FOLDS = [
+    ("verify-algebra", "rtt_residual", "sample", "algebra.rtt"),
+    ("verify-algebra", "quantum_det_residual", ("call", 2), "algebra.quantum_det"),
+    ("verify-algebra", "symmetry_residual", "sample", "algebra.twist_symmetry"),
+    ("verify-algebra", "frob", ("call", 2), "algebra.spin_relations"),
+    ("verify-fusion", "commutator_residual", ("call", 2), "fusion.commuting_family"),
+    ("verify-fusion", "fused_transfer_projector", "sample", "fusion.route_equivalence"),
+    ("verify-fusion", "central_zero_residual", ("call", 2), "fusion.central_zeros"),
+    ("verify-fusion", "tridiagonal_operator_det", ("call", 2), "fusion.tridiagonal_determinant"),
+    ("verify-fusion", "_multiset_distance", ("call", 2), "fusion.fused_twist_spectrum"),
+    ("qop", "frob", ("call", 1), "qop.method_agreement"),
+]
+
+
+@pytest.mark.parametrize("command, fn, mode, row", NAN_FOLDS,
+                         ids=[f"{case[1]}-{case[3]}" for case in NAN_FOLDS])
+def test_algebra_row_fails_on_a_nan_sample(monkeypatch, command, fn, mode, row):
+    chain = chain_from_config(load_config("n2_mixed"))
+    monkeypatch.setattr(cli, fn, _spoil(getattr(cli, fn), mode))
+    rows = {c["name"]: c for c in run(command, chain, samples=20)["checks"]}
     assert not rows[row]["passed"]
+
+
+def _nan_at(real, bad):
+    """``real``, read as NaN when its last positional argument (the point) is ``bad``."""
+    def spoiled(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return out * np.nan if args[-1] == bad else out
+    return spoiled
+
+
+@pytest.mark.parametrize("row", ["qop.commutes_with_transfer", "qop.operator_tq_equation",
+                                 "basis.sov2.separate_action", "basis.sklyanin.b_eigen",
+                                 "basis.sklyanin.a_shift"])
+def test_library_fold_keeps_a_nan_sample(monkeypatch, row):
+    # the folds inside the Q-operator and SoV reports: one NaN point spoils the value
+    from sovchain import baxter, sov_bases
+
+    chain = chain_from_config(load_config("n2_mixed"))
+    ctx, ev, spoiled = cli._RunContext(chain), TransferEvaluator(chain), TransferEvaluator(chain)
+    lams = [0.4 + 0.3j, -1.1 + 0.7j, 0.9 - 1.3j]
+    if row == "qop.commutes_with_transfer":
+        spoiled.transfer = _nan_at(ev.transfer, lams[1])
+        value = baxter.q_operator_commutation_residual(ctx.q_operator(ev), spoiled, lams[:1], lams)
+    elif row == "qop.operator_tq_equation":
+        spoiled.transfer = _nan_at(ev.transfer, lams[1] - chain.eta)
+        value = baxter.q_operator_tq_residual(ctx.q_operator(ev), spoiled, lams)
+    elif row == "basis.sov2.separate_action":
+        spoiled.transfer = _nan_at(ev.transfer, chain.node(1, 0))
+        value = sov_bases.separate_action_report(ctx.sov2(ev), spoiled)
+    else:
+        skl = ctx.sklyanin()
+        monkeypatch.setattr(sov_bases, "monodromy_matrix", _nan_at(monodromy_matrix, lams[1]))
+        value = (sov_bases.b_eigen_report(skl, lams) if row == "basis.sklyanin.b_eigen"
+                 else np.max(list(sov_bases.shift_action_report(skl, lams).values())))
+    assert np.isnan(value)
 
 
 def test_run_tolerance_override_forces_failure():

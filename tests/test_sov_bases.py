@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sovchain.chain import fused_twist, make_chain, multi_indices, random_chain
+from sovchain.cli import chain_from_config, load_config
 from sovchain.errors import DegenerateBasis
 from sovchain.local_ops import kron_chain
 from sovchain.numerics import commutator_residual, frob, random_complex
@@ -11,7 +12,7 @@ from sovchain.sov_bases import (CovectorBasis, _acting_blocks, _require_full_ran
                                 shift_action_report, sklyanin_basis, sklyanin_norm,
                                 sov_basis_1, sov_basis_2, tensor_generating_covector)
 from sovchain.transfer import (TransferEvaluator, _lax_chain, _site_laxes, monodromy_blocks,
-                               reference_covector)
+                               monodromy_matrix, reference_covector)
 from conftest import TWIST_DIAG, TWIST_FULL, XI_N2
 
 # b = 0 twists: diagonal, lower triangular, lower triangular with equal eigenvalues,
@@ -415,3 +416,31 @@ def test_frame_is_the_plain_monodromy_for_b_nonzero(chain12):
     for (i, j), want in zip(FRAME_BLOCKS, (plain.a, plain.b, plain.c, plain.d)):
         assert np.array_equal(block(i, j), want)
     assert np.array_equal(kbar, chain12.twist.matrix)
+
+
+def _summed_monodromy_blocks(chain, lam):
+    """Frame blocks as sums of the 2D x 2D monodromy's blocks, (W^-1)_ia W_bj M_ab."""
+    w, w_inv = chain.twist.w, np.linalg.inv(chain.twist.w)
+    m = monodromy_matrix(chain, lam).reshape(2, chain.dim, 2, chain.dim)
+
+    def block(i, j):
+        coeff = np.outer(w_inv[i], w[:, j])
+        return sum(coeff[a, b] * m[a, :, b] for a, b in zip(*np.nonzero(coeff)))
+
+    return block
+
+
+@pytest.mark.parametrize("name", ["n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22",
+                                  "n3_mixed", "spins_121", "spins_121_mixing"])
+def test_direct_frame_blocks_match_summed_monodromy_blocks(name):
+    if name.startswith("spins_121"):
+        twist = B_ZERO_TWISTS["mixing"] if name.endswith("mixing") else TWIST_FULL
+        chain = random_chain((1, 2, 1), 1.0, twist, seed=7)
+    else:
+        chain = chain_from_config(load_config(name))
+    for lam in (0.3 - 0.7j, -1.4 + 2.2j, chain.node(0, 0), chain.node(chain.n_sites - 1, 1)):
+        block, _ = _acting_blocks(chain, lam)
+        want = _summed_monodromy_blocks(chain, lam)
+        for i, j in FRAME_BLOCKS:
+            ref = want(i, j)
+            assert frob(block(i, j) - ref) <= 1e-15 * frob(ref)

@@ -31,6 +31,17 @@ def test_hand_case_oracle(chain1):
         assert abs(rec.t(lam) - want) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22",
+                                  "n3_mixed"])
+def test_oracle_node_values_equal_the_per_record_products_bitwise(name):
+    chain = chain_from_config(load_config(name))
+    ev = TransferEvaluator(chain)
+    for rec in brute_force_spectrum(chain, evaluator=ev):
+        want = [rec.left @ ev.transfer(chain.node(a, 0)) @ rec.vector
+                for a in range(chain.n_sites)]
+        assert np.array_equal(rec.t.x, want)
+
+
 def test_oracle_x_tuples_distinct(chain12):
     records = brute_force_spectrum(chain12)
     assert len(records) == chain12.dim

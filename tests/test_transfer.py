@@ -155,21 +155,25 @@ def test_reference_covector_actions(chain12):
 def test_rtt_exchange(chain12, chain112):
     rng = np.random.default_rng(2)
     for chain in (chain12, chain112):
-        for _ in range(5):
-            lam, mu = random_complex(rng, size=2, box=3.0)
-            assert rtt_residual(chain, lam, mu) < 1e-11
+        lams, mus = np.array([random_complex(rng, size=2, box=3.0) for _ in range(5)]).T
+        assert np.max(rtt_residual(chain, lams, mus)) < 1e-11
+
+
+def test_rtt_points_must_pair_up(chain12):
+    with pytest.raises(ValueError):
+        rtt_residual(chain12, [0.3 + 0.1j, -0.2j], [1.1 - 0.4j])
 
 
 def test_rtt_matches_dense_product(chain123, monkeypatch):
     rng = np.random.default_rng(35)
     lam, mu = random_complex(rng, size=2, box=3.0)
     r12 = r_matrix(lam - mu, chain123.eta)
-    assert rtt_residual(chain123, lam, mu) < 1e-13
+    assert rtt_residual(chain123, [lam], [mu])[0] < 1e-13
     assert _dense_rtt_residual(chain123, lam, mu, r12) < 1e-13
     # an R-matrix with a wrong eta breaks the exchange relation; both routes must see it
     wrong = r_matrix(lam - mu, chain123.eta * (1 + 1e-6))
     monkeypatch.setattr(transfer_module, "r_matrix", lambda z, eta: wrong)
-    got = rtt_residual(chain123, lam, mu)
+    got = rtt_residual(chain123, [lam], [mu])[0]
     want = _dense_rtt_residual(chain123, lam, mu, wrong)
     assert got > 1e-8
     assert abs(got - want) <= 1e-8 * want
@@ -306,20 +310,21 @@ def test_quantum_det_balance_at_bottom_node(chain12):
 
 
 def test_symmetry_commutation(chain12):
-    assert symmetry_residual(chain12, 0.52 + 0.11j, k_matrix=np.eye(2)) < 1e-14
+    assert symmetry_residual(chain12, [0.52 + 0.11j], k_matrix=np.eye(2))[0] < 1e-14
     rng = np.random.default_rng(12)
     for _ in range(3):
         k = random_complex(rng, size=(2, 2))
         lam = complex(random_complex(rng, box=3.0))
-        assert symmetry_residual(chain12, lam, k_matrix=k) < 1e-10
+        assert symmetry_residual(chain12, [lam], k_matrix=k)[0] < 1e-10
 
 
 def test_symmetry_matches_dense_commutator(chain123):
     rng = np.random.default_rng(14)
     k = chain123.twist.matrix
     site_twists = [fused_twist(k, site.two_s) for site in chain123.sites]
-    for lam in random_complex(rng, size=2, box=3.0):
-        assert symmetry_residual(chain123, lam) < 1e-13
+    lams = random_complex(rng, size=2, box=3.0)
+    assert np.max(symmetry_residual(chain123, lams)) < 1e-13
+    for lam in lams:
         assert _dense_twist_commutator(chain123, lam, k, site_twists) < 1e-13
 
 
@@ -334,14 +339,14 @@ def test_symmetry_detects_a_wrong_site_twist(chain123, monkeypatch):
     k = chain123.twist.matrix
     site_twists = [wrong_fused_twist(k, site.two_s) for site in chain123.sites]
     lam = 0.7 - 0.4j
-    got = symmetry_residual(chain123, lam)
+    got = symmetry_residual(chain123, [lam])[0]
     want = _dense_twist_commutator(chain123, lam, k, site_twists)
     assert got > 1e-8
     assert abs(got - want) <= 1e-8 * want
 
 
 def test_single_site_symmetry_reduces_to_local(chain1):
-    assert symmetry_residual(chain1, 0.4 - 1.2j) < 1e-12
+    assert symmetry_residual(chain1, [0.4 - 1.2j])[0] < 1e-12
 
 
 def test_transfer_is_degree_n_polynomial(chain12, chain112):
@@ -444,9 +449,9 @@ def _oracle_residuals(chain, lam, mu, kernel=_oracle_lax_chain, reset=lambda: No
 
 def _leg_residuals(chain, lam, mu, reset=lambda: None):
     """The library's residuals, both sides in leg order; ``reset`` runs before each."""
-    return _residuals((lambda: rtt_residual(chain, lam, mu),
+    return _residuals((lambda: rtt_residual(chain, [lam], [mu])[0],
                        lambda: quantum_det_residual(chain, lam),
-                       lambda: symmetry_residual(chain, lam)), reset)
+                       lambda: symmetry_residual(chain, [lam])[0]), reset)
 
 
 def _chain121():
@@ -538,3 +543,100 @@ def test_twist_power_is_cached_and_read_only(chain12, m):
     assert np.array_equal(got, kron_chain([chain12.twist.matrix] * m))
     with pytest.raises(ValueError):
         got[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# buffered products against the per-sample kernel
+# ---------------------------------------------------------------------------
+
+def _fresh_lax_legs(site_ops, start, twist=None, close=None):
+    """The leg-order kernel with a fresh array for every site's GEMM and a tensordot close."""
+    ops = list(site_ops)
+    for left in (twist, close):
+        if left is not None:
+            ops[-1] = np.tensordot(left, ops[-1], axes=(1, 0))
+    legs = [ops[-1].shape[0], *(d for op in reversed(ops) for d in op.shape[1::2]), start.shape[1]]
+    last, prod = ops.pop() if close is not None else None, start
+    for op in ops:
+        prod = op.transpose(0, 1, 3, 2).reshape(-1, op.shape[2]) @ prod.reshape(op.shape[2], -1)
+    if last is None:
+        return prod.reshape(legs)
+    prod = prod.reshape(last.shape[2], -1, legs[-1])
+    return np.tensordot(last, prod, axes=([0, 2], [2, 0])).reshape(legs[1:-1])
+
+
+def _per_sample_rtt(chain, lam, mu):
+    """One point pair's RTT residual, both sides in fresh arrays."""
+    aux = transfer_module._aux_product
+    kk = kron_chain([chain.twist.matrix] * 2)
+    r12, p12 = r_matrix(lam - mu, chain.eta), permutation_4x4()
+    pairs = list(zip(transfer_module._site_laxes(chain, lam),
+                     transfer_module._site_laxes(chain, mu)))
+    lhs = _fresh_lax_legs([aux(p) for p in pairs], np.eye(4, dtype=complex), twist=r12 @ kk)
+    rhs = _fresh_lax_legs([aux(p[::-1]) for p in pairs], p12 @ r12, twist=p12 @ kk)
+    return frob(np.subtract(rhs, lhs, out=rhs)) / max(1.0, frob(lhs))
+
+
+def _per_sample_symmetry(chain, lam):
+    """One point's twist-symmetry residual, both sides in fresh arrays."""
+    k = chain.twist.matrix
+    pairs = [(fused_twist(k, site.two_s), op)
+             for site, op in zip(chain.sites, transfer_module._site_laxes(chain, lam))]
+    left = _fresh_lax_legs([np.einsum("ij,ajbk->aibk", t, op) for t, op in pairs],
+                           np.eye(2, dtype=complex), twist=k)
+    right = _fresh_lax_legs([np.einsum("ajbk,kl->ajbl", op, t) for t, op in pairs], k)
+    return frob(np.subtract(right, left, out=right)) / max(1.0, frob(left))
+
+
+def _per_point_projector(chain, level, lam):
+    """One point's projector-route fused transfer matrix, grown in fresh arrays."""
+    laxes = [transfer_module._site_laxes(chain, lam + (level - 1 - i) * chain.eta)
+             for i in range(level)]
+    ops = [transfer_module._aux_product(per_leg) for per_leg in zip(*laxes)]
+    u = symmetric_basis(level)
+    legs = _fresh_lax_legs(ops, u, twist=kron_chain([chain.twist.matrix] * level),
+                           close=u.conj().T)
+    n = chain.n_sites
+    sites = list(range(2 * n - 2, -1, -2))
+    return legs.transpose(sites + [j + 1 for j in sites]).reshape(chain.dim, chain.dim)
+
+
+BUFFER_CHAINS = ("n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22", "n3_mixed",
+                 "spins_121")
+
+
+@pytest.mark.parametrize("name", BUFFER_CHAINS)
+def test_buffered_products_equal_the_per_sample_kernel_bitwise(name):
+    chain = _leg_order_chain(name)
+    lams, mus = (list(map(complex, z)) for z in random_complex(np.random.default_rng(62),
+                                                                size=(2, 4), box=3.0))
+    assert np.array_equal(rtt_residual(chain, lams, mus),
+                          [_per_sample_rtt(chain, lam, mu) for lam, mu in zip(lams, mus)])
+    assert np.array_equal(symmetry_residual(chain, lams),
+                          [_per_sample_symmetry(chain, lam) for lam in lams])
+    for level in (1, 2, 3):
+        got = fused_transfer_projector(chain, level, lams)
+        assert got.shape == (len(lams), chain.dim, chain.dim)
+        assert np.array_equal(got, [_per_point_projector(chain, level, lam) for lam in lams])
+        assert np.array_equal(fused_transfer_projector(chain, level, lams[1]), got[1])
+
+
+@pytest.mark.parametrize("name", BUFFER_CHAINS + ("one_site_spin1",))
+def test_level_one_projector_is_the_transfer_bitwise(name):
+    # symmetric_basis(1) is I_2 and K^{x 1} is K, so the level-1 projector route makes the
+    # transfer's own kernel call: comparing the two at level 1 checks nothing
+    chain = _leg_order_chain(name)
+    lams = [complex(z) for z in random_complex(np.random.default_rng(63), size=5, box=2.5)]
+    got = fused_transfer_projector(chain, 1, lams)
+    assert all(np.array_equal(g, transfer(chain, lam)) for g, lam in zip(got, lams))
+
+
+def test_buffered_kernel_leaves_its_result_in_the_first_buffer(chain123):
+    lam = 0.3 - 0.8j
+    ops = transfer_module._site_laxes(chain123, lam)
+    eye = np.eye(2, dtype=complex)
+    for close in (None, eye):
+        bufs = np.empty((2, 4 * chain123.dim ** 2), dtype=complex)
+        want = transfer_module._lax_legs(ops, eye, chain123.twist.matrix, close)
+        got = transfer_module._lax_legs(ops, eye, chain123.twist.matrix, close, bufs)
+        assert np.shares_memory(got, bufs[0]) and np.array_equal(got, want)
