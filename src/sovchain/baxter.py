@@ -31,15 +31,12 @@ from .sov_bases import CovectorBasis, _require_full_rank, sklyanin_basis
 from .spectrum import TransferPolynomial, _site_product, _sov2_array
 
 __all__ = [
-    "q_values",
     "QPolynomial",
     "CZetaSystem",
     "default_zeta",
     "solve_q_polynomial",
     "q_coefficients",
     "tq_residual",
-    "tq_residual_shifted",
-    "degenerate_q_closed_form",
     "wronskian_values",
     "QOperator",
     "build_q_operator",
@@ -49,12 +46,6 @@ __all__ = [
     "sov_from_q",
     "sov_q_factorization",
 ]
-
-
-def q_values(t: TransferPolynomial) -> dict:
-    """``t.checked_grid_ratios`` keyed by (n, h)."""
-    return {(n, h): complex(val) for n, ratios in enumerate(t.checked_grid_ratios)
-            for h, val in enumerate(ratios)}
 
 
 class _Interpolation:
@@ -226,12 +217,6 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10, root_f
     return qpolys if t.x.ndim > 1 else qpolys[0]
 
 
-def _seeded_points(chain: ChainSpec, salt: int) -> np.ndarray:
-    """3N points of [-3, 3]^2 drawn from ``chain.rng(salt)`` as (re, im) pairs in turn."""
-    u = chain.rng(salt).uniform(-3.0, 3.0, size=6 * chain.n_sites)
-    return u[0::2] + 1j * u[1::2]
-
-
 def _worst_cancellation(terms):
     """Max over the last axis of |sum of the terms| / max(1, sum of their moduli)."""
     terms = np.array(terms)
@@ -239,46 +224,19 @@ def _worst_cancellation(terms):
                   axis=-1)
 
 
-def tq_residual(t: TransferPolynomial, q, lams=None):
+def tq_residual(t: TransferPolynomial, q, lams):
     """Max relative residual of the finite-difference equation at ``lams``, per row of t.
 
     ``q`` evaluates each row's Q-polynomial elementwise (a ``QPolynomial``, or
-    ``poly_eval`` on ``q_coefficients``); ``lams`` defaults to 3N seeded points.
+    ``poly_eval`` on ``q_coefficients``); for a stack, row d of ``lams`` holds
+    the points of row d of t.
     """
     chain, eta, k1 = t.chain, t.chain.eta, t.chain.twist.k1
-    lams = _seeded_points(chain, 21) if lams is None else np.asarray(lams, dtype=CDTYPE)
+    lams = np.asarray(lams, dtype=CDTYPE)
     beta = k1 * chain.a(lams)
     return _worst_cancellation([beta * k1 * chain.a(lams - eta) * q(lams - 2 * eta),
                                 -beta * t(lams - eta) * q(lams - eta),
                                 chain.det_q(lams) * q(lams)])
-
-
-def tq_residual_shifted(t: TransferPolynomial, q, lams=None):
-    """Residual of the first-order-normalized form of the spectral curve.
-
-    Checks k1 a(lam) Q(lam-eta) - t(lam) Q(lam) + k2 d(lam) Q(lam+eta) = 0
-    at ``lams`` as ``tq_residual`` does; it stays nontrivial in the k1 = 0
-    degeneration where every term of the second-order form carries a k1 factor.
-    """
-    chain, eta = t.chain, t.chain.eta
-    lams = _seeded_points(chain, 22) if lams is None else np.asarray(lams, dtype=CDTYPE)
-    return _worst_cancellation([chain.twist.k1 * chain.a(lams) * q(lams - eta), -t(lams) * q(lams),
-                                chain.twist.k2 * chain.d(lams) * q(lams + eta)])
-
-
-def degenerate_q_closed_form(chain: ChainSpec, h) -> np.ndarray:
-    """Monic Q coefficients for the k1 = 0 degeneration, label h.
-
-    The eigenvalue k2 prod_n (lam - xi_n^(h_n)) pairs with the polynomial
-    whose roots are the top h_n grid nodes of each site, i.e.
-    prod_n prod_{k=0}^{h_n - 1} (lam - xi_n^(k)).
-    """
-    coeffs = np.array([1.0], dtype=CDTYPE)
-    for n, hn in enumerate(h):
-        for k in range(hn):
-            root = chain.node(n, k)
-            coeffs = np.convolve(coeffs, np.array([-root, 1.0], dtype=CDTYPE))
-    return coeffs
 
 
 def wronskian_values(p, q, chain: ChainSpec, lams):

@@ -34,7 +34,6 @@ __all__ = [
     "make_chain",
     "random_chain",
     "genericity_check",
-    "multi_indices",
     "index_of",
 ]
 
@@ -349,11 +348,6 @@ def _tower_denominators(chain: ChainSpec, n: int) -> np.ndarray:
     for k in range(chain.sites[n].two_s, 0, -1):
         out.append(out[-1] * k2 * chain.d(chain.node(n, k)))
     return np.array(out[::-1])
-
-
-def multi_indices(chain: ChainSpec):
-    """All multi-indices h = (h_1..h_N), h_n in 0..2s_n, lexicographic order."""
-    return list(itertools.product(*[range(d) for d in chain.dims]))
 
 
 def index_of(chain: ChainSpec, h) -> int:

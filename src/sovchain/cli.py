@@ -172,13 +172,18 @@ def _multiset_distance(got, want) -> float:
     return float(np.max(greedy_match(got, want)[1]))
 
 
+def _passes(value, tolerance) -> bool:
+    """The pass rule of every row: a finite value at most its tolerance (NaN fails)."""
+    return bool(np.isfinite(value) and value <= tolerance)
+
+
 def _check(name, value, tolerance, **info):
     value = float(value)
     entry = {
         "name": name,
         "value": value,
         "tolerance": float(tolerance),
-        "passed": bool(np.isfinite(value) and value <= tolerance),
+        "passed": _passes(value, tolerance),
     }
     if info:
         entry["info"] = info
@@ -599,7 +604,7 @@ def run(command: str, chain: ChainSpec, samples=20, precision="double",
         for c in checks:
             if c["tolerance"] > 0:
                 c["tolerance"] = float(tol_override)
-                c["passed"] = bool(np.isfinite(c["value"]) and c["value"] <= c["tolerance"])
+                c["passed"] = _passes(c["value"], c["tolerance"])
 
     report = {
         "schema_version": SCHEMA_VERSION,

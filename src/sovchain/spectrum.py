@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, _tower_denominators, multi_indices
+from .chain import ChainSpec, _tower_denominators
 from .errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
 from .numerics import CDTYPE, _Barycentric, greedy_match, random_complex
 from .sov_bases import _node_grid, _separate_action_residual
@@ -32,17 +32,11 @@ __all__ = [
     "TransferPolynomial",
     "EigenRecord",
     "brute_force_spectrum",
-    "discrete_matrix",
     "discrete_residuals",
     "jacobian_smallest_sv",
     "solve_discrete_system",
     "closed_form_solutions",
     "match_to_oracle",
-    "fused_eigenvalues",
-    "trailing_minors",
-    "leading_minor",
-    "wavefunction_sov1",
-    "wavefunction_sov2",
     "wavefunction_action_report",
     "eigenvector_from_sov",
 ]
@@ -70,12 +64,6 @@ class TransferPolynomial:
 
     def __call__(self, lam):
         return self._interp(self.x, lam, lead=self.chain.twist.trace)
-
-    def fused_value(self, level: int, lam: complex):
-        """Scalar fusion recursion t^(level)(lam), one value per row; level 0 gives 1."""
-        if level < 0:
-            raise ValueError(f"level must be >= 0, got {level}")
-        return _fused_tower(self, lam, level)[level]
 
     @cached_property
     def grid_ratios(self) -> list:
@@ -128,11 +116,10 @@ class EigenRecord:
     t: TransferPolynomial
     vector: np.ndarray
     left: np.ndarray
-    lam0: complex
     value_at_lam0: complex
 
 
-def brute_force_spectrum(chain: ChainSpec, lam0=None, evaluator=None):
+def brute_force_spectrum(chain: ChainSpec, evaluator=None):
     """Independent oracle: dense diagonalization of T at one generic point.
 
     Node values are read off each eigenpair as left . T(node) . right, all
@@ -142,8 +129,7 @@ def brute_force_spectrum(chain: ChainSpec, lam0=None, evaluator=None):
     under tolerance (re-seed the chain in that case).
     """
     evaluator = evaluator or TransferEvaluator(chain)
-    if lam0 is None:
-        lam0 = complex(random_complex(chain.rng(10), box=2.0)) + 0.25j
+    lam0 = complex(random_complex(chain.rng(10), box=2.0)) + 0.25j
     t0 = evaluator.transfer(lam0)
     vals, vecs = np.linalg.eig(t0)
     order = np.lexsort((vals.imag, vals.real))
@@ -157,29 +143,13 @@ def brute_force_spectrum(chain: ChainSpec, lam0=None, evaluator=None):
     xs = np.array([(left[:, None] @ evaluator.transfer(chain.node(a, 0)) @ vecs.T[..., None])
                    [:, 0, 0] for a in range(chain.n_sites)]).T.copy()
     return [EigenRecord(t=TransferPolynomial(chain, x), vector=vecs[:, i].copy(),
-                        left=left[i].copy(), lam0=complex(lam0), value_at_lam0=complex(vals[i]))
+                        left=left[i].copy(), value_at_lam0=complex(vals[i]))
             for i, x in enumerate(xs)]
 
 
 # ---------------------------------------------------------------------------
 # the discrete characterization
 # ---------------------------------------------------------------------------
-
-def discrete_matrix(t: TransferPolynomial, n: int) -> np.ndarray:
-    """Site-n tridiagonal matrix whose singularity characterizes the spectrum."""
-    chain = t.chain
-    site = chain.sites[n]
-    m = site.two_s + 1
-    out = np.zeros((m, m), dtype=CDTYPE)
-    for k in range(m):
-        node = chain.node(n, k)
-        out[k, k] = t(node)
-        if k + 1 < m:
-            out[k, k + 1] = -chain.twist.k1 * chain.a(node)
-        if k > 0:
-            out[k, k - 1] = -chain.twist.k2 * chain.d(node)
-    return out
-
 
 def _site_data(chain: ChainSpec, n: int):
     """Nodes of site n and the off-diagonal products sup[j] * sub[j] of its matrix."""
@@ -240,9 +210,15 @@ class _DiscreteSystem:
             self.sites.append((base, coeff, offprod))
 
     def _diags(self, x):
-        """Per site, its matrix diagonal at the unknowns x (..., N), batch axes trailing."""
+        """Per site, its matrix diagonal at the unknowns x (..., N), batch axes trailing.
+
+        Products with the cardinals are summed by broadcasting, not a GEMM,
+        whose rounding depends on the batch size: a batched row equals its
+        single-row call bit for bit, here and in ``jacobian``.
+        """
         for base, coeff, offprod in self.sites:
-            yield np.moveaxis(base + x @ coeff.T, -1, 0), coeff, offprod
+            diag = base + np.sum(x[..., None, :] * coeff, axis=-1)
+            yield np.moveaxis(diag, -1, 0), coeff, offprod
 
     def residual(self, x):
         """(raw determinants, per-site magnitude scales), each (..., N) for x of shape (..., N)."""
@@ -256,9 +232,11 @@ class _DiscreteSystem:
         f_k g_{m-1-k} (leading times trailing minor) is the diagonal cofactor
         of site n's matrix at entry k, and coeff[k] = d diag[k] / dx.
         """
-        rows = [np.moveaxis(_tridiagonal_minors(diag, offprod)[:-1]
-                            * _tridiagonal_minors(diag[::-1], offprod[::-1])[-2::-1], 0, -1) @ coeff
-                for diag, coeff, offprod in self._diags(x)]
+        rows = []
+        for diag, coeff, offprod in self._diags(x):
+            cofactors = (_tridiagonal_minors(diag, offprod)[:-1]
+                         * _tridiagonal_minors(diag[::-1], offprod[::-1])[-2::-1])
+            rows.append(np.sum(np.moveaxis(cofactors, 0, -1)[..., None] * coeff, axis=-2))
         return np.stack(rows, axis=-2)
 
 
@@ -382,47 +360,8 @@ def match_to_oracle(solutions, records):
 
 
 # ---------------------------------------------------------------------------
-# fused eigenvalues, wavefunctions, eigenvectors
+# wavefunctions, eigenvectors
 # ---------------------------------------------------------------------------
-
-def fused_eigenvalues(t: TransferPolynomial) -> dict:
-    """Values t^(l) at each site's bottom node for l = 0..2s_n+1.
-
-    Computed by the scalar fusion recursion; equal to the trailing principal
-    minors of the site's tridiagonal matrix (checked in the tests), and zero
-    at l = 2s_n + 1 exactly when t is on-shell.
-    """
-    chain = t.chain
-    out = {}
-    for n, site in enumerate(chain.sites):
-        tower = _fused_tower(t, chain.node(n, site.two_s), site.two_s + 1)
-        out.update({(n, level): complex(val) for level, val in enumerate(tower)})
-    return out
-
-
-def trailing_minors(t: TransferPolynomial, n: int):
-    """Determinants of the trailing l x l blocks of site n's matrix, l = 0..m."""
-    nodes, offprod = _site_data(t.chain, n)
-    return _tridiagonal_minors([t(z) for z in nodes[::-1]], offprod[::-1])
-
-
-def leading_minor(t: TransferPolynomial, n: int) -> complex:
-    """Determinant of site n's matrix with its last row and column removed."""
-    nodes, offprod = _site_data(t.chain, n)
-    return complex(_tridiagonal_minors([t(z) for z in nodes], offprod)[-2])
-
-
-def wavefunction_sov1(t: TransferPolynomial) -> dict:
-    """Coordinates of the eigenvector in the first SoV basis.
-
-    Product over sites of the site's next-to-bottom fused value raised to h_n
-    (equivalently the leading minor of the discrete matrix).
-    """
-    chain = t.chain
-    psi = _site_product([t.fused_value(site.two_s, chain.node(n, site.two_s - 1))
-                         ** np.arange(site.dim) for n, site in enumerate(chain.sites)])
-    return {h: psi[h] for h in multi_indices(chain)}
-
 
 def _site_product(factors) -> np.ndarray:
     """prod_n factors[n][..., h_n], axis n indexed by h_n; leading (row) axes go last."""
@@ -436,12 +375,6 @@ def _site_product(factors) -> np.ndarray:
 def _sov2_array(t: TransferPolynomial) -> np.ndarray:
     """Second-basis wavefunction indexed by h (site order), rows of t along the trailing axis."""
     return _site_product(t.grid_ratios)
-
-
-def wavefunction_sov2(t: TransferPolynomial) -> dict:
-    """Coordinates in the second SoV basis, normalized to 1 at h = (2s..2s)."""
-    psi = _sov2_array(t)
-    return {h: psi[h] for h in multi_indices(t.chain)}
 
 
 def wavefunction_action_report(t: TransferPolynomial) -> float:

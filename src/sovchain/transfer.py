@@ -1,4 +1,4 @@
-"""Global operators: monodromy blocks, transfer matrix, fused hierarchy.
+"""Global operators: monodromy, transfer matrix, fused hierarchy.
 
 Every dense product of Lax operators is grown by one kernel, ``_lax_legs``,
 one GEMM per site, in leg order (A, j_N, k_N, ..., j_1, k_1, R); it can take
@@ -23,7 +23,6 @@ kept as an independent route and used as the test oracle for the recursion.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +31,7 @@ from .local_ops import kron_chain, lax, permutation_4x4, r_matrix, symmetric_bas
 from .numerics import CDTYPE, frob, lagrange_cardinal
 
 __all__ = [
-    "MonodromyBlocks",
     "monodromy_matrix",
-    "monodromy_blocks",
     "transfer",
     "TransferEvaluator",
     "fused_transfer_projector",
@@ -44,18 +41,7 @@ __all__ = [
     "symmetry_residual",
     "central_zero_residual",
     "polynomiality_residual",
-    "reference_covector",
 ]
-
-
-@dataclass(frozen=True)
-class MonodromyBlocks:
-    """The four dim(H) x dim(H) operator blocks of the twisted monodromy."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
 
 
 def monodromy_matrix(chain: ChainSpec, lam: complex, start=None, close=None) -> np.ndarray:
@@ -134,12 +120,6 @@ def _aux_product(factors) -> np.ndarray:
         op = np.tensordot(op, x, axes=(3, 1)).transpose(0, 3, 1, 2, 4, 5)
         op = op.reshape(2 * a, d, 2 * a, d)
     return op
-
-
-def monodromy_blocks(chain: ChainSpec, lam: complex) -> MonodromyBlocks:
-    m = monodromy_matrix(chain, lam)
-    d = chain.dim
-    return MonodromyBlocks(a=m[:d, :d], b=m[:d, d:], c=m[d:, :d], d=m[d:, d:])
 
 
 def transfer(chain: ChainSpec, lam: complex) -> np.ndarray:
@@ -332,9 +312,3 @@ def polynomiality_residual(chain: ChainSpec, rng) -> float:
     direct = transfer(chain, probe)
     return frob(recon - direct) / max(1.0, frob(direct))
 
-
-def reference_covector(chain: ChainSpec) -> np.ndarray:
-    """Tensor product of local highest-weight covectors (1, 0, ..., 0)."""
-    vec = np.zeros(chain.dim, dtype=CDTYPE)
-    vec[0] = 1.0
-    return vec

@@ -5,7 +5,7 @@ import pytest
 
 from sovchain import make_chain, normalize_twist
 from sovchain.errors import SingularTwistWarning
-from sovchain.transfer import TransferEvaluator
+from sovchain.transfer import TransferEvaluator, monodromy_matrix
 
 # full (non-diagonal, b != 0) invertible simple twist shared by the reference chains
 TWIST_FULL = np.array([[1.1 + 0.4j, 0.8 - 0.3j],
@@ -15,6 +15,13 @@ TWIST_DIAG = np.array([[1.7 + 0.5j, 0.0],
 
 XI_N2 = (0.31 - 1.2j, 2.86 + 0.77j)
 XI_N3 = (0.42 - 1.1j, 2.93 + 0.81j, -2.17 + 2.33j)
+
+
+def dense_blocks(chain, lam):
+    """A, B, C, D of the twisted monodromy, sliced from the full 2D x 2D matrix."""
+    m = monodromy_matrix(chain, lam)
+    d = chain.dim
+    return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
 
 
 @pytest.fixture(scope="session")

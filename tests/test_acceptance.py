@@ -24,6 +24,7 @@ from sovchain.spectrum import (TransferPolynomial, brute_force_spectrum, discret
 from sovchain.transfer import (TransferEvaluator, central_zero_residual,
                                fused_transfer_projector, quantum_det_residual,
                                rtt_residual)
+from test_baxter import _points
 
 
 def _report(criterion, detail):
@@ -225,11 +226,12 @@ def test_criterion_9_tq_suite(chain1, chain12, records12, chain112, records112):
     for chain, records in ((chain12, records12), (chain112, records112)):
         zeta_a = default_zeta(chain, salt=20)
         zeta_b = default_zeta(chain, salt=24)
+        lams = _points(chain, 21)
         for rec in records:
             qa = solve_q_polynomial(rec.t, zeta=zeta_a)
             qb = solve_q_polynomial(rec.t, zeta=zeta_b)
             assert qa.degree <= chain.n_s
-            worst_tq = max(worst_tq, tq_residual(rec.t, qa))
+            worst_tq = max(worst_tq, tq_residual(rec.t, qa, lams))
             pad = max(len(qa.coeffs), len(qb.coeffs))
             ca = np.zeros(pad, dtype=complex)
             cb = np.zeros(pad, dtype=complex)

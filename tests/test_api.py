@@ -26,13 +26,13 @@ REMOVED_PARAMETERS = {
     "spectrum.eigenvector_from_sov": {"n_checks", "check_tol"},
     "spectrum.solve_discrete_system": {"max_iter", "newton_tol", "dedup_tol"},
     "spectrum.discrete_residuals": {"chain"},
-    "spectrum.fused_eigenvalues": {"chain"},
+    "spectrum.brute_force_spectrum": {"lam0"},
+    "spectrum.EigenRecord": {"lam0"},
     "baxter.build_q_operator": {"chain", "zeta", "evaluator", "q_solver"},
     "baxter.sov_from_q": {"chain", "validate"},
     "baxter.default_zeta": {"min_dist", "max_tries"},
     "baxter.solve_q_polynomial": {"trim_tol"},
     "baxter.tq_residual": {"n_samples"},
-    "baxter.tq_residual_shifted": {"n_samples"},
     "cli.suite_fusion": {"samples"},
     "cli.suite_basis": {"samples"},
     "cli.suite_spectrum": {"samples"},
@@ -47,6 +47,38 @@ def test_removed_parameters_stay_gone(qualname):
     module, name = qualname.split(".")
     params = inspect.signature(getattr(importlib.import_module(f"sovchain.{module}"), name))
     assert REMOVED_PARAMETERS[qualname].isdisjoint(params.parameters)
+
+
+# the one-eigenvalue-at-a-time API; the tests keep the oracles among them
+REMOVED_NAMES = [
+    "spectrum.discrete_matrix", "spectrum.fused_eigenvalues", "spectrum.trailing_minors",
+    "spectrum.leading_minor", "spectrum.wavefunction_sov1", "spectrum.wavefunction_sov2",
+    "spectrum.TransferPolynomial.fused_value",
+    "baxter.q_values", "baxter.tq_residual_shifted", "baxter.degenerate_q_closed_form",
+    "transfer.MonodromyBlocks", "transfer.monodromy_blocks", "transfer.reference_covector",
+    "chain.multi_indices",
+]
+
+
+def _resolves(owner, path):
+    for attr in path:
+        if not hasattr(owner, attr):
+            return False
+        owner = getattr(owner, attr)
+    return True
+
+
+@pytest.mark.parametrize("qualname", REMOVED_NAMES)
+def test_removed_names_stay_gone(qualname):
+    module, *path = qualname.split(".")
+    assert not _resolves(importlib.import_module(f"sovchain.{module}"), path)
+    assert not _resolves(sovchain, path)
+
+
+def test_tq_residual_takes_its_points():
+    from sovchain.baxter import tq_residual
+
+    assert inspect.signature(tq_residual).parameters["lams"].default is inspect.Parameter.empty
 
 
 def test_q_operator_is_built_from_finished_inputs():

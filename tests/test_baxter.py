@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from sovchain.baxter import (_closure_system, _Interpolation, _require_regular_closure,
-                             build_q_operator, default_zeta, degenerate_q_closed_form,
+                             _worst_cancellation, build_q_operator, default_zeta,
                              q_operator_commutation_residual, q_operator_invertibility,
-                             q_operator_tq_residual, q_values, solve_q_polynomial, sov_from_q,
-                             sov_q_factorization, tq_residual, tq_residual_shifted,
-                             wronskian_values)
-from sovchain.chain import multi_indices
+                             q_operator_tq_residual, solve_q_polynomial, sov_from_q,
+                             sov_q_factorization, tq_residual, wronskian_values)
 from sovchain.errors import (DegenerateBasis, NonInvertibleQ, RootOnForbiddenNode,
                              SingularCZeta)
 from sovchain.numerics import frob, poly_eval, random_complex
 from sovchain.sov_bases import gram_rank, sklyanin_basis
-from sovchain.spectrum import EigenRecord, TransferPolynomial, brute_force_spectrum
+from sovchain.spectrum import EigenRecord, TransferPolynomial, _sov2_array, brute_force_spectrum
 
 
 def _q_operator(chain, evaluator=None):
@@ -27,20 +25,35 @@ def _records_by_x(chain):
     return {round(rec.t.x[0].real): rec for rec in brute_force_spectrum(chain)}
 
 
+def _points(chain, salt):
+    """3N points of [-3, 3]^2 drawn from ``chain.rng(salt)`` as (re, im) pairs in turn."""
+    u = chain.rng(salt).uniform(-3.0, 3.0, size=6 * chain.n_sites)
+    return u[0::2] + 1j * u[1::2]
+
+
+def _tq_residual_shifted(t, q, lams):
+    """Residual of the first-order form k1 a(lam) Q(lam-eta) - t(lam) Q(lam)
+    + k2 d(lam) Q(lam+eta) = 0, as ``tq_residual``; it stays nontrivial at
+    k1 = 0, where every term of the second-order form carries a k1 factor."""
+    chain, eta = t.chain, t.chain.eta
+    return _worst_cancellation([chain.twist.k1 * chain.a(lams) * q(lams - eta), -t(lams) * q(lams),
+                                chain.twist.k2 * chain.d(lams) * q(lams + eta)])
+
+
 def test_q_values_hand_case(chain1):
     rec = _records_by_x(chain1)[1]  # t = 3 lam + 1
-    vals = q_values(rec.t)
-    assert vals[(0, 1)] == 1.0
-    assert abs(vals[(0, 0)] - 2.0) < 1e-12  # t(-1) / (k2 d(-1)) = 2
+    vals = rec.t.checked_grid_ratios[0]
+    assert vals[1] == 1.0
+    assert abs(vals[0] - 2.0) < 1e-12  # t(-1) / (k2 d(-1)) = 2
 
 
 def test_q_values_first_step_formula(chain12):
     rec = brute_force_spectrum(chain12)[1]
-    vals = q_values(rec.t)
     for n, site in enumerate(chain12.sites):
         bottom = chain12.node(n, site.two_s)
         want = rec.t(bottom) / (chain12.twist.k2 * chain12.d(bottom))
-        assert abs(vals[(n, site.two_s - 1)] - want) < 1e-10 * max(1.0, abs(want))
+        got = rec.t.checked_grid_ratios[n][site.two_s - 1]
+        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_backward_check_rejects_wrong_ratios(chain12):
@@ -48,7 +61,7 @@ def test_backward_check_rejects_wrong_ratios(chain12):
     t.grid_ratios = [r * (1 + 1e-6) for r in t.grid_ratios]
     for _ in range(2):  # a failed check is not kept, so it runs and raises again
         with pytest.raises(ValueError, match="disagree"):
-            q_values(t)
+            t.checked_grid_ratios
 
 
 def test_hand_case_q_polynomials(chain1):
@@ -79,18 +92,19 @@ def test_tq_equation_on_shell(chain12, chain112):
     for chain in (chain12, chain112):
         for rec in brute_force_spectrum(chain):
             qpoly = solve_q_polynomial(rec.t)
-            assert tq_residual(rec.t, qpoly) < 1e-8
-            assert tq_residual_shifted(rec.t, qpoly) < 1e-8
+            assert tq_residual(rec.t, qpoly, _points(chain, 21)) < 1e-8
+            assert _tq_residual_shifted(rec.t, qpoly, _points(chain, 22)) < 1e-8
 
 
 def test_tq_equation_detects_off_shell(chain12):
     rec = brute_force_spectrum(chain12)[0]
     qpoly = solve_q_polynomial(rec.t)
-    on_shell = tq_residual(rec.t, qpoly)
+    lams = _points(chain12, 21)
+    on_shell = tq_residual(rec.t, qpoly, lams)
     x = rec.t.x.copy()
     x[1] += 0.1
     off = TransferPolynomial(chain12, x)
-    off_shell = tq_residual(off, qpoly)
+    off_shell = tq_residual(off, qpoly, lams)
     assert off_shell > 1e-3
     assert off_shell > 1e6 * max(on_shell, 1e-16)
 
@@ -149,14 +163,19 @@ def test_degenerate_twist_q_closed_form(chain12):
     chain = make_chain(chain12.eta, [(s.two_s, s.xi) for s in chain12.sites],
                        twist, seed=chain12.seed)
     assert twist.k1 == 0
-    for h in multi_indices(chain):
+    for h in np.ndindex(chain.dims):
         x = np.array([twist.k2 * np.prod([chain.node(a, 0) - chain.node(n, hn)
                                           for n, hn in enumerate(h)])
                       for a in range(chain.n_sites)])
         t = TransferPolynomial(chain, x)
-        coeffs = degenerate_q_closed_form(chain, h)
+        # the eigenvalue k2 prod_n (lam - xi_n^(h_n)) pairs with the monic
+        # polynomial rooted at the top h_n grid nodes of each site
+        coeffs = np.array([1.0], dtype=complex)
+        for n, hn in enumerate(h):
+            for k in range(hn):
+                coeffs = np.convolve(coeffs, [-chain.node(n, k), 1.0])
         q_fn = lambda lam, c=coeffs: poly_eval(c, lam)
-        assert tq_residual_shifted(t, q_fn) < 1e-12
+        assert _tq_residual_shifted(t, q_fn, _points(chain, 22)) < 1e-12
         qpoly = solve_q_polynomial(t)
         pad = max(len(coeffs), len(qpoly.coeffs))
         ca = np.zeros(pad, dtype=complex)
@@ -233,7 +252,7 @@ def test_q_operator_rejects_equal_eigenvalues(chain12):
     # (the oracle itself refuses this chain: its spectrum is degenerate)
     rec = EigenRecord(t=TransferPolynomial(chain, np.zeros(chain.n_sites)),
                       vector=np.eye(chain.dim)[0], left=np.eye(chain.dim)[0],
-                      lam0=0.0, value_at_lam0=0.0)
+                      value_at_lam0=0.0)
     with pytest.raises(ValueError, match="distinct eigenvalues"):
         build_q_operator([rec], [])
 
@@ -287,7 +306,7 @@ def _sov_from_q_dense(chain, qop, source=None):
             source = source @ np.linalg.inv(q_at[(n, site.two_s)])
     partial = {(): np.asarray(source, dtype=complex)}
     rows = []
-    for h in multi_indices(chain):
+    for h in np.ndindex(chain.dims):
         for n in range(chain.n_sites):
             if h[:n + 1] not in partial:
                 partial[h[:n + 1]] = partial[h[:n]] @ q_at[(n, h[n])]
@@ -413,11 +432,9 @@ def test_sov_from_q_validates_given_sklyanin_basis(chain12, ev12):
 
 def _sov_q_factorization_loop(t, qpoly):
     """Entry-by-entry reference: one Q evaluation per (h, n)."""
-    from sovchain.spectrum import wavefunction_sov2
-
     chain = t.chain
-    psi = wavefunction_sov2(t)
-    hs = multi_indices(chain)
+    psi = _sov2_array(t)
+    hs = list(np.ndindex(chain.dims))
     prod_q = np.array([np.prod([qpoly(chain.node(n, hn)) for n, hn in enumerate(h)])
                        for h in hs])
     target = np.array([psi[h] for h in hs])

@@ -222,6 +222,18 @@ def test_run_tolerance_override_forces_failure():
     assert not report["passed"]
 
 
+def test_run_tolerance_override_keeps_the_pass_rule(monkeypatch):
+    # a NaN row stays failed under any override; rows with tolerance 0 keep it
+    chain = chain_from_config(load_config("n2_mixed"))
+    monkeypatch.setattr(cli, "rtt_residual", _spoil(cli.rtt_residual, "sample"))
+    rows = {c["name"]: c for c in run("verify-algebra", chain, samples=3,
+                                      tol_override=1e30)["checks"]}
+    assert np.isnan(rows["algebra.rtt"]["value"]) and not rows["algebra.rtt"]["passed"]
+    assert rows["model.genericity"]["tolerance"] == 0 and rows["model.genericity"]["passed"]
+    assert all(c["passed"] for name, c in rows.items() if name != "algebra.rtt")
+    assert {c["tolerance"] for name, c in rows.items() if name != "model.genericity"} == {1e30}
+
+
 def test_main_exit_codes(tmp_path):
     out = tmp_path / "report.json"
     cfg_path = tmp_path / "chain.json"

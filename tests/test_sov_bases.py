@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sovchain.chain import fused_twist, make_chain, multi_indices, random_chain
+from sovchain.chain import fused_twist, make_chain, random_chain
 from sovchain.cli import chain_from_config, load_config
 from sovchain.errors import DegenerateBasis
 from sovchain.local_ops import kron_chain
@@ -11,9 +11,8 @@ from sovchain.sov_bases import (CovectorBasis, _acting_blocks, _require_full_ran
                                 separate_action_report,
                                 shift_action_report, sklyanin_basis, sklyanin_norm,
                                 sov_basis_1, sov_basis_2, tensor_generating_covector)
-from sovchain.transfer import (TransferEvaluator, _lax_chain, _site_laxes, monodromy_blocks,
-                               monodromy_matrix, reference_covector)
-from conftest import TWIST_DIAG, TWIST_FULL, XI_N2
+from sovchain.transfer import TransferEvaluator, _lax_chain, _site_laxes, monodromy_matrix
+from conftest import TWIST_DIAG, TWIST_FULL, XI_N2, dense_blocks
 
 # b = 0 twists: diagonal, lower triangular, lower triangular with equal eigenvalues,
 # and lower triangular with c = d - a, whose conjugator W is not its own inverse
@@ -32,15 +31,10 @@ def _row_or_zero(basis, h):
     return np.zeros(basis.chain.dim, dtype=complex)
 
 
-def test_reference_covector_shape(chain12):
-    v = reference_covector(chain12)
-    assert v.shape == (6,)
-    assert v[0] == 1.0 and np.count_nonzero(v) == 1
-
-
 def test_sklyanin_zero_row_is_reference(chain12):
+    # the reference covector: the product of the local highest-weight covectors
     basis = sklyanin_basis(chain12)
-    want = reference_covector(chain12) / sklyanin_norm(chain12)
+    want = np.eye(chain12.dim)[0] / sklyanin_norm(chain12)
     assert frob(basis.row((0, 0)) - want) < 1e-13
 
 
@@ -62,7 +56,7 @@ def test_sklyanin_b_eigen_relation(chain12, chain12_diag):
 def test_b_eigenvalues_pairwise_distinct(chain12):
     # root multisets of the B-eigenvalues are the grid points selected by h
     seen = set()
-    for h in multi_indices(chain12):
+    for h in np.ndindex(chain12.dims):
         roots = tuple(np.round([chain12.node(n, hn) for n, hn in enumerate(h)], 9))
         assert roots not in seen
         seen.add(roots)
@@ -85,14 +79,12 @@ def test_a_action_at_grid_point_isolates_single_term(chain12):
     basis = sklyanin_basis(chain12)
     chain = chain12
     # in-range case: at lam = xi_1^(0) only the site-1 raising term survives
-    blocks = monodromy_blocks(chain, chain.node(1, 0))
-    lhs = basis.row((0, 0)) @ blocks.a
+    lhs = basis.row((0, 0)) @ dense_blocks(chain, chain.node(1, 0))[0]
     want = chain.twist.k1 * chain.a(chain.node(1, 0)) * basis.row((0, 1))
     assert frob(lhs - want) / max(1.0, frob(want)) < 1e-10
     # at the bottom node of site 0 the raising coefficient a(.) vanishes and
     # the shifted index is out of range: the action annihilates the row
-    blocks = monodromy_blocks(chain, chain.node(0, 1))
-    lhs = basis.row((1, 1)) @ blocks.a
+    lhs = basis.row((1, 1)) @ dense_blocks(chain, chain.node(0, 1))[0]
     with pytest.raises(IndexError):
         basis.row((2, 1))
     assert frob(lhs) < 1e-8 * max(1.0, frob(basis.row((1, 1))))
@@ -247,7 +239,7 @@ def _shift_action_loop(basis, lams):
         a_entry, d_entry = kbar[0, 0], kbar[1, 1]
         acted_a = basis.rows @ block(0, 0)
         acted_d = basis.rows @ block(1, 1)
-        for i, h in enumerate(multi_indices(chain)):
+        for i, h in enumerate(np.ndindex(chain.dims)):
             hnodes = [chain.node(n, hn) for n, hn in enumerate(h)]
             diag = np.prod([lam - z for z in hnodes])
             rhs_a = a_entry * diag * basis.rows[i]
@@ -293,7 +285,7 @@ def _b_eigen_loop(basis, lams):
     for lam in lams:
         block, kbar = _acting_blocks(chain, lam)
         acted = basis.rows @ block(0, 1)
-        for i, h in enumerate(multi_indices(chain)):
+        for i, h in enumerate(np.ndindex(chain.dims)):
             eig = kbar[0, 1]
             for n, hn in enumerate(h):
                 eig *= lam - chain.node(n, hn)
@@ -308,7 +300,7 @@ def _separate_action_loop(basis, evaluator):
     chain = basis.chain
     twist = chain.twist
     worst = 0.0
-    for h in multi_indices(chain):
+    for h in np.ndindex(chain.dims):
         row = basis.row(h)
         for n in range(chain.n_sites):
             node = chain.node(n, h[n])
@@ -385,7 +377,7 @@ def _dense_frame_sklyanin_rows(chain):
             a_block = _conjugated_twist_blocks(chain, node)[0]
             ops.append(ops[-1] @ a_block / (chain.twist.k1 * chain.a(node)))
         per_site.append(ops)
-    rows = _site_product_rows(reference_covector(chain) / sklyanin_norm(chain), per_site)
+    rows = _site_product_rows(np.eye(chain.dim)[0] / sklyanin_norm(chain), per_site)
     return rows @ np.linalg.inv(_w_glob(chain))
 
 
@@ -412,8 +404,7 @@ def test_frame_matches_dense_conjugation(name, spins):
 def test_frame_is_the_plain_monodromy_for_b_nonzero(chain12):
     lam = 0.3 - 0.7j
     block, kbar = _acting_blocks(chain12, lam)
-    plain = monodromy_blocks(chain12, lam)
-    for (i, j), want in zip(FRAME_BLOCKS, (plain.a, plain.b, plain.c, plain.d)):
+    for (i, j), want in zip(FRAME_BLOCKS, dense_blocks(chain12, lam)):
         assert np.array_equal(block(i, j), want)
     assert np.array_equal(kbar, chain12.twist.matrix)
 

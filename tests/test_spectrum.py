@@ -3,18 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sovchain.chain import Tolerances, multi_indices
+from conftest import TWIST_FULL
+from sovchain.chain import Tolerances, random_chain
 from sovchain.cli import chain_from_config, load_config
 from sovchain.errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
 from sovchain.numerics import frob, lagrange_cardinal, random_complex
-from sovchain.spectrum import (TransferPolynomial, _dedup, _DiscreteSystem, _site_product,
-                               _sov2_array, _tridiagonal_minors, brute_force_spectrum,
-                               closed_form_solutions, discrete_matrix,
-                               discrete_residuals, eigenvector_from_sov,
-                               fused_eigenvalues, jacobian_smallest_sv, leading_minor,
-                               match_to_oracle, solve_discrete_system,
-                               trailing_minors, wavefunction_action_report,
-                               wavefunction_sov1, wavefunction_sov2)
+from sovchain.spectrum import (TransferPolynomial, _dedup, _DiscreteSystem, _fused_tower,
+                               _site_product, _sov2_array, _tridiagonal_minors,
+                               brute_force_spectrum, closed_form_solutions, discrete_residuals,
+                               eigenvector_from_sov, jacobian_smallest_sv, match_to_oracle,
+                               solve_discrete_system, wavefunction_action_report)
 from sovchain.sov_bases import sov_basis_1, sov_basis_2
 from sovchain.transfer import TransferEvaluator
 
@@ -50,11 +48,30 @@ def test_oracle_x_tuples_distinct(chain12):
             assert np.max(np.abs(records[i].t.x - records[j].t.x)) > 1e-6
 
 
+def _discrete_matrix(t, n):
+    """Reference route: site n's dense tridiagonal matrix, entry by entry.
+
+    Diagonal t(xi_n^(k)), superdiagonal -k1 a(xi_n^(k)), subdiagonal
+    -k2 d(xi_n^(k)); it is singular exactly when t is on-shell at site n.
+    """
+    chain = t.chain
+    m = chain.sites[n].two_s + 1
+    out = np.zeros((m, m), dtype=complex)
+    for k in range(m):
+        node = chain.node(n, k)
+        out[k, k] = t(node)
+        if k + 1 < m:
+            out[k, k + 1] = -chain.twist.k1 * chain.a(node)
+        if k > 0:
+            out[k, k - 1] = -chain.twist.k2 * chain.d(node)
+    return out
+
+
 def test_hand_case_discrete_determinant(chain1):
     # det = t(0) t(-1) + k1 k2 vanishes exactly on both eigenvalues
     for x in (1.0, 2.0):
         t = TransferPolynomial(chain1, np.array([x]))
-        mat = discrete_matrix(t, 0)
+        mat = _discrete_matrix(t, 0)
         assert mat.shape == (2, 2)
         assert abs(mat[0, 1] - (-2.0)) < 1e-14  # -k1 a(0) = -2
         assert abs(mat[1, 0] - 1.0) < 1e-14     # -k2 d(-1) = 1
@@ -119,6 +136,19 @@ def test_jacobian_regular_at_solutions(chain12):
                                                   for sol in solutions)
 
 
+@pytest.mark.parametrize("spins", [None, (1,) * 6], ids=["chain12", "1^6"])
+def test_batched_discrete_system_rows_equal_single_rows(chain12, spins):
+    chain = chain12 if spins is None else random_chain(spins, 1.0, TWIST_FULL, seed=7)
+    system = _DiscreteSystem(chain)
+    xs = np.array([rec.t.x for rec in brute_force_spectrum(chain)])
+    res, scales = system.residual(xs)
+    jac = system.jacobian(xs)
+    for i, x in enumerate(xs):
+        one_res, one_scales = system.residual(x)
+        assert np.array_equal(res[i], one_res) and np.array_equal(scales[i], one_scales)
+        assert np.array_equal(jac[i], system.jacobian(x))
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_tridiagonal_minors_match_dense_determinants(m):
     rng = np.random.default_rng(100 + m)
@@ -133,9 +163,6 @@ def test_tridiagonal_minors_match_dense_determinants(m):
 
 @pytest.mark.parametrize("spins", [(1, 2, 3), (2, 2, 2, 2), (3, 1)])
 def test_jacobian_matches_central_differences(spins):
-    from conftest import TWIST_FULL
-    from sovchain.chain import random_chain
-
     chain = random_chain(spins, 1.0, TWIST_FULL, seed=7)
     system = _DiscreteSystem(chain)
     for rec in brute_force_spectrum(chain)[:: max(1, chain.dim // 4)]:
@@ -164,51 +191,53 @@ def test_degenerate_twist_closed_form(chain12_k2zero):
             solutions[0].grid_ratios
 
 
+def _bottom_tower(t, n):
+    """Fused values t^(0..2s_n+1) at site n's bottom node, by the scalar recursion."""
+    site = t.chain.sites[n]
+    return _fused_tower(t, t.chain.node(n, site.two_s), site.two_s + 1)
+
+
 def test_fused_values_low_levels(chain12):
     rec = brute_force_spectrum(chain12)[0]
-    fused = fused_eigenvalues(rec.t)
     for n, site in enumerate(chain12.sites):
-        bottom = chain12.node(n, site.two_s)
-        assert fused[(n, 0)] == 1.0
-        assert abs(fused[(n, 1)] - rec.t(bottom)) < 1e-12
+        fused = _bottom_tower(rec.t, n)
+        assert fused[0] == 1.0
+        assert abs(fused[1] - rec.t(chain12.node(n, site.two_s))) < 1e-12
 
 
 def test_fused_values_equal_trailing_minors(chain12):
-    # recursion values against determinants computed from the other corner
+    # recursion values against dense determinants of the trailing blocks
     for rec in brute_force_spectrum(chain12):
-        fused = fused_eigenvalues(rec.t)
         for n, site in enumerate(chain12.sites):
-            minors = trailing_minors(rec.t, n)
+            fused = _bottom_tower(rec.t, n)
+            mat = _discrete_matrix(rec.t, n)
             for level in range(site.two_s + 2):
-                scale = max(1.0, abs(minors[level]))
-                assert abs(fused[(n, level)] - minors[level]) / scale < 1e-10
+                minor = np.linalg.det(mat[site.dim - level:, site.dim - level:]) if level else 1.0
+                assert abs(fused[level] - minor) / max(1.0, abs(minor)) < 1e-10
 
 
 def test_minor_identity_single_site_spin1():
     # N = 1, two_s = 2: the 2x2 leading minor equals the level-2 fused value
-    from conftest import TWIST_FULL
     from sovchain.chain import make_chain
 
     chain = make_chain(1.0, [(2, 0.2 - 0.4j)], TWIST_FULL, seed=9)
     for rec in brute_force_spectrum(chain):
-        got = rec.t.fused_value(2, chain.node(0, 1))
-        want = leading_minor(rec.t, 0)
+        got = _fused_tower(rec.t, chain.node(0, 1), 2)[2]
+        want = np.linalg.det(_discrete_matrix(rec.t, 0)[:-1, :-1])
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_on_shell_top_fused_value_vanishes(chain12):
     for rec in brute_force_spectrum(chain12):
-        fused = fused_eigenvalues(rec.t)
         for n, site in enumerate(chain12.sites):
-            top = abs(fused[(n, site.two_s + 1)])
-            scale = max(1.0, max(abs(fused[(n, l)]) for l in range(site.two_s + 1)))
-            assert top / scale < 1e-10
+            fused = _bottom_tower(rec.t, n)
+            assert abs(fused[-1]) / max(1.0, np.max(np.abs(fused[:-1]))) < 1e-10
 
 
 def test_wavefunction_normalization_and_hand_value(chain1):
     records = brute_force_spectrum(chain1)
     by_x = {round(rec.t.x[0].real): rec for rec in records}
-    psi = wavefunction_sov2(by_x[1].t)  # t = 3 lam + 1
+    psi = _sov2_array(by_x[1].t)  # t = 3 lam + 1
     assert psi[(1,)] == 1.0
     assert abs(psi[(0,)] - 2.0) < 1e-12
 
@@ -276,14 +305,19 @@ def test_eigenvectors_match_per_record_solves(chain12, chain112, chain123):
             assert abs(residuals[j] - residual) <= 1e-13
 
 
+def _wavefunction_sov1(t):
+    """First-basis wavefunction, indexed by h: prod_n of site n's next-to-bottom
+    fused value t^(2s_n)(xi_n^(2s_n - 1)) raised to h_n."""
+    chain = t.chain
+    return _site_product([_fused_tower(t, chain.node(n, site.two_s - 1), site.two_s)[-1]
+                          ** np.arange(site.dim) for n, site in enumerate(chain.sites)])
+
+
 def test_eigenvector_via_first_basis(chain12, ev12):
     # the first-basis wavefunction characterizes the same eigenvectors
     basis = sov_basis_1(chain12, evaluator=ev12)
-    order = multi_indices(chain12)
     for rec in brute_force_spectrum(chain12, evaluator=ev12)[:3]:
-        psi = wavefunction_sov1(rec.t)
-        rhs = np.array([psi[h] for h in order])
-        v = np.linalg.solve(basis.rows, rhs)
+        v = np.linalg.solve(basis.rows, _wavefunction_sov1(rec.t).ravel())
         mu = 0.61 - 0.29j
         lhs = ev12.transfer(mu) @ v
         assert frob(lhs - rec.t(mu) * v) / max(1.0, frob(lhs)) < 1e-7
@@ -320,14 +354,14 @@ def _action_report_loop(t):
     """Reference route: the eigen-relation checked entry by entry over h and n."""
     chain = t.chain
     twist = chain.twist
-    psi = wavefunction_sov2(t)
+    psi = _sov2_array(t)
 
     def get(h):
         inside = all(0 <= hn < d for hn, d in zip(h, chain.dims))
         return psi[tuple(h)] if inside else 0.0
 
     worst = 0.0
-    for h in multi_indices(chain):
+    for h in np.ndindex(chain.dims):
         for n in range(chain.n_sites):
             node = chain.node(n, h[n])
             up = list(h)

@@ -3,7 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
-from conftest import TWIST_FULL, XI_N3
+from conftest import TWIST_FULL, XI_N3, dense_blocks
 from sovchain import make_chain
 from sovchain.chain import ChainSpec, fused_twist
 from sovchain.cli import chain_from_config, load_config
@@ -11,10 +11,9 @@ from sovchain.local_ops import (kron_chain, kron_embed, lax, permutation_4x4, r_
                                 symmetric_basis)
 from sovchain.numerics import commutator_residual, frob, random_complex
 from sovchain.transfer import (TransferEvaluator, central_zero_residual,
-                               fused_transfer_projector, monodromy_blocks, monodromy_matrix,
-                               polynomiality_residual, quantum_det_residual,
-                               reference_covector, rtt_residual, symmetry_residual,
-                               transfer, tridiagonal_operator_det)
+                               fused_transfer_projector, monodromy_matrix,
+                               polynomiality_residual, quantum_det_residual, rtt_residual,
+                               symmetry_residual, transfer, tridiagonal_operator_det)
 
 # the package re-exports the function ``transfer``, which shadows the module attribute
 transfer_module = importlib.import_module("sovchain.transfer")
@@ -145,7 +144,7 @@ def test_single_site_transfer_hand_formula(chain1):
 def test_reference_covector_actions(chain12):
     lam = 0.37 + 0.21j
     a, b, c, d = _identity_twist_blocks(chain12, lam)
-    v0 = reference_covector(chain12)
+    v0 = np.eye(chain12.dim)[0]   # product of the local highest-weight covectors
     assert frob(v0 @ a - chain12.a(lam) * v0) < 1e-12
     assert frob(v0 @ d - chain12.d(lam) * v0) < 1e-12
     assert frob(v0 @ b) < 1e-13
@@ -250,9 +249,9 @@ def test_tridiagonal_determinant_matches_fusion(chain12, ev12):
 
 def _dense_quantum_det_residual(chain, lam):
     """Reference route: A(lam) D(lam-eta) - B(lam) C(lam-eta) from two full monodromies."""
-    blocks_lam = monodromy_blocks(chain, lam)
-    blocks_shift = monodromy_blocks(chain, lam - chain.eta)
-    op = blocks_lam.a @ blocks_shift.d - blocks_lam.b @ blocks_shift.c
+    a, b, _, _ = dense_blocks(chain, lam)
+    _, _, c, d = dense_blocks(chain, lam - chain.eta)
+    op = a @ d - b @ c
     target = chain.det_q(lam) * np.eye(chain.dim, dtype=complex)
     return frob(op - target) / max(1.0, frob(target), frob(op))
 
@@ -302,10 +301,10 @@ def test_quantum_det_balance_at_bottom_node(chain12):
     # where the scalar vanishes the two block products must agree
     n, site = 1, chain12.sites[1]
     lam = chain12.node(n, site.two_s)
-    blocks = monodromy_blocks(chain12, lam)
-    shift = monodromy_blocks(chain12, lam - chain12.eta)
-    lhs = blocks.a @ shift.d
-    rhs = blocks.b @ shift.c
+    a, b, _, _ = dense_blocks(chain12, lam)
+    _, _, c, d = dense_blocks(chain12, lam - chain12.eta)
+    lhs = a @ d
+    rhs = b @ c
     assert frob(lhs - rhs) / max(1.0, frob(lhs)) < 1e-11
 
 
