@@ -39,7 +39,7 @@ from .spectrum import (TransferPolynomial, brute_force_spectrum, closed_form_sol
                        solve_discrete_system, wavefunction_action_report)
 from .transfer import (TransferEvaluator, central_zero_residual, fused_transfer_projector,
                        polynomiality_residual, quantum_det_residual, rtt_residual,
-                       symmetry_residual, tridiagonal_operator_det)
+                       symmetry_residual, transfer, tridiagonal_operator_det)
 
 COMMANDS = ("verify-algebra", "verify-fusion", "basis", "spectrum", "baxter", "qop", "all")
 BASIS_KINDS = ("sklyanin", "sov1", "sov2", "q")
@@ -213,7 +213,8 @@ def _config_echo(chain: ChainSpec) -> dict:
 class _RunContext:
     """Results shared by the suites of one ``run`` call, each computed on first use.
 
-    Holds the oracle records, their eigenvalues as one (D, N) stack, their
+    Holds the transfer sample stack that every suite's evaluator reads, the
+    oracle records, their eigenvalues as one (D, N) stack, their
     Q-polynomials at each zeta, the eigenbasis Q-operator, the Sklyanin basis
     and the default-source second SoV basis: what each suite would otherwise
     recompute. A computation that raises is not stored, so it raises again in
@@ -231,9 +232,13 @@ class _RunContext:
             self._values[key] = compute()
         return self._values[key]
 
-    def records(self, evaluator=None):
-        return self._get("records", lambda: brute_force_spectrum(self.chain,
-                                                                 evaluator=evaluator))
+    def records(self):
+        return self._get("records", lambda: brute_force_spectrum(self.chain))
+
+    def evaluator(self) -> TransferEvaluator:
+        """A new evaluator (its own fused cache) on the run's one transfer sample stack."""
+        samples = self._get("samples", lambda: TransferEvaluator(self.chain).samples)
+        return TransferEvaluator(self.chain, samples)
 
     def eigenvalues(self) -> TransferPolynomial:
         """The records' transfer eigenvalues as one stack, row i = record i."""
@@ -245,12 +250,11 @@ class _RunContext:
         return self._get(("q", complex(zeta)),
                          lambda: solve_q_polynomial(self.eigenvalues(), zeta=zeta))
 
-    def q_operator(self, evaluator):
+    def q_operator(self):
         """Eigenbasis Q-operator at the default zeta."""
         def build():
             _require_q_twist(self.chain)   # before the oracle, which a Jordan twist also fails
-            records = self.records(evaluator)
-            return build_q_operator(records, self.q_polynomials(default_zeta(self.chain)))
+            return build_q_operator(self.records(), self.q_polynomials(default_zeta(self.chain)))
 
         return self._get("qop", build)
 
@@ -294,7 +298,7 @@ def suite_algebra(chain: ChainSpec, samples: int):
     draw, reps = partial(random_complex, rng, box=3.0), max(4, samples // 2)
     lams, mus = np.array([draw(size=2) for _ in range(reps)]).T
     checks.append(_check("algebra.rtt", np.max(rtt_residual(chain, lams, mus)), 1e-11))
-    worst = np.max([quantum_det_residual(chain, complex(draw())) for _ in range(reps)])
+    worst = np.max(quantum_det_residual(chain, [complex(draw()) for _ in range(reps)]))
     checks.append(_check("algebra.quantum_det", worst, 1e-10))
     worst = np.max(symmetry_residual(chain, [complex(draw()) for _ in range(4)]))
     checks.append(_check("algebra.twist_symmetry", worst, 1e-10))
@@ -312,10 +316,10 @@ def suite_algebra(chain: ChainSpec, samples: int):
     return checks
 
 
-def suite_fusion(chain: ChainSpec):
+def suite_fusion(chain: ChainSpec, ctx: _RunContext):
     checks = []
     rng = chain.rng(200)
-    evaluator = TransferEvaluator(chain)
+    evaluator = ctx.evaluator()
     max_level = min(3, max(site.two_s for site in chain.sites) + 1)
 
     levels = range(1, max_level + 1)
@@ -362,12 +366,10 @@ def suite_fusion(chain: ChainSpec):
     checks.append(_check("fusion.transfer_polynomiality",
                          polynomiality_residual(chain, rng), 1e-10))
 
-    # leading coefficient of T as the top divided difference over N+1 points
+    # leading coefficient of T as the top divided difference over N+1 kernel-built points
     pts = random_complex(rng, size=chain.n_sites + 1, box=2.0)
-    lead = np.zeros((chain.dim, chain.dim), dtype=CDTYPE)
-    for j, z in enumerate(pts):
-        denom = np.prod([z - w for k, w in enumerate(pts) if k != j])
-        lead += evaluator.transfer(z) / denom
+    lead = sum(transfer(chain, z) / np.prod([z - w for k, w in enumerate(pts) if k != j])
+               for j, z in enumerate(pts))
     target = chain.twist.trace * np.eye(chain.dim, dtype=CDTYPE)
     checks.append(_check("fusion.transfer_leading_coefficient",
                          frob(lead - target) / max(1.0, frob(target)), 1e-9))
@@ -377,7 +379,6 @@ def suite_fusion(chain: ChainSpec):
 def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext, precision="double"):
     checks = []
     rng = chain.rng(300)
-    evaluator = TransferEvaluator(chain)
     if kind == "sklyanin":
         basis = ctx.sklyanin()
         rank, smallest = gram_rank(basis, precision=precision)
@@ -389,6 +390,7 @@ def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext, precision="double
         checks.append(_check("basis.sklyanin.a_shift", report["a_action"], 1e-8))
         checks.append(_check("basis.sklyanin.d_shift", report["d_action"], 1e-8))
     elif kind == "sov1":
+        evaluator = ctx.evaluator()
         basis = sov_basis_1(chain, evaluator=evaluator)
         rank, smallest = gram_rank(basis, precision=precision)
         checks.append(_check("basis.sov1.rank_deficit", chain.dim - rank, 0,
@@ -399,6 +401,7 @@ def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext, precision="double
         checks.append(_check("basis.sov1.tensor_source_rank_deficit", chain.dim - rank_t, 0,
                              smallest_sv=smallest_t))
     elif kind == "sov2":
+        evaluator = ctx.evaluator()
         basis = ctx.sov2(evaluator)
         rank, smallest = gram_rank(basis, precision=precision)
         checks.append(_check("basis.sov2.rank_deficit", chain.dim - rank, 0,
@@ -411,7 +414,7 @@ def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext, precision="double
         checks.append(_check("basis.sov2.sklyanin_identification",
                              _basis_difference(ident, skl), 1e-7))
     elif kind == "q":
-        qop = ctx.q_operator(evaluator)
+        qop = ctx.q_operator()
         skl = ctx.sklyanin()
         basis = sov_from_q(qop, sklyanin=skl)
         rank, smallest = gram_rank(basis, precision=precision)
@@ -435,8 +438,8 @@ def _basis_difference(got, want) -> float:
 
 def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
     checks = []
-    evaluator = TransferEvaluator(chain)
-    records = ctx.records(evaluator)
+    evaluator = ctx.evaluator()
+    records = ctx.records()
     stack = ctx.eigenvalues()
     checks.append(_check("spectrum.oracle_discrete_residual", np.max(stack.discrete_residual),
                          1e-8))
@@ -475,7 +478,7 @@ def _closed_form_vs_oracle(chain: ChainSpec) -> float:
     degenerate = make_chain(chain.eta, [(s.two_s, s.xi) for s in chain.sites],
                             twist, tolerances=chain.tolerances, seed=chain.seed)
     lam0 = complex(random_complex(degenerate.rng(10), box=2.0)) + 0.25j
-    vals = np.linalg.eigvals(TransferEvaluator(degenerate).transfer(lam0))
+    vals = np.linalg.eigvals(transfer(degenerate, lam0))
     want = TransferPolynomial(degenerate, [t.x for t in closed_form_solutions(degenerate)])(lam0)
     return _multiset_distance(vals, want) / max(1.0, float(np.max(np.abs(want))))
 
@@ -522,9 +525,9 @@ def suite_baxter(chain: ChainSpec, ctx: _RunContext):
 
 def suite_qop(chain: ChainSpec, ctx: _RunContext):
     checks = []
-    evaluator = TransferEvaluator(chain)
+    evaluator = ctx.evaluator()
     rng = chain.rng(500)
-    qop = ctx.q_operator(evaluator)
+    qop = ctx.q_operator()
     qop_det = build_q_operator(ctx.records(), ctx.q_polynomials(qop.zeta), method="determinant")
 
     lams = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
@@ -556,13 +559,14 @@ def run(command: str, chain: ChainSpec, samples=20, precision="double",
         basis_kind=None, tol_override=None) -> dict:
     """Execute a command's check suites and assemble the report.
 
-    The suites of one call share a ``_RunContext``: one oracle
-    diagonalization, one Q-polynomial solve per (eigenvalue, zeta), one
-    eigenbasis Q-operator, one Sklyanin basis and one default-source second
-    SoV basis, each computed when a suite first needs it and dropped when
-    the call returns. A suite that raises becomes its ``<suite>.error`` row;
-    the spectrum table is built from the shared records, so when they fail
-    the report carries ``suite_spectrum.error`` and no table.
+    The suites of one call share a ``_RunContext``: one transfer sample
+    stack, one oracle diagonalization, one Q-polynomial solve per
+    (eigenvalue, zeta), one eigenbasis Q-operator, one Sklyanin basis and one
+    default-source second SoV basis, each computed when a suite first needs
+    it and dropped when the call returns. A suite that raises becomes its
+    ``<suite>.error`` row; the spectrum table is built from the shared
+    records, so when they fail the report carries ``suite_spectrum.error``
+    and no table.
 
     ``tol_override`` replaces the tolerance of every residual-type check
     (those with a positive default); structural checks (ranks, counts) keep
@@ -582,7 +586,7 @@ def run(command: str, chain: ChainSpec, samples=20, precision="double",
     if command in ("verify-algebra", "all"):
         checks += guarded(suite_algebra, samples)
     if command in ("verify-fusion", "all"):
-        checks += guarded(suite_fusion)
+        checks += guarded(suite_fusion, ctx)
     if command in ("basis", "all"):
         kinds = [basis_kind] if command == "basis" else list(BASIS_KINDS)
         for kind in kinds:

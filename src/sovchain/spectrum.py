@@ -26,7 +26,7 @@ from .chain import ChainSpec, _tower_denominators
 from .errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
 from .numerics import CDTYPE, _Barycentric, greedy_match, random_complex
 from .sov_bases import _node_grid, _separate_action_residual
-from .transfer import TransferEvaluator
+from .transfer import TransferEvaluator, transfer
 
 __all__ = [
     "TransferPolynomial",
@@ -119,19 +119,18 @@ class EigenRecord:
     value_at_lam0: complex
 
 
-def brute_force_spectrum(chain: ChainSpec, evaluator=None):
+def brute_force_spectrum(chain: ChainSpec):
     """Independent oracle: dense diagonalization of T at one generic point.
 
+    T is built by the kernel (``transfer``), not read from an interpolant.
     Node values are read off each eigenpair as left . T(node) . right, all
     D pairs at once per node: one stacked vector-matrix product, then one
     stacked dot, each pair through the same BLAS calls as alone. Raises
     NearDegenerateSpectrum when the eigenvalue gap at the probe point falls
     under tolerance (re-seed the chain in that case).
     """
-    evaluator = evaluator or TransferEvaluator(chain)
     lam0 = complex(random_complex(chain.rng(10), box=2.0)) + 0.25j
-    t0 = evaluator.transfer(lam0)
-    vals, vecs = np.linalg.eig(t0)
+    vals, vecs = np.linalg.eig(transfer(chain, lam0))
     order = np.lexsort((vals.imag, vals.real))
     vals, vecs = vals[order], vecs[:, order]
     scale = 1.0 + float(np.max(np.abs(vals)))
@@ -140,7 +139,7 @@ def brute_force_spectrum(chain: ChainSpec, evaluator=None):
         raise NearDegenerateSpectrum(
             f"min eigenvalue gap {gaps.min():.3e} at probe point {lam0}")
     left = np.linalg.inv(vecs)
-    xs = np.array([(left[:, None] @ evaluator.transfer(chain.node(a, 0)) @ vecs.T[..., None])
+    xs = np.array([(left[:, None] @ transfer(chain, chain.node(a, 0)) @ vecs.T[..., None])
                    [:, 0, 0] for a in range(chain.n_sites)]).T.copy()
     return [EigenRecord(t=TransferPolynomial(chain, x), vector=vecs[:, i].copy(),
                         left=left[i].copy(), value_at_lam0=complex(vals[i]))

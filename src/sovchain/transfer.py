@@ -7,8 +7,12 @@ residuals compare both sides in that order; RTT and symmetry subtract in
 place, so no third (4D)^2 or (2D)^2 array is made. ``_lax_chain`` turns leg
 order into matrix order by one final transpose, for the monodromy, the
 transfer matrix and the projector route, whose results are multiplied further.
-RTT, symmetry and the projector route take all their points at once and grow
-each into buffers allocated once per call, so no point faults in fresh pages.
+RTT, the quantum determinant, symmetry and the projector route take all their
+points at once, each grown into buffers allocated once per call.
+
+``TransferEvaluator`` interpolates T, a degree-N polynomial with leading
+coefficient tr K Id, from N kernel-built samples that the suites of one run
+share. The oracle and the rows that certify that premise call ``transfer``.
 
 The fused transfer matrices are produced by the three-term recursion
 
@@ -28,7 +32,7 @@ import numpy as np
 
 from .chain import ChainSpec, fused_twist
 from .local_ops import kron_chain, lax, permutation_4x4, r_matrix, symmetric_basis
-from .numerics import CDTYPE, frob, lagrange_cardinal
+from .numerics import CDTYPE, _Barycentric, frob, lagrange_cardinal
 
 __all__ = [
     "monodromy_matrix",
@@ -129,43 +133,52 @@ def transfer(chain: ChainSpec, lam: complex) -> np.ndarray:
 
 
 class TransferEvaluator:
-    """Memoizing evaluator for the transfer matrix and its fused tower.
+    """T(lam) from N kernel-built samples, and the fused tower by the recursion.
 
-    Cache keys are the exact complex bit patterns of the requested points;
-    no fuzzy matching. Returned arrays are owned by the cache and are
-    read-only. Instances are safe for concurrent reads once warmed;
-    interleaved first-time insertions need external locking.
+    T(lam) = ell(lam) [tr K Id + sum_a w_a T(z_a) / (lam - z_a)], ell(lam) = prod_a (lam - z_a),
+    at z_a = c + r e^{2 pi i (a + 1/2) / N} around the grid-node centroid c, r = max(3,
+    max |xi_n^(h) - c|): unlike the top nodes, these stay apart when two xi_n nearly collide.
+    ``samples``, the read-only (N, D, D) stack of T(z_a), is built when None or shared from
+    another evaluator. ``transfer`` returns a fresh read-only contraction (the sample at a
+    node); fused levels >= 1 are cached and read-only, level 0 is one shared identity.
     """
 
-    def __init__(self, chain: ChainSpec):
-        self.chain = chain
-        self._plain = {}
-        self._fused = {}
+    def __init__(self, chain: ChainSpec, samples=None):
+        grid = np.concatenate([nodes for nodes, _, _ in chain.grid])
+        radius = max(3.0, float(np.max(np.abs(grid - grid.mean()))))
+        angles = 2 * np.pi * (np.arange(chain.n_sites) + 0.5) / chain.n_sites
+        self.chain, self._fused = chain, {}
+        self._interp = _Barycentric(grid.mean() + radius * np.exp(1j * angles))
+        if samples is None:
+            samples = np.stack([transfer(chain, complex(z)) for z in self._interp.nodes])
+        self.samples, self._eye = samples, np.eye(chain.dim, dtype=CDTYPE)
+        for arr in (samples, self._eye):
+            arr.flags.writeable = False
 
     def transfer(self, lam: complex) -> np.ndarray:
-        key = complex(lam)
-        if key not in self._plain:
-            out = self._plain[key] = transfer(self.chain, key)
-            out.flags.writeable = False
-        return self._plain[key]
+        lam = complex(lam)
+        out = np.tensordot(self._interp.cardinals(lam), self.samples, axes=1)
+        out.flat[::self.chain.dim + 1] += self.chain.twist.trace * np.prod(lam - self._interp.nodes)
+        out.flags.writeable = False
+        return out
 
     def fused(self, level: int, lam: complex) -> np.ndarray:
         """T^(level)(lam) by the fusion recursion; level 0 is the identity."""
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
+        if level == 0:
+            return self._eye
         key = (level, complex(lam))
         if key in self._fused:
             return self._fused[key]
-        if level == 0:
-            out = np.eye(self.chain.dim, dtype=CDTYPE)
-        elif level == 1:
+        if level == 1:
             out = self.transfer(lam)
         else:
             lcur = level - 1
             shift = lam + lcur * self.chain.eta
             out = (self.transfer(shift) @ self.fused(lcur, lam)
                    - self.chain.det_q(shift) * self.fused(lcur - 1, lam))
-        out.flags.writeable = False
+            out.flags.writeable = False
         self._fused[key] = out
         return out
 
@@ -237,23 +250,30 @@ def rtt_residual(chain: ChainSpec, lams, mus) -> np.ndarray:
     return np.array(out)
 
 
-def quantum_det_residual(chain: ChainSpec, lam: complex) -> float:
-    """Residual of A(lam) D(lam-eta) - B(lam) C(lam-eta) = detq(lam) Id.
+def quantum_det_residual(chain: ChainSpec, lams) -> np.ndarray:
+    """Residual of A(lam) D(lam-eta) - B(lam) C(lam-eta) = detq(lam) Id, one per point.
 
     The left side is entry ((0,1), (0,1)) minus entry ((0,1), (1,0)) of
     M1(lam) M2(lam - eta) on C^2 x C^2, grown by ``_lax_legs`` as in
     ``rtt_residual`` from the column e_(0,1) - e_(1,0) and closed by the row
     e_(0,1). In leg order the identity is the Kronecker product of the
-    flattened per-site identities, site N slowest.
+    flattened per-site identities, site N slowest. Every point's two sides
+    are grown into the same three buffers.
     """
-    pairs = zip(_site_laxes(chain, lam), _site_laxes(chain, lam - chain.eta))
     start = np.array([[0.0], [1.0], [-1.0], [0.0]], dtype=CDTYPE)
     close = np.array([[0.0, 1.0, 0.0, 0.0]], dtype=CDTYPE)
-    op = _lax_legs([_aux_product(p) for p in pairs], start,
-                   twist=_twist_power(chain.twist.matrix.tobytes(), 2), close=close)
+    kk = _twist_power(chain.twist.matrix.tobytes(), 2)
     eye = functools.reduce(np.multiply.outer, [np.eye(d).ravel() for d in reversed(chain.dims)])
-    target = chain.det_q(lam) * eye.reshape(op.shape)
-    return frob(op - target) / max(1.0, frob(target), frob(op))
+    bufs, out = np.empty((3, 4 * chain.dim ** 2), dtype=CDTYPE), []
+    for lam in lams:
+        pairs = zip(_site_laxes(chain, lam), _site_laxes(chain, lam - chain.eta))
+        op = _lax_legs([_aux_product(p) for p in pairs], start, twist=kk, close=close,
+                       bufs=bufs[:2])
+        target = np.multiply(chain.det_q(lam), eye.reshape(op.shape),
+                             out=bufs[2, :op.size].reshape(op.shape))
+        scale = max(1.0, frob(target), frob(op))
+        out.append(frob(np.subtract(op, target, out=target)) / scale)
+    return np.array(out)
 
 
 def symmetry_residual(chain: ChainSpec, lams, k_matrix=None) -> np.ndarray:
@@ -302,13 +322,10 @@ def polynomiality_residual(chain: ChainSpec, rng) -> float:
     """Degree-N certificate: interpolate T from N+1 samples, test a held-out point."""
     from .numerics import random_complex
 
-    n = chain.n_sites
-    pts = random_complex(rng, size=n + 2, box=2.5)
+    pts = random_complex(rng, size=chain.n_sites + 2, box=2.5)
     nodes, probe = pts[:-1], pts[-1]
-    samples = [transfer(chain, z) for z in nodes]
-    recon = np.zeros((chain.dim, chain.dim), dtype=CDTYPE)
-    for j in range(n + 1):
-        recon += lagrange_cardinal(nodes, j, probe) * samples[j]
+    recon = sum(lagrange_cardinal(nodes, j, probe) * transfer(chain, z)
+                for j, z in enumerate(nodes))
     direct = transfer(chain, probe)
     return frob(recon - direct) / max(1.0, frob(direct))
 

@@ -13,11 +13,12 @@ from sovchain.errors import (DegenerateBasis, NonInvertibleQ, RootOnForbiddenNod
 from sovchain.numerics import frob, poly_eval, random_complex
 from sovchain.sov_bases import gram_rank, sklyanin_basis
 from sovchain.spectrum import EigenRecord, TransferPolynomial, _sov2_array, brute_force_spectrum
+from sovchain.transfer import transfer
 
 
-def _q_operator(chain, evaluator=None):
+def _q_operator(chain):
     """Eigenbasis Q-operator from the oracle records and their Q-polynomials at the default zeta."""
-    records = brute_force_spectrum(chain, evaluator=evaluator)
+    records = brute_force_spectrum(chain)
     return build_q_operator(records, [solve_q_polynomial(rec.t) for rec in records])
 
 
@@ -214,7 +215,7 @@ def test_cramer_dets_match_solution(chain12):
 
 
 def test_q_operator_identities(chain12, ev12):
-    qop = _q_operator(chain12, ev12)
+    qop = _q_operator(chain12)
     rng = np.random.default_rng(91)
     lams = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
     mus = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
@@ -337,15 +338,15 @@ def test_sov_q_factorization(chain12, chain112):
             assert sov_q_factorization(rec.t, qpoly) < 1e-7
 
 
-def test_leading_coefficient_constraint(chain12, ev12):
+def test_leading_coefficient_constraint(chain12):
     # oracle eigenvalue leading coefficient satisfies k1^2 - k1 t_lead + det K = 0
     chain = chain12
     pts = np.array([0.4 + 0.1j, -0.9 - 0.7j, 1.8 + 0.9j])
-    for rec in brute_force_spectrum(chain, evaluator=ev12)[:3]:
+    for rec in brute_force_spectrum(chain)[:3]:
         lead = 0.0
         for j, z in enumerate(pts):
             denom = np.prod([z - w for k, w in enumerate(pts) if k != j])
-            lead += (rec.left @ ev12.transfer(z) @ rec.vector) / denom
+            lead += (rec.left @ transfer(chain, z) @ rec.vector) / denom
         k1 = chain.twist.k1
         assert abs(lead - chain.twist.trace) < 1e-9
         assert abs(k1 ** 2 - k1 * lead + chain.twist.det) < 1e-8
@@ -396,8 +397,8 @@ def test_root_on_forbidden_node_raises(chain12):
         solve_q_polynomial(rec.t, zeta=zeta, root_floor=1e30)
 
 
-def test_non_invertible_q_raises(chain12, ev12):
-    qop = _q_operator(chain12, ev12)
+def test_non_invertible_q_raises(chain12):
+    qop = _q_operator(chain12)
     with pytest.raises(NonInvertibleQ):
         q_operator_invertibility(qop, cond_limit=0)
 
@@ -420,8 +421,8 @@ def test_q_operator_takes_q_polynomials_from_solver(chain12, monkeypatch):
     assert np.array_equal(build_q_operator(records, qpolys).eigenvalues(lam), want)
 
 
-def test_sov_from_q_validates_given_sklyanin_basis(chain12, ev12):
-    qop = _q_operator(chain12, ev12)
+def test_sov_from_q_validates_given_sklyanin_basis(chain12):
+    qop = _q_operator(chain12)
     skl = sklyanin_basis(chain12)
     assert np.array_equal(sov_from_q(qop, sklyanin=skl).rows, sov_from_q(qop).rows)
     rows = skl.rows.copy()

@@ -119,7 +119,7 @@ def test_stacked_ybe_rll_match_per_sample_loop(name, samples, monkeypatch):
     seen = []
     for fn in ("rtt_residual", "quantum_det_residual", "symmetry_residual"):
         def record(chain, *points, fn=fn, real=getattr(cli, fn)):
-            # one entry per sample point: RTT and symmetry take all their points at once
+            # one entry per sample point: each identity takes all its points at once
             seen.extend((fn, p) for p in zip(*(np.atleast_1d(x) for x in points)))
             return real(chain, *points)
         monkeypatch.setattr(cli, fn, record)
@@ -160,7 +160,7 @@ def _spoil(real, mode):
 # max(worst, x) fold from worst = 0.0 drops it and the row passes
 NAN_FOLDS = [
     ("verify-algebra", "rtt_residual", "sample", "algebra.rtt"),
-    ("verify-algebra", "quantum_det_residual", ("call", 2), "algebra.quantum_det"),
+    ("verify-algebra", "quantum_det_residual", "sample", "algebra.quantum_det"),
     ("verify-algebra", "symmetry_residual", "sample", "algebra.twist_symmetry"),
     ("verify-algebra", "frob", ("call", 2), "algebra.spin_relations"),
     ("verify-fusion", "commutator_residual", ("call", 2), "fusion.commuting_family"),
@@ -201,10 +201,10 @@ def test_library_fold_keeps_a_nan_sample(monkeypatch, row):
     lams = [0.4 + 0.3j, -1.1 + 0.7j, 0.9 - 1.3j]
     if row == "qop.commutes_with_transfer":
         spoiled.transfer = _nan_at(ev.transfer, lams[1])
-        value = baxter.q_operator_commutation_residual(ctx.q_operator(ev), spoiled, lams[:1], lams)
+        value = baxter.q_operator_commutation_residual(ctx.q_operator(), spoiled, lams[:1], lams)
     elif row == "qop.operator_tq_equation":
         spoiled.transfer = _nan_at(ev.transfer, lams[1] - chain.eta)
-        value = baxter.q_operator_tq_residual(ctx.q_operator(ev), spoiled, lams)
+        value = baxter.q_operator_tq_residual(ctx.q_operator(), spoiled, lams)
     elif row == "basis.sov2.separate_action":
         spoiled.transfer = _nan_at(ev.transfer, chain.node(1, 0))
         value = sov_bases.separate_action_report(ctx.sov2(ev), spoiled)
@@ -374,6 +374,43 @@ def test_all_diagonalizes_once(monkeypatch):
     chain = chain_from_config(load_config("n2_mixed"))
     assert run("all", chain)["passed"]
     assert len(calls) == 1
+
+
+def test_run_evaluators_share_one_stack_of_n_kernel_builds(monkeypatch):
+    # every evaluator of a run reads one stack of N samples; besides those, the module's
+    # kernel builds only the N + 2 points of the polynomiality row
+    import importlib
+
+    transfer_module = importlib.import_module("sovchain.transfer")
+    made, builds, kernel = [], [], transfer_module.transfer
+
+    class Recorded(TransferEvaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "TransferEvaluator", Recorded)
+    monkeypatch.setattr(transfer_module, "transfer",
+                        lambda chain, lam: builds.append(lam) or kernel(chain, lam))
+    chain = chain_from_config(load_config("n2_mixed"))
+    assert run("all", chain)["passed"]
+    assert len(made) > 2 and len({id(ev.samples) for ev in made}) == 1
+    assert len(builds) == 2 * chain.n_sites + 2
+
+
+def test_route_equivalence_sees_one_corrupted_sample():
+    # the recursion reads the interpolant and the projector route the kernel: one sample
+    # off by 1e-6 fails the route row, while the rows that read the kernel still pass
+    chain = chain_from_config(load_config("n2_spin22"))
+    for scale, fails in ((1.0, False), (1 + 1e-6, True)):
+        ctx = cli._RunContext(chain)
+        samples = ctx.evaluator().samples.copy()
+        samples[0] *= scale
+        ctx._values["samples"] = samples
+        rows = {c["name"]: c["passed"] for c in cli.suite_fusion(chain, ctx)}
+        assert rows["fusion.route_equivalence"] is not fails
+        assert rows["fusion.transfer_polynomiality"]
+        assert rows["fusion.transfer_leading_coefficient"]
 
 
 def test_all_takes_each_basis_rank_once(monkeypatch):

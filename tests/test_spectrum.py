@@ -14,7 +14,7 @@ from sovchain.spectrum import (TransferPolynomial, _dedup, _DiscreteSystem, _fus
                                eigenvector_from_sov, jacobian_smallest_sv, match_to_oracle,
                                solve_discrete_system, wavefunction_action_report)
 from sovchain.sov_bases import sov_basis_1, sov_basis_2
-from sovchain.transfer import TransferEvaluator
+from sovchain.transfer import TransferEvaluator, transfer
 
 
 def test_hand_case_oracle(chain1):
@@ -32,10 +32,10 @@ def test_hand_case_oracle(chain1):
 @pytest.mark.parametrize("name", ["n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22",
                                   "n3_mixed"])
 def test_oracle_node_values_equal_the_per_record_products_bitwise(name):
+    # the oracle reads the kernel-built T at each node, never an evaluator's interpolant
     chain = chain_from_config(load_config(name))
-    ev = TransferEvaluator(chain)
-    for rec in brute_force_spectrum(chain, evaluator=ev):
-        want = [rec.left @ ev.transfer(chain.node(a, 0)) @ rec.vector
+    for rec in brute_force_spectrum(chain):
+        want = [rec.left @ transfer(chain, chain.node(a, 0)) @ rec.vector
                 for a in range(chain.n_sites)]
         assert np.array_equal(rec.t.x, want)
 
@@ -255,7 +255,7 @@ def test_grid_ratios_match_eigenvector_coordinates(chain12, chain112):
         ev = TransferEvaluator(chain)
         basis = sov_basis_2(chain, evaluator=ev)
         top = tuple(site.two_s for site in chain.sites)
-        for rec in brute_force_spectrum(chain, evaluator=ev):
+        for rec in brute_force_spectrum(chain):
             want = basis.rows @ rec.vector / (basis.row(top) @ rec.vector)
             got = _site_product(rec.t.grid_ratios).ravel()
             assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -263,7 +263,7 @@ def test_grid_ratios_match_eigenvector_coordinates(chain12, chain112):
 
 def test_eigenvector_reconstruction(chain12, ev12):
     basis = sov_basis_2(chain12, evaluator=ev12)
-    records = brute_force_spectrum(chain12, evaluator=ev12)
+    records = brute_force_spectrum(chain12)
     stack = TransferPolynomial(chain12, [rec.t.x for rec in records])
     vectors, residuals = eigenvector_from_sov(stack, basis, evaluator=ev12)
     assert vectors.shape == (chain12.dim, chain12.dim) and residuals.shape == (chain12.dim,)
@@ -296,7 +296,7 @@ def test_eigenvectors_match_per_record_solves(chain12, chain112, chain123):
     for chain in (chain12, chain112, chain123):
         ev = TransferEvaluator(chain)
         basis = sov_basis_2(chain, evaluator=ev)
-        ts = [rec.t for rec in brute_force_spectrum(chain, evaluator=ev)]
+        ts = [rec.t for rec in brute_force_spectrum(chain)]
         stack = TransferPolynomial(chain, [t.x for t in ts])
         vectors, residuals = eigenvector_from_sov(stack, basis, evaluator=ev)
         for j, t in enumerate(ts):
@@ -316,7 +316,7 @@ def _wavefunction_sov1(t):
 def test_eigenvector_via_first_basis(chain12, ev12):
     # the first-basis wavefunction characterizes the same eigenvectors
     basis = sov_basis_1(chain12, evaluator=ev12)
-    for rec in brute_force_spectrum(chain12, evaluator=ev12)[:3]:
+    for rec in brute_force_spectrum(chain12)[:3]:
         v = np.linalg.solve(basis.rows, _wavefunction_sov1(rec.t).ravel())
         mu = 0.61 - 0.29j
         lhs = ev12.transfer(mu) @ v
@@ -393,8 +393,7 @@ def test_near_degenerate_spectrum_raises(chain12):
 
 def test_eigenvector_residual_too_large_raises(chain12, ev12):
     basis = sov_basis_2(chain12, evaluator=ev12)
-    ts = TransferPolynomial(chain12, [rec.t.x for rec in brute_force_spectrum(chain12,
-                                                                               evaluator=ev12)])
+    ts = TransferPolynomial(chain12, [rec.t.x for rec in brute_force_spectrum(chain12)])
     eigenvector_from_sov(ts, basis, evaluator=ev12)
     rows = basis.rows.copy()
     rows[1] *= 1 + 1e-4

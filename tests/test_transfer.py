@@ -1,3 +1,4 @@
+import functools
 import importlib
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from conftest import TWIST_FULL, XI_N3, dense_blocks
 from sovchain import make_chain
-from sovchain.chain import ChainSpec, fused_twist
+from sovchain.chain import ChainSpec, fused_twist, random_chain
 from sovchain.cli import chain_from_config, load_config
 from sovchain.local_ops import (kron_chain, kron_embed, lax, permutation_4x4, r_matrix,
                                 symmetric_basis)
@@ -261,13 +262,13 @@ def test_quantum_det_operator_identity(chain12, chain112):
     for chain in (chain12, chain112):
         for _ in range(4):
             lam = complex(random_complex(rng, box=3.0))
-            assert quantum_det_residual(chain, lam) < 1e-10
+            assert quantum_det_residual(chain, [lam])[0] < 1e-10
 
 
 def test_quantum_det_matches_two_monodromy_route(chain123):
     rng = np.random.default_rng(10)
     for lam in random_complex(rng, size=3, box=3.0):
-        assert quantum_det_residual(chain123, lam) < 1e-13
+        assert quantum_det_residual(chain123, [lam])[0] < 1e-13
         assert _dense_quantum_det_residual(chain123, lam) < 1e-13
 
 
@@ -281,7 +282,7 @@ def test_quantum_det_detects_a_wrong_lax_entry(chain123, monkeypatch):
 
     monkeypatch.setattr(transfer_module, "lax", wrong_lax)
     lam = 0.7 - 0.4j
-    got = quantum_det_residual(chain123, lam)
+    got = quantum_det_residual(chain123, [lam])[0]
     want = _dense_quantum_det_residual(chain123, lam)
     assert got > 1e-8
     assert abs(got - want) <= 1e-8 * want
@@ -354,24 +355,76 @@ def test_transfer_is_degree_n_polynomial(chain12, chain112):
     assert polynomiality_residual(chain112, rng) < 1e-10
 
 
-def test_transfer_leading_coefficient(chain12, ev12):
-    # top divided difference over N+1 points equals tr(K) times the identity
+def test_transfer_leading_coefficient(chain12):
+    # top divided difference over N+1 kernel-built points equals tr(K) times the identity
     chain = chain12
     pts = np.array([0.3, -1.1 + 0.4j, 2.2 - 0.9j])
     lead = np.zeros((chain.dim, chain.dim), dtype=complex)
     for j, z in enumerate(pts):
         denom = np.prod([z - w for k, w in enumerate(pts) if k != j])
-        lead += ev12.transfer(z) / denom
+        lead += transfer(chain, z) / denom
     target = chain.twist.trace * np.eye(chain.dim)
     assert frob(lead - target) / max(1.0, frob(target)) < 1e-9
 
 
 def test_evaluator_cache_is_exact(chain12, ev12):
-    a = ev12.transfer(0.5 + 0.25j)
-    b = ev12.transfer(0.5 + 0.25j)
-    assert a is b
-    c = ev12.fused(2, 0.5 + 0.25j)
-    assert c is ev12.fused(2, 0.5 + 0.25j)
+    # fused levels >= 1 are cached by the exact bits of lam; the transfer is not memoized
+    lam = 0.5 + 0.25j
+    a, b = ev12.transfer(lam), ev12.transfer(lam)
+    assert a is not b and np.array_equal(a, b)
+    for level in (1, 2):
+        assert ev12.fused(level, lam) is ev12.fused(level, lam)
+    assert ev12.fused(0, lam) is ev12.fused(0, -lam)
+    assert np.array_equal(ev12.fused(0, lam), np.eye(chain12.dim))
+
+
+def _close_pair_chain():
+    """1^6 with xi_2 moved to 1e-6 from xi_1: the top nodes nearly collide."""
+    base = random_chain([1] * 6, 1.0, TWIST_FULL, seed=7)
+    xis = [site.xi for site in base.sites]
+    xis[1] = xis[0] + 1e-6
+    return make_chain(1.0, [(1, xi) for xi in xis], TWIST_FULL, seed=7)
+
+
+EVALUATOR_CHAINS = ("n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22", "n3_mixed",
+                    "1^7", "3,3,3", "6,6", "8,8", "close_pair")
+
+
+def _evaluator_chain(name):
+    if name == "close_pair":
+        return _close_pair_chain()
+    if name[0].isdigit():
+        spins = [1] * 7 if name == "1^7" else [int(s) for s in name.split(",")]
+        return random_chain(spins, 1.0, TWIST_FULL, seed=7)
+    return chain_from_config(load_config(name))
+
+
+@pytest.mark.parametrize("name", EVALUATOR_CHAINS)
+def test_evaluator_matches_the_kernel(name):
+    # at 20 points of box 3 and their fused shifts lam + eta, lam + 2 eta, and at every
+    # grid node, the interpolant is the kernel-built transfer to 1e-12 relative
+    chain = _evaluator_chain(name)
+    ev = TransferEvaluator(chain)
+    pts = random_complex(np.random.default_rng(71), size=20, box=3.0)
+    pts = np.concatenate([pts + k * chain.eta for k in range(3)]
+                         + [nodes for nodes, _, _ in chain.grid])
+    for lam in map(complex, pts):
+        want = transfer(chain, lam)
+        assert frob(ev.transfer(lam) - want) <= 1e-12 * max(1.0, frob(want))
+
+
+@pytest.mark.parametrize("name", EVALUATOR_CHAINS[:5])
+def test_evaluator_samples_are_the_kernel_bitwise(name):
+    chain = _evaluator_chain(name)
+    ev = TransferEvaluator(chain)
+    nodes = ev._interp.nodes
+    assert ev.samples.shape == (chain.n_sites, chain.dim, chain.dim)
+    for z, sample in zip(nodes, ev.samples):
+        assert np.array_equal(sample, transfer(chain, complex(z)))
+        assert np.array_equal(ev.transfer(z), sample)
+    shared = TransferEvaluator(chain, ev.samples)
+    assert shared.samples is ev.samples
+    assert np.array_equal(shared.transfer(0.3 - 0.2j), ev.transfer(0.3 - 0.2j))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +502,7 @@ def _oracle_residuals(chain, lam, mu, kernel=_oracle_lax_chain, reset=lambda: No
 def _leg_residuals(chain, lam, mu, reset=lambda: None):
     """The library's residuals, both sides in leg order; ``reset`` runs before each."""
     return _residuals((lambda: rtt_residual(chain, [lam], [mu])[0],
-                       lambda: quantum_det_residual(chain, lam),
+                       lambda: quantum_det_residual(chain, [lam])[0],
                        lambda: symmetry_residual(chain, [lam])[0]), reset)
 
 
@@ -526,12 +579,13 @@ def test_evaluator_cache_is_read_only(chain12):
     ev = TransferEvaluator(chain12)
     lam = 0.5 + 0.25j
     want = transfer(chain12, lam)
-    for arr in (ev.transfer(lam), ev.fused(0, lam), ev.fused(1, lam), ev.fused(2, lam)):
+    for arr in (ev.samples, ev.transfer(lam), ev.fused(0, lam), ev.fused(1, lam),
+                ev.fused(2, lam)):
         with pytest.raises(ValueError):
             arr += 1.0
     with pytest.raises(ValueError):
         ev.transfer(lam)[0, 0] = 0.0
-    assert np.array_equal(ev.transfer(lam), want)
+    assert frob(ev.transfer(lam) - want) <= 1e-12 * frob(want)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -587,6 +641,19 @@ def _per_sample_symmetry(chain, lam):
     return frob(np.subtract(right, left, out=right)) / max(1.0, frob(left))
 
 
+def _per_sample_quantum_det(chain, lam):
+    """One point's quantum-determinant residual, grown in fresh arrays."""
+    pairs = zip(transfer_module._site_laxes(chain, lam),
+                transfer_module._site_laxes(chain, lam - chain.eta))
+    start = np.array([[0.0], [1.0], [-1.0], [0.0]], dtype=complex)
+    op = _fresh_lax_legs([transfer_module._aux_product(p) for p in pairs], start,
+                         twist=kron_chain([chain.twist.matrix] * 2),
+                         close=np.array([[0.0, 1.0, 0.0, 0.0]], dtype=complex))
+    eye = functools.reduce(np.multiply.outer, [np.eye(d).ravel() for d in reversed(chain.dims)])
+    target = chain.det_q(lam) * eye.reshape(op.shape)
+    return frob(op - target) / max(1.0, frob(target), frob(op))
+
+
 def _per_point_projector(chain, level, lam):
     """One point's projector-route fused transfer matrix, grown in fresh arrays."""
     laxes = [transfer_module._site_laxes(chain, lam + (level - 1 - i) * chain.eta)
@@ -613,6 +680,8 @@ def test_buffered_products_equal_the_per_sample_kernel_bitwise(name):
                           [_per_sample_rtt(chain, lam, mu) for lam, mu in zip(lams, mus)])
     assert np.array_equal(symmetry_residual(chain, lams),
                           [_per_sample_symmetry(chain, lam) for lam in lams])
+    assert np.array_equal(quantum_det_residual(chain, lams),
+                          [_per_sample_quantum_det(chain, lam) for lam in lams])
     for level in (1, 2, 3):
         got = fused_transfer_projector(chain, level, lams)
         assert got.shape == (len(lams), chain.dim, chain.dim)
