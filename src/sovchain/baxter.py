@@ -25,8 +25,8 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import NonInvertibleQ, RootOnForbiddenNode, SingularCZeta
-from .numerics import (CDTYPE, _Barycentric, frob, poly_coeffs_from_samples, poly_eval,
-                       random_complex, trim_trailing)
+from .numerics import (CDTYPE, _Barycentric, commutator_residual, frob,
+                       poly_coeffs_from_samples, poly_eval, random_complex, trim_trailing)
 from .sov_bases import CovectorBasis, _require_full_rank, sklyanin_basis
 from .spectrum import TransferPolynomial, _site_product, _sov2_array
 
@@ -338,9 +338,7 @@ def q_operator_commutation_residual(qop: QOperator, evaluator, lams, mus) -> flo
     residuals = []
     for lam in lams:
         q = qop(lam)
-        for mu in mus:
-            tm = evaluator.transfer(mu)
-            residuals.append(frob(q @ tm - tm @ q) / max(1.0, frob(q) * frob(tm)))
+        residuals += [commutator_residual(q, evaluator.transfer(mu)) for mu in mus]
     return float(np.max(residuals, initial=0.0))
 
 

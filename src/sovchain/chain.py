@@ -42,7 +42,6 @@ _MIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=CDTYPE) / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Tolerances:
-    residual: float = 1e-10
     zero: float = 1e-8
     gram: float = 1e-10
 

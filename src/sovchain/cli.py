@@ -43,7 +43,7 @@ from .transfer import (TransferEvaluator, central_zero_residual, fused_transfer_
 
 COMMANDS = ("verify-algebra", "verify-fusion", "basis", "spectrum", "baxter", "qop", "all")
 BASIS_KINDS = ("sklyanin", "sov1", "sov2", "q")
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(Exception):
@@ -57,7 +57,7 @@ class ConfigError(Exception):
 _TOP_KEYS = {"schema_version", "eta", "sites", "twist", "seed", "tolerances"}
 _SITE_KEYS = {"two_s", "xi"}
 _TWIST_KEYS = {"a", "b", "c", "d"}
-_TOL_KEYS = {"residual", "zero", "gram"}
+_TOL_KEYS = {"zero", "gram"}
 
 
 def _as_complex(value, where):
@@ -201,11 +201,7 @@ def _config_echo(chain: ChainSpec) -> dict:
         "twist": {k: _cpx(getattr(chain.twist, k)) for k in "abcd"},
         "twist_eigenvalues": [_cpx(chain.twist.k1), _cpx(chain.twist.k2)],
         "seed": chain.seed,
-        "tolerances": {
-            "residual": chain.tolerances.residual,
-            "zero": chain.tolerances.zero,
-            "gram": chain.tolerances.gram,
-        },
+        "tolerances": {"zero": chain.tolerances.zero, "gram": chain.tolerances.gram},
         "dim": chain.dim,
     }
 
@@ -376,14 +372,12 @@ def suite_fusion(chain: ChainSpec, ctx: _RunContext):
     return checks
 
 
-def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext, precision="double"):
+def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext):
     checks = []
     rng = chain.rng(300)
     if kind == "sklyanin":
         basis = ctx.sklyanin()
-        rank, smallest = gram_rank(basis, precision=precision)
-        checks.append(_check("basis.sklyanin.rank_deficit", chain.dim - rank, 0,
-                             smallest_sv=smallest))
+        checks.append(_rank_row("basis.sklyanin.rank_deficit", basis))
         lams = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
         checks.append(_check("basis.sklyanin.b_eigen", b_eigen_report(basis, lams), 1e-9))
         report = shift_action_report(basis)
@@ -391,21 +385,15 @@ def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext, precision="double
         checks.append(_check("basis.sklyanin.d_shift", report["d_action"], 1e-8))
     elif kind == "sov1":
         evaluator = ctx.evaluator()
-        basis = sov_basis_1(chain, evaluator=evaluator)
-        rank, smallest = gram_rank(basis, precision=precision)
-        checks.append(_check("basis.sov1.rank_deficit", chain.dim - rank, 0,
-                             smallest_sv=smallest))
+        checks.append(_rank_row("basis.sov1.rank_deficit",
+                                sov_basis_1(chain, evaluator=evaluator)))
         tensor = tensor_generating_covector(chain)
-        basis_t = sov_basis_1(chain, source=tensor, evaluator=evaluator)
-        rank_t, smallest_t = gram_rank(basis_t, precision=precision)
-        checks.append(_check("basis.sov1.tensor_source_rank_deficit", chain.dim - rank_t, 0,
-                             smallest_sv=smallest_t))
+        checks.append(_rank_row("basis.sov1.tensor_source_rank_deficit",
+                                sov_basis_1(chain, source=tensor, evaluator=evaluator)))
     elif kind == "sov2":
         evaluator = ctx.evaluator()
         basis = ctx.sov2(evaluator)
-        rank, smallest = gram_rank(basis, precision=precision)
-        checks.append(_check("basis.sov2.rank_deficit", chain.dim - rank, 0,
-                             smallest_sv=smallest))
+        checks.append(_rank_row("basis.sov2.rank_deficit", basis))
         checks.append(_check("basis.sov2.separate_action",
                              separate_action_report(basis, evaluator), 1e-8))
         skl = ctx.sklyanin()
@@ -417,14 +405,18 @@ def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext, precision="double
         qop = ctx.q_operator()
         skl = ctx.sklyanin()
         basis = sov_from_q(qop, sklyanin=skl)
-        rank, smallest = gram_rank(basis, precision=precision)
-        checks.append(_check("basis.q.rank_deficit", chain.dim - rank, 0,
-                             smallest_sv=smallest))
+        checks.append(_rank_row("basis.q.rank_deficit", basis))
         checks.append(_check("basis.q.sklyanin_identification",
                              _basis_difference(basis, skl), 1e-7))
     else:
         raise ConfigError(f"unknown basis kind {kind!r}")
     return checks
+
+
+def _rank_row(name, basis):
+    """Row ``name``: dim minus the basis rank (``gram_rank``), with the smallest singular value."""
+    rank, smallest = gram_rank(basis)
+    return _check(name, basis.chain.dim - rank, 0, smallest_sv=smallest)
 
 
 def _basis_difference(got, want) -> float:
@@ -555,8 +547,8 @@ def suite_qop(chain: ChainSpec, ctx: _RunContext):
 _SUITE_ERRORS = (SovChainError, ValueError, np.linalg.LinAlgError)
 
 
-def run(command: str, chain: ChainSpec, samples=20, precision="double",
-        basis_kind=None, tol_override=None) -> dict:
+def run(command: str, chain: ChainSpec, samples=20, basis_kind=None,
+        tol_override=None) -> dict:
     """Execute a command's check suites and assemble the report.
 
     The suites of one call share a ``_RunContext``: one transfer sample
@@ -590,7 +582,7 @@ def run(command: str, chain: ChainSpec, samples=20, precision="double",
     if command in ("basis", "all"):
         kinds = [basis_kind] if command == "basis" else list(BASIS_KINDS)
         for kind in kinds:
-            checks += guarded(suite_basis, kind, ctx, precision)
+            checks += guarded(suite_basis, kind, ctx)
     if command in ("spectrum", "all"):
         checks += guarded(suite_spectrum, ctx)
         try:
@@ -616,7 +608,6 @@ def run(command: str, chain: ChainSpec, samples=20, precision="double",
         "command": command if command != "basis" else f"basis:{basis_kind}",
         "config": _config_echo(chain),
         "samples": samples,
-        "precision": precision,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
         "timing": {"seconds": time.perf_counter() - start},
@@ -650,7 +641,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float,
                         help="override the tolerance of every residual-type check")
     parser.add_argument("--samples", type=int, default=20)
-    parser.add_argument("--precision", choices=["double", "extended"], default="double")
     args = parser.parse_args(argv)
 
     if args.command == "basis" and args.kind is None:
@@ -665,8 +655,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    report = run(args.command, chain, samples=args.samples,
-                 precision=args.precision, basis_kind=args.kind,
+    report = run(args.command, chain, samples=args.samples, basis_kind=args.kind,
                  tol_override=args.tol)
     text = render_report(report)
     if args.out:

@@ -54,8 +54,8 @@ __all__ = [
 class CovectorBasis:
     """Ordered family of dim(H) covectors; row order is lexicographic in h.
 
-    ``rows`` must not be changed after construction: the double-precision
-    ``gram_rank`` is computed on first use and kept.
+    ``rows`` must not be changed after construction: ``gram_rank`` is
+    computed on first use and kept.
     """
 
     rows: np.ndarray
@@ -68,7 +68,7 @@ class CovectorBasis:
 
     @cached_property
     def double_rank(self) -> tuple:
-        """``gram_rank(self)`` at double precision: (rank, smallest singular value)."""
+        """``gram_rank(self)``: (rank, smallest singular value)."""
         return _rank(self)
 
 
@@ -212,34 +212,21 @@ def tensor_generating_covector(chain: ChainSpec, salt=3) -> np.ndarray:
     return kron_chain(locals_).ravel()
 
 
-def gram_rank(basis: CovectorBasis, precision="double"):
+def gram_rank(basis: CovectorBasis):
     """Numerical rank and smallest singular value of the row family.
 
     Rows are norm-equilibrated before the SVD so the rank decision is not
     distorted by the widely different row magnitudes of the raw products.
-    ``precision='double'`` reads ``basis.double_rank`` (computed once per
-    basis); ``precision='extended'`` reruns the decision with 30-digit
-    arithmetic.
+    Reads ``basis.double_rank``, computed once per basis.
     """
-    if precision not in ("double", "extended"):
-        raise ValueError(f"unknown precision {precision!r}")
-    return basis.double_rank if precision == "double" else _rank(basis, extended=True)
+    return basis.double_rank
 
 
-def _rank(basis: CovectorBasis, extended=False):
+def _rank(basis: CovectorBasis):
     norms = np.linalg.norm(basis.rows, axis=1)
     if np.any(norms == 0.0):
         return 0, 0.0
-    eq = basis.rows / norms[:, None]
-    if extended:
-        import mpmath
-
-        with mpmath.workdps(30):
-            m = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in eq])
-            svals = np.array(sorted((float(s) for s in mpmath.svd_c(m, compute_uv=False)),
-                                    reverse=True))
-    else:
-        svals = np.linalg.svd(eq, compute_uv=False)
+    svals = np.linalg.svd(basis.rows / norms[:, None], compute_uv=False)
     return int(np.sum(svals > basis.chain.tolerances.gram * svals[0])), float(svals[-1])
 
 

@@ -23,6 +23,7 @@ REMOVED_PARAMETERS = {
     "sov_bases.sov_basis_1": {"validate"},
     "sov_bases.sov_basis_2": {"validate"},
     "sov_bases.tensor_generating_covector": {"max_tries"},
+    "sov_bases.gram_rank": {"precision"},
     "spectrum.eigenvector_from_sov": {"n_checks", "check_tol"},
     "spectrum.solve_discrete_system": {"max_iter", "newton_tol", "dedup_tol"},
     "spectrum.discrete_residuals": {"chain"},
@@ -33,8 +34,10 @@ REMOVED_PARAMETERS = {
     "baxter.default_zeta": {"min_dist", "max_tries"},
     "baxter.solve_q_polynomial": {"trim_tol"},
     "baxter.tq_residual": {"n_samples"},
+    "chain.Tolerances": {"residual"},
+    "cli.run": {"precision"},
     "cli.suite_fusion": {"samples"},
-    "cli.suite_basis": {"samples"},
+    "cli.suite_basis": {"samples", "precision"},
     "cli.suite_spectrum": {"samples"},
     "cli.suite_baxter": {"samples"},
     "cli.suite_qop": {"samples"},

@@ -185,7 +185,7 @@ def test_multi_index_order(chain12):
 
 def test_tolerances_defaults():
     tol = Tolerances()
-    assert tol.residual == 1e-10 and tol.zero == 1e-8 and tol.gram == 1e-10
+    assert tol.zero == 1e-8 and tol.gram == 1e-10
 
 
 def test_replace_gives_fresh_shape_cache(chain12):

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,11 @@ def test_parse_rejects_unknown_keys():
     bad = json.loads(MINIMAL)
     bad["extra"] = 1
     with pytest.raises(ConfigError, match="unknown top-level"):
+        parse_config(json.dumps(bad))
+    # residual gates are set by --tol, not by the config
+    bad = json.loads(MINIMAL)
+    bad["tolerances"] = {"residual": 1e-6}
+    with pytest.raises(ConfigError, match="tolerances has unknown keys"):
         parse_config(json.dumps(bad))
 
 
@@ -243,6 +252,7 @@ def test_main_exit_codes(tmp_path):
                  "--out", str(out), "--samples", "4"]) == 0
     report = json.loads(out.read_text())
     assert report["passed"] and report["command"] == "verify-fusion"
+    assert report["schema_version"] == 2 and "precision" not in report
 
     # failing check -> 1
     assert main(["verify-algebra", "--config", str(cfg_path),
@@ -260,6 +270,9 @@ def test_main_exit_codes(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["basis", "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-fusion", "--config", str(cfg_path), "--precision", "double"])
     assert exc.value.code == 2
 
 
@@ -281,6 +294,20 @@ def test_all_command_on_reference_config(tmp_path):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_all_runs_on_numpy_alone():
+    # numpy is the only dependency, also where mpmath is installed
+    script = """
+import sys
+from sovchain import cli
+cli.run("all", cli.chain_from_config(cli.load_config("n2_mixed")))
+assert "mpmath" not in sys.modules
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_report_deterministic(tmp_path):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
@@ -300,14 +327,6 @@ def test_spectrum_report_table(tmp_path):
     assert len(report["spectrum"]) == 6
     for row in report["spectrum"]:
         assert row["discrete_residual"] < 1e-8
-
-
-def test_extended_precision_flag(tmp_path):
-    out = tmp_path / "report.json"
-    assert main(["basis", "sklyanin", "--config", "n1_spin_half",
-                 "--out", str(out), "--precision", "extended"]) == 0
-    report = json.loads(out.read_text())
-    assert report["precision"] == "extended"
 
 
 def test_qop_failure_becomes_failed_check(tmp_path):
@@ -416,8 +435,6 @@ def test_route_equivalence_sees_one_corrupted_sample():
 def test_all_takes_each_basis_rank_once(monkeypatch):
     # five rank rows (sklyanin, sov1 twice, sov2, q); the full-rank guards on the
     # Sklyanin and second bases read the ranks those rows took
-    import sys
-
     from conftest import TWIST_FULL
     from sovchain.chain import random_chain
     from sovchain.sov_bases import gram_rank

@@ -217,16 +217,6 @@ def test_degenerate_inhomogeneities_lose_rank():
         _require_full_rank(basis)
 
 
-def test_gram_rank_extended_precision(chain12):
-    basis = sklyanin_basis(chain12)
-    rank_d, sv_d = gram_rank(basis, precision="double")
-    rank_x, sv_x = gram_rank(basis, precision="extended")
-    assert rank_d == rank_x == chain12.dim
-    assert abs(sv_d - sv_x) < 1e-8
-    with pytest.raises(ValueError):
-        gram_rank(basis, precision="quad")
-
-
 def _shift_action_loop(basis, lams):
     """Row-by-row reference of shift_action_report, one cardinal set per (h, lam)."""
     from sovchain.numerics import _Barycentric
