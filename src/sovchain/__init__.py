@@ -7,7 +7,7 @@ from .chain import (ChainSpec, Site, Tolerances, Twist, fused_twist, genericity_
                     index_of, make_chain, normalize_twist, random_chain)
 from .local_ops import kron_embed, lax, r_matrix, spin_matrices, symmetric_basis
 from .sov_bases import (CovectorBasis, gram_rank, sklyanin_basis, sov_basis_1, sov_basis_2)
-from .spectrum import (EigenRecord, TransferPolynomial, brute_force_spectrum,
+from .spectrum import (OracleSpectrum, TransferPolynomial, brute_force_spectrum,
                        discrete_residuals, eigenvector_from_sov, solve_discrete_system)
 from .baxter import (QOperator, QPolynomial, build_q_operator, solve_q_polynomial, sov_from_q,
                      tq_residual)
@@ -19,7 +19,7 @@ __all__ = [
     "index_of", "make_chain", "normalize_twist", "random_chain",
     "kron_embed", "lax", "r_matrix", "spin_matrices", "symmetric_basis",
     "CovectorBasis", "gram_rank", "sklyanin_basis", "sov_basis_1", "sov_basis_2",
-    "EigenRecord", "TransferPolynomial", "brute_force_spectrum", "discrete_residuals",
+    "OracleSpectrum", "TransferPolynomial", "brute_force_spectrum", "discrete_residuals",
     "eigenvector_from_sov", "solve_discrete_system",
     "QOperator", "QPolynomial", "build_q_operator", "solve_q_polynomial",
     "sov_from_q", "tq_residual",

@@ -10,11 +10,12 @@ on a bottom grid node. Its values on the grid are fixed ratios built from
 the fused eigenvalues; the one remaining degree of freedom per site (the
 bottom-node values) is pinned by interpolating through the grid plus one
 auxiliary point zeta and enforcing the left-out top-node conditions, an
-N x N closure system that each Q-polynomial keeps for the determinant
-Q-operator route. A (D, N) stack of eigenvalues is solved at once (one
-(D, N, N) closure stack per zeta, one fit with D right-hand sides); the T-Q,
-Wronskian and factorization checks and both Q-operator routes are array
-operations over it, with Q evaluated in one Horner pass (``q_coefficients``).
+N x N closure system that the Q-polynomial keeps for the determinant
+Q-operator route. A (D, N) stack of eigenvalues is solved at once into one
+``QPolynomial`` stacked the same way (one (D, N, N) closure stack per zeta,
+one fit with D right-hand sides); the T-Q, Wronskian and factorization checks
+and both Q-operator routes are array operations over it, with Q evaluated in
+one Horner pass.
 """
 
 from __future__ import annotations
@@ -26,16 +27,15 @@ import numpy as np
 from .chain import ChainSpec
 from .errors import NonInvertibleQ, RootOnForbiddenNode, SingularCZeta
 from .numerics import (CDTYPE, _Barycentric, commutator_residual, frob,
-                       poly_coeffs_from_samples, poly_eval, random_complex, trim_trailing)
+                       poly_coeffs_from_samples, poly_eval, random_complex)
 from .sov_bases import CovectorBasis, _require_full_rank, sklyanin_basis
-from .spectrum import TransferPolynomial, _site_product, _sov2_array
+from .spectrum import OracleSpectrum, TransferPolynomial, _site_product, _sov2_array
 
 __all__ = [
     "QPolynomial",
     "CZetaSystem",
     "default_zeta",
     "solve_q_polynomial",
-    "q_coefficients",
     "tq_residual",
     "wronskian_values",
     "QOperator",
@@ -96,21 +96,22 @@ class CZetaSystem:
 
 @dataclass
 class QPolynomial:
-    """Monic Q-polynomial for one spectrum point.
+    """Monic Q-polynomial of one spectrum point, or of each row of a stack.
 
-    ``coeffs`` are monic ascending coefficients after trailing-coefficient
-    truncation; ``closure`` is the closure system solved for them, whose
-    solution is normalized to Q(zeta) = 1. The roots are computed once.
+    ``coeffs`` (..., n_s + 1) ascend, monic at ``degree`` and exactly 0 above
+    it, so one Horner pass evaluates every row; ``closure`` is the closure
+    system solved for them (normalized to Q(zeta) = 1); ``roots`` holds each
+    row's roots (a list for a stack), ``root_gap`` each row's least distance
+    from a root to a bottom grid node (inf for a constant Q).
     """
 
     chain: ChainSpec
     coeffs: np.ndarray
+    degree: int
     leftout_residual: float
     closure: CZetaSystem = field(repr=False)
-    _roots: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._roots = np.roots(self.coeffs[::-1])
+    roots: object = field(repr=False)
+    root_gap: float
 
     def __call__(self, lam):
         return poly_eval(self.coeffs, lam)
@@ -118,20 +119,6 @@ class QPolynomial:
     @property
     def zeta(self) -> complex:
         return self.closure.zeta
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def roots(self) -> np.ndarray:
-        return self._roots
-
-
-def q_coefficients(qpolys) -> np.ndarray:
-    """Ascending coefficients zero-padded to one (D, L) array; ``poly_eval`` on it
-    gives each Q-polynomial's own values (the padding adds exact zeros)."""
-    width = max(len(qp.coeffs) for qp in qpolys)
-    return np.array([np.pad(qp.coeffs, (0, width - len(qp.coeffs))) for qp in qpolys])
 
 
 def _closure_system(interp: _Interpolation, ratios) -> CZetaSystem:
@@ -177,12 +164,13 @@ def default_zeta(chain: ChainSpec, salt=20) -> complex:
 
 
 def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10, root_floor=1e-6):
-    """Unique monic Q-polynomial paired with the eigenvalue t; a list, one per row, for a stack.
+    """Unique monic Q-polynomial paired with the eigenvalue t, stacked like t.
 
     Sets Q(zeta) = 1, solves the closure system for the bottom-node values,
     interpolates through the full node set, verifies the N left-out top-node
-    conditions, and strips the result to monic coefficients (trailing
-    coefficients below 1e-9 dropped); a stack shares the interpolation data.
+    conditions, and makes each row monic at its degree, the highest
+    coefficient of at least 1e-9 times its largest (those above are set to 0);
+    a stack shares the interpolation data.
     Raises SingularCZeta for an unlucky auxiliary point, judged on the
     column-equilibrated closure matrix against ``det_floor`` (see
     ``_require_regular_closure``), and RootOnForbiddenNode if a root lies
@@ -204,17 +192,25 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10, root_f
     leftout = np.max(np.abs(samples @ interp.top_cards.T - tops) / np.maximum(1.0, np.abs(tops)),
                      axis=1)
 
-    forbidden = np.array([g[0, -1] for g in chain.grid])
-    qpolys = []
-    for row, coeffs in enumerate(poly_coeffs_from_samples(interp.nodes, samples)):
-        coeffs = trim_trailing(coeffs, 1e-9)
-        closure = CZetaSystem(system.matrix[row], system.rhs[row], complex(system.det[row]),
-                              system.q_flat[row], interp)
-        qpolys.append(QPolynomial(chain, coeffs / coeffs[-1], float(leftout[row]), closure))
-        for root in qpolys[-1].roots():
-            if np.any(np.abs(root - forbidden) < root_floor):
-                raise RootOnForbiddenNode(f"Q root {root} collides with a bottom node")
-    return qpolys if t.x.ndim > 1 else qpolys[0]
+    coeffs = poly_coeffs_from_samples(interp.nodes, samples)
+    size, power = np.abs(coeffs), np.arange(coeffs.shape[1])
+    degree = np.max(power * (size >= 1e-9 * size.max(axis=1, keepdims=True)), axis=1)
+    lead = np.take_along_axis(coeffs, degree[:, None], axis=1)
+    coeffs = np.where(power <= degree[:, None], coeffs / lead, 0.0)
+    roots = [np.roots(c[d::-1]) for c, d in zip(coeffs, degree)]
+    bottoms = np.array([g[0, -1] for g in chain.grid])
+    distances = [np.abs(r[:, None] - bottoms).min(axis=1, initial=np.inf) for r in roots]
+    gap = np.array([d.min(initial=np.inf) for d in distances])
+    for row in np.flatnonzero(gap < root_floor)[:1]:
+        root = roots[row][np.argmin(distances[row])]
+        raise RootOnForbiddenNode(f"Q root {root} collides with a bottom node")
+
+    shape = t.x.shape[:-1]   # () for one eigenvalue
+    unstack = lambda a: a.reshape(shape + a.shape[1:])[()]  # noqa: E731
+    closure = CZetaSystem(*map(unstack, (system.matrix, system.rhs, system.det, system.q_flat)),
+                          interp)
+    return QPolynomial(chain, unstack(coeffs), unstack(degree), unstack(leftout), closure,
+                       roots if shape else roots[0], unstack(gap))
 
 
 def _worst_cancellation(terms):
@@ -227,9 +223,9 @@ def _worst_cancellation(terms):
 def tq_residual(t: TransferPolynomial, q, lams):
     """Max relative residual of the finite-difference equation at ``lams``, per row of t.
 
-    ``q`` evaluates each row's Q-polynomial elementwise (a ``QPolynomial``, or
-    ``poly_eval`` on ``q_coefficients``); for a stack, row d of ``lams`` holds
-    the points of row d of t.
+    ``q`` evaluates each row's Q-polynomial elementwise (a ``QPolynomial``
+    stacked like t); for a stack, row d of ``lams`` holds the points of row d
+    of t.
     """
     chain, eta, k1 = t.chain, t.chain.eta, t.chain.twist.k1
     lams = np.asarray(lams, dtype=CDTYPE)
@@ -242,8 +238,8 @@ def tq_residual(t: TransferPolynomial, q, lams):
 def wronskian_values(p, q, chain: ChainSpec, lams):
     """Max of |Q(lam) P(lam-eta) - P(lam) Q(lam-eta)| / scale over the last axis of ``lams``.
 
-    ``p`` and ``q`` evaluate elementwise, so stacked polynomials (``poly_eval``
-    on ``q_coefficients``) at points (D, P) pair row d with row d.
+    ``p`` and ``q`` evaluate elementwise, so stacked polynomials (``QPolynomial``)
+    at points (D, P) pair row d with row d.
     """
     lams = np.asarray(lams, dtype=CDTYPE)
     return _worst_cancellation([q(lams) * p(lams - chain.eta), -p(lams) * q(lams - chain.eta)])
@@ -267,20 +263,17 @@ class QOperator:
     method: str
     vectors: np.ndarray
     left: np.ndarray
-    _eigenvalues: object   # lam -> the D eigenvalues at lam, one array operation
-
-    def eigenvalues(self, lam: complex) -> np.ndarray:
-        return self._eigenvalues(lam)
+    eigenvalues: object   # lam -> the D eigenvalues at lam, one array operation
 
     def __call__(self, lam: complex) -> np.ndarray:
         return (self.vectors * self.eigenvalues(lam)) @ self.left
 
 
-def build_q_operator(records, qpolys, method="eigenbasis") -> QOperator:
+def build_q_operator(oracle: OracleSpectrum, q: QPolynomial, method="eigenbasis") -> QOperator:
     """Assemble the Q-operator from the simultaneous transfer eigenbasis.
 
-    ``qpolys[i]`` is the Q-polynomial of ``records[i]``, all solved at one
-    zeta. ``method='eigenbasis'`` evaluates the interpolated Q-polynomials.
+    Row i of the stacked ``q`` is the Q-polynomial of the oracle's row i.
+    ``method='eigenbasis'`` evaluates the interpolated Q-polynomials.
     ``method='determinant'`` evaluates, per joint eigenvalue, the ratio
     det[C + Delta(lam)] / det[C] times the node-ratio prefactor, on the
     closure system C the solve built, where Delta is the rank-one update
@@ -291,21 +284,17 @@ def build_q_operator(records, qpolys, method="eigenbasis") -> QOperator:
     """
     if method not in ("eigenbasis", "determinant"):
         raise ValueError(f"unknown method {method!r}")
-    chain = records[0].t.chain
+    chain = oracle.t.chain
     _require_q_twist(chain)
-    zeta = qpolys[0].zeta
-    if len(qpolys) != len(records) or any(qpoly.zeta != zeta for qpoly in qpolys):
-        raise ValueError("build_q_operator needs one Q-polynomial per record, all at one zeta")
+    if q.coeffs.shape[:-1] != (len(oracle.t),):
+        raise ValueError("build_q_operator needs one Q-polynomial row per oracle row")
     if method == "eigenbasis":
-        coeffs = q_coefficients(qpolys)
-        norm = poly_eval(coeffs, zeta)
-        eigenvalues = lambda lam: poly_eval(coeffs, lam) / norm  # noqa: E731
+        norm = q(q.zeta)
+        eigenvalues = lambda lam: q(lam) / norm  # noqa: E731
     else:
-        eigenvalues = _determinant_eigenvalues([qpoly.closure for qpoly in qpolys])
-    vectors = np.column_stack([rec.vector for rec in records])
-    left = np.vstack([rec.left for rec in records])
-    return QOperator(chain=chain, zeta=zeta, method=method,
-                     vectors=vectors, left=left, _eigenvalues=eigenvalues)
+        eigenvalues = lambda lam: _determinant_eigenvalues(q.closure, lam)  # noqa: E731
+    return QOperator(chain=chain, zeta=q.zeta, method=method,
+                     vectors=oracle.vectors, left=oracle.left, eigenvalues=eigenvalues)
 
 
 def _require_q_twist(chain: ChainSpec):
@@ -315,22 +304,16 @@ def _require_q_twist(chain: ChainSpec):
         raise ValueError("Q-operator requires invertible twist with distinct eigenvalues")
 
 
-def _determinant_eigenvalues(closures):
-    """lam -> the determinant-route eigenvalues of the closure systems, stacked once."""
-    system = CZetaSystem(*(np.array([getattr(c, key) for c in closures])
-                           for key in ("matrix", "rhs", "det", "q_flat")), closures[0].interp)
-
-    def evaluate(lam: complex) -> np.ndarray:
-        f, g = system.interp.site_sums(lam, system.q_flat)
-        if abs(g) > 1e-8:
-            delta = (system.rhs / g)[:, :, None] * f[:, None, :]
-            return np.linalg.det(system.matrix + delta) / system.det * g
-        # lam sits on (or hugs) a grid node: use the rank-one expansion of the
-        # same determinant, which stays finite there
-        adj_r = np.linalg.solve(system.matrix, system.rhs[:, :, None])[:, :, 0]
-        return g + np.sum(f * adj_r, axis=1)
-
-    return evaluate
+def _determinant_eigenvalues(system: CZetaSystem, lam: complex) -> np.ndarray:
+    """The determinant-route eigenvalues at lam of a stack of closure systems."""
+    f, g = system.interp.site_sums(lam, system.q_flat)
+    if abs(g) > 1e-8:
+        delta = (system.rhs / g)[:, :, None] * f[:, None, :]
+        return np.linalg.det(system.matrix + delta) / system.det * g
+    # lam sits on (or hugs) a grid node: use the rank-one expansion of the
+    # same determinant, which stays finite there
+    adj_r = np.linalg.solve(system.matrix, system.rhs[:, :, None])[:, :, 0]
+    return g + np.sum(f * adj_r, axis=1)
 
 
 def q_operator_commutation_residual(qop: QOperator, evaluator, lams, mus) -> float:
@@ -400,9 +383,7 @@ def sov_from_q(qop: QOperator, source=None, sklyanin=None) -> CovectorBasis:
     else:
         source = np.asarray(source, dtype=CDTYPE)
         coords = source @ qop.vectors
-    weights = np.ones((1, chain.dim), dtype=CDTYPE)
-    for q in per_site:
-        weights = (weights[:, None, :] * q).reshape(-1, chain.dim)
+    weights = _site_product([q.T for q in per_site]).reshape(-1, chain.dim)
     return CovectorBasis(rows=(weights * coords) @ qop.left, kind="q_generated",
                          chain=chain, source=source)
 

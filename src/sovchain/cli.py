@@ -24,17 +24,16 @@ import numpy as np
 from . import __version__
 from .baxter import (_require_q_twist, build_q_operator, default_zeta,
                      q_operator_commutation_residual, q_operator_invertibility,
-                     q_coefficients, q_operator_tq_residual, solve_q_polynomial, sov_from_q,
+                     q_operator_tq_residual, solve_q_polynomial, sov_from_q,
                      sov_q_factorization, tq_residual, wronskian_values)
 from .chain import ChainSpec, Tolerances, _twist, fused_twist, genericity_check, make_chain
 from .errors import SovChainError
 from .local_ops import _lax_parts, kron_embed, spin_matrices
-from .numerics import (CDTYPE, commutator_residual, frob, greedy_match, poly_eval,
-                       random_complex)
+from .numerics import CDTYPE, commutator_residual, frob, greedy_match, random_complex
 from .sov_bases import (_require_full_rank, b_eigen_report, gram_rank,
                         separate_action_report, shift_action_report, sklyanin_basis,
                         sov_basis_1, sov_basis_2, tensor_generating_covector)
-from .spectrum import (TransferPolynomial, brute_force_spectrum, closed_form_solutions,
+from .spectrum import (OracleSpectrum, brute_force_spectrum, closed_form_solutions,
                        eigenvector_from_sov, jacobian_smallest_sv, match_to_oracle,
                        solve_discrete_system, wavefunction_action_report)
 from .transfer import (TransferEvaluator, central_zero_residual, fused_transfer_projector,
@@ -210,13 +209,12 @@ class _RunContext:
     """Results shared by the suites of one ``run`` call, each computed on first use.
 
     Holds the transfer sample stack that every suite's evaluator reads, the
-    oracle records, their eigenvalues as one (D, N) stack, their
-    Q-polynomials at each zeta, the eigenbasis Q-operator, the Sklyanin basis
-    and the default-source second SoV basis: what each suite would otherwise
-    recompute. A computation that raises is not stored, so it raises again in
-    every suite that needs it and each suite reports its own error row.
-    Callers check the rank of a basis they need to be full
-    (``_require_full_rank``); each basis keeps its rank.
+    oracle spectrum, its Q-polynomial stack at each zeta, the eigenbasis
+    Q-operator, the Sklyanin basis and the default-source second SoV basis:
+    what each suite would otherwise recompute. A computation that raises is
+    not stored, so it raises again in every suite that needs it and each suite
+    reports its own error row. Callers check the rank of a basis they need to
+    be full (``_require_full_rank``); each basis keeps its rank.
     """
 
     def __init__(self, chain: ChainSpec):
@@ -228,29 +226,24 @@ class _RunContext:
             self._values[key] = compute()
         return self._values[key]
 
-    def records(self):
-        return self._get("records", lambda: brute_force_spectrum(self.chain))
+    def oracle(self) -> OracleSpectrum:
+        return self._get("oracle", lambda: brute_force_spectrum(self.chain))
 
     def evaluator(self) -> TransferEvaluator:
         """A new evaluator (its own fused cache) on the run's one transfer sample stack."""
         samples = self._get("samples", lambda: TransferEvaluator(self.chain).samples)
         return TransferEvaluator(self.chain, samples)
 
-    def eigenvalues(self) -> TransferPolynomial:
-        """The records' transfer eigenvalues as one stack, row i = record i."""
-        return self._get("stack", lambda: TransferPolynomial(
-            self.chain, [rec.t.x for rec in self.records()]))
-
-    def q_polynomials(self, zeta: complex) -> list:
-        """Every record's Q-polynomial at zeta, in record order."""
+    def q_polynomials(self, zeta: complex):
+        """The oracle's Q-polynomials at zeta, one stack in oracle row order."""
         return self._get(("q", complex(zeta)),
-                         lambda: solve_q_polynomial(self.eigenvalues(), zeta=zeta))
+                         lambda: solve_q_polynomial(self.oracle().t, zeta=zeta))
 
     def q_operator(self):
         """Eigenbasis Q-operator at the default zeta."""
         def build():
             _require_q_twist(self.chain)   # before the oracle, which a Jordan twist also fails
-            return build_q_operator(self.records(), self.q_polynomials(default_zeta(self.chain)))
+            return build_q_operator(self.oracle(), self.q_polynomials(default_zeta(self.chain)))
 
         return self._get("qop", build)
 
@@ -431,15 +424,15 @@ def _basis_difference(got, want) -> float:
 def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
     checks = []
     evaluator = ctx.evaluator()
-    records = ctx.records()
-    stack = ctx.eigenvalues()
+    oracle = ctx.oracle()
+    stack = oracle.t
     checks.append(_check("spectrum.oracle_discrete_residual", np.max(stack.discrete_residual),
                          1e-8))
 
-    solutions, diag = solve_discrete_system(chain, seeds=[r.t.x for r in records])
+    solutions, diag = solve_discrete_system(chain, seeds=stack.x)
     checks.append(_check("spectrum.count_mismatch", abs(len(solutions) - chain.dim), 0,
                          newton_iterations=diag["newton_iterations"]))
-    _, dists, bijection = match_to_oracle(solutions, records)
+    _, dists, bijection = match_to_oracle(solutions, oracle)
     checks.append(_check("spectrum.oracle_bijection", 0.0 if bijection else 1.0, 0))
     checks.append(_check("spectrum.oracle_match_distance", max(dists), 1e-8))
 
@@ -453,9 +446,8 @@ def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
     basis = ctx.sov2(evaluator)
     _require_full_rank(basis)
     vectors, residuals = eigenvector_from_sov(stack, basis, evaluator)
-    oracle = np.column_stack([rec.vector for rec in records])
-    cosine = np.abs(np.sum(oracle.conj() * vectors, axis=0)) / (
-        np.linalg.norm(oracle, axis=0) * np.linalg.norm(vectors, axis=0))
+    cosine = np.abs(np.sum(oracle.vectors.conj() * vectors, axis=0)) / (
+        np.linalg.norm(oracle.vectors, axis=0) * np.linalg.norm(vectors, axis=0))
     checks.append(_check("spectrum.eigenvector_residual", np.max(residuals), 1e-7))
     checks.append(_check("spectrum.eigenvector_overlap", np.max(1.0 - cosine), 1e-8))
 
@@ -471,42 +463,37 @@ def _closed_form_vs_oracle(chain: ChainSpec) -> float:
                             twist, tolerances=chain.tolerances, seed=chain.seed)
     lam0 = complex(random_complex(degenerate.rng(10), box=2.0)) + 0.25j
     vals = np.linalg.eigvals(transfer(degenerate, lam0))
-    want = TransferPolynomial(degenerate, [t.x for t in closed_form_solutions(degenerate)])(lam0)
+    want = closed_form_solutions(degenerate)(lam0)
     return _multiset_distance(vals, want) / max(1.0, float(np.max(np.abs(want))))
 
 
 def suite_baxter(chain: ChainSpec, ctx: _RunContext):
-    """Each row is one array reduction over the records. Record d's sample points are
+    """Each row is one array reduction over the oracle rows. Row d's sample points are
     row d of one draw from ``chain.rng(400)``: its 3N T-Q points as (re, im) pairs in
     turn, then its 4 Wronskian points (4 real parts, 4 imaginary parts)."""
     checks = []
-    stack = ctx.eigenvalues()
-    qpolys = ctx.q_polynomials(default_zeta(chain, salt=20))
-    qpolys_b = ctx.q_polynomials(default_zeta(chain, salt=24))
-    n, count = chain.n_sites, len(qpolys)
-    draws = chain.rng(400).uniform(-3.0, 3.0, size=(count, 6 * n + 8))
-    ca, cb = np.split(q_coefficients(qpolys + qpolys_b), [count])
-    q, q_b = partial(poly_eval, ca), partial(poly_eval, cb)
-
-    degrees = np.array([qpoly.degree for qpoly in qpolys])
-    max_deg = int(degrees.max())
+    stack = ctx.oracle().t
+    q = ctx.q_polynomials(default_zeta(chain, salt=20))
+    q_b = ctx.q_polynomials(default_zeta(chain, salt=24))
+    n = chain.n_sites
+    draws = chain.rng(400).uniform(-3.0, 3.0, size=(len(stack), 6 * n + 8))
+    max_deg = int(q.degree.max())
     sectors = reduce(np.convolve, [np.ones(site.dim, dtype=int) for site in chain.sites])
     checks.append(_check("baxter.degree_budget_excess", max(0, max_deg - chain.n_s), 0,
                          max_degree=max_deg,
-                         degree_histogram=np.bincount(degrees, minlength=chain.n_s + 1).tolist(),
+                         degree_histogram=np.bincount(q.degree, minlength=chain.n_s + 1).tolist(),
                          magnon_sector_counts=sectors.tolist()))
     checks.append(_check("baxter.nontrivial_degree", 1.0 if max_deg < 1 else 0.0, 0))
     checks.append(_check("baxter.interpolation_leftout",
-                         max(qpoly.leftout_residual for qpoly in qpolys), 1e-9))
+                         np.max(q.leftout_residual), 1e-9))
     tq = tq_residual(stack, q, draws[:, 0:6 * n:2] + 1j * draws[:, 1:6 * n:2])
     checks.append(_check("baxter.tq_equation", np.max(tq), 1e-8))
-    spread = np.max(np.abs(ca - cb), axis=1) / np.maximum(1.0, np.max(np.abs(ca), axis=1))
+    spread = (np.max(np.abs(q.coeffs - q_b.coeffs), axis=1)
+              / np.maximum(1.0, np.max(np.abs(q.coeffs), axis=1)))
     checks.append(_check("baxter.uniqueness_coefficient_spread", np.max(spread), 1e-8))
     wronsk = wronskian_values(q, q_b, chain, draws[:, 6 * n:6 * n + 4] + 1j * draws[:, 6 * n + 4:])
     checks.append(_check("baxter.uniqueness_wronskian", np.max(wronsk), 1e-9))
-    roots = np.concatenate([qpoly.roots() for qpoly in qpolys])
-    bottoms = np.array([grid[0, -1] for grid in chain.grid])
-    worst_root = float(np.min(np.abs(roots[:, None] - bottoms), initial=np.inf))
+    worst_root = float(np.min(q.root_gap))
     root_gap = 0.0 if not np.isfinite(worst_root) else max(0.0, 1e-6 - worst_root)
     checks.append(_check("baxter.forbidden_root_gap", root_gap, 0,
                          min_distance=None if not np.isfinite(worst_root) else worst_root))
@@ -520,7 +507,7 @@ def suite_qop(chain: ChainSpec, ctx: _RunContext):
     evaluator = ctx.evaluator()
     rng = chain.rng(500)
     qop = ctx.q_operator()
-    qop_det = build_q_operator(ctx.records(), ctx.q_polynomials(qop.zeta), method="determinant")
+    qop_det = build_q_operator(ctx.oracle(), ctx.q_polynomials(qop.zeta), method="determinant")
 
     lams = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
     mus = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
@@ -552,13 +539,13 @@ def run(command: str, chain: ChainSpec, samples=20, basis_kind=None,
     """Execute a command's check suites and assemble the report.
 
     The suites of one call share a ``_RunContext``: one transfer sample
-    stack, one oracle diagonalization, one Q-polynomial solve per
-    (eigenvalue, zeta), one eigenbasis Q-operator, one Sklyanin basis and one
+    stack, one oracle diagonalization, one stacked Q-polynomial solve per
+    zeta, one eigenbasis Q-operator, one Sklyanin basis and one
     default-source second SoV basis, each computed when a suite first needs
     it and dropped when the call returns. A suite that raises becomes its
     ``<suite>.error`` row; the spectrum table is built from the shared
-    records, so when they fail the report carries ``suite_spectrum.error``
-    and no table.
+    oracle, so when it fails the report carries ``suite_spectrum.error`` and
+    no table.
 
     ``tol_override`` replaces the tolerance of every residual-type check
     (those with a positive default); structural checks (ranks, counts) keep
@@ -588,8 +575,8 @@ def run(command: str, chain: ChainSpec, samples=20, basis_kind=None,
         try:
             spectrum_table = _spectrum_table(ctx)
         except _SUITE_ERRORS:
-            # the table reads only the records, whose failure suite_spectrum
-            # (which reads them first) has already reported as its error row
+            # the table reads only the oracle, whose failure suite_spectrum
+            # (which reads it first) has already reported as its error row
             pass
     if command in ("baxter", "all"):
         checks += guarded(suite_baxter, ctx)
@@ -618,9 +605,11 @@ def run(command: str, chain: ChainSpec, samples=20, basis_kind=None,
 
 
 def _spectrum_table(ctx: _RunContext):
-    return [{"x": [_cpx(z) for z in rec.t.x], "value_at_probe": _cpx(rec.value_at_lam0),
+    oracle = ctx.oracle()
+    return [{"x": [_cpx(z) for z in x], "value_at_probe": _cpx(value),
              "discrete_residual": float(residual)}
-            for rec, residual in zip(ctx.records(), ctx.eigenvalues().discrete_residual)]
+            for x, value, residual in zip(oracle.t.x, oracle.value_at_lam0,
+                                          oracle.t.discrete_residual)]
 
 
 def render_report(report: dict) -> str:

@@ -133,14 +133,3 @@ def poly_eval(coeffs, lam):
         result = result * lam + c.reshape(c.shape + tail)
     return result
 
-
-def trim_trailing(coeffs, rel_tol=1e-9):
-    """Drop high-order coefficients below rel_tol * max|coeff|."""
-    coeffs = np.asarray(coeffs, dtype=CDTYPE)
-    scale = np.max(np.abs(coeffs))
-    if scale == 0.0:
-        return np.zeros(1, dtype=CDTYPE)
-    keep = len(coeffs)
-    while keep > 1 and abs(coeffs[keep - 1]) < rel_tol * scale:
-        keep -= 1
-    return coeffs[:keep].copy()

@@ -189,7 +189,8 @@ def tensor_generating_covector(chain: ChainSpec, salt=3) -> np.ndarray:
     """Tensor-product generating covector with per-site orbit validation.
 
     Each local covector is re-drawn, up to 16 times, until its orbit under
-    powers of the site's fused twist spans the local space.
+    powers of the site's fused twist spans the local space; the orbit rows,
+    which grow like ||K||^h, are norm-equilibrated before the SVD.
     """
     rng = chain.rng(salt)
     locals_ = []
@@ -202,7 +203,7 @@ def tensor_generating_covector(chain: ChainSpec, salt=3) -> np.ndarray:
             for h in range(site.dim):
                 orbit[h] = vec
                 vec = vec @ k_loc
-            sv = np.linalg.svd(orbit, compute_uv=False)
+            sv = np.linalg.svd(orbit / np.linalg.norm(orbit, axis=1)[:, None], compute_uv=False)
             if sv[-1] > 1e-8 * sv[0]:
                 locals_.append(cand)
                 break
@@ -216,17 +217,20 @@ def gram_rank(basis: CovectorBasis):
     """Numerical rank and smallest singular value of the row family.
 
     Rows are norm-equilibrated before the SVD so the rank decision is not
-    distorted by the widely different row magnitudes of the raw products.
+    distorted by the widely different row magnitudes of the raw products;
+    each row is first scaled by an exact power of two to a largest entry in
+    [1/2, 1), so its norm does not overflow.
     Reads ``basis.double_rank``, computed once per basis.
     """
     return basis.double_rank
 
 
 def _rank(basis: CovectorBasis):
-    norms = np.linalg.norm(basis.rows, axis=1)
+    rows = basis.rows * np.exp2(-np.frexp(np.max(np.abs(basis.rows), axis=1))[1])[:, None]
+    norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0.0):
         return 0, 0.0
-    svals = np.linalg.svd(basis.rows / norms[:, None], compute_uv=False)
+    svals = np.linalg.svd(rows / norms[:, None], compute_uv=False)
     return int(np.sum(svals > basis.chain.tolerances.gram * svals[0])), float(svals[-1])
 
 

@@ -10,7 +10,8 @@ leading minors of a tridiagonal matrix (``_tridiagonal_minors``); the
 x-derivatives of a site determinant are its diagonal cofactors, each a
 leading minor times a trailing one. A ``TransferPolynomial`` holds one
 node-value vector or a (D, N) stack of them; every scalar routine is one
-array computation over the stack. ``grid_ratios`` computes the ratios
+array computation over the stack; the oracle and the discrete system each
+return the whole spectrum as one stack. ``grid_ratios`` computes the ratios
 behind the wavefunction and the Q-closure system once per stack, and
 ``checked_grid_ratios`` confirms them once by a backward recursion.
 """
@@ -30,7 +31,7 @@ from .transfer import TransferEvaluator, transfer
 
 __all__ = [
     "TransferPolynomial",
-    "EigenRecord",
+    "OracleSpectrum",
     "brute_force_spectrum",
     "discrete_residuals",
     "jacobian_smallest_sv",
@@ -64,6 +65,9 @@ class TransferPolynomial:
 
     def __call__(self, lam):
         return self._interp(self.x, lam, lead=self.chain.twist.trace)
+
+    def __len__(self) -> int:   # the row count, 1 for a single node-value vector
+        return len(np.atleast_2d(self.x))
 
     @cached_property
     def grid_ratios(self) -> list:
@@ -110,16 +114,18 @@ class TransferPolynomial:
 
 
 @dataclass
-class EigenRecord:
-    """One spectrum point from the brute-force oracle."""
+class OracleSpectrum:
+    """The brute-force oracle's spectrum, row i of ``t`` the eigenvalue of
+    column i of ``vectors`` (right eigenvectors), row i of ``left`` (the
+    inverse of ``vectors``) and entry i of ``value_at_lam0``."""
 
     t: TransferPolynomial
-    vector: np.ndarray
+    vectors: np.ndarray
     left: np.ndarray
-    value_at_lam0: complex
+    value_at_lam0: np.ndarray
 
 
-def brute_force_spectrum(chain: ChainSpec):
+def brute_force_spectrum(chain: ChainSpec) -> OracleSpectrum:
     """Independent oracle: dense diagonalization of T at one generic point.
 
     T is built by the kernel (``transfer``), not read from an interpolant.
@@ -141,9 +147,7 @@ def brute_force_spectrum(chain: ChainSpec):
     left = np.linalg.inv(vecs)
     xs = np.array([(left[:, None] @ transfer(chain, chain.node(a, 0)) @ vecs.T[..., None])
                    [:, 0, 0] for a in range(chain.n_sites)]).T.copy()
-    return [EigenRecord(t=TransferPolynomial(chain, x), vector=vecs[:, i].copy(),
-                        left=left[i].copy(), value_at_lam0=complex(vals[i]))
-            for i, x in enumerate(xs)]
+    return OracleSpectrum(TransferPolynomial(chain, xs), np.ascontiguousarray(vecs), left, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +243,8 @@ class _DiscreteSystem:
         return np.stack(rows, axis=-2)
 
 
-def jacobian_smallest_sv(solutions) -> float:
-    """Min over ``solutions`` t of the normalized Jacobian's smallest singular value at t.
+def jacobian_smallest_sv(solutions: TransferPolynomial) -> float:
+    """Min over the rows t of ``solutions`` of the normalized Jacobian's smallest sv at t.
 
     Each value is over max(1, largest). The Jacobian is that of the
     scale-normalized residual res / scales that Newton tests (row n divided
@@ -248,15 +252,14 @@ def jacobian_smallest_sv(solutions) -> float:
     equation leaves the value unchanged. One discrete system serves all t:
     their Jacobians form one (D, N, N) array with one batched SVD.
     """
-    system = _DiscreteSystem(solutions[0].chain)
-    x = np.array([t.x for t in solutions])
-    _, scales = system.residual(x)
-    sv = np.linalg.svd(system.jacobian(x) / scales[..., None], compute_uv=False)
-    return float(np.min(sv[:, -1] / np.maximum(1.0, sv[:, 0])))
+    system = _DiscreteSystem(solutions.chain)
+    _, scales = system.residual(solutions.x)
+    sv = np.linalg.svd(system.jacobian(solutions.x) / scales[..., None], compute_uv=False)
+    return float(np.min(sv[..., -1] / np.maximum(1.0, sv[..., 0])))
 
 
-def closed_form_solutions(chain: ChainSpec):
-    """Spectrum for a twist with one vanishing eigenvalue.
+def closed_form_solutions(chain: ChainSpec) -> TransferPolynomial:
+    """Spectrum for a twist with one vanishing eigenvalue, one row per multi-index h.
 
     With k2 = 0 (resp. k1 = 0) every solution is k prod_n (lam - xi_n^(h_n))
     over a multi-index h, k being the nonzero eigenvalue.
@@ -265,8 +268,7 @@ def closed_form_solutions(chain: ChainSpec):
     k = twist.k1 if abs(twist.k2) <= abs(twist.k1) else twist.k2
     top = np.array([chain.node(a, 0) for a in range(chain.n_sites)])
     points = _node_grid(chain)[0]   # row h: xi_n^(h_n)
-    xs = k * np.prod(top[None, :, None] - points[:, None, :], axis=2)
-    return [TransferPolynomial(chain, x) for x in xs]
+    return TransferPolynomial(chain, k * np.prod(top[None, :, None] - points[:, None, :], axis=2))
 
 
 def solve_discrete_system(chain: ChainSpec, seeds=None):
@@ -278,8 +280,9 @@ def solve_discrete_system(chain: ChainSpec, seeds=None):
     most 50 steps to bring the scale-normalized residual under 1e-13;
     converged duplicates are collapsed (``_dedup``). With a
     non-invertible twist the closed-form branch is returned with zero Newton
-    iterations. Returns (solutions, diagnostics); raises CountMismatch when
-    the number of distinct converged solutions differs from dim(H).
+    iterations. Returns (solutions, diagnostics), the solutions one stack with
+    rows in (Re x_0, Im x_0) order; raises CountMismatch when the number of
+    distinct converged solutions differs from dim(H).
     """
     if not chain.twist.invertible:
         sols = closed_form_solutions(chain)
@@ -289,7 +292,7 @@ def solve_discrete_system(chain: ChainSpec, seeds=None):
         return sols, diag
 
     if seeds is None:
-        seeds = [rec.t.x for rec in brute_force_spectrum(chain)]
+        seeds = brute_force_spectrum(chain).t.x
     system = _DiscreteSystem(chain)
     xs = np.array(seeds, dtype=CDTYPE)
     res, scales = system.residual(xs)
@@ -329,13 +332,12 @@ def solve_discrete_system(chain: ChainSpec, seeds=None):
     if len(distinct) != chain.dim:
         raise CountMismatch(
             f"found {len(distinct)} distinct solutions, expected {chain.dim}")
-    sols = [TransferPolynomial(chain, x) for x in distinct]
-    sols.sort(key=lambda t: (t.x[0].real, t.x[0].imag))
-    return sols, diag
+    order = np.lexsort((distinct[:, 0].imag, distinct[:, 0].real))
+    return TransferPolynomial(chain, distinct[order]), diag
 
 
 def _dedup(xs):
-    """``xs`` in order, less each x within 1e-6 (1 + max|x|) of an x kept before it.
+    """Rows of ``xs`` in order, less each x within 1e-6 (1 + max|x|) of an x kept before it.
 
     Each x is compared with all kept ones in one array operation.
     """
@@ -344,17 +346,17 @@ def _dedup(xs):
     for i, x in enumerate(xs):
         scale = 1.0 + float(np.max(np.abs(x)))
         keep[i] = np.all(np.max(np.abs(xs[keep] - x), axis=1) >= 1e-6 * scale)
-    return list(xs[keep])
+    return xs[keep]
 
 
-def match_to_oracle(solutions, records):
-    """Greedy match (``greedy_match``) of discrete solutions to oracle records.
+def match_to_oracle(solutions: TransferPolynomial, oracle: OracleSpectrum):
+    """Greedy match (``greedy_match``) of the discrete solutions to the oracle's rows.
 
     Returns (indices, distances, is_bijection): indices[i] is the solution
-    matched to records[i]; distances are max-norm gaps scaled by 1+max|x|.
+    row matched to oracle row i; distances are max-norm gaps scaled by 1+max|x|.
     """
-    want = np.array([rec.t.x for rec in records])
-    indices, gaps, bijection = greedy_match([sol.x for sol in solutions], want)
+    want = oracle.t.x
+    indices, gaps, bijection = greedy_match(solutions.x, want)
     return indices, gaps / (1.0 + np.max(np.abs(want), axis=1)), bijection
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from sovchain import make_chain, normalize_twist
 from sovchain.errors import SingularTwistWarning
+from sovchain.spectrum import TransferPolynomial
 from sovchain.transfer import TransferEvaluator, monodromy_matrix
 
 # full (non-diagonal, b != 0) invertible simple twist shared by the reference chains
@@ -22,6 +23,11 @@ def dense_blocks(chain, lam):
     m = monodromy_matrix(chain, lam)
     d = chain.dim
     return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
+
+
+def rows(t):
+    """The rows of a stacked ``TransferPolynomial``, each as its own single eigenvalue."""
+    return [TransferPolynomial(t.chain, x) for x in t.x]
 
 
 @pytest.fixture(scope="session")

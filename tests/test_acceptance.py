@@ -18,12 +18,12 @@ from sovchain.local_ops import kron_embed, lax, r_matrix
 from sovchain.numerics import commutator_residual, frob, random_complex
 from sovchain.sov_bases import (b_eigen_report, gram_rank, shift_action_report,
                                 sklyanin_basis, sov_basis_2)
-from sovchain.spectrum import (TransferPolynomial, brute_force_spectrum, discrete_residuals,
-                               eigenvector_from_sov, match_to_oracle,
-                               solve_discrete_system)
+from sovchain.spectrum import (brute_force_spectrum, discrete_residuals, eigenvector_from_sov,
+                               match_to_oracle, solve_discrete_system)
 from sovchain.transfer import (TransferEvaluator, central_zero_residual,
                                fused_transfer_projector, quantum_det_residual,
                                rtt_residual)
+from conftest import rows
 from test_baxter import _points
 
 
@@ -32,12 +32,12 @@ def _report(criterion, detail):
 
 
 @pytest.fixture(scope="module")
-def records12(chain12):
+def oracle12(chain12):
     return brute_force_spectrum(chain12)
 
 
 @pytest.fixture(scope="module")
-def records112(chain112):
+def oracle112(chain112):
     return brute_force_spectrum(chain112)
 
 
@@ -155,8 +155,8 @@ def test_criterion_6_basis_identifications(chain12, chain12_diag):
         top = tuple(site.two_s for site in chain.sites)
         b2 = sov_basis_2(chain, source=skl.row(top), evaluator=ev)
         worst = max(worst, _row_diff(b2, skl))
-        records = brute_force_spectrum(chain)
-        qop = build_q_operator(records, [solve_q_polynomial(rec.t) for rec in records])
+        oracle = brute_force_spectrum(chain)
+        qop = build_q_operator(oracle, solve_q_polynomial(oracle.t))
         qb = sov_from_q(qop)
         worst = max(worst, _row_diff(qb, skl))
     assert worst < 1e-7
@@ -172,25 +172,24 @@ def _row_diff(got, want):
                for i in range(got.rows.shape[0]))
 
 
-def test_criterion_7_spectrum_completeness(chain12, records12, chain112, records112,
+def test_criterion_7_spectrum_completeness(chain12, oracle12, chain112, oracle112,
                                             chain12_k2zero):
     worst_dist = 0.0
     worst_res = 0.0
-    for chain, records in ((chain12, records12), (chain112, records112)):
-        solutions, _ = solve_discrete_system(chain, seeds=[r.t.x for r in records])
+    for chain, oracle in ((chain12, oracle12), (chain112, oracle112)):
+        solutions, _ = solve_discrete_system(chain, seeds=oracle.t.x)
         assert len(solutions) == chain.dim
-        _, dists, bijection = match_to_oracle(solutions, records)
+        _, dists, bijection = match_to_oracle(solutions, oracle)
         assert bijection
         worst_dist = max(worst_dist, max(dists))
-        worst_res = max(worst_res, max(
-            float(np.max(np.abs(discrete_residuals(r.t)))) for r in records))
+        worst_res = max(worst_res, float(np.max(np.abs(discrete_residuals(oracle.t)))))
     assert worst_dist < 1e-8
     assert worst_res < 1e-8
     solutions, diag = solve_discrete_system(chain12_k2zero)
     assert diag["branch"] == "closed-form" and len(solutions) == chain12_k2zero.dim
     lam0 = 0.83 + 0.4j
     got = np.sort_complex(np.linalg.eigvals(TransferEvaluator(chain12_k2zero).transfer(lam0)))
-    want = np.sort_complex(np.array([t(lam0) for t in solutions]))
+    want = np.sort_complex(solutions(lam0))
     closed_err = float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
     assert closed_err < 1e-10
     _report("criterion 7 (completeness)",
@@ -198,56 +197,49 @@ def test_criterion_7_spectrum_completeness(chain12, records12, chain112, records
             f"< 1e-8, residuals {worst_res:.2e} < 1e-8, k2=0 closed form {closed_err:.2e} < 1e-10")
 
 
-def test_criterion_8_eigenvectors(chain12, ev12, records12, basis2_12, chain112, ev112,
-                                   records112):
+def test_criterion_8_eigenvectors(chain12, ev12, oracle12, basis2_12, chain112, ev112,
+                                   oracle112):
     worst_res = 0.0
     worst_overlap = 0.0
     basis112 = sov_basis_2(chain112, evaluator=ev112)
-    for chain, ev, records, basis in ((chain12, ev12, records12, basis2_12),
-                                      (chain112, ev112, records112, basis112)):
-        stack = TransferPolynomial(chain, [rec.t.x for rec in records])
-        vectors, residuals = eigenvector_from_sov(stack, basis, evaluator=ev)
+    for chain, ev, oracle, basis in ((chain12, ev12, oracle12, basis2_12),
+                                     (chain112, ev112, oracle112, basis112)):
+        vectors, residuals = eigenvector_from_sov(oracle.t, basis, evaluator=ev)
         worst_res = max(worst_res, float(np.max(residuals)))
-        for rec, v in zip(records, vectors.T):
-            cosine = abs(np.vdot(rec.vector, v)) / (np.linalg.norm(rec.vector)
-                                                    * np.linalg.norm(v))
+        for want, v in zip(oracle.vectors.T, vectors.T):
+            cosine = abs(np.vdot(want, v)) / (np.linalg.norm(want) * np.linalg.norm(v))
             worst_overlap = max(worst_overlap, 1.0 - cosine)
     assert worst_res < 1e-7
     assert worst_overlap < 1e-8
     _report("criterion 8 (eigenvectors)",
-            f"all {chain12.dim + chain112.dim} records: residual {worst_res:.2e} < 1e-7, "
+            f"all {chain12.dim + chain112.dim} eigenvalues: residual {worst_res:.2e} < 1e-7, "
             f"1-|cos| {worst_overlap:.2e} < 1e-8")
 
 
-def test_criterion_9_tq_suite(chain1, chain12, records12, chain112, records112):
+def test_criterion_9_tq_suite(chain1, chain12, oracle12, chain112, oracle112):
     worst_tq = 0.0
     worst_unique = 0.0
     min_root_gap = np.inf
-    for chain, records in ((chain12, records12), (chain112, records112)):
+    for chain, oracle in ((chain12, oracle12), (chain112, oracle112)):
         zeta_a = default_zeta(chain, salt=20)
         zeta_b = default_zeta(chain, salt=24)
         lams = _points(chain, 21)
-        for rec in records:
-            qa = solve_q_polynomial(rec.t, zeta=zeta_a)
-            qb = solve_q_polynomial(rec.t, zeta=zeta_b)
+        for t in rows(oracle.t):
+            qa = solve_q_polynomial(t, zeta=zeta_a)
+            qb = solve_q_polynomial(t, zeta=zeta_b)
             assert qa.degree <= chain.n_s
-            worst_tq = max(worst_tq, tq_residual(rec.t, qa, lams))
-            pad = max(len(qa.coeffs), len(qb.coeffs))
-            ca = np.zeros(pad, dtype=complex)
-            cb = np.zeros(pad, dtype=complex)
-            ca[:len(qa.coeffs)] = qa.coeffs
-            cb[:len(qb.coeffs)] = qb.coeffs
-            worst_unique = max(worst_unique, float(np.max(np.abs(ca - cb))))
-            for root in qa.roots():
+            worst_tq = max(worst_tq, tq_residual(t, qa, lams))
+            worst_unique = max(worst_unique, float(np.max(np.abs(qa.coeffs - qb.coeffs))))
+            for root in qa.roots:
                 for b, site in enumerate(chain.sites):
                     min_root_gap = min(min_root_gap, abs(root - chain.node(b, site.two_s)))
     assert worst_tq < 1e-8
     assert worst_unique < 1e-8
     assert min_root_gap > 1e-6
     # hand-derived single-site case, exact to 1e-10
-    by_x = {round(rec.t.x[0].real): rec for rec in brute_force_spectrum(chain1)}
-    q_const = solve_q_polynomial(by_x[2].t, zeta=1.0)
-    q_linear = solve_q_polynomial(by_x[1].t, zeta=1.0)
+    by_x = {round(t.x[0].real): t for t in rows(brute_force_spectrum(chain1).t)}
+    q_const = solve_q_polynomial(by_x[2], zeta=1.0)
+    q_linear = solve_q_polynomial(by_x[1], zeta=1.0)
     assert q_const.degree == 0 and abs(q_const.coeffs[0] - 1.0) < 1e-10
     assert q_linear.degree == 1
     assert np.max(np.abs(q_linear.coeffs - np.array([2.0, 1.0]))) < 1e-10
@@ -256,11 +248,11 @@ def test_criterion_9_tq_suite(chain1, chain12, records12, chain112, records112):
             f"root gap {min_root_gap:.2e} > 1e-6, hand case Q=1 and Q=lam+2 exact")
 
 
-def test_criterion_10_q_operator(chain12, ev12, records12):
+def test_criterion_10_q_operator(chain12, ev12, oracle12):
     rng = np.random.default_rng(1010)
-    qpolys = [solve_q_polynomial(rec.t) for rec in records12]
-    qop = build_q_operator(records12, qpolys)
-    qop_det = build_q_operator(records12, qpolys, method="determinant")
+    qpoly = solve_q_polynomial(oracle12.t)
+    qop = build_q_operator(oracle12, qpoly)
+    qop_det = build_q_operator(oracle12, qpoly, method="determinant")
     lams = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
     mus = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
     commute = q_operator_commutation_residual(qop, ev12, lams, mus)
@@ -277,13 +269,13 @@ def test_criterion_10_q_operator(chain12, ev12, records12):
             f"max cond {max(conds.values()):.1e} < 1e8, method agreement {agree:.2e} < 1e-7")
 
 
-def test_criterion_11_sov_q_factorization(chain12, records12, chain112, records112):
+def test_criterion_11_sov_q_factorization(chain12, oracle12, chain112, oracle112):
     worst = 0.0
-    for chain, records in ((chain12, records12), (chain112, records112)):
+    for chain, oracle in ((chain12, oracle12), (chain112, oracle112)):
         zeta = default_zeta(chain)
-        for rec in records:
-            qpoly = solve_q_polynomial(rec.t, zeta=zeta)
-            worst = max(worst, sov_q_factorization(rec.t, qpoly))
+        for t in rows(oracle.t):
+            qpoly = solve_q_polynomial(t, zeta=zeta)
+            worst = max(worst, sov_q_factorization(t, qpoly))
     assert worst < 1e-7
     _report("criterion 11 (SoV-Q factorization)",
-            f"wavefunction = const * prod Q(node), spread {worst:.2e} < 1e-7 over all records")
+            f"wavefunction = const * prod Q(node), spread {worst:.2e} < 1e-7 over all eigenvalues")

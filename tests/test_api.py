@@ -28,7 +28,7 @@ REMOVED_PARAMETERS = {
     "spectrum.solve_discrete_system": {"max_iter", "newton_tol", "dedup_tol"},
     "spectrum.discrete_residuals": {"chain"},
     "spectrum.brute_force_spectrum": {"lam0"},
-    "spectrum.EigenRecord": {"lam0"},
+    "spectrum.OracleSpectrum": {"lam0"},
     "baxter.build_q_operator": {"chain", "zeta", "evaluator", "q_solver"},
     "baxter.sov_from_q": {"chain", "validate"},
     "baxter.default_zeta": {"min_dist", "max_tries"},
@@ -60,6 +60,8 @@ REMOVED_NAMES = [
     "baxter.q_values", "baxter.tq_residual_shifted", "baxter.degenerate_q_closed_form",
     "transfer.MonodromyBlocks", "transfer.monodromy_blocks", "transfer.reference_covector",
     "chain.multi_indices",
+    # the per-eigenvalue containers, restacked by each consumer
+    "spectrum.EigenRecord", "baxter.q_coefficients", "numerics.trim_trailing",
 ]
 
 
@@ -88,5 +90,5 @@ def test_q_operator_is_built_from_finished_inputs():
     from sovchain.baxter import build_q_operator
 
     params = inspect.signature(build_q_operator).parameters
-    assert list(params) == ["records", "qpolys", "method"]
-    assert params["records"].default is inspect.Parameter.empty
+    assert list(params) == ["oracle", "q", "method"]
+    assert params["oracle"].default is inspect.Parameter.empty

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import rows
 from sovchain.baxter import (_closure_system, _Interpolation, _require_regular_closure,
                              _worst_cancellation, build_q_operator, default_zeta,
                              q_operator_commutation_residual, q_operator_invertibility,
@@ -12,18 +13,23 @@ from sovchain.errors import (DegenerateBasis, NonInvertibleQ, RootOnForbiddenNod
                              SingularCZeta)
 from sovchain.numerics import frob, poly_eval, random_complex
 from sovchain.sov_bases import gram_rank, sklyanin_basis
-from sovchain.spectrum import EigenRecord, TransferPolynomial, _sov2_array, brute_force_spectrum
+from sovchain.spectrum import OracleSpectrum, TransferPolynomial, _sov2_array, brute_force_spectrum
 from sovchain.transfer import transfer
 
 
 def _q_operator(chain):
-    """Eigenbasis Q-operator from the oracle records and their Q-polynomials at the default zeta."""
-    records = brute_force_spectrum(chain)
-    return build_q_operator(records, [solve_q_polynomial(rec.t) for rec in records])
+    """Eigenbasis Q-operator from the oracle and its Q-polynomials at the default zeta."""
+    oracle = brute_force_spectrum(chain)
+    return build_q_operator(oracle, solve_q_polynomial(oracle.t))
 
 
-def _records_by_x(chain):
-    return {round(rec.t.x[0].real): rec for rec in brute_force_spectrum(chain)}
+def _eigenvalues_by_x(chain):
+    return {round(t.x[0].real): t for t in rows(brute_force_spectrum(chain).t)}
+
+
+def _coefficients(qpoly):
+    """The ascending coefficients of a single Q-polynomial up to its degree."""
+    return qpoly.coeffs[:qpoly.degree + 1]
 
 
 def _points(chain, salt):
@@ -42,23 +48,23 @@ def _tq_residual_shifted(t, q, lams):
 
 
 def test_q_values_hand_case(chain1):
-    rec = _records_by_x(chain1)[1]  # t = 3 lam + 1
-    vals = rec.t.checked_grid_ratios[0]
+    t = _eigenvalues_by_x(chain1)[1]  # t = 3 lam + 1
+    vals = t.checked_grid_ratios[0]
     assert vals[1] == 1.0
     assert abs(vals[0] - 2.0) < 1e-12  # t(-1) / (k2 d(-1)) = 2
 
 
 def test_q_values_first_step_formula(chain12):
-    rec = brute_force_spectrum(chain12)[1]
+    t = rows(brute_force_spectrum(chain12).t)[1]
     for n, site in enumerate(chain12.sites):
         bottom = chain12.node(n, site.two_s)
-        want = rec.t(bottom) / (chain12.twist.k2 * chain12.d(bottom))
-        got = rec.t.checked_grid_ratios[n][site.two_s - 1]
+        want = t(bottom) / (chain12.twist.k2 * chain12.d(bottom))
+        got = t.checked_grid_ratios[n][site.two_s - 1]
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_backward_check_rejects_wrong_ratios(chain12):
-    t = TransferPolynomial(chain12, brute_force_spectrum(chain12)[1].t.x)
+    t = rows(brute_force_spectrum(chain12).t)[1]
     t.grid_ratios = [r * (1 + 1e-6) for r in t.grid_ratios]
     for _ in range(2):  # a failed check is not kept, so it runs and raises again
         with pytest.raises(ValueError, match="disagree"):
@@ -66,43 +72,42 @@ def test_backward_check_rejects_wrong_ratios(chain12):
 
 
 def test_hand_case_q_polynomials(chain1):
-    recs = _records_by_x(chain1)
-    q0 = solve_q_polynomial(recs[2].t, zeta=1.0)  # t = 3 lam + 2
-    assert q0.degree == 0
-    assert np.allclose(q0.coeffs, [1.0], atol=1e-10)
-    q1 = solve_q_polynomial(recs[1].t, zeta=1.0)  # t = 3 lam + 1
+    ts = _eigenvalues_by_x(chain1)
+    q0 = solve_q_polynomial(ts[2], zeta=1.0)  # t = 3 lam + 2
+    assert q0.degree == 0 and q0.coeffs.shape == (chain1.n_s + 1,)
+    assert np.allclose(q0.coeffs, [1.0, 0.0], atol=1e-10) and q0.coeffs[1] == 0.0
+    assert q0.roots.shape == (0,) and q0.root_gap == np.inf
+    q1 = solve_q_polynomial(ts[1], zeta=1.0)  # t = 3 lam + 1
     assert q1.degree == 1
     assert np.max(np.abs(q1.coeffs - np.array([2.0, 1.0]))) < 1e-10
-    # root at k1 / (k2 - k1) = -2
-    assert abs(q1.roots()[0] - (-2.0)) < 1e-10
+    # root at k1 / (k2 - k1) = -2, at distance 1 from the bottom node -1
+    assert abs(q1.roots[0] - (-2.0)) < 1e-10
+    assert q1.root_gap == abs(q1.roots[0] - chain1.node(0, 1))
 
 
 def test_q_degree_bound_and_nontriviality(chain12, chain112):
     for chain in (chain12, chain112):
         zeta = default_zeta(chain)
-        degrees = []
-        for rec in brute_force_spectrum(chain):
-            qpoly = solve_q_polynomial(rec.t, zeta=zeta)
-            assert qpoly.leftout_residual < 1e-9
-            degrees.append(qpoly.degree)
-        assert max(degrees) <= chain.n_s
-        assert max(degrees) >= 1
+        qpoly = solve_q_polynomial(brute_force_spectrum(chain).t, zeta=zeta)
+        assert np.max(qpoly.leftout_residual) < 1e-9
+        assert max(qpoly.degree) <= chain.n_s
+        assert max(qpoly.degree) >= 1
 
 
 def test_tq_equation_on_shell(chain12, chain112):
     for chain in (chain12, chain112):
-        for rec in brute_force_spectrum(chain):
-            qpoly = solve_q_polynomial(rec.t)
-            assert tq_residual(rec.t, qpoly, _points(chain, 21)) < 1e-8
-            assert _tq_residual_shifted(rec.t, qpoly, _points(chain, 22)) < 1e-8
+        for t in rows(brute_force_spectrum(chain).t):
+            qpoly = solve_q_polynomial(t)
+            assert tq_residual(t, qpoly, _points(chain, 21)) < 1e-8
+            assert _tq_residual_shifted(t, qpoly, _points(chain, 22)) < 1e-8
 
 
 def test_tq_equation_detects_off_shell(chain12):
-    rec = brute_force_spectrum(chain12)[0]
-    qpoly = solve_q_polynomial(rec.t)
+    t = rows(brute_force_spectrum(chain12).t)[0]
+    qpoly = solve_q_polynomial(t)
     lams = _points(chain12, 21)
-    on_shell = tq_residual(rec.t, qpoly, lams)
-    x = rec.t.x.copy()
+    on_shell = tq_residual(t, qpoly, lams)
+    x = t.x.copy()
     x[1] += 0.1
     off = TransferPolynomial(chain12, x)
     off_shell = tq_residual(off, qpoly, lams)
@@ -111,11 +116,11 @@ def test_tq_equation_detects_off_shell(chain12):
 
 
 def test_no_root_on_bottom_nodes(chain12):
-    for rec in brute_force_spectrum(chain12):
-        qpoly = solve_q_polynomial(rec.t)
-        for root in qpoly.roots():
-            for b, site in enumerate(chain12.sites):
-                assert abs(root - chain12.node(b, site.two_s)) > 1e-6
+    qpoly = solve_q_polynomial(brute_force_spectrum(chain12).t)
+    bottoms = np.array([chain12.node(b, site.two_s) for b, site in enumerate(chain12.sites)])
+    assert np.all(qpoly.root_gap > 1e-6)
+    for roots, gap in zip(qpoly.roots, qpoly.root_gap):
+        assert gap == np.min(np.abs(roots[:, None] - bottoms), initial=np.inf)
 
 
 def test_wronskian_hand_values(chain12):
@@ -139,15 +144,10 @@ def test_uniqueness_two_zetas(chain12):
     assert abs(zeta_a - zeta_b) > 1e-3
     rng = np.random.default_rng(77)
     lams = [complex(z) for z in random_complex(rng, size=5, box=3.0)]
-    for rec in brute_force_spectrum(chain12):
-        qa = solve_q_polynomial(rec.t, zeta=zeta_a)
-        qb = solve_q_polynomial(rec.t, zeta=zeta_b)
-        pad = max(len(qa.coeffs), len(qb.coeffs))
-        ca = np.zeros(pad, dtype=complex)
-        cb = np.zeros(pad, dtype=complex)
-        ca[:len(qa.coeffs)] = qa.coeffs
-        cb[:len(qb.coeffs)] = qb.coeffs
-        assert np.max(np.abs(ca - cb)) < 1e-8
+    for t in rows(brute_force_spectrum(chain12).t):
+        qa = solve_q_polynomial(t, zeta=zeta_a)
+        qb = solve_q_polynomial(t, zeta=zeta_b)
+        assert np.max(np.abs(qa.coeffs - qb.coeffs)) < 1e-8
         assert wronskian_values(qa, qb, chain12, lams) < 1e-9
 
 
@@ -177,21 +177,17 @@ def test_degenerate_twist_q_closed_form(chain12):
                 coeffs = np.convolve(coeffs, [-chain.node(n, k), 1.0])
         q_fn = lambda lam, c=coeffs: poly_eval(c, lam)
         assert _tq_residual_shifted(t, q_fn, _points(chain, 22)) < 1e-12
-        qpoly = solve_q_polynomial(t)
-        pad = max(len(coeffs), len(qpoly.coeffs))
-        ca = np.zeros(pad, dtype=complex)
-        cb = np.zeros(pad, dtype=complex)
-        ca[:len(coeffs)] = coeffs
-        cb[:len(qpoly.coeffs)] = qpoly.coeffs
-        assert np.max(np.abs(ca - cb)) < 1e-8 * max(1.0, np.max(np.abs(ca)))
+        got = _coefficients(solve_q_polynomial(t))
+        assert len(got) == len(coeffs)
+        assert np.max(np.abs(got - coeffs)) < 1e-8 * max(1.0, np.max(np.abs(coeffs)))
 
 
 def test_closure_rank_one_update(chain12):
     # the lam-dependent correction to the closure matrix has rank one
-    rec = brute_force_spectrum(chain12)[0]
+    t = rows(brute_force_spectrum(chain12).t)[0]
     zeta = default_zeta(chain12)
     interp = _Interpolation(chain12, zeta)
-    system = _closure_system(interp, rec.t.grid_ratios)
+    system = _closure_system(interp, t.grid_ratios)
     rng = np.random.default_rng(4)
     for lam in random_complex(rng, size=3, box=2.0):
         f, g = interp.site_sums(lam, system.q_flat)
@@ -201,9 +197,9 @@ def test_closure_rank_one_update(chain12):
 
 
 def test_cramer_dets_match_solution(chain12):
-    rec = brute_force_spectrum(chain12)[3]
+    t = rows(brute_force_spectrum(chain12).t)[3]
     zeta = default_zeta(chain12)
-    system = _closure_system(_Interpolation(chain12, zeta), rec.t.grid_ratios)
+    system = _closure_system(_Interpolation(chain12, zeta), t.grid_ratios)
     by_solve = np.linalg.solve(system.matrix, system.rhs)
     column_dets = []
     for j in range(chain12.n_sites):
@@ -229,10 +225,10 @@ def test_q_operator_identities(chain12, ev12):
 
 def test_q_operator_method_agreement(chain12, ev12, chain112):
     for chain in (chain12, chain112):
-        records = brute_force_spectrum(chain)
-        qpolys = [solve_q_polynomial(rec.t) for rec in records]
-        qop = build_q_operator(records, qpolys)
-        qop_det = build_q_operator(records, qpolys, method="determinant")
+        oracle = brute_force_spectrum(chain)
+        qpoly = solve_q_polynomial(oracle.t)
+        qop = build_q_operator(oracle, qpoly)
+        qop_det = build_q_operator(oracle, qpoly, method="determinant")
         assert qop.zeta == qop_det.zeta == default_zeta(chain)
         rng = np.random.default_rng(93)
         worst = 0.0
@@ -249,25 +245,24 @@ def test_q_operator_rejects_equal_eigenvalues(chain12):
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     chain = make_chain(chain12.eta, [(s.two_s, s.xi) for s in chain12.sites],
                        jordan, seed=chain12.seed)
-    # the guard reads only the records' chain, so one hand-made record trips it
+    # the guard reads only the oracle's chain, so a hand-made one-row oracle trips it
     # (the oracle itself refuses this chain: its spectrum is degenerate)
-    rec = EigenRecord(t=TransferPolynomial(chain, np.zeros(chain.n_sites)),
-                      vector=np.eye(chain.dim)[0], left=np.eye(chain.dim)[0],
-                      value_at_lam0=0.0)
+    oracle = OracleSpectrum(t=TransferPolynomial(chain, np.zeros((1, chain.n_sites))),
+                            vectors=np.eye(chain.dim)[:, :1], left=np.eye(chain.dim)[:1],
+                            value_at_lam0=np.zeros(1))
     with pytest.raises(ValueError, match="distinct eigenvalues"):
-        build_q_operator([rec], [])
+        build_q_operator(oracle, None)
 
 
 def test_q_operator_rejects_mismatched_q_polynomials(chain12):
-    records = brute_force_spectrum(chain12)
-    qpolys = [solve_q_polynomial(rec.t) for rec in records]
-    with pytest.raises(ValueError, match="one Q-polynomial per record"):
-        build_q_operator(records, qpolys[:-1])
-    other = solve_q_polynomial(records[-1].t, zeta=default_zeta(chain12, salt=24))
-    with pytest.raises(ValueError, match="one zeta"):
-        build_q_operator(records, qpolys[:-1] + [other])
+    oracle = brute_force_spectrum(chain12)
+    short = TransferPolynomial(chain12, oracle.t.x[:-1])
+    single = TransferPolynomial(chain12, oracle.t.x[0])
+    for qpoly in (solve_q_polynomial(short), solve_q_polynomial(single)):
+        with pytest.raises(ValueError, match="one Q-polynomial row per oracle row"):
+            build_q_operator(oracle, qpoly)
     with pytest.raises(ValueError, match="unknown method"):
-        build_q_operator(records, qpolys, method="dense")
+        build_q_operator(oracle, solve_q_polynomial(oracle.t), method="dense")
 
 
 def test_sov_from_q_reproduces_sklyanin(chain12, chain12_diag):
@@ -333,37 +328,38 @@ def test_sov_from_q_matches_dense_operator_products(chain12, chain12_diag):
 def test_sov_q_factorization(chain12, chain112):
     for chain in (chain12, chain112):
         zeta = default_zeta(chain)
-        for rec in brute_force_spectrum(chain):
-            qpoly = solve_q_polynomial(rec.t, zeta=zeta)
-            assert sov_q_factorization(rec.t, qpoly) < 1e-7
+        for t in rows(brute_force_spectrum(chain).t):
+            qpoly = solve_q_polynomial(t, zeta=zeta)
+            assert sov_q_factorization(t, qpoly) < 1e-7
 
 
 def test_leading_coefficient_constraint(chain12):
     # oracle eigenvalue leading coefficient satisfies k1^2 - k1 t_lead + det K = 0
     chain = chain12
     pts = np.array([0.4 + 0.1j, -0.9 - 0.7j, 1.8 + 0.9j])
-    for rec in brute_force_spectrum(chain)[:3]:
+    oracle = brute_force_spectrum(chain)
+    for left, vector in list(zip(oracle.left, oracle.vectors.T))[:3]:
         lead = 0.0
         for j, z in enumerate(pts):
             denom = np.prod([z - w for k, w in enumerate(pts) if k != j])
-            lead += (rec.left @ transfer(chain, z) @ rec.vector) / denom
+            lead += (left @ transfer(chain, z) @ vector) / denom
         k1 = chain.twist.k1
         assert abs(lead - chain.twist.trace) < 1e-9
         assert abs(k1 ** 2 - k1 * lead + chain.twist.det) < 1e-8
 
 
 def test_singular_closure_system_raises(chain12):
-    rec = brute_force_spectrum(chain12)[0]
+    t = rows(brute_force_spectrum(chain12).t)[0]
     with pytest.raises(SingularCZeta):
-        solve_q_polynomial(rec.t, det_floor=1e30)
+        solve_q_polynomial(t, det_floor=1e30)
 
 
-def _closure(chain, rec):
-    return _closure_system(_Interpolation(chain, default_zeta(chain)), rec.t.grid_ratios)
+def _closure(chain, t):
+    return _closure_system(_Interpolation(chain, default_zeta(chain)), t.grid_ratios)
 
 
 def test_closure_guard_fires_on_singular_matrix(chain112):
-    system = _closure(chain112, brute_force_spectrum(chain112)[0])
+    system = _closure(chain112, rows(brute_force_spectrum(chain112).t)[0])
     dependent = dataclasses.replace(system, matrix=system.matrix.copy())
     dependent.matrix[:, 2] = 3.0 * dependent.matrix[:, 0] - dependent.matrix[:, 1]
     zero_column = dataclasses.replace(system, matrix=system.matrix.copy())
@@ -374,8 +370,8 @@ def test_closure_guard_fires_on_singular_matrix(chain112):
 
 
 def test_closure_guard_ignores_column_scale(chain112):
-    for rec in brute_force_spectrum(chain112):
-        system = _closure(chain112, rec)
+    for t in rows(brute_force_spectrum(chain112).t):
+        system = _closure(chain112, t)
         ratio = _require_regular_closure(system)
         assert 1e-10 < ratio <= 1.0
         for j in range(chain112.n_sites):
@@ -391,10 +387,10 @@ def test_closure_guard_ignores_column_scale(chain112):
 
 def test_root_on_forbidden_node_raises(chain12):
     zeta = default_zeta(chain12)
-    rec = next(r for r in brute_force_spectrum(chain12)
-               if solve_q_polynomial(r.t, zeta=zeta).degree > 0)
+    t = next(t for t in rows(brute_force_spectrum(chain12).t)
+             if solve_q_polynomial(t, zeta=zeta).degree > 0)
     with pytest.raises(RootOnForbiddenNode):
-        solve_q_polynomial(rec.t, zeta=zeta, root_floor=1e30)
+        solve_q_polynomial(t, zeta=zeta, root_floor=1e30)
 
 
 def test_non_invertible_q_raises(chain12):
@@ -408,17 +404,17 @@ def test_q_operator_takes_q_polynomials_from_solver(chain12, monkeypatch):
     # the assembly solves none itself
     import sovchain.baxter as baxter
 
-    records = brute_force_spectrum(chain12)
+    oracle = brute_force_spectrum(chain12)
     zeta = default_zeta(chain12, salt=24)
-    qpolys = [solve_q_polynomial(rec.t, zeta=zeta) for rec in records]
+    qpoly = solve_q_polynomial(oracle.t, zeta=zeta)
     monkeypatch.setattr(baxter, "solve_q_polynomial", None)
     for method in ("eigenbasis", "determinant"):
-        qop = build_q_operator(records, qpolys, method=method)
+        qop = build_q_operator(oracle, qpoly, method=method)
         assert qop.zeta == zeta
         assert frob(qop(zeta) - np.eye(chain12.dim)) < 1e-10
     lam = 0.3 - 0.8j
-    want = np.array([qp(lam) / qp(zeta) for qp in qpolys])
-    assert np.array_equal(build_q_operator(records, qpolys).eigenvalues(lam), want)
+    want = qpoly(lam) / qpoly(zeta)
+    assert np.array_equal(build_q_operator(oracle, qpoly).eigenvalues(lam), want)
 
 
 def test_sov_from_q_validates_given_sklyanin_basis(chain12):
@@ -446,14 +442,13 @@ def _sov_q_factorization_loop(t, qpoly):
 def test_sov_q_factorization_matches_loop(chain112):
     zeta = default_zeta(chain112)
     rng = np.random.default_rng(4)
-    for rec in brute_force_spectrum(chain112):
-        qpoly = solve_q_polynomial(rec.t, zeta=zeta)
-        assert abs(sov_q_factorization(rec.t, qpoly) - _sov_q_factorization_loop(rec.t, qpoly)) \
-            < 1e-13
+    for t in rows(brute_force_spectrum(chain112).t):
+        qpoly = solve_q_polynomial(t, zeta=zeta)
+        assert abs(sov_q_factorization(t, qpoly) - _sov_q_factorization_loop(t, qpoly)) < 1e-13
         if qpoly.degree == 0:   # a constant Q factorizes whatever its value
             continue
-        noise = 1 + 1e-3 * rng.standard_normal(len(qpoly.coeffs))
-        off = dataclasses.replace(qpoly, coeffs=qpoly.coeffs * noise)
-        want = _sov_q_factorization_loop(rec.t, off)
+        noise = 1 + 1e-3 * rng.standard_normal(qpoly.degree + 1)
+        off = dataclasses.replace(qpoly, coeffs=_coefficients(qpoly) * noise)
+        want = _sov_q_factorization_loop(t, off)
         assert want > 1e-6
-        assert sov_q_factorization(rec.t, off) == pytest.approx(want, rel=1e-10)
+        assert sov_q_factorization(t, off) == pytest.approx(want, rel=1e-10)

@@ -516,22 +516,20 @@ def test_run_context_keys_and_failures(monkeypatch):
     monkeypatch.setattr(cli, "brute_force_spectrum", flaky)
     ctx = cli._RunContext(chain)
     with pytest.raises(NearDegenerateSpectrum):
-        ctx.records()
-    records = ctx.records()          # a failure is not stored
-    assert ctx.records() is records and len(attempts) == 2
+        ctx.oracle()
+    oracle = ctx.oracle()            # a failure is not stored
+    assert ctx.oracle() is oracle and len(attempts) == 2
 
     for salt in (20, 24):
         zeta = default_zeta(chain, salt=salt)
-        qpolys = ctx.q_polynomials(zeta)
-        assert ctx.q_polynomials(zeta) is qpolys and len(qpolys) == chain.dim
-        for i in (0, chain.dim - 1):
-            assert qpolys[i].zeta == zeta
-            assert np.array_equal(qpolys[i].coeffs,
-                                  solve_q_polynomial(records[i].t, zeta=zeta).coeffs)
+        qpoly = ctx.q_polynomials(zeta)
+        assert ctx.q_polynomials(zeta) is qpoly and qpoly.coeffs.shape[0] == chain.dim
+        assert qpoly.zeta == zeta
+        assert np.array_equal(qpoly.coeffs, solve_q_polynomial(oracle.t, zeta=zeta).coeffs)
 
 
 def test_run_all_builds_grid_ratios_and_closures_once(monkeypatch):
-    # the scalar layer runs once on the stack of all records: one fused tower per
+    # the scalar layer runs once on the oracle stack: one fused tower per
     # site and one closure stack per zeta; the wavefunction, eigenvector and
     # Q-factorization checks and the Q solves share the stack's grid ratios, the
     # determinant Q route reads the closure systems of the Q solves, and the

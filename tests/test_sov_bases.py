@@ -115,6 +115,26 @@ def test_sov_basis_1_tensor_source(chain12, ev12):
     assert gram_rank(basis)[0] == chain12.dim
 
 
+def test_spin4_tensor_covector_is_accepted_whatever_the_twist_scale():
+    # at spin 4 the raw orbit rows grow like ||K||^h, so their plain SVD read a
+    # spanning orbit as degenerate; equilibrated, the draw is accepted, and the
+    # same draw for K and for 3K
+    chains = [random_chain((8, 8), 1.0, scale * TWIST_FULL, seed=7) for scale in (1.0, 3.0)]
+    assert chains[0].sites == chains[1].sites
+    got, got_scaled = (tensor_generating_covector(chain) for chain in chains)
+    assert np.array_equal(got, got_scaled)
+
+
+def test_rank_survives_a_row_beyond_the_norm_overflow(chain12):
+    # entries past ~1e154 overflow the row norm; the power-of-two prescale is exact
+    basis = sklyanin_basis(chain12)
+    rows = basis.rows.copy()
+    rows[0] *= 2.0 ** 600
+    big = CovectorBasis(rows=rows, kind=basis.kind, chain=chain12, source=basis.source)
+    assert gram_rank(big) == gram_rank(basis)
+    assert gram_rank(big)[0] == chain12.dim
+
+
 def test_sov_basis_charges_commute_with_transfer(chain12, ev12):
     # operators used in both tower constructions are conserved charges
     mu = 0.83 - 0.56j

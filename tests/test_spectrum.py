@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import TWIST_FULL
+from conftest import TWIST_FULL, rows
 from sovchain.chain import Tolerances, random_chain
 from sovchain.cli import chain_from_config, load_config
 from sovchain.errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
@@ -18,15 +18,32 @@ from sovchain.transfer import TransferEvaluator, transfer
 
 
 def test_hand_case_oracle(chain1):
-    records = brute_force_spectrum(chain1)
-    assert len(records) == 2
+    oracle = brute_force_spectrum(chain1)
+    assert len(oracle.t) == 2 and oracle.vectors.shape == oracle.left.shape == (2, 2)
     # eigenvalues 3 lam + 2 and 3 lam + 1; node values t(0) are 2 and 1
-    xs = sorted(rec.t.x[0].real for rec in records)
+    xs = sorted(oracle.t.x[:, 0].real)
     assert np.allclose(xs, [1.0, 2.0], atol=1e-12)
-    for rec in records:
+    for t in rows(oracle.t):
         lam = 0.77 - 0.31j
-        want = 3 * lam + rec.t.x[0]
-        assert abs(rec.t(lam) - want) < 1e-12
+        want = 3 * lam + t.x[0]
+        assert abs(t(lam) - want) < 1e-12
+
+
+def test_oracle_stacks_are_c_contiguous(chain12):
+    # the layout the report rows were computed on: a row or column sum over a
+    # Fortran-ordered stack rounds differently
+    oracle = brute_force_spectrum(chain12)
+    assert oracle.t.x.flags["C_CONTIGUOUS"] and oracle.vectors.flags["C_CONTIGUOUS"]
+    assert oracle.left.flags["C_CONTIGUOUS"]
+    assert oracle.value_at_lam0.shape == (chain12.dim,)
+    assert np.allclose(oracle.left @ oracle.vectors, np.eye(chain12.dim), atol=1e-10)
+
+
+def test_transfer_polynomial_len_counts_rows(chain12):
+    stack = brute_force_spectrum(chain12).t
+    assert len(stack) == chain12.dim
+    assert len(TransferPolynomial(chain12, stack.x[0])) == 1
+    assert len(TransferPolynomial(chain12, stack.x[:1])) == 1
 
 
 @pytest.mark.parametrize("name", ["n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22",
@@ -34,18 +51,20 @@ def test_hand_case_oracle(chain1):
 def test_oracle_node_values_equal_the_per_record_products_bitwise(name):
     # the oracle reads the kernel-built T at each node, never an evaluator's interpolant
     chain = chain_from_config(load_config(name))
-    for rec in brute_force_spectrum(chain):
-        want = [rec.left @ transfer(chain, chain.node(a, 0)) @ rec.vector
+    oracle = brute_force_spectrum(chain)
+    for i, x in enumerate(oracle.t.x):
+        vector = np.ascontiguousarray(oracle.vectors[:, i])
+        want = [oracle.left[i] @ transfer(chain, chain.node(a, 0)) @ vector
                 for a in range(chain.n_sites)]
-        assert np.array_equal(rec.t.x, want)
+        assert np.array_equal(x, want)
 
 
 def test_oracle_x_tuples_distinct(chain12):
-    records = brute_force_spectrum(chain12)
-    assert len(records) == chain12.dim
-    for i in range(len(records)):
+    xs = brute_force_spectrum(chain12).t.x
+    assert len(xs) == chain12.dim
+    for i in range(len(xs)):
         for j in range(i):
-            assert np.max(np.abs(records[i].t.x - records[j].t.x)) > 1e-6
+            assert np.max(np.abs(xs[i] - xs[j])) > 1e-6
 
 
 def _discrete_matrix(t, n):
@@ -81,27 +100,25 @@ def test_hand_case_discrete_determinant(chain1):
 
 def test_oracle_satisfies_discrete_system(chain12, chain112):
     for chain in (chain12, chain112):
-        for rec in brute_force_spectrum(chain):
-            assert np.max(np.abs(discrete_residuals(rec.t))) < 1e-8
+        assert np.max(np.abs(discrete_residuals(brute_force_spectrum(chain).t))) < 1e-8
 
 
 def test_perturbed_candidate_fails(chain12):
-    rec = brute_force_spectrum(chain12)[0]
-    x = rec.t.x.copy()
+    x = brute_force_spectrum(chain12).t.x[0].copy()
     x[0] += 1e-3
     residuals = np.abs(discrete_residuals(TransferPolynomial(chain12, x)))
     assert residuals.max() > 1e-6
 
 
 def test_newton_refines_perturbed_seeds(chain12):
-    records = brute_force_spectrum(chain12)
+    oracle = brute_force_spectrum(chain12)
     rng = np.random.default_rng(55)
-    seeds = [rec.t.x + 0.01 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-             for rec in records]
+    seeds = [x + 0.01 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+             for x in oracle.t.x]
     solutions, diag = solve_discrete_system(chain12, seeds=seeds)
     assert len(solutions) == chain12.dim
     assert diag["newton_iterations"] > 0
-    _, dists, bijection = match_to_oracle(solutions, records)
+    _, dists, bijection = match_to_oracle(solutions, oracle)
     assert bijection
     assert max(dists) < 1e-8
 
@@ -109,7 +126,7 @@ def test_newton_refines_perturbed_seeds(chain12):
 def test_hand_case_solve(chain1):
     solutions, _ = solve_discrete_system(chain1)
     assert len(solutions) == 2
-    xs = sorted(sol.x[0].real for sol in solutions)
+    xs = sorted(solutions.x[:, 0].real)
     assert np.allclose(xs, [1.0, 2.0], atol=1e-10)
 
 
@@ -117,14 +134,12 @@ def test_completeness_default_seeds(chain12, chain112):
     for chain in (chain12, chain112):
         solutions, _ = solve_discrete_system(chain)
         assert len(solutions) == chain.dim
-        records = brute_force_spectrum(chain)
-        _, dists, bijection = match_to_oracle(solutions, records)
+        _, dists, bijection = match_to_oracle(solutions, brute_force_spectrum(chain))
         assert bijection and max(dists) < 1e-8
 
 
 def test_duplicate_seeds_raise_count_mismatch(chain12):
-    records = brute_force_spectrum(chain12)
-    seeds = [records[0].t.x] * chain12.dim
+    seeds = [brute_force_spectrum(chain12).t.x[0]] * chain12.dim
     with pytest.raises(CountMismatch):
         solve_discrete_system(chain12, seeds=seeds)
 
@@ -132,15 +147,15 @@ def test_duplicate_seeds_raise_count_mismatch(chain12):
 def test_jacobian_regular_at_solutions(chain12):
     solutions, _ = solve_discrete_system(chain12)
     assert jacobian_smallest_sv(solutions) > 1e-8
-    assert jacobian_smallest_sv(solutions) == min(jacobian_smallest_sv([sol])
-                                                  for sol in solutions)
+    assert jacobian_smallest_sv(solutions) == min(jacobian_smallest_sv(sol)
+                                                  for sol in rows(solutions))
 
 
 @pytest.mark.parametrize("spins", [None, (1,) * 6], ids=["chain12", "1^6"])
 def test_batched_discrete_system_rows_equal_single_rows(chain12, spins):
     chain = chain12 if spins is None else random_chain(spins, 1.0, TWIST_FULL, seed=7)
     system = _DiscreteSystem(chain)
-    xs = np.array([rec.t.x for rec in brute_force_spectrum(chain)])
+    xs = brute_force_spectrum(chain).t.x
     res, scales = system.residual(xs)
     jac = system.jacobian(xs)
     for i, x in enumerate(xs):
@@ -165,8 +180,7 @@ def test_tridiagonal_minors_match_dense_determinants(m):
 def test_jacobian_matches_central_differences(spins):
     chain = random_chain(spins, 1.0, TWIST_FULL, seed=7)
     system = _DiscreteSystem(chain)
-    for rec in brute_force_spectrum(chain)[:: max(1, chain.dim // 4)]:
-        x = rec.t.x
+    for x in brute_force_spectrum(chain).t.x[:: max(1, chain.dim // 4)]:
         jac = system.jacobian(x)
         fd = np.zeros_like(jac)
         for j in range(chain.n_sites):
@@ -184,11 +198,11 @@ def test_degenerate_twist_closed_form(chain12_k2zero):
     lam0 = 0.83 + 0.4j
     ev = TransferEvaluator(chain12_k2zero)
     got = np.sort_complex(np.linalg.eigvals(ev.transfer(lam0)))
-    want = np.sort_complex(np.array([t(lam0) for t in solutions]))
+    want = np.sort_complex(solutions(lam0))
     assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
     for _ in range(2):   # no grid ratios at k2 = 0, on every access
         with pytest.raises(ValueError, match="k2"):
-            solutions[0].grid_ratios
+            solutions.grid_ratios
 
 
 def _bottom_tower(t, n):
@@ -198,19 +212,19 @@ def _bottom_tower(t, n):
 
 
 def test_fused_values_low_levels(chain12):
-    rec = brute_force_spectrum(chain12)[0]
+    t = rows(brute_force_spectrum(chain12).t)[0]
     for n, site in enumerate(chain12.sites):
-        fused = _bottom_tower(rec.t, n)
+        fused = _bottom_tower(t, n)
         assert fused[0] == 1.0
-        assert abs(fused[1] - rec.t(chain12.node(n, site.two_s))) < 1e-12
+        assert abs(fused[1] - t(chain12.node(n, site.two_s))) < 1e-12
 
 
 def test_fused_values_equal_trailing_minors(chain12):
     # recursion values against dense determinants of the trailing blocks
-    for rec in brute_force_spectrum(chain12):
+    for t in rows(brute_force_spectrum(chain12).t):
         for n, site in enumerate(chain12.sites):
-            fused = _bottom_tower(rec.t, n)
-            mat = _discrete_matrix(rec.t, n)
+            fused = _bottom_tower(t, n)
+            mat = _discrete_matrix(t, n)
             for level in range(site.two_s + 2):
                 minor = np.linalg.det(mat[site.dim - level:, site.dim - level:]) if level else 1.0
                 assert abs(fused[level] - minor) / max(1.0, abs(minor)) < 1e-10
@@ -221,31 +235,30 @@ def test_minor_identity_single_site_spin1():
     from sovchain.chain import make_chain
 
     chain = make_chain(1.0, [(2, 0.2 - 0.4j)], TWIST_FULL, seed=9)
-    for rec in brute_force_spectrum(chain):
-        got = _fused_tower(rec.t, chain.node(0, 1), 2)[2]
-        want = np.linalg.det(_discrete_matrix(rec.t, 0)[:-1, :-1])
+    for t in rows(brute_force_spectrum(chain).t):
+        got = _fused_tower(t, chain.node(0, 1), 2)[2]
+        want = np.linalg.det(_discrete_matrix(t, 0)[:-1, :-1])
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_on_shell_top_fused_value_vanishes(chain12):
-    for rec in brute_force_spectrum(chain12):
+    for t in rows(brute_force_spectrum(chain12).t):
         for n, site in enumerate(chain12.sites):
-            fused = _bottom_tower(rec.t, n)
+            fused = _bottom_tower(t, n)
             assert abs(fused[-1]) / max(1.0, np.max(np.abs(fused[:-1]))) < 1e-10
 
 
 def test_wavefunction_normalization_and_hand_value(chain1):
-    records = brute_force_spectrum(chain1)
-    by_x = {round(rec.t.x[0].real): rec for rec in records}
-    psi = _sov2_array(by_x[1].t)  # t = 3 lam + 1
+    by_x = {round(t.x[0].real): t for t in rows(brute_force_spectrum(chain1).t)}
+    psi = _sov2_array(by_x[1])  # t = 3 lam + 1
     assert psi[(1,)] == 1.0
     assert abs(psi[(0,)] - 2.0) < 1e-12
 
 
 def test_wavefunction_sov2_separate_action(chain12, chain112):
     for chain in (chain12, chain112):
-        for rec in brute_force_spectrum(chain):
-            assert wavefunction_action_report(rec.t) < 1e-8
+        for t in rows(brute_force_spectrum(chain).t):
+            assert wavefunction_action_report(t) < 1e-8
 
 
 def test_grid_ratios_match_eigenvector_coordinates(chain12, chain112):
@@ -255,22 +268,22 @@ def test_grid_ratios_match_eigenvector_coordinates(chain12, chain112):
         ev = TransferEvaluator(chain)
         basis = sov_basis_2(chain, evaluator=ev)
         top = tuple(site.two_s for site in chain.sites)
-        for rec in brute_force_spectrum(chain):
-            want = basis.rows @ rec.vector / (basis.row(top) @ rec.vector)
-            got = _site_product(rec.t.grid_ratios).ravel()
+        oracle = brute_force_spectrum(chain)
+        for t, vector in zip(rows(oracle.t), oracle.vectors.T):
+            want = basis.rows @ vector / (basis.row(top) @ vector)
+            got = _site_product(t.grid_ratios).ravel()
             assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_eigenvector_reconstruction(chain12, ev12):
     basis = sov_basis_2(chain12, evaluator=ev12)
-    records = brute_force_spectrum(chain12)
-    stack = TransferPolynomial(chain12, [rec.t.x for rec in records])
-    vectors, residuals = eigenvector_from_sov(stack, basis, evaluator=ev12)
+    oracle = brute_force_spectrum(chain12)
+    vectors, residuals = eigenvector_from_sov(oracle.t, basis, evaluator=ev12)
     assert vectors.shape == (chain12.dim, chain12.dim) and residuals.shape == (chain12.dim,)
     assert np.max(residuals) < 1e-7
     top = tuple(site.two_s for site in chain12.sites)
-    for rec, v in zip(records, vectors.T):
-        cosine = abs(np.vdot(rec.vector, v)) / (np.linalg.norm(rec.vector) * np.linalg.norm(v))
+    for want, v in zip(oracle.vectors.T, vectors.T):
+        cosine = abs(np.vdot(want, v)) / (np.linalg.norm(want) * np.linalg.norm(v))
         assert cosine > 1 - 1e-8
         # normalization from the top row: <S|v> = 1
         assert abs(basis.row(top) @ v - 1.0) < 1e-9
@@ -296,10 +309,9 @@ def test_eigenvectors_match_per_record_solves(chain12, chain112, chain123):
     for chain in (chain12, chain112, chain123):
         ev = TransferEvaluator(chain)
         basis = sov_basis_2(chain, evaluator=ev)
-        ts = [rec.t for rec in brute_force_spectrum(chain)]
-        stack = TransferPolynomial(chain, [t.x for t in ts])
+        stack = brute_force_spectrum(chain).t
         vectors, residuals = eigenvector_from_sov(stack, basis, evaluator=ev)
-        for j, t in enumerate(ts):
+        for j, t in enumerate(rows(stack)):
             v, residual = _eigenvector_per_record(t, basis, ev)
             assert np.max(np.abs(vectors[:, j] - v)) <= 1e-13 * np.max(np.abs(v))
             assert abs(residuals[j] - residual) <= 1e-13
@@ -316,16 +328,16 @@ def _wavefunction_sov1(t):
 def test_eigenvector_via_first_basis(chain12, ev12):
     # the first-basis wavefunction characterizes the same eigenvectors
     basis = sov_basis_1(chain12, evaluator=ev12)
-    for rec in brute_force_spectrum(chain12)[:3]:
-        v = np.linalg.solve(basis.rows, _wavefunction_sov1(rec.t).ravel())
+    for t in rows(brute_force_spectrum(chain12).t)[:3]:
+        v = np.linalg.solve(basis.rows, _wavefunction_sov1(t).ravel())
         mu = 0.61 - 0.29j
         lhs = ev12.transfer(mu) @ v
-        assert frob(lhs - rec.t(mu) * v) / max(1.0, frob(lhs)) < 1e-7
+        assert frob(lhs - t(mu) * v) / max(1.0, frob(lhs)) < 1e-7
 
 
 def test_closed_form_solutions_leading(chain12_k2zero):
     # leading coefficient is tr K for every closed-form solution
-    for t in closed_form_solutions(chain12_k2zero)[:4]:
+    for t in rows(closed_form_solutions(chain12_k2zero))[:4]:
         lam = 1e7 + 1e6j
         lead = t(lam) / np.prod([lam - chain12_k2zero.node(a, 0)
                                  for a in range(chain12_k2zero.n_sites)])
@@ -376,10 +388,10 @@ def _action_report_loop(t):
 
 def test_action_report_matches_entrywise_loop():
     chain = chain_from_config(load_config("n3_mixed"))
-    for rec in brute_force_spectrum(chain):
-        assert wavefunction_action_report(rec.t) < 1e-10
-        assert _action_report_loop(rec.t) < 1e-10
-        off = TransferPolynomial(chain, rec.t.x * (1 + 1e-3))
+    for t in rows(brute_force_spectrum(chain).t):
+        assert wavefunction_action_report(t) < 1e-10
+        assert _action_report_loop(t) < 1e-10
+        off = TransferPolynomial(chain, t.x * (1 + 1e-3))
         want = _action_report_loop(off)
         assert want > 1e-6
         assert abs(wavefunction_action_report(off) - want) <= 1e-12 * want
@@ -393,7 +405,7 @@ def test_near_degenerate_spectrum_raises(chain12):
 
 def test_eigenvector_residual_too_large_raises(chain12, ev12):
     basis = sov_basis_2(chain12, evaluator=ev12)
-    ts = TransferPolynomial(chain12, [rec.t.x for rec in brute_force_spectrum(chain12)])
+    ts = brute_force_spectrum(chain12).t
     eigenvector_from_sov(ts, basis, evaluator=ev12)
     rows = basis.rows.copy()
     rows[1] *= 1 + 1e-4
@@ -423,12 +435,12 @@ def test_dedup_matches_pairwise_loop():
     assert len(got) == 50
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert _dedup([]) == []
+    assert len(_dedup([])) == 0
 
 
 def test_jacobian_regularity_ignores_site_scale(chain112, monkeypatch):
     solutions, _ = solve_discrete_system(chain112)
-    before = [jacobian_smallest_sv([sol]) for sol in solutions]
+    before = [jacobian_smallest_sv(sol) for sol in rows(solutions)]
     residual, jacobian = _DiscreteSystem.residual, _DiscreteSystem.jacobian
     # one site's determinant on a scale 1e7 larger, as for a wide-spread chain
     row_scale = np.array([1e7, 1.0, 1.0])
@@ -436,7 +448,7 @@ def test_jacobian_regularity_ignores_site_scale(chain112, monkeypatch):
                         lambda self, x: tuple(v * row_scale for v in residual(self, x)))
     monkeypatch.setattr(_DiscreteSystem, "jacobian",
                         lambda self, x: jacobian(self, x) * row_scale[:, None])
-    after = [jacobian_smallest_sv([sol]) for sol in solutions]
+    after = [jacobian_smallest_sv(sol) for sol in rows(solutions)]
     assert after == pytest.approx(before, rel=1e-10)
 
 
@@ -468,10 +480,11 @@ def test_jacobian_regularity_builds_one_system(chain112, monkeypatch):
 
 
 def test_match_to_oracle_flags_a_shared_nearest_solution(chain12):
-    records = brute_force_spectrum(chain12)
-    solutions = [rec.t for rec in records]
-    indices, dists, bijection = match_to_oracle(solutions, records)
-    assert bijection and indices == list(range(len(records))) and max(dists) == 0.0
-    # every record is nearest to the first copy; the exclusion pairs the others
-    indices, _, bijection = match_to_oracle(solutions[:1] * len(records), records)
-    assert not bijection and indices == list(range(len(records)))
+    oracle = brute_force_spectrum(chain12)
+    count = len(oracle.t)
+    indices, dists, bijection = match_to_oracle(oracle.t, oracle)
+    assert bijection and indices == list(range(count)) and max(dists) == 0.0
+    # every oracle row is nearest to the first copy; the exclusion pairs the others
+    shared = TransferPolynomial(chain12, np.repeat(oracle.t.x[:1], count, axis=0))
+    indices, _, bijection = match_to_oracle(shared, oracle)
+    assert not bijection and indices == list(range(count))

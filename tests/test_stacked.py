@@ -3,22 +3,20 @@
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import TWIST_FULL
+from conftest import TWIST_FULL, rows
 from sovchain import cli
 from sovchain.baxter import (_require_regular_closure, build_q_operator, default_zeta,
-                             q_coefficients, solve_q_polynomial, sov_q_factorization,
-                             tq_residual, wronskian_values)
+                             solve_q_polynomial, sov_q_factorization, tq_residual,
+                             wronskian_values)
 from sovchain.chain import random_chain
 from sovchain.errors import RootOnForbiddenNode, SingularCZeta
-from sovchain.numerics import poly_eval, random_complex
-from sovchain.spectrum import (TransferPolynomial, brute_force_spectrum, discrete_residuals,
-                               wavefunction_action_report)
+from sovchain.numerics import random_complex
+from sovchain.spectrum import brute_force_spectrum, discrete_residuals, wavefunction_action_report
 
 CHAINS = {
     "1^6": lambda: random_chain((1,) * 6, 1.0, TWIST_FULL, seed=7),
@@ -31,8 +29,8 @@ CHAINS = {
 @pytest.fixture(scope="module", params=sorted(CHAINS))
 def spectrum(request):
     chain = CHAINS[request.param]()
-    records = brute_force_spectrum(chain)
-    return chain, records, TransferPolynomial(chain, [rec.t.x for rec in records])
+    oracle = brute_force_spectrum(chain)
+    return chain, oracle, oracle.t
 
 
 def close(got, want, rtol=1e-12):
@@ -43,8 +41,8 @@ def close(got, want, rtol=1e-12):
 
 
 def test_stacked_ratios_residuals_and_wavefunction_match_rows(spectrum):
-    chain, records, stack = spectrum
-    ts = [rec.t for rec in records]
+    chain, _, stack = spectrum
+    ts = rows(stack)
     for n in range(chain.n_sites):
         assert close(stack.checked_grid_ratios[n], [t.checked_grid_ratios[n] for t in ts])
     assert close(discrete_residuals(stack), [discrete_residuals(t) for t in ts])
@@ -53,28 +51,34 @@ def test_stacked_ratios_residuals_and_wavefunction_match_rows(spectrum):
 
 
 def test_stacked_q_solve_and_baxter_identities_match_rows(spectrum):
-    chain, records, stack = spectrum
+    chain, _, stack = spectrum
     zeta_a, zeta_b = default_zeta(chain, salt=20), default_zeta(chain, salt=24)
-    qa, qb = solve_q_polynomial(stack, zeta=zeta_a), solve_q_polynomial(stack, zeta=zeta_b)
-    for rec, got in zip(records, qa):
-        want = solve_q_polynomial(rec.t, zeta=zeta_a)
-        assert got.degree == want.degree and close(got.coeffs, want.coeffs)
-        # the left-out check is one matrix product over the stack: equal at roundoff
-        assert abs(got.leftout_residual - want.leftout_residual) <= 1e-12
-        assert close(got.closure.matrix, want.closure.matrix) and got.zeta == zeta_a
-        assert close(got.roots(), np.roots(want.coeffs[::-1]))
-    q, q_b = (partial(poly_eval, q_coefficients(qs)) for qs in (qa, qb))
-    lams = random_complex(np.random.default_rng(5), size=(len(records), 6), box=3.0)
+    q, q_b = solve_q_polynomial(stack, zeta=zeta_a), solve_q_polynomial(stack, zeta=zeta_b)
+    assert q.coeffs.shape == (len(stack), chain.n_s + 1) and q.zeta == zeta_a
+    singles = [solve_q_polynomial(t, zeta=zeta_a) for t in rows(stack)]
+    for d, want in enumerate(singles):
+        assert np.array_equal(q.coeffs[d], want.coeffs) and q.degree[d] == want.degree
+        # the left-out check is one matrix product over the stack, whose rounding
+        # depends on the row count: equal at roundoff
+        assert abs(q.leftout_residual[d] - want.leftout_residual) <= 1e-12
+        for key in ("matrix", "rhs", "det", "q_flat"):
+            assert np.array_equal(getattr(q.closure, key)[d], getattr(want.closure, key))
+        assert np.array_equal(q.roots[d], want.roots) and q.root_gap[d] == want.root_gap
+        assert np.all(q.coeffs[d, want.degree + 1:] == 0)
+        assert abs(want.coeffs[want.degree] - 1) < 1e-15
+    lams = random_complex(np.random.default_rng(5), size=(len(stack), 6), box=3.0)
     assert close(tq_residual(stack, q, lams),
-                 [tq_residual(rec.t, qp, pts) for rec, qp, pts in zip(records, qa, lams)])
+                 [tq_residual(t, qp, pts) for t, qp, pts in zip(rows(stack), singles, lams)])
+    singles_b = [solve_q_polynomial(t, zeta=zeta_b) for t in rows(stack)]
     assert close(wronskian_values(q, q_b, chain, lams),
-                 [wronskian_values(p1, p2, chain, pts) for p1, p2, pts in zip(qa, qb, lams)])
+                 [wronskian_values(p1, p2, chain, pts)
+                  for p1, p2, pts in zip(singles, singles_b, lams)])
     assert close(sov_q_factorization(stack, q),
-                 [sov_q_factorization(rec.t, qp) for rec, qp in zip(records, qa)])
+                 [sov_q_factorization(t, qp) for t, qp in zip(rows(stack), singles)])
 
 
 def _determinant_row(system, lam):
-    """One record's determinant-route eigenvalue, evaluated on its own closure system."""
+    """One eigenvalue's determinant-route value, evaluated on its own closure system."""
     f, g = system.interp.site_sums(lam, system.q_flat)
     if abs(g) > 1e-8:
         return np.linalg.det(system.matrix + np.outer(system.rhs / g, f)) / system.det * g
@@ -82,18 +86,19 @@ def _determinant_row(system, lam):
 
 
 def test_both_q_operator_methods_match_rows(spectrum):
-    chain, records, stack = spectrum
+    chain, oracle, stack = spectrum
     if abs(chain.twist.k1 - chain.twist.k2) < 1e-12:
         pytest.skip("the Q-operator needs distinct twist eigenvalues")
     zeta = default_zeta(chain)
-    qpolys = solve_q_polynomial(stack, zeta=zeta)
-    eigenbasis = build_q_operator(records, qpolys)
-    determinant = build_q_operator(records, qpolys, method="determinant")
+    eigenbasis = build_q_operator(oracle, solve_q_polynomial(stack, zeta=zeta))
+    determinant = build_q_operator(oracle, solve_q_polynomial(stack, zeta=zeta),
+                                   method="determinant")
+    singles = [solve_q_polynomial(t, zeta=zeta) for t in rows(stack)]
     # a generic point, and a grid node, where the determinant route takes its rank-one form
     for lam in (0.3 - 0.8j, chain.node(0, 1)):
-        assert close(eigenbasis.eigenvalues(lam), [qp(lam) / qp(zeta) for qp in qpolys])
+        assert close(eigenbasis.eigenvalues(lam), [qp(lam) / qp(zeta) for qp in singles])
         assert close(determinant.eigenvalues(lam),
-                     [_determinant_row(qp.closure, lam) for qp in qpolys], rtol=1e-10)
+                     [_determinant_row(qp.closure, lam) for qp in singles], rtol=1e-10)
 
 
 def test_stacked_baxter_draw_gives_each_record_its_sequential_points():
@@ -107,17 +112,16 @@ def test_stacked_baxter_draw_gives_each_record_its_sequential_points():
         assert np.array_equal(row[0:6 * n:2] + 1j * row[1:6 * n:2], tq_points)
         assert np.array_equal(row[6 * n:6 * n + 4] + 1j * row[6 * n + 4:], wronskian_points)
 
-    # and suite_baxter reads them so: its rows equal per-record calls at those points
-    records = brute_force_spectrum(chain)
-    qa = [solve_q_polynomial(rec.t, zeta=default_zeta(chain, salt=20)) for rec in records]
-    qb = [solve_q_polynomial(rec.t, zeta=default_zeta(chain, salt=24)) for rec in records]
-    worst_tq = max(tq_residual(rec.t, qp, pts)
-                   for rec, qp, (pts, _) in zip(records, qa, sequential))
+    # and suite_baxter reads them so: its rows equal per-eigenvalue calls at those points
+    ts = rows(brute_force_spectrum(chain).t)
+    qa = [solve_q_polynomial(t, zeta=default_zeta(chain, salt=20)) for t in ts]
+    qb = [solve_q_polynomial(t, zeta=default_zeta(chain, salt=24)) for t in ts]
+    worst_tq = max(tq_residual(t, qp, pts) for t, qp, (pts, _) in zip(ts, qa, sequential))
     worst_w = max(wronskian_values(p1, p2, chain, pts)
                   for p1, p2, (_, pts) in zip(qa, qb, sequential))
-    rows = {c["name"]: c["value"] for c in cli.run("baxter", chain)["checks"]}
-    assert rows["baxter.tq_equation"] == pytest.approx(worst_tq, rel=1e-9, abs=1e-16)
-    assert rows["baxter.uniqueness_wronskian"] == pytest.approx(worst_w, rel=1e-9, abs=1e-16)
+    checks = {c["name"]: c["value"] for c in cli.run("baxter", chain)["checks"]}
+    assert checks["baxter.tq_equation"] == pytest.approx(worst_tq, rel=1e-9, abs=1e-16)
+    assert checks["baxter.uniqueness_wronskian"] == pytest.approx(worst_w, rel=1e-9, abs=1e-16)
 
 
 def _first_two_bad(values):
@@ -128,10 +132,9 @@ def _first_two_bad(values):
 
 def test_batched_solve_raises_singular_closure_for_the_first_bad_record():
     chain = random_chain((1,) * 4, 1.0, TWIST_FULL, seed=7)
-    stack = TransferPolynomial(chain, [rec.t.x for rec in brute_force_spectrum(chain)])
+    stack = brute_force_spectrum(chain).t
     zeta = default_zeta(chain)
-    ratios = np.array([_require_regular_closure(qp.closure, det_floor=0.0)
-                       for qp in solve_q_polynomial(stack, zeta=zeta)])
+    ratios = _require_regular_closure(solve_q_polynomial(stack, zeta=zeta).closure, det_floor=0.0)
     bad, floor = _first_two_bad(ratios)
     with pytest.raises(SingularCZeta) as err:
         solve_q_polynomial(stack, zeta=zeta, det_floor=floor)
@@ -141,17 +144,18 @@ def test_batched_solve_raises_singular_closure_for_the_first_bad_record():
 
 def test_batched_solve_raises_root_on_node_for_the_first_bad_record():
     chain = random_chain((1,) * 4, 1.0, TWIST_FULL, seed=7)
-    stack = TransferPolynomial(chain, [rec.t.x for rec in brute_force_spectrum(chain)])
+    stack = brute_force_spectrum(chain).t
     zeta = default_zeta(chain)
-    qpolys = solve_q_polynomial(stack, zeta=zeta)
+    qpoly = solve_q_polynomial(stack, zeta=zeta)
     bottoms = np.array([chain.node(n, site.two_s) for n, site in enumerate(chain.sites)])
-    gaps = np.array([np.min(np.abs(qp.roots()[:, None] - bottoms), initial=np.inf)
-                     for qp in qpolys])
+    gaps = np.array([np.min(np.abs(roots[:, None] - bottoms), initial=np.inf)
+                     for roots in qpoly.roots])
+    assert np.array_equal(qpoly.root_gap, gaps)
     bad, floor = _first_two_bad(gaps)
     with pytest.raises(RootOnForbiddenNode) as err:
         solve_q_polynomial(stack, zeta=zeta, root_floor=floor)
-    first = qpolys[min(bad)]
-    culprit = first.roots()[np.argmin(np.min(np.abs(first.roots()[:, None] - bottoms), axis=1))]
+    first = qpoly.roots[min(bad)]
+    culprit = first[np.argmin(np.min(np.abs(first[:, None] - bottoms), axis=1))]
     assert str(err.value) == f"Q root {culprit} collides with a bottom node"
 
 
