@@ -318,10 +318,11 @@ def _determinant_eigenvalues(system: CZetaSystem, lam: complex) -> np.ndarray:
 
 def q_operator_commutation_residual(qop: QOperator, evaluator, lams, mus) -> float:
     """Worst [Q(lam), T(mu)] residual over the point pairs; a NaN pair makes it NaN."""
+    ts = [evaluator.transfer(mu) for mu in mus]
     residuals = []
     for lam in lams:
         q = qop(lam)
-        residuals += [commutator_residual(q, evaluator.transfer(mu)) for mu in mus]
+        residuals += [commutator_residual(q, t) for t in ts]
     return float(np.max(residuals, initial=0.0))
 
 
@@ -334,13 +335,16 @@ def q_operator_tq_residual(qop: QOperator, evaluator, lams) -> float:
     for lam in lams:
         beta = k1 * chain.a(lam)
         alpha = beta * k1 * chain.a(lam - eta)
-        op = (alpha * qop(lam - 2 * eta)
-              - beta * evaluator.transfer(lam - eta) @ qop(lam - eta)
-              + chain.det_q(lam) * qop(lam))
-        scale = max(1.0, abs(alpha) * frob(qop(lam - 2 * eta)),
-                    abs(beta) * frob(evaluator.transfer(lam - eta)) * frob(qop(lam - eta)),
-                    abs(chain.det_q(lam)) * frob(qop(lam)))
-        residuals.append(frob(op) / scale)
+        # each operator evaluated once, and each Q dropped once its term is added
+        q = qop(lam - 2 * eta)
+        op, scales = alpha * q, [abs(alpha) * frob(q)]
+        t, q = evaluator.transfer(lam - eta), qop(lam - eta)
+        op -= beta * t @ q
+        scales.append(abs(beta) * frob(t) * frob(q))
+        q = qop(lam)
+        op += chain.det_q(lam) * q
+        scales.append(abs(chain.det_q(lam)) * frob(q))
+        residuals.append(frob(op) / max(1.0, *scales))
     return float(np.max(residuals, initial=0.0))
 
 

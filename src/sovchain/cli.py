@@ -208,12 +208,12 @@ def _config_echo(chain: ChainSpec) -> dict:
 class _RunContext:
     """Results shared by the suites of one ``run`` call, each computed on first use.
 
-    Holds the transfer sample stack that every suite's evaluator reads, the
-    oracle spectrum, its Q-polynomial stack at each zeta, the eigenbasis
-    Q-operator, the Sklyanin basis and the default-source second SoV basis:
-    what each suite would otherwise recompute. A computation that raises is
-    not stored, so it raises again in every suite that needs it and each suite
-    reports its own error row. Callers check the rank of a basis they need to
+    Holds the run's one transfer evaluator (its N samples; each fused tower
+    is built whole where it is read), the oracle spectrum, its Q-polynomial
+    stack at each zeta, the eigenbasis Q-operator, the Sklyanin basis and the
+    default-source second SoV basis: what each suite would otherwise
+    recompute. A computation that raises is not stored, so it raises again
+    in every suite that needs it and each suite reports its own error row. Callers check the rank of a basis they need to
     be full (``_require_full_rank``); each basis keeps its rank.
     """
 
@@ -230,9 +230,7 @@ class _RunContext:
         return self._get("oracle", lambda: brute_force_spectrum(self.chain))
 
     def evaluator(self) -> TransferEvaluator:
-        """A new evaluator (its own fused cache) on the run's one transfer sample stack."""
-        samples = self._get("samples", lambda: TransferEvaluator(self.chain).samples)
-        return TransferEvaluator(self.chain, samples)
+        return self._get("evaluator", lambda: TransferEvaluator(self.chain))
 
     def q_polynomials(self, zeta: complex):
         """The oracle's Q-polynomials at zeta, one stack in oracle row order."""
@@ -250,9 +248,9 @@ class _RunContext:
     def sklyanin(self):
         return self._get("sklyanin", lambda: sklyanin_basis(self.chain))
 
-    def sov2(self, evaluator):
+    def sov2(self):
         """Second SoV basis from the default (seeded Gaussian) source."""
-        return self._get("sov2", lambda: sov_basis_2(self.chain, evaluator=evaluator))
+        return self._get("sov2", lambda: sov_basis_2(self.chain, evaluator=self.evaluator()))
 
 
 # ---------------------------------------------------------------------------
@@ -312,26 +310,32 @@ def suite_fusion(chain: ChainSpec, ctx: _RunContext):
     max_level = min(3, max(site.two_s for site in chain.sites) + 1)
 
     levels = range(1, max_level + 1)
+
+    def commuting(lam, mu):     # two towers alive at a time
+        at_lam, at_mu = evaluator.fused(max_level, lam), evaluator.fused(max_level, mu)
+        return [commutator_residual(at_lam[l], at_mu[m]) for l in levels for m in levels]
+
     pairs = [random_complex(rng, size=2, box=2.5) for _ in range(3)]
-    worst = np.max([commutator_residual(evaluator.fused(l, lam), evaluator.fused(m, mu))
-                    for lam, mu in pairs for l in levels for m in levels])
+    worst = np.max([r for lam, mu in pairs for r in commuting(lam, mu)])
     checks.append(_check("fusion.commuting_family", worst, 1e-10, max_level=max_level))
 
     # level 1 is left out: its projector route is the same kernel call as the transfer
     lams, route = [complex(random_complex(rng, box=2.5)) for _ in range(5)], []
-    for l in levels[1:]:
-        route += [frob(evaluator.fused(l, lam) - proj) / max(1.0, frob(proj))
-                  for lam, proj in zip(lams, fused_transfer_projector(chain, l, lams))]
+    projs = [fused_transfer_projector(chain, l, lams) for l in levels[1:]]
+    for k, lam in enumerate(lams):
+        tower = evaluator.fused(max_level, lam)
+        route += [frob(tower[l] - proj[k]) / max(1.0, frob(proj[k]))
+                  for l, proj in zip(levels[1:], projs)]
     checks.append(_check("fusion.route_equivalence", np.max(route), 1e-9))
 
     lam_ref = complex(random_complex(rng, box=2.0))
-    worst = np.max([central_zero_residual(chain, evaluator, site.two_s + 1, n, lam_ref)
-                    for n, site in enumerate(chain.sites)])
-    checks.append(_check("fusion.central_zeros", worst, 1e-9))
+    checks.append(_check("fusion.central_zeros",
+                         np.max(central_zero_residual(chain, evaluator, lam_ref)), 1e-9))
 
     residuals = []
     for _ in range(2):
         lam = complex(random_complex(rng, box=2.5))
+        tower = evaluator.fused(3, lam)
         for l in (2, 3):
             diag = [evaluator.transfer(lam + (l - 1 - i) * chain.eta) for i in range(l)]
             sup = [-chain.twist.k1 * chain.a(lam + (l - 1 - i) * chain.eta)
@@ -339,7 +343,7 @@ def suite_fusion(chain: ChainSpec, ctx: _RunContext):
             sub = [-chain.twist.k2 * chain.d(lam + (l - 2 - i) * chain.eta)
                    for i in range(l - 1)]
             det = tridiagonal_operator_det(diag, sup, sub)
-            target = evaluator.fused(l, lam)
+            target = tower[l]
             residuals.append(frob(det - target) / max(1.0, frob(target)))
     checks.append(_check("fusion.tridiagonal_determinant", np.max(residuals), 1e-9))
 
@@ -385,7 +389,7 @@ def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext):
                                 sov_basis_1(chain, source=tensor, evaluator=evaluator)))
     elif kind == "sov2":
         evaluator = ctx.evaluator()
-        basis = ctx.sov2(evaluator)
+        basis = ctx.sov2()
         checks.append(_rank_row("basis.sov2.rank_deficit", basis))
         checks.append(_check("basis.sov2.separate_action",
                              separate_action_report(basis, evaluator), 1e-8))
@@ -434,7 +438,7 @@ def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
                          newton_iterations=diag["newton_iterations"]))
     _, dists, bijection = match_to_oracle(solutions, oracle)
     checks.append(_check("spectrum.oracle_bijection", 0.0 if bijection else 1.0, 0))
-    checks.append(_check("spectrum.oracle_match_distance", max(dists), 1e-8))
+    checks.append(_check("spectrum.oracle_match_distance", np.max(dists), 1e-8))
 
     worst_j = jacobian_smallest_sv(solutions)
     checks.append(_check("spectrum.jacobian_regularity", 1e-8 - worst_j, 0,
@@ -443,7 +447,7 @@ def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
     checks.append(_check("spectrum.wavefunction_separate_action",
                          wavefunction_action_report(stack), 1e-8))
 
-    basis = ctx.sov2(evaluator)
+    basis = ctx.sov2()
     _require_full_rank(basis)
     vectors, residuals = eigenvector_from_sov(stack, basis, evaluator)
     cosine = np.abs(np.sum(oracle.vectors.conj() * vectors, axis=0)) / (
@@ -538,9 +542,9 @@ def run(command: str, chain: ChainSpec, samples=20, basis_kind=None,
         tol_override=None) -> dict:
     """Execute a command's check suites and assemble the report.
 
-    The suites of one call share a ``_RunContext``: one transfer sample
-    stack, one oracle diagonalization, one stacked Q-polynomial solve per
-    zeta, one eigenbasis Q-operator, one Sklyanin basis and one
+    The suites of one call share a ``_RunContext``: one transfer evaluator,
+    one oracle diagonalization, one stacked Q-polynomial solve per zeta, one
+    eigenbasis Q-operator, one Sklyanin basis and one
     default-source second SoV basis, each computed when a suite first needs
     it and dropped when the call returns. A suite that raises becomes its
     ``<suite>.error`` row; the spectrum table is built from the shared

@@ -153,8 +153,8 @@ def sov_basis_1(chain: ChainSpec, source=None, evaluator=None) -> CovectorBasis:
     if not twist.invertible:
         raise ValueError("this construction requires an invertible twist")
     evaluator = evaluator or TransferEvaluator(chain)
-    charges = [evaluator.fused(site.two_s, chain.node(n, site.two_s - 1))
-               for n, site in enumerate(chain.sites)]
+    charges = [evaluator.fused(site.two_s, chain.node(n, site.two_s - 1))[-1].copy()
+               for n, site in enumerate(chain.sites)]   # a copy frees the rest of the tower
     if source is None:
         source = _gaussian_covector(chain, salt=1)
     rows = _site_product_rows(source, [[np.linalg.matrix_power(c, h) for h in range(site.dim)]
@@ -177,10 +177,9 @@ def sov_basis_2(chain: ChainSpec, source=None, evaluator=None) -> CovectorBasis:
         source = _gaussian_covector(chain, salt=2)
     per_site = []
     for n, site in enumerate(chain.sites):
-        bottom = chain.node(n, site.two_s)
+        tower = evaluator.fused(site.two_s, chain.node(n, site.two_s))
         denoms = _tower_denominators(chain, n)
-        per_site.append([evaluator.fused(site.two_s - hn, bottom) / denoms[hn]
-                         for hn in range(site.dim)])
+        per_site.append([tower[site.two_s - hn] / denoms[hn] for hn in range(site.dim)])
     return CovectorBasis(rows=_site_product_rows(source, per_site), kind="sov2", chain=chain,
                          source=np.asarray(source))
 

@@ -11,14 +11,15 @@ RTT, the quantum determinant, symmetry and the projector route take all their
 points at once, each grown into buffers allocated once per call.
 
 ``TransferEvaluator`` interpolates T, a degree-N polynomial with leading
-coefficient tr K Id, from N kernel-built samples that the suites of one run
-share. The oracle and the rows that certify that premise call ``transfer``.
+coefficient tr K Id, from N kernel-built samples; one run has one evaluator.
+The oracle and the rows that certify that premise call ``transfer``.
 
 The fused transfer matrices are produced by the three-term recursion
 
     T^(l+1)(lam) = T(lam + l eta) T^(l)(lam) - detq(lam + l eta) T^(l-1)(lam)
 
-with T^(0) = Id, which is the closed solution of the fusion hierarchy. The
+with T^(0) = Id, which is the closed solution of the fusion hierarchy. Each
+call builds one tower T^(0..top)(lam) whole and keeps nothing. The
 symmetrized-projector construction (trace of the projected product of
 shifted monodromies over the (a+1)-dimensional symmetric auxiliary space) is
 kept as an independent route and used as the test oracle for the recursion.
@@ -138,48 +139,37 @@ class TransferEvaluator:
     T(lam) = ell(lam) [tr K Id + sum_a w_a T(z_a) / (lam - z_a)], ell(lam) = prod_a (lam - z_a),
     at z_a = c + r e^{2 pi i (a + 1/2) / N} around the grid-node centroid c, r = max(3,
     max |xi_n^(h) - c|): unlike the top nodes, these stay apart when two xi_n nearly collide.
-    ``samples``, the read-only (N, D, D) stack of T(z_a), is built when None or shared from
-    another evaluator. ``transfer`` returns a fresh read-only contraction (the sample at a
-    node); fused levels >= 1 are cached and read-only, level 0 is one shared identity.
+    ``samples`` is the read-only (N, D, D) stack of T(z_a), the evaluator's only state;
+    ``transfer`` and ``fused`` return fresh arrays.
     """
 
-    def __init__(self, chain: ChainSpec, samples=None):
+    def __init__(self, chain: ChainSpec):
         grid = np.concatenate([nodes for nodes, _, _ in chain.grid])
         radius = max(3.0, float(np.max(np.abs(grid - grid.mean()))))
         angles = 2 * np.pi * (np.arange(chain.n_sites) + 0.5) / chain.n_sites
-        self.chain, self._fused = chain, {}
+        self.chain = chain
         self._interp = _Barycentric(grid.mean() + radius * np.exp(1j * angles))
-        if samples is None:
-            samples = np.stack([transfer(chain, complex(z)) for z in self._interp.nodes])
-        self.samples, self._eye = samples, np.eye(chain.dim, dtype=CDTYPE)
-        for arr in (samples, self._eye):
-            arr.flags.writeable = False
+        self.samples = np.stack([transfer(chain, complex(z)) for z in self._interp.nodes])
+        self.samples.flags.writeable = False
 
     def transfer(self, lam: complex) -> np.ndarray:
         lam = complex(lam)
         out = np.tensordot(self._interp.cardinals(lam), self.samples, axes=1)
         out.flat[::self.chain.dim + 1] += self.chain.twist.trace * np.prod(lam - self._interp.nodes)
-        out.flags.writeable = False
         return out
 
-    def fused(self, level: int, lam: complex) -> np.ndarray:
-        """T^(level)(lam) by the fusion recursion; level 0 is the identity."""
-        if level < 0:
-            raise ValueError(f"level must be >= 0, got {level}")
-        if level == 0:
-            return self._eye
-        key = (level, complex(lam))
-        if key in self._fused:
-            return self._fused[key]
-        if level == 1:
-            out = self.transfer(lam)
-        else:
-            lcur = level - 1
-            shift = lam + lcur * self.chain.eta
-            out = (self.transfer(shift) @ self.fused(lcur, lam)
-                   - self.chain.det_q(shift) * self.fused(lcur - 1, lam))
-            out.flags.writeable = False
-        self._fused[key] = out
+    def fused(self, top: int, lam: complex) -> np.ndarray:
+        """T^(0..top)(lam) as one (top + 1, D, D) stack by the fusion recursion, T^(0) = Id."""
+        if top < 0:
+            raise ValueError(f"top must be >= 0, got {top}")
+        out = np.zeros((top + 1, self.chain.dim, self.chain.dim), dtype=CDTYPE)
+        np.fill_diagonal(out[0], 1.0)
+        if top:
+            out[1] = self.transfer(lam)
+        for level in range(1, top):
+            shift = lam + level * self.chain.eta
+            np.matmul(self.transfer(shift), out[level], out=out[level + 1])
+            out[level + 1] -= self.chain.det_q(shift) * out[level - 1]
         return out
 
 
@@ -305,17 +295,16 @@ def _twist_power(key: bytes, m: int) -> np.ndarray:
 
 
 def central_zero_residual(chain: ChainSpec, evaluator: TransferEvaluator,
-                          level: int, n: int, lam_ref: complex) -> float:
-    """Norm of T^(level) at the bottom node of site n, relative to a generic point.
+                          lam_ref: complex) -> np.ndarray:
+    """Per site n, the norm of T^(2s_n + 1) at its bottom node relative to lam_ref.
 
     The fused transfer matrix at level > 2s_n carries the central divisor
-    vanishing at xi_n - eta/2 - s_n eta.
+    vanishing at xi_n - eta/2 - s_n eta. One reference tower up to the
+    largest level serves every site.
     """
-    site = chain.sites[n]
-    bottom = chain.node(n, site.two_s)
-    val = evaluator.fused(level, bottom)
-    ref = evaluator.fused(level, lam_ref)
-    return frob(val) / max(1.0, frob(ref))
+    ref = evaluator.fused(max(chain.dims), lam_ref)
+    return np.array([frob(evaluator.fused(site.dim, chain.node(n, site.two_s))[-1])
+                     / max(1.0, frob(ref[site.dim])) for n, site in enumerate(chain.sites)])
 
 
 def polynomiality_residual(chain: ChainSpec, rng) -> float:

@@ -35,6 +35,8 @@ REMOVED_PARAMETERS = {
     "baxter.solve_q_polynomial": {"trim_tol"},
     "baxter.tq_residual": {"n_samples"},
     "chain.Tolerances": {"residual"},
+    "transfer.TransferEvaluator": {"samples"},
+    "transfer.central_zero_residual": {"level", "n"},
     "cli.run": {"precision"},
     "cli.suite_fusion": {"samples"},
     "cli.suite_basis": {"samples", "precision"},

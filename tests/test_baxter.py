@@ -11,7 +11,7 @@ from sovchain.baxter import (_closure_system, _Interpolation, _require_regular_c
                              sov_q_factorization, tq_residual, wronskian_values)
 from sovchain.errors import (DegenerateBasis, NonInvertibleQ, RootOnForbiddenNode,
                              SingularCZeta)
-from sovchain.numerics import frob, poly_eval, random_complex
+from sovchain.numerics import commutator_residual, frob, poly_eval, random_complex
 from sovchain.sov_bases import gram_rank, sklyanin_basis
 from sovchain.spectrum import OracleSpectrum, TransferPolynomial, _sov2_array, brute_force_spectrum
 from sovchain.transfer import transfer
@@ -221,6 +221,43 @@ def test_q_operator_identities(chain12, ev12):
     assert max(conds.values()) < 1e8
     # normalized to the identity at the auxiliary point
     assert frob(qop(qop.zeta) - np.eye(chain12.dim)) < 1e-10
+
+
+def _commutation_per_pair(qop, evaluator, lams, mus):
+    """Oracle: [Q(lam), T(mu)] with T(mu) evaluated afresh for every pair."""
+    return float(np.max([commutator_residual(qop(lam), evaluator.transfer(mu))
+                         for lam in lams for mu in mus], initial=0.0))
+
+
+def _tq_per_term(qop, evaluator, lams):
+    """Oracle: the operator T-Q residual with every operator evaluated where it is used."""
+    chain, eta, k1 = qop.chain, qop.chain.eta, qop.chain.twist.k1
+    residuals = []
+    for lam in lams:
+        beta = k1 * chain.a(lam)
+        alpha = beta * k1 * chain.a(lam - eta)
+        op = (alpha * qop(lam - 2 * eta)
+              - beta * evaluator.transfer(lam - eta) @ qop(lam - eta)
+              + chain.det_q(lam) * qop(lam))
+        scale = max(1.0, abs(alpha) * frob(qop(lam - 2 * eta)),
+                    abs(beta) * frob(evaluator.transfer(lam - eta)) * frob(qop(lam - eta)),
+                    abs(chain.det_q(lam)) * frob(qop(lam)))
+        residuals.append(frob(op) / scale)
+    return float(np.max(residuals, initial=0.0))
+
+
+@pytest.mark.parametrize("method", ["eigenbasis", "determinant"])
+def test_q_operator_residuals_match_per_term_evaluation_bitwise(chain12, ev12, chain112, ev112,
+                                                                method):
+    for chain, ev in ((chain12, ev12), (chain112, ev112)):
+        oracle = brute_force_spectrum(chain)
+        qop = build_q_operator(oracle, solve_q_polynomial(oracle.t), method=method)
+        rng = np.random.default_rng(94)
+        lams = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
+        mus = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
+        assert (q_operator_commutation_residual(qop, ev, lams, mus)
+                == _commutation_per_pair(qop, ev, lams, mus))
+        assert q_operator_tq_residual(qop, ev, lams) == _tq_per_term(qop, ev, lams)
 
 
 def test_q_operator_method_agreement(chain12, ev12, chain112):

@@ -149,7 +149,8 @@ def test_stacked_ybe_rll_match_per_sample_loop(name, samples, monkeypatch):
 
 def _spoil(real, mode):
     """``real`` with one sample read as NaN: ``("call", k)`` spoils the k-th call's whole
-    result, ``"sample"`` entry 1 of the one call's per-sample result."""
+    result, ``"sample"`` entry 1 of the one call's per-sample result, ``("item", i)``
+    entry 1 of item i of the one call's tuple result."""
     calls = []
 
     def spoiled(*args, **kwargs):
@@ -158,6 +159,11 @@ def _spoil(real, mode):
         if mode == "sample":
             out = np.array(out)
             out[1] = np.nan
+        elif mode[0] == "item":
+            out = list(out)
+            out[mode[1]] = np.array(out[mode[1]])
+            out[mode[1]][1] = np.nan
+            out = tuple(out)
         elif len(calls) == mode[1]:
             out = out * np.nan
         return out
@@ -174,9 +180,10 @@ NAN_FOLDS = [
     ("verify-algebra", "frob", ("call", 2), "algebra.spin_relations"),
     ("verify-fusion", "commutator_residual", ("call", 2), "fusion.commuting_family"),
     ("verify-fusion", "fused_transfer_projector", "sample", "fusion.route_equivalence"),
-    ("verify-fusion", "central_zero_residual", ("call", 2), "fusion.central_zeros"),
+    ("verify-fusion", "central_zero_residual", "sample", "fusion.central_zeros"),
     ("verify-fusion", "tridiagonal_operator_det", ("call", 2), "fusion.tridiagonal_determinant"),
     ("verify-fusion", "_multiset_distance", ("call", 2), "fusion.fused_twist_spectrum"),
+    ("spectrum", "match_to_oracle", ("item", 1), "spectrum.oracle_match_distance"),
     ("qop", "frob", ("call", 1), "qop.method_agreement"),
 ]
 
@@ -216,7 +223,7 @@ def test_library_fold_keeps_a_nan_sample(monkeypatch, row):
         value = baxter.q_operator_tq_residual(ctx.q_operator(), spoiled, lams)
     elif row == "basis.sov2.separate_action":
         spoiled.transfer = _nan_at(ev.transfer, chain.node(1, 0))
-        value = sov_bases.separate_action_report(ctx.sov2(ev), spoiled)
+        value = sov_bases.separate_action_report(ctx.sov2(), spoiled)
     else:
         skl = ctx.sklyanin()
         monkeypatch.setattr(sov_bases, "monodromy_matrix", _nan_at(monodromy_matrix, lams[1]))
@@ -395,26 +402,73 @@ def test_all_diagonalizes_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_run_evaluators_share_one_stack_of_n_kernel_builds(monkeypatch):
-    # every evaluator of a run reads one stack of N samples; besides those, the module's
-    # kernel builds only the N + 2 points of the polynomiality row
+def test_run_makes_one_evaluator_of_n_kernel_builds(monkeypatch):
+    # a run has one evaluator, whose N samples are the only kernel builds in it besides
+    # the N + 2 points of the polynomiality row
     import importlib
 
     transfer_module = importlib.import_module("sovchain.transfer")
-    made, builds, kernel = [], [], transfer_module.transfer
+    made, builds, kernel, init = [], [], transfer_module.transfer, TransferEvaluator.__init__
 
-    class Recorded(TransferEvaluator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
 
-    monkeypatch.setattr(cli, "TransferEvaluator", Recorded)
+    monkeypatch.setattr(TransferEvaluator, "__init__", recorded)
     monkeypatch.setattr(transfer_module, "transfer",
                         lambda chain, lam: builds.append(lam) or kernel(chain, lam))
     chain = chain_from_config(load_config("n2_mixed"))
     assert run("all", chain)["passed"]
-    assert len(made) > 2 and len({id(ev.samples) for ev in made}) == 1
+    assert len(made) == 1
     assert len(builds) == 2 * chain.n_sites + 2
+
+
+@pytest.mark.parametrize("spins", [[1] * 7, [2, 2, 2, 2], [1, 2, 1, 2, 1]],
+                         ids=["1^7", "2^4", "1,2,1,2,1"])
+def test_fusion_peak_memory_is_a_few_towers(spins):
+    # verify-fusion holds the N samples, at most two fused towers and the projector
+    # stacks at a time: its traced peak stays within 40 D x D complex arrays
+    import tracemalloc
+
+    from conftest import TWIST_FULL
+    from sovchain.chain import random_chain
+
+    chain = random_chain(spins, 1.0, TWIST_FULL, seed=7)
+    tracemalloc.start()
+    try:
+        report = run("verify-fusion", chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["passed"]
+    assert peak <= 40 * chain.dim ** 2 * 16
+
+
+def test_suite_qop_evaluates_each_operator_once_per_point(monkeypatch):
+    # per T-Q point Q(lam - 2 eta), Q(lam - eta), Q(lam) and T(lam - eta) once each, and
+    # T(mu) once per mu for the commutation row
+    from sovchain.baxter import QOperator
+
+    chain = chain_from_config(load_config("n2_mixed"))
+    ctx = cli._RunContext(chain)
+    ctx.q_operator(), ctx.evaluator()
+    calls = {"q": 0, "t": 0}
+    q_call, t_call = QOperator.__call__, TransferEvaluator.transfer
+
+    def counted_q(self, lam):
+        calls["q"] += 1
+        return q_call(self, lam)
+
+    def counted_t(self, lam):
+        calls["t"] += 1
+        return t_call(self, lam)
+
+    monkeypatch.setattr(QOperator, "__call__", counted_q)
+    monkeypatch.setattr(TransferEvaluator, "transfer", counted_t)
+    rows = {c["name"]: c["passed"] for c in cli.suite_qop(chain, ctx)}
+    assert all(rows.values())
+    # commutation 3, T-Q 3 x 3, bottom-node condition N, method agreement 5 x 2
+    assert calls == {"q": 3 + 9 + chain.n_sites + 10, "t": 3 + 3}
 
 
 def test_route_equivalence_sees_one_corrupted_sample():
@@ -423,9 +477,10 @@ def test_route_equivalence_sees_one_corrupted_sample():
     chain = chain_from_config(load_config("n2_spin22"))
     for scale, fails in ((1.0, False), (1 + 1e-6, True)):
         ctx = cli._RunContext(chain)
-        samples = ctx.evaluator().samples.copy()
+        evaluator = ctx.evaluator()
+        samples = evaluator.samples.copy()
         samples[0] *= scale
-        ctx._values["samples"] = samples
+        evaluator.samples = samples
         rows = {c["name"]: c["passed"] for c in cli.suite_fusion(chain, ctx)}
         assert rows["fusion.route_equivalence"] is not fails
         assert rows["fusion.transfer_polynomiality"]

@@ -140,8 +140,8 @@ def test_sov_basis_charges_commute_with_transfer(chain12, ev12):
     mu = 0.83 - 0.56j
     t_mu = ev12.transfer(mu)
     for n, site in enumerate(chain12.sites):
-        charge1 = ev12.fused(site.two_s, chain12.node(n, site.two_s - 1))
-        charge2 = ev12.fused(site.two_s, chain12.node(n, site.two_s))
+        charge1 = ev12.fused(site.two_s, chain12.node(n, site.two_s - 1))[-1]
+        charge2 = ev12.fused(site.two_s, chain12.node(n, site.two_s))[-1]
         assert commutator_residual(charge1, t_mu) < 1e-10
         assert commutator_residual(charge2, t_mu) < 1e-10
 

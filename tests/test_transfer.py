@@ -188,14 +188,52 @@ def test_transfer_family_commutes(chain12, ev12):
 
 def test_fused_low_levels(chain12, ev12):
     lam = 0.45 - 0.83j
-    assert np.allclose(ev12.fused(0, lam), np.eye(chain12.dim))
-    assert np.allclose(ev12.fused(1, lam), ev12.transfer(lam))
+    tower = ev12.fused(1, lam)
+    assert tower.shape == (2, chain12.dim, chain12.dim)
+    assert np.array_equal(tower[0], np.eye(chain12.dim))
+    assert np.array_equal(tower[1], ev12.transfer(lam))
+    assert np.array_equal(ev12.fused(0, lam), np.eye(chain12.dim)[None])
+    with pytest.raises(ValueError):
+        ev12.fused(-1, lam)
+
+
+def _memoized_fused(ev, level, lam, memo):
+    """Oracle: T^(level)(lam) by the recursion one level per call, every level memoized by
+    (level, lam) and read back from the memo, level 0 the one memoized identity."""
+    key = (level, complex(lam))
+    if key not in memo:
+        if level == 0:
+            memo[key] = np.eye(ev.chain.dim, dtype=complex)
+        elif level == 1:
+            memo[key] = ev.transfer(lam)
+        else:
+            shift = lam + (level - 1) * ev.chain.eta
+            memo[key] = (ev.transfer(shift) @ _memoized_fused(ev, level - 1, lam, memo)
+                         - ev.chain.det_q(shift) * _memoized_fused(ev, level - 2, lam, memo))
+    return memo[key]
+
+
+@pytest.mark.parametrize("name", ["n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22",
+                                  "n3_mixed", "1,2,1"])
+def test_fused_tower_is_the_memoized_recursion_bitwise(name):
+    # at generic points and at every grid node, up to one level past the largest 2s_n + 1
+    chain = (random_chain([1, 2, 1], 1.0, TWIST_FULL, seed=7) if name == "1,2,1"
+             else chain_from_config(load_config(name)))
+    ev, top = TransferEvaluator(chain), max(chain.dims) + 1
+    pts = np.concatenate([random_complex(np.random.default_rng(72), size=4, box=3.0)]
+                         + [nodes for nodes, _, _ in chain.grid])
+    for lam in map(complex, pts):
+        memo = {}
+        tower = ev.fused(top, lam)
+        assert tower.shape == (top + 1, chain.dim, chain.dim)
+        for level in range(top + 1):
+            assert np.array_equal(tower[level], _memoized_fused(ev, level, lam, memo))
 
 
 def test_fused_hand_zero(chain1):
     # T(0) T(-1) - detq(0) vanishes identically at the second-level center
     ev = TransferEvaluator(chain1)
-    assert frob(ev.fused(2, -1.0)) < 1e-12
+    assert frob(ev.fused(2, -1.0)[2]) < 1e-12
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
@@ -204,7 +242,7 @@ def test_fusion_route_equivalence(chain12, ev12, level):
     worst = 0.0
     for _ in range(5):
         lam = complex(random_complex(rng, box=2.5))
-        rec = ev12.fused(level, lam)
+        rec = ev12.fused(level, lam)[level]
         proj = fused_transfer_projector(chain12, level, lam)
         worst = max(worst, frob(rec - proj) / max(1.0, frob(proj)))
     assert worst < 1e-9
@@ -212,26 +250,32 @@ def test_fusion_route_equivalence(chain12, ev12, level):
 
 def test_fusion_route_equivalence_n3(chain112, ev112):
     lam = 0.62 + 0.38j
+    tower = ev112.fused(2, lam)
     for level in (1, 2):
-        rec = ev112.fused(level, lam)
         proj = fused_transfer_projector(chain112, level, lam)
-        assert frob(rec - proj) / max(1.0, frob(proj)) < 1e-9
+        assert frob(tower[level] - proj) / max(1.0, frob(proj)) < 1e-9
 
 
 def test_fused_family_commutes(chain12, ev12):
     rng = np.random.default_rng(5)
     lam, mu = random_complex(rng, size=2, box=2.5)
+    at_lam, at_mu = ev12.fused(3, lam), ev12.fused(3, mu)
     for l in (1, 2, 3):
         for m in (1, 2, 3):
-            assert commutator_residual(ev12.fused(l, lam), ev12.fused(m, mu)) < 1e-10
+            assert commutator_residual(at_lam[l], at_mu[m]) < 1e-10
 
 
 def test_central_zeros(chain12, ev12, chain112, ev112):
+    # one residual per site, and the levels above 2s_n + 1 of the bottom tower vanish too
+    lam_ref = 0.91 + 0.17j
     for chain, ev in ((chain12, ev12), (chain112, ev112)):
-        lam_ref = 0.91 + 0.17j
+        got = central_zero_residual(chain, ev, lam_ref)
+        assert got.shape == (chain.n_sites,) and np.all(got < 1e-9)
+        ref = ev.fused(max(chain.dims) + 1, lam_ref)
         for n, site in enumerate(chain.sites):
-            for level in range(site.two_s + 1, site.two_s + 3):
-                assert central_zero_residual(chain, ev, level, n, lam_ref) < 1e-9
+            tower = ev.fused(site.two_s + 2, chain.node(n, site.two_s))
+            for level in (site.two_s + 1, site.two_s + 2):
+                assert frob(tower[level]) / max(1.0, frob(ref[level])) < 1e-9
 
 
 def test_tridiagonal_determinant_matches_fusion(chain12, ev12):
@@ -244,7 +288,7 @@ def test_tridiagonal_determinant_matches_fusion(chain12, ev12):
         sub = [-chain.twist.k2 * chain.d(lam + (level - 2 - i) * chain.eta)
                for i in range(level - 1)]
         det = tridiagonal_operator_det(diag, sup, sub)
-        target = ev12.fused(level, lam)
+        target = ev12.fused(level, lam)[level]
         assert frob(det - target) / max(1.0, frob(target)) < 1e-9
 
 
@@ -367,17 +411,6 @@ def test_transfer_leading_coefficient(chain12):
     assert frob(lead - target) / max(1.0, frob(target)) < 1e-9
 
 
-def test_evaluator_cache_is_exact(chain12, ev12):
-    # fused levels >= 1 are cached by the exact bits of lam; the transfer is not memoized
-    lam = 0.5 + 0.25j
-    a, b = ev12.transfer(lam), ev12.transfer(lam)
-    assert a is not b and np.array_equal(a, b)
-    for level in (1, 2):
-        assert ev12.fused(level, lam) is ev12.fused(level, lam)
-    assert ev12.fused(0, lam) is ev12.fused(0, -lam)
-    assert np.array_equal(ev12.fused(0, lam), np.eye(chain12.dim))
-
-
 def _close_pair_chain():
     """1^6 with xi_2 moved to 1e-6 from xi_1: the top nodes nearly collide."""
     base = random_chain([1] * 6, 1.0, TWIST_FULL, seed=7)
@@ -422,9 +455,6 @@ def test_evaluator_samples_are_the_kernel_bitwise(name):
     for z, sample in zip(nodes, ev.samples):
         assert np.array_equal(sample, transfer(chain, complex(z)))
         assert np.array_equal(ev.transfer(z), sample)
-    shared = TransferEvaluator(chain, ev.samples)
-    assert shared.samples is ev.samples
-    assert np.array_equal(shared.transfer(0.3 - 0.2j), ev.transfer(0.3 - 0.2j))
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +606,16 @@ def test_leg_order_residuals_see_a_one_sided_perturbation(monkeypatch):
 
 
 def test_evaluator_cache_is_read_only(chain12):
+    # the samples are the evaluator's only state; what it returns is the caller's to change
     ev = TransferEvaluator(chain12)
     lam = 0.5 + 0.25j
     want = transfer(chain12, lam)
-    for arr in (ev.samples, ev.transfer(lam), ev.fused(0, lam), ev.fused(1, lam),
-                ev.fused(2, lam)):
-        with pytest.raises(ValueError):
-            arr += 1.0
     with pytest.raises(ValueError):
-        ev.transfer(lam)[0, 0] = 0.0
+        ev.samples += 1.0
+    ev.transfer(lam)[0, 0] = 0.0
+    ev.fused(2, lam)[:] = 0.0
     assert frob(ev.transfer(lam) - want) <= 1e-12 * frob(want)
+    assert vars(ev).keys() == {"chain", "_interp", "samples"}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
