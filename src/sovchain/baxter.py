@@ -28,7 +28,7 @@ from .chain import ChainSpec
 from .errors import NonInvertibleQ, RootOnForbiddenNode, SingularCZeta
 from .numerics import (CDTYPE, _Barycentric, commutator_residual, frob,
                        poly_coeffs_from_samples, poly_eval, random_complex)
-from .sov_bases import CovectorBasis, _require_full_rank, sklyanin_basis
+from .sov_bases import CovectorBasis, _require_full_rank
 from .spectrum import OracleSpectrum, TransferPolynomial, _site_product, _sov2_array
 
 __all__ = [
@@ -154,11 +154,11 @@ def _require_regular_closure(system: CZetaSystem, det_floor=1e-10):
 def default_zeta(chain: ChainSpec, salt=20) -> complex:
     """Seeded auxiliary point more than |eta| from every grid node (32 draws at most)."""
     rng = chain.rng(salt)
-    nodes = [node for _, _, node in chain.all_nodes()]
+    nodes = np.concatenate([g[0] for g in chain.grid])
     floor = abs(chain.eta)
     for _ in range(32):
         cand = complex(random_complex(rng, box=6.0))
-        if all(abs(cand - z) > floor for z in nodes):
+        if np.all(np.abs(cand - nodes) > floor):
             return cand
     raise SingularCZeta("could not place the auxiliary interpolation point")
 
@@ -361,35 +361,26 @@ def q_operator_invertibility(qop: QOperator, cond_limit=1e8) -> dict:
     return out
 
 
-def sov_from_q(qop: QOperator, source=None, sklyanin=None) -> CovectorBasis:
+def sov_from_q(qop: QOperator, sklyanin: CovectorBasis) -> CovectorBasis:
     """Covector basis generated by Q-operator products on a left covector.
 
-    Row h applies prod_a Q(xi_a^(h_a)) to the source. The default source is
-    the top Sklyanin row hit by the inverse Q at every bottom node, for which
-    the family reproduces the Sklyanin basis row by row. That Sklyanin basis
-    is ``sklyanin`` when given (an already built one), else built here; it
-    must have full rank either way (DegenerateBasis). The family's own rank
-    is not checked.
+    Row h applies prod_a Q(xi_a^(h_a)) to the source: the top row of the
+    Sklyanin basis ``sklyanin`` hit by the inverse Q at every bottom node, for
+    which the family reproduces that basis row by row. ``sklyanin`` must have
+    full rank (DegenerateBasis); the family's own rank is not checked.
 
     Products are taken in Q's eigenbasis: row h is (c * prod_a q(xi_a^(h_a)))
     @ left with c = source @ vectors and q the eigenvalues of Q, so no dense Q
     or inverse of Q is formed.
     """
     chain = qop.chain
-    per_site = [np.array([qop.eigenvalues(z) for z in chain.nodes(n)])
-                for n in range(chain.n_sites)]
-    if source is None:
-        skl = sklyanin if sklyanin is not None else sklyanin_basis(chain)
-        _require_full_rank(skl)
-        top = tuple(site.two_s for site in chain.sites)
-        coords = skl.row(top) @ qop.vectors / np.prod([q[-1] for q in per_site], axis=0)
-        source = coords @ qop.left
-    else:
-        source = np.asarray(source, dtype=CDTYPE)
-        coords = source @ qop.vectors
+    _require_full_rank(sklyanin)
+    per_site = [np.array([qop.eigenvalues(z) for z in nodes]) for nodes, _, _ in chain.grid]
+    top = tuple(site.two_s for site in chain.sites)
+    coords = sklyanin.row(top) @ qop.vectors / np.prod([q[-1] for q in per_site], axis=0)
     weights = _site_product([q.T for q in per_site]).reshape(-1, chain.dim)
     return CovectorBasis(rows=(weights * coords) @ qop.left, kind="q_generated",
-                         chain=chain, source=source)
+                         chain=chain, source=coords @ qop.left)
 
 
 def sov_q_factorization(t: TransferPolynomial, q):

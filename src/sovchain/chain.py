@@ -14,7 +14,6 @@ of each site, which drives every separation-of-variables formula below.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -59,22 +58,6 @@ class Twist:
     k1: complex
     k2: complex
     w: np.ndarray
-
-    @property
-    def a(self) -> complex:
-        return complex(self.matrix[0, 0])
-
-    @property
-    def b(self) -> complex:
-        return complex(self.matrix[0, 1])
-
-    @property
-    def c(self) -> complex:
-        return complex(self.matrix[1, 0])
-
-    @property
-    def d(self) -> complex:
-        return complex(self.matrix[1, 1])
 
     @property
     def det(self) -> complex:
@@ -223,24 +206,15 @@ class ChainSpec:
         site = self.sites[n]
         return site.xi - self.eta / 2 + (site.spin - k) * self.eta
 
-    def nodes(self, n: int) -> np.ndarray:
-        site = self.sites[n]
-        return np.array([self.node(n, k) for k in range(site.two_s + 1)], dtype=CDTYPE)
-
     @functools.cached_property
     def grid(self) -> tuple:
         """Per site n, a read-only (3, 2s_n + 1) array: its nodes, a and d at each of them."""
-        out = tuple(np.array([z, [self.a(x) for x in z], [self.d(x) for x in z]])
-                    for z in map(self.nodes, range(self.n_sites)))
+        nodes = [np.array([self.node(n, k) for k in range(site.dim)], dtype=CDTYPE)
+                 for n, site in enumerate(self.sites)]
+        out = tuple(np.array([z, [self.a(x) for x in z], [self.d(x) for x in z]]) for z in nodes)
         for arr in out:
             arr.flags.writeable = False
         return out
-
-    def all_nodes(self):
-        """Iterate (site, k, node value) over the whole grid."""
-        for n, site in enumerate(self.sites):
-            for k in range(site.two_s + 1):
-                yield n, k, self.node(n, k)
 
     def a(self, lam: complex) -> complex:
         out = 1.0 + 0.0j
@@ -305,11 +279,16 @@ def genericity_check(chain: ChainSpec) -> dict:
     """Verify xi_a != xi_b mod eta over the protected shift window.
 
     The window covers every node coincidence any fused formula can probe:
-    |k| up to twice the largest two_s plus one. Also checks that all grid
-    nodes are pairwise distinct across sites. Raises GenericityViolation
-    naming the offending pair.
+    |k| up to twice the largest two_s plus one. Also checks that eta and
+    every xi are finite, that |eta| exceeds the zero tolerance (a site's
+    nodes are eta apart) and that all grid nodes are pairwise distinct
+    across sites. Raises GenericityViolation naming the offending quantity.
     """
     tol = chain.tolerances.zero
+    if not np.all(np.isfinite([chain.eta] + [site.xi for site in chain.sites])):
+        raise GenericityViolation("eta and every xi must be finite")
+    if abs(chain.eta) <= tol:
+        raise GenericityViolation(f"|eta| = {abs(chain.eta):.3e} is within tolerance of 0")
     window = 2 * max(site.two_s for site in chain.sites) + 1
     min_sep = np.inf
     pairs = 0
@@ -326,11 +305,12 @@ def genericity_check(chain: ChainSpec) -> dict:
                     raise GenericityViolation(
                         f"xi_{a} - xi_{b} = {k} * eta within tolerance "
                         f"({sep:.3e} <= {tol:.1e})")
-    all_nodes = [(n, k, v) for n, k, v in chain.all_nodes()]
-    for (n1, k1, v1), (n2, k2, v2) in itertools.combinations(all_nodes, 2):
-        if n1 != n2 and abs(v1 - v2) <= tol:
-            raise GenericityViolation(
-                f"grid nodes collide: site {n1} node {k1} vs site {n2} node {k2}")
+    # one site's nodes are multiples of eta apart, so every close pair spans two sites
+    index = [(n, k) for n, site in enumerate(chain.sites) for k in range(site.dim)]
+    nodes = np.array([chain.node(n, k) for n, k in index])
+    for i, j in np.argwhere(np.triu(np.abs(nodes[:, None] - nodes) <= tol, 1))[:1]:
+        raise GenericityViolation("grid nodes collide: site {} node {} vs site {} node {}"
+                                  .format(*index[i], *index[j]))
     return {"ok": True, "pairs_checked": pairs, "min_separation": float(min_sep)}
 
 

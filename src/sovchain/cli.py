@@ -38,7 +38,7 @@ from .spectrum import (OracleSpectrum, brute_force_spectrum, closed_form_solutio
                        solve_discrete_system, wavefunction_action_report)
 from .transfer import (TransferEvaluator, central_zero_residual, fused_transfer_projector,
                        polynomiality_residual, quantum_det_residual, rtt_residual,
-                       symmetry_residual, transfer, tridiagonal_operator_det)
+                       symmetry_residual, transfer, tridiagonal_operator_minors)
 
 COMMANDS = ("verify-algebra", "verify-fusion", "basis", "spectrum", "baxter", "qop", "all")
 BASIS_KINDS = ("sklyanin", "sov1", "sov2", "q")
@@ -53,78 +53,63 @@ class ConfigError(Exception):
 # configuration
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"schema_version", "eta", "sites", "twist", "seed", "tolerances"}
-_SITE_KEYS = {"two_s", "xi"}
-_TWIST_KEYS = {"a", "b", "c", "d"}
-_TOL_KEYS = {"zero", "gram"}
+def _is_number(value) -> bool:
+    """A JSON number that is a finite double (NaN, Infinity and 1e400 are not); nor is a bool."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _as_complex(value, where):
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
-        raise ConfigError(f"field {where!r} must be a [re, im] number pair, got {value!r}")
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
+        raise ConfigError(f"field {where!r} must be a [re, im] pair of finite numbers, "
+                          f"got {value!r}")
     return complex(value[0], value[1])
 
 
+def _object(value, where, keys, required=()) -> dict:
+    """``value``, checked to be an object whose keys are among ``keys`` and include ``required``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ConfigError(f"{where} is missing required keys: {missing}")
+    return value
+
+
 def parse_config(text: str) -> dict:
-    """Parse and validate a chain configuration document."""
+    """Parse and validate a chain configuration document.
+
+    Numbers must be finite (``NaN`` and ``Infinity`` are rejected, as are
+    booleans in place of numbers); tolerances must be positive.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"parse error at line {err.lineno}, column {err.colno}: {err.msg}")
-    if not isinstance(data, dict):
-        raise ConfigError("top-level config must be an object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    for key in ("eta", "sites", "twist"):
-        if key not in data:
-            raise ConfigError(f"missing required field {key!r}")
-
+    data = _object(data, "top-level config",
+                   ("schema_version", "eta", "sites", "twist", "seed", "tolerances"),
+                   ("eta", "sites", "twist"))
     out = {"eta": _as_complex(data["eta"], "eta")}
     if not isinstance(data["sites"], list) or not data["sites"]:
         raise ConfigError("field 'sites' must be a non-empty list")
-    sites = []
+    out["sites"] = []
     for i, site in enumerate(data["sites"]):
-        if not isinstance(site, dict):
-            raise ConfigError(f"sites[{i}] must be an object")
-        unknown = set(site) - _SITE_KEYS
-        if unknown:
-            raise ConfigError(f"sites[{i}] has unknown keys: {sorted(unknown)}")
-        if "two_s" not in site or "xi" not in site:
-            raise ConfigError(f"sites[{i}] needs both 'two_s' and 'xi'")
-        two_s = site["two_s"]
-        if not isinstance(two_s, int) or two_s < 1:
+        two_s = _object(site, f"sites[{i}]", ("two_s", "xi"), ("two_s", "xi"))["two_s"]
+        if type(two_s) is not int or two_s < 1:
             raise ConfigError(f"sites[{i}].two_s must be a positive integer, got {two_s!r}")
-        sites.append((two_s, _as_complex(site["xi"], f"sites[{i}].xi")))
-    out["sites"] = sites
-
-    twist = data["twist"]
-    if not isinstance(twist, dict):
-        raise ConfigError("field 'twist' must be an object with entries a, b, c, d")
-    unknown = set(twist) - _TWIST_KEYS
-    if unknown:
-        raise ConfigError(f"twist has unknown keys: {sorted(unknown)}")
-    missing = _TWIST_KEYS - set(twist)
-    if missing:
-        raise ConfigError(f"twist is missing entries: {sorted(missing)}")
-    out["twist"] = np.array(
-        [[_as_complex(twist["a"], "twist.a"), _as_complex(twist["b"], "twist.b")],
-         [_as_complex(twist["c"], "twist.c"), _as_complex(twist["d"], "twist.d")]],
-        dtype=CDTYPE)
-
+        out["sites"].append((two_s, _as_complex(site["xi"], f"sites[{i}].xi")))
+    twist = _object(data["twist"], "twist", "abcd", "abcd")
+    out["twist"] = np.array([[_as_complex(twist[k], f"twist.{k}") for k in row]
+                             for row in ("ab", "cd")], dtype=CDTYPE)
     out["seed"] = data.get("seed", 0)
-    if not isinstance(out["seed"], int):
+    if type(out["seed"]) is not int:
         raise ConfigError(f"seed must be an integer, got {out['seed']!r}")
-    tols = data.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ConfigError("tolerances must be an object")
-    unknown = set(tols) - _TOL_KEYS
-    if unknown:
-        raise ConfigError(f"tolerances has unknown keys: {sorted(unknown)}")
+    tols = _object(data.get("tolerances", {}), "tolerances", ("zero", "gram"))
     for key, val in tols.items():
-        if not isinstance(val, (int, float)):
-            raise ConfigError(f"tolerances.{key} must be a number, got {val!r}")
+        if not _is_number(val) or val <= 0:
+            raise ConfigError(f"tolerances.{key} must be a finite number > 0, got {val!r}")
     out["tolerances"] = {k: float(v) for k, v in tols.items()}
     return out
 
@@ -171,18 +156,13 @@ def _multiset_distance(got, want) -> float:
     return float(np.max(greedy_match(got, want)[1]))
 
 
-def _passes(value, tolerance) -> bool:
-    """The pass rule of every row: a finite value at most its tolerance (NaN fails)."""
-    return bool(np.isfinite(value) and value <= tolerance)
-
-
 def _check(name, value, tolerance, **info):
     value = float(value)
     entry = {
         "name": name,
         "value": value,
         "tolerance": float(tolerance),
-        "passed": _passes(value, tolerance),
+        "passed": bool(np.isfinite(value) and value <= tolerance),   # NaN fails
     }
     if info:
         entry["info"] = info
@@ -197,7 +177,7 @@ def _config_echo(chain: ChainSpec) -> dict:
     return {
         "eta": _cpx(chain.eta),
         "sites": [{"two_s": s.two_s, "xi": _cpx(s.xi)} for s in chain.sites],
-        "twist": {k: _cpx(getattr(chain.twist, k)) for k in "abcd"},
+        "twist": dict(zip("abcd", map(_cpx, chain.twist.matrix.ravel()))),
         "twist_eigenvalues": [_cpx(chain.twist.k1), _cpx(chain.twist.k2)],
         "seed": chain.seed,
         "tolerances": {"zero": chain.tolerances.zero, "gram": chain.tolerances.gram},
@@ -250,7 +230,7 @@ class _RunContext:
 
     def sov2(self):
         """Second SoV basis from the default (seeded Gaussian) source."""
-        return self._get("sov2", lambda: sov_basis_2(self.chain, evaluator=self.evaluator()))
+        return self._get("sov2", lambda: sov_basis_2(self.chain, self.evaluator()))
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +248,12 @@ def _exchange_residual(rng, samples: int, eta: complex, two_s: int) -> float:
                      in ((lam - mu, p, [0, 1]), (lam, lax_p, [0, 2]), (mu, lax_p, [1, 2])))
     lhs = r12 @ l13 @ l23
     err, size = (np.linalg.norm(x, axis=(1, 2)) for x in (lhs - l23 @ l13 @ r12, lhs))
-    return float(np.max(err / np.maximum(1.0, size), initial=0.0))
+    return float(np.max(err / np.maximum(1.0, size)))
 
 
 def suite_algebra(chain: ChainSpec, samples: int):
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     checks = []
     rng = chain.rng(100)
     worst = _exchange_residual(rng, samples, chain.eta, 1)
@@ -332,19 +314,19 @@ def suite_fusion(chain: ChainSpec, ctx: _RunContext):
     checks.append(_check("fusion.central_zeros",
                          np.max(central_zero_residual(chain, evaluator, lam_ref)), 1e-9))
 
+    # the fused tower's tridiagonal matrix read bottom-up, diagonal T(lam + (l - 1 - i) eta),
+    # with off-diagonal products k1 a * k2 d taken from its entries, not from det_q
     residuals = []
     for _ in range(2):
         lam = complex(random_complex(rng, box=2.5))
         tower = evaluator.fused(3, lam)
         for l in (2, 3):
-            diag = [evaluator.transfer(lam + (l - 1 - i) * chain.eta) for i in range(l)]
-            sup = [-chain.twist.k1 * chain.a(lam + (l - 1 - i) * chain.eta)
-                   for i in range(l - 1)]
-            sub = [-chain.twist.k2 * chain.d(lam + (l - 2 - i) * chain.eta)
-                   for i in range(l - 1)]
-            det = tridiagonal_operator_det(diag, sup, sub)
-            target = tower[l]
-            residuals.append(frob(det - target) / max(1.0, frob(target)))
+            det = tridiagonal_operator_minors(
+                (evaluator.transfer(lam + (l - 1 - i) * chain.eta) for i in range(l)),
+                [chain.twist.k1 * chain.a(lam + (l - 1 - i) * chain.eta)
+                 * (chain.twist.k2 * chain.d(lam + (l - 2 - i) * chain.eta)) for i in range(l - 1)],
+                np.empty((l + 1, chain.dim, chain.dim), dtype=CDTYPE))[-1]
+            residuals.append(frob(det - tower[l]) / max(1.0, frob(tower[l])))
     checks.append(_check("fusion.tridiagonal_determinant", np.max(residuals), 1e-9))
 
     residuals = []
@@ -383,10 +365,10 @@ def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext):
     elif kind == "sov1":
         evaluator = ctx.evaluator()
         checks.append(_rank_row("basis.sov1.rank_deficit",
-                                sov_basis_1(chain, evaluator=evaluator)))
+                                sov_basis_1(chain, evaluator)))
         tensor = tensor_generating_covector(chain)
         checks.append(_rank_row("basis.sov1.tensor_source_rank_deficit",
-                                sov_basis_1(chain, source=tensor, evaluator=evaluator)))
+                                sov_basis_1(chain, evaluator, source=tensor)))
     elif kind == "sov2":
         evaluator = ctx.evaluator()
         basis = ctx.sov2()
@@ -395,13 +377,13 @@ def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext):
                              separate_action_report(basis, evaluator), 1e-8))
         skl = ctx.sklyanin()
         top = tuple(site.two_s for site in chain.sites)
-        ident = sov_basis_2(chain, source=skl.row(top), evaluator=evaluator)
+        ident = sov_basis_2(chain, evaluator, source=skl.row(top))
         checks.append(_check("basis.sov2.sklyanin_identification",
                              _basis_difference(ident, skl), 1e-7))
     elif kind == "q":
         qop = ctx.q_operator()
         skl = ctx.sklyanin()
-        basis = sov_from_q(qop, sklyanin=skl)
+        basis = sov_from_q(qop, skl)
         checks.append(_rank_row("basis.q.rank_deficit", basis))
         checks.append(_check("basis.q.sklyanin_identification",
                              _basis_difference(basis, skl), 1e-7))
@@ -538,8 +520,7 @@ def suite_qop(chain: ChainSpec, ctx: _RunContext):
 _SUITE_ERRORS = (SovChainError, ValueError, np.linalg.LinAlgError)
 
 
-def run(command: str, chain: ChainSpec, samples=20, basis_kind=None,
-        tol_override=None) -> dict:
+def run(command: str, chain: ChainSpec, samples=20, basis_kind=None) -> dict:
     """Execute a command's check suites and assemble the report.
 
     The suites of one call share a ``_RunContext``: one transfer evaluator,
@@ -550,10 +531,6 @@ def run(command: str, chain: ChainSpec, samples=20, basis_kind=None,
     ``<suite>.error`` row; the spectrum table is built from the shared
     oracle, so when it fails the report carries ``suite_spectrum.error`` and
     no table.
-
-    ``tol_override`` replaces the tolerance of every residual-type check
-    (those with a positive default); structural checks (ranks, counts) keep
-    their zero tolerance.
     """
     start = time.perf_counter()
     checks = [_check("model.genericity", 0.0 if genericity_check(chain)["ok"] else 1.0, 0)]
@@ -586,12 +563,6 @@ def run(command: str, chain: ChainSpec, samples=20, basis_kind=None,
         checks += guarded(suite_baxter, ctx)
     if command in ("qop", "all"):
         checks += guarded(suite_qop, ctx)
-
-    if tol_override is not None:
-        for c in checks:
-            if c["tolerance"] > 0:
-                c["tolerance"] = float(tol_override)
-                c["passed"] = _passes(c["value"], c["tolerance"])
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -631,15 +602,16 @@ def main(argv=None) -> int:
                         help="path to a chain config, or a bundled config name")
     parser.add_argument("--out", help="report output path (default: stdout)")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--tol", type=float,
-                        help="override the tolerance of every residual-type check")
-    parser.add_argument("--samples", type=int, default=20)
+    parser.add_argument("--samples", type=int, default=20,
+                        help="random draws per algebra check (at least 1)")
     args = parser.parse_args(argv)
 
     if args.command == "basis" and args.kind is None:
         parser.error("the basis command needs a kind: sklyanin | sov1 | sov2 | q")
     if args.command != "basis" and args.kind is not None:
         parser.error(f"command {args.command!r} takes no basis kind")
+    if args.samples < 1:
+        parser.error(f"--samples must be at least 1, got {args.samples}")
 
     try:
         cfg = load_config(args.config)
@@ -648,8 +620,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    report = run(args.command, chain, samples=args.samples, basis_kind=args.kind,
-                 tol_override=args.tol)
+    report = run(args.command, chain, samples=args.samples, basis_kind=args.kind)
     text = render_report(report)
     if args.out:
         with open(args.out, "w") as fh:

@@ -54,8 +54,8 @@ __all__ = [
 class CovectorBasis:
     """Ordered family of dim(H) covectors; row order is lexicographic in h.
 
-    ``rows`` must not be changed after construction: ``gram_rank`` is
-    computed on first use and kept.
+    ``rows`` must not be changed after construction: ``rank`` is computed
+    on first use and kept.
     """
 
     rows: np.ndarray
@@ -67,9 +67,20 @@ class CovectorBasis:
         return self.rows[index_of(self.chain, h)]
 
     @cached_property
-    def double_rank(self) -> tuple:
-        """``gram_rank(self)``: (rank, smallest singular value)."""
-        return _rank(self)
+    def rank(self) -> tuple:
+        """Numerical rank and smallest singular value of the row family.
+
+        Rows are norm-equilibrated before the SVD so the rank decision is not
+        distorted by the widely different row magnitudes of the raw products;
+        each row is first scaled by an exact power of two to a largest entry in
+        [1/2, 1), so its norm does not overflow.
+        """
+        rows = self.rows * np.exp2(-np.frexp(np.max(np.abs(self.rows), axis=1))[1])[:, None]
+        norms = np.linalg.norm(rows, axis=1)
+        if np.any(norms == 0.0):
+            return 0, 0.0
+        svals = np.linalg.svd(rows / norms[:, None], compute_uv=False)
+        return int(np.sum(svals > self.chain.tolerances.gram * svals[0])), float(svals[-1])
 
 
 def sklyanin_norm(chain: ChainSpec) -> complex:
@@ -143,7 +154,7 @@ def sklyanin_basis(chain: ChainSpec) -> CovectorBasis:
                          chain=chain, source=source)
 
 
-def sov_basis_1(chain: ChainSpec, source=None, evaluator=None) -> CovectorBasis:
+def sov_basis_1(chain: ChainSpec, evaluator: TransferEvaluator, source=None) -> CovectorBasis:
     """Basis from powers of the fundamental fused charges.
 
     Row h applies (T^(2s_n) at the next-to-bottom node of site n)^(h_n) to the
@@ -152,7 +163,6 @@ def sov_basis_1(chain: ChainSpec, source=None, evaluator=None) -> CovectorBasis:
     twist = chain.twist
     if not twist.invertible:
         raise ValueError("this construction requires an invertible twist")
-    evaluator = evaluator or TransferEvaluator(chain)
     charges = [evaluator.fused(site.two_s, chain.node(n, site.two_s - 1))[-1].copy()
                for n, site in enumerate(chain.sites)]   # a copy frees the rest of the tower
     if source is None:
@@ -162,7 +172,7 @@ def sov_basis_1(chain: ChainSpec, source=None, evaluator=None) -> CovectorBasis:
     return CovectorBasis(rows=rows, kind="sov1", chain=chain, source=np.asarray(source))
 
 
-def sov_basis_2(chain: ChainSpec, source=None, evaluator=None) -> CovectorBasis:
+def sov_basis_2(chain: ChainSpec, evaluator: TransferEvaluator, source=None) -> CovectorBasis:
     """Basis from the fused tower at the bottom grid nodes.
 
     Row h multiplies the generating covector by, per site,
@@ -172,7 +182,6 @@ def sov_basis_2(chain: ChainSpec, source=None, evaluator=None) -> CovectorBasis:
     twist = chain.twist
     if not twist.invertible:
         raise ValueError("this construction requires an invertible twist")
-    evaluator = evaluator or TransferEvaluator(chain)
     if source is None:
         source = _gaussian_covector(chain, salt=2)
     per_site = []
@@ -213,28 +222,12 @@ def tensor_generating_covector(chain: ChainSpec, salt=3) -> np.ndarray:
 
 
 def gram_rank(basis: CovectorBasis):
-    """Numerical rank and smallest singular value of the row family.
-
-    Rows are norm-equilibrated before the SVD so the rank decision is not
-    distorted by the widely different row magnitudes of the raw products;
-    each row is first scaled by an exact power of two to a largest entry in
-    [1/2, 1), so its norm does not overflow.
-    Reads ``basis.double_rank``, computed once per basis.
-    """
-    return basis.double_rank
-
-
-def _rank(basis: CovectorBasis):
-    rows = basis.rows * np.exp2(-np.frexp(np.max(np.abs(basis.rows), axis=1))[1])[:, None]
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0.0):
-        return 0, 0.0
-    svals = np.linalg.svd(rows / norms[:, None], compute_uv=False)
-    return int(np.sum(svals > basis.chain.tolerances.gram * svals[0])), float(svals[-1])
+    """(rank, smallest singular value) of the basis rows: ``basis.rank``, computed once."""
+    return basis.rank
 
 
 def _require_full_rank(basis: CovectorBasis):
-    rank, smallest = basis.double_rank
+    rank, smallest = basis.rank
     if rank < basis.chain.dim:
         raise DegenerateBasis(
             f"{basis.kind} covector family has rank {rank} < {basis.chain.dim} "
@@ -276,7 +269,7 @@ def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
     """
     chain = basis.chain
     if lams is None:
-        lams = [node for _, _, node in chain.all_nodes()]
+        lams = [complex(z) for nodes, _, _ in chain.grid for z in nodes]
     n_sites = chain.n_sites
     points, up_at, down_at = _node_grid(chain)
     rows_interp = _Barycentric(points)   # one node set per row
@@ -298,14 +291,13 @@ def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
     return {key: float(np.max(vals, initial=0.0)) for key, vals in residuals.items()}
 
 
-def separate_action_report(basis: CovectorBasis, evaluator=None) -> float:
+def separate_action_report(basis: CovectorBasis, evaluator: TransferEvaluator) -> float:
     """Residual of the transfer-matrix separate action on the tower basis.
 
     Checks row(h) T(xi_n^(h_n)) = k1 a row(h+e_n) + k2 d row(h-e_n) for every
     h and n (``_separate_action_residual`` with R = D).
     """
     chain = basis.chain
-    evaluator = evaluator or TransferEvaluator(chain)
     return _separate_action_residual(chain, basis.rows.reshape(chain.dims + (chain.dim,)),
                                      lambda nodes: np.stack([evaluator.transfer(z) for z in nodes]))
 

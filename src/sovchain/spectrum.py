@@ -154,12 +154,6 @@ def brute_force_spectrum(chain: ChainSpec) -> OracleSpectrum:
 # the discrete characterization
 # ---------------------------------------------------------------------------
 
-def _site_data(chain: ChainSpec, n: int):
-    """Nodes of site n and the off-diagonal products sup[j] * sub[j] of its matrix."""
-    nodes, a, d = chain.grid[n]
-    return nodes, chain.twist.k1 * a[:-1] * chain.twist.k2 * d[1:]
-
-
 def _tridiagonal_minors(diag, offprod) -> np.ndarray:
     """Leading principal minors f_0..f_m (f_0 = 1) of an m x m tridiagonal matrix.
 
@@ -182,35 +176,31 @@ def _fused_tower(t: TransferPolynomial, lam: complex, top: int) -> np.ndarray:
     return _tridiagonal_minors(np.moveaxis(t(shifts), -1, 0), t.chain.det_q(shifts[1:]))
 
 
-def _magnitude_scale(diag, offprod):
-    """Same recurrence on absolute values; bounds the determinant magnitude."""
-    return np.maximum(1.0, _tridiagonal_minors(np.abs(diag), -np.abs(offprod))[-1])
-
-
 def discrete_residuals(t: TransferPolynomial) -> np.ndarray:
     """Per-site determinants of the discrete system, scale-normalized; (..., N) for t's rows."""
-    out = []
-    for n in range(t.chain.n_sites):
-        nodes, offprod = _site_data(t.chain, n)
-        diag = np.moveaxis(t(nodes), -1, 0)
-        out.append(_tridiagonal_minors(diag, offprod)[-1] / _magnitude_scale(diag, offprod))
-    return np.stack(out, axis=-1)
+    res, scales = _DiscreteSystem(t.chain).residual(t.x)
+    return res / scales
 
 
 class _DiscreteSystem:
-    """Residual and Jacobian of the discrete system in the unknowns x_a."""
+    """Residual and Jacobian of the discrete system in the unknowns x_a.
+
+    Per site: its matrix diagonal t(xi^(j)) as base + coeff . x (the
+    leading term and the top-node cardinals at its nodes), and the
+    off-diagonal products sup[j] * sub[j] = k1 a(xi^(j)) k2 d(xi^(j+1)).
+    ``discrete_residuals`` reads the residual of this system.
+    """
 
     def __init__(self, chain: ChainSpec):
         self.chain = chain
-        nodes0 = [chain.node(a, 0) for a in range(chain.n_sites)]
+        nodes0 = np.array([g[0, 0] for g in chain.grid])
         interp = _Barycentric(nodes0)
         self.sites = []
-        for n in range(chain.n_sites):
-            nodes, offprod = _site_data(chain, n)
+        for nodes, a, d in chain.grid:
             base = np.array([chain.twist.trace * np.prod([z - w for w in nodes0])
                              for z in nodes], dtype=CDTYPE)
             coeff = np.array([interp.cardinals(z) for z in nodes], dtype=CDTYPE)
-            self.sites.append((base, coeff, offprod))
+            self.sites.append((base, coeff, chain.twist.k1 * a[:-1] * chain.twist.k2 * d[1:]))
 
     def _diags(self, x):
         """Per site, its matrix diagonal at the unknowns x (..., N), batch axes trailing.
@@ -225,7 +215,9 @@ class _DiscreteSystem:
 
     def residual(self, x):
         """(raw determinants, per-site magnitude scales), each (..., N) for x of shape (..., N)."""
-        out = [(_tridiagonal_minors(diag, offprod)[-1], _magnitude_scale(diag, offprod))
+        # the magnitude scale bounds the determinant: the same recurrence on absolute values
+        out = [(_tridiagonal_minors(diag, offprod)[-1],
+                np.maximum(1.0, _tridiagonal_minors(np.abs(diag), -np.abs(offprod))[-1]))
                for diag, _, offprod in self._diags(x)]
         return tuple(np.stack(part, axis=-1) for part in zip(*out))
 
@@ -391,7 +383,7 @@ def wavefunction_action_report(t: TransferPolynomial) -> float:
         lambda nodes: np.moveaxis(t(nodes), -1, 0).reshape(len(nodes), 1, -1, 1, 1))
 
 
-def eigenvector_from_sov(ts: TransferPolynomial, basis, evaluator=None):
+def eigenvector_from_sov(ts: TransferPolynomial, basis, evaluator: TransferEvaluator):
     """Solve rows(basis) . V = Psi for the eigenvectors V, one column per row of ``ts``.
 
     Column j of Psi is the second-basis wavefunction of row j; one solve
@@ -400,7 +392,6 @@ def eigenvector_from_sov(ts: TransferPolynomial, basis, evaluator=None):
     of column j; raises ResidualTooLarge when one exceeds 1e-7.
     """
     chain = basis.chain
-    evaluator = evaluator or TransferEvaluator(chain)
     vectors = np.linalg.solve(basis.rows, _sov2_array(ts).reshape(chain.dim, -1))
     norms = np.linalg.norm(vectors, axis=0)
     rng = chain.rng(17)

@@ -18,11 +18,13 @@ The fused transfer matrices are produced by the three-term recursion
 
     T^(l+1)(lam) = T(lam + l eta) T^(l)(lam) - detq(lam + l eta) T^(l-1)(lam)
 
-with T^(0) = Id, which is the closed solution of the fusion hierarchy. Each
-call builds one tower T^(0..top)(lam) whole and keeps nothing. The
-symmetrized-projector construction (trace of the projected product of
-shifted monodromies over the (a+1)-dimensional symmetric auxiliary space) is
-kept as an independent route and used as the test oracle for the recursion.
+with T^(0) = Id, which is the closed solution of the fusion hierarchy: the
+leading minors of a tridiagonal matrix with commuting operator entries, the
+one recurrence of ``tridiagonal_operator_minors``. Each call builds one
+tower T^(0..top)(lam) whole and keeps nothing. The symmetrized-projector
+construction (trace of the projected product of shifted monodromies over
+the (a+1)-dimensional symmetric auxiliary space) is kept as an independent
+route and used as the test oracle for the recursion.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ __all__ = [
     "transfer",
     "TransferEvaluator",
     "fused_transfer_projector",
-    "tridiagonal_operator_det",
+    "tridiagonal_operator_minors",
     "rtt_residual",
     "quantum_det_residual",
     "symmetry_residual",
@@ -159,18 +161,36 @@ class TransferEvaluator:
         return out
 
     def fused(self, top: int, lam: complex) -> np.ndarray:
-        """T^(0..top)(lam) as one (top + 1, D, D) stack by the fusion recursion, T^(0) = Id."""
+        """T^(0..top)(lam) as one (top + 1, D, D) stack by the fusion recursion, T^(0) = Id.
+
+        These are the leading minors of the tridiagonal matrix with diagonal
+        T(lam + k eta), k = 0..top - 1, each built when the recurrence reads
+        it, and off-diagonal products detq(lam + k eta), k = 1..top - 1.
+        """
         if top < 0:
             raise ValueError(f"top must be >= 0, got {top}")
-        out = np.zeros((top + 1, self.chain.dim, self.chain.dim), dtype=CDTYPE)
-        np.fill_diagonal(out[0], 1.0)
-        if top:
-            out[1] = self.transfer(lam)
-        for level in range(1, top):
-            shift = lam + level * self.chain.eta
-            np.matmul(self.transfer(shift), out[level], out=out[level + 1])
-            out[level + 1] -= self.chain.det_q(shift) * out[level - 1]
-        return out
+        shifts = [lam + k * self.chain.eta for k in range(top)]
+        return tridiagonal_operator_minors(
+            map(self.transfer, shifts), [self.chain.det_q(z) for z in shifts[1:]],
+            np.empty((top + 1, self.chain.dim, self.chain.dim), dtype=CDTYPE))
+
+
+def tridiagonal_operator_minors(diag, offprod, out) -> np.ndarray:
+    """Leading principal minors F_0..F_m of an m x m tridiagonal matrix, written into ``out``.
+
+    The diagonal entries are commuting D x D operators, read one at a time
+    from the iterable ``diag``; ``offprod[j]`` is the scalar product of the
+    off-diagonal pair coupling rows j and j + 1. ``out`` is the (m + 1, D, D)
+    stack: F_0 = Id, F_1 = diag[0], F_(j+1) = diag[j] F_j - offprod[j-1] F_(j-1).
+    """
+    diag = iter(diag)
+    out[0] = np.eye(out.shape[1])
+    if len(out) > 1:
+        out[1] = next(diag)
+    for j, op in enumerate(diag, start=1):
+        np.matmul(op, out[j], out=out[j + 1])
+        out[j + 1] -= offprod[j - 1] * out[j - 1]
+    return out
 
 
 def fused_transfer_projector(chain: ChainSpec, level: int, lam) -> np.ndarray:
@@ -197,23 +217,6 @@ def fused_transfer_projector(chain: ChainSpec, level: int, lam) -> np.ndarray:
         ops = [_aux_product(per_leg) for per_leg in zip(*laxes)]
         dest[...] = _lax_chain(ops, u, twist=kk, close=u.conj().T, bufs=bufs)
     return out
-
-
-def tridiagonal_operator_det(diag, sup, sub) -> np.ndarray:
-    """Determinant of a tridiagonal matrix with commuting operator entries.
-
-    Expanded by trailing principal minors (last row), which is a different
-    traversal from the fusion recursion's leading expansion. ``diag`` is a
-    list of m operators; ``sup``/``sub`` are the m-1 scalar off-diagonals.
-    """
-    m = len(diag)
-    dim = diag[0].shape[0]
-    prev2 = np.eye(dim, dtype=CDTYPE)
-    prev1 = diag[0]
-    for j in range(1, m):
-        cur = diag[j] @ prev1 - sup[j - 1] * sub[j - 1] * prev2
-        prev2, prev1 = prev1, cur
-    return prev1
 
 
 # ---------------------------------------------------------------------------

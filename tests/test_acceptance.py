@@ -156,7 +156,7 @@ def test_criterion_6_basis_identifications(chain12, chain12_diag):
         worst = max(worst, _row_diff(b2, skl))
         oracle = brute_force_spectrum(chain)
         qop = build_q_operator(oracle, solve_q_polynomial(oracle.t))
-        qb = sov_from_q(qop)
+        qb = sov_from_q(qop, skl)
         worst = max(worst, _row_diff(qb, skl))
     assert worst < 1e-7
     _report("criterion 6 (basis identifications)",

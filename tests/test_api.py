@@ -30,14 +30,14 @@ REMOVED_PARAMETERS = {
     "spectrum.brute_force_spectrum": {"lam0"},
     "spectrum.OracleSpectrum": {"lam0"},
     "baxter.build_q_operator": {"chain", "zeta", "evaluator", "q_solver"},
-    "baxter.sov_from_q": {"chain", "validate"},
+    "baxter.sov_from_q": {"chain", "validate", "source"},
     "baxter.default_zeta": {"min_dist", "max_tries"},
     "baxter.solve_q_polynomial": {"trim_tol"},
     "baxter.tq_residual": {"n_samples"},
     "chain.Tolerances": {"residual"},
     "transfer.TransferEvaluator": {"samples"},
     "transfer.central_zero_residual": {"level", "n"},
-    "cli.run": {"precision"},
+    "cli.run": {"precision", "tol_override"},
     "cli.suite_fusion": {"samples"},
     "cli.suite_basis": {"samples", "precision"},
     "cli.suite_spectrum": {"samples"},
@@ -64,6 +64,11 @@ REMOVED_NAMES = [
     "chain.multi_indices",
     # the per-eigenvalue containers, restacked by each consumer
     "spectrum.EigenRecord", "baxter.q_coefficients", "numerics.trim_trailing",
+    # second implementations and wrappers that no production code called
+    "transfer.tridiagonal_operator_det", "chain.ChainSpec.nodes", "chain.ChainSpec.all_nodes",
+    "chain.Twist.a", "chain.Twist.b", "chain.Twist.c", "chain.Twist.d",
+    "sov_bases.CovectorBasis.double_rank", "sov_bases._rank", "spectrum._site_data",
+    "cli._passes",
 ]
 
 
@@ -94,3 +99,15 @@ def test_q_operator_is_built_from_finished_inputs():
     params = inspect.signature(build_q_operator).parameters
     assert list(params) == ["oracle", "q", "method"]
     assert params["oracle"].default is inspect.Parameter.empty
+
+
+# one evaluator per run and one Sklyanin basis per run: no routine builds its own
+@pytest.mark.parametrize("qualname, param", [
+    ("sov_bases.sov_basis_1", "evaluator"), ("sov_bases.sov_basis_2", "evaluator"),
+    ("sov_bases.separate_action_report", "evaluator"),
+    ("spectrum.eigenvector_from_sov", "evaluator"), ("baxter.sov_from_q", "sklyanin"),
+])
+def test_shared_inputs_are_required(qualname, param):
+    module, name = qualname.split(".")
+    params = inspect.signature(getattr(importlib.import_module(f"sovchain.{module}"), name))
+    assert params.parameters[param].default is inspect.Parameter.empty

@@ -12,7 +12,7 @@ from sovchain.baxter import (_closure_system, _Interpolation, _require_regular_c
 from sovchain.errors import (DegenerateBasis, NonInvertibleQ, RootOnForbiddenNode,
                              SingularCZeta)
 from sovchain.numerics import commutator_residual, frob, poly_eval, random_complex
-from sovchain.sov_bases import gram_rank, sklyanin_basis
+from sovchain.sov_bases import sklyanin_basis
 from sovchain.spectrum import OracleSpectrum, TransferPolynomial, _sov2_array, brute_force_spectrum
 from sovchain.transfer import transfer
 
@@ -305,8 +305,8 @@ def test_q_operator_rejects_mismatched_q_polynomials(chain12):
 def test_sov_from_q_reproduces_sklyanin(chain12, chain12_diag):
     for chain in (chain12, chain12_diag):
         qop = _q_operator(chain)
-        basis = sov_from_q(qop)
         skl = sklyanin_basis(chain)
+        basis = sov_from_q(qop, skl)
         worst = max(
             frob(basis.rows[i] - skl.rows[i]) / max(1e-300, frob(skl.rows[i]))
             for i in range(chain.dim))
@@ -316,27 +316,18 @@ def test_sov_from_q_reproduces_sklyanin(chain12, chain12_diag):
         assert frob(basis.row(top) - skl.row(top)) / frob(skl.row(top)) < 1e-10
 
 
-def test_sov_from_q_random_source_full_rank(chain12):
-    qop = _q_operator(chain12)
-    rng = np.random.default_rng(15)
-    source = rng.standard_normal(chain12.dim) + 1j * rng.standard_normal(chain12.dim)
-    basis = sov_from_q(qop, source=source)
-    assert gram_rank(basis)[0] == chain12.dim
-
-
-def _sov_from_q_dense(chain, qop, source=None):
+def _sov_from_q_dense(chain, qop):
     """Reference route: rows as products of dense Q operators on the source.
 
-    The default source is the top Sklyanin row times the dense inverse of Q
-    at every bottom node; each row extends a cached prefix by one operator.
+    The source is the top Sklyanin row times the dense inverse of Q at every
+    bottom node; each row extends a cached prefix by one operator.
     """
     q_at = {(n, h): qop(chain.node(n, h))
             for n, site in enumerate(chain.sites) for h in range(site.dim)}
-    if source is None:
-        top = tuple(site.two_s for site in chain.sites)
-        source = sklyanin_basis(chain).row(top)
-        for n, site in enumerate(chain.sites):
-            source = source @ np.linalg.inv(q_at[(n, site.two_s)])
+    top = tuple(site.two_s for site in chain.sites)
+    source = sklyanin_basis(chain).row(top)
+    for n, site in enumerate(chain.sites):
+        source = source @ np.linalg.inv(q_at[(n, site.two_s)])
     partial = {(): np.asarray(source, dtype=complex)}
     rows = []
     for h in np.ndindex(chain.dims):
@@ -353,13 +344,10 @@ def test_sov_from_q_matches_dense_operator_products(chain12, chain12_diag):
     n3_mixed = chain_from_config(load_config("n3_mixed"))
     for chain in (chain12, chain12_diag, n3_mixed):
         qop = _q_operator(chain)
-        rng = np.random.default_rng(16)
-        random_source = random_complex(rng, size=chain.dim)
-        for source in (None, random_source):
-            got = sov_from_q(qop, source=source).rows
-            want = _sov_from_q_dense(chain, qop, source=source)
-            scale = np.linalg.norm(want, axis=1)
-            assert np.max(np.linalg.norm(got - want, axis=1) / scale) < 1e-10
+        got = sov_from_q(qop, sklyanin_basis(chain)).rows
+        want = _sov_from_q_dense(chain, qop)
+        scale = np.linalg.norm(want, axis=1)
+        assert np.max(np.linalg.norm(got - want, axis=1) / scale) < 1e-10
 
 
 def test_sov_q_factorization(chain12, chain112):
@@ -457,7 +445,6 @@ def test_q_operator_takes_q_polynomials_from_solver(chain12, monkeypatch):
 def test_sov_from_q_validates_given_sklyanin_basis(chain12):
     qop = _q_operator(chain12)
     skl = sklyanin_basis(chain12)
-    assert np.array_equal(sov_from_q(qop, sklyanin=skl).rows, sov_from_q(qop).rows)
     rows = skl.rows.copy()
     rows[1] = rows[0]
     with pytest.raises(DegenerateBasis):

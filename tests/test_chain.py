@@ -26,7 +26,7 @@ def test_node_grid_hand_case(chain1):
 
 def test_node_grid_structure(chain12):
     for n, site in enumerate(chain12.sites):
-        nodes = chain12.nodes(n)
+        nodes = np.array([chain12.node(n, k) for k in range(site.dim)])
         xim = site.xi - chain12.eta / 2
         assert abs(nodes[0] - (xim + site.spin * chain12.eta)) < 1e-14
         assert abs(nodes[-1] - (xim - site.spin * chain12.eta)) < 1e-14
@@ -155,6 +155,20 @@ def test_genericity_catches_grid_collision():
     # xi_2 - xi_1 = 2 eta makes grid nodes of the two sites collide
     with pytest.raises(GenericityViolation):
         make_chain(1.0, [(1, 0.0), (2, 2.0)], TWIST_FULL)
+    # a half-integer shift passes the xi window but not the node grid
+    with pytest.raises(GenericityViolation, match="site 0 node 0 vs site 1 node 1"):
+        make_chain(1.0, [(1, 0.0), (2, 0.5), (3, 7.3j)], TWIST_FULL)
+
+
+@pytest.mark.parametrize("eta, xi, match", [
+    (0.0, 0.3, "within tolerance of 0"), (1e-9j, 0.3, "within tolerance of 0"),
+    (complex("nan"), 0.3, "finite"), (complex("inf"), 0.3, "finite"),
+    (1.0, complex("nan"), "finite"), (1.0, complex(0, float("-inf")), "finite"),
+])
+def test_genericity_rejects_zero_and_non_finite_parameters(eta, xi, match):
+    # each one passed: eta = 0 stacks a site's nodes, and NaN compares as no collision
+    with pytest.raises(GenericityViolation, match=match):
+        make_chain(eta, [(1, xi), (2, 2.7 + 1.1j)], TWIST_FULL)
 
 
 def test_random_chain_generic():
@@ -199,7 +213,7 @@ def test_grid_holds_nodes_and_a_d_read_only():
     chain = make_chain(1.0, [(2, 0.3 - 0.2j), (1, 1.7 + 0.4j)], TWIST_FULL, seed=7)
     for n, site_grid in enumerate(chain.grid):
         nodes, a, d = site_grid
-        assert np.array_equal(nodes, chain.nodes(n))
+        assert np.array_equal(nodes, [chain.node(n, k) for k in range(len(nodes))])
         assert np.array_equal(a, [chain.a(z) for z in nodes])
         assert np.array_equal(d, [chain.d(z) for z in nodes])
         with pytest.raises(ValueError):

@@ -38,9 +38,9 @@ def test_parse_minimal_config():
 def test_parse_rejects_unknown_keys():
     bad = json.loads(MINIMAL)
     bad["extra"] = 1
-    with pytest.raises(ConfigError, match="unknown top-level"):
+    with pytest.raises(ConfigError, match="top-level config has unknown keys"):
         parse_config(json.dumps(bad))
-    # residual gates are set by --tol, not by the config
+    # residual gates are fixed per check, not set by the config
     bad = json.loads(MINIMAL)
     bad["tolerances"] = {"residual": 1e-6}
     with pytest.raises(ConfigError, match="tolerances has unknown keys"):
@@ -66,6 +66,54 @@ def test_parse_rejects_bad_complex():
     bad["eta"] = "one"
     with pytest.raises(ConfigError, match="eta"):
         parse_config(json.dumps(bad))
+
+
+# Python's json reads NaN and Infinity, and true is an int to isinstance
+@pytest.mark.parametrize("path, value", [
+    (("twist", "a"), [float("nan"), 0.0]),
+    (("twist", "b"), [0.0, float("inf")]),
+    (("eta",), [float("nan"), 0.0]),
+    (("eta",), [float("-inf"), 0.0]),
+    (("sites", 0, "xi"), [0.0, float("nan")]),
+    (("eta",), [True, 0.0]),
+    (("sites", 0, "two_s"), True),
+    (("seed",), True),
+    (("seed",), 3.0),
+], ids=["nan-twist", "inf-twist", "nan-eta", "inf-eta", "nan-xi", "bool-eta", "bool-two_s",
+        "bool-seed", "float-seed"])
+def test_parse_rejects_non_finite_and_boolean_numbers(path, value):
+    bad = json.loads(MINIMAL)
+    owner = bad
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    with pytest.raises(ConfigError, match=str(path[-1])):
+        parse_config(json.dumps(bad))
+
+
+@pytest.mark.parametrize("key", ["gram", "zero"])
+@pytest.mark.parametrize("value", [-1.0, 0, float("nan"), float("inf"), True])
+def test_parse_requires_positive_finite_tolerances(key, value):
+    bad = json.loads(MINIMAL)
+    bad["tolerances"] = {key: value}
+    with pytest.raises(ConfigError, match=f"tolerances.{key} must be a finite number > 0"):
+        parse_config(json.dumps(bad))
+
+
+def test_zero_eta_is_a_config_error():
+    # eta = 0 stacks every node of a site on one point; it passed model.genericity
+    bad = json.loads(MINIMAL)
+    bad["eta"] = [0.0, 0.0]
+    with pytest.raises(ConfigError, match="eta"):
+        chain_from_config(parse_config(json.dumps(bad)))
+
+
+def test_non_finite_config_exits_2(tmp_path, capsys):
+    # a NaN twist entry used to reach the twist's eigendecomposition and crash with exit 1
+    path = tmp_path / "nan.json"
+    path.write_text(MINIMAL.replace('"a": [2.0, 0.0]', '"a": [NaN, 0.0]'))
+    assert main(["verify-algebra", "--config", str(path)]) == 2
+    assert "twist.a" in capsys.readouterr().err
 
 
 def test_parse_reports_line_of_syntax_error():
@@ -124,6 +172,11 @@ def _per_sample_ybe_rll(chain, samples):
 @pytest.mark.parametrize("samples", [0, 1, 20])
 def test_stacked_ybe_rll_match_per_sample_loop(name, samples, monkeypatch):
     chain = chain_from_config(load_config(name))
+    if samples < 1:
+        # no draw to match: the suite refuses, where an empty fold read 0.0 and passed
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            cli.suite_algebra(chain, samples)
+        return
     ybe, rll, rng = _per_sample_ybe_rll(chain, samples)
     seen = []
     for fn in ("rtt_residual", "quantum_det_residual", "symmetry_residual"):
@@ -145,6 +198,20 @@ def test_stacked_ybe_rll_match_per_sample_loop(name, samples, monkeypatch):
                for _ in range(pairs)]
             + [("symmetry_residual", (complex(random_complex(rng, box=3.0)),)) for _ in range(4)])
     assert seen == want
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_samples_below_one_are_refused(samples, capsys):
+    # an empty sample set used to fold to 0.0 and pass algebra.ybe and algebra.rll
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-algebra", "--config", "n2_mixed", "--samples", str(samples)])
+    assert exc.value.code == 2
+    assert "--samples must be at least 1" in capsys.readouterr().err
+    chain = chain_from_config(load_config("n2_mixed"))
+    rows = {c["name"]: c for c in run("verify-algebra", chain, samples=samples)["checks"]}
+    assert list(rows) == ["model.genericity", "suite_algebra.error"]
+    assert not rows["suite_algebra.error"]["passed"]
+    assert "samples must be at least 1" in rows["suite_algebra.error"]["info"]["message"]
 
 
 def _spoil(real, mode):
@@ -181,7 +248,8 @@ NAN_FOLDS = [
     ("verify-fusion", "commutator_residual", ("call", 2), "fusion.commuting_family"),
     ("verify-fusion", "fused_transfer_projector", "sample", "fusion.route_equivalence"),
     ("verify-fusion", "central_zero_residual", "sample", "fusion.central_zeros"),
-    ("verify-fusion", "tridiagonal_operator_det", ("call", 2), "fusion.tridiagonal_determinant"),
+    ("verify-fusion", "tridiagonal_operator_minors", ("call", 2),
+     "fusion.tridiagonal_determinant"),
     ("verify-fusion", "_multiset_distance", ("call", 2), "fusion.fused_twist_spectrum"),
     ("spectrum", "match_to_oracle", ("item", 1), "spectrum.oracle_match_distance"),
     ("qop", "frob", ("call", 1), "qop.method_agreement"),
@@ -232,24 +300,6 @@ def test_library_fold_keeps_a_nan_sample(monkeypatch, row):
     assert np.isnan(value)
 
 
-def test_run_tolerance_override_forces_failure():
-    chain = chain_from_config(load_config("n2_mixed"))
-    report = run("verify-algebra", chain, samples=3, tol_override=1e-30)
-    assert not report["passed"]
-
-
-def test_run_tolerance_override_keeps_the_pass_rule(monkeypatch):
-    # a NaN row stays failed under any override; rows with tolerance 0 keep it
-    chain = chain_from_config(load_config("n2_mixed"))
-    monkeypatch.setattr(cli, "rtt_residual", _spoil(cli.rtt_residual, "sample"))
-    rows = {c["name"]: c for c in run("verify-algebra", chain, samples=3,
-                                      tol_override=1e30)["checks"]}
-    assert np.isnan(rows["algebra.rtt"]["value"]) and not rows["algebra.rtt"]["passed"]
-    assert rows["model.genericity"]["tolerance"] == 0 and rows["model.genericity"]["passed"]
-    assert all(c["passed"] for name, c in rows.items() if name != "algebra.rtt")
-    assert {c["tolerance"] for name, c in rows.items() if name != "model.genericity"} == {1e30}
-
-
 def test_main_exit_codes(tmp_path):
     out = tmp_path / "report.json"
     cfg_path = tmp_path / "chain.json"
@@ -261,9 +311,14 @@ def test_main_exit_codes(tmp_path):
     assert report["passed"] and report["command"] == "verify-fusion"
     assert report["schema_version"] == 2 and "precision" not in report
 
-    # failing check -> 1
-    assert main(["verify-algebra", "--config", str(cfg_path),
-                 "--out", str(out), "--tol", "1e-30"]) == 1
+    # failing check -> 1: with k2 = 0 the spectrum suite reports an error row
+    singular = json.loads(MINIMAL)
+    singular["twist"]["d"] = [0.0, 0.0]
+    singular_path = tmp_path / "k2zero.json"
+    singular_path.write_text(json.dumps(singular))
+    with pytest.warns(SingularTwistWarning):
+        assert main(["spectrum", "--config", str(singular_path), "--out", str(out)]) == 1
+    assert not json.loads(out.read_text())["passed"]
 
     # config errors -> 2
     assert main(["spectrum", "--config", str(tmp_path / "missing.json")]) == 2
@@ -278,9 +333,10 @@ def test_main_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["basis", "--config", str(cfg_path)])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-fusion", "--config", str(cfg_path), "--precision", "double"])
-    assert exc.value.code == 2
+    for removed in (["--precision", "double"], ["--tol", "1e-30"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-fusion", "--config", str(cfg_path)] + removed)
+        assert exc.value.code == 2
 
 
 def test_basis_command_kinds(tmp_path):
@@ -485,6 +541,23 @@ def test_route_equivalence_sees_one_corrupted_sample():
         assert rows["fusion.route_equivalence"] is not fails
         assert rows["fusion.transfer_polynomiality"]
         assert rows["fusion.transfer_leading_coefficient"]
+
+
+def test_shared_recurrence_sees_one_noncommuting_sample():
+    # the tower and the bottom-up tridiagonal determinant share one recurrence; one
+    # sample's off-diagonal entry moved by 1e-8 max|T| makes T(lam) stop commuting,
+    # and each row that compares orders or routes fails (4.6e-9, 1.4e-8, 2.3e-8)
+    chain = chain_from_config(load_config("n2_mixed"))
+    rows = ("fusion.tridiagonal_determinant", "fusion.commuting_family",
+            "fusion.route_equivalence")
+    for spoil, fails in ((0.0, False), (1e-8, True)):
+        ctx = cli._RunContext(chain)
+        evaluator = ctx.evaluator()
+        samples = evaluator.samples.copy()
+        samples[0, 0, 1] += spoil * np.max(np.abs(samples[0]))
+        evaluator.samples = samples
+        passed = {c["name"]: c["passed"] for c in cli.suite_fusion(chain, ctx)}
+        assert [passed[name] for name in rows] == [not fails] * len(rows)
 
 
 def test_all_takes_each_basis_rank_once(monkeypatch):

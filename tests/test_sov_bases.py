@@ -271,7 +271,7 @@ def _shift_action_loop(basis, lams):
 def test_shift_action_report_matches_row_loop(chain123):
     chain = chain123
     rng = np.random.default_rng(12)
-    lams = ([node for _, _, node in chain.all_nodes()]
+    lams = ([chain.node(n, k) for n, site in enumerate(chain.sites) for k in range(site.dim)]
             + [complex(z) for z in random_complex(rng, size=2, box=2.5)])
     basis = sklyanin_basis(chain)
     got = shift_action_report(basis, lams)

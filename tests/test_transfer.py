@@ -14,7 +14,7 @@ from sovchain.numerics import commutator_residual, frob, random_complex
 from sovchain.transfer import (TransferEvaluator, central_zero_residual,
                                fused_transfer_projector, monodromy_matrix,
                                polynomiality_residual, quantum_det_residual, rtt_residual,
-                               symmetry_residual, transfer, tridiagonal_operator_det)
+                               symmetry_residual, transfer, tridiagonal_operator_minors)
 
 # the package re-exports the function ``transfer``, which shadows the module attribute
 transfer_module = importlib.import_module("sovchain.transfer")
@@ -120,7 +120,7 @@ def test_projector_route_uses_no_recursion(chain12, monkeypatch):
 
     monkeypatch.setattr(TransferEvaluator, "fused", forbidden)
     monkeypatch.setattr(ChainSpec, "det_q", forbidden)
-    monkeypatch.setattr(transfer_module, "tridiagonal_operator_det", forbidden)
+    monkeypatch.setattr(transfer_module, "tridiagonal_operator_minors", forbidden)
     monkeypatch.setattr(spectrum_module, "_tridiagonal_minors", forbidden)
     assert frob(fused_transfer_projector(chain12, 3, 0.3 - 0.2j)) > 0
 
@@ -287,9 +287,25 @@ def test_tridiagonal_determinant_matches_fusion(chain12, ev12):
                for i in range(level - 1)]
         sub = [-chain.twist.k2 * chain.d(lam + (level - 2 - i) * chain.eta)
                for i in range(level - 1)]
-        det = tridiagonal_operator_det(diag, sup, sub)
+        det = tridiagonal_operator_minors(diag, [p * q for p, q in zip(sup, sub)],
+                                          np.empty((level + 1, chain.dim, chain.dim), complex))[-1]
         target = ev12.fused(level, lam)[level]
         assert frob(det - target) / max(1.0, frob(target)) < 1e-9
+
+
+@pytest.mark.parametrize("m", range(0, 5))
+def test_operator_minors_are_the_scalar_minors_on_diagonal_entries(m):
+    # diagonal (so commuting) D x D entries: entry i of every minor is the scalar
+    # minor of the matrices' i-th diagonal values, up to the GEMM's rounding
+    rng = np.random.default_rng(70 + m)
+    values = random_complex(rng, size=(m, 4), box=2.0)
+    offprod = random_complex(rng, size=max(m - 1, 0), box=2.0)
+    out = np.full((m + 1, 4, 4), np.nan, dtype=complex)
+    got = tridiagonal_operator_minors((np.diag(v) for v in values), offprod, out)
+    assert got is out
+    want = spectrum_module._tridiagonal_minors(values, offprod)
+    for level in range(m + 1):
+        assert frob(got[level] - np.diag(want[level])) <= 1e-14 * max(1.0, frob(want[level]))
 
 
 def _dense_quantum_det_residual(chain, lam):
