@@ -197,7 +197,7 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10, root_f
     degree = np.max(power * (size >= 1e-9 * size.max(axis=1, keepdims=True)), axis=1)
     lead = np.take_along_axis(coeffs, degree[:, None], axis=1)
     coeffs = np.where(power <= degree[:, None], coeffs / lead, 0.0)
-    roots = [np.roots(c[d::-1]) for c, d in zip(coeffs, degree)]
+    roots = _roots_by_degree(coeffs, degree)
     bottoms = np.array([g[0, -1] for g in chain.grid])
     distances = [np.abs(r[:, None] - bottoms).min(axis=1, initial=np.inf) for r in roots]
     gap = np.array([d.min(initial=np.inf) for d in distances])
@@ -211,6 +211,21 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10, root_f
                           interp)
     return QPolynomial(chain, unstack(coeffs), unstack(degree), unstack(leftout), closure,
                        roots if shape else roots[0], unstack(gap))
+
+
+def _roots_by_degree(coeffs, degree) -> list:
+    """Each row's roots as ``np.roots(c[degree::-1])`` gives them: zero roots (from exactly-zero
+    low coefficients) last, the rest by one stacked companion-matrix ``eigvals`` per size."""
+    low = np.argmax(coeffs != 0, axis=1)    # the number of zero roots
+    roots = [None] * len(coeffs)
+    for m in sorted(set((degree - low).tolist())):
+        rows = np.flatnonzero(degree - low == m)
+        p = np.take_along_axis(coeffs[rows], low[rows, None] + np.arange(m + 1), axis=1)[:, ::-1]
+        companion = np.eye(m, k=-1, dtype=p.dtype) + np.zeros((len(rows), 1, 1), p.dtype)
+        companion[:, :1] = (-p[:, 1:] / p[:, :1])[:, None]
+        for row, r in zip(rows, np.linalg.eigvals(companion)):
+            roots[row] = np.concatenate([r, np.zeros(low[row], r.dtype)])
+    return roots
 
 
 def _worst_cancellation(terms):

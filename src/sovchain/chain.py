@@ -94,6 +94,8 @@ def _twist(k_matrix) -> Twist:
     k = np.asarray(k_matrix, dtype=CDTYPE)
     if k.shape != (2, 2):
         raise ValueError(f"twist must be 2x2, got shape {k.shape}")
+    for i, j in np.argwhere(~np.isfinite(k))[:1]:
+        raise ValueError(f"twist entry ({i}, {j}) is not finite: {k[i, j]}")
     scale = max(1.0, float(np.max(np.abs(k))))
     if np.max(np.abs(k - 0.5 * np.trace(k) * np.eye(2))) < 1e-12 * scale:
         raise SimpleSpectrumViolation("twist matrix is proportional to the identity")

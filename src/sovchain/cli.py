@@ -17,7 +17,7 @@ import importlib.resources
 import json
 import sys
 import time
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -30,12 +30,12 @@ from .chain import ChainSpec, Tolerances, _twist, fused_twist, genericity_check,
 from .errors import SovChainError
 from .local_ops import _lax_parts, kron_embed, spin_matrices
 from .numerics import CDTYPE, commutator_residual, frob, greedy_match, random_complex
-from .sov_bases import (_require_full_rank, b_eigen_report, gram_rank,
+from .sov_bases import (_require_full_rank, _tower_bases, b_eigen_report, gram_rank,
                         separate_action_report, shift_action_report, sklyanin_basis,
-                        sov_basis_1, sov_basis_2, tensor_generating_covector)
+                        sov_basis_2, tensor_generating_covector)
 from .spectrum import (OracleSpectrum, brute_force_spectrum, closed_form_solutions,
-                       eigenvector_from_sov, jacobian_smallest_sv, match_to_oracle,
-                       solve_discrete_system, wavefunction_action_report)
+                       eigenvector_from_sov, jacobian_smallest_sv, magnon_sectors,
+                       match_to_oracle, solve_discrete_system, wavefunction_action_report)
 from .transfer import (TransferEvaluator, central_zero_residual, fused_transfer_projector,
                        polynomiality_residual, quantum_det_residual, rtt_residual,
                        symmetry_residual, transfer, tridiagonal_operator_minors)
@@ -170,7 +170,8 @@ def _check(name, value, tolerance, **info):
 
 
 def _cpx(z):
-    return [float(np.real(z)), float(np.imag(z))]
+    """[re, im] of a complex number as floats; of an array, one such pair per entry."""
+    return np.stack([np.real(z), np.imag(z)], axis=-1).tolist()
 
 
 def _config_echo(chain: ChainSpec) -> dict:
@@ -231,6 +232,12 @@ class _RunContext:
     def sov2(self):
         """Second SoV basis from the default (seeded Gaussian) source."""
         return self._get("sov2", lambda: sov_basis_2(self.chain, self.evaluator()))
+
+    def sov2_with(self, source):
+        """(``sov2()``, the basis from ``source``, a covector or a function giving one), the
+        fused towers built once for both."""
+        bases = _tower_bases("sov2", self.chain, self.evaluator(), [None, source])
+        return self._values.setdefault("sov2", bases[0]), bases[1]
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +370,19 @@ def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext):
         checks.append(_check("basis.sklyanin.a_shift", report["a_action"], 1e-8))
         checks.append(_check("basis.sklyanin.d_shift", report["d_action"], 1e-8))
     elif kind == "sov1":
-        evaluator = ctx.evaluator()
-        checks.append(_rank_row("basis.sov1.rank_deficit",
-                                sov_basis_1(chain, evaluator)))
-        tensor = tensor_generating_covector(chain)
-        checks.append(_rank_row("basis.sov1.tensor_source_rank_deficit",
-                                sov_basis_1(chain, evaluator, source=tensor)))
+        # the default and the tensor source share one build of the charges' powers
+        basis, tensor = _tower_bases("sov1", chain, ctx.evaluator(),
+                                     [None, partial(tensor_generating_covector, chain)])
+        checks.append(_rank_row("basis.sov1.rank_deficit", basis))
+        checks.append(_rank_row("basis.sov1.tensor_source_rank_deficit", tensor))
     elif kind == "sov2":
-        evaluator = ctx.evaluator()
-        basis = ctx.sov2()
+        top = tuple(site.two_s for site in chain.sites)
+        basis, ident = ctx.sov2_with(lambda: ctx.sklyanin().row(top))
         checks.append(_rank_row("basis.sov2.rank_deficit", basis))
         checks.append(_check("basis.sov2.separate_action",
-                             separate_action_report(basis, evaluator), 1e-8))
-        skl = ctx.sklyanin()
-        top = tuple(site.two_s for site in chain.sites)
-        ident = sov_basis_2(chain, evaluator, source=skl.row(top))
+                             separate_action_report(basis, ctx.evaluator()), 1e-8))
         checks.append(_check("basis.sov2.sklyanin_identification",
-                             _basis_difference(ident, skl), 1e-7))
+                             _basis_difference(ident, ctx.sklyanin()), 1e-7))
     elif kind == "q":
         qop = ctx.q_operator()
         skl = ctx.sklyanin()
@@ -413,9 +416,9 @@ def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
     oracle = ctx.oracle()
     stack = oracle.t
     checks.append(_check("spectrum.oracle_discrete_residual", np.max(stack.discrete_residual),
-                         1e-8))
+                         1e-8, off_sector=oracle.off_sector))
 
-    solutions, diag = solve_discrete_system(chain, seeds=stack.x)
+    solutions, diag = solve_discrete_system(chain, seeds=stack)
     checks.append(_check("spectrum.count_mismatch", abs(len(solutions) - chain.dim), 0,
                          newton_iterations=diag["newton_iterations"]))
     _, dists, bijection = match_to_oracle(solutions, oracle)
@@ -448,7 +451,9 @@ def _closed_form_vs_oracle(chain: ChainSpec) -> float:
     degenerate = make_chain(chain.eta, [(s.two_s, s.xi) for s in chain.sites],
                             twist, tolerances=chain.tolerances, seed=chain.seed)
     lam0 = complex(random_complex(degenerate.rng(10), box=2.0)) + 0.25j
-    vals = np.linalg.eigvals(transfer(degenerate, lam0))
+    t = transfer(degenerate, lam0)   # a diagonal twist conserves the magnon sectors
+    vals = np.concatenate([np.linalg.eigvals(t[np.ix_(m, m)])
+                           for m in magnon_sectors(degenerate)])
     want = closed_form_solutions(degenerate)(lam0)
     return _multiset_distance(vals, want) / max(1.0, float(np.max(np.abs(want))))
 
@@ -464,11 +469,10 @@ def suite_baxter(chain: ChainSpec, ctx: _RunContext):
     n = chain.n_sites
     draws = chain.rng(400).uniform(-3.0, 3.0, size=(len(stack), 6 * n + 8))
     max_deg = int(q.degree.max())
-    sectors = reduce(np.convolve, [np.ones(site.dim, dtype=int) for site in chain.sites])
     checks.append(_check("baxter.degree_budget_excess", max(0, max_deg - chain.n_s), 0,
                          max_degree=max_deg,
                          degree_histogram=np.bincount(q.degree, minlength=chain.n_s + 1).tolist(),
-                         magnon_sector_counts=sectors.tolist()))
+                         magnon_sector_counts=[len(m) for m in magnon_sectors(chain)]))
     checks.append(_check("baxter.nontrivial_degree", 1.0 if max_deg < 1 else 0.0, 0))
     checks.append(_check("baxter.interpolation_leftout",
                          np.max(q.leftout_residual), 1e-9))
@@ -581,10 +585,9 @@ def run(command: str, chain: ChainSpec, samples=20, basis_kind=None) -> dict:
 
 def _spectrum_table(ctx: _RunContext):
     oracle = ctx.oracle()
-    return [{"x": [_cpx(z) for z in x], "value_at_probe": _cpx(value),
-             "discrete_residual": float(residual)}
-            for x, value, residual in zip(oracle.t.x, oracle.value_at_lam0,
-                                          oracle.t.discrete_residual)]
+    return [{"x": x, "value_at_probe": value, "discrete_residual": residual}
+            for x, value, residual in zip(_cpx(oracle.t.x), _cpx(oracle.value_at_lam0),
+                                          oracle.t.discrete_residual.tolist())]
 
 
 def render_report(report: dict) -> str:

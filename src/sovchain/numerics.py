@@ -38,17 +38,16 @@ def greedy_match(got, want):
     nearest match is a bijection (then it is this pairing). A repeated
     wanted value leaves the flag False but its distances small.
     """
-    got = np.asarray(got)
-    free = np.ones(len(got), dtype=bool)
-    indices, gaps, nearest = [], [], len(got) == len(want)
-    for w in np.asarray(want):
-        dist = np.abs(got - w).reshape(len(got), -1).max(axis=1)
-        j = int(np.argmin(np.where(free, dist, np.inf)))
-        nearest &= j == int(np.argmin(dist))
-        free[j] = False
-        indices.append(j)
-        gaps.append(dist[j])
-    return indices, np.array(gaps), nearest
+    got, want = (np.reshape(v, (len(v), np.prod(np.shape(v)[1:], dtype=int))) for v in (got, want))
+    dist = np.zeros((len(want), len(got)))   # dist[i, j]: want[i] to got[j], one column at a time
+    for k in range(got.shape[1]):
+        np.maximum(dist, np.abs(want[:, k, None] - got[:, k]), out=dist)
+    free, indices = np.ones(len(got), dtype=bool), []
+    for row in dist:
+        indices.append(int(np.argmin(np.where(free, row, np.inf))))
+        free[indices[-1]] = False
+    nearest = len(got) == len(want) and indices == [int(np.argmin(row)) for row in dist]
+    return indices, dist[np.arange(len(want)), indices], nearest
 
 
 def lagrange_cardinal(nodes, j, lam):

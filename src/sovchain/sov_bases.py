@@ -96,16 +96,20 @@ def sklyanin_norm(chain: ChainSpec) -> complex:
     return out
 
 
-def _site_product_rows(source, per_site) -> np.ndarray:
+def _site_product_rows(source, per_site):
     """Rows source @ per_site[0][h_0] @ ... @ per_site[N-1][h_{N-1}], h lexicographic.
 
     One site at a time: each (site, level) operator multiplies every row
-    built so far in a single matrix product.
+    built so far in a single matrix product. A (S, D) ``source`` gives a list
+    of S row sets, one product per source and operator; ``per_site`` may be
+    an iterator, so each site's operators are built when read and dropped
+    once every source has passed them.
     """
-    rows = np.asarray(source, dtype=CDTYPE)[None, :]
+    source = np.asarray(source, dtype=CDTYPE)
+    rows = [s[None, :] for s in np.atleast_2d(source)]
     for ops in per_site:
-        rows = np.stack([rows @ op for op in ops], axis=1).reshape(-1, rows.shape[1])
-    return rows
+        rows = [np.stack([r @ op for op in ops], axis=1).reshape(-1, r.shape[1]) for r in rows]
+    return rows if source.ndim > 1 else rows[0]
 
 
 def _acting_blocks(chain: ChainSpec, lam: complex):
@@ -160,16 +164,7 @@ def sov_basis_1(chain: ChainSpec, evaluator: TransferEvaluator, source=None) -> 
     Row h applies (T^(2s_n) at the next-to-bottom node of site n)^(h_n) to the
     generating covector. Default source: seeded complex-Gaussian covector.
     """
-    twist = chain.twist
-    if not twist.invertible:
-        raise ValueError("this construction requires an invertible twist")
-    charges = [evaluator.fused(site.two_s, chain.node(n, site.two_s - 1))[-1].copy()
-               for n, site in enumerate(chain.sites)]   # a copy frees the rest of the tower
-    if source is None:
-        source = _gaussian_covector(chain, salt=1)
-    rows = _site_product_rows(source, [[np.linalg.matrix_power(c, h) for h in range(site.dim)]
-                                       for c, site in zip(charges, chain.sites)])
-    return CovectorBasis(rows=rows, kind="sov1", chain=chain, source=np.asarray(source))
+    return _tower_bases("sov1", chain, evaluator, [source])[0]
 
 
 def sov_basis_2(chain: ChainSpec, evaluator: TransferEvaluator, source=None) -> CovectorBasis:
@@ -179,18 +174,31 @@ def sov_basis_2(chain: ChainSpec, evaluator: TransferEvaluator, source=None) -> 
     k2^(h_n - 2s_n) T^(2s_n - h_n)(bottom node) over the partial product of
     d at the nodes above h_n. Row h = (2s_1..2s_N) is the source itself.
     """
-    twist = chain.twist
-    if not twist.invertible:
+    return _tower_bases("sov2", chain, evaluator, [source])[0]
+
+
+def _tower_bases(kind: str, chain: ChainSpec, evaluator: TransferEvaluator, sources) -> list:
+    """The ``kind`` basis ("sov1" or "sov2") from each source: a covector, None for the
+    default, or a function giving one (called after the twist check). Each site's
+    operators are built once for all sources and freed before the next site's."""
+    if not chain.twist.invertible:
         raise ValueError("this construction requires an invertible twist")
-    if source is None:
-        source = _gaussian_covector(chain, salt=2)
-    per_site = []
-    for n, site in enumerate(chain.sites):
-        tower = evaluator.fused(site.two_s, chain.node(n, site.two_s))
-        denoms = _tower_denominators(chain, n)
-        per_site.append([tower[site.two_s - hn] / denoms[hn] for hn in range(site.dim)])
-    return CovectorBasis(rows=_site_product_rows(source, per_site), kind="sov2", chain=chain,
-                         source=np.asarray(source))
+
+    def per_site():   # one site's operators alive at a time
+        for n, site in enumerate(chain.sites):
+            if kind == "sov1":
+                charge = evaluator.fused(site.two_s, chain.node(n, site.two_s - 1))[-1]
+                yield [np.linalg.matrix_power(charge, h) for h in range(site.dim)]
+            else:
+                tower = evaluator.fused(site.two_s, chain.node(n, site.two_s))
+                denoms = _tower_denominators(chain, n)
+                yield [tower[site.two_s - hn] / denoms[hn] for hn in range(site.dim)]
+
+    salt = {"sov1": 1, "sov2": 2}[kind]
+    sources = [_gaussian_covector(chain, salt) if s is None
+               else np.asarray(s() if callable(s) else s) for s in sources]
+    return [CovectorBasis(rows=rows, kind=kind, chain=chain, source=source)
+            for rows, source in zip(_site_product_rows(np.array(sources), per_site()), sources)]
 
 
 def tensor_generating_covector(chain: ChainSpec, salt=3) -> np.ndarray:

@@ -23,9 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, _tower_denominators
+from .chain import ChainSpec, _tower_denominators, fused_twist
 from .errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
-from .numerics import CDTYPE, _Barycentric, greedy_match, random_complex
+from .local_ops import kron_chain
+from .numerics import CDTYPE, _Barycentric, frob, greedy_match, random_complex
 from .sov_bases import _node_grid, _separate_action_residual
 from .transfer import TransferEvaluator, transfer
 
@@ -35,6 +36,7 @@ __all__ = [
     "brute_force_spectrum",
     "discrete_residuals",
     "jacobian_smallest_sv",
+    "magnon_sectors",
     "solve_discrete_system",
     "closed_form_solutions",
     "match_to_oracle",
@@ -112,42 +114,112 @@ class TransferPolynomial:
         """Largest |discrete_residuals(self)| entry per row; computed on first access and kept."""
         return np.max(np.abs(discrete_residuals(self)), axis=-1)
 
+    @cached_property
+    def system(self) -> _DiscreteSystem:
+        """The chain's discrete system, kept; Newton's solutions from this stack share it."""
+        return _DiscreteSystem(self.chain)
+
 
 @dataclass
 class OracleSpectrum:
     """The brute-force oracle's spectrum, row i of ``t`` the eigenvalue of
     column i of ``vectors`` (right eigenvectors), row i of ``left`` (the
-    inverse of ``vectors``) and entry i of ``value_at_lam0``."""
+    inverse of ``vectors``) and entry i of ``value_at_lam0``; ``off_sector``
+    is the largest off-sector part of a G^-1 T G, relative to ||T||."""
 
     t: TransferPolynomial
     vectors: np.ndarray
     left: np.ndarray
     value_at_lam0: np.ndarray
+    off_sector: float = 0.0
 
 
 def brute_force_spectrum(chain: ChainSpec) -> OracleSpectrum:
-    """Independent oracle: dense diagonalization of T at one generic point.
+    """Independent oracle: dense diagonalization of T at one generic point, sector by sector.
 
-    T is built by the kernel (``transfer``), not read from an interpolant.
-    Node values are read off each eigenpair as left . T(node) . right, all
-    D pairs at once per node: one stacked vector-matrix product, then one
-    stacked dot, each pair through the same BLAS calls as alone. Raises
+    Each T is built by the kernel (``transfer``) and taken into the twist's
+    eigenframe G (``_eigenframe``), where it conserves the magnon number M.
+    Each sector block is diagonalized alone: V = G V_d, left = V_d^-1 G^-1, and
+    the node values are diag(V_d^-1 (G^-1 T(node) G) V_d) per block. Raises
     NearDegenerateSpectrum when the eigenvalue gap at the probe point falls
-    under tolerance (re-seed the chain in that case).
+    under tolerance (re-seed the chain then), and ResidualTooLarge when an
+    off-sector part exceeds 1e-10 relative to ||T||, the gate of the same
+    invariance in ``algebra.twist_symmetry``: it is roundoff (about 1e-15) in
+    a correct frame, and a 1e-9 error in one entry of W makes it about 4e-10.
     """
     lam0 = complex(random_complex(chain.rng(10), box=2.0)) + 0.25j
-    vals, vecs = np.linalg.eig(transfer(chain, lam0))
+    g, g_inv = _eigenframe(chain)
+    sectors = magnon_sectors(chain)
+    perm, sizes = np.concatenate(sectors), [len(m) for m in sectors]
+    blocks = [slice(hi - n, hi) for hi, n in zip(np.cumsum(sizes), sizes)]
+    outside = np.repeat(np.arange(len(sizes)), sizes)
+    outside, off_sector = outside[:, None] != outside, []
+
+    def in_frame(lam):   # G^-1 T(lam) G, the basis in sector order
+        t = transfer(chain, lam)
+        framed = _kron_apply(g_inv, _kron_apply([f.T for f in g], t.T).T)[np.ix_(perm, perm)]
+        off_sector.append(frob(framed[outside]) / max(1.0, frob(t)))
+        if off_sector[-1] > 1e-10:
+            raise ResidualTooLarge(f"off-sector part {off_sector[-1]:.3e} of T({lam}) in the "
+                                   "twist eigenframe")
+        return framed
+
+    t0 = in_frame(lam0)
+    vals, vecs = zip(*(np.linalg.eig(t0[b, b]) for b in blocks))
+    vals = np.concatenate(vals)
     order = np.lexsort((vals.imag, vals.real))
-    vals, vecs = vals[order], vecs[:, order]
+    vals = vals[order]
     scale = 1.0 + float(np.max(np.abs(vals)))
     gaps = np.abs(vals[:, None] - vals[None, :]) + np.eye(len(vals)) * scale
     if gaps.min() < chain.tolerances.zero * scale:
         raise NearDegenerateSpectrum(
             f"min eigenvalue gap {gaps.min():.3e} at probe point {lam0}")
-    left = np.linalg.inv(vecs)
-    xs = np.array([(left[:, None] @ transfer(chain, chain.node(a, 0)) @ vecs.T[..., None])
-                   [:, 0, 0] for a in range(chain.n_sites)]).T.copy()
-    return OracleSpectrum(TransferPolynomial(chain, xs), np.ascontiguousarray(vecs), left, vals)
+    invs = [np.linalg.inv(v) for v in vecs]
+    xs = np.empty((chain.dim, chain.n_sites), dtype=CDTYPE)
+    for a in range(chain.n_sites):
+        t = in_frame(chain.node(a, 0))
+        for b, v, inv in zip(blocks, vecs, invs):
+            xs[b, a] = np.sum((inv @ t[b, b]) * v.T, axis=1)
+    vd, left_d = np.zeros((2, chain.dim, chain.dim), dtype=CDTYPE)
+    for b, v, inv in zip(blocks, vecs, invs):
+        vd[perm[b], b], left_d[b, perm[b]] = v, inv
+    left = _kron_apply([f.T for f in g_inv], left_d[order].T).T
+    return OracleSpectrum(TransferPolynomial(chain, xs[order]), _kron_apply(g, vd[:, order]),
+                          np.ascontiguousarray(left), vals, max(off_sector))
+
+
+def magnon_sectors(chain: ChainSpec) -> list:
+    """Basis indices of each magnon sector, M = sum_n h_n lowered spins for M = 0..n_s."""
+    sector = np.indices(chain.dims).reshape(chain.n_sites, -1).sum(axis=0)
+    return [np.flatnonzero(sector == m) for m in range(chain.n_s + 1)]
+
+
+def _eigenframe(chain: ChainSpec):
+    """Two Kronecker factors each of G = (x)_n fused_twist(W, 2s_n) and G^-1, K = W diag(k) W^-1.
+
+    By the GL(2) invariance of L, G^-1 T G is T of the twist diag(k1, k2).
+    Factors of about sqrt(D) keep the GEMMs few and small; a diagonal twist
+    has none. NearDegenerateSpectrum for a Jordan twist (k1 = k2).
+    """
+    twist = chain.twist
+    if twist.matrix[0, 1] == 0 and twist.matrix[1, 0] == 0:
+        return [], []
+    if abs(twist.k1 - twist.k2) <= chain.tolerances.zero * max(abs(twist.k1), abs(twist.k2)):
+        raise NearDegenerateSpectrum(f"twist eigenvalues {twist.k1} and {twist.k2} coincide: "
+                                     "a Jordan twist has no eigenframe")
+    cut = int(np.searchsorted(np.cumprod(chain.dims), np.sqrt(chain.dim))) + 1
+    w = np.linalg.eig(twist.matrix)[1]
+    sites = [[fused_twist(m, site.two_s) for site in chain.sites] for m in (w, np.linalg.inv(w))]
+    return [[kron_chain(f[:cut]), kron_chain(f[cut:])] for f in sites]
+
+
+def _kron_apply(factors, x) -> np.ndarray:
+    """(F_1 (x) ... (x) F_m) @ x for a (D, k) array x, one factor at a time."""
+    out, pre = x, 1
+    for f in factors:
+        out = np.matmul(f, out.reshape(pre, len(f), -1))
+        pre *= len(f)
+    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +250,7 @@ def _fused_tower(t: TransferPolynomial, lam: complex, top: int) -> np.ndarray:
 
 def discrete_residuals(t: TransferPolynomial) -> np.ndarray:
     """Per-site determinants of the discrete system, scale-normalized; (..., N) for t's rows."""
-    res, scales = _DiscreteSystem(t.chain).residual(t.x)
+    res, scales = t.system.residual(t.x)
     return res / scales
 
 
@@ -241,10 +313,10 @@ def jacobian_smallest_sv(solutions: TransferPolynomial) -> float:
     Each value is over max(1, largest). The Jacobian is that of the
     scale-normalized residual res / scales that Newton tests (row n divided
     by site n's magnitude scale, held fixed), so rescaling one site's
-    equation leaves the value unchanged. One discrete system serves all t:
-    their Jacobians form one (D, N, N) array with one batched SVD.
+    equation leaves the value unchanged. One discrete system (``system``)
+    serves all t: their Jacobians form one (D, N, N) array with one batched SVD.
     """
-    system = _DiscreteSystem(solutions.chain)
+    system = solutions.system
     _, scales = system.residual(solutions.x)
     sv = np.linalg.svd(system.jacobian(solutions.x) / scales[..., None], compute_uv=False)
     return float(np.min(sv[..., -1] / np.maximum(1.0, sv[..., 0])))
@@ -266,8 +338,9 @@ def closed_form_solutions(chain: ChainSpec) -> TransferPolynomial:
 def solve_discrete_system(chain: ChainSpec, seeds=None):
     """All solutions of the discrete system, refined by damped Newton.
 
-    Seeds default to the brute-force oracle node values (the honest check is
-    that Newton converges from them and the refined set is complete). All
+    Seeds, a stack or its node values, default to the brute-force oracle's
+    (the honest check is that Newton converges from them and the refined set
+    is complete); the solutions share the seeds' ``system``. All
     seeds are tested in one residual pass; each seed above 1e-13 gets at
     most 50 steps to bring the scale-normalized residual under 1e-13;
     converged duplicates are collapsed (``_dedup``). With a
@@ -283,10 +356,10 @@ def solve_discrete_system(chain: ChainSpec, seeds=None):
             raise CountMismatch(f"{len(sols)} solutions != dim {chain.dim}")
         return sols, diag
 
-    if seeds is None:
-        seeds = brute_force_spectrum(chain).t.x
-    system = _DiscreteSystem(chain)
-    xs = np.array(seeds, dtype=CDTYPE)
+    seeds = brute_force_spectrum(chain).t if seeds is None else seeds
+    if not isinstance(seeds, TransferPolynomial):
+        seeds = TransferPolynomial(chain, seeds)
+    system, xs = seeds.system, seeds.x.copy()
     res, scales = system.residual(xs)
     converged = np.max(np.abs(res) / scales, axis=-1) < 1e-13
     total_iters = 0
@@ -325,7 +398,9 @@ def solve_discrete_system(chain: ChainSpec, seeds=None):
         raise CountMismatch(
             f"found {len(distinct)} distinct solutions, expected {chain.dim}")
     order = np.lexsort((distinct[:, 0].imag, distinct[:, 0].real))
-    return TransferPolynomial(chain, distinct[order]), diag
+    solutions = TransferPolynomial(chain, distinct[order])
+    solutions.system = system
+    return solutions, diag
 
 
 def _dedup(xs):

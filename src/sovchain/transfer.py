@@ -84,7 +84,8 @@ def _lax_legs(site_ops, start, twist=None, close=None, bufs=None) -> np.ndarray:
     ops = list(site_ops)
     for left in (twist, close):
         if left is not None:
-            ops[-1] = np.tensordot(left, ops[-1], axes=(1, 0))
+            op = ops[-1]
+            ops[-1] = np.dot(left, op.reshape(left.shape[1], -1)).reshape(-1, *op.shape[1:])
     legs = [ops[-1].shape[0], *(d for op in reversed(ops) for d in op.shape[1::2]), start.shape[1]]
     last, prod = ops.pop() if close is not None else None, start
     writes = len(ops) + (0 if last is None else 2)
@@ -124,8 +125,8 @@ def _aux_product(factors) -> np.ndarray:
     op = factors[0]
     for x in factors[1:]:
         a, d = op.shape[:2]
-        op = np.tensordot(op, x, axes=(3, 1)).transpose(0, 3, 1, 2, 4, 5)
-        op = op.reshape(2 * a, d, 2 * a, d)
+        op = np.dot(op.reshape(-1, d), x.transpose(1, 0, 2, 3).reshape(d, -1))
+        op = op.reshape(a, d, a, 2, 2, d).transpose(0, 3, 1, 2, 4, 5).reshape(2 * a, d, 2 * a, d)
     return op
 
 
@@ -156,7 +157,8 @@ class TransferEvaluator:
 
     def transfer(self, lam: complex) -> np.ndarray:
         lam = complex(lam)
-        out = np.tensordot(self._interp.cardinals(lam), self.samples, axes=1)
+        flat = self.samples.reshape(len(self.samples), -1)
+        out = np.dot(self._interp.cardinals(lam)[None], flat).reshape(self.samples.shape[1:])
         out.flat[::self.chain.dim + 1] += self.chain.twist.trace * np.prod(lam - self._interp.nodes)
         return out
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rows
 from sovchain.baxter import (_closure_system, _Interpolation, _require_regular_closure,
-                             _worst_cancellation, build_q_operator, default_zeta,
+                             _roots_by_degree, _worst_cancellation, build_q_operator, default_zeta,
                              q_operator_commutation_residual, q_operator_invertibility,
                              q_operator_tq_residual, solve_q_polynomial, sov_from_q,
                              sov_q_factorization, tq_residual, wronskian_values)
@@ -121,6 +121,20 @@ def test_no_root_on_bottom_nodes(chain12):
     assert np.all(qpoly.root_gap > 1e-6)
     for roots, gap in zip(qpoly.roots, qpoly.root_gap):
         assert gap == np.min(np.abs(roots[:, None] - bottoms), initial=np.inf)
+
+
+def test_roots_by_degree_equal_np_roots_bitwise(chain112):
+    q = solve_q_polynomial(brute_force_spectrum(chain112).t)
+    # degree 0, exactly-zero low coefficients (roots at 0), and zeros in between
+    extra = np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 2 - 1j, 1, 0],
+                      [0, 0, 0, 0, 1], [3, 0, 0, 1, 0], [0.5j, 2, -1, 0.25, 1]], dtype=complex)
+    coeffs = np.concatenate([q.coeffs, extra])   # n_s = 4: five coefficients per row
+    degree = np.concatenate([q.degree, [0, 1, 3, 4, 3, 4]])
+    got = _roots_by_degree(coeffs, degree)
+    for c, d, roots in zip(coeffs, degree, got):
+        want = np.roots(c[d::-1])
+        assert len(roots) == d and np.array_equal(roots, want)
+    assert all(np.array_equal(a, b) for a, b in zip(q.roots, got))
 
 
 def test_wronskian_hand_values(chain12):

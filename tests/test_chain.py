@@ -171,6 +171,15 @@ def test_genericity_rejects_zero_and_non_finite_parameters(eta, xi, match):
         make_chain(eta, [(1, xi), (2, 2.7 + 1.1j)], TWIST_FULL)
 
 
+@pytest.mark.parametrize("entry", [complex("nan"), complex("inf"), complex(0, float("-inf"))])
+def test_non_finite_twist_entry_is_a_value_error(entry):
+    twist = [[0.9, 0.3], [0.2, entry]]
+    with pytest.raises(ValueError, match=r"twist entry \(1, 1\) is not finite"):
+        make_chain(1.0, [(1, 0.0), (1, 2.5 + 1j)], twist)
+    with pytest.raises(ValueError, match=r"twist entry \(1, 1\) is not finite"):
+        random_chain([1, 2], 1.0, twist, seed=3)
+
+
 def test_random_chain_generic():
     chain = random_chain([1, 2], 1.0, TWIST_FULL, seed=0, box=5.0)
     assert genericity_check(chain)["ok"]

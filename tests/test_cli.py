@@ -581,6 +581,17 @@ def test_all_takes_each_basis_rank_once(monkeypatch):
     assert sorted(calls) == ["q_generated", "sklyanin", "sov1", "sov1", "sov2"]
 
 
+@pytest.mark.parametrize("kind", ["sov1", "sov2"])
+def test_basis_command_builds_each_site_tower_once(monkeypatch, kind):
+    # the two sources of a tower basis share one build of its per-site operators
+    towers, fused = [], TransferEvaluator.fused
+    monkeypatch.setattr(TransferEvaluator, "fused",
+                        lambda self, top, lam: towers.append(lam) or fused(self, top, lam))
+    chain = chain_from_config(load_config("n3_mixed"))
+    assert run("basis", chain, basis_kind=kind)["passed"]
+    assert len(towers) == chain.n_sites
+
+
 def test_q_basis_still_validates_the_sklyanin_basis(monkeypatch):
     build = cli.sklyanin_basis
 

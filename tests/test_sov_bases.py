@@ -7,7 +7,7 @@ from sovchain.errors import DegenerateBasis
 from sovchain.local_ops import kron_chain
 from sovchain.numerics import commutator_residual, frob, random_complex
 from sovchain.sov_bases import (CovectorBasis, _acting_blocks, _require_full_rank,
-                                _site_product_rows, b_eigen_report, gram_rank,
+                                _site_product_rows, _tower_bases, b_eigen_report, gram_rank,
                                 separate_action_report,
                                 shift_action_report, sklyanin_basis, sklyanin_norm,
                                 sov_basis_1, sov_basis_2, tensor_generating_covector)
@@ -113,6 +113,16 @@ def test_sov_basis_1_tensor_source(chain12, ev12):
     source = tensor_generating_covector(chain12)
     basis = sov_basis_1(chain12, source=source, evaluator=ev12)
     assert gram_rank(basis)[0] == chain12.dim
+
+
+@pytest.mark.parametrize("kind", ["sov1", "sov2"])
+def test_shared_operator_bases_equal_single_source_calls_bitwise(chain112, ev112, kind):
+    single = {"sov1": sov_basis_1, "sov2": sov_basis_2}[kind]
+    sources = [None, tensor_generating_covector(chain112)]
+    for basis, source in zip(_tower_bases(kind, chain112, ev112, sources), sources):
+        want = single(chain112, ev112, source=source)
+        assert basis.kind == want.kind == kind
+        assert np.array_equal(basis.rows, want.rows) and np.array_equal(basis.source, want.source)
 
 
 def test_spin4_tensor_covector_is_accepted_whatever_the_twist_scale():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import TWIST_FULL, rows
-from sovchain.chain import Tolerances, random_chain
-from sovchain.cli import chain_from_config, load_config
+from sovchain.chain import Tolerances, make_chain, random_chain
+from sovchain.cli import chain_from_config, load_config, run
 from sovchain.errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
-from sovchain.numerics import frob, lagrange_cardinal, random_complex
+from sovchain.numerics import frob, greedy_match, lagrange_cardinal, random_complex
 from sovchain.spectrum import (TransferPolynomial, _dedup, _DiscreteSystem, _fused_tower,
                                _site_product, _sov2_array, _tridiagonal_minors,
                                brute_force_spectrum, closed_form_solutions, discrete_residuals,
@@ -49,14 +49,81 @@ def test_transfer_polynomial_len_counts_rows(chain12):
 @pytest.mark.parametrize("name", ["n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22",
                                   "n3_mixed"])
 def test_oracle_node_values_equal_the_per_record_products_bitwise(name):
-    # the oracle reads the kernel-built T at each node, never an evaluator's interpolant
+    # the oracle reads the kernel-built T at each node, never an evaluator's interpolant;
+    # it reads them per sector block in the twist's eigenframe, so they equal the
+    # per-row products left . T(node) . right to 1e-13 relative, not bit for bit
     chain = chain_from_config(load_config(name))
     oracle = brute_force_spectrum(chain)
     for i, x in enumerate(oracle.t.x):
         vector = np.ascontiguousarray(oracle.vectors[:, i])
-        want = [oracle.left[i] @ transfer(chain, chain.node(a, 0)) @ vector
-                for a in range(chain.n_sites)]
-        assert np.array_equal(x, want)
+        want = np.array([oracle.left[i] @ transfer(chain, chain.node(a, 0)) @ vector
+                         for a in range(chain.n_sites)])
+        assert np.max(np.abs(x - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def _dense_oracle(chain):
+    """Reference: one dense eig of the kernel-built T at the oracle's probe point, the node
+    values read per eigenpair as left . T(node) . right."""
+    lam0 = complex(random_complex(chain.rng(10), box=2.0)) + 0.25j
+    vals, vecs = np.linalg.eig(transfer(chain, lam0))
+    left = np.linalg.inv(vecs)
+    nodes = [transfer(chain, chain.node(a, 0)) for a in range(chain.n_sites)]
+    return vals, np.array([[left[i] @ t @ vecs[:, i] for t in nodes] for i in range(len(vals))])
+
+
+REFERENCE_CHAINS = ["n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22", "n3_mixed",
+                    (1,) * 6, (3, 3), (2, 2, 2, 2)]
+
+
+def _reference_chain(spec):
+    if isinstance(spec, str):
+        return chain_from_config(load_config(spec))
+    return random_chain(spec, 1.0, TWIST_FULL, seed=7)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_CHAINS, ids=str)
+def test_sector_oracle_matches_the_dense_eig(spec):
+    chain = _reference_chain(spec)
+    oracle = brute_force_spectrum(chain)
+    vals, xs = _dense_oracle(chain)
+    _, gaps, _ = greedy_match(oracle.value_at_lam0, vals)
+    assert np.max(gaps) <= 1e-12 * np.max(np.abs(vals))
+    _, gaps, _ = greedy_match(oracle.t.x, xs)
+    assert np.max(gaps) <= 1e-12 * np.max(np.abs(xs))
+    assert np.allclose(oracle.vectors @ oracle.left, np.eye(chain.dim), atol=1e-12)
+    assert oracle.off_sector < 1e-14
+
+
+def _skewed_frame(monkeypatch, chain, i, j):
+    """Scale entry (i, j) of the twist eigenframe W the oracle reads by 1 + 1e-9."""
+    eig = np.linalg.eig
+
+    def skewed(a):
+        vals, vecs = eig(a)
+        if a is chain.twist.matrix:
+            vecs = vecs.copy()
+            vecs[i, j] *= 1 + 1e-9
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eig", skewed)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("spec", ["n2_mixed", (1,) * 6], ids=str)
+def test_frame_mutation_trips_the_off_sector_guard(monkeypatch, spec, entry):
+    chain = _reference_chain(spec)
+    _skewed_frame(monkeypatch, chain, *entry)
+    with pytest.raises(ResidualTooLarge, match="off-sector"):
+        brute_force_spectrum(chain)
+    errors = [c for c in run("spectrum", chain)["checks"] if not c["passed"]]
+    assert [c["name"] for c in errors] == ["suite_spectrum.error"]
+
+
+def test_jordan_twist_raises_near_degenerate_before_any_eig(monkeypatch):
+    chain = make_chain(1.0, [(1, 0.3 - 1.2j), (2, 2.9 + 0.8j)], [[1.0, 1.0], [0.0, 1.0]])
+    monkeypatch.setattr(np.linalg, "eig", lambda a: pytest.fail("eig called"))
+    with pytest.raises(NearDegenerateSpectrum, match="Jordan"):
+        brute_force_spectrum(chain)
 
 
 def test_oracle_x_tuples_distinct(chain12):
@@ -466,7 +533,7 @@ def test_jacobian_regularity_fires_on_singular_jacobian(chain112, monkeypatch):
 
 
 def test_jacobian_regularity_builds_one_system(chain112, monkeypatch):
-    solutions, _ = solve_discrete_system(chain112)
+    # one system per run: the oracle's discrete residual, Newton and the Jacobian row share it
     built = []
     init = _DiscreteSystem.__init__
 
@@ -475,8 +542,14 @@ def test_jacobian_regularity_builds_one_system(chain112, monkeypatch):
         init(self, chain)
 
     monkeypatch.setattr(_DiscreteSystem, "__init__", counting_init)
-    jacobian_smallest_sv(solutions)
+    report = run("all", chain112)
     assert len(built) == 1
+    assert {c["name"] for c in report["checks"]} >= {"spectrum.oracle_discrete_residual",
+                                                    "spectrum.jacobian_regularity"}
+    solutions, _ = solve_discrete_system(chain112)
+    assert len(built) == 2
+    jacobian_smallest_sv(solutions)
+    assert len(built) == 2
 
 
 def test_match_to_oracle_flags_a_shared_nearest_solution(chain12):
