@@ -277,7 +277,7 @@ def random_chain(two_s_list, eta, twist, seed=0, box=5.0, tolerances=None,
     raise GenericityViolation(f"no generic draw found in {max_tries} tries")
 
 
-def genericity_check(chain: ChainSpec) -> dict:
+def genericity_check(chain: ChainSpec) -> None:
     """Verify xi_a != xi_b mod eta over the protected shift window.
 
     The window covers every node coincidence any fused formula can probe:
@@ -292,8 +292,6 @@ def genericity_check(chain: ChainSpec) -> dict:
     if abs(chain.eta) <= tol:
         raise GenericityViolation(f"|eta| = {abs(chain.eta):.3e} is within tolerance of 0")
     window = 2 * max(site.two_s for site in chain.sites) + 1
-    min_sep = np.inf
-    pairs = 0
     for a in range(chain.n_sites):
         for b in range(chain.n_sites):
             if a == b:
@@ -301,8 +299,6 @@ def genericity_check(chain: ChainSpec) -> dict:
             diff = chain.sites[a].xi - chain.sites[b].xi
             for k in range(-window, window + 1):
                 sep = abs(diff - k * chain.eta)
-                pairs += 1
-                min_sep = min(min_sep, sep)
                 if sep <= tol:
                     raise GenericityViolation(
                         f"xi_{a} - xi_{b} = {k} * eta within tolerance "
@@ -313,7 +309,6 @@ def genericity_check(chain: ChainSpec) -> dict:
     for i, j in np.argwhere(np.triu(np.abs(nodes[:, None] - nodes) <= tol, 1))[:1]:
         raise GenericityViolation("grid nodes collide: site {} node {} vs site {} node {}"
                                   .format(*index[i], *index[j]))
-    return {"ok": True, "pairs_checked": pairs, "min_separation": float(min_sep)}
 
 
 def _tower_denominators(chain: ChainSpec, n: int) -> np.ndarray:

@@ -25,21 +25,9 @@ class NearDegenerateSpectrum(SovChainError):
     """Brute-force diagonalization found an eigenvalue gap below tolerance."""
 
 
-class CountMismatch(SovChainError):
-    """Number of distinct discrete-system solutions differs from dim(H)."""
-
-
 class SingularCZeta(SovChainError):
     """Interpolation system matrix is singular for the chosen auxiliary point."""
 
 
-class RootOnForbiddenNode(SovChainError):
-    """A Q-polynomial root collides with a lowest grid node."""
-
-
 class ResidualTooLarge(SovChainError):
-    """A reconstructed object fails its verification residual."""
-
-
-class NonInvertibleQ(SovChainError):
-    """Q-operator is numerically singular at a point where it must be invertible."""
+    """The oracle's transfer matrix leaves the magnon sectors of the twist eigenframe."""

@@ -140,13 +140,15 @@ def sklyanin_basis(chain: ChainSpec) -> CovectorBasis:
     twist = chain.twist
     if not twist.invertible:
         raise ValueError("Sklyanin construction requires an invertible twist")
-    per_site = []
-    for n, site in enumerate(chain.sites):
-        ops = [np.eye(chain.dim, dtype=CDTYPE)]
-        for k in range(site.two_s):
-            node = chain.node(n, k)
-            ops.append(ops[-1] @ _acting_blocks(chain, node)[0](0, 0) / (twist.k1 * chain.a(node)))
-        per_site.append(ops)
+
+    def per_site():   # one site's A-products alive at a time
+        for n, site in enumerate(chain.sites):
+            ops = [np.eye(chain.dim, dtype=CDTYPE)]
+            for k in range(site.two_s):
+                node = chain.node(n, k)
+                ops.append(ops[-1] @ _acting_blocks(chain, node)[0](0, 0)
+                           / (twist.k1 * chain.a(node)))
+            yield ops
 
     norm = sklyanin_norm(chain)
     if abs(norm) < 1e-150:
@@ -154,7 +156,7 @@ def sklyanin_basis(chain: ChainSpec) -> CovectorBasis:
         norm = 1.0
     source = kron_chain([fused_twist(np.linalg.inv(twist.w), site.two_s)[0]
                          for site in chain.sites]).ravel()
-    return CovectorBasis(rows=_site_product_rows(source / norm, per_site), kind="sklyanin",
+    return CovectorBasis(rows=_site_product_rows(source / norm, per_site()), kind="sklyanin",
                          chain=chain, source=source)
 
 

@@ -17,6 +17,17 @@ TWIST_DIAG = np.array([[1.7 + 0.5j, 0.0],
 XI_N2 = (0.31 - 1.2j, 2.86 + 0.77j)
 XI_N3 = (0.42 - 1.1j, 2.93 + 0.81j, -2.17 + 2.33j)
 
+# the rows of a suite that runs to its end, in report order
+SUITE_ROWS = {
+    "spectrum": ("spectrum.oracle_discrete_residual", "spectrum.count_mismatch",
+                 "spectrum.oracle_bijection", "spectrum.oracle_match_distance",
+                 "spectrum.jacobian_regularity", "spectrum.wavefunction_separate_action",
+                 "spectrum.eigenvector_residual", "spectrum.eigenvector_overlap",
+                 "spectrum.degenerate_twist_closed_form"),
+    "qop": ("qop.commutes_with_transfer", "qop.operator_tq_equation",
+            "qop.bottom_node_condition", "qop.method_agreement"),
+}
+
 
 def dense_blocks(chain, lam):
     """A, B, C, D of the twisted monodromy, sliced from the full 2D x 2D matrix."""

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import rows
+from sovchain import cli
 from sovchain.baxter import (_closure_system, _Interpolation, _require_regular_closure,
                              _roots_by_degree, _worst_cancellation, build_q_operator, default_zeta,
                              q_operator_commutation_residual, q_operator_invertibility,
                              q_operator_tq_residual, solve_q_polynomial, sov_from_q,
                              sov_q_factorization, tq_residual, wronskian_values)
-from sovchain.errors import (DegenerateBasis, NonInvertibleQ, RootOnForbiddenNode,
-                             SingularCZeta)
+from sovchain.errors import DegenerateBasis, SingularCZeta
 from sovchain.numerics import commutator_residual, frob, poly_eval, random_complex
 from sovchain.sov_bases import sklyanin_basis
 from sovchain.spectrum import OracleSpectrum, TransferPolynomial, _sov2_array, brute_force_spectrum
@@ -424,18 +424,49 @@ def test_closure_guard_ignores_column_scale(chain112):
                     assert raw < 1e-10 * np.prod(np.linalg.norm(scaled.matrix, axis=1))
 
 
-def test_root_on_forbidden_node_raises(chain12):
+def test_root_on_forbidden_node_fails_the_root_gap_row(chain12, monkeypatch):
+    # the solve returns each row's least root-to-bottom-node distance and refuses
+    # none; the baxter.forbidden_root_gap row alone judges it, at 1e-6
     zeta = default_zeta(chain12)
-    t = next(t for t in rows(brute_force_spectrum(chain12).t)
-             if solve_q_polynomial(t, zeta=zeta).degree > 0)
-    with pytest.raises(RootOnForbiddenNode):
-        solve_q_polynomial(t, zeta=zeta, root_floor=1e30)
+    q = solve_q_polynomial(brute_force_spectrum(chain12).t, zeta=zeta)
+    bottoms = np.array([g[0, -1] for g in chain12.grid])
+    want = [np.min(np.abs(r[:, None] - bottoms), initial=np.inf) for r in q.roots]
+    assert np.array_equal(q.root_gap, want) and np.isfinite(np.min(want))
+
+    def row(report):
+        return next(c for c in report["checks"] if c["name"] == "baxter.forbidden_root_gap")
+
+    assert row(cli.run("baxter", chain12))["passed"]
+    solve = cli.solve_q_polynomial
+
+    def on_node(*args, **kwargs):   # the first row's nearest root moved onto its bottom node
+        gap = np.where(np.arange(chain12.dim) == 0, 0.0, want)
+        return dataclasses.replace(solve(*args, **kwargs), root_gap=gap)
+
+    monkeypatch.setattr(cli, "solve_q_polynomial", on_node)
+    failed = row(cli.run("baxter", chain12))
+    assert not failed["passed"]
+    assert failed["value"] == 1e-6 and failed["info"]["min_distance"] == 0.0
 
 
-def test_non_invertible_q_raises(chain12):
+def test_q_operator_invertibility_reports_every_site(chain12):
+    # every site's cond is returned, none refused; a Q singular at the bottom
+    # nodes fails the qop.bottom_node_condition row (gate 1e8) and no suite errors
     qop = _q_operator(chain12)
-    with pytest.raises(NonInvertibleQ):
-        q_operator_invertibility(qop, cond_limit=0)
+    conds = q_operator_invertibility(qop)
+    assert list(conds) == [(n, site.two_s) for n, site in enumerate(chain12.sites)]
+    for (n, two_s), cond in conds.items():
+        assert cond == float(np.linalg.cond(qop(chain12.node(n, two_s))))
+        assert 1.0 <= cond < 1e8
+    kill = np.arange(chain12.dim) == 0
+    singular = dataclasses.replace(qop, eigenvalues=lambda lam: np.where(
+        kill, 0.0, qop.eigenvalues(lam)))
+    assert min(q_operator_invertibility(singular).values()) > 1e8
+    ctx = cli._RunContext(chain12)
+    ctx._values["qop"] = singular
+    checks = {c["name"]: c for c in cli.suite_qop(chain12, ctx)}
+    assert not checks["qop.bottom_node_condition"]["passed"]
+    assert not any(name.endswith(".error") for name in checks)
 
 
 def test_q_operator_takes_q_polynomials_from_solver(chain12, monkeypatch):

@@ -116,6 +116,57 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
     assert "twist.a" in capsys.readouterr().err
 
 
+def test_unwritable_out_path_exits_2_before_any_suite(monkeypatch, capsys):
+    # the output is opened before the run: no suite runs and no traceback
+    monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("a suite ran"))
+    code = main(["verify-algebra", "--config", "n1_spin_half",
+                 "--out", "/nonexistent/dir/x.json"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_genericity_row_fails_on_a_non_generic_chain():
+    # xi_0 - xi_1 = -eta: make_chain(check=False) lets the chain through, and
+    # the model.genericity row reports the violation instead of raising it
+    from conftest import TWIST_FULL
+
+    chain = make_chain(1.0, [(1, 0.0), (1, 1.0)], TWIST_FULL, check=False)
+    row = run("verify-algebra", chain)["checks"][0]
+    assert row["name"] == "model.genericity" and row["value"] == 1.0 and not row["passed"]
+    assert "xi_0 - xi_1" in row["info"]["message"]
+    assert run("verify-algebra", chain_from_config(load_config("n2_mixed")))["checks"][0] == {
+        "name": "model.genericity", "value": 0.0, "tolerance": 0.0, "passed": True}
+
+
+@pytest.mark.parametrize("spins, seed, command, failing", [
+    ((6, 6), 2, "qop", "qop.bottom_node_condition"),
+    ((6, 6), 9, "spectrum", "spectrum.eigenvector_residual"),
+    ((3, 3, 3, 3), 7, "spectrum", "spectrum.eigenvector_residual"),
+])
+def test_gated_quantities_fail_their_row_not_the_suite(spins, seed, command, failing):
+    # the library returns the quantity a row gates and raises nothing at the
+    # row's threshold: the suite keeps every row and the named one fails
+    from conftest import SUITE_ROWS, TWIST_FULL
+    from sovchain.chain import random_chain
+
+    report = run(command, random_chain(spins, 1.0, TWIST_FULL, seed))
+    checks = {c["name"]: c for c in report["checks"]}
+    assert list(checks) == ["model.genericity", *SUITE_ROWS[command]]
+    assert not checks[failing]["passed"] and not report["passed"]
+
+
+@pytest.mark.parametrize("conds, passed", [
+    ({(0, 1): 5.0, (1, 2): float("nan")}, False), ({(0, 1): float("nan"), (1, 2): 5.0}, False),
+    ({(0, 1): 5.0, (1, 2): 2e8}, False), ({(0, 1): 5.0, (1, 2): 7.0}, True),
+])
+def test_bottom_node_condition_row_folds_every_site(monkeypatch, conds, passed):
+    # the row is the worst site's cond against 1e8; a NaN at any site fails it
+    monkeypatch.setattr(cli, "q_operator_invertibility", lambda qop: conds)
+    report = run("qop", chain_from_config(load_config("n2_mixed")))
+    row = next(c for c in report["checks"] if c["name"] == "qop.bottom_node_condition")
+    assert row["passed"] is passed
+
+
 def test_parse_reports_line_of_syntax_error():
     with pytest.raises(ConfigError, match="line"):
         parse_config("{\n  broken\n}")

@@ -174,6 +174,40 @@ def test_site_product_rows_match_per_row_products():
         assert frob(row - want) <= 1e-13 * frob(want)
 
 
+def _sklyanin_rows_all_sites_held(chain):
+    """Reference route: every site's A-products built first, then the rows."""
+    twist, per_site = chain.twist, []
+    for n, site in enumerate(chain.sites):
+        ops = [np.eye(chain.dim, dtype=complex)]
+        for k in range(site.two_s):
+            node = chain.node(n, k)
+            ops.append(ops[-1] @ _acting_blocks(chain, node)[0](0, 0) / (twist.k1 * chain.a(node)))
+        per_site.append(ops)
+    norm = sklyanin_norm(chain)
+    source = kron_chain([fused_twist(np.linalg.inv(twist.w), site.two_s)[0]
+                         for site in chain.sites]).ravel()
+    return _site_product_rows(source / norm, per_site)
+
+
+@pytest.mark.parametrize("spins", [(1,) * 8, (2, 2, 2), (1, 2, 1)])
+def test_sklyanin_streams_one_site_of_a_products(spins):
+    # the A-products reach the row builder one site at a time: the rows equal
+    # the all-sites-held route bit for bit, and at 1^8 the traced peak of one
+    # build stays within 8 D x D complex arrays (about 18.5 with every site held)
+    import tracemalloc
+
+    chain = random_chain(spins, 1.0, TWIST_FULL, seed=7)
+    tracemalloc.start()
+    try:
+        rows = sklyanin_basis(chain).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rows, _sklyanin_rows_all_sites_held(chain))
+    if chain.dim >= 256:
+        assert peak <= 8 * chain.dim ** 2 * 16
+
+
 def test_sov_basis_2_top_row_is_source(chain12, ev12):
     basis = sov_basis_2(chain12, evaluator=ev12)
     top = tuple(site.two_s for site in chain12.sites)

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import TWIST_FULL, rows
+from conftest import SUITE_ROWS, TWIST_FULL, rows
+from sovchain import cli
 from sovchain.chain import Tolerances, make_chain, random_chain
 from sovchain.cli import chain_from_config, load_config, run
-from sovchain.errors import CountMismatch, NearDegenerateSpectrum, ResidualTooLarge
+from sovchain.errors import NearDegenerateSpectrum, ResidualTooLarge
 from sovchain.numerics import frob, greedy_match, lagrange_cardinal, random_complex
 from sovchain.spectrum import (TransferPolynomial, _dedup, _DiscreteSystem, _fused_tower,
                                _site_product, _sov2_array, _tridiagonal_minors,
@@ -205,10 +206,24 @@ def test_completeness_default_seeds(chain12, chain112):
         assert bijection and max(dists) < 1e-8
 
 
-def test_duplicate_seeds_raise_count_mismatch(chain12):
-    seeds = [brute_force_spectrum(chain12).t.x[0]] * chain12.dim
-    with pytest.raises(CountMismatch):
-        solve_discrete_system(chain12, seeds=seeds)
+def test_duplicate_seeds_give_a_short_stack(chain12, monkeypatch):
+    # D copies of one seed collapse to one solution; the solver returns it and
+    # refuses nothing: the spectrum suite still reaches every row, and the
+    # count and bijection rows are the ones that fail
+    oracle = brute_force_spectrum(chain12)
+    solutions, diag = solve_discrete_system(chain12, seeds=[oracle.t.x[0]] * chain12.dim)
+    assert len(solutions) == 1 and diag["duplicates_collapsed"] == chain12.dim - 1
+    assert np.max(np.abs(solutions.x[0] - oracle.t.x[0])) < 1e-8 * (1 + np.max(np.abs(oracle.t.x)))
+
+    solve = cli.solve_discrete_system
+    monkeypatch.setattr(cli, "solve_discrete_system", lambda chain, seeds: solve(
+        chain, seeds=TransferPolynomial(chain, seeds.x[[0] * len(seeds)])))
+    checks = {c["name"]: c for c in run("spectrum", chain12)["checks"]}
+    assert list(checks) == ["model.genericity", *SUITE_ROWS["spectrum"]]
+    assert checks["spectrum.count_mismatch"]["value"] == chain12.dim - 1
+    failed = [name for name, c in checks.items() if not c["passed"]]
+    assert failed == ["spectrum.count_mismatch", "spectrum.oracle_bijection",
+                      "spectrum.oracle_match_distance"]
 
 
 def test_jacobian_regular_at_solutions(chain12):
@@ -470,14 +485,17 @@ def test_near_degenerate_spectrum_raises(chain12):
         brute_force_spectrum(coarse)
 
 
-def test_eigenvector_residual_too_large_raises(chain12, ev12):
+def test_eigenvector_residual_reports_a_perturbed_basis(chain12, ev12):
+    # the residuals come back per column, over the 1e-7 gate of the
+    # spectrum.eigenvector_residual row when one basis row is off by 1e-4
     basis = sov_basis_2(chain12, evaluator=ev12)
     ts = brute_force_spectrum(chain12).t
-    eigenvector_from_sov(ts, basis, evaluator=ev12)
+    _, residuals = eigenvector_from_sov(ts, basis, evaluator=ev12)
+    assert residuals.shape == (chain12.dim,) and np.max(residuals) < 1e-10
     rows = basis.rows.copy()
     rows[1] *= 1 + 1e-4
-    with pytest.raises(ResidualTooLarge):
-        eigenvector_from_sov(ts, dataclasses.replace(basis, rows=rows), evaluator=ev12)
+    _, residuals = eigenvector_from_sov(ts, dataclasses.replace(basis, rows=rows), evaluator=ev12)
+    assert residuals.shape == (chain12.dim,) and np.max(residuals) > 1e-7
 
 
 def _dedup_loop(xs, tol_rel=1e-6):

@@ -14,7 +14,7 @@ from sovchain.baxter import (_require_regular_closure, build_q_operator, default
                              solve_q_polynomial, sov_q_factorization, tq_residual,
                              wronskian_values)
 from sovchain.chain import random_chain
-from sovchain.errors import RootOnForbiddenNode, SingularCZeta
+from sovchain.errors import SingularCZeta
 from sovchain.numerics import random_complex
 from sovchain.spectrum import brute_force_spectrum, discrete_residuals, wavefunction_action_report
 
@@ -142,7 +142,9 @@ def test_batched_solve_raises_singular_closure_for_the_first_bad_record():
     assert f"zeta={zeta}" in str(err.value)
 
 
-def test_batched_solve_raises_root_on_node_for_the_first_bad_record():
+def test_batched_solve_reports_each_record_root_gap():
+    # the stack's root_gap is each record's own: the distance of its nearest
+    # root to a bottom node, as the record's one-row solve gives it
     chain = random_chain((1,) * 4, 1.0, TWIST_FULL, seed=7)
     stack = brute_force_spectrum(chain).t
     zeta = default_zeta(chain)
@@ -152,11 +154,12 @@ def test_batched_solve_raises_root_on_node_for_the_first_bad_record():
                      for roots in qpoly.roots])
     assert np.array_equal(qpoly.root_gap, gaps)
     bad, floor = _first_two_bad(gaps)
-    with pytest.raises(RootOnForbiddenNode) as err:
-        solve_q_polynomial(stack, zeta=zeta, root_floor=floor)
+    assert np.flatnonzero(qpoly.root_gap < floor).tolist() == sorted(bad)
     first = qpoly.roots[min(bad)]
     culprit = first[np.argmin(np.min(np.abs(first[:, None] - bottoms), axis=1))]
-    assert str(err.value) == f"Q root {culprit} collides with a bottom node"
+    assert qpoly.root_gap[min(bad)] == np.min(np.abs(culprit - bottoms))
+    alone = solve_q_polynomial(rows(stack)[min(bad)], zeta=zeta)
+    assert alone.root_gap == pytest.approx(qpoly.root_gap[min(bad)], rel=1e-8)
 
 
 def test_run_all_leaves_every_module_namespace_unchanged():
