@@ -310,13 +310,14 @@ def suite_fusion(chain: ChainSpec, ctx: _RunContext):
     checks.append(_check("fusion.commuting_family", worst, 1e-10, max_level=max_level))
 
     # level 1 is left out: its projector route is the same kernel call as the transfer
-    lams, route = [complex(random_complex(rng, box=2.5)) for _ in range(5)], []
-    projs = [fused_transfer_projector(chain, l, lams) for l in levels[1:]]
-    for k, lam in enumerate(lams):
+    def route(lam):     # projectors first: their build buffers never meet the tower
+        projs = [fused_transfer_projector(chain, l, lam) for l in levels[1:]]
         tower = evaluator.fused(max_level, lam)
-        route += [frob(tower[l] - proj[k]) / max(1.0, frob(proj[k]))
-                  for l, proj in zip(levels[1:], projs)]
-    checks.append(_check("fusion.route_equivalence", np.max(route), 1e-9))
+        return [frob(tower[l] - proj) / max(1.0, frob(proj)) for l, proj in zip(levels[1:], projs)]
+
+    lams = [complex(random_complex(rng, box=2.5)) for _ in range(5)]
+    checks.append(_check("fusion.route_equivalence",
+                         np.max([r for lam in lams for r in route(lam)]), 1e-9))
 
     lam_ref = complex(random_complex(rng, box=2.0))
     checks.append(_check("fusion.central_zeros",
@@ -324,9 +325,7 @@ def suite_fusion(chain: ChainSpec, ctx: _RunContext):
 
     # the fused tower's tridiagonal matrix read bottom-up, diagonal T(lam + (l - 1 - i) eta),
     # with off-diagonal products k1 a * k2 d taken from its entries, not from det_q
-    residuals = []
-    for _ in range(2):
-        lam = complex(random_complex(rng, box=2.5))
+    def tridiagonal(lam):     # its tower is freed when the generator ends
         tower = evaluator.fused(3, lam)
         for l in (2, 3):
             det = tridiagonal_operator_minors(
@@ -334,7 +333,9 @@ def suite_fusion(chain: ChainSpec, ctx: _RunContext):
                 [chain.twist.k1 * chain.a(lam + (l - 1 - i) * chain.eta)
                  * (chain.twist.k2 * chain.d(lam + (l - 2 - i) * chain.eta)) for i in range(l - 1)],
                 np.empty((l + 1, chain.dim, chain.dim), dtype=CDTYPE))[-1]
-            residuals.append(frob(det - tower[l]) / max(1.0, frob(tower[l])))
+            yield frob(det - tower[l]) / max(1.0, frob(tower[l]))
+
+    residuals = [r for _ in range(2) for r in tridiagonal(complex(random_complex(rng, box=2.5)))]
     checks.append(_check("fusion.tridiagonal_determinant", np.max(residuals), 1e-9))
 
     residuals = []
@@ -550,7 +551,8 @@ def run(command: str, chain: ChainSpec, samples=20, basis_kind=None) -> dict:
         try:
             return fn(chain, *args)
         except _SUITE_ERRORS as err:
-            return [_check(f"{fn.__name__}.error", np.inf, 0, message=str(err))]
+            return [_check(f"{fn.__name__}.error", np.inf, 0, message=str(err),
+                           exception=type(err).__name__)]
 
     if command in ("verify-algebra", "all"):
         checks += guarded(suite_algebra, samples)

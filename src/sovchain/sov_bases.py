@@ -112,21 +112,18 @@ def _site_product_rows(source, per_site):
     return rows if source.ndim > 1 else rows[0]
 
 
-def _acting_blocks(chain: ChainSpec, lam: complex):
-    """Blocks of the aux frame W^-1 M(lam) W and the frame twist K_bar = W^-1 K W.
+def _acting_blocks(chain: ChainSpec, lam: complex, w_inv):
+    """Blocks of the aux frame W^-1 M(lam) W, from the caller's ``w_inv`` = W^-1.
 
-    Returns (block, K_bar). block(i, j) grows block (i, j) of the frame
-    directly, as ``monodromy_matrix`` from start W e_j closed by e_i^T W^-1:
-    M_ij itself when W = ``twist.w`` is the identity (b != 0). The Sklyanin
-    rows are eigencovectors of the frame's B and are shifted by its A and D,
-    with prefactors read off K_bar.
+    block(i, j) grows block (i, j) directly, as ``monodromy_matrix`` from start W e_j closed
+    by e_i^T W^-1: M_ij itself when W = ``twist.w`` is the identity (b != 0). The Sklyanin
+    rows are eigencovectors of the frame's B, shifted by its A and D with prefactors read
+    off K_bar = W^-1 K W (``twist.conjugated()``).
     """
-    w, w_inv = chain.twist.w, np.linalg.inv(chain.twist.w)
-
     def block(i, j):
-        return monodromy_matrix(chain, lam, start=w[:, j:j + 1], close=w_inv[i:i + 1])
+        return monodromy_matrix(chain, lam, start=chain.twist.w[:, j:j + 1], close=w_inv[i:i + 1])
 
-    return block, chain.twist.conjugated()
+    return block
 
 
 def sklyanin_basis(chain: ChainSpec) -> CovectorBasis:
@@ -140,13 +137,14 @@ def sklyanin_basis(chain: ChainSpec) -> CovectorBasis:
     twist = chain.twist
     if not twist.invertible:
         raise ValueError("Sklyanin construction requires an invertible twist")
+    w_inv = np.linalg.inv(twist.w)
 
     def per_site():   # one site's A-products alive at a time
         for n, site in enumerate(chain.sites):
             ops = [np.eye(chain.dim, dtype=CDTYPE)]
             for k in range(site.two_s):
                 node = chain.node(n, k)
-                ops.append(ops[-1] @ _acting_blocks(chain, node)[0](0, 0)
+                ops.append(ops[-1] @ _acting_blocks(chain, node, w_inv)(0, 0)
                            / (twist.k1 * chain.a(node)))
             yield ops
 
@@ -154,8 +152,7 @@ def sklyanin_basis(chain: ChainSpec) -> CovectorBasis:
     if abs(norm) < 1e-150:
         # coinciding top nodes; keep rows finite so the rank check can report
         norm = 1.0
-    source = kron_chain([fused_twist(np.linalg.inv(twist.w), site.two_s)[0]
-                         for site in chain.sites]).ravel()
+    source = kron_chain([fused_twist(w_inv, site.two_s)[0] for site in chain.sites]).ravel()
     return CovectorBasis(rows=_site_product_rows(source / norm, per_site()), kind="sklyanin",
                          chain=chain, source=source)
 
@@ -260,9 +257,10 @@ def b_eigen_report(basis: CovectorBasis, lams) -> float:
     (``_acting_blocks``).
     """
     points = _node_grid(basis.chain)[0]
+    w_inv, kbar = np.linalg.inv(basis.chain.twist.w), basis.chain.twist.conjugated()
     residuals = []
     for lam in lams:
-        block, kbar = _acting_blocks(basis.chain, lam)
+        block = _acting_blocks(basis.chain, lam, w_inv)
         eig = kbar[0, 1] * np.prod(lam - points, axis=1)
         residuals.append(_worst_row_residual(basis.rows @ block(0, 1), eig[:, None] * basis.rows))
     return float(np.max(residuals, initial=0.0))
@@ -286,8 +284,9 @@ def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
     shape = chain.dims + (chain.dim,)
     cube = basis.rows.reshape(shape)
     residuals = {"a_action": [], "d_action": []}
+    w_inv, kbar = np.linalg.inv(chain.twist.w), chain.twist.conjugated()
     for lam in lams:
-        block, kbar = _acting_blocks(chain, lam)
+        block = _acting_blocks(chain, lam, w_inv)
         diag = np.prod(lam - points, axis=1)
         cards = rows_interp.cardinals(lam)
         for key, i, at, step in (("a_action", 0, up_at, 1), ("d_action", 1, down_at, -1)):

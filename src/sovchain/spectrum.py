@@ -398,15 +398,16 @@ def solve_discrete_system(chain: ChainSpec, seeds=None):
 
 
 def _dedup(xs):
-    """Rows of ``xs`` in order, less each x within 1e-6 (1 + max|x|) of an x kept before it.
+    """Rows of ``xs`` in order, less each x within 1e-6 max|xs| of an x kept before it.
 
-    Each x is compared with all kept ones in one array operation.
+    The stack's largest |x| sets the scale, so a chain scaled down keeps its distinct
+    solutions. Each x is compared with all kept ones in one array operation.
     """
     xs = np.asarray(xs, dtype=CDTYPE)
     keep = np.zeros(len(xs), dtype=bool)
+    tol = 1e-6 * float(np.max(np.abs(xs), initial=0.0))
     for i, x in enumerate(xs):
-        scale = 1.0 + float(np.max(np.abs(x)))
-        keep[i] = np.all(np.max(np.abs(xs[keep] - x), axis=1) >= 1e-6 * scale)
+        keep[i] = np.all(np.max(np.abs(xs[keep] - x), axis=1) > tol)
     return xs[keep]
 
 

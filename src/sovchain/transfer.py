@@ -2,13 +2,12 @@
 
 Every dense product of Lax operators is grown by one kernel, ``_lax_legs``,
 one GEMM per site, in leg order (A, j_N, k_N, ..., j_1, k_1, R); it can take
-the aux trace at the last site. The RTT, quantum-determinant and symmetry
-residuals compare both sides in that order; RTT and symmetry subtract in
-place, so no third (4D)^2 or (2D)^2 array is made. ``_lax_chain`` turns leg
-order into matrix order by one final transpose, for the monodromy, the
-transfer matrix and the projector route, whose results are multiplied further.
-RTT, the quantum determinant, symmetry and the projector route take all their
-points at once, each grown into buffers allocated once per call.
+the aux trace at the last site. ``_lax_chain`` turns leg order into matrix
+order by one final transpose, for the monodromy, the transfer matrix and the
+projector route. The RTT and symmetry residuals grow each side's sites 1..N-1
+once, then the last site one output-aux row at a time (``_lax_slabs``), so no
+(4D)^2 or (2D)^2 side is ever whole. Each identity residual and the projector
+route grow all their points through buffers made once per call.
 
 ``TransferEvaluator`` interpolates T, a degree-N polynomial with leading
 coefficient tr K Id, from N kernel-built samples; one run has one evaluator.
@@ -86,7 +85,7 @@ def _lax_legs(site_ops, start, twist=None, close=None, bufs=None) -> np.ndarray:
         if left is not None:
             op = ops[-1]
             ops[-1] = np.dot(left, op.reshape(left.shape[1], -1)).reshape(-1, *op.shape[1:])
-    legs = [ops[-1].shape[0], *(d for op in reversed(ops) for d in op.shape[1::2]), start.shape[1]]
+    legs = [start.shape[0], *(d for op in reversed(ops) for d in op.shape[1::2]), start.shape[1]]
     last, prod = ops.pop() if close is not None else None, start
     writes = len(ops) + (0 if last is None else 2)
 
@@ -225,23 +224,47 @@ def fused_transfer_projector(chain: ChainSpec, level: int, lam) -> np.ndarray:
 # identity checks
 # ---------------------------------------------------------------------------
 
+def _lax_slabs(site_ops, start, twist, bufs):
+    """Row a = 0..A-1 of twist . op_N ... op_1 . start in leg order, one (d_N^2, rest) slab each.
+
+    Sites 1..N-1 are grown once (``_lax_legs``) into ``bufs[0]``; slab a is then row block a
+    of the last site's GEMM, (d_N^2, A) @ (A, rest), written into ``bufs[1]`` for every row.
+    Each flat buffer holds at least max(A R (D / d_N)^2, R D^2) entries.
+    """
+    *head, op = site_ops
+    prefix = _lax_legs(head, start, bufs=bufs).reshape(len(op), -1)
+    rows = np.dot(twist, op.reshape(len(op), -1)).reshape(op.shape).transpose(0, 1, 3, 2)
+    out = bufs[1][:op.shape[1] * op.shape[3] * prefix.shape[1]].reshape(-1, prefix.shape[1])
+    for row in rows.reshape(len(op), len(out), -1):
+        yield np.matmul(row, prefix, out=out)
+
+
+def _slab_residual(lhs, rhs, bufs) -> float:
+    """||Y - X||_F / max(1, ||X||_F), X and Y the ``_lax_slabs`` products of ``lhs`` and ``rhs``
+    (each (site_ops, start, twist)) in buffer pairs ``bufs``, summed slab by slab."""
+    diff = ref = 0.0
+    for x, y in zip(_lax_slabs(*lhs, bufs[0]), _lax_slabs(*rhs, bufs[1]), strict=True):
+        ref += np.vdot(x, x).real
+        np.subtract(y, x, out=y)
+        diff += np.vdot(y, y).real
+    return float(np.sqrt(diff)) / max(1.0, float(np.sqrt(ref)))
+
+
 def rtt_residual(chain: ChainSpec, lams, mus) -> np.ndarray:
     """Exchange-relation residual of R12 M1(lam) M2(mu) = M2(mu) M1(lam) R12, one per pair.
 
     Grown on the aux space C^2 x C^2: M1(lam) M2(mu) = (K x K) prod_n
-    L_1n(lam) L_2n(mu), and M2(mu) M1(lam) = P12 M1(mu) M2(lam) P12. Every
-    pair's two sides are grown into the same three buffers.
+    L_1n(lam) L_2n(mu), and M2(mu) M1(lam) = P12 M1(mu) M2(lam) P12. The two
+    sides are compared one output-aux row at a time (``_slab_residual``).
     """
     kk, p12 = _twist_power(chain.twist.matrix.tobytes(), 2), permutation_4x4()
-    eye, bufs = np.eye(4, dtype=CDTYPE), np.empty((3, 16 * chain.dim ** 2), dtype=CDTYPE)
-    out = []
+    eye, bufs, out = np.eye(4, dtype=CDTYPE), np.empty((2, 2, 4 * chain.dim ** 2), CDTYPE), []
     for lam, mu in zip(lams, mus, strict=True):
         r12 = r_matrix(lam - mu, chain.eta)
         pairs = list(zip(_site_laxes(chain, lam), _site_laxes(chain, mu)))
-        lhs = _lax_legs([_aux_product(p) for p in pairs], eye, twist=r12 @ kk, bufs=bufs[:2])
-        rhs = _lax_legs([_aux_product(p[::-1]) for p in pairs], p12 @ r12, twist=p12 @ kk,
-                        bufs=bufs[:0:-1])
-        out.append(frob(np.subtract(rhs, lhs, out=rhs)) / max(1.0, frob(lhs)))
+        out.append(_slab_residual(([_aux_product(p) for p in pairs], eye, r12 @ kk),
+                                  ([_aux_product(p[::-1]) for p in pairs], p12 @ r12, p12 @ kk),
+                                  bufs))
     return np.array(out)
 
 
@@ -253,13 +276,15 @@ def quantum_det_residual(chain: ChainSpec, lams) -> np.ndarray:
     ``rtt_residual`` from the column e_(0,1) - e_(1,0) and closed by the row
     e_(0,1). In leg order the identity is the Kronecker product of the
     flattened per-site identities, site N slowest. Every point's two sides
-    are grown into the same three buffers.
+    are grown into the same three buffers, each of the largest write.
     """
     start = np.array([[0.0], [1.0], [-1.0], [0.0]], dtype=CDTYPE)
     close = np.array([[0.0, 1.0, 0.0, 0.0]], dtype=CDTYPE)
     kk = _twist_power(chain.twist.matrix.tobytes(), 2)
     eye = functools.reduce(np.multiply.outer, [np.eye(d).ravel() for d in reversed(chain.dims)])
-    bufs, out = np.empty((3, 4 * chain.dim ** 2), dtype=CDTYPE), []
+    # the largest write: the product of sites 1..N-1 (4 (D / d_N)^2 entries) or D^2
+    size = max(4 * (chain.dim // chain.dims[-1]) ** 2, chain.dim ** 2)
+    bufs, out = np.empty((3, size), dtype=CDTYPE), []
     for lam in lams:
         pairs = zip(_site_laxes(chain, lam), _site_laxes(chain, lam - chain.eta))
         op = _lax_legs([_aux_product(p) for p in pairs], start, twist=kk, close=close,
@@ -274,20 +299,18 @@ def quantum_det_residual(chain: ChainSpec, lams) -> np.ndarray:
 def symmetry_residual(chain: ChainSpec, lams, k_matrix=None) -> np.ndarray:
     """Residual of [M^(I)(lam), K] = 0, K = K_0 (x) prod_n K^(2s_n), relative to ||K M^(I)||.
 
-    One residual per point of ``lams``, each grown as K M^(I) = K_0 prod_n (K_n L_0n)
-    and M^(I) K = prod_n (L_0n K_n) K_0 into the same three buffers.
+    One residual per point of ``lams``, the sides K M^(I) = K_0 prod_n (K_n L_0n)
+    and M^(I) K = prod_n (L_0n K_n) K_0 compared one output-aux row at a time
+    (``_slab_residual``).
     """
     k = chain.twist.matrix if k_matrix is None else np.asarray(k_matrix, dtype=CDTYPE)
     site_twists = [fused_twist(k, site.two_s) for site in chain.sites]
-    eye, bufs = np.eye(2, dtype=CDTYPE), np.empty((3, 4 * chain.dim ** 2), dtype=CDTYPE)
-    out = []
+    eye, bufs, out = np.eye(2, dtype=CDTYPE), np.empty((2, 2, 2 * chain.dim ** 2), CDTYPE), []
     for lam in lams:
         pairs = list(zip(site_twists, _site_laxes(chain, lam)))
-        left = _lax_legs([np.einsum("ij,ajbk->aibk", t, op) for t, op in pairs], eye, twist=k,
-                         bufs=bufs[:2])
-        right = _lax_legs([np.einsum("ajbk,kl->ajbl", op, t) for t, op in pairs], k,
-                          bufs=bufs[:0:-1])
-        out.append(frob(np.subtract(right, left, out=right)) / max(1.0, frob(left)))
+        out.append(_slab_residual(
+            ([np.einsum("ij,ajbk->aibk", t, op) for t, op in pairs], eye, k),
+            ([np.einsum("ajbk,kl->ajbl", op, t) for t, op in pairs], k, eye), bufs))
     return np.array(out)
 
 

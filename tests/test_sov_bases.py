@@ -96,9 +96,9 @@ def test_d_action_lowering_killed_at_zero(chain1):
     basis = sklyanin_basis(chain1)
     assert abs(chain1.d(chain1.node(0, 0))) < 1e-14
     for lam in (0.9, -0.4 + 1.7j):
-        block, kbar = _acting_blocks(chain1, lam)
+        block = _acting_blocks(chain1, lam, np.linalg.inv(chain1.twist.w))
         acted = basis.row((0,)) @ block(1, 1)
-        want = kbar[1, 1] * (lam - chain1.node(0, 0)) * basis.row((0,))
+        want = chain1.twist.conjugated()[1, 1] * (lam - chain1.node(0, 0)) * basis.row((0,))
         assert frob(acted - want) < 1e-12 * max(1.0, frob(want))
 
 
@@ -181,7 +181,8 @@ def _sklyanin_rows_all_sites_held(chain):
         ops = [np.eye(chain.dim, dtype=complex)]
         for k in range(site.two_s):
             node = chain.node(n, k)
-            ops.append(ops[-1] @ _acting_blocks(chain, node)[0](0, 0) / (twist.k1 * chain.a(node)))
+            ops.append(ops[-1] @ _acting_blocks(chain, node, np.linalg.inv(twist.w))(0, 0)
+                       / (twist.k1 * chain.a(node)))
         per_site.append(ops)
     norm = sklyanin_norm(chain)
     source = kron_chain([fused_twist(np.linalg.inv(twist.w), site.two_s)[0]
@@ -288,8 +289,9 @@ def _shift_action_loop(basis, lams):
     chain = basis.chain
     twist = chain.twist
     worst_a = worst_d = 0.0
+    kbar = twist.conjugated()
     for lam in lams:
-        block, kbar = _acting_blocks(chain, lam)
+        block = _acting_blocks(chain, lam, np.linalg.inv(twist.w))
         a_entry, d_entry = kbar[0, 0], kbar[1, 1]
         acted_a = basis.rows @ block(0, 0)
         acted_d = basis.rows @ block(1, 1)
@@ -335,9 +337,9 @@ def test_shift_action_report_matches_row_loop(chain123):
 def _b_eigen_loop(basis, lams):
     """Row-by-row reference of b_eigen_report."""
     chain = basis.chain
-    worst = 0.0
+    worst, kbar = 0.0, chain.twist.conjugated()
     for lam in lams:
-        block, kbar = _acting_blocks(chain, lam)
+        block = _acting_blocks(chain, lam, np.linalg.inv(chain.twist.w))
         acted = basis.rows @ block(0, 1)
         for i, h in enumerate(np.ndindex(chain.dims)):
             eig = kbar[0, 1]
@@ -441,8 +443,7 @@ def test_frame_matches_dense_conjugation(name, spins):
     chain = random_chain(spins, 1.0, B_ZERO_TWISTS[name], seed=7)
     assert not np.allclose(chain.twist.w, np.eye(2))
     for lam in (0.3 - 0.7j, chain.node(0, 0)):
-        block, kbar = _acting_blocks(chain, lam)
-        assert np.array_equal(kbar, chain.twist.conjugated())
+        block = _acting_blocks(chain, lam, np.linalg.inv(chain.twist.w))
         for (i, j), ref in zip(FRAME_BLOCKS, _dense_frame_blocks(chain, lam)):
             got = block(i, j)
             assert frob(got - ref) <= 1e-13 * frob(ref)
@@ -457,10 +458,10 @@ def test_frame_matches_dense_conjugation(name, spins):
 
 def test_frame_is_the_plain_monodromy_for_b_nonzero(chain12):
     lam = 0.3 - 0.7j
-    block, kbar = _acting_blocks(chain12, lam)
+    block = _acting_blocks(chain12, lam, np.linalg.inv(chain12.twist.w))
     for (i, j), want in zip(FRAME_BLOCKS, dense_blocks(chain12, lam)):
         assert np.array_equal(block(i, j), want)
-    assert np.array_equal(kbar, chain12.twist.matrix)
+    assert np.array_equal(chain12.twist.conjugated(), chain12.twist.matrix)
 
 
 def _summed_monodromy_blocks(chain, lam):
@@ -484,7 +485,7 @@ def test_direct_frame_blocks_match_summed_monodromy_blocks(name):
     else:
         chain = chain_from_config(load_config(name))
     for lam in (0.3 - 0.7j, -1.4 + 2.2j, chain.node(0, 0), chain.node(chain.n_sites - 1, 1)):
-        block, _ = _acting_blocks(chain, lam)
+        block = _acting_blocks(chain, lam, np.linalg.inv(chain.twist.w))
         want = _summed_monodromy_blocks(chain, lam)
         for i, j in FRAME_BLOCKS:
             ref = want(i, j)

@@ -500,10 +500,10 @@ def test_eigenvector_residual_reports_a_perturbed_basis(chain12, ev12):
 
 def _dedup_loop(xs, tol_rel=1e-6):
     """Reference route: each x against every kept y, one pair at a time."""
+    tol = tol_rel * max((float(np.max(np.abs(x))) for x in xs), default=0.0)
     kept = []
     for x in xs:
-        scale = 1.0 + float(np.max(np.abs(x)))
-        if all(np.max(np.abs(x - y)) >= tol_rel * scale for y in kept):
+        if all(np.max(np.abs(x - y)) > tol for y in kept):
             kept.append(x)
     return kept
 
@@ -512,15 +512,29 @@ def test_dedup_matches_pairwise_loop():
     rng = np.random.default_rng(31)
     base = random_complex(rng, size=(40, 4), box=3.0)
     # near-duplicates planted just inside and just outside the 1e-6 relative gap
-    scale = 1.0 + np.max(np.abs(base), axis=1, keepdims=True)
-    inside = base[:10] + 0.4e-6 * scale[:10]
-    outside = base[10:20] + 3e-6 * scale[10:20]
+    scale = np.max(np.abs(base))
+    inside = base[:10] + 0.4e-6 * scale
+    outside = base[10:20] + 3e-6 * scale
     xs = list(rng.permutation(np.vstack([base, inside, outside, base[:5]])))
     got, want = _dedup(xs), _dedup_loop(xs)
     assert len(got) == 50
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert len(_dedup([])) == 0
+    assert len(_dedup(np.zeros((3, 4)))) == 1   # exact duplicates collapse at any scale
+
+
+def test_small_scale_chain_keeps_every_solution():
+    # xi and eta scaled by 1e-2 shrink every x: a gap relative to 1 + max|x| merged
+    # all 64 solutions into one; relative to the stack's largest |x| it keeps them
+    chain = random_chain([1] * 6, 1.0, TWIST_FULL, seed=7)
+    small = make_chain(1e-2 * chain.eta, [(s.two_s, 1e-2 * s.xi) for s in chain.sites],
+                       TWIST_FULL, seed=7)
+    for ch in (chain, small):
+        oracle = brute_force_spectrum(ch)
+        solutions, diag = solve_discrete_system(ch, seeds=oracle.t)
+        assert len(solutions) == ch.dim and diag["duplicates_collapsed"] == 0
+        assert match_to_oracle(solutions, oracle)[2]
 
 
 def test_jacobian_regularity_ignores_site_scale(chain112, monkeypatch):

@@ -664,27 +664,30 @@ def _fresh_lax_legs(site_ops, start, twist=None, close=None):
     return np.tensordot(last, prod, axes=([0, 2], [2, 0])).reshape(legs[1:-1])
 
 
-def _per_sample_rtt(chain, lam, mu):
-    """One point pair's RTT residual, both sides in fresh arrays."""
+def _rtt_sides(chain, lam, mu):
+    """The two (site_ops, start, twist) sides of the RTT relation at (lam, mu)."""
     aux = transfer_module._aux_product
     kk = kron_chain([chain.twist.matrix] * 2)
     r12, p12 = r_matrix(lam - mu, chain.eta), permutation_4x4()
     pairs = list(zip(transfer_module._site_laxes(chain, lam),
                      transfer_module._site_laxes(chain, mu)))
-    lhs = _fresh_lax_legs([aux(p) for p in pairs], np.eye(4, dtype=complex), twist=r12 @ kk)
-    rhs = _fresh_lax_legs([aux(p[::-1]) for p in pairs], p12 @ r12, twist=p12 @ kk)
-    return frob(np.subtract(rhs, lhs, out=rhs)) / max(1.0, frob(lhs))
+    return (([aux(p) for p in pairs], np.eye(4, dtype=complex), r12 @ kk),
+            ([aux(p[::-1]) for p in pairs], p12 @ r12, p12 @ kk))
 
 
-def _per_sample_symmetry(chain, lam):
-    """One point's twist-symmetry residual, both sides in fresh arrays."""
-    k = chain.twist.matrix
+def _symmetry_sides(chain, lam):
+    """The two (site_ops, start, twist) sides of the twist symmetry at lam."""
+    k, eye = chain.twist.matrix, np.eye(2, dtype=complex)
     pairs = [(fused_twist(k, site.two_s), op)
              for site, op in zip(chain.sites, transfer_module._site_laxes(chain, lam))]
-    left = _fresh_lax_legs([np.einsum("ij,ajbk->aibk", t, op) for t, op in pairs],
-                           np.eye(2, dtype=complex), twist=k)
-    right = _fresh_lax_legs([np.einsum("ajbk,kl->ajbl", op, t) for t, op in pairs], k)
-    return frob(np.subtract(right, left, out=right)) / max(1.0, frob(left))
+    return (([np.einsum("ij,ajbk->aibk", t, op) for t, op in pairs], eye, k),
+            ([np.einsum("ajbk,kl->ajbl", op, t) for t, op in pairs], k, eye))
+
+
+def _whole_residual(lhs, rhs):
+    """One identity's residual with both sides grown whole, in fresh arrays."""
+    lhs, rhs = _fresh_lax_legs(*lhs), _fresh_lax_legs(*rhs)
+    return frob(np.subtract(rhs, lhs, out=rhs)) / max(1.0, frob(lhs))
 
 
 def _per_sample_quantum_det(chain, lam):
@@ -722,10 +725,11 @@ def test_buffered_products_equal_the_per_sample_kernel_bitwise(name):
     chain = _leg_order_chain(name)
     lams, mus = (list(map(complex, z)) for z in random_complex(np.random.default_rng(62),
                                                                 size=(2, 4), box=3.0))
-    assert np.array_equal(rtt_residual(chain, lams, mus),
-                          [_per_sample_rtt(chain, lam, mu) for lam, mu in zip(lams, mus)])
-    assert np.array_equal(symmetry_residual(chain, lams),
-                          [_per_sample_symmetry(chain, lam) for lam in lams])
+    # RTT and symmetry sum their squares slab by slab, the oracle over whole arrays
+    rtt = [_whole_residual(*_rtt_sides(chain, lam, mu)) for lam, mu in zip(lams, mus)]
+    np.testing.assert_allclose(rtt_residual(chain, lams, mus), rtt, rtol=1e-14, atol=0)
+    symmetry = [_whole_residual(*_symmetry_sides(chain, lam)) for lam in lams]
+    np.testing.assert_allclose(symmetry_residual(chain, lams), symmetry, rtol=1e-14, atol=0)
     assert np.array_equal(quantum_det_residual(chain, lams),
                           [_per_sample_quantum_det(chain, lam) for lam in lams])
     for level in (1, 2, 3):
@@ -733,6 +737,39 @@ def test_buffered_products_equal_the_per_sample_kernel_bitwise(name):
         assert got.shape == (len(lams), chain.dim, chain.dim)
         assert np.array_equal(got, [_per_point_projector(chain, level, lam) for lam in lams])
         assert np.array_equal(fused_transfer_projector(chain, level, lams[1]), got[1])
+
+
+@pytest.mark.parametrize("name", BUFFER_CHAINS + ("one_site_spin1",))
+def test_slabs_are_the_blocks_of_the_whole_product_bitwise(name):
+    chain = _leg_order_chain(name)
+    lam, mu = 0.7 - 1.3j, -1.6 + 0.4j
+    for side in _rtt_sides(chain, lam, mu) + _symmetry_sides(chain, lam):
+        whole = _fresh_lax_legs(*side)
+        bufs = np.empty((2, 4 * chain.dim ** 2), dtype=complex)
+        slabs = [slab.copy() for slab in transfer_module._lax_slabs(*side, bufs)]
+        assert len(slabs) == len(whole)
+        assert all(np.array_equal(s.reshape(w.shape), w) for s, w in zip(slabs, whole))
+
+
+@pytest.mark.parametrize("spins", [[1] * 6, [2, 2, 2, 2], [1] * 8], ids=["1^6", "2^4", "1^8"])
+def test_identity_residuals_peak_within_20_dense_arrays(spins):
+    # no RTT side is ever whole (two whole (4D)^2 sides and their scratch take 48 D x D
+    # arrays): the traced peak of each residual over four points stays within 20
+    import tracemalloc
+
+    chain = random_chain(spins, 1.0, TWIST_FULL, seed=7)
+    lams, mus = (list(map(complex, z)) for z in random_complex(np.random.default_rng(64),
+                                                                size=(2, 4), box=3.0))
+    for residual in (lambda: rtt_residual(chain, lams, mus),
+                     lambda: quantum_det_residual(chain, lams),
+                     lambda: symmetry_residual(chain, lams)):
+        tracemalloc.start()
+        try:
+            residual()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * chain.dim ** 2 * 16
 
 
 @pytest.mark.parametrize("name", BUFFER_CHAINS + ("one_site_spin1",))
