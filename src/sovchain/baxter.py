@@ -28,7 +28,7 @@ from .chain import ChainSpec
 from .errors import SingularCZeta
 from .numerics import (CDTYPE, _Barycentric, commutator_residual, frob,
                        poly_coeffs_from_samples, poly_eval, random_complex)
-from .sov_bases import CovectorBasis, _require_full_rank
+from .sov_bases import CovectorBasis
 from .spectrum import OracleSpectrum, TransferPolynomial, _site_product, _sov2_array
 
 __all__ = [
@@ -131,8 +131,11 @@ def _closure_system(interp: _Interpolation, ratios) -> CZetaSystem:
                        det=np.linalg.det(c)[()], q_flat=q_flat, interp=interp)
 
 
-def _require_regular_closure(system: CZetaSystem, det_floor=1e-10):
-    """Determinant ratio of each closure matrix C; SingularCZeta (the first) below ``det_floor``.
+CLOSURE_DET_FLOOR = 1e-10   # the least determinant ratio of a closure system that is solved
+
+
+def _require_regular_closure(system: CZetaSystem):
+    """Determinant ratio of each closure matrix C; SingularCZeta (the first) below the floor.
 
     The ratio is |det C_eq| / prod_a ||row_a of C_eq||, with C_eq
     the column-equilibrated C (each column scaled to unit norm). The ratio is
@@ -144,10 +147,10 @@ def _require_regular_closure(system: CZetaSystem, det_floor=1e-10):
     row_product = np.prod(np.linalg.norm(eq, axis=-1), axis=-1)
     ratio = np.where(row_product > 0, np.abs(np.linalg.det(eq))
                      / np.where(row_product > 0, row_product, 1.0), 0.0)
-    low = ratio[~(ratio >= det_floor)].ravel()
+    low = ratio[~(ratio >= CLOSURE_DET_FLOOR)].ravel()
     if low.size:
         raise SingularCZeta(f"closure system determinant ratio {low[0]:.3e} "
-                            f"below floor {det_floor:.1e} at zeta={system.zeta}")
+                            f"below floor {CLOSURE_DET_FLOOR:.1e} at zeta={system.zeta}")
     return ratio[()]
 
 
@@ -163,7 +166,7 @@ def default_zeta(chain: ChainSpec, salt=20) -> complex:
     raise SingularCZeta("could not place the auxiliary interpolation point")
 
 
-def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10):
+def solve_q_polynomial(t: TransferPolynomial, zeta=None):
     """Unique monic Q-polynomial paired with the eigenvalue t, stacked like t.
 
     Sets Q(zeta) = 1, solves the closure system for the bottom-node values,
@@ -172,7 +175,7 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10):
     coefficient of at least 1e-9 times its largest (those above are set to 0);
     a stack shares the interpolation data.
     Raises SingularCZeta for an unlucky auxiliary point, judged on the
-    column-equilibrated closure matrix against ``det_floor`` (see
+    column-equilibrated closure matrix against ``CLOSURE_DET_FLOOR`` (see
     ``_require_regular_closure``), for the first such row. A root on a bottom
     grid node is not refused: ``root_gap`` reports each row's distance.
     """
@@ -182,7 +185,7 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None, det_floor=1e-10):
     ratios = [np.atleast_2d(r) for r in t.checked_grid_ratios]
     interp = _Interpolation(chain, zeta)
     system = _closure_system(interp, ratios)
-    _require_regular_closure(system, det_floor)
+    _require_regular_closure(system)
     q_bottom = np.linalg.solve(system.matrix, system.rhs[..., None])[..., 0]
 
     node_values = [r * q_bottom[:, a, None] for a, r in enumerate(ratios)]
@@ -271,7 +274,6 @@ class QOperator:
 
     chain: ChainSpec
     zeta: complex
-    method: str
     vectors: np.ndarray
     left: np.ndarray
     eigenvalues: object   # lam -> the D eigenvalues at lam, one array operation
@@ -304,8 +306,8 @@ def build_q_operator(oracle: OracleSpectrum, q: QPolynomial, method="eigenbasis"
         eigenvalues = lambda lam: q(lam) / norm  # noqa: E731
     else:
         eigenvalues = lambda lam: _determinant_eigenvalues(q.closure, lam)  # noqa: E731
-    return QOperator(chain=chain, zeta=q.zeta, method=method,
-                     vectors=oracle.vectors, left=oracle.left, eigenvalues=eigenvalues)
+    return QOperator(chain=chain, zeta=q.zeta, vectors=oracle.vectors, left=oracle.left,
+                     eigenvalues=eigenvalues)
 
 
 def _require_q_twist(chain: ChainSpec):
@@ -371,15 +373,15 @@ def sov_from_q(qop: QOperator, sklyanin: CovectorBasis) -> CovectorBasis:
 
     Row h applies prod_a Q(xi_a^(h_a)) to the source: the top row of the
     Sklyanin basis ``sklyanin`` hit by the inverse Q at every bottom node, for
-    which the family reproduces that basis row by row. ``sklyanin`` must have
-    full rank (DegenerateBasis); the family's own rank is not checked.
+    which the family reproduces that basis row by row. Neither basis's rank is
+    checked here: ``basis.sklyanin.rank_deficit`` and ``basis.q.rank_deficit``
+    report them.
 
     Products are taken in Q's eigenbasis: row h is (c * prod_a q(xi_a^(h_a)))
     @ left with c = source @ vectors and q the eigenvalues of Q, so no dense Q
     or inverse of Q is formed.
     """
     chain = qop.chain
-    _require_full_rank(sklyanin)
     per_site = [np.array([qop.eigenvalues(z) for z in nodes]) for nodes, _, _ in chain.grid]
     top = tuple(site.two_s for site in chain.sites)
     coords = sklyanin.row(top) @ qop.vectors / np.prod([q[-1] for q in per_site], axis=0)

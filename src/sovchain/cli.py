@@ -31,9 +31,9 @@ from .chain import ChainSpec, Tolerances, _twist, fused_twist, genericity_check,
 from .errors import GenericityViolation, SovChainError
 from .local_ops import _lax_parts, kron_embed, spin_matrices
 from .numerics import CDTYPE, commutator_residual, frob, greedy_match, random_complex
-from .sov_bases import (_require_full_rank, _tower_bases, b_eigen_report, gram_rank,
-                        separate_action_report, shift_action_report, sklyanin_basis,
-                        sov_basis_2, tensor_generating_covector)
+from .sov_bases import (_tower_bases, b_eigen_report, gram_rank, separate_action_report,
+                        shift_action_report, sklyanin_basis, sov_basis_2,
+                        tensor_generating_covector)
 from .spectrum import (OracleSpectrum, brute_force_spectrum, closed_form_solutions,
                        eigenvector_from_sov, jacobian_smallest_sv, magnon_sectors,
                        match_to_oracle, solve_discrete_system, wavefunction_action_report)
@@ -195,8 +195,9 @@ class _RunContext:
     stack at each zeta, the eigenbasis Q-operator, the Sklyanin basis and the
     default-source second SoV basis: what each suite would otherwise
     recompute. A computation that raises is not stored, so it raises again
-    in every suite that needs it and each suite reports its own error row. Callers check the rank of a basis they need to
-    be full (``_require_full_rank``); each basis keeps its rank.
+    in every suite that needs it and each suite reports its own error row.
+    No basis is checked for full rank here: its ``basis.*.rank_deficit`` row
+    is the verdict, and the rows built on it report what a deficit costs.
     """
 
     def __init__(self, chain: ChainSpec):
@@ -434,9 +435,7 @@ def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
     checks.append(_check("spectrum.wavefunction_separate_action",
                          wavefunction_action_report(stack), 1e-8))
 
-    basis = ctx.sov2()
-    _require_full_rank(basis)
-    vectors, residuals = eigenvector_from_sov(stack, basis, evaluator)
+    vectors, residuals = eigenvector_from_sov(stack, ctx.sov2(), evaluator)
     cosine = np.abs(np.sum(oracle.vectors.conj() * vectors, axis=0)) / (
         np.linalg.norm(oracle.vectors, axis=0) * np.linalg.norm(vectors, axis=0))
     checks.append(_check("spectrum.eigenvector_residual", np.max(residuals), 1e-7))

@@ -18,7 +18,7 @@ class GenericityViolation(SovChainError):
 
 
 class DegenerateBasis(SovChainError):
-    """A constructed covector family fails the full-rank test."""
+    """No local covector spans its site under the powers of the fused twist."""
 
 
 class NearDegenerateSpectrum(SovChainError):

@@ -233,14 +233,6 @@ def gram_rank(basis: CovectorBasis):
     return basis.rank
 
 
-def _require_full_rank(basis: CovectorBasis):
-    rank, smallest = basis.rank
-    if rank < basis.chain.dim:
-        raise DegenerateBasis(
-            f"{basis.kind} covector family has rank {rank} < {basis.chain.dim} "
-            f"(smallest singular value {smallest:.3e}); re-seed the chain or source")
-
-
 def _gaussian_covector(chain: ChainSpec, salt: int) -> np.ndarray:
     rng = chain.rng(salt)
     return (rng.standard_normal(chain.dim) + 1j * rng.standard_normal(chain.dim)).astype(CDTYPE)

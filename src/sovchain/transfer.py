@@ -6,8 +6,8 @@ the aux trace at the last site. ``_lax_chain`` turns leg order into matrix
 order by one final transpose, for the monodromy, the transfer matrix and the
 projector route. The RTT and symmetry residuals grow each side's sites 1..N-1
 once, then the last site one output-aux row at a time (``_lax_slabs``), so no
-(4D)^2 or (2D)^2 side is ever whole. Each identity residual and the projector
-route grow all their points through buffers made once per call.
+(4D)^2 or (2D)^2 side is ever whole. Each identity residual grows all its
+points, and the projector route its one point, through buffers made once per call.
 
 ``TransferEvaluator`` interpolates T, a degree-N polynomial with leading
 coefficient tr K Id, from N kernel-built samples; one run has one evaluator.
@@ -194,30 +194,24 @@ def tridiagonal_operator_minors(diag, offprod, out) -> np.ndarray:
     return out
 
 
-def fused_transfer_projector(chain: ChainSpec, level: int, lam) -> np.ndarray:
+def fused_transfer_projector(chain: ChainSpec, level: int, lam: complex) -> np.ndarray:
     """Fused transfer matrix via the symmetrized auxiliary-space product.
 
     Independent of the recursion: M_0(lam + (level-1) eta) ... M_{level-1}(lam),
     M_i on aux leg i of (C^2)^{x level} and on H, traced against the orthonormal
     symmetric-subspace basis U. It equals K^{x level} G_N ... G_1 with site
     operators G_n = L_0n(lam + (level-1) eta) ... L_{level-1,n}(lam), grown
-    from U and closed by U^dagger. ``lam`` is one point (a D x D result) or an
-    array of points (one D x D matrix per point), all grown through one buffer pair.
+    from U and closed by U^dagger through one buffer pair.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    lams = np.asarray(lam, dtype=CDTYPE)
     u = symmetric_basis(level)
     kk = _twist_power(chain.twist.matrix.tobytes(), level)
     # the largest write: the product of sites 1..N-1 (A R (D / d_N)^2 entries) or D^2
     size = max(2 ** level * (level + 1) * (chain.dim // chain.dims[-1]) ** 2, chain.dim ** 2)
-    bufs, out = np.empty((2, size), dtype=CDTYPE), np.empty(lams.shape + (chain.dim,) * 2, CDTYPE)
-    for z, dest in zip(lams.ravel(), out.reshape(-1, chain.dim, chain.dim)):
-        laxes = [_site_laxes(chain, complex(z) + (level - 1 - i) * chain.eta)
-                 for i in range(level)]
-        ops = [_aux_product(per_leg) for per_leg in zip(*laxes)]
-        dest[...] = _lax_chain(ops, u, twist=kk, close=u.conj().T, bufs=bufs)
-    return out
+    laxes = [_site_laxes(chain, complex(lam) + (level - 1 - i) * chain.eta) for i in range(level)]
+    ops = [_aux_product(per_leg) for per_leg in zip(*laxes)]
+    return _lax_chain(ops, u, twist=kk, close=u.conj().T, bufs=np.empty((2, size), dtype=CDTYPE))
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +290,14 @@ def quantum_det_residual(chain: ChainSpec, lams) -> np.ndarray:
     return np.array(out)
 
 
-def symmetry_residual(chain: ChainSpec, lams, k_matrix=None) -> np.ndarray:
+def symmetry_residual(chain: ChainSpec, lams) -> np.ndarray:
     """Residual of [M^(I)(lam), K] = 0, K = K_0 (x) prod_n K^(2s_n), relative to ||K M^(I)||.
 
     One residual per point of ``lams``, the sides K M^(I) = K_0 prod_n (K_n L_0n)
     and M^(I) K = prod_n (L_0n K_n) K_0 compared one output-aux row at a time
     (``_slab_residual``).
     """
-    k = chain.twist.matrix if k_matrix is None else np.asarray(k_matrix, dtype=CDTYPE)
+    k = chain.twist.matrix
     site_twists = [fused_twist(k, site.two_s) for site in chain.sites]
     eye, bufs, out = np.eye(2, dtype=CDTYPE), np.empty((2, 2, 2 * chain.dim ** 2), CDTYPE), []
     for lam in lams:

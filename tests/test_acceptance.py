@@ -93,7 +93,8 @@ def test_criterion_3_fusion_routes_and_central_zeros(chain12, ev12, chain112, ev
         lams = [complex(random_complex(rng, box=2.5)) for _ in range(3)]
         towers = [ev.fused(3, lam) for lam in lams]
         for level in (1, 2, 3):
-            for tower, proj in zip(towers, fused_transfer_projector(chain, level, lams)):
+            for tower, lam in zip(towers, lams):
+                proj = fused_transfer_projector(chain, level, lam)
                 worst_route = max(worst_route, frob(tower[level] - proj) / max(1.0, frob(proj)))
     worst_zero = 0.0
     for chain, ev in ((chain12, ev12), (chain112, ev112)):

@@ -32,12 +32,15 @@ REMOVED_PARAMETERS = {
     "baxter.build_q_operator": {"chain", "zeta", "evaluator", "q_solver"},
     "baxter.sov_from_q": {"chain", "validate", "source"},
     "baxter.default_zeta": {"min_dist", "max_tries"},
-    "baxter.solve_q_polynomial": {"trim_tol", "root_floor"},
+    "baxter.solve_q_polynomial": {"trim_tol", "root_floor", "det_floor"},
+    "baxter._require_regular_closure": {"det_floor"},
+    "baxter.QOperator": {"method"},
     "baxter.q_operator_invertibility": {"cond_limit"},
     "baxter.tq_residual": {"n_samples"},
     "chain.Tolerances": {"residual"},
     "transfer.TransferEvaluator": {"samples"},
     "transfer.central_zero_residual": {"level", "n"},
+    "transfer.symmetry_residual": {"k_matrix"},
     "cli.run": {"precision", "tol_override"},
     "cli.suite_fusion": {"samples"},
     "cli.suite_basis": {"samples", "precision"},
@@ -72,6 +75,7 @@ REMOVED_NAMES = [
     "cli._passes",
     # raises that repeated the gate of a report row; the row is the verdict
     "errors.CountMismatch", "errors.NonInvertibleQ", "errors.RootOnForbiddenNode",
+    "sov_bases._require_full_rank",
 ]
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import rows
-from sovchain import cli
+from sovchain import baxter, cli
 from sovchain.baxter import (_closure_system, _Interpolation, _require_regular_closure,
                              _roots_by_degree, _worst_cancellation, build_q_operator, default_zeta,
                              q_operator_commutation_residual, q_operator_invertibility,
                              q_operator_tq_residual, solve_q_polynomial, sov_from_q,
                              sov_q_factorization, tq_residual, wronskian_values)
-from sovchain.errors import DegenerateBasis, SingularCZeta
+from sovchain.errors import SingularCZeta
 from sovchain.numerics import commutator_residual, frob, poly_eval, random_complex
 from sovchain.sov_bases import sklyanin_basis
 from sovchain.spectrum import OracleSpectrum, TransferPolynomial, _sov2_array, brute_force_spectrum
@@ -387,10 +387,11 @@ def test_leading_coefficient_constraint(chain12):
         assert abs(k1 ** 2 - k1 * lead + chain.twist.det) < 1e-8
 
 
-def test_singular_closure_system_raises(chain12):
+def test_singular_closure_system_raises(chain12, monkeypatch):
     t = rows(brute_force_spectrum(chain12).t)[0]
+    monkeypatch.setattr(baxter, "CLOSURE_DET_FLOOR", 1e30)
     with pytest.raises(SingularCZeta):
-        solve_q_polynomial(t, det_floor=1e30)
+        solve_q_polynomial(t)
 
 
 def _closure(chain, t):
@@ -487,13 +488,18 @@ def test_q_operator_takes_q_polynomials_from_solver(chain12, monkeypatch):
     assert np.array_equal(build_q_operator(oracle, qpoly).eigenvalues(lam), want)
 
 
-def test_sov_from_q_validates_given_sklyanin_basis(chain12):
+def test_sov_from_q_reads_only_the_sklyanin_top_row(chain12):
+    # a rank-deficient Sklyanin basis is not refused: its rank row is the verdict, and the
+    # Q-generated basis, built from the top row alone, keeps its own full rank
     qop = _q_operator(chain12)
     skl = sklyanin_basis(chain12)
     rows = skl.rows.copy()
     rows[1] = rows[0]
-    with pytest.raises(DegenerateBasis):
-        sov_from_q(qop, sklyanin=dataclasses.replace(skl, rows=rows))
+    deficient = dataclasses.replace(skl, rows=rows)
+    assert deficient.rank[0] < chain12.dim
+    got = sov_from_q(qop, sklyanin=deficient)
+    assert np.array_equal(got.rows, sov_from_q(qop, skl).rows)
+    assert got.rank[0] == chain12.dim
 
 
 def _sov_q_factorization_loop(t, qpoly):

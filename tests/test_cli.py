@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -646,7 +645,9 @@ def test_basis_command_builds_each_site_tower_once(monkeypatch, kind):
     assert len(towers) == chain.n_sites
 
 
-def test_q_basis_still_validates_the_sklyanin_basis(monkeypatch):
+def test_q_basis_reports_a_rank_one_sklyanin_basis_in_its_rows(monkeypatch):
+    # the Q-generated basis is built from the Sklyanin top row whatever that basis's rank;
+    # the identification row, not a raise, is the verdict on the rank-one basis
     build = cli.sklyanin_basis
 
     def rank_one(chain):
@@ -655,9 +656,46 @@ def test_q_basis_still_validates_the_sklyanin_basis(monkeypatch):
 
     monkeypatch.setattr(cli, "sklyanin_basis", rank_one)
     chain = chain_from_config(load_config("n2_mixed"))
-    report = run("basis", chain, basis_kind="q")
-    error = [c for c in report["checks"] if c["name"] == "suite_basis.error"]
-    assert error and "rank" in error[0]["info"]["message"]
+    checks = {c["name"]: c for c in run("basis", chain, basis_kind="q")["checks"]}
+    assert list(checks) == ["model.genericity", "basis.q.rank_deficit",
+                            "basis.q.sklyanin_identification"]
+    assert not checks["basis.q.sklyanin_identification"]["passed"]
+
+
+def test_spin4_q_basis_reports_its_rows():
+    # (8,8) seed 7: the Sklyanin family has rank 79 of 81; the q suite still emits its rows
+    from conftest import TWIST_FULL
+    from sovchain.chain import random_chain
+
+    report = run("basis", random_chain((8, 8), 1.0, TWIST_FULL, 7), basis_kind="q")
+    assert [c["name"] for c in report["checks"]] == [
+        "model.genericity", "basis.q.rank_deficit", "basis.q.sklyanin_identification"]
+    assert [c["passed"] for c in report["checks"]] == [True, False, False]
+
+
+def test_spectrum_rows_survive_a_rank_deficient_sov2_basis(monkeypatch):
+    # a second basis of numerical rank D - 1 (not exactly singular) costs only the two
+    # eigenvector rows built on it: the other seven are those of the full-rank run
+    from conftest import SUITE_ROWS
+
+    chain = chain_from_config(load_config("n2_mixed"))
+    want = {c["name"]: c for c in run("spectrum", chain)["checks"]}
+    build = cli.sov_basis_2
+
+    def deficient(chain, evaluator):
+        basis = build(chain, evaluator)
+        rows = basis.rows.copy()
+        rows[-1] = rows[0] + 1e-14 * rows[-1]
+        return dataclasses.replace(basis, rows=rows)
+
+    monkeypatch.setattr(cli, "sov_basis_2", deficient)
+    ctx = cli._RunContext(chain)
+    assert ctx.sov2().rank[0] == chain.dim - 1
+    checks = {c["name"]: c for c in run("spectrum", chain)["checks"]}
+    assert list(checks) == ["model.genericity", *SUITE_ROWS["spectrum"]]
+    basis_rows = {"spectrum.eigenvector_residual", "spectrum.eigenvector_overlap"}
+    assert [c for name, c in checks.items() if name not in basis_rows] == [
+        c for name, c in want.items() if name not in basis_rows]
 
 
 @pytest.mark.parametrize("seed", [7, 240, 4249])
@@ -693,7 +731,9 @@ def test_vanishing_k2_becomes_error_rows(tmp_path, command):
 
 def test_error_row_names_a_singular_closure(monkeypatch):
     # a closure floor no determinant clears: the library's own SingularCZeta raise
-    monkeypatch.setattr(cli, "solve_q_polynomial", partial(cli.solve_q_polynomial, det_floor=1e30))
+    from sovchain import baxter
+
+    monkeypatch.setattr(baxter, "CLOSURE_DET_FLOOR", 1e30)
     report = run("baxter", chain_from_config(load_config("n2_mixed")))
     rows = {c["name"]: c for c in report["checks"]}
     assert list(rows) == ["model.genericity", "suite_baxter.error"]

@@ -6,7 +6,7 @@ from sovchain.cli import chain_from_config, load_config
 from sovchain.errors import DegenerateBasis
 from sovchain.local_ops import kron_chain
 from sovchain.numerics import commutator_residual, frob, random_complex
-from sovchain.sov_bases import (CovectorBasis, _acting_blocks, _require_full_rank,
+from sovchain.sov_bases import (CovectorBasis, _acting_blocks,
                                 _site_product_rows, _tower_bases, b_eigen_report, gram_rank,
                                 separate_action_report,
                                 shift_action_report, sklyanin_basis, sklyanin_norm,
@@ -278,8 +278,13 @@ def test_degenerate_inhomogeneities_lose_rank():
     basis = sklyanin_basis(chain)
     rank, _ = gram_rank(basis)
     assert rank < chain.dim
-    with pytest.raises(DegenerateBasis):
-        _require_full_rank(basis)
+
+
+def test_tensor_covector_refuses_a_twist_with_no_spanning_orbit():
+    # K = diag(1, -1) fuses at spin 1 to diag(1, -1, 1): no orbit of powers spans C^3
+    chain = make_chain(1.0, [(2, XI_N2[0])], np.diag([1.0, -1.0]).astype(complex), seed=7)
+    with pytest.raises(DegenerateBasis, match="no spanning local covector"):
+        tensor_generating_covector(chain)
 
 
 def _shift_action_loop(basis, lams):

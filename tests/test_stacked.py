@@ -130,14 +130,17 @@ def _first_two_bad(values):
     return order[:2], 0.5 * (values[order[1]] + values[order[2]])
 
 
-def test_batched_solve_raises_singular_closure_for_the_first_bad_record():
+def test_batched_solve_raises_singular_closure_for_the_first_bad_record(monkeypatch):
+    from sovchain import baxter
+
     chain = random_chain((1,) * 4, 1.0, TWIST_FULL, seed=7)
     stack = brute_force_spectrum(chain).t
     zeta = default_zeta(chain)
-    ratios = _require_regular_closure(solve_q_polynomial(stack, zeta=zeta).closure, det_floor=0.0)
+    ratios = _require_regular_closure(solve_q_polynomial(stack, zeta=zeta).closure)
     bad, floor = _first_two_bad(ratios)
+    monkeypatch.setattr(baxter, "CLOSURE_DET_FLOOR", floor)
     with pytest.raises(SingularCZeta) as err:
-        solve_q_polynomial(stack, zeta=zeta, det_floor=floor)
+        solve_q_polynomial(stack, zeta=zeta)
     assert f"ratio {ratios[min(bad)]:.3e} below" in str(err.value)
     assert f"zeta={zeta}" in str(err.value)
 
