@@ -131,29 +131,6 @@ def _closure_system(interp: _Interpolation, ratios) -> CZetaSystem:
                        det=np.linalg.det(c)[()], q_flat=q_flat, interp=interp)
 
 
-CLOSURE_DET_FLOOR = 1e-10   # the least determinant ratio of a closure system that is solved
-
-
-def _require_regular_closure(system: CZetaSystem):
-    """Determinant ratio of each closure matrix C; SingularCZeta (the first) below the floor.
-
-    The ratio is |det C_eq| / prod_a ||row_a of C_eq||, with C_eq
-    the column-equilibrated C (each column scaled to unit norm). The ratio is
-    at most 1 (Hadamard) and does not change when a column of C is rescaled,
-    so unknowns of very different magnitude do not read as a singularity.
-    """
-    norms = np.linalg.norm(system.matrix, axis=-2)
-    eq = system.matrix / np.where(norms > 0, norms, 1.0)[..., None, :]
-    row_product = np.prod(np.linalg.norm(eq, axis=-1), axis=-1)
-    ratio = np.where(row_product > 0, np.abs(np.linalg.det(eq))
-                     / np.where(row_product > 0, row_product, 1.0), 0.0)
-    low = ratio[~(ratio >= CLOSURE_DET_FLOOR)].ravel()
-    if low.size:
-        raise SingularCZeta(f"closure system determinant ratio {low[0]:.3e} "
-                            f"below floor {CLOSURE_DET_FLOOR:.1e} at zeta={system.zeta}")
-    return ratio[()]
-
-
 def default_zeta(chain: ChainSpec, salt=20) -> complex:
     """Seeded auxiliary point more than |eta| from every grid node (32 draws at most)."""
     rng = chain.rng(salt)
@@ -174,18 +151,17 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None):
     conditions, and makes each row monic at its degree, the highest
     coefficient of at least 1e-9 times its largest (those above are set to 0);
     a stack shares the interpolation data.
-    Raises SingularCZeta for an unlucky auxiliary point, judged on the
-    column-equilibrated closure matrix against ``CLOSURE_DET_FLOOR`` (see
-    ``_require_regular_closure``), for the first such row. A root on a bottom
-    grid node is not refused: ``root_gap`` reports each row's distance.
+    The closure system is solved as it stands: a near-singular closure shows
+    in the T-Q, uniqueness and factorization checks of the Q it gives. A root
+    on a bottom grid node is not refused either: ``root_gap`` reports each
+    row's distance.
     """
     chain = t.chain
     if zeta is None:
         zeta = default_zeta(chain)
-    ratios = [np.atleast_2d(r) for r in t.checked_grid_ratios]
+    ratios = [np.atleast_2d(r) for r in t.grid_ratios]
     interp = _Interpolation(chain, zeta)
     system = _closure_system(interp, ratios)
-    _require_regular_closure(system)
     q_bottom = np.linalg.solve(system.matrix, system.rhs[..., None])[..., 0]
 
     node_values = [r * q_bottom[:, a, None] for a, r in enumerate(ratios)]

@@ -238,8 +238,8 @@ class ChainSpec:
         return np.random.default_rng((self.seed, salt))
 
 
-def make_chain(eta, sites, twist, tolerances=None, seed=0, check=True) -> ChainSpec:
-    """Assemble a ChainSpec from raw data.
+def make_chain(eta, sites, twist, tolerances=None, seed=0) -> ChainSpec:
+    """Assemble a ChainSpec from raw data and check its genericity.
 
     ``sites`` is a sequence of (two_s, xi) pairs or Site objects; ``twist``
     may be a raw 2x2 matrix or an already-normalized Twist.
@@ -258,23 +258,22 @@ def make_chain(eta, sites, twist, tolerances=None, seed=0, check=True) -> ChainS
         tolerances=tolerances or Tolerances(),
         seed=int(seed),
     )
-    if check:
-        genericity_check(chain)
+    genericity_check(chain)
     return chain
 
 
-def random_chain(two_s_list, eta, twist, seed=0, box=5.0, tolerances=None,
-                 max_tries=64) -> ChainSpec:
-    """Chain with seeded random inhomogeneities, re-drawn until generic."""
+def random_chain(two_s_list, eta, twist, seed=0, tolerances=None) -> ChainSpec:
+    """Chain with seeded random inhomogeneities in the box |Re|, |Im| < 5,
+    re-drawn until generic (64 draws at most)."""
     rng = np.random.default_rng((int(seed), 0x5EED))
-    for _ in range(max_tries):
-        xis = random_complex(rng, size=len(two_s_list), box=box)
+    for _ in range(64):
+        xis = random_complex(rng, size=len(two_s_list), box=5.0)
         try:
             return make_chain(eta, list(zip(two_s_list, xis)), twist,
                               tolerances=tolerances, seed=seed)
         except GenericityViolation:
             continue
-    raise GenericityViolation(f"no generic draw found in {max_tries} tries")
+    raise GenericityViolation("no generic draw found in 64 tries")
 
 
 def genericity_check(chain: ChainSpec) -> None:

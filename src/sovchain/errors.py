@@ -17,10 +17,6 @@ class GenericityViolation(SovChainError):
     """Inhomogeneities collide modulo eta inside the protected window."""
 
 
-class DegenerateBasis(SovChainError):
-    """No local covector spans its site under the powers of the fused twist."""
-
-
 class NearDegenerateSpectrum(SovChainError):
     """Brute-force diagonalization found an eigenvalue gap below tolerance."""
 

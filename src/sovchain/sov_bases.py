@@ -31,7 +31,6 @@ from functools import cached_property
 import numpy as np
 
 from .chain import ChainSpec, _tower_denominators, fused_twist, index_of
-from .errors import DegenerateBasis
 from .local_ops import kron_chain
 from .numerics import CDTYPE, _Barycentric, random_complex
 from .transfer import TransferEvaluator, monodromy_matrix
@@ -201,31 +200,15 @@ def _tower_bases(kind: str, chain: ChainSpec, evaluator: TransferEvaluator, sour
 
 
 def tensor_generating_covector(chain: ChainSpec, salt=3) -> np.ndarray:
-    """Tensor-product generating covector with per-site orbit validation.
+    """Tensor product of one seeded local covector per site.
 
-    Each local covector is re-drawn, up to 16 times, until its orbit under
-    powers of the site's fused twist spans the local space; the orbit rows,
-    which grow like ||K||^h, are norm-equilibrated before the SVD.
+    Whether each local orbit under powers of the fused twist spans its site
+    is not checked here: ``basis.sov1.tensor_source_rank_deficit`` reports
+    the rank of the basis the covector generates.
     """
     rng = chain.rng(salt)
-    locals_ = []
-    for site in chain.sites:
-        k_loc = fused_twist(chain.twist, site.two_s)
-        for _ in range(16):
-            cand = random_complex(rng, size=site.dim, box=1.0)
-            orbit = np.zeros((site.dim, site.dim), dtype=CDTYPE)
-            vec = cand.copy()
-            for h in range(site.dim):
-                orbit[h] = vec
-                vec = vec @ k_loc
-            sv = np.linalg.svd(orbit / np.linalg.norm(orbit, axis=1)[:, None], compute_uv=False)
-            if sv[-1] > 1e-8 * sv[0]:
-                locals_.append(cand)
-                break
-        else:
-            raise DegenerateBasis("no spanning local covector found; twist "
-                                  "orbit is degenerate")
-    return kron_chain(locals_).ravel()
+    return kron_chain([random_complex(rng, size=site.dim, box=1.0)
+                       for site in chain.sites]).ravel()
 
 
 def gram_rank(basis: CovectorBasis):

@@ -12,8 +12,9 @@ leading minor times a trailing one. A ``TransferPolynomial`` holds one
 node-value vector or a (D, N) stack of them; every scalar routine is one
 array computation over the stack; the oracle and the discrete system each
 return the whole spectrum as one stack. ``grid_ratios`` computes the ratios
-behind the wavefunction and the Q-closure system once per stack, and
-``checked_grid_ratios`` confirms them once by a backward recursion.
+behind the wavefunction and the Q-closure system once per stack; the
+wavefunction's separate-action row checks them against the recursion they
+solve.
 """
 
 from __future__ import annotations
@@ -82,32 +83,6 @@ class TransferPolynomial:
         chain = self.chain
         return [np.moveaxis(_fused_tower(self, chain.node(n, site.two_s), site.two_s)[::-1], 0, -1)
                 / _tower_denominators(chain, n) for n, site in enumerate(chain.sites)]
-
-    @cached_property
-    def checked_grid_ratios(self) -> list:
-        """``grid_ratios``, each site's array confirmed once by the backward recursion
-
-            Qr(h-1) = [t(xi^(h)) Qr(h) - k1 a(xi^(h)) Qr(h+1)] / (k2 d(xi^(h)))
-
-        from Qr(2s_n) = 1; raises ValueError (not kept), for the first row and
-        site where the routes differ by over 1e-9 relative.
-        """
-        twist = self.chain.twist
-        gaps = []   # per site: (error, allowed error), one entry per row
-        for (nodes, a, d), closed in zip(self.chain.grid, self.grid_ratios):
-            vals = self(nodes)
-            rec = np.zeros(closed.shape[:-1] + (len(nodes) + 1,), dtype=CDTYPE)  # rec[2s_n+1] = 0
-            rec[..., -2] = 1.0
-            for h in range(len(nodes) - 1, 0, -1):
-                rec[..., h - 1] = (vals[..., h] * rec[..., h] - twist.k1 * a[h] * rec[..., h + 1]) \
-                    / (twist.k2 * d[h])
-            gaps.append((np.max(np.abs(rec[..., :-1] - closed), axis=-1),
-                         1e-9 * np.maximum(1.0, np.max(np.abs(closed), axis=-1))))
-        err, allowed = (np.stack(v, axis=-1).reshape(-1, len(gaps)) for v in zip(*gaps))
-        for row, n in np.argwhere(err > allowed)[:1]:
-            raise ValueError(f"site {n}: recursion and closed-form Q values disagree by "
-                             f"{err[row, n]:.3e}")
-        return self.grid_ratios
 
     @cached_property
     def discrete_residual(self):

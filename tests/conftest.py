@@ -24,6 +24,10 @@ SUITE_ROWS = {
                  "spectrum.jacobian_regularity", "spectrum.wavefunction_separate_action",
                  "spectrum.eigenvector_residual", "spectrum.eigenvector_overlap",
                  "spectrum.degenerate_twist_closed_form"),
+    "baxter": ("baxter.degree_budget_excess", "baxter.nontrivial_degree",
+               "baxter.interpolation_leftout", "baxter.tq_equation",
+               "baxter.uniqueness_coefficient_spread", "baxter.uniqueness_wronskian",
+               "baxter.forbidden_root_gap", "baxter.sov_q_factorization"),
     "qop": ("qop.commutes_with_transfer", "qop.operator_tq_equation",
             "qop.bottom_node_condition", "qop.method_agreement"),
 }

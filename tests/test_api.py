@@ -33,11 +33,12 @@ REMOVED_PARAMETERS = {
     "baxter.sov_from_q": {"chain", "validate", "source"},
     "baxter.default_zeta": {"min_dist", "max_tries"},
     "baxter.solve_q_polynomial": {"trim_tol", "root_floor", "det_floor"},
-    "baxter._require_regular_closure": {"det_floor"},
     "baxter.QOperator": {"method"},
     "baxter.q_operator_invertibility": {"cond_limit"},
     "baxter.tq_residual": {"n_samples"},
     "chain.Tolerances": {"residual"},
+    "chain.make_chain": {"check"},
+    "chain.random_chain": {"box", "max_tries"},
     "transfer.TransferEvaluator": {"samples"},
     "transfer.central_zero_residual": {"level", "n"},
     "transfer.symmetry_residual": {"k_matrix"},
@@ -76,6 +77,10 @@ REMOVED_NAMES = [
     # raises that repeated the gate of a report row; the row is the verdict
     "errors.CountMismatch", "errors.NonInvertibleQ", "errors.RootOnForbiddenNode",
     "sov_bases._require_full_rank",
+    # pre-checks that overruled the Q route's rows: the closure floor, the backward
+    # recursion over the grid ratios and the orbit validation of the tensor covector
+    "baxter._require_regular_closure", "baxter.CLOSURE_DET_FLOOR",
+    "spectrum.TransferPolynomial.checked_grid_ratios", "errors.DegenerateBasis",
 ]
 
 

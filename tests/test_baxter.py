@@ -5,12 +5,11 @@ import pytest
 
 from conftest import rows
 from sovchain import baxter, cli
-from sovchain.baxter import (_closure_system, _Interpolation, _require_regular_closure,
-                             _roots_by_degree, _worst_cancellation, build_q_operator, default_zeta,
+from sovchain.baxter import (_closure_system, _Interpolation, _roots_by_degree,
+                             _worst_cancellation, build_q_operator, default_zeta,
                              q_operator_commutation_residual, q_operator_invertibility,
                              q_operator_tq_residual, solve_q_polynomial, sov_from_q,
                              sov_q_factorization, tq_residual, wronskian_values)
-from sovchain.errors import SingularCZeta
 from sovchain.numerics import commutator_residual, frob, poly_eval, random_complex
 from sovchain.sov_bases import sklyanin_basis
 from sovchain.spectrum import OracleSpectrum, TransferPolynomial, _sov2_array, brute_force_spectrum
@@ -49,7 +48,7 @@ def _tq_residual_shifted(t, q, lams):
 
 def test_q_values_hand_case(chain1):
     t = _eigenvalues_by_x(chain1)[1]  # t = 3 lam + 1
-    vals = t.checked_grid_ratios[0]
+    vals = t.grid_ratios[0]
     assert vals[1] == 1.0
     assert abs(vals[0] - 2.0) < 1e-12  # t(-1) / (k2 d(-1)) = 2
 
@@ -59,16 +58,24 @@ def test_q_values_first_step_formula(chain12):
     for n, site in enumerate(chain12.sites):
         bottom = chain12.node(n, site.two_s)
         want = t(bottom) / (chain12.twist.k2 * chain12.d(bottom))
-        got = t.checked_grid_ratios[n][site.two_s - 1]
+        got = t.grid_ratios[n][site.two_s - 1]
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
-def test_backward_check_rejects_wrong_ratios(chain12):
-    t = rows(brute_force_spectrum(chain12).t)[1]
-    t.grid_ratios = [r * (1 + 1e-6) for r in t.grid_ratios]
-    for _ in range(2):  # a failed check is not kept, so it runs and raises again
-        with pytest.raises(ValueError, match="disagree"):
-            t.checked_grid_ratios
+def test_a_wrong_grid_ratio_fails_the_wavefunction_and_tq_rows(chain12):
+    # one interior ratio off by 1e-6 breaks the recursion the ratios solve and the
+    # T-Q equation of the Q closed on them; the rows report it, nothing raises.
+    # (A uniform scale of every ratio would leave Q unchanged.)
+    ctx = cli._RunContext(chain12)
+    stack = ctx.oracle().t
+    ratios = [r.copy() for r in stack.grid_ratios]
+    ratios[1][..., 1] *= 1 + 1e-6
+    stack.grid_ratios = ratios
+    got = {c["name"]: c for c in cli.suite_spectrum(chain12, ctx) + cli.suite_baxter(chain12, ctx)}
+    wavefunction = got["spectrum.wavefunction_separate_action"]
+    assert not wavefunction["passed"] and wavefunction["value"] == pytest.approx(1e-6, rel=1e-3)
+    tq = got["baxter.tq_equation"]
+    assert not tq["passed"] and 1e-6 < tq["value"] < 1e-4
 
 
 def test_hand_case_q_polynomials(chain1):
@@ -385,44 +392,6 @@ def test_leading_coefficient_constraint(chain12):
         k1 = chain.twist.k1
         assert abs(lead - chain.twist.trace) < 1e-9
         assert abs(k1 ** 2 - k1 * lead + chain.twist.det) < 1e-8
-
-
-def test_singular_closure_system_raises(chain12, monkeypatch):
-    t = rows(brute_force_spectrum(chain12).t)[0]
-    monkeypatch.setattr(baxter, "CLOSURE_DET_FLOOR", 1e30)
-    with pytest.raises(SingularCZeta):
-        solve_q_polynomial(t)
-
-
-def _closure(chain, t):
-    return _closure_system(_Interpolation(chain, default_zeta(chain)), t.grid_ratios)
-
-
-def test_closure_guard_fires_on_singular_matrix(chain112):
-    system = _closure(chain112, rows(brute_force_spectrum(chain112).t)[0])
-    dependent = dataclasses.replace(system, matrix=system.matrix.copy())
-    dependent.matrix[:, 2] = 3.0 * dependent.matrix[:, 0] - dependent.matrix[:, 1]
-    zero_column = dataclasses.replace(system, matrix=system.matrix.copy())
-    zero_column.matrix[:, 1] = 0.0
-    for singular in (dependent, zero_column):
-        with pytest.raises(SingularCZeta):
-            _require_regular_closure(singular)
-
-
-def test_closure_guard_ignores_column_scale(chain112):
-    for t in rows(brute_force_spectrum(chain112).t):
-        system = _closure(chain112, t)
-        ratio = _require_regular_closure(system)
-        assert 1e-10 < ratio <= 1.0
-        for j in range(chain112.n_sites):
-            for factor in (1e-12, 1e9):
-                scaled = dataclasses.replace(system, matrix=system.matrix.copy())
-                scaled.matrix[:, j] *= factor
-                assert _require_regular_closure(scaled) == pytest.approx(ratio, rel=1e-10)
-                if factor < 1:
-                    # the unequilibrated test read a small column as a singularity
-                    raw = abs(np.linalg.det(scaled.matrix))
-                    assert raw < 1e-10 * np.prod(np.linalg.norm(scaled.matrix, axis=1))
 
 
 def test_root_on_forbidden_node_fails_the_root_gap_row(chain12, monkeypatch):

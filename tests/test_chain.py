@@ -181,10 +181,10 @@ def test_non_finite_twist_entry_is_a_value_error(entry):
 
 
 def test_random_chain_generic():
-    chain = random_chain([1, 2], 1.0, TWIST_FULL, seed=0, box=5.0)
+    chain = random_chain([1, 2], 1.0, TWIST_FULL, seed=0)
     genericity_check(chain)
     # deterministic for a fixed seed
-    again = random_chain([1, 2], 1.0, TWIST_FULL, seed=0, box=5.0)
+    again = random_chain([1, 2], 1.0, TWIST_FULL, seed=0)
     assert all(a.xi == b.xi for a, b in zip(chain.sites, again.sites))
 
 

@@ -126,11 +126,13 @@ def test_unwritable_out_path_exits_2_before_any_suite(monkeypatch, capsys):
 
 
 def test_genericity_row_fails_on_a_non_generic_chain():
-    # xi_0 - xi_1 = -eta: make_chain(check=False) lets the chain through, and
-    # the model.genericity row reports the violation instead of raising it
+    # xi_0 - xi_1 = -eta: a ChainSpec built directly skips make_chain's genericity
+    # check, and the model.genericity row reports the violation instead of raising it
     from conftest import TWIST_FULL
+    from sovchain.chain import ChainSpec, Site, normalize_twist
 
-    chain = make_chain(1.0, [(1, 0.0), (1, 1.0)], TWIST_FULL, check=False)
+    chain = ChainSpec(eta=1.0, sites=(Site(1, 0.0), Site(1, 1.0)),
+                      twist=normalize_twist(TWIST_FULL))
     row = run("verify-algebra", chain)["checks"][0]
     assert row["name"] == "model.genericity" and row["value"] == 1.0 and not row["passed"]
     assert "xi_0 - xi_1" in row["info"]["message"]
@@ -142,6 +144,11 @@ def test_genericity_row_fails_on_a_non_generic_chain():
     ((6, 6), 2, "qop", "qop.bottom_node_condition"),
     ((6, 6), 9, "spectrum", "spectrum.eigenvector_residual"),
     ((3, 3, 3, 3), 7, "spectrum", "spectrum.eigenvector_residual"),
+    # an ill-conditioned Q closure is solved as it stands; the T-Q rows judge its Q
+    ((8, 8), 1, "baxter", "baxter.tq_equation"),
+    ((4, 4, 4), 5, "baxter", "baxter.tq_equation"),
+    ((6, 6), 1, "baxter", "baxter.tq_equation"),
+    ((6, 6), 1, "qop", "qop.operator_tq_equation"),
 ])
 def test_gated_quantities_fail_their_row_not_the_suite(spins, seed, command, failing):
     # the library returns the quantity a row gates and raises nothing at the
@@ -729,12 +736,13 @@ def test_vanishing_k2_becomes_error_rows(tmp_path, command):
         assert "k2" in errors[name]["message"] and errors[name]["exception"] == "ValueError"
 
 
-def test_error_row_names_a_singular_closure(monkeypatch):
-    # a closure floor no determinant clears: the library's own SingularCZeta raise
+def test_error_row_names_an_unplaceable_zeta(monkeypatch):
+    # every auxiliary point drawn on a grid node: default_zeta's own SingularCZeta raise
     from sovchain import baxter
 
-    monkeypatch.setattr(baxter, "CLOSURE_DET_FLOOR", 1e30)
-    report = run("baxter", chain_from_config(load_config("n2_mixed")))
+    chain = chain_from_config(load_config("n2_mixed"))
+    monkeypatch.setattr(baxter, "random_complex", lambda rng, box: chain.node(0, 0))
+    report = run("baxter", chain)
     rows = {c["name"]: c for c in report["checks"]}
     assert list(rows) == ["model.genericity", "suite_baxter.error"]
     assert rows["suite_baxter.error"]["info"]["exception"] == SingularCZeta.__name__
@@ -774,13 +782,12 @@ def test_run_all_builds_grid_ratios_and_closures_once(monkeypatch):
     # site and one closure stack per zeta; the wavefunction, eigenvector and
     # Q-factorization checks and the Q solves share the stack's grid ratios, the
     # determinant Q route reads the closure systems of the Q solves, and the
-    # backward cross-check of the ratios and the discrete residuals of the
-    # spectrum check and table run once
+    # discrete residuals of the spectrum check and table run once
     from conftest import TWIST_FULL
     from sovchain import baxter, spectrum
     from sovchain.chain import random_chain
 
-    calls = {"tower": 0, "closure": 0, "backward": 0, "discrete": 0}
+    calls = {"tower": 0, "closure": 0, "discrete": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -792,12 +799,10 @@ def test_run_all_builds_grid_ratios_and_closures_once(monkeypatch):
     monkeypatch.setattr(baxter, "_closure_system", counted("closure", baxter._closure_system))
     monkeypatch.setattr(spectrum, "discrete_residuals",
                         counted("discrete", spectrum.discrete_residuals))
-    checked = vars(spectrum.TransferPolynomial)["checked_grid_ratios"]
-    monkeypatch.setattr(checked, "func", counted("backward", checked.func))
     chain = random_chain((1, 2), 1.0, TWIST_FULL, seed=7)
     report = run("all", chain)
     assert report["passed"]
-    assert calls == {"tower": chain.n_sites, "closure": 2, "backward": 1, "discrete": 1}
+    assert calls == {"tower": chain.n_sites, "closure": 2, "discrete": 1}
 
 
 def _exclusive_greedy_distance(got, want):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sovchain.chain import fused_twist, make_chain, random_chain
+from sovchain import cli
+from sovchain.chain import (ChainSpec, Site, fused_twist, make_chain, normalize_twist,
+                           random_chain)
 from sovchain.cli import chain_from_config, load_config
-from sovchain.errors import DegenerateBasis
 from sovchain.local_ops import kron_chain
 from sovchain.numerics import commutator_residual, frob, random_complex
 from sovchain.sov_bases import (CovectorBasis, _acting_blocks,
@@ -123,16 +124,6 @@ def test_shared_operator_bases_equal_single_source_calls_bitwise(chain112, ev112
         want = single(chain112, ev112, source=source)
         assert basis.kind == want.kind == kind
         assert np.array_equal(basis.rows, want.rows) and np.array_equal(basis.source, want.source)
-
-
-def test_spin4_tensor_covector_is_accepted_whatever_the_twist_scale():
-    # at spin 4 the raw orbit rows grow like ||K||^h, so their plain SVD read a
-    # spanning orbit as degenerate; equilibrated, the draw is accepted, and the
-    # same draw for K and for 3K
-    chains = [random_chain((8, 8), 1.0, scale * TWIST_FULL, seed=7) for scale in (1.0, 3.0)]
-    assert chains[0].sites == chains[1].sites
-    got, got_scaled = (tensor_generating_covector(chain) for chain in chains)
-    assert np.array_equal(got, got_scaled)
 
 
 def test_rank_survives_a_row_beyond_the_norm_overflow(chain12):
@@ -273,18 +264,22 @@ def test_sklyanin_with_jordan_b_zero_twist():
 
 def test_degenerate_inhomogeneities_lose_rank():
     # duplicated xi collapses the covector family; the builder must flag it
-    chain = make_chain(1.0, [(1, XI_N2[0]), (1, XI_N2[0])], TWIST_FULL,
-                       seed=7, check=False)
+    # (built as a ChainSpec: make_chain refuses a non-generic chain)
+    chain = ChainSpec(eta=1.0, sites=(Site(1, XI_N2[0]), Site(1, XI_N2[0])),
+                      twist=normalize_twist(TWIST_FULL), seed=7)
     basis = sklyanin_basis(chain)
     rank, _ = gram_rank(basis)
     assert rank < chain.dim
 
 
-def test_tensor_covector_refuses_a_twist_with_no_spanning_orbit():
-    # K = diag(1, -1) fuses at spin 1 to diag(1, -1, 1): no orbit of powers spans C^3
+def test_tensor_covector_with_no_spanning_orbit_fails_its_rank_row():
+    # K = diag(1, -1) fuses at spin 1 to diag(1, -1, 1): no orbit of powers spans C^3,
+    # so the tensor-source basis loses rank; its row reports it and the suite runs on
     chain = make_chain(1.0, [(2, XI_N2[0])], np.diag([1.0, -1.0]).astype(complex), seed=7)
-    with pytest.raises(DegenerateBasis, match="no spanning local covector"):
-        tensor_generating_covector(chain)
+    report = cli.run("basis", chain, basis_kind="sov1")
+    rows = {c["name"]: c for c in report["checks"]}
+    assert "suite_basis.error" not in rows
+    assert rows["basis.sov1.tensor_source_rank_deficit"]["value"] == 1.0
 
 
 def _shift_action_loop(basis, lams):

@@ -10,11 +10,9 @@ import pytest
 
 from conftest import TWIST_FULL, rows
 from sovchain import cli
-from sovchain.baxter import (_require_regular_closure, build_q_operator, default_zeta,
-                             solve_q_polynomial, sov_q_factorization, tq_residual,
-                             wronskian_values)
+from sovchain.baxter import (build_q_operator, default_zeta, solve_q_polynomial,
+                             sov_q_factorization, tq_residual, wronskian_values)
 from sovchain.chain import random_chain
-from sovchain.errors import SingularCZeta
 from sovchain.numerics import random_complex
 from sovchain.spectrum import brute_force_spectrum, discrete_residuals, wavefunction_action_report
 
@@ -44,7 +42,7 @@ def test_stacked_ratios_residuals_and_wavefunction_match_rows(spectrum):
     chain, _, stack = spectrum
     ts = rows(stack)
     for n in range(chain.n_sites):
-        assert close(stack.checked_grid_ratios[n], [t.checked_grid_ratios[n] for t in ts])
+        assert close(stack.grid_ratios[n], [t.grid_ratios[n] for t in ts])
     assert close(discrete_residuals(stack), [discrete_residuals(t) for t in ts])
     assert close(stack.discrete_residual, [t.discrete_residual for t in ts])
     assert close(wavefunction_action_report(stack), max(wavefunction_action_report(t) for t in ts))
@@ -128,21 +126,6 @@ def _first_two_bad(values):
     """A floor between the second and third smallest values: exactly two rows fall under it."""
     order = np.argsort(values)
     return order[:2], 0.5 * (values[order[1]] + values[order[2]])
-
-
-def test_batched_solve_raises_singular_closure_for_the_first_bad_record(monkeypatch):
-    from sovchain import baxter
-
-    chain = random_chain((1,) * 4, 1.0, TWIST_FULL, seed=7)
-    stack = brute_force_spectrum(chain).t
-    zeta = default_zeta(chain)
-    ratios = _require_regular_closure(solve_q_polynomial(stack, zeta=zeta).closure)
-    bad, floor = _first_two_bad(ratios)
-    monkeypatch.setattr(baxter, "CLOSURE_DET_FLOOR", floor)
-    with pytest.raises(SingularCZeta) as err:
-        solve_q_polynomial(stack, zeta=zeta)
-    assert f"ratio {ratios[min(bad)]:.3e} below" in str(err.value)
-    assert f"zeta={zeta}" in str(err.value)
 
 
 def test_batched_solve_reports_each_record_root_gap():
