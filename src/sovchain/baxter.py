@@ -11,11 +11,11 @@ the fused eigenvalues; the one remaining degree of freedom per site (the
 bottom-node values) is pinned by interpolating through the grid plus one
 auxiliary point zeta and enforcing the left-out top-node conditions, an
 N x N closure system that the Q-polynomial keeps for the determinant
-Q-operator route. A (D, N) stack of eigenvalues is solved at once into one
-``QPolynomial`` stacked the same way (one (D, N, N) closure stack per zeta,
-one fit with D right-hand sides); the T-Q, Wronskian and factorization checks
-and both Q-operator routes are array operations over it, with Q evaluated in
-one Horner pass.
+Q-operator route. The eigenvalues come as one (D, N) stack and are solved at
+once into one ``QPolynomial`` stacked the same way (one (D, N, N) closure
+stack per zeta, one fit with D right-hand sides); the T-Q, Wronskian and
+factorization checks and both Q-operator routes are array operations over
+it, with Q evaluated in one Horner pass.
 """
 
 from __future__ import annotations
@@ -79,13 +79,13 @@ class _Interpolation:
 
 @dataclass
 class CZetaSystem:
-    """The N x N closure system C q_bottom = rhs at one zeta; ``det`` is det C and
-    ``q_flat`` the grid ratios at h = 1..2s_a in ``interp.pairs`` order; fields
-    may carry a leading axis stacking one system per eigenvalue."""
+    """The N x N closure systems C q_bottom = rhs at one zeta, one per eigenvalue
+    along the leading axis of each field; ``det`` holds det C and ``q_flat``
+    the grid ratios at h = 1..2s_a in ``interp.pairs`` order."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-    det: complex
+    det: np.ndarray
     q_flat: np.ndarray = field(repr=False)
     interp: _Interpolation = field(repr=False)
 
@@ -96,22 +96,22 @@ class CZetaSystem:
 
 @dataclass
 class QPolynomial:
-    """Monic Q-polynomial of one spectrum point, or of each row of a stack.
+    """Monic Q-polynomials, one per row of a spectrum stack.
 
-    ``coeffs`` (..., n_s + 1) ascend, monic at ``degree`` and exactly 0 above
-    it, so one Horner pass evaluates every row; ``closure`` is the closure
-    system solved for them (normalized to Q(zeta) = 1); ``roots`` holds each
-    row's roots (a list for a stack), ``root_gap`` each row's least distance
+    ``coeffs`` (D, n_s + 1) ascend, each row monic at its ``degree`` and
+    exactly 0 above it, so one Horner pass evaluates every row; ``closure``
+    holds the closure systems solved for them (normalized to Q(zeta) = 1);
+    ``roots`` lists each row's roots, ``root_gap`` each row's least distance
     from a root to a bottom grid node (inf for a constant Q).
     """
 
     chain: ChainSpec
     coeffs: np.ndarray
-    degree: int
-    leftout_residual: float
+    degree: np.ndarray
+    leftout_residual: np.ndarray
     closure: CZetaSystem = field(repr=False)
-    roots: object = field(repr=False)
-    root_gap: float
+    roots: list = field(repr=False)
+    root_gap: np.ndarray
 
     def __call__(self, lam):
         return poly_eval(self.coeffs, lam)
@@ -122,13 +122,13 @@ class QPolynomial:
 
 
 def _closure_system(interp: _Interpolation, ratios) -> CZetaSystem:
-    """Closure system(s) of the grid ratios (per site, shape (..., 2s_a + 1)) at interp's zeta."""
+    """Closure systems of the grid ratios (per site, shape (D, 2s_a + 1)) at interp's zeta."""
     n = interp.chain.n_sites
     q_flat = np.concatenate([r[..., 1:] for r in ratios], axis=-1)
     c, g = interp.binned(interp.top_cards, q_flat[..., None, :])
     c[..., range(n), range(n)] -= np.stack([r[..., 0] for r in ratios], axis=-1)
     return CZetaSystem(matrix=c, rhs=np.broadcast_to(-g, c.shape[:-1]).copy(),
-                       det=np.linalg.det(c)[()], q_flat=q_flat, interp=interp)
+                       det=np.linalg.det(c), q_flat=q_flat, interp=interp)
 
 
 def default_zeta(chain: ChainSpec, salt=20) -> complex:
@@ -144,7 +144,7 @@ def default_zeta(chain: ChainSpec, salt=20) -> complex:
 
 
 def solve_q_polynomial(t: TransferPolynomial, zeta=None):
-    """Unique monic Q-polynomial paired with the eigenvalue t, stacked like t.
+    """Unique monic Q-polynomial paired with each eigenvalue of the stack t, stacked like t.
 
     Sets Q(zeta) = 1, solves the closure system for the bottom-node values,
     interpolates through the full node set, verifies the N left-out top-node
@@ -159,7 +159,7 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None):
     chain = t.chain
     if zeta is None:
         zeta = default_zeta(chain)
-    ratios = [np.atleast_2d(r) for r in t.grid_ratios]
+    ratios = t.grid_ratios
     interp = _Interpolation(chain, zeta)
     system = _closure_system(interp, ratios)
     q_bottom = np.linalg.solve(system.matrix, system.rhs[..., None])[..., 0]
@@ -179,13 +179,7 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None):
     roots = _roots_by_degree(coeffs, degree)
     bottoms = np.array([g[0, -1] for g in chain.grid])
     gap = np.array([np.abs(r[:, None] - bottoms).min(initial=np.inf) for r in roots])
-
-    shape = t.x.shape[:-1]   # () for one eigenvalue
-    unstack = lambda a: a.reshape(shape + a.shape[1:])[()]  # noqa: E731
-    closure = CZetaSystem(*map(unstack, (system.matrix, system.rhs, system.det, system.q_flat)),
-                          interp)
-    return QPolynomial(chain, unstack(coeffs), unstack(degree), unstack(leftout), closure,
-                       roots if shape else roots[0], unstack(gap))
+    return QPolynomial(chain, coeffs, degree, leftout, system, roots, gap)
 
 
 def _roots_by_degree(coeffs, degree) -> list:
@@ -214,8 +208,7 @@ def tq_residual(t: TransferPolynomial, q, lams):
     """Max relative residual of the finite-difference equation at ``lams``, per row of t.
 
     ``q`` evaluates each row's Q-polynomial elementwise (a ``QPolynomial``
-    stacked like t); for a stack, row d of ``lams`` holds the points of row d
-    of t.
+    stacked like t); row d of ``lams`` holds the points of row d of t.
     """
     chain, eta, k1 = t.chain, t.chain.eta, t.chain.twist.k1
     lams = np.asarray(lams, dtype=CDTYPE)
@@ -382,4 +375,4 @@ def sov_q_factorization(t: TransferPolynomial, q):
     c = np.sum(prod_q.conj() * target, axis=0) / np.where(denom > 0, denom, 1.0)
     largest = np.max(np.abs(target), axis=0)
     spread = np.max(np.abs(target - c * prod_q), axis=0) / np.maximum(1.0, largest)
-    return np.where(denom > 0, spread, largest).reshape(t.x.shape[:-1])[()]
+    return np.where(denom > 0, spread, largest)

@@ -80,10 +80,10 @@ def normalize_twist(k_matrix) -> Twist:
     """Validate a twist matrix and fix its eigenvalue ordering and conjugator.
 
     Raises SimpleSpectrumViolation for K proportional to the identity and
-    warns (SingularTwistWarning) when an eigenvalue vanishes.
+    warns (SingularTwistWarning) when it is not ``Twist.invertible``.
     """
     twist = _twist(k_matrix)
-    if abs(twist.det) <= 1e-14 * max(1.0, float(np.max(np.abs(twist.matrix)))) ** 2:
+    if not twist.invertible:
         warnings.warn("twist has a vanishing eigenvalue; invertibility-gated "
                       "constructions are unavailable", SingularTwistWarning, stacklevel=2)
     return twist
@@ -262,15 +262,14 @@ def make_chain(eta, sites, twist, tolerances=None, seed=0) -> ChainSpec:
     return chain
 
 
-def random_chain(two_s_list, eta, twist, seed=0, tolerances=None) -> ChainSpec:
+def random_chain(two_s_list, eta, twist, seed=0) -> ChainSpec:
     """Chain with seeded random inhomogeneities in the box |Re|, |Im| < 5,
     re-drawn until generic (64 draws at most)."""
     rng = np.random.default_rng((int(seed), 0x5EED))
     for _ in range(64):
         xis = random_complex(rng, size=len(two_s_list), box=5.0)
         try:
-            return make_chain(eta, list(zip(two_s_list, xis)), twist,
-                              tolerances=tolerances, seed=seed)
+            return make_chain(eta, list(zip(two_s_list, xis)), twist, seed=seed)
         except GenericityViolation:
             continue
     raise GenericityViolation("no generic draw found in 64 tries")

@@ -236,8 +236,8 @@ class _RunContext:
         return self._get("sov2", lambda: sov_basis_2(self.chain, self.evaluator()))
 
     def sov2_with(self, source):
-        """(``sov2()``, the basis from ``source``, a covector or a function giving one), the
-        fused towers built once for both."""
+        """(``sov2()``, the basis from the covector ``source``), the fused towers built once
+        for both."""
         bases = _tower_bases("sov2", self.chain, self.evaluator(), [None, source])
         return self._values.setdefault("sov2", bases[0]), bases[1]
 
@@ -375,12 +375,12 @@ def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext):
     elif kind == "sov1":
         # the default and the tensor source share one build of the charges' powers
         basis, tensor = _tower_bases("sov1", chain, ctx.evaluator(),
-                                     [None, partial(tensor_generating_covector, chain)])
+                                     [None, tensor_generating_covector(chain)])
         checks.append(_rank_row("basis.sov1.rank_deficit", basis))
         checks.append(_rank_row("basis.sov1.tensor_source_rank_deficit", tensor))
     elif kind == "sov2":
         top = tuple(site.two_s for site in chain.sites)
-        basis, ident = ctx.sov2_with(lambda: ctx.sklyanin().row(top))
+        basis, ident = ctx.sov2_with(ctx.sklyanin().row(top))
         checks.append(_rank_row("basis.sov2.rank_deficit", basis))
         checks.append(_check("basis.sov2.separate_action",
                              separate_action_report(basis, ctx.evaluator()), 1e-8))
@@ -421,7 +421,7 @@ def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
     checks.append(_check("spectrum.oracle_discrete_residual", np.max(stack.discrete_residual),
                          1e-8, off_sector=oracle.off_sector))
 
-    solutions, diag = solve_discrete_system(chain, seeds=stack)
+    solutions, diag = solve_discrete_system(stack)
     checks.append(_check("spectrum.count_mismatch", abs(len(solutions) - chain.dim), 0,
                          newton_iterations=diag["newton_iterations"]))
     _, dists, bijection = match_to_oracle(solutions, oracle)

@@ -91,19 +91,22 @@ class _Barycentric:
         return out
 
     def __call__(self, values, lam, lead=0.0):
-        """Degree-n polynomials with leading coefficient ``lead`` through ``values`` (..., n).
+        """Degree-n polynomials with leading coefficient ``lead`` through ``values`` (D, n).
 
         That is ell(lam) [lead + sum_j w_j values_j / (lam - x_j)], with
         ell(lam) = prod_j (lam - x_j); ``values[..., j]`` exactly at node j.
         A (D, n) stack at points (P,), or at its own points (D, P), gives (D, P).
+        Points (P,) are read as (1, P), so a one-row stack rounds as its row in a
+        taller stack does (numpy can round a (1, 1) * (1,) product otherwise).
         """
         lam = np.asarray(lam, dtype=CDTYPE)
+        lam = lam[None] if lam.ndim == 1 else lam
         values = np.asarray(values)[..., None, :] if lam.ndim else np.asarray(values)
         diff = lam[..., None] - self.nodes
         hit = diff == 0
         out = diff.prod(axis=-1) * (lead + (self.weights * values / np.where(hit, 1.0, diff))
                                     .sum(axis=-1))
-        return np.where(hit.any(axis=-1), (hit * values).sum(axis=-1), out)[()]
+        return np.where(hit.any(axis=-1), (hit * values).sum(axis=-1), out)
 
 
 def poly_coeffs_from_samples(nodes, values):

@@ -176,9 +176,9 @@ def sov_basis_2(chain: ChainSpec, evaluator: TransferEvaluator, source=None) -> 
 
 
 def _tower_bases(kind: str, chain: ChainSpec, evaluator: TransferEvaluator, sources) -> list:
-    """The ``kind`` basis ("sov1" or "sov2") from each source: a covector, None for the
-    default, or a function giving one (called after the twist check). Each site's
-    operators are built once for all sources and freed before the next site's."""
+    """The ``kind`` basis ("sov1" or "sov2") from each source: a covector, or None for the
+    default. Each site's operators are built once for all sources and freed before the
+    next site's."""
     if not chain.twist.invertible:
         raise ValueError("this construction requires an invertible twist")
 
@@ -193,8 +193,7 @@ def _tower_bases(kind: str, chain: ChainSpec, evaluator: TransferEvaluator, sour
                 yield [tower[site.two_s - hn] / denoms[hn] for hn in range(site.dim)]
 
     salt = {"sov1": 1, "sov2": 2}[kind]
-    sources = [_gaussian_covector(chain, salt) if s is None
-               else np.asarray(s() if callable(s) else s) for s in sources]
+    sources = [_gaussian_covector(chain, salt) if s is None else np.asarray(s) for s in sources]
     return [CovectorBasis(rows=rows, kind=kind, chain=chain, source=source)
             for rows, source in zip(_site_product_rows(np.array(sources), per_site()), sources)]
 

@@ -8,13 +8,13 @@ scalar matrix with diagonal t(xi_n^(0))..t(xi_n^(2s_n)), superdiagonal
 fused eigenvalues included, comes from one three-term recurrence for the
 leading minors of a tridiagonal matrix (``_tridiagonal_minors``); the
 x-derivatives of a site determinant are its diagonal cofactors, each a
-leading minor times a trailing one. A ``TransferPolynomial`` holds one
-node-value vector or a (D, N) stack of them; every scalar routine is one
-array computation over the stack; the oracle and the discrete system each
-return the whole spectrum as one stack. ``grid_ratios`` computes the ratios
-behind the wavefunction and the Q-closure system once per stack; the
-wavefunction's separate-action row checks them against the recursion they
-solve.
+leading minor times a trailing one. A spectrum is one ``TransferPolynomial``:
+a (D, N) stack of node-value vectors, one row per eigenvalue, and every
+scalar routine is one array computation over it. The oracle returns the
+whole spectrum as one stack, and Newton refines such a stack into another.
+``grid_ratios`` computes the ratios behind the wavefunction and the
+Q-closure system once per stack; the wavefunction's separate-action row
+checks them against the recursion they solve.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ __all__ = [
 
 @dataclass
 class TransferPolynomial:
-    """Degree-N polynomial with leading coefficient tr(K), stored by its
-    values x_a at the top grid nodes z_a; x of shape (D, N) stacks D of them.
+    """Degree-N polynomials with leading coefficient tr(K), each stored by its
+    values x_a at the top grid nodes z_a: row d of x, of shape (D, N).
 
     Evaluated in barycentric form, t(lam) = ell(lam) [tr K + sum_a w_a x_a /
     (lam - z_a)] with ell(lam) = prod_a (lam - z_a); the weights w_a are
@@ -62,19 +62,20 @@ class TransferPolynomial:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=CDTYPE)
-        if self.x.shape[-1:] != (self.chain.n_sites,) or self.x.ndim > 2:
-            raise ValueError(f"expected {self.chain.n_sites} node values, got {self.x.shape}")
+        if self.x.ndim != 2 or self.x.shape[1] != self.chain.n_sites:
+            raise ValueError(f"expected a (D, {self.chain.n_sites}) stack of node values, "
+                             f"got shape {self.x.shape}")
         self._interp = _Barycentric([self.chain.node(a, 0) for a in range(self.chain.n_sites)])
 
     def __call__(self, lam):
         return self._interp(self.x, lam, lead=self.chain.twist.trace)
 
-    def __len__(self) -> int:   # the row count, 1 for a single node-value vector
-        return len(np.atleast_2d(self.x))
+    def __len__(self) -> int:
+        return len(self.x)
 
     @cached_property
     def grid_ratios(self) -> list:
-        """Ratios Q(xi_n^(h)) / Q(xi_n^(2s_n)), one (..., 2s_n + 1) array over h per site n.
+        """Ratios Q(xi_n^(h)) / Q(xi_n^(2s_n)), one (D, 2s_n + 1) array over h per site n.
 
         Closed form: the (2s_n - h)-th fused value at the bottom node over
         k2^(2s_n-h) times the partial product of d above level h. Computed
@@ -224,7 +225,7 @@ def _fused_tower(t: TransferPolynomial, lam: complex, top: int) -> np.ndarray:
 
 
 def discrete_residuals(t: TransferPolynomial) -> np.ndarray:
-    """Per-site determinants of the discrete system, scale-normalized; (..., N) for t's rows."""
+    """Per-site determinants of the discrete system, scale-normalized; (D, N) for t's rows."""
     res, scales = t.system.residual(t.x)
     return res / scales
 
@@ -310,27 +311,19 @@ def closed_form_solutions(chain: ChainSpec) -> TransferPolynomial:
     return TransferPolynomial(chain, k * np.prod(top[None, :, None] - points[:, None, :], axis=2))
 
 
-def solve_discrete_system(chain: ChainSpec, seeds=None):
-    """All solutions of the discrete system, refined by damped Newton.
+def solve_discrete_system(seeds: TransferPolynomial):
+    """All solutions of the discrete system near ``seeds``, refined by damped Newton.
 
-    Seeds, a stack or its node values, default to the brute-force oracle's
-    (the honest check is that Newton converges from them and the refined set
-    is complete); the solutions share the seeds' ``system``. All
+    The seeds are a stack, in practice the brute-force oracle's (the honest
+    check is that Newton converges from them and the refined set is
+    complete); the solutions share the seeds' chain and ``system``. All
     seeds are tested in one residual pass; each seed above 1e-13 gets at
     most 50 steps to bring the scale-normalized residual under 1e-13;
-    converged duplicates are collapsed (``_dedup``). With a
-    non-invertible twist the closed-form branch is returned with zero Newton
-    iterations. Returns (solutions, diagnostics), the solutions one stack with
-    rows in (Re x_0, Im x_0) order; completeness is the caller's check: the
-    stack holds the distinct converged solutions, however many there are.
+    converged duplicates are collapsed (``_dedup``). Returns (solutions,
+    diagnostics), the solutions one stack with rows in (Re x_0, Im x_0)
+    order; completeness is the caller's check: the stack holds the distinct
+    converged solutions, however many there are.
     """
-    if not chain.twist.invertible:
-        return closed_form_solutions(chain), {"branch": "closed-form", "newton_iterations": 0,
-                                              "failures": []}
-
-    seeds = brute_force_spectrum(chain).t if seeds is None else seeds
-    if not isinstance(seeds, TransferPolynomial):
-        seeds = TransferPolynomial(chain, seeds)
     system, xs = seeds.system, seeds.x.copy()
     res, scales = system.residual(xs)
     converged = np.max(np.abs(res) / scales, axis=-1) < 1e-13
@@ -367,7 +360,7 @@ def solve_discrete_system(chain: ChainSpec, seeds=None):
         "duplicates_collapsed": len(solutions) - len(distinct),
     }
     order = np.lexsort((distinct[:, 0].imag, distinct[:, 0].real))
-    solutions = TransferPolynomial(chain, distinct[order])
+    solutions = TransferPolynomial(seeds.chain, distinct[order])
     solutions.system = system
     return solutions, diag
 

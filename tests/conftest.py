@@ -41,8 +41,8 @@ def dense_blocks(chain, lam):
 
 
 def rows(t):
-    """The rows of a stacked ``TransferPolynomial``, each as its own single eigenvalue."""
-    return [TransferPolynomial(t.chain, x) for x in t.x]
+    """The rows of a stacked ``TransferPolynomial``, each as its own one-row stack."""
+    return [TransferPolynomial(t.chain, t.x[i:i + 1]) for i in range(len(t))]
 
 
 @pytest.fixture(scope="session")

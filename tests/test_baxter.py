@@ -23,12 +23,12 @@ def _q_operator(chain):
 
 
 def _eigenvalues_by_x(chain):
-    return {round(t.x[0].real): t for t in rows(brute_force_spectrum(chain).t)}
+    return {round(t.x[0, 0].real): t for t in rows(brute_force_spectrum(chain).t)}
 
 
 def _coefficients(qpoly):
-    """The ascending coefficients of a single Q-polynomial up to its degree."""
-    return qpoly.coeffs[:qpoly.degree + 1]
+    """The ascending coefficients of a one-row Q-polynomial stack up to its degree."""
+    return qpoly.coeffs[0, :qpoly.degree[0] + 1]
 
 
 def _points(chain, salt):
@@ -48,7 +48,7 @@ def _tq_residual_shifted(t, q, lams):
 
 def test_q_values_hand_case(chain1):
     t = _eigenvalues_by_x(chain1)[1]  # t = 3 lam + 1
-    vals = t.grid_ratios[0]
+    vals = t.grid_ratios[0][0]
     assert vals[1] == 1.0
     assert abs(vals[0] - 2.0) < 1e-12  # t(-1) / (k2 d(-1)) = 2
 
@@ -57,8 +57,8 @@ def test_q_values_first_step_formula(chain12):
     t = rows(brute_force_spectrum(chain12).t)[1]
     for n, site in enumerate(chain12.sites):
         bottom = chain12.node(n, site.two_s)
-        want = t(bottom) / (chain12.twist.k2 * chain12.d(bottom))
-        got = t.grid_ratios[n][site.two_s - 1]
+        want = t(bottom)[0] / (chain12.twist.k2 * chain12.d(bottom))
+        got = t.grid_ratios[n][0, site.two_s - 1]
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
@@ -81,15 +81,16 @@ def test_a_wrong_grid_ratio_fails_the_wavefunction_and_tq_rows(chain12):
 def test_hand_case_q_polynomials(chain1):
     ts = _eigenvalues_by_x(chain1)
     q0 = solve_q_polynomial(ts[2], zeta=1.0)  # t = 3 lam + 2
-    assert q0.degree == 0 and q0.coeffs.shape == (chain1.n_s + 1,)
-    assert np.allclose(q0.coeffs, [1.0, 0.0], atol=1e-10) and q0.coeffs[1] == 0.0
-    assert q0.roots.shape == (0,) and q0.root_gap == np.inf
+    assert q0.degree.tolist() == [0] and q0.coeffs.shape == (1, chain1.n_s + 1)
+    assert np.allclose(q0.coeffs[0], [1.0, 0.0], atol=1e-10) and q0.coeffs[0, 1] == 0.0
+    assert q0.roots[0].shape == (0,) and q0.root_gap.tolist() == [np.inf]
     q1 = solve_q_polynomial(ts[1], zeta=1.0)  # t = 3 lam + 1
-    assert q1.degree == 1
-    assert np.max(np.abs(q1.coeffs - np.array([2.0, 1.0]))) < 1e-10
+    assert q1.degree.tolist() == [1]
+    assert np.max(np.abs(q1.coeffs[0] - np.array([2.0, 1.0]))) < 1e-10
     # root at k1 / (k2 - k1) = -2, at distance 1 from the bottom node -1
-    assert abs(q1.roots[0] - (-2.0)) < 1e-10
-    assert q1.root_gap == abs(q1.roots[0] - chain1.node(0, 1))
+    root = q1.roots[0][0]
+    assert abs(root - (-2.0)) < 1e-10
+    assert q1.root_gap[0] == abs(root - chain1.node(0, 1))
 
 
 def test_q_degree_bound_and_nontriviality(chain12, chain112):
@@ -113,11 +114,11 @@ def test_tq_equation_detects_off_shell(chain12):
     t = rows(brute_force_spectrum(chain12).t)[0]
     qpoly = solve_q_polynomial(t)
     lams = _points(chain12, 21)
-    on_shell = tq_residual(t, qpoly, lams)
+    on_shell = tq_residual(t, qpoly, lams)[0]
     x = t.x.copy()
-    x[1] += 0.1
+    x[0, 1] += 0.1
     off = TransferPolynomial(chain12, x)
-    off_shell = tq_residual(off, qpoly, lams)
+    off_shell = tq_residual(off, qpoly, lams)[0]
     assert off_shell > 1e-3
     assert off_shell > 1e6 * max(on_shell, 1e-16)
 
@@ -189,14 +190,14 @@ def test_degenerate_twist_q_closed_form(chain12):
         x = np.array([twist.k2 * np.prod([chain.node(a, 0) - chain.node(n, hn)
                                           for n, hn in enumerate(h)])
                       for a in range(chain.n_sites)])
-        t = TransferPolynomial(chain, x)
+        t = TransferPolynomial(chain, x[None])
         # the eigenvalue k2 prod_n (lam - xi_n^(h_n)) pairs with the monic
         # polynomial rooted at the top h_n grid nodes of each site
         coeffs = np.array([1.0], dtype=complex)
         for n, hn in enumerate(h):
             for k in range(hn):
                 coeffs = np.convolve(coeffs, [-chain.node(n, k), 1.0])
-        q_fn = lambda lam, c=coeffs: poly_eval(c, lam)
+        q_fn = lambda lam, c=coeffs[None]: poly_eval(c, lam)
         assert _tq_residual_shifted(t, q_fn, _points(chain, 22)) < 1e-12
         got = _coefficients(solve_q_polynomial(t))
         assert len(got) == len(coeffs)
@@ -211,8 +212,8 @@ def test_closure_rank_one_update(chain12):
     system = _closure_system(interp, t.grid_ratios)
     rng = np.random.default_rng(4)
     for lam in random_complex(rng, size=3, box=2.0):
-        f, g = interp.site_sums(lam, system.q_flat)
-        delta = np.outer(system.rhs / g, f)
+        f, g = interp.site_sums(lam, system.q_flat[0])
+        delta = np.outer(system.rhs[0] / g, f)
         sv = np.linalg.svd(delta, compute_uv=False)
         assert sv[0] > 1e-12 and (len(sv) == 1 or sv[1] < 1e-12 * sv[0])
 
@@ -221,13 +222,15 @@ def test_cramer_dets_match_solution(chain12):
     t = rows(brute_force_spectrum(chain12).t)[3]
     zeta = default_zeta(chain12)
     system = _closure_system(_Interpolation(chain12, zeta), t.grid_ratios)
-    by_solve = np.linalg.solve(system.matrix, system.rhs)
+    matrix, rhs = system.matrix[0], system.rhs[0]
+    assert system.det[0] == np.linalg.det(matrix)
+    by_solve = np.linalg.solve(matrix, rhs)
     column_dets = []
     for j in range(chain12.n_sites):
-        cj = system.matrix.copy()
-        cj[:, j] = system.rhs
+        cj = matrix.copy()
+        cj[:, j] = rhs
         column_dets.append(np.linalg.det(cj))
-    by_cramer = np.array(column_dets) / np.linalg.det(system.matrix)
+    by_cramer = np.array(column_dets) / np.linalg.det(matrix)
     assert np.max(np.abs(by_solve - by_cramer)) < 1e-10 * max(1.0, np.max(np.abs(by_solve)))
 
 
@@ -315,7 +318,7 @@ def test_q_operator_rejects_equal_eigenvalues(chain12):
 def test_q_operator_rejects_mismatched_q_polynomials(chain12):
     oracle = brute_force_spectrum(chain12)
     short = TransferPolynomial(chain12, oracle.t.x[:-1])
-    single = TransferPolynomial(chain12, oracle.t.x[0])
+    single = TransferPolynomial(chain12, oracle.t.x[:1])
     for qpoly in (solve_q_polynomial(short), solve_q_polynomial(single)):
         with pytest.raises(ValueError, match="one Q-polynomial row per oracle row"):
             build_q_operator(oracle, qpoly)
@@ -472,11 +475,11 @@ def test_sov_from_q_reads_only_the_sklyanin_top_row(chain12):
 
 
 def _sov_q_factorization_loop(t, qpoly):
-    """Entry-by-entry reference: one Q evaluation per (h, n)."""
+    """Entry-by-entry reference for a one-row stack: one Q evaluation per (h, n)."""
     chain = t.chain
-    psi = _sov2_array(t)
+    psi = _sov2_array(t)[..., 0]
     hs = list(np.ndindex(chain.dims))
-    prod_q = np.array([np.prod([qpoly(chain.node(n, hn)) for n, hn in enumerate(h)])
+    prod_q = np.array([np.prod([qpoly(chain.node(n, hn))[0] for n, hn in enumerate(h)])
                        for h in hs])
     target = np.array([psi[h] for h in hs])
     c = np.vdot(prod_q, target) / np.vdot(prod_q, prod_q)
@@ -488,11 +491,11 @@ def test_sov_q_factorization_matches_loop(chain112):
     rng = np.random.default_rng(4)
     for t in rows(brute_force_spectrum(chain112).t):
         qpoly = solve_q_polynomial(t, zeta=zeta)
-        assert abs(sov_q_factorization(t, qpoly) - _sov_q_factorization_loop(t, qpoly)) < 1e-13
-        if qpoly.degree == 0:   # a constant Q factorizes whatever its value
+        assert abs(sov_q_factorization(t, qpoly)[0] - _sov_q_factorization_loop(t, qpoly)) < 1e-13
+        if qpoly.degree[0] == 0:   # a constant Q factorizes whatever its value
             continue
-        noise = 1 + 1e-3 * rng.standard_normal(qpoly.degree + 1)
-        off = dataclasses.replace(qpoly, coeffs=_coefficients(qpoly) * noise)
+        noise = 1 + 1e-3 * rng.standard_normal(qpoly.degree[0] + 1)
+        off = dataclasses.replace(qpoly, coeffs=(_coefficients(qpoly) * noise)[None])
         want = _sov_q_factorization_loop(t, off)
         assert want > 1e-6
-        assert sov_q_factorization(t, off) == pytest.approx(want, rel=1e-10)
+        assert sov_q_factorization(t, off)[0] == pytest.approx(want, rel=1e-10)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,18 @@ def test_normalize_twist_rejects_identity_multiple():
 def test_normalize_twist_warns_on_singular():
     with pytest.warns(SingularTwistWarning):
         tw = normalize_twist(np.diag([1.0, 0.0]).astype(complex))
+    assert not tw.invertible
+
+
+def test_normalize_twist_warns_exactly_when_not_invertible():
+    # eigenvalues 1 and 1e-7 under an entry of 1e8: invertible, so no warning, though
+    # det K is under 1e-14 times the largest entry squared
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SingularTwistWarning)
+        tw = normalize_twist(np.array([[1.0, 1e8], [0.0, 1e-7]]))
+    assert tw.invertible
+    with pytest.warns(SingularTwistWarning):
+        tw = normalize_twist(np.array([[1.0, 1e8], [0.0, 0.0]]))
     assert not tw.invertible
 
 

@@ -734,6 +734,16 @@ def test_vanishing_k2_becomes_error_rows(tmp_path, command):
                 "all": ["suite_spectrum.error", "suite_baxter.error"]}[command]
     for name in expected:
         assert "k2" in errors[name]["message"] and errors[name]["exception"] == "ValueError"
+    if command == "spectrum":
+        # twist diag(0, -1): k1 = 0, so the spectrum suite stops at the second SoV basis
+        cfg["twist"] = {"a": [0.0, 0.0], "b": [0.0, 0.0], "c": [0.0, 0.0], "d": [-1.0, 0.0]}
+        path.write_text(json.dumps(cfg))
+        with pytest.warns(SingularTwistWarning):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in checks] == ["model.genericity", "suite_spectrum.error"]
+        assert checks[1]["info"] == {"message": "this construction requires an invertible twist",
+                                     "exception": "ValueError"}
 
 
 def test_error_row_names_an_unplaceable_zeta(monkeypatch):

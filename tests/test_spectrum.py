@@ -40,11 +40,14 @@ def test_oracle_stacks_are_c_contiguous(chain12):
     assert np.allclose(oracle.left @ oracle.vectors, np.eye(chain12.dim), atol=1e-10)
 
 
-def test_transfer_polynomial_len_counts_rows(chain12):
+def test_transfer_polynomial_takes_only_a_stack(chain12):
     stack = brute_force_spectrum(chain12).t
     assert len(stack) == chain12.dim
-    assert len(TransferPolynomial(chain12, stack.x[0])) == 1
     assert len(TransferPolynomial(chain12, stack.x[:1])) == 1
+    # one node-value vector, a stack of stacks, or the wrong node count: refused
+    for x in (stack.x[0], stack.x[None], stack.x[:, :1]):
+        with pytest.raises(ValueError, match=r"\(D, 2\) stack of node values"):
+            TransferPolynomial(chain12, x)
 
 
 @pytest.mark.parametrize("name", ["n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22",
@@ -146,7 +149,7 @@ def _discrete_matrix(t, n):
     out = np.zeros((m, m), dtype=complex)
     for k in range(m):
         node = chain.node(n, k)
-        out[k, k] = t(node)
+        out[k, k] = t(node)[0]
         if k + 1 < m:
             out[k, k + 1] = -chain.twist.k1 * chain.a(node)
         if k > 0:
@@ -157,7 +160,7 @@ def _discrete_matrix(t, n):
 def test_hand_case_discrete_determinant(chain1):
     # det = t(0) t(-1) + k1 k2 vanishes exactly on both eigenvalues
     for x in (1.0, 2.0):
-        t = TransferPolynomial(chain1, np.array([x]))
+        t = TransferPolynomial(chain1, np.array([[x]]))
         mat = _discrete_matrix(t, 0)
         assert mat.shape == (2, 2)
         assert abs(mat[0, 1] - (-2.0)) < 1e-14  # -k1 a(0) = -2
@@ -172,8 +175,8 @@ def test_oracle_satisfies_discrete_system(chain12, chain112):
 
 
 def test_perturbed_candidate_fails(chain12):
-    x = brute_force_spectrum(chain12).t.x[0].copy()
-    x[0] += 1e-3
+    x = brute_force_spectrum(chain12).t.x[:1].copy()
+    x[0, 0] += 1e-3
     residuals = np.abs(discrete_residuals(TransferPolynomial(chain12, x)))
     assert residuals.max() > 1e-6
 
@@ -183,7 +186,7 @@ def test_newton_refines_perturbed_seeds(chain12):
     rng = np.random.default_rng(55)
     seeds = [x + 0.01 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
              for x in oracle.t.x]
-    solutions, diag = solve_discrete_system(chain12, seeds=seeds)
+    solutions, diag = solve_discrete_system(TransferPolynomial(chain12, seeds))
     assert len(solutions) == chain12.dim
     assert diag["newton_iterations"] > 0
     _, dists, bijection = match_to_oracle(solutions, oracle)
@@ -192,7 +195,7 @@ def test_newton_refines_perturbed_seeds(chain12):
 
 
 def test_hand_case_solve(chain1):
-    solutions, _ = solve_discrete_system(chain1)
+    solutions, _ = solve_discrete_system(brute_force_spectrum(chain1).t)
     assert len(solutions) == 2
     xs = sorted(solutions.x[:, 0].real)
     assert np.allclose(xs, [1.0, 2.0], atol=1e-10)
@@ -200,9 +203,10 @@ def test_hand_case_solve(chain1):
 
 def test_completeness_default_seeds(chain12, chain112):
     for chain in (chain12, chain112):
-        solutions, _ = solve_discrete_system(chain)
-        assert len(solutions) == chain.dim
-        _, dists, bijection = match_to_oracle(solutions, brute_force_spectrum(chain))
+        oracle = brute_force_spectrum(chain)
+        solutions, _ = solve_discrete_system(oracle.t)
+        assert len(solutions) == chain.dim and solutions.chain is chain
+        _, dists, bijection = match_to_oracle(solutions, oracle)
         assert bijection and max(dists) < 1e-8
 
 
@@ -211,13 +215,14 @@ def test_duplicate_seeds_give_a_short_stack(chain12, monkeypatch):
     # refuses nothing: the spectrum suite still reaches every row, and the
     # count and bijection rows are the ones that fail
     oracle = brute_force_spectrum(chain12)
-    solutions, diag = solve_discrete_system(chain12, seeds=[oracle.t.x[0]] * chain12.dim)
+    copies = TransferPolynomial(chain12, oracle.t.x[[0] * chain12.dim])
+    solutions, diag = solve_discrete_system(copies)
     assert len(solutions) == 1 and diag["duplicates_collapsed"] == chain12.dim - 1
     assert np.max(np.abs(solutions.x[0] - oracle.t.x[0])) < 1e-8 * (1 + np.max(np.abs(oracle.t.x)))
 
     solve = cli.solve_discrete_system
-    monkeypatch.setattr(cli, "solve_discrete_system", lambda chain, seeds: solve(
-        chain, seeds=TransferPolynomial(chain, seeds.x[[0] * len(seeds)])))
+    monkeypatch.setattr(cli, "solve_discrete_system", lambda seeds: solve(
+        TransferPolynomial(seeds.chain, seeds.x[[0] * len(seeds)])))
     checks = {c["name"]: c for c in run("spectrum", chain12)["checks"]}
     assert list(checks) == ["model.genericity", *SUITE_ROWS["spectrum"]]
     assert checks["spectrum.count_mismatch"]["value"] == chain12.dim - 1
@@ -227,7 +232,7 @@ def test_duplicate_seeds_give_a_short_stack(chain12, monkeypatch):
 
 
 def test_jacobian_regular_at_solutions(chain12):
-    solutions, _ = solve_discrete_system(chain12)
+    solutions, _ = solve_discrete_system(brute_force_spectrum(chain12).t)
     assert jacobian_smallest_sv(solutions) > 1e-8
     assert jacobian_smallest_sv(solutions) == min(jacobian_smallest_sv(sol)
                                                   for sol in rows(solutions))
@@ -274,8 +279,7 @@ def test_jacobian_matches_central_differences(spins):
 
 
 def test_degenerate_twist_closed_form(chain12_k2zero):
-    solutions, diag = solve_discrete_system(chain12_k2zero)
-    assert diag["branch"] == "closed-form"
+    solutions = closed_form_solutions(chain12_k2zero)
     assert len(solutions) == chain12_k2zero.dim
     lam0 = 0.83 + 0.4j
     ev = TransferEvaluator(chain12_k2zero)
@@ -331,8 +335,8 @@ def test_on_shell_top_fused_value_vanishes(chain12):
 
 
 def test_wavefunction_normalization_and_hand_value(chain1):
-    by_x = {round(t.x[0].real): t for t in rows(brute_force_spectrum(chain1).t)}
-    psi = _sov2_array(by_x[1])  # t = 3 lam + 1
+    by_x = {round(t.x[0, 0].real): t for t in rows(brute_force_spectrum(chain1).t)}
+    psi = _sov2_array(by_x[1])[..., 0]  # t = 3 lam + 1
     assert psi[(1,)] == 1.0
     assert abs(psi[(0,)] - 2.0) < 1e-12
 
@@ -431,17 +435,17 @@ def _lagrange_terms(t, lam):
     chain = t.chain
     nodes0 = [chain.node(a, 0) for a in range(chain.n_sites)]
     lead = chain.twist.trace * np.prod([lam - z for z in nodes0])
-    return [lead] + [lagrange_cardinal(nodes0, a, lam) * t.x[a] for a in range(chain.n_sites)]
+    return [lead] + [lagrange_cardinal(nodes0, a, lam) * t.x[0, a] for a in range(chain.n_sites)]
 
 
 def test_transfer_polynomial_matches_lagrange_sum(chain112):
     rng = np.random.default_rng(23)
-    t = TransferPolynomial(chain112, random_complex(rng, size=chain112.n_sites))
+    t = TransferPolynomial(chain112, random_complex(rng, size=(1, chain112.n_sites)))
     for lam in random_complex(rng, size=20, box=4.0):
         terms = _lagrange_terms(t, lam)
-        assert abs(t(lam) - sum(terms)) <= 1e-14 * sum(abs(z) for z in terms)
+        assert abs(t(lam)[0] - sum(terms)) <= 1e-14 * sum(abs(z) for z in terms)
     for a in range(chain112.n_sites):
-        assert t(chain112.node(a, 0)) == t.x[a]
+        assert t(chain112.node(a, 0))[0] == t.x[0, a]
 
 
 def _action_report_loop(t):
@@ -532,13 +536,13 @@ def test_small_scale_chain_keeps_every_solution():
                        TWIST_FULL, seed=7)
     for ch in (chain, small):
         oracle = brute_force_spectrum(ch)
-        solutions, diag = solve_discrete_system(ch, seeds=oracle.t)
+        solutions, diag = solve_discrete_system(oracle.t)
         assert len(solutions) == ch.dim and diag["duplicates_collapsed"] == 0
         assert match_to_oracle(solutions, oracle)[2]
 
 
 def test_jacobian_regularity_ignores_site_scale(chain112, monkeypatch):
-    solutions, _ = solve_discrete_system(chain112)
+    solutions, _ = solve_discrete_system(brute_force_spectrum(chain112).t)
     before = [jacobian_smallest_sv(sol) for sol in rows(solutions)]
     residual, jacobian = _DiscreteSystem.residual, _DiscreteSystem.jacobian
     # one site's determinant on a scale 1e7 larger, as for a wide-spread chain
@@ -552,7 +556,7 @@ def test_jacobian_regularity_ignores_site_scale(chain112, monkeypatch):
 
 
 def test_jacobian_regularity_fires_on_singular_jacobian(chain112, monkeypatch):
-    solutions, _ = solve_discrete_system(chain112)
+    solutions, _ = solve_discrete_system(brute_force_spectrum(chain112).t)
     jacobian = _DiscreteSystem.jacobian
 
     def dependent_rows(self, x):
@@ -578,7 +582,7 @@ def test_jacobian_regularity_builds_one_system(chain112, monkeypatch):
     assert len(built) == 1
     assert {c["name"] for c in report["checks"]} >= {"spectrum.oracle_discrete_residual",
                                                     "spectrum.jacobian_regularity"}
-    solutions, _ = solve_discrete_system(chain112)
+    solutions, _ = solve_discrete_system(brute_force_spectrum(chain112).t)
     assert len(built) == 2
     jacobian_smallest_sv(solutions)
     assert len(built) == 2

@@ -1,4 +1,4 @@
-"""The scalar layer on a stack of eigenvalues equals its one-row calls."""
+"""The scalar layer on a stack of eigenvalues equals its calls on one-row stacks."""
 
 import os
 import subprocess
@@ -42,9 +42,9 @@ def test_stacked_ratios_residuals_and_wavefunction_match_rows(spectrum):
     chain, _, stack = spectrum
     ts = rows(stack)
     for n in range(chain.n_sites):
-        assert close(stack.grid_ratios[n], [t.grid_ratios[n] for t in ts])
-    assert close(discrete_residuals(stack), [discrete_residuals(t) for t in ts])
-    assert close(stack.discrete_residual, [t.discrete_residual for t in ts])
+        assert close(stack.grid_ratios[n], np.concatenate([t.grid_ratios[n] for t in ts]))
+    assert close(discrete_residuals(stack), np.concatenate([discrete_residuals(t) for t in ts]))
+    assert close(stack.discrete_residual, np.concatenate([t.discrete_residual for t in ts]))
     assert close(wavefunction_action_report(stack), max(wavefunction_action_report(t) for t in ts))
 
 
@@ -55,32 +55,36 @@ def test_stacked_q_solve_and_baxter_identities_match_rows(spectrum):
     assert q.coeffs.shape == (len(stack), chain.n_s + 1) and q.zeta == zeta_a
     singles = [solve_q_polynomial(t, zeta=zeta_a) for t in rows(stack)]
     for d, want in enumerate(singles):
-        assert np.array_equal(q.coeffs[d], want.coeffs) and q.degree[d] == want.degree
+        assert np.array_equal(q.coeffs[d:d + 1], want.coeffs)
+        assert np.array_equal(q.degree[d:d + 1], want.degree)
         # the left-out check is one matrix product over the stack, whose rounding
         # depends on the row count: equal at roundoff
-        assert abs(q.leftout_residual[d] - want.leftout_residual) <= 1e-12
+        assert abs(q.leftout_residual[d] - want.leftout_residual[0]) <= 1e-12
         for key in ("matrix", "rhs", "det", "q_flat"):
-            assert np.array_equal(getattr(q.closure, key)[d], getattr(want.closure, key))
-        assert np.array_equal(q.roots[d], want.roots) and q.root_gap[d] == want.root_gap
-        assert np.all(q.coeffs[d, want.degree + 1:] == 0)
-        assert abs(want.coeffs[want.degree] - 1) < 1e-15
+            assert np.array_equal(getattr(q.closure, key)[d:d + 1], getattr(want.closure, key))
+        assert np.array_equal(q.roots[d], want.roots[0])
+        assert np.array_equal(q.root_gap[d:d + 1], want.root_gap)
+        degree = want.degree[0]
+        assert np.all(q.coeffs[d, degree + 1:] == 0)
+        assert abs(want.coeffs[0, degree] - 1) < 1e-15
     lams = random_complex(np.random.default_rng(5), size=(len(stack), 6), box=3.0)
-    assert close(tq_residual(stack, q, lams),
-                 [tq_residual(t, qp, pts) for t, qp, pts in zip(rows(stack), singles, lams)])
+    assert close(tq_residual(stack, q, lams), np.concatenate(
+        [tq_residual(t, qp, pts[None]) for t, qp, pts in zip(rows(stack), singles, lams)]))
     singles_b = [solve_q_polynomial(t, zeta=zeta_b) for t in rows(stack)]
-    assert close(wronskian_values(q, q_b, chain, lams),
-                 [wronskian_values(p1, p2, chain, pts)
-                  for p1, p2, pts in zip(singles, singles_b, lams)])
-    assert close(sov_q_factorization(stack, q),
-                 [sov_q_factorization(t, qp) for t, qp in zip(rows(stack), singles)])
+    assert close(wronskian_values(q, q_b, chain, lams), np.concatenate(
+        [wronskian_values(p1, p2, chain, pts[None])
+         for p1, p2, pts in zip(singles, singles_b, lams)]))
+    assert close(sov_q_factorization(stack, q), np.concatenate(
+        [sov_q_factorization(t, qp) for t, qp in zip(rows(stack), singles)]))
 
 
 def _determinant_row(system, lam):
-    """One eigenvalue's determinant-route value, evaluated on its own closure system."""
-    f, g = system.interp.site_sums(lam, system.q_flat)
+    """One eigenvalue's determinant-route value, evaluated on its own one-row closure system."""
+    matrix, rhs, det = system.matrix[0], system.rhs[0], system.det[0]
+    f, g = system.interp.site_sums(lam, system.q_flat[0])
     if abs(g) > 1e-8:
-        return np.linalg.det(system.matrix + np.outer(system.rhs / g, f)) / system.det * g
-    return g + f @ np.linalg.solve(system.matrix, system.rhs)
+        return np.linalg.det(matrix + np.outer(rhs / g, f)) / det * g
+    return g + f @ np.linalg.solve(matrix, rhs)
 
 
 def test_both_q_operator_methods_match_rows(spectrum):
@@ -94,7 +98,8 @@ def test_both_q_operator_methods_match_rows(spectrum):
     singles = [solve_q_polynomial(t, zeta=zeta) for t in rows(stack)]
     # a generic point, and a grid node, where the determinant route takes its rank-one form
     for lam in (0.3 - 0.8j, chain.node(0, 1)):
-        assert close(eigenbasis.eigenvalues(lam), [qp(lam) / qp(zeta) for qp in singles])
+        assert close(eigenbasis.eigenvalues(lam),
+                     np.concatenate([qp(lam) / qp(zeta) for qp in singles]))
         assert close(determinant.eigenvalues(lam),
                      [_determinant_row(qp.closure, lam) for qp in singles], rtol=1e-10)
 
@@ -114,8 +119,8 @@ def test_stacked_baxter_draw_gives_each_record_its_sequential_points():
     ts = rows(brute_force_spectrum(chain).t)
     qa = [solve_q_polynomial(t, zeta=default_zeta(chain, salt=20)) for t in ts]
     qb = [solve_q_polynomial(t, zeta=default_zeta(chain, salt=24)) for t in ts]
-    worst_tq = max(tq_residual(t, qp, pts) for t, qp, (pts, _) in zip(ts, qa, sequential))
-    worst_w = max(wronskian_values(p1, p2, chain, pts)
+    worst_tq = max(tq_residual(t, qp, [pts])[0] for t, qp, (pts, _) in zip(ts, qa, sequential))
+    worst_w = max(wronskian_values(p1, p2, chain, [pts])[0]
                   for p1, p2, (_, pts) in zip(qa, qb, sequential))
     checks = {c["name"]: c["value"] for c in cli.run("baxter", chain)["checks"]}
     assert checks["baxter.tq_equation"] == pytest.approx(worst_tq, rel=1e-9, abs=1e-16)
@@ -145,7 +150,7 @@ def test_batched_solve_reports_each_record_root_gap():
     culprit = first[np.argmin(np.min(np.abs(first[:, None] - bottoms), axis=1))]
     assert qpoly.root_gap[min(bad)] == np.min(np.abs(culprit - bottoms))
     alone = solve_q_polynomial(rows(stack)[min(bad)], zeta=zeta)
-    assert alone.root_gap == pytest.approx(qpoly.root_gap[min(bad)], rel=1e-8)
+    assert alone.root_gap[0] == pytest.approx(qpoly.root_gap[min(bad)], rel=1e-8)
 
 
 def test_run_all_leaves_every_module_namespace_unchanged():
