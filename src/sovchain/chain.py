@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,6 +42,9 @@ _MIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=CDTYPE) / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Tolerances:
+    """The program's two cuts: ``zero`` for genericity and coincidence tests (model.genericity,
+    the oracle's gap test, the Jordan-twist test), ``gram`` for a basis rank (*.rank_deficit)."""
+
     zero: float = 1e-8
     gram: float = 1e-10
 
@@ -180,8 +184,8 @@ class ChainSpec:
     eta: complex
     sites: tuple
     twist: Twist
-    tolerances: Tolerances = field(default_factory=Tolerances)
     seed: int = 0
+    tolerances: ClassVar[Tolerances] = Tolerances()
 
     @property
     def n_sites(self) -> int:
@@ -238,7 +242,7 @@ class ChainSpec:
         return np.random.default_rng((self.seed, salt))
 
 
-def make_chain(eta, sites, twist, tolerances=None, seed=0) -> ChainSpec:
+def make_chain(eta, sites, twist, seed=0) -> ChainSpec:
     """Assemble a ChainSpec from raw data and check its genericity.
 
     ``sites`` is a sequence of (two_s, xi) pairs or Site objects; ``twist``
@@ -251,13 +255,7 @@ def make_chain(eta, sites, twist, tolerances=None, seed=0) -> ChainSpec:
     if not site_objs:
         raise ValueError("a chain needs at least one site")
     twist_obj = twist if isinstance(twist, Twist) else normalize_twist(twist)
-    chain = ChainSpec(
-        eta=complex(eta),
-        sites=site_objs,
-        twist=twist_obj,
-        tolerances=tolerances or Tolerances(),
-        seed=int(seed),
-    )
+    chain = ChainSpec(eta=complex(eta), sites=site_objs, twist=twist_obj, seed=int(seed))
     genericity_check(chain)
     return chain
 

@@ -27,7 +27,7 @@ from .baxter import (_require_q_twist, build_q_operator, default_zeta,
                      q_operator_commutation_residual, q_operator_invertibility,
                      q_operator_tq_residual, solve_q_polynomial, sov_from_q,
                      sov_q_factorization, tq_residual, wronskian_values)
-from .chain import ChainSpec, Tolerances, _twist, fused_twist, genericity_check, make_chain
+from .chain import ChainSpec, _twist, fused_twist, genericity_check, make_chain
 from .errors import GenericityViolation, SovChainError
 from .local_ops import _lax_parts, kron_embed, spin_matrices
 from .numerics import CDTYPE, commutator_residual, frob, greedy_match, random_complex
@@ -44,6 +44,7 @@ from .transfer import (TransferEvaluator, central_zero_residual, fused_transfer_
 COMMANDS = ("verify-algebra", "verify-fusion", "basis", "spectrum", "baxter", "qop", "all")
 BASIS_KINDS = ("sklyanin", "sov1", "sov2", "q")
 SCHEMA_VERSION = 2
+_ALGEBRA_SAMPLES = 20   # random draws per algebra check
 
 
 class ConfigError(Exception):
@@ -83,14 +84,15 @@ def parse_config(text: str) -> dict:
     """Parse and validate a chain configuration document.
 
     Numbers must be finite (``NaN`` and ``Infinity`` are rejected, as are
-    booleans in place of numbers); tolerances must be positive.
+    booleans in place of numbers). The cuts are fixed (``ChainSpec.tolerances``),
+    so a ``tolerances`` key is unknown like any other.
     """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"parse error at line {err.lineno}, column {err.colno}: {err.msg}")
     data = _object(data, "top-level config",
-                   ("schema_version", "eta", "sites", "twist", "seed", "tolerances"),
+                   ("eta", "sites", "twist", "seed"),
                    ("eta", "sites", "twist"))
     out = {"eta": _as_complex(data["eta"], "eta")}
     if not isinstance(data["sites"], list) or not data["sites"]:
@@ -107,24 +109,13 @@ def parse_config(text: str) -> dict:
     out["seed"] = data.get("seed", 0)
     if type(out["seed"]) is not int:
         raise ConfigError(f"seed must be an integer, got {out['seed']!r}")
-    tols = _object(data.get("tolerances", {}), "tolerances", ("zero", "gram"))
-    for key, val in tols.items():
-        if not _is_number(val) or val <= 0:
-            raise ConfigError(f"tolerances.{key} must be a finite number > 0, got {val!r}")
-    out["tolerances"] = {k: float(v) for k, v in tols.items()}
     return out
 
 
 def chain_from_config(cfg: dict, seed=None) -> ChainSpec:
-    tols = dict(cfg.get("tolerances", {}))
     try:
-        return make_chain(
-            eta=cfg["eta"],
-            sites=cfg["sites"],
-            twist=cfg["twist"],
-            tolerances=Tolerances(**tols),
-            seed=cfg["seed"] if seed is None else seed,
-        )
+        return make_chain(cfg["eta"], cfg["sites"], cfg["twist"],
+                          seed=cfg["seed"] if seed is None else seed)
     except SovChainError as err:
         raise ConfigError(f"invalid chain: {err}")
 
@@ -420,6 +411,10 @@ def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
     stack = oracle.t
     checks.append(_check("spectrum.oracle_discrete_residual", np.max(stack.discrete_residual),
                          1e-8, off_sector=oracle.off_sector))
+    # a non-invertible twist ends the suite here, at the grid ratios (k2 = 0) or at the
+    # second basis, before Newton spends its steps on every oracle seed
+    action = wavefunction_action_report(stack)
+    basis = ctx.sov2()
 
     solutions, diag = solve_discrete_system(stack)
     checks.append(_check("spectrum.count_mismatch", abs(len(solutions) - chain.dim), 0,
@@ -432,10 +427,9 @@ def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
     checks.append(_check("spectrum.jacobian_regularity", 1e-8 - worst_j, 0,
                          smallest_relative_sv=worst_j))
 
-    checks.append(_check("spectrum.wavefunction_separate_action",
-                         wavefunction_action_report(stack), 1e-8))
+    checks.append(_check("spectrum.wavefunction_separate_action", action, 1e-8))
 
-    vectors, residuals = eigenvector_from_sov(stack, ctx.sov2(), evaluator)
+    vectors, residuals = eigenvector_from_sov(stack, basis, evaluator)
     cosine = np.abs(np.sum(oracle.vectors.conj() * vectors, axis=0)) / (
         np.linalg.norm(oracle.vectors, axis=0) * np.linalg.norm(vectors, axis=0))
     checks.append(_check("spectrum.eigenvector_residual", np.max(residuals), 1e-7))
@@ -449,8 +443,8 @@ def suite_spectrum(chain: ChainSpec, ctx: _RunContext):
 def _closed_form_vs_oracle(chain: ChainSpec) -> float:
     """Spectrum of the k2 = 0 degeneration vs its closed form, multiset distance."""
     twist = _twist(np.array([[chain.twist.k1, 0], [0, 0]], dtype=CDTYPE))  # singular by design
-    degenerate = make_chain(chain.eta, [(s.two_s, s.xi) for s in chain.sites],
-                            twist, tolerances=chain.tolerances, seed=chain.seed)
+    degenerate = make_chain(chain.eta, [(s.two_s, s.xi) for s in chain.sites], twist,
+                            seed=chain.seed)
     lam0 = complex(random_complex(degenerate.rng(10), box=2.0)) + 0.25j
     t = transfer(degenerate, lam0)   # a diagonal twist conserves the magnon sectors
     vals = np.concatenate([np.linalg.eigvals(t[np.ix_(m, m)])
@@ -525,7 +519,7 @@ def suite_qop(chain: ChainSpec, ctx: _RunContext):
 _SUITE_ERRORS = (SovChainError, ValueError, np.linalg.LinAlgError)
 
 
-def run(command: str, chain: ChainSpec, samples=20, basis_kind=None) -> dict:
+def run(command: str, chain: ChainSpec, basis_kind=None) -> dict:
     """Execute a command's check suites and assemble the report.
 
     The suites of one call share a ``_RunContext``: one transfer evaluator,
@@ -554,7 +548,7 @@ def run(command: str, chain: ChainSpec, samples=20, basis_kind=None) -> dict:
                            exception=type(err).__name__)]
 
     if command in ("verify-algebra", "all"):
-        checks += guarded(suite_algebra, samples)
+        checks += guarded(suite_algebra, _ALGEBRA_SAMPLES)
     if command in ("verify-fusion", "all"):
         checks += guarded(suite_fusion, ctx)
     if command in ("basis", "all"):
@@ -579,7 +573,7 @@ def run(command: str, chain: ChainSpec, samples=20, basis_kind=None) -> dict:
         "library": {"name": "sovchain", "version": __version__},
         "command": command if command != "basis" else f"basis:{basis_kind}",
         "config": _config_echo(chain),
-        "samples": samples,
+        "samples": _ALGEBRA_SAMPLES,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
         "timing": {"seconds": time.perf_counter() - start},
@@ -611,16 +605,12 @@ def main(argv=None) -> int:
                         help="path to a chain config, or a bundled config name")
     parser.add_argument("--out", help="report output path (default: stdout)")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--samples", type=int, default=20,
-                        help="random draws per algebra check (at least 1)")
     args = parser.parse_args(argv)
 
     if args.command == "basis" and args.kind is None:
         parser.error("the basis command needs a kind: sklyanin | sov1 | sov2 | q")
     if args.command != "basis" and args.kind is not None:
         parser.error(f"command {args.command!r} takes no basis kind")
-    if args.samples < 1:
-        parser.error(f"--samples must be at least 1, got {args.samples}")
 
     try:
         cfg = load_config(args.config)
@@ -632,7 +622,7 @@ def main(argv=None) -> int:
         return 2
 
     with out as fh:
-        report = run(args.command, chain, samples=args.samples, basis_kind=args.kind)
+        report = run(args.command, chain, basis_kind=args.kind)
         fh.write(render_report(report))
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     if failed:

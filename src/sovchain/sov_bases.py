@@ -198,14 +198,14 @@ def _tower_bases(kind: str, chain: ChainSpec, evaluator: TransferEvaluator, sour
             for rows, source in zip(_site_product_rows(np.array(sources), per_site()), sources)]
 
 
-def tensor_generating_covector(chain: ChainSpec, salt=3) -> np.ndarray:
+def tensor_generating_covector(chain: ChainSpec) -> np.ndarray:
     """Tensor product of one seeded local covector per site.
 
     Whether each local orbit under powers of the fused twist spans its site
     is not checked here: ``basis.sov1.tensor_source_rank_deficit`` reports
     the rank of the basis the covector generates.
     """
-    rng = chain.rng(salt)
+    rng = chain.rng(3)
     return kron_chain([random_complex(rng, size=site.dim, box=1.0)
                        for site in chain.sites]).ravel()
 

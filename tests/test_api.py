@@ -22,7 +22,7 @@ REMOVED_PARAMETERS = {
     "sov_bases.sklyanin_basis": {"validate"},
     "sov_bases.sov_basis_1": {"validate"},
     "sov_bases.sov_basis_2": {"validate"},
-    "sov_bases.tensor_generating_covector": {"max_tries"},
+    "sov_bases.tensor_generating_covector": {"max_tries", "salt"},
     "sov_bases.gram_rank": {"precision"},
     "spectrum.eigenvector_from_sov": {"n_checks", "check_tol"},
     "spectrum.solve_discrete_system": {"chain", "max_iter", "newton_tol", "dedup_tol"},
@@ -37,12 +37,13 @@ REMOVED_PARAMETERS = {
     "baxter.q_operator_invertibility": {"cond_limit"},
     "baxter.tq_residual": {"n_samples"},
     "chain.Tolerances": {"residual"},
-    "chain.make_chain": {"check"},
+    "chain.make_chain": {"check", "tolerances"},
+    "chain.ChainSpec": {"tolerances"},
     "chain.random_chain": {"box", "max_tries", "tolerances"},
     "transfer.TransferEvaluator": {"samples"},
     "transfer.central_zero_residual": {"level", "n"},
     "transfer.symmetry_residual": {"k_matrix"},
-    "cli.run": {"precision", "tol_override"},
+    "cli.run": {"precision", "tol_override", "samples"},
     "cli.suite_fusion": {"samples"},
     "cli.suite_basis": {"samples", "precision"},
     "cli.suite_spectrum": {"samples"},

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sovchain.chain import (Site, Tolerances, fused_twist, genericity_check, index_of,
+from sovchain.chain import (ChainSpec, Site, Tolerances, fused_twist, genericity_check, index_of,
                             make_chain, normalize_twist, random_chain)
 from sovchain.errors import (GenericityViolation, SimpleSpectrumViolation,
                              SingularTwistWarning)
@@ -222,6 +222,7 @@ def test_multi_index_order(chain12):
 def test_tolerances_defaults():
     tol = Tolerances()
     assert tol.zero == 1e-8 and tol.gram == 1e-10
+    assert ChainSpec.tolerances == tol
 
 
 def test_replace_gives_fresh_shape_cache(chain12):

@@ -35,16 +35,18 @@ def test_parse_minimal_config():
     assert chain.dim == 2
 
 
-def test_parse_rejects_unknown_keys():
-    bad = json.loads(MINIMAL)
-    bad["extra"] = 1
-    with pytest.raises(ConfigError, match="top-level config has unknown keys"):
-        parse_config(json.dumps(bad))
-    # residual gates are fixed per check, not set by the config
-    bad = json.loads(MINIMAL)
-    bad["tolerances"] = {"residual": 1e-6}
-    with pytest.raises(ConfigError, match="tolerances has unknown keys"):
-        parse_config(json.dumps(bad))
+def test_parse_rejects_unknown_keys(tmp_path, capsys):
+    # the gates and cuts are program constants and no reader takes a schema version,
+    # so a config that sets one of them exits 2 like any unknown key, naming it
+    path = tmp_path / "chain.json"
+    for key, value in (("extra", 1), ("schema_version", 2), ("tolerances", {"gram": 1e-3}),
+                       ("tolerances", {"residual": 1e-6})):
+        bad = dict(json.loads(MINIMAL), **{key: value})
+        with pytest.raises(ConfigError, match=rf"top-level config has unknown keys: \['{key}'\]"):
+            parse_config(json.dumps(bad))
+        path.write_text(json.dumps(bad))
+        assert main(["verify-algebra", "--config", str(path)]) == 2
+        assert f"unknown keys: ['{key}']" in capsys.readouterr().err
 
 
 def test_parse_rejects_bad_two_s():
@@ -94,9 +96,11 @@ def test_parse_rejects_non_finite_and_boolean_numbers(path, value):
 @pytest.mark.parametrize("key", ["gram", "zero"])
 @pytest.mark.parametrize("value", [-1.0, 0, float("nan"), float("inf"), True])
 def test_parse_requires_positive_finite_tolerances(key, value):
+    # the cuts are program constants: a tolerances key is refused whatever its value
+    # (test_parse_rejects_unknown_keys gives a valid one)
     bad = json.loads(MINIMAL)
     bad["tolerances"] = {key: value}
-    with pytest.raises(ConfigError, match=f"tolerances.{key} must be a finite number > 0"):
+    with pytest.raises(ConfigError, match=r"unknown keys: \['tolerances'\]"):
         parse_config(json.dumps(bad))
 
 
@@ -195,8 +199,8 @@ def test_seed_override():
 
 def test_run_verify_algebra_passes():
     chain = chain_from_config(load_config("n2_mixed"))
-    report = run("verify-algebra", chain, samples=5)
-    assert report["passed"]
+    report = run("verify-algebra", chain)
+    assert report["passed"] and report["samples"] == 20
     assert any(c["name"] == "algebra.ybe" for c in report["checks"])
 
 
@@ -259,14 +263,16 @@ def test_stacked_ybe_rll_match_per_sample_loop(name, samples, monkeypatch):
 
 
 @pytest.mark.parametrize("samples", [0, -3])
-def test_samples_below_one_are_refused(samples, capsys):
-    # an empty sample set used to fold to 0.0 and pass algebra.ybe and algebra.rll
+def test_samples_below_one_are_refused(samples, capsys, monkeypatch):
+    # the draw count is a program constant: no option sets it
     with pytest.raises(SystemExit) as exc:
         main(["verify-algebra", "--config", "n2_mixed", "--samples", str(samples)])
     assert exc.value.code == 2
-    assert "--samples must be at least 1" in capsys.readouterr().err
+    assert "unrecognized arguments: --samples" in capsys.readouterr().err
+    # an empty sample set used to fold to 0.0 and pass algebra.ybe and algebra.rll
+    monkeypatch.setattr(cli, "_ALGEBRA_SAMPLES", samples)
     chain = chain_from_config(load_config("n2_mixed"))
-    rows = {c["name"]: c for c in run("verify-algebra", chain, samples=samples)["checks"]}
+    rows = {c["name"]: c for c in run("verify-algebra", chain)["checks"]}
     assert list(rows) == ["model.genericity", "suite_algebra.error"]
     assert not rows["suite_algebra.error"]["passed"]
     assert "samples must be at least 1" in rows["suite_algebra.error"]["info"]["message"]
@@ -319,7 +325,7 @@ NAN_FOLDS = [
 def test_algebra_row_fails_on_a_nan_sample(monkeypatch, command, fn, mode, row):
     chain = chain_from_config(load_config("n2_mixed"))
     monkeypatch.setattr(cli, fn, _spoil(getattr(cli, fn), mode))
-    rows = {c["name"]: c for c in run(command, chain, samples=20)["checks"]}
+    rows = {c["name"]: c for c in run(command, chain)["checks"]}
     assert not rows[row]["passed"]
 
 
@@ -363,8 +369,7 @@ def test_main_exit_codes(tmp_path):
     cfg_path = tmp_path / "chain.json"
     cfg_path.write_text(MINIMAL)
 
-    assert main(["verify-fusion", "--config", str(cfg_path),
-                 "--out", str(out), "--samples", "4"]) == 0
+    assert main(["verify-fusion", "--config", str(cfg_path), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["passed"] and report["command"] == "verify-fusion"
     assert report["schema_version"] == 2 and "precision" not in report
@@ -391,7 +396,7 @@ def test_main_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["basis", "--config", str(cfg_path)])
     assert exc.value.code == 2
-    for removed in (["--precision", "double"], ["--tol", "1e-30"]):
+    for removed in (["--precision", "double"], ["--tol", "1e-30"], ["--samples", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(["verify-fusion", "--config", str(cfg_path)] + removed)
         assert exc.value.code == 2
@@ -744,6 +749,26 @@ def test_vanishing_k2_becomes_error_rows(tmp_path, command):
         assert [c["name"] for c in checks] == ["model.genericity", "suite_spectrum.error"]
         assert checks[1]["info"] == {"message": "this construction requires an invertible twist",
                                      "exception": "ValueError"}
+
+
+@pytest.mark.parametrize("twist, message", [
+    ([[2, 0], [0, 0]], "the fused-tower denominators require k2 != 0"),
+    ([[0, 0], [0, -1]], "this construction requires an invertible twist"),
+    ([[1, 2], [0.5, 1]], "this construction requires an invertible twist"),
+], ids=["k2-zero", "k1-zero", "singular-full"])
+def test_non_invertible_twist_ends_spectrum_before_newton(monkeypatch, twist, message):
+    # the suite's error row comes from the grid ratios or the second basis, which are
+    # read before Newton: its steps from every oracle seed would be thrown away
+    calls = []
+    solve = cli.solve_discrete_system
+    monkeypatch.setattr(cli, "solve_discrete_system", lambda seeds: calls.append(1) or solve(seeds))
+    base = chain_from_config(load_config("n3_mixed"))
+    with pytest.warns(SingularTwistWarning):
+        chain = make_chain(base.eta, [(s.two_s, s.xi) for s in base.sites], twist, seed=base.seed)
+    checks = run("spectrum", chain)["checks"]
+    assert calls == []
+    assert [c["name"] for c in checks] == ["model.genericity", "suite_spectrum.error"]
+    assert checks[1]["info"] == {"message": message, "exception": "ValueError"}
 
 
 def test_error_row_names_an_unplaceable_zeta(monkeypatch):
