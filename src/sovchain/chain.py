@@ -311,10 +311,12 @@ def _tower_denominators(chain: ChainSpec, n: int) -> np.ndarray:
     """k2^(2s_n - h) prod_{k=h+1}^{2s_n} d(xi_n^(k)) for h = 0..2s_n.
 
     Level 2s_n - h of site n's fused tower at its bottom node, divided by
-    entry h, is the grid ratio Q(xi_n^(h)) / Q(xi_n^(2s_n)).
+    entry h, is the grid ratio Q(xi_n^(h)) / Q(xi_n^(2s_n)). k2 counts as zero on the
+    scale of ``Twist.invertible``: a k2 that ``eig`` leaves at roundoff would divide the
+    ratios. k1 = 0 is allowed; its ratios give the closed-form Q.
     """
-    k2 = chain.twist.k2
-    if k2 == 0:
+    k1, k2 = chain.twist.k1, chain.twist.k2
+    if abs(k2) <= 1e-14 * max(1.0, abs(k1) + abs(k2)):
         raise ValueError("the fused-tower denominators require k2 != 0")
     out = [1.0]
     for k in range(chain.sites[n].two_s, 0, -1):

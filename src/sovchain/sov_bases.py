@@ -33,7 +33,8 @@ import numpy as np
 from .chain import ChainSpec, _tower_denominators, fused_twist, index_of
 from .local_ops import kron_chain
 from .numerics import CDTYPE, _Barycentric, random_complex
-from .transfer import TransferEvaluator, monodromy_matrix
+from .transfer import (_PROBES, TransferEvaluator, _chunks, _closed, _lax_apply, _probe_residual,
+                       _probes, _site_laxes, monodromy_matrix)
 
 __all__ = [
     "CovectorBasis",
@@ -143,8 +144,8 @@ def sklyanin_basis(chain: ChainSpec) -> CovectorBasis:
             ops = [np.eye(chain.dim, dtype=CDTYPE)]
             for k in range(site.two_s):
                 node = chain.node(n, k)
-                ops.append(ops[-1] @ _acting_blocks(chain, node, w_inv)(0, 0)
-                           / (twist.k1 * chain.a(node)))
+                block = _acting_blocks(chain, node, w_inv)(0, 0)
+                ops.append((ops[-1] @ block if k else block) / (twist.k1 * chain.a(node)))
             yield ops
 
     norm = sklyanin_norm(chain)
@@ -224,20 +225,41 @@ def _gaussian_covector(chain: ChainSpec, salt: int) -> np.ndarray:
 # verification reports
 # ---------------------------------------------------------------------------
 
+def _rows_on_probes(basis: CovectorBasis, lams, blocks, probes) -> np.ndarray:
+    """rows @ block(i, j) V for each (i, j) of ``blocks``, blocks of the aux frame
+    W^-1 M(lam) W (``_acting_blocks``) on ``probes`` (D, k): (len(blocks), P, D, k).
+
+    Every block of every point is one batch of ``_lax_apply``, started from W e_j
+    and closed by e_i^T W^-1 K; the rows then multiply all images in one GEMM.
+    """
+    chain, w = basis.chain, basis.chain.twist.w
+    rows, cols = (list(z) for z in zip(*blocks))
+    start = w.T[cols, None, :, None]
+    close = np.linalg.solve(w, chain.twist.matrix)[rows, None, None]
+    ops = _closed([np.broadcast_to(op, (len(blocks),) + op.shape)
+                   for op in _site_laxes(chain, lams)], start, close)
+    x = _lax_apply(ops, probes[None])[..., 0, :, :]
+    return np.moveaxis(np.tensordot(basis.rows, x, axes=(1, -2)), 0, -2)
+
+
 def b_eigen_report(basis: CovectorBasis, lams) -> float:
     """Max relative residual of row(h) B(lam) = b prod_n (lam - xi_n^(h_n)) row(h).
 
     Over every row and every lam, with B and b those of the aux frame
-    (``_acting_blocks``).
+    (``_acting_blocks``), each row's residual taken on k probes (``_probe_residual``).
     """
-    points = _node_grid(basis.chain)[0]
-    w_inv, kbar = np.linalg.inv(basis.chain.twist.w), basis.chain.twist.conjugated()
-    residuals = []
-    for lam in lams:
-        block = _acting_blocks(basis.chain, lam, w_inv)
-        eig = kbar[0, 1] * np.prod(lam - points, axis=1)
-        residuals.append(_worst_row_residual(basis.rows @ block(0, 1), eig[:, None] * basis.rows))
-    return float(np.max(residuals, initial=0.0))
+    chain, lams = basis.chain, np.atleast_1d(lams)
+    points = _node_grid(chain)[0]
+    probes = _probes(chain, 604, 1)[0]
+    rows_v, kbar = basis.rows @ probes, chain.twist.conjugated()
+
+    def worst(s):   # one chunk's images, freed before the next chunk's
+        lhs = _rows_on_probes(basis, lams[s], [(0, 1)], probes)[0]
+        rhs = (kbar[0, 1] * np.prod(lams[s, None, None] - points, axis=2))[..., None] * rows_v
+        return np.max(_probe_residual(lhs, rhs, rhs))
+
+    return float(np.max([worst(s) for s in _chunks(len(lams), 2 * chain.dim * _PROBES)],
+                        initial=0.0))
 
 
 def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
@@ -247,31 +269,37 @@ def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
     collapses to the single shifted row; at general lam it is the
     interpolation sum plus the diagonal term carrying the frame twist's own
     diagonal entry times prod_n (lam - xi_n^(h_n)). Default lams: every grid
-    value. The cardinals of all rows at one lam form one (D, N) array.
+    value. Both sides act on k probes, each row's residual by
+    ``_probe_residual``: the right side is built from the probe images of the
+    rows, with the cardinals of all rows at every lam one (P, D, N) array.
     """
     chain = basis.chain
     if lams is None:
         lams = [complex(z) for nodes, _, _ in chain.grid for z in nodes]
-    n_sites = chain.n_sites
+    lams = np.atleast_1d(lams)
     points, up_at, down_at = _node_grid(chain)
     rows_interp = _Barycentric(points)   # one node set per row
-    shape = chain.dims + (chain.dim,)
-    cube = basis.rows.reshape(shape)
-    residuals = {"a_action": [], "d_action": []}
-    w_inv, kbar = np.linalg.inv(chain.twist.w), chain.twist.conjugated()
-    for lam in lams:
-        block = _acting_blocks(chain, lam, w_inv)
-        diag = np.prod(lam - points, axis=1)
-        cards = rows_interp.cardinals(lam)
-        for key, i, at, step in (("a_action", 0, up_at, 1), ("d_action", 1, down_at, -1)):
-            rhs = ((kbar[i, i] * diag)[:, None] * basis.rows).reshape(shape)
-            coeff = (cards * at).reshape(chain.dims + (n_sites,))
-            for n in range(n_sites):
+    probes = _probes(chain, 605, 1)[0]
+    rows_v = basis.rows @ probes
+    cube = rows_v.reshape(chain.dims + (_PROBES,))
+    kbar, every = chain.twist.conjugated(), (slice(None),)
+
+    def worst(s):   # one chunk's (A, D) maxima; its images are freed before the next chunk's
+        acted = _rows_on_probes(basis, lams[s], [(0, 0), (1, 1)], probes)
+        lam = lams[s, None, None]
+        diag, cards = np.prod(lam - points, axis=2), rows_interp.cardinals(lam)
+        for i, at, step in ((0, up_at, 1), (1, down_at, -1)):
+            rhs = ((kbar[i, i] * diag)[..., None] * rows_v).reshape((-1,) + cube.shape)
+            coeff = (cards * at).reshape((-1,) + chain.dims + (chain.n_sites,))
+            for n in range(chain.n_sites):
                 dst, src = _neighbour_slices(n, step)
-                rhs[dst] += coeff[dst][..., n, None] * cube[src]
-            residuals[key].append(_worst_row_residual(basis.rows @ block(i, i),
-                                                      rhs.reshape(chain.dim, -1)))
-    return {key: float(np.max(vals, initial=0.0)) for key, vals in residuals.items()}
+                rhs[every + dst] += coeff[every + dst][..., n, None] * cube[src]
+            rhs = rhs.reshape(len(lam), chain.dim, -1)
+            yield np.max(_probe_residual(acted[i], rhs, rhs))
+
+    chunks = [list(worst(s)) for s in _chunks(len(lams), 4 * chain.dim * _PROBES)]
+    worst_a, worst_d = np.max(np.reshape(chunks, (-1, 2)), axis=0, initial=0.0)
+    return {"a_action": float(worst_a), "d_action": float(worst_d)}
 
 
 def separate_action_report(basis: CovectorBasis, evaluator: TransferEvaluator) -> float:

@@ -79,7 +79,8 @@ class TransferPolynomial:
 
         Closed form: the (2s_n - h)-th fused value at the bottom node over
         k2^(2s_n-h) times the partial product of d above level h. Computed
-        on first access and kept; raises ValueError (not kept) when k2 = 0.
+        on first access and kept; raises ValueError (not kept) when k2 = 0 on the
+        scale of ``Twist.invertible``.
         """
         chain = self.chain
         return [np.moveaxis(_fused_tower(self, chain.node(n, site.two_s), site.two_s)[::-1], 0, -1)

@@ -82,6 +82,8 @@ REMOVED_NAMES = [
     # recursion over the grid ratios and the orbit validation of the tensor covector
     "baxter._require_regular_closure", "baxter.CLOSURE_DET_FLOOR",
     "spectrum.TransferPolynomial.checked_grid_ratios", "errors.DegenerateBasis",
+    # the slab route of the RTT and symmetry residuals, replaced by probes
+    "transfer._lax_slabs", "transfer._slab_residual",
 ]
 
 

@@ -14,7 +14,7 @@ from sovchain.cli import (ConfigError, chain_from_config, load_config, main,
 from sovchain.errors import SingularCZeta, SingularTwistWarning
 from sovchain.local_ops import kron_embed, lax, r_matrix
 from sovchain.numerics import frob, random_complex
-from sovchain.transfer import TransferEvaluator, monodromy_matrix
+from sovchain.transfer import TransferEvaluator
 
 MINIMAL = """
 {
@@ -357,8 +357,16 @@ def test_library_fold_keeps_a_nan_sample(monkeypatch, row):
         spoiled.transfer = _nan_at(ev.transfer, chain.node(1, 0))
         value = sov_bases.separate_action_report(ctx.sov2(), spoiled)
     else:
-        skl = ctx.sklyanin()
-        monkeypatch.setattr(sov_bases, "monodromy_matrix", _nan_at(monodromy_matrix, lams[1]))
+        skl, real = ctx.sklyanin(), sov_bases._site_laxes
+
+        def site_laxes(chain, points):   # the Lax operators of point lams[1] read as NaN
+            ops = real(chain, points)
+            bad = np.asarray(points) == lams[1]
+            for op in ops:
+                op[bad] = np.nan
+            return ops
+
+        monkeypatch.setattr(sov_bases, "_site_laxes", site_laxes)
         value = (sov_bases.b_eigen_report(skl, lams) if row == "basis.sklyanin.b_eigen"
                  else np.max(list(sov_bases.shift_action_report(skl, lams).values())))
     assert np.isnan(value)
@@ -751,10 +759,19 @@ def test_vanishing_k2_becomes_error_rows(tmp_path, command):
                                      "exception": "ValueError"}
 
 
+def _n3_mixed_with_twist(twist):
+    base = chain_from_config(load_config("n3_mixed"))
+    with pytest.warns(SingularTwistWarning):
+        return make_chain(base.eta, [(s.two_s, s.xi) for s in base.sites], twist, seed=base.seed)
+
+
+K2_ZERO, SINGULAR_FULL = [[2, 0], [0, 0]], [[1, 2], [0.5, 1]]
+
+
 @pytest.mark.parametrize("twist, message", [
-    ([[2, 0], [0, 0]], "the fused-tower denominators require k2 != 0"),
+    (K2_ZERO, "the fused-tower denominators require k2 != 0"),
     ([[0, 0], [0, -1]], "this construction requires an invertible twist"),
-    ([[1, 2], [0.5, 1]], "this construction requires an invertible twist"),
+    (SINGULAR_FULL, "the fused-tower denominators require k2 != 0"),
 ], ids=["k2-zero", "k1-zero", "singular-full"])
 def test_non_invertible_twist_ends_spectrum_before_newton(monkeypatch, twist, message):
     # the suite's error row comes from the grid ratios or the second basis, which are
@@ -762,13 +779,23 @@ def test_non_invertible_twist_ends_spectrum_before_newton(monkeypatch, twist, me
     calls = []
     solve = cli.solve_discrete_system
     monkeypatch.setattr(cli, "solve_discrete_system", lambda seeds: calls.append(1) or solve(seeds))
-    base = chain_from_config(load_config("n3_mixed"))
-    with pytest.warns(SingularTwistWarning):
-        chain = make_chain(base.eta, [(s.two_s, s.xi) for s in base.sites], twist, seed=base.seed)
-    checks = run("spectrum", chain)["checks"]
+    checks = run("spectrum", _n3_mixed_with_twist(twist))["checks"]
     assert calls == []
     assert [c["name"] for c in checks] == ["model.genericity", "suite_spectrum.error"]
     assert checks[1]["info"] == {"message": message, "exception": "ValueError"}
+
+
+def test_roundoff_k2_ends_baxter_as_an_exact_zero_does():
+    # eig leaves k2 = 1.2e-32 for the singular [[1, 2], [0.5, 1]]: on the scale of
+    # Twist.invertible that is zero, so it ends the suite in the row diag(2, 0) gives,
+    # where an exact k2 == 0 test let 8 rows through, built on ratios of up to 2.6e64
+    singular = _n3_mixed_with_twist(SINGULAR_FULL)
+    assert singular.twist.k2 != 0
+    want = run("baxter", _n3_mixed_with_twist(K2_ZERO))["checks"]
+    assert run("baxter", singular)["checks"] == want
+    assert [c["name"] for c in want] == ["model.genericity", "suite_baxter.error"]
+    assert want[1]["info"] == {"message": "the fused-tower denominators require k2 != 0",
+                               "exception": "ValueError"}
 
 
 def test_error_row_names_an_unplaceable_zeta(monkeypatch):
