@@ -1,11 +1,9 @@
 """Global operators: monodromy, transfer matrix, fused hierarchy.
 
-Every dense product of Lax operators is grown by one kernel, ``_lax_legs``,
-one GEMM per site, in leg order (A, j_N, k_N, ..., j_1, k_1, R); it can take
-the aux trace at the last site. ``_lax_chain`` turns leg order into matrix
-order by one final transpose, for the monodromy, the transfer matrix and the
-projector route, which grows its one point through a buffer pair made once
-per call.
+Every dense operator is grown by one kernel, ``_lax_chain``: one GEMM per site,
+the aux trace at the last site and one transpose to matrix order. It builds the
+transfer matrix, the aux-frame blocks of the monodromy (the full 2D x 2D matrix
+is its four blocks) and the projector route, through one buffer pair per call.
 
 The identity residuals (RTT, quantum determinant, twist symmetry, and the
 Sklyanin B-eigen and A/D shift reports of ``sov_bases``) build no operator.
@@ -21,7 +19,8 @@ on one side only), and within 0.67 to 1.48 for the row-wise Sklyanin reports.
 
 ``TransferEvaluator`` interpolates T, a degree-N polynomial with leading
 coefficient tr K Id, from N kernel-built samples; one run has one evaluator.
-The oracle and the rows that certify that premise call ``transfer``.
+The oracle calls ``transfer``, and so does ``polynomiality_residual``, which
+certifies both halves of that premise from one set of N + 2 samples.
 
 The fused transfer matrices are produced by the three-term recursion
 
@@ -44,7 +43,7 @@ import numpy as np
 
 from .chain import ChainSpec, fused_twist
 from .local_ops import kron_chain, lax, permutation_4x4, r_matrix, symmetric_basis
-from .numerics import CDTYPE, _Barycentric, frob, lagrange_cardinal
+from .numerics import CDTYPE, _Barycentric, frob, random_complex
 
 __all__ = [
     "monodromy_matrix",
@@ -63,13 +62,17 @@ __all__ = [
 def monodromy_matrix(chain: ChainSpec, lam: complex, start=None, close=None) -> np.ndarray:
     """Monodromy K_0 L_0N(lam - xi_N) ... L_01(lam - xi_1), the auxiliary C^2 slowest.
 
-    The full 2D x 2D matrix, built by ``_lax_chain`` from I_2 one site at a
-    time. With a 2 x R ``start`` and an R x 2 ``close`` it is the D x D
-    operator tr_0(close M start), grown without the 2D x 2D matrix: block
-    (i, j) of W^-1 M W from start W e_j and close e_i^T W^-1.
+    With a 2 x R ``start`` and an R x 2 ``close``, the D x D tr_0(close M start):
+    block (i, j) of W^-1 M W from start W e_j and close e_i^T W^-1. With neither,
+    the full 2D x 2D matrix, assembled from its four blocks.
     """
-    start = np.eye(2, dtype=CDTYPE) if start is None else start
-    return _lax_chain(_site_laxes(chain, lam), start, twist=chain.twist.matrix, close=close)
+    if (start is None) != (close is None):
+        raise ValueError("give both start and close, or neither")
+    ops, twist = _site_laxes(chain, lam), chain.twist.matrix
+    if start is not None:
+        return _lax_chain(ops, start, twist, close)
+    e = np.eye(2, dtype=CDTYPE)
+    return np.block([[_lax_chain(ops, e[:, [j]], twist, e[[i]]) for j in (0, 1)] for i in (0, 1)])
 
 
 def _site_laxes(chain: ChainSpec, lam) -> list:
@@ -80,55 +83,42 @@ def _site_laxes(chain: ChainSpec, lam) -> list:
             for site in chain.sites]
 
 
-def _lax_legs(site_ops, start, twist=None, close=None, bufs=None) -> np.ndarray:
-    """twist . op_N ... op_1 . start in leg order (A, j_N, k_N, ..., j_1, k_1, R).
+def _lax_chain(site_ops, start, twist, close, bufs=None) -> np.ndarray:
+    """tr(close . twist . op_N ... op_1 . start) as a D x D matrix, site 1 slowest.
 
-    ``site_ops[n]`` has legs (A, d, A, d), ``start`` is A x R, ``twist`` A x A.
-    The product so far stays an A x (rest) matrix, so each site costs one
-    GEMM, (A d^2, A) @ (A, rest), and no transposed copy. With an R x A
-    ``close`` the aux trace tr(close . product) is taken at the last site and
-    the legs are (j_N, k_N, ..., j_1, k_1); that step first copies the
-    product with R slowest. Each write is a fresh array, or, with ``bufs`` a
-    pair of flat buffers that each hold the largest write (A R D^2 entries
-    open), alternates between them: the result is a view of ``bufs[0]``.
+    ``site_ops[n]`` has legs (A, d, A, d), ``start`` is A x R, ``twist`` A x A, ``close``
+    R x A. The product stays an A x (rest) matrix in leg order (A, j_N, k_N, ..., j_1,
+    k_1, R): one GEMM per site, (A d^2, A) @ (A, rest), and the trace at the last site
+    after one copy with R slowest; one transpose ends in matrix order. Each write is a
+    fresh array, or alternates between the pair of flat ``bufs`` that each hold the
+    largest write, the last in ``bufs[0]`` (the result when N = 1).
     """
     ops = list(site_ops)
     for left in (twist, close):
-        if left is not None:
-            op = ops[-1]
-            ops[-1] = np.dot(left, op.reshape(left.shape[1], -1)).reshape(-1, *op.shape[1:])
-    legs = [start.shape[0], *(d for op in reversed(ops) for d in op.shape[1::2]), start.shape[1]]
-    last, prod = ops.pop() if close is not None else None, start
-    writes = len(ops) + (0 if last is None else 2)
+        op = ops[-1]
+        ops[-1] = np.dot(left, op.reshape(left.shape[1], -1)).reshape(-1, *op.shape[1:])
+    last, prod = ops.pop(), start
 
-    def dest(k, rows, cols):    # write k of ``writes``; the last one lands in bufs[0]
-        buf = np.empty(rows * cols, dtype=CDTYPE) if bufs is None else bufs[(writes - 1 - k) % 2]
+    def dest(k, rows, cols):    # write k of len(ops) + 2; the last one lands in bufs[0]
+        buf = np.empty(rows * cols, dtype=CDTYPE) if bufs is None else bufs[(len(ops) + 1 - k) % 2]
         return buf[:rows * cols].reshape(rows, cols)
 
     for k, op in enumerate(ops):
         lhs = op.transpose(0, 1, 3, 2).reshape(-1, op.shape[2])
-        rhs = prod.reshape(op.shape[2], -1)
-        prod = np.matmul(lhs, rhs, out=dest(k, lhs.shape[0], rhs.shape[1]))
-    if last is None:
-        return prod.reshape(legs)
+        prod = prod.reshape(op.shape[2], -1)
+        prod = np.matmul(lhs, prod, out=dest(k, lhs.shape[0], prod.shape[1]))
     # tr(close . product) = sum over (R, A) of last[r, j, a, k] prod[a, rest, r]
     r_dim, a_dim = last.shape[0], last.shape[2]
-    prod = prod.reshape(a_dim, -1, r_dim).transpose(2, 0, 1)
-    rhs = dest(len(ops), r_dim * a_dim, prod.shape[2])
-    np.copyto(rhs.reshape(prod.shape), prod)
+    rhs = dest(len(ops), r_dim * a_dim, prod.size // (r_dim * a_dim))
+    np.copyto(rhs.reshape(r_dim, a_dim, -1), prod.reshape(a_dim, -1, r_dim).transpose(2, 0, 1))
     lhs = last.transpose(1, 3, 0, 2).reshape(-1, r_dim * a_dim)
-    return np.dot(lhs, rhs, out=dest(len(ops) + 1, lhs.shape[0], rhs.shape[1])).reshape(legs[1:-1])
-
-
-def _lax_chain(site_ops, start, twist=None, close=None, bufs=None) -> np.ndarray:
-    """``_lax_legs`` as an (A D) x (R D) matrix, or D x D with ``close``, site 1 slowest
-    (a view of ``bufs`` when the transpose is trivial, N = 1)."""
-    legs = _lax_legs(site_ops, start, twist, close, bufs)
-    n, off = len(site_ops), int(close is None)
-    sites = list(range(off + 2 * n - 2, off - 1, -2))    # leg j_n of site n = 1..N; k_n follows
-    rows, cols = [0] * off + sites, [2 * n + 1] * off + [j + 1 for j in sites]
-    out = legs.transpose(rows + cols)
-    return out.reshape(int(np.prod(out.shape[:len(rows)])), -1)
+    del prod, last      # two products at most are alive at a time
+    legs = np.dot(lhs, rhs, out=dest(len(ops) + 1, lhs.shape[0], rhs.shape[1]))
+    del lhs, rhs        # only the traced product meets its transposed copy
+    n = len(site_ops)    # legs (j_N, k_N, ..., j_1, k_1) to (j_1, ..., j_N, k_1, ..., k_N)
+    out = legs.reshape([d for op in reversed(site_ops) for d in op.shape[1::2]])
+    out = out.transpose([*range(2 * n - 2, -1, -2), *range(2 * n - 1, 0, -2)])
+    return out.reshape(int(np.prod(out.shape[:n])), -1)
 
 
 def _aux_product(factors) -> np.ndarray:
@@ -392,14 +382,21 @@ def central_zero_residual(chain: ChainSpec, evaluator: TransferEvaluator,
                      / max(1.0, frob(ref[site.dim])) for n, site in enumerate(chain.sites)])
 
 
-def polynomiality_residual(chain: ChainSpec, rng) -> float:
-    """Degree-N certificate: interpolate T from N+1 samples, test a held-out point."""
-    from .numerics import random_complex
+def polynomiality_residual(chain: ChainSpec, rng) -> tuple:
+    """Degree-N certificates of T from N + 2 samples, built one at a time into two sums.
 
+    Over the first N + 1 points, the interpolant at the last point against T there,
+    and the top divided difference sum_j w_j T(z_j) (barycentric weights) against tr K Id.
+    """
     pts = random_complex(rng, size=chain.n_sites + 2, box=2.5)
-    nodes, probe = pts[:-1], pts[-1]
-    recon = sum(lagrange_cardinal(nodes, j, probe) * transfer(chain, z)
-                for j, z in enumerate(nodes))
-    direct = transfer(chain, probe)
-    return frob(recon - direct) / max(1.0, frob(direct))
-
+    interp = _Barycentric(pts[:-1])
+    held_out = transfer(chain, pts[-1])     # minus the interpolant, once the loop ends
+    scales = max(1.0, frob(held_out)), max(1.0, abs(chain.twist.trace) * np.sqrt(chain.dim))
+    lead = np.zeros_like(held_out)
+    for z, card, weight in zip(pts, interp.cardinals(pts[-1]), interp.weights):
+        sample = transfer(chain, z)
+        held_out -= card * sample
+        lead += weight * sample
+        del sample      # freed before the next build
+    lead.flat[::chain.dim + 1] -= chain.twist.trace
+    return frob(held_out) / scales[0], frob(lead) / scales[1]

@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,20 +19,21 @@ TWIST_DIAG = np.array([[1.7 + 0.5j, 0.0],
 XI_N2 = (0.31 - 1.2j, 2.86 + 0.77j)
 XI_N3 = (0.42 - 1.1j, 2.93 + 0.81j, -2.17 + 2.33j)
 
-# the rows of a suite that runs to its end, in report order
-SUITE_ROWS = {
-    "spectrum": ("spectrum.oracle_discrete_residual", "spectrum.count_mismatch",
-                 "spectrum.oracle_bijection", "spectrum.oracle_match_distance",
-                 "spectrum.jacobian_regularity", "spectrum.wavefunction_separate_action",
-                 "spectrum.eigenvector_residual", "spectrum.eigenvector_overlap",
-                 "spectrum.degenerate_twist_closed_form"),
-    "baxter": ("baxter.degree_budget_excess", "baxter.nontrivial_degree",
-               "baxter.interpolation_leftout", "baxter.tq_equation",
-               "baxter.uniqueness_coefficient_spread", "baxter.uniqueness_wronskian",
-               "baxter.forbidden_root_gap", "baxter.sov_q_factorization"),
-    "qop": ("qop.commutes_with_transfer", "qop.operator_tq_equation",
-            "qop.bottom_node_condition", "qop.method_agreement"),
-}
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _suite_rows(report):
+    """Row names of an ``all`` report by suite, in report order: the suite of a row is its
+    name up to the last dot (``basis.q`` for ``basis.q.rank_deficit``)."""
+    rows = {}
+    for check in report["checks"]:
+        rows.setdefault(check["name"].rsplit(".", 1)[0], []).append(check["name"])
+    return {suite: tuple(names) for suite, names in rows.items()}
+
+
+# the rows of each suite that runs to its end, in report order: every row of the golden
+# ``all`` report of n2_mixed passes
+SUITE_ROWS = _suite_rows(json.loads((GOLDEN_DIR / "n2_mixed.json").read_text()))
 
 
 def dense_blocks(chain, lam):

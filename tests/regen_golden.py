@@ -17,12 +17,9 @@ import json
 import sys
 from pathlib import Path
 
-from conftest import TWIST_FULL
+from conftest import GOLDEN_DIR, TWIST_FULL
 from sovchain.chain import random_chain
 from sovchain.cli import chain_from_config, load_config, run
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
-
 
 def _random(two_s, seed):
     return lambda: random_chain(two_s, 1.0, TWIST_FULL, seed)

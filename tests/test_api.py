@@ -83,7 +83,7 @@ REMOVED_NAMES = [
     "baxter._require_regular_closure", "baxter.CLOSURE_DET_FLOOR",
     "spectrum.TransferPolynomial.checked_grid_ratios", "errors.DegenerateBasis",
     # the slab route of the RTT and symmetry residuals, replaced by probes
-    "transfer._lax_slabs", "transfer._slab_residual",
+    "transfer._lax_slabs", "transfer._slab_residual", "transfer._lax_legs",
 ]
 
 

@@ -530,11 +530,13 @@ def test_all_diagonalizes_once(monkeypatch):
 
 
 def test_run_makes_one_evaluator_of_n_kernel_builds(monkeypatch):
-    # a run has one evaluator, whose N samples are the only kernel builds in it besides
-    # the N + 2 points of the polynomiality row
+    # a run has one evaluator, and it builds T on its chain only for the evaluator's N
+    # samples, the N + 2 points that both fusion premise rows read and the oracle's
+    # N + 1 (its probe and the top nodes); each module that binds the kernel is counted
     import importlib
 
     transfer_module = importlib.import_module("sovchain.transfer")
+    spectrum_module = importlib.import_module("sovchain.spectrum")
     made, builds, kernel, init = [], [], transfer_module.transfer, TransferEvaluator.__init__
 
     def recorded(self, *args, **kwargs):
@@ -542,12 +544,13 @@ def test_run_makes_one_evaluator_of_n_kernel_builds(monkeypatch):
         made.append(self)
 
     monkeypatch.setattr(TransferEvaluator, "__init__", recorded)
-    monkeypatch.setattr(transfer_module, "transfer",
-                        lambda chain, lam: builds.append(lam) or kernel(chain, lam))
     chain = chain_from_config(load_config("n2_mixed"))
+    for owner in (transfer_module, spectrum_module, cli):
+        monkeypatch.setattr(owner, "transfer",
+                            lambda on, lam: builds.append(on is chain) or kernel(on, lam))
     assert run("all", chain)["passed"]
     assert len(made) == 1
-    assert len(builds) == 2 * chain.n_sites + 2
+    assert builds.count(True) == 3 * chain.n_sites + 3
 
 
 @pytest.mark.parametrize("spins, extra", [([1] * 7, 14), ([2, 2, 2, 2], 14), ([1, 2, 1, 2, 1], 35),
@@ -668,6 +671,8 @@ def test_basis_command_builds_each_site_tower_once(monkeypatch, kind):
 def test_q_basis_reports_a_rank_one_sklyanin_basis_in_its_rows(monkeypatch):
     # the Q-generated basis is built from the Sklyanin top row whatever that basis's rank;
     # the identification row, not a raise, is the verdict on the rank-one basis
+    from conftest import SUITE_ROWS
+
     build = cli.sklyanin_basis
 
     def rank_one(chain):
@@ -677,19 +682,17 @@ def test_q_basis_reports_a_rank_one_sklyanin_basis_in_its_rows(monkeypatch):
     monkeypatch.setattr(cli, "sklyanin_basis", rank_one)
     chain = chain_from_config(load_config("n2_mixed"))
     checks = {c["name"]: c for c in run("basis", chain, basis_kind="q")["checks"]}
-    assert list(checks) == ["model.genericity", "basis.q.rank_deficit",
-                            "basis.q.sklyanin_identification"]
+    assert list(checks) == ["model.genericity", *SUITE_ROWS["basis.q"]]
     assert not checks["basis.q.sklyanin_identification"]["passed"]
 
 
 def test_spin4_q_basis_reports_its_rows():
     # (8,8) seed 7: the Sklyanin family has rank 79 of 81; the q suite still emits its rows
-    from conftest import TWIST_FULL
+    from conftest import SUITE_ROWS, TWIST_FULL
     from sovchain.chain import random_chain
 
     report = run("basis", random_chain((8, 8), 1.0, TWIST_FULL, 7), basis_kind="q")
-    assert [c["name"] for c in report["checks"]] == [
-        "model.genericity", "basis.q.rank_deficit", "basis.q.sklyanin_identification"]
+    assert [c["name"] for c in report["checks"]] == ["model.genericity", *SUITE_ROWS["basis.q"]]
     assert [c["passed"] for c in report["checks"]] == [True, False, False]
 
 

@@ -30,11 +30,15 @@ Regenerate with ``tests/regen_golden.py`` and list every moved value in
 CHANGES.md as a check change.
 """
 
+import importlib.util
 import json
 import numbers
+import sys
+from pathlib import Path
 
 import pytest
 
+from conftest import SUITE_ROWS
 from regen_golden import CHAINS, GOLDEN_DIR, golden_report
 
 GATE_DRIFT = 0.1
@@ -95,3 +99,15 @@ def report_drifts(got: dict, want: dict) -> list:
 def test_all_report_matches_its_golden(name):
     want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     assert report_drifts(json.loads(json.dumps(golden_report(name))), want) == []
+
+
+def test_benchmark_rows_are_the_golden_rows(monkeypatch):
+    # the benchmark keeps its own copy of the row names; drift from the reports shows here
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    want = [row["name"] for row in json.loads((GOLDEN_DIR / "n2_mixed.json").read_text())["checks"]]
+    assert list(workloads.expected_rows("all")) == want
+    assert workloads.SUITE_ROWS == SUITE_ROWS

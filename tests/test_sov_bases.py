@@ -412,10 +412,9 @@ FRAME_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def _conjugated_twist_blocks(chain, lam):
     """Blocks (0, 0), (0, 1), (1, 0), (1, 1) of the monodromy built with the twist K_bar = W^-1 K W."""
-    m = _lax_chain(_site_laxes(chain, lam), np.eye(2, dtype=complex),
-                   twist=chain.twist.conjugated())
-    d = chain.dim
-    return [m[i * d:(i + 1) * d, j * d:(j + 1) * d] for i, j in FRAME_BLOCKS]
+    ops, eye = _site_laxes(chain, lam), np.eye(2, dtype=complex)
+    return [_lax_chain(ops, eye[:, j:j + 1], chain.twist.conjugated(), eye[i:i + 1])
+            for i, j in FRAME_BLOCKS]
 
 
 def _w_glob(chain):

@@ -72,12 +72,18 @@ def _dense_twist_commutator(chain, lam, k, site_twists):
     return frob(left - m_id @ big_k) / max(1.0, frob(left))
 
 
+def _closed_blocks(ops, twist):
+    """[[M_00, M_01], [M_10, M_11]] of twist . op_N ... op_1, block (i, j) grown by the
+    Lax-chain kernel from start e_j and closed by e_i^T."""
+    eye = np.eye(2, dtype=complex)
+    return [[transfer_module._lax_chain(ops, eye[:, j:j + 1], twist, eye[i:i + 1])
+             for j in range(2)] for i in range(2)]
+
+
 def _identity_twist_blocks(chain, lam):
     """A, B, C, D of the monodromy with K = I, grown by the Lax-chain kernel."""
-    m = transfer_module._lax_chain(transfer_module._site_laxes(chain, lam),
-                                   np.eye(2, dtype=complex))
-    d = chain.dim
-    return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
+    (a, b), (c, d) = _closed_blocks(transfer_module._site_laxes(chain, lam), np.eye(2))
+    return a, b, c, d
 
 
 def test_monodromy_matches_dense_product(chain123):
@@ -86,10 +92,16 @@ def test_monodromy_matches_dense_product(chain123):
         want = _dense_monodromy(chain123, lam)
         assert frob(monodromy_matrix(chain123, lam) - want) <= 1e-13 * frob(want)
         for twist in (np.eye(2), chain123.twist.conjugated()):
-            got = transfer_module._lax_chain(transfer_module._site_laxes(chain123, lam),
-                                             np.eye(2, dtype=complex), twist=twist)
+            got = np.block(_closed_blocks(transfer_module._site_laxes(chain123, lam), twist))
             want = _dense_monodromy(chain123, lam, twist_matrix=twist)
             assert frob(got - want) <= 1e-13 * frob(want)
+
+
+@pytest.mark.parametrize("given", ["start", "close"])
+def test_monodromy_takes_start_and_close_together(chain12, given):
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="both start and close"):
+        monodromy_matrix(chain12, 0.3 - 0.7j, **{given: eye})
 
 
 def test_transfer_matches_dense_trace(chain123):
@@ -423,9 +435,29 @@ def test_single_site_symmetry_reduces_to_local(chain1):
 
 
 def test_transfer_is_degree_n_polynomial(chain12, chain112):
+    # the held-out residual and the leading-coefficient residual, under their row gates
     rng = np.random.default_rng(21)
-    assert polynomiality_residual(chain12, rng) < 1e-10
-    assert polynomiality_residual(chain112, rng) < 1e-10
+    for chain in (chain12, chain112):
+        held_out, lead = polynomiality_residual(chain, rng)
+        assert held_out < 1e-10 and lead < 1e-9
+
+
+@pytest.mark.parametrize("name", ["n2_mixed", "n3_mixed"])
+def test_premise_rows_see_one_perturbed_sample(name, monkeypatch):
+    # one sample moved by 1e-8 of itself: at the held-out point the held-out row fails,
+    # at an interpolation node the leading-coefficient row fails
+    chain = chain_from_config(load_config(name))
+    pts = random_complex(np.random.default_rng(23), size=chain.n_sites + 2, box=2.5)
+    gates = (1e-10, 1e-9)   # fusion.transfer_polynomiality, fusion.transfer_leading_coefficient
+    clean = polynomiality_residual(chain, np.random.default_rng(23))
+    assert all(r < g for r, g in zip(clean, gates))
+    for index, row in ((-1, 0), (0, 1), (chain.n_sites, 1)):
+        def perturbed(chain, lam, at=pts[index]):
+            out = transfer(chain, lam)
+            return out * (1 + 1e-8) if lam == at else out
+
+        monkeypatch.setattr(transfer_module, "transfer", perturbed)
+        assert polynomiality_residual(chain, np.random.default_rng(23))[row] > gates[row]
 
 
 def test_transfer_leading_coefficient(chain12):
@@ -594,12 +626,15 @@ def test_leg_order_residuals_match_matrix_order_oracle(name):
 
 @pytest.mark.parametrize("close", [False, True])
 def test_lax_chain_matches_matrix_order_oracle(chain123, close):
+    # closed by I_2, the transfer; else the open product, its blocks closed one by one
     lam = 0.61 - 1.7j
     ops = transfer_module._site_laxes(chain123, lam)
-    eye = np.eye(2, dtype=complex)
-    args = dict(twist=chain123.twist.matrix, close=eye if close else None)
-    got = transfer_module._lax_chain(ops, eye, **args)
-    want = _oracle_lax_chain(ops, eye, **args)
+    eye, twist = np.eye(2, dtype=complex), chain123.twist.matrix
+    if close:
+        got = transfer_module._lax_chain(ops, eye, twist, eye)
+    else:
+        got = np.block(_closed_blocks(ops, twist))
+    want = _oracle_lax_chain(ops, eye, twist=twist, close=eye if close else None)
     assert frob(got - want) <= 1e-14 * frob(want)
 
 
@@ -663,20 +698,18 @@ def test_twist_power_is_cached_and_read_only(chain12, m):
 # buffered products against the per-sample kernel
 # ---------------------------------------------------------------------------
 
-def _fresh_lax_legs(site_ops, start, twist=None, close=None):
-    """The leg-order kernel with a fresh array for every site's GEMM and a tensordot close."""
+def _fresh_lax_legs(site_ops, start, twist, close):
+    """The traced leg-order kernel, legs (j_N, k_N, ..., j_1, k_1), with a fresh array for
+    every site's GEMM and a tensordot close."""
     ops = list(site_ops)
     for left in (twist, close):
-        if left is not None:
-            ops[-1] = np.tensordot(left, ops[-1], axes=(1, 0))
-    legs = [ops[-1].shape[0], *(d for op in reversed(ops) for d in op.shape[1::2]), start.shape[1]]
-    last, prod = ops.pop() if close is not None else None, start
+        ops[-1] = np.tensordot(left, ops[-1], axes=(1, 0))
+    last, prod = ops.pop(), start
     for op in ops:
         prod = op.transpose(0, 1, 3, 2).reshape(-1, op.shape[2]) @ prod.reshape(op.shape[2], -1)
-    if last is None:
-        return prod.reshape(legs)
-    prod = prod.reshape(last.shape[2], -1, legs[-1])
-    return np.tensordot(last, prod, axes=([0, 2], [2, 0])).reshape(legs[1:-1])
+    prod = prod.reshape(last.shape[2], -1, start.shape[1])
+    legs = [d for op in reversed(site_ops) for d in op.shape[1::2]]
+    return np.tensordot(last, prod, axes=([0, 2], [2, 0])).reshape(legs)
 
 
 def _rtt_sides(chain, lam, mu):
@@ -790,12 +823,16 @@ def test_level_one_projector_is_the_transfer_bitwise(name):
                for lam in lams)
 
 
-def test_buffered_kernel_leaves_its_result_in_the_first_buffer(chain123):
+def test_buffered_kernel_leaves_its_result_in_the_first_buffer(chain123, chain1):
+    # buffered and fresh writes give the same bits, closed by the trace or by one block;
+    # the last write lands in bufs[0], the result itself when the transpose is trivial
     lam = 0.3 - 0.8j
-    ops = transfer_module._site_laxes(chain123, lam)
     eye = np.eye(2, dtype=complex)
-    for close in (None, eye):
-        bufs = np.empty((2, 4 * chain123.dim ** 2), dtype=complex)
-        want = transfer_module._lax_legs(ops, eye, chain123.twist.matrix, close)
-        got = transfer_module._lax_legs(ops, eye, chain123.twist.matrix, close, bufs)
-        assert np.shares_memory(got, bufs[0]) and np.array_equal(got, want)
+    for chain in (chain123, chain1):
+        ops = transfer_module._site_laxes(chain, lam)
+        for start, close in ((eye, eye), (eye[:, 1:], eye[:1])):
+            bufs = np.empty((2, 4 * chain.dim ** 2), dtype=complex)
+            want = transfer_module._lax_chain(ops, start, chain.twist.matrix, close)
+            got = transfer_module._lax_chain(ops, start, chain.twist.matrix, close, bufs)
+            assert np.array_equal(got, want)
+            assert np.shares_memory(got, bufs[0]) == (chain.n_sites == 1)
