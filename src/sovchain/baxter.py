@@ -10,12 +10,14 @@ on a bottom grid node. Its values on the grid are fixed ratios built from
 the fused eigenvalues; the one remaining degree of freedom per site (the
 bottom-node values) is pinned by interpolating through the grid plus one
 auxiliary point zeta and enforcing the left-out top-node conditions, an
-N x N closure system that the Q-polynomial keeps for the determinant
-Q-operator route. The eigenvalues come as one (D, N) stack and are solved at
-once into one ``QPolynomial`` stacked the same way (one (D, N, N) closure
-stack per zeta, one fit with D right-hand sides); the T-Q, Wronskian and
-factorization checks and both Q-operator routes are array operations over
-it, with Q evaluated in one Horner pass.
+N x N closure system (``_Closure``) that the Q-polynomial keeps. The
+eigenvalues come as one (D, N) stack and are solved at once into one
+``QPolynomial`` stacked the same way (one (D, N, N) closure stack per zeta,
+one fit with D right-hand sides); the T-Q, Wronskian and factorization
+checks are array operations over it, with Q evaluated in one Horner pass.
+The one Q-operator has these polynomials as eigenvalues in the oracle's
+eigenbasis; the Cramer route (``_determinant_eigenvalues``) reads the same
+D eigenvalues from determinant ratios of the closure stack, with no solve.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .spectrum import OracleSpectrum, TransferPolynomial, _site_product, _sov2_a
 
 __all__ = [
     "QPolynomial",
-    "CZetaSystem",
     "default_zeta",
     "solve_q_polynomial",
     "tq_residual",
@@ -48,50 +49,33 @@ __all__ = [
 ]
 
 
-class _Interpolation:
-    """Lagrange grid: nodes xi_a^(h), h = 1..2s_a, plus the auxiliary zeta.
+class _Closure:
+    """The N x N closure systems C q_bottom = rhs of a grid-ratio stack at one zeta.
 
-    All cardinals come from one barycentric evaluator over this node set;
-    the zeta cardinal is the last one; ``top_cards`` (N, M + 1) holds them
-    at the top nodes xi_a^(0), for every eigenvalue.
+    Its Lagrange nodes are xi_a^(h), h = 1..2s_a, site by site, then zeta, with
+    cardinals from one barycentric evaluator ``bary`` (zeta's last; ``top_cards``
+    (N, M + 1) at the top nodes xi_a^(0)). ``q_flat`` (D, M) holds the grid ratios
+    in node order; ``matrix``, ``rhs`` and ``det`` hold one system per eigenvalue.
     """
 
-    def __init__(self, chain: ChainSpec, zeta: complex):
-        self.chain = chain
+    def __init__(self, chain: ChainSpec, zeta: complex, ratios):
+        n = chain.n_sites
         self.zeta = complex(zeta)
-        self.pairs = [(a, h) for a, site in enumerate(chain.sites)
-                      for h in range(1, site.two_s + 1)]
-        self.nodes = np.array([chain.node(a, h) for a, h in self.pairs] + [self.zeta],
-                              dtype=CDTYPE)
+        self.nodes = np.array([chain.node(a, h) for a, site in enumerate(chain.sites)
+                               for h in range(1, site.two_s + 1)] + [self.zeta], dtype=CDTYPE)
         self.bary = _Barycentric(self.nodes)
         self.top_cards = self.bary.cardinals(np.array([g[0, 0] for g in chain.grid])[:, None])
         self._starts = np.cumsum([0] + [site.two_s for site in chain.sites[:-1]])
+        self.q_flat = np.concatenate([r[..., 1:] for r in ratios], axis=-1)
+        c, g = self.site_sums(self.top_cards, self.q_flat[..., None, :])
+        c[..., range(n), range(n)] -= np.stack([r[..., 0] for r in ratios], axis=-1)
+        self.matrix, self.rhs = c, np.broadcast_to(-g, c.shape[:-1]).copy()
+        self.det = np.linalg.det(c)
 
-    def site_sums(self, lam, q_flat):
-        """(F, g): F_b(lam), the cardinal-weighted grid ratios of each site b,
-        and g(lam), the zeta cardinal; ``q_flat`` (..., M) is in ``pairs`` order."""
-        return self.binned(self.bary.cardinals(lam), q_flat)
-
-    def binned(self, card, q_flat):
-        """``site_sums`` from the cardinals ``card`` (..., M + 1) at some points."""
+    def site_sums(self, card, q_flat):
+        """(F, g) at the points of the cardinals ``card`` (..., M + 1): F_b weights site b's
+        grid ratios ``q_flat`` (..., M) by them, and g is the zeta cardinal."""
         return np.add.reduceat(card[..., :-1] * q_flat, self._starts, axis=-1), card[..., -1]
-
-
-@dataclass
-class CZetaSystem:
-    """The N x N closure systems C q_bottom = rhs at one zeta, one per eigenvalue
-    along the leading axis of each field; ``det`` holds det C and ``q_flat``
-    the grid ratios at h = 1..2s_a in ``interp.pairs`` order."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    det: np.ndarray
-    q_flat: np.ndarray = field(repr=False)
-    interp: _Interpolation = field(repr=False)
-
-    @property
-    def zeta(self) -> complex:
-        return self.interp.zeta
 
 
 @dataclass
@@ -102,14 +86,15 @@ class QPolynomial:
     exactly 0 above it, so one Horner pass evaluates every row; ``closure``
     holds the closure systems solved for them (normalized to Q(zeta) = 1);
     ``roots`` lists each row's roots, ``root_gap`` each row's least distance
-    from a root to a bottom grid node (inf for a constant Q).
+    from a root to a bottom grid node (inf for a constant Q, NaN for a row
+    whose interpolated coefficients are not all finite).
     """
 
     chain: ChainSpec
     coeffs: np.ndarray
     degree: np.ndarray
     leftout_residual: np.ndarray
-    closure: CZetaSystem = field(repr=False)
+    closure: _Closure = field(repr=False)
     roots: list = field(repr=False)
     root_gap: np.ndarray
 
@@ -119,16 +104,6 @@ class QPolynomial:
     @property
     def zeta(self) -> complex:
         return self.closure.zeta
-
-
-def _closure_system(interp: _Interpolation, ratios) -> CZetaSystem:
-    """Closure systems of the grid ratios (per site, shape (D, 2s_a + 1)) at interp's zeta."""
-    n = interp.chain.n_sites
-    q_flat = np.concatenate([r[..., 1:] for r in ratios], axis=-1)
-    c, g = interp.binned(interp.top_cards, q_flat[..., None, :])
-    c[..., range(n), range(n)] -= np.stack([r[..., 0] for r in ratios], axis=-1)
-    return CZetaSystem(matrix=c, rhs=np.broadcast_to(-g, c.shape[:-1]).copy(),
-                       det=np.linalg.det(c), q_flat=q_flat, interp=interp)
 
 
 def default_zeta(chain: ChainSpec, salt=20) -> complex:
@@ -160,18 +135,18 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None):
     if zeta is None:
         zeta = default_zeta(chain)
     ratios = t.grid_ratios
-    interp = _Interpolation(chain, zeta)
-    system = _closure_system(interp, ratios)
+    system = _Closure(chain, zeta, ratios)
     q_bottom = np.linalg.solve(system.matrix, system.rhs[..., None])[..., 0]
 
     node_values = [r * q_bottom[:, a, None] for a, r in enumerate(ratios)]
     samples = np.concatenate([v[:, 1:] for v in node_values] + [np.ones_like(q_bottom[:, :1])], 1)
     # the N conditions at the top nodes were not used in the interpolation
     tops = np.stack([v[:, 0] for v in node_values], axis=1)
-    leftout = np.max(np.abs(samples @ interp.top_cards.T - tops) / np.maximum(1.0, np.abs(tops)),
+    leftout = np.max(np.abs(samples @ system.top_cards.T - tops) / np.maximum(1.0, np.abs(tops)),
                      axis=1)
 
-    coeffs = poly_coeffs_from_samples(interp.nodes, samples)
+    coeffs = poly_coeffs_from_samples(system.nodes, samples)
+    finite = np.all(np.isfinite(coeffs), axis=1)
     size, power = np.abs(coeffs), np.arange(coeffs.shape[1])
     degree = np.max(power * (size >= 1e-9 * size.max(axis=1, keepdims=True)), axis=1)
     lead = np.take_along_axis(coeffs, degree[:, None], axis=1)
@@ -179,6 +154,7 @@ def solve_q_polynomial(t: TransferPolynomial, zeta=None):
     roots = _roots_by_degree(coeffs, degree)
     bottoms = np.array([g[0, -1] for g in chain.grid])
     gap = np.array([np.abs(r[:, None] - bottoms).min(initial=np.inf) for r in roots])
+    gap[~finite] = np.nan
     return QPolynomial(chain, coeffs, degree, leftout, system, roots, gap)
 
 
@@ -251,32 +227,20 @@ class QOperator:
         return (self.vectors * self.eigenvalues(lam)) @ self.left
 
 
-def build_q_operator(oracle: OracleSpectrum, q: QPolynomial, method="eigenbasis") -> QOperator:
+def build_q_operator(oracle: OracleSpectrum, q: QPolynomial) -> QOperator:
     """Assemble the Q-operator from the simultaneous transfer eigenbasis.
 
-    Row i of the stacked ``q`` is the Q-polynomial of the oracle's row i.
-    ``method='eigenbasis'`` evaluates the interpolated Q-polynomials.
-    ``method='determinant'`` evaluates, per joint eigenvalue, the ratio
-    det[C + Delta(lam)] / det[C] times the node-ratio prefactor, on the
-    closure system C the solve built, where Delta is the rank-one update
-    whose column space is the scaled closure right-hand side; every entry is
-    a polynomial in the commuting transfer values, so operator entries
-    reduce to these scalars in the eigenbasis. Either gives all D
-    eigenvalues at lam in one array operation.
+    Row i of the stacked ``q`` is the Q-polynomial of the oracle's row i; the
+    operator's eigenvalues at lam are the interpolated Q-polynomials there,
+    all D in one array operation.
     """
-    if method not in ("eigenbasis", "determinant"):
-        raise ValueError(f"unknown method {method!r}")
     chain = oracle.t.chain
     _require_q_twist(chain)
     if q.coeffs.shape[:-1] != (len(oracle.t),):
         raise ValueError("build_q_operator needs one Q-polynomial row per oracle row")
-    if method == "eigenbasis":
-        norm = q(q.zeta)
-        eigenvalues = lambda lam: q(lam) / norm  # noqa: E731
-    else:
-        eigenvalues = lambda lam: _determinant_eigenvalues(q.closure, lam)  # noqa: E731
+    norm = q(q.zeta)
     return QOperator(chain=chain, zeta=q.zeta, vectors=oracle.vectors, left=oracle.left,
-                     eigenvalues=eigenvalues)
+                     eigenvalues=lambda lam: q(lam) / norm)
 
 
 def _require_q_twist(chain: ChainSpec):
@@ -286,9 +250,11 @@ def _require_q_twist(chain: ChainSpec):
         raise ValueError("Q-operator requires invertible twist with distinct eigenvalues")
 
 
-def _determinant_eigenvalues(system: CZetaSystem, lam: complex) -> np.ndarray:
-    """The determinant-route eigenvalues at lam of a stack of closure systems."""
-    f, g = system.interp.site_sums(lam, system.q_flat)
+def _determinant_eigenvalues(system: _Closure, lam: complex) -> np.ndarray:
+    """The Cramer route to the D Q-operator eigenvalues at lam: per eigenvalue, g(lam) times
+    det[C + Delta(lam)] / det[C] on its closure system C, with Delta the rank-one update
+    spanned by the right-hand side scaled by 1 / g (g the zeta cardinal)."""
+    f, g = system.site_sums(system.bary.cardinals(lam), system.q_flat)
     if abs(g) > 1e-8:
         delta = (system.rhs / g)[:, :, None] * f[:, None, :]
         return np.linalg.det(system.matrix + delta) / system.det * g

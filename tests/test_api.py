@@ -29,7 +29,7 @@ REMOVED_PARAMETERS = {
     "spectrum.discrete_residuals": {"chain"},
     "spectrum.brute_force_spectrum": {"lam0"},
     "spectrum.OracleSpectrum": {"lam0"},
-    "baxter.build_q_operator": {"chain", "zeta", "evaluator", "q_solver"},
+    "baxter.build_q_operator": {"chain", "zeta", "evaluator", "q_solver", "method"},
     "baxter.sov_from_q": {"chain", "validate", "source"},
     "baxter.default_zeta": {"min_dist", "max_tries"},
     "baxter.solve_q_polynomial": {"trim_tol", "root_floor", "det_floor"},
@@ -84,6 +84,8 @@ REMOVED_NAMES = [
     "spectrum.TransferPolynomial.checked_grid_ratios", "errors.DegenerateBasis",
     # the slab route of the RTT and symmetry residuals, replaced by probes
     "transfer._lax_slabs", "transfer._slab_residual", "transfer._lax_legs",
+    # the closure classes and the function that paired them, folded into baxter._Closure
+    "baxter.CZetaSystem", "baxter._Interpolation", "baxter._closure_system",
 ]
 
 
@@ -134,7 +136,7 @@ def test_q_operator_is_built_from_finished_inputs():
     from sovchain.baxter import build_q_operator
 
     params = inspect.signature(build_q_operator).parameters
-    assert list(params) == ["oracle", "q", "method"]
+    assert list(params) == ["oracle", "q"]
     assert params["oracle"].default is inspect.Parameter.empty
 
 

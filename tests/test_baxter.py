@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rows
 from sovchain import baxter, cli
-from sovchain.baxter import (_closure_system, _Interpolation, _roots_by_degree,
+from sovchain.baxter import (_Closure, _determinant_eigenvalues, _roots_by_degree,
                              _worst_cancellation, build_q_operator, default_zeta,
                              q_operator_commutation_residual, q_operator_invertibility,
                              q_operator_tq_residual, solve_q_polynomial, sov_from_q,
@@ -207,12 +207,10 @@ def test_degenerate_twist_q_closed_form(chain12):
 def test_closure_rank_one_update(chain12):
     # the lam-dependent correction to the closure matrix has rank one
     t = rows(brute_force_spectrum(chain12).t)[0]
-    zeta = default_zeta(chain12)
-    interp = _Interpolation(chain12, zeta)
-    system = _closure_system(interp, t.grid_ratios)
+    system = _Closure(chain12, default_zeta(chain12), t.grid_ratios)
     rng = np.random.default_rng(4)
     for lam in random_complex(rng, size=3, box=2.0):
-        f, g = interp.site_sums(lam, system.q_flat[0])
+        f, g = system.site_sums(system.bary.cardinals(lam), system.q_flat[0])
         delta = np.outer(system.rhs[0] / g, f)
         sv = np.linalg.svd(delta, compute_uv=False)
         assert sv[0] > 1e-12 and (len(sv) == 1 or sv[1] < 1e-12 * sv[0])
@@ -220,8 +218,7 @@ def test_closure_rank_one_update(chain12):
 
 def test_cramer_dets_match_solution(chain12):
     t = rows(brute_force_spectrum(chain12).t)[3]
-    zeta = default_zeta(chain12)
-    system = _closure_system(_Interpolation(chain12, zeta), t.grid_ratios)
+    system = _Closure(chain12, default_zeta(chain12), t.grid_ratios)
     matrix, rhs = system.matrix[0], system.rhs[0]
     assert system.det[0] == np.linalg.det(matrix)
     by_solve = np.linalg.solve(matrix, rhs)
@@ -270,12 +267,9 @@ def _tq_per_term(qop, evaluator, lams):
     return float(np.max(residuals, initial=0.0))
 
 
-@pytest.mark.parametrize("method", ["eigenbasis", "determinant"])
-def test_q_operator_residuals_match_per_term_evaluation_bitwise(chain12, ev12, chain112, ev112,
-                                                                method):
+def test_q_operator_residuals_match_per_term_evaluation_bitwise(chain12, ev12, chain112, ev112):
     for chain, ev in ((chain12, ev12), (chain112, ev112)):
-        oracle = brute_force_spectrum(chain)
-        qop = build_q_operator(oracle, solve_q_polynomial(oracle.t), method=method)
+        qop = _q_operator(chain)
         rng = np.random.default_rng(94)
         lams = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
         mus = [complex(z) for z in random_complex(rng, size=3, box=2.5)]
@@ -285,18 +279,20 @@ def test_q_operator_residuals_match_per_term_evaluation_bitwise(chain12, ev12, c
 
 
 def test_q_operator_method_agreement(chain12, ev12, chain112):
+    # the operator's D eigenvalues against their Cramer reading of the solve's closure stack
     for chain in (chain12, chain112):
         oracle = brute_force_spectrum(chain)
         qpoly = solve_q_polynomial(oracle.t)
         qop = build_q_operator(oracle, qpoly)
-        qop_det = build_q_operator(oracle, qpoly, method="determinant")
-        assert qop.zeta == qop_det.zeta == default_zeta(chain)
+        assert qop.zeta == qpoly.closure.zeta == default_zeta(chain)
         rng = np.random.default_rng(93)
         worst = 0.0
         for lam in random_complex(rng, size=5, box=2.5):
-            a = qop(complex(lam))
-            b = qop_det(complex(lam))
-            worst = max(worst, frob(a - b) / max(1.0, frob(a)))
+            e_solve = qop.eigenvalues(complex(lam))
+            e_cramer = _determinant_eigenvalues(qpoly.closure, complex(lam))
+            assert e_solve.shape == e_cramer.shape == (chain.dim,)
+            worst = max(worst, np.max(np.abs(e_solve - e_cramer))
+                        / max(1.0, np.max(np.abs(e_solve))))
         assert worst < 1e-7
 
 
@@ -322,8 +318,6 @@ def test_q_operator_rejects_mismatched_q_polynomials(chain12):
     for qpoly in (solve_q_polynomial(short), solve_q_polynomial(single)):
         with pytest.raises(ValueError, match="one Q-polynomial row per oracle row"):
             build_q_operator(oracle, qpoly)
-    with pytest.raises(ValueError, match="unknown method"):
-        build_q_operator(oracle, solve_q_polynomial(oracle.t), method="dense")
 
 
 def test_sov_from_q_reproduces_sklyanin(chain12, chain12_diag):
@@ -422,6 +416,31 @@ def test_root_on_forbidden_node_fails_the_root_gap_row(chain12, monkeypatch):
     assert failed["value"] == 1e-6 and failed["info"]["min_distance"] == 0.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_q_fails_the_root_gap_row(chain12, monkeypatch):
+    # xi_0 - xi_1 = -eta: the closure is singular and every Q coefficient NaN; the degree
+    # trim reads each row as a constant, but its root gap is NaN, not a constant's inf
+    from conftest import TWIST_FULL
+    from sovchain.chain import ChainSpec, Site, normalize_twist
+
+    chain = ChainSpec(eta=1.0, sites=(Site(1, 0.0), Site(1, 1.0)),
+                      twist=normalize_twist(TWIST_FULL))
+    q = solve_q_polynomial(brute_force_spectrum(chain).t)
+    assert np.all(q.degree == 0) and not np.isfinite(q.coeffs).all()
+    assert np.isnan(q.root_gap).all()
+    row = next(c for c in cli.run("baxter", chain)["checks"]
+               if c["name"] == "baxter.forbidden_root_gap")
+    assert np.isnan(row["value"]) and not row["passed"]
+    # a constant Q (no root, gap inf) still passes
+    solve = cli.solve_q_polynomial
+    monkeypatch.setattr(cli, "solve_q_polynomial", lambda *args, **kwargs: dataclasses.replace(
+        solve(*args, **kwargs), root_gap=np.full(chain12.dim, np.inf)))
+    row = next(c for c in cli.run("baxter", chain12)["checks"]
+               if c["name"] == "baxter.forbidden_root_gap")
+    assert row == {"name": "baxter.forbidden_root_gap", "value": 0.0, "tolerance": 0.0,
+                   "passed": True, "info": {"min_distance": None}}
+
+
 def test_q_operator_invertibility_reports_every_site(chain12):
     # every site's cond is returned, none refused; a Q singular at the bottom
     # nodes fails the qop.bottom_node_condition row (gate 1e8) and no suite errors
@@ -451,13 +470,17 @@ def test_q_operator_takes_q_polynomials_from_solver(chain12, monkeypatch):
     zeta = default_zeta(chain12, salt=24)
     qpoly = solve_q_polynomial(oracle.t, zeta=zeta)
     monkeypatch.setattr(baxter, "solve_q_polynomial", None)
-    for method in ("eigenbasis", "determinant"):
-        qop = build_q_operator(oracle, qpoly, method=method)
-        assert qop.zeta == zeta
-        assert frob(qop(zeta) - np.eye(chain12.dim)) < 1e-10
+    qop = build_q_operator(oracle, qpoly)
+    assert qop.zeta == zeta
+    assert frob(qop(zeta) - np.eye(chain12.dim)) < 1e-10
+    # both readings of the Q-operator eigenvalues are 1 at zeta, and the Cramer one reads
+    # the closure of the caller's polynomials
+    for values in (qop.eigenvalues(zeta), _determinant_eigenvalues(qpoly.closure, zeta)):
+        assert np.max(np.abs(values - 1)) < 1e-10
     lam = 0.3 - 0.8j
     want = qpoly(lam) / qpoly(zeta)
-    assert np.array_equal(build_q_operator(oracle, qpoly).eigenvalues(lam), want)
+    assert np.array_equal(qop.eigenvalues(lam), want)
+    assert np.max(np.abs(_determinant_eigenvalues(qpoly.closure, lam) - want)) < 1e-10
 
 
 def test_sov_from_q_reads_only_the_sklyanin_top_row(chain12):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -129,10 +130,11 @@ def test_unwritable_out_path_exits_2_before_any_suite(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_genericity_row_fails_on_a_non_generic_chain():
     # xi_0 - xi_1 = -eta: a ChainSpec built directly skips make_chain's genericity
     # check, and the model.genericity row reports the violation instead of raising it
-    from conftest import TWIST_FULL
+    from conftest import SUITE_ROWS, TWIST_FULL
     from sovchain.chain import ChainSpec, Site, normalize_twist
 
     chain = ChainSpec(eta=1.0, sites=(Site(1, 0.0), Site(1, 1.0)),
@@ -140,6 +142,16 @@ def test_genericity_row_fails_on_a_non_generic_chain():
     row = run("verify-algebra", chain)["checks"][0]
     assert row["name"] == "model.genericity" and row["value"] == 1.0 and not row["passed"]
     assert "xi_0 - xi_1" in row["info"]["message"]
+    # no suite checks genericity again: spectrum gives every row (its k2 = 0 closed form
+    # keeps the chain's sites), and on spins (1, 2) with xi_1 - xi_0 = eta or 2 eta all pass
+    names = [c["name"] for c in run("spectrum", chain)["checks"]]
+    assert names == ["model.genericity", *SUITE_ROWS["spectrum"]]
+    for k in (1, 2):
+        chain = ChainSpec(eta=1.0, sites=(Site(1, 0.3 - 0.2j), Site(2, 0.3 - 0.2j + k)),
+                          twist=normalize_twist(TWIST_FULL))
+        checks = run("spectrum", chain)["checks"]
+        assert [c["name"] for c in checks] == ["model.genericity", *SUITE_ROWS["spectrum"]]
+        assert not checks[0]["passed"] and all(c["passed"] for c in checks[1:])
     assert run("verify-algebra", chain_from_config(load_config("n2_mixed")))["checks"][0] == {
         "name": "model.genericity", "value": 0.0, "tolerance": 0.0, "passed": True}
 
@@ -316,7 +328,7 @@ NAN_FOLDS = [
      "fusion.tridiagonal_determinant"),
     ("verify-fusion", "_multiset_distance", ("call", 2), "fusion.fused_twist_spectrum"),
     ("spectrum", "match_to_oracle", ("item", 1), "spectrum.oracle_match_distance"),
-    ("qop", "frob", ("call", 1), "qop.method_agreement"),
+    ("qop", "_determinant_eigenvalues", ("call", 1), "qop.method_agreement"),
 ]
 
 
@@ -533,8 +545,6 @@ def test_run_makes_one_evaluator_of_n_kernel_builds(monkeypatch):
     # a run has one evaluator, and it builds T on its chain only for the evaluator's N
     # samples, the N + 2 points that both fusion premise rows read and the oracle's
     # N + 1 (its probe and the top nodes); each module that binds the kernel is counted
-    import importlib
-
     transfer_module = importlib.import_module("sovchain.transfer")
     spectrum_module = importlib.import_module("sovchain.spectrum")
     made, builds, kernel, init = [], [], transfer_module.transfer, TransferEvaluator.__init__
@@ -599,8 +609,115 @@ def test_suite_qop_evaluates_each_operator_once_per_point(monkeypatch):
     monkeypatch.setattr(TransferEvaluator, "transfer", counted_t)
     rows = {c["name"]: c["passed"] for c in cli.suite_qop(chain, ctx)}
     assert all(rows.values())
-    # commutation 3, T-Q 3 x 3, bottom-node condition N, method agreement 5 x 2
-    assert calls == {"q": 3 + 9 + chain.n_sites + 10, "t": 3 + 3}
+    # commutation 3, T-Q 3 x 3, bottom-node condition N; method agreement compares
+    # eigenvalue arrays and assembles no Q
+    assert calls == {"q": 3 + 9 + chain.n_sites, "t": 3 + 3}
+
+
+@pytest.mark.parametrize("factor, passed", [(1.0, True), (1 + 1e-6, False)])
+def test_method_agreement_reads_the_closure_determinant(monkeypatch, factor, passed):
+    # the Cramer route's denominator is det C of the solve's closure stack, which the
+    # solved eigenvalues never read: scaling it by 1 + 1e-6 fails the row
+    from sovchain.baxter import default_zeta
+
+    chain = chain_from_config(load_config("n2_mixed"))
+    ctx = cli._RunContext(chain)
+    closure = ctx.q_polynomials(default_zeta(chain)).closure
+    monkeypatch.setattr(closure, "det", closure.det * factor)
+    rows = {c["name"]: c for c in cli.suite_qop(chain, ctx)}
+    assert rows["qop.method_agreement"]["passed"] is passed
+
+
+MUTATION_EPS = 1e-8
+
+
+def _kicked(basis, rows_at, diagonal=False):
+    """``basis`` with MUTATION_EPS of each listed row's largest entry added to that row, or
+    to its diagonal entry only."""
+    rows = basis.rows.copy()
+    for i in rows_at:
+        kick = MUTATION_EPS * np.max(np.abs(rows[i]))
+        if diagonal:
+            rows[i, i] += kick
+        else:
+            rows[i] += kick
+    return dataclasses.replace(basis, rows=rows)
+
+
+def _scaled_first_sample(ev):
+    samples = ev.samples.copy()
+    samples[0] *= 1 + MUTATION_EPS
+    ev.samples = samples
+    return ev
+
+
+# layer -> (how it is perturbed, the rows of which at least one must fail); a shared
+# layer is a _RunContext key and a function of its value
+MUTATIONS = {
+    "none": (None, ()),
+    "lax": ("kernel", ("algebra.rtt", "algebra.quantum_det")),
+    "evaluator": (("evaluator", _scaled_first_sample),
+                  ("fusion.route_equivalence", "fusion.central_zeros")),
+    "oracle_x": (("oracle", lambda o: dataclasses.replace(
+        o, t=dataclasses.replace(o.t, x=o.t.x * (1 + MUTATION_EPS)))),
+        ("baxter.tq_equation", "baxter.sov_q_factorization")),
+    "oracle_vectors": (("oracle", lambda o: dataclasses.replace(o, vectors=o.vectors * (
+        1 + MUTATION_EPS * np.random.default_rng(5).standard_normal(o.vectors.shape)))),
+        ("qop.commutes_with_transfer",)),
+    # only coefficient 0: a uniform scale of Q is a symmetry, caught by no row
+    "q_coefficient": (("q", lambda q: dataclasses.replace(q, coeffs=q.coeffs * np.where(
+        np.arange(q.coeffs.shape[1]) == 0, 1 + MUTATION_EPS, 1.0))),
+        ("baxter.tq_equation", "baxter.sov_q_factorization")),
+    "sklyanin": (("sklyanin", lambda b: _kicked(b, range(len(b.rows)), diagonal=True)),
+                 ("basis.sklyanin.b_eigen",)),
+    "sov2": ("tower", ("basis.sov2.separate_action",)),
+}
+# rows that compare the oracle with itself (Newton starts on its eigenvalues)
+SELF_ORACLE_ROWS = ("spectrum.count_mismatch", "spectrum.oracle_bijection",
+                    "spectrum.oracle_match_distance")
+
+
+@pytest.mark.parametrize("name", ["1^6 seed 7", "n3_mixed"])
+def test_every_layer_perturbed_by_1e_8_fails_a_row_that_reads_it(monkeypatch, name):
+    from conftest import TWIST_FULL
+    from sovchain.chain import random_chain
+
+    transfer_module = importlib.import_module("sovchain.transfer")
+    chain = (random_chain((1,) * 6, 1.0, TWIST_FULL, seed=7) if name == "1^6 seed 7"
+             else chain_from_config(load_config("n3_mixed")))
+    real_get, real_lax, real_bases = cli._RunContext._get, transfer_module.lax, cli._tower_bases
+
+    def lax(lam, two_s, eta):   # entry (0, 1) of every Lax operator, + eps eta
+        out = real_lax(lam, two_s, eta)
+        out[..., 0, 1] += MUTATION_EPS * eta
+        return out
+
+    def tower_bases(kind, *args):   # row 1 of the default-source second basis
+        bases = real_bases(kind, *args)
+        return [_kicked(bases[0], [1])] + bases[1:] if kind == "sov2" else bases
+
+    for layer, (how, catchers) in MUTATIONS.items():
+        with monkeypatch.context() as patch:
+            if how == "kernel":
+                patch.setattr(transfer_module, "lax", lax)
+            elif how == "tower":
+                patch.setattr(cli, "_tower_bases", tower_bases)
+            elif how is not None:
+                key, spoil = how
+
+                def get(self, k, compute, key=key, spoil=spoil):
+                    hit = k == key or (isinstance(k, tuple) and k[0] == key)
+                    return real_get(self, k, (lambda: spoil(compute())) if hit else compute)
+
+                patch.setattr(cli._RunContext, "_get", get)
+            rows = {c["name"]: c["passed"] for c in run("all", chain)["checks"]}
+        failed = sorted(row for row, ok in rows.items() if not ok)
+        if how is None:
+            assert failed == []
+        else:
+            assert set(failed) & set(catchers), (layer, failed)
+        if layer.startswith("oracle"):
+            assert all(rows[row] for row in SELF_ORACLE_ROWS), layer
 
 
 def test_route_equivalence_sees_one_corrupted_sample():
@@ -846,7 +963,7 @@ def test_run_all_builds_grid_ratios_and_closures_once(monkeypatch):
     # the scalar layer runs once on the oracle stack: one fused tower per
     # site and one closure stack per zeta; the wavefunction, eigenvector and
     # Q-factorization checks and the Q solves share the stack's grid ratios, the
-    # determinant Q route reads the closure systems of the Q solves, and the
+    # Cramer route reads the closure systems of the Q solves, and the
     # discrete residuals of the spectrum check and table run once
     from conftest import TWIST_FULL
     from sovchain import baxter, spectrum
@@ -861,7 +978,7 @@ def test_run_all_builds_grid_ratios_and_closures_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(spectrum, "_fused_tower", counted("tower", spectrum._fused_tower))
-    monkeypatch.setattr(baxter, "_closure_system", counted("closure", baxter._closure_system))
+    monkeypatch.setattr(baxter, "_Closure", counted("closure", baxter._Closure))
     monkeypatch.setattr(spectrum, "discrete_residuals",
                         counted("discrete", spectrum.discrete_residuals))
     chain = random_chain((1, 2), 1.0, TWIST_FULL, seed=7)

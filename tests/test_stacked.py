@@ -10,8 +10,9 @@ import pytest
 
 from conftest import TWIST_FULL, rows
 from sovchain import cli
-from sovchain.baxter import (build_q_operator, default_zeta, solve_q_polynomial,
-                             sov_q_factorization, tq_residual, wronskian_values)
+from sovchain.baxter import (_determinant_eigenvalues, build_q_operator, default_zeta,
+                             solve_q_polynomial, sov_q_factorization, tq_residual,
+                             wronskian_values)
 from sovchain.chain import random_chain
 from sovchain.numerics import random_complex
 from sovchain.spectrum import brute_force_spectrum, discrete_residuals, wavefunction_action_report
@@ -79,9 +80,9 @@ def test_stacked_q_solve_and_baxter_identities_match_rows(spectrum):
 
 
 def _determinant_row(system, lam):
-    """One eigenvalue's determinant-route value, evaluated on its own one-row closure system."""
+    """One eigenvalue's Cramer-route value, evaluated on its own one-row closure system."""
     matrix, rhs, det = system.matrix[0], system.rhs[0], system.det[0]
-    f, g = system.interp.site_sums(lam, system.q_flat[0])
+    f, g = system.site_sums(system.bary.cardinals(lam), system.q_flat[0])
     if abs(g) > 1e-8:
         return np.linalg.det(matrix + np.outer(rhs / g, f)) / det * g
     return g + f @ np.linalg.solve(matrix, rhs)
@@ -91,16 +92,16 @@ def test_both_q_operator_methods_match_rows(spectrum):
     chain, oracle, stack = spectrum
     if abs(chain.twist.k1 - chain.twist.k2) < 1e-12:
         pytest.skip("the Q-operator needs distinct twist eigenvalues")
+    # the solved eigenvalues of the Q-operator and their Cramer reading of the closure stack
     zeta = default_zeta(chain)
-    eigenbasis = build_q_operator(oracle, solve_q_polynomial(stack, zeta=zeta))
-    determinant = build_q_operator(oracle, solve_q_polynomial(stack, zeta=zeta),
-                                   method="determinant")
+    qpoly = solve_q_polynomial(stack, zeta=zeta)
+    qop = build_q_operator(oracle, qpoly)
     singles = [solve_q_polynomial(t, zeta=zeta) for t in rows(stack)]
-    # a generic point, and a grid node, where the determinant route takes its rank-one form
+    # a generic point, and a grid node, where the Cramer route takes its rank-one form
     for lam in (0.3 - 0.8j, chain.node(0, 1)):
-        assert close(eigenbasis.eigenvalues(lam),
+        assert close(qop.eigenvalues(lam),
                      np.concatenate([qp(lam) / qp(zeta) for qp in singles]))
-        assert close(determinant.eigenvalues(lam),
+        assert close(_determinant_eigenvalues(qpoly.closure, lam),
                      [_determinant_row(qp.closure, lam) for qp in singles], rtol=1e-10)
 
 
