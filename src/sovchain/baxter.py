@@ -32,6 +32,7 @@ from .numerics import (CDTYPE, _Barycentric, commutator_residual, frob,
                        poly_coeffs_from_samples, poly_eval, random_complex)
 from .sov_bases import CovectorBasis
 from .spectrum import OracleSpectrum, TransferPolynomial, _site_product, _sov2_array
+from .transfer import _probes
 
 __all__ = [
     "QPolynomial",
@@ -296,11 +297,39 @@ def q_operator_tq_residual(qop: QOperator, evaluator, lams) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
+_COND_CUT = 1e8   # the gate of qop.bottom_node_condition
+
+
 def q_operator_invertibility(qop: QOperator) -> dict:
-    """Condition number of Q at the bottom grid node of every site, keyed (n, 2s_n)."""
-    chain = qop.chain
-    return {(n, site.two_s): float(np.linalg.cond(qop(chain.node(n, site.two_s))))
-            for n, site in enumerate(chain.sites)}
+    """A bracket (lo, hi) of cond Q at the bottom grid node of every site, keyed (n, 2s_n).
+
+    Q = V diag(q) V^-1 acts in the eigenbasis, on k columns per site (``chain.rng(607)``):
+    lo = ||Q X|| ||Q^-1 Y|| after two block power steps on Q^H Q and Q^-H Q^-1, and hi =
+    ||Q||_F ||Q^-1||_F, quadratic forms in q and 1 / q with (V^H V) o (V^-1 V^-H)^T. Only a
+    bracket that holds ``_COND_CUT`` assembles Q for its SVD, lo = hi. Eigenvalues that
+    are not all finite and nonzero give (inf, inf).
+    """
+    chain, v, left = qop.chain, qop.vectors, qop.left
+    nodes = [chain.node(n, site.two_s) for n, site in enumerate(chain.sites)]
+    q = np.array([qop.eigenvalues(z) for z in nodes])
+    ok = np.all(np.isfinite(q) & (q != 0), axis=1)
+    q = np.where(ok[:, None], q, 1.0)
+    gram = (v.conj().T @ v) * (left @ left.conj().T).T
+
+    def norms(w):   # of V diag(w) V^-1 per row of w (N, D): ||.||_2 from below, ||.||_F
+        def op(x):   # on the orthonormalized columns
+            return v @ (w[..., None] * (left @ np.linalg.qr(x)[0]))
+        x = _probes(chain, 607, len(nodes))
+        for _ in range(2):
+            x = left.conj().T @ (w.conj()[..., None] * (v.conj().T @ op(x)))
+        return np.array([np.linalg.norm(op(x), ord=2, axis=(1, 2)),
+                         np.sqrt(np.einsum("ni,ij,nj->n", w.conj(), gram, w).real)])
+
+    lo, hi = np.where(ok, norms(q) * norms(1.0 / q), np.inf)
+    for n in np.flatnonzero((lo <= _COND_CUT) & (_COND_CUT < hi)):
+        sv = np.linalg.svd(qop(nodes[n]), compute_uv=False)
+        lo[n] = hi[n] = sv[0] / sv[-1]
+    return {(n, site.two_s): (float(lo[n]), float(hi[n])) for n, site in enumerate(chain.sites)}
 
 
 def sov_from_q(qop: QOperator, sklyanin: CovectorBasis) -> CovectorBasis:

@@ -24,23 +24,24 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .baxter import (_determinant_eigenvalues, _require_q_twist, build_q_operator,
+from .baxter import (_COND_CUT, _determinant_eigenvalues, _require_q_twist, build_q_operator,
                      default_zeta, q_operator_commutation_residual, q_operator_invertibility,
                      q_operator_tq_residual, solve_q_polynomial, sov_from_q,
                      sov_q_factorization, tq_residual, wronskian_values)
 from .chain import ChainSpec, _twist, fused_twist, genericity_check, make_chain
 from .errors import GenericityViolation, SovChainError
 from .local_ops import _lax_parts, kron_embed, spin_matrices
-from .numerics import CDTYPE, commutator_residual, frob, greedy_match, random_complex
+from .numerics import CDTYPE, frob, greedy_match, random_complex
 from .sov_bases import (_tower_bases, b_eigen_report, gram_rank, separate_action_report,
                         shift_action_report, sklyanin_basis, sov_basis_2,
                         tensor_generating_covector)
 from .spectrum import (OracleSpectrum, brute_force_spectrum, closed_form_solutions,
                        eigenvector_from_sov, jacobian_smallest_sv, magnon_sectors,
                        match_to_oracle, solve_discrete_system, wavefunction_action_report)
-from .transfer import (TransferEvaluator, central_zero_residual, fused_transfer_projector,
-                       polynomiality_residual, quantum_det_residual, rtt_residual,
-                       symmetry_residual, transfer, tridiagonal_operator_minors)
+from .transfer import (TransferEvaluator, _commuting_residuals, _fused_on_probes,
+                       _probe_residual, _tridiagonal_residuals, central_zero_residual,
+                       fused_transfer_projector, polynomiality_residual, quantum_det_residual,
+                       rtt_residual, symmetry_residual, transfer)
 
 COMMANDS = ("verify-algebra", "verify-fusion", "basis", "spectrum", "baxter", "qop", "all")
 BASIS_KINDS = ("sklyanin", "sov1", "sov2", "q")
@@ -292,44 +293,25 @@ def suite_fusion(chain: ChainSpec, ctx: _RunContext):
     evaluator = ctx.evaluator()
     max_level = min(3, max(site.two_s for site in chain.sites) + 1)
 
-    levels = range(1, max_level + 1)
-
-    def commuting(lam, mu):     # two towers alive at a time
-        at_lam, at_mu = evaluator.fused(max_level, lam), evaluator.fused(max_level, mu)
-        return [commutator_residual(at_lam[l], at_mu[m]) for l in levels for m in levels]
-
     pairs = [random_complex(rng, size=2, box=2.5) for _ in range(3)]
-    worst = np.max([r for lam, mu in pairs for r in commuting(lam, mu)])
+    worst = np.max([_commuting_residuals(evaluator, lam, mu, max_level) for lam, mu in pairs])
     checks.append(_check("fusion.commuting_family", worst, 1e-10, max_level=max_level))
 
     # level 1 is left out: its projector route is the same kernel call as the transfer
-    def route(lam):     # projectors first: their build buffers never meet the tower
-        projs = [fused_transfer_projector(chain, l, lam) for l in levels[1:]]
-        tower = evaluator.fused(max_level, lam)
-        return [frob(tower[l] - proj) / max(1.0, frob(proj)) for l, proj in zip(levels[1:], projs)]
-
     lams = [complex(random_complex(rng, box=2.5)) for _ in range(5)]
-    checks.append(_check("fusion.route_equivalence",
-                         np.max([r for lam in lams for r in route(lam)]), 1e-9))
+    tower = _fused_on_probes(evaluator, lams, max_level)
+    worst = np.max([_probe_residual((fused_transfer_projector(chain, l, lam) @ tower[0, 0]).ravel(),
+                                    tower[l, p].ravel())
+                    for p, lam in enumerate(lams) for l in range(2, max_level + 1)])
+    checks.append(_check("fusion.route_equivalence", worst, 1e-9))
 
     lam_ref = complex(random_complex(rng, box=2.0))
     checks.append(_check("fusion.central_zeros",
                          np.max(central_zero_residual(chain, evaluator, lam_ref)), 1e-9))
 
-    # the fused tower's tridiagonal matrix read bottom-up, diagonal T(lam + (l - 1 - i) eta),
-    # with off-diagonal products k1 a * k2 d taken from its entries, not from det_q
-    def tridiagonal(lam):     # its tower is freed when the generator ends
-        tower = evaluator.fused(3, lam)
-        for l in (2, 3):
-            det = tridiagonal_operator_minors(
-                (evaluator.transfer(lam + (l - 1 - i) * chain.eta) for i in range(l)),
-                [chain.twist.k1 * chain.a(lam + (l - 1 - i) * chain.eta)
-                 * (chain.twist.k2 * chain.d(lam + (l - 2 - i) * chain.eta)) for i in range(l - 1)],
-                np.empty((l + 1, chain.dim, chain.dim), dtype=CDTYPE))[-1]
-            yield frob(det - tower[l]) / max(1.0, frob(tower[l]))
-
-    residuals = [r for _ in range(2) for r in tridiagonal(complex(random_complex(rng, box=2.5)))]
-    checks.append(_check("fusion.tridiagonal_determinant", np.max(residuals), 1e-9))
+    lams = [complex(random_complex(rng, box=2.5)) for _ in range(2)]
+    checks.append(_check("fusion.tridiagonal_determinant",
+                         np.max(_tridiagonal_residuals(evaluator, lams)), 1e-9))
 
     residuals = []
     for a in range(1, max(site.two_s for site in chain.sites) + 2):
@@ -384,9 +366,10 @@ def suite_basis(chain: ChainSpec, kind: str, ctx: _RunContext):
 
 
 def _rank_row(name, basis):
-    """Row ``name``: dim minus the basis rank (``gram_rank``), with the smallest singular value."""
-    rank, smallest = gram_rank(basis)
-    return _check(name, basis.chain.dim - rank, 0, smallest_sv=smallest)
+    """Row ``name``: dim minus the basis rank (``gram_rank``), with ``gram_rank``'s bracket."""
+    rank, (lo, hi) = gram_rank(basis)
+    return _check(name, basis.chain.dim - rank, 0, smallest_sv=lo, bracket=[lo, hi],
+                  exact=lo == hi)
 
 
 def _basis_difference(got, want) -> float:
@@ -457,8 +440,9 @@ def suite_baxter(chain: ChainSpec, ctx: _RunContext):
     q_b = ctx.q_polynomials(default_zeta(chain, salt=24))
     n = chain.n_sites
     draws = chain.rng(400).uniform(-3.0, 3.0, size=(len(stack), 6 * n + 8))
-    max_deg = int(q.degree.max())
-    checks.append(_check("baxter.degree_budget_excess", max(0, max_deg - chain.n_s), 0,
+    max_deg = int(q.degree.max())   # a non-finite row reads as degree 0: NaN fails the row
+    excess = max(0, max_deg - chain.n_s) if np.isfinite(q.coeffs).all() else np.nan
+    checks.append(_check("baxter.degree_budget_excess", excess, 0,
                          max_degree=max_deg,
                          degree_histogram=np.bincount(q.degree, minlength=chain.n_s + 1).tolist(),
                          magnon_sector_counts=[len(m) for m in magnon_sectors(chain)]))
@@ -493,8 +477,10 @@ def suite_qop(chain: ChainSpec, ctx: _RunContext):
                          q_operator_commutation_residual(qop, evaluator, lams, mus), 1e-9))
     checks.append(_check("qop.operator_tq_equation",
                          q_operator_tq_residual(qop, evaluator, lams), 1e-8))
-    conds = q_operator_invertibility(qop)   # np.max keeps a NaN cond, so the row fails
-    checks.append(_check("qop.bottom_node_condition", np.max(list(conds.values())), 1e8))
+    # the worst site's lower end, which has its bracket's verdict (np.max keeps a NaN)
+    lo, hi = np.array(list(q_operator_invertibility(qop).values())).T
+    checks.append(_check("qop.bottom_node_condition", np.max(lo), _COND_CUT,
+                         brackets=np.c_[lo, hi].tolist(), exact=(lo == hi).tolist()))
 
     # the solved eigenvalues against their Cramer reading of the same closure stack
     residuals = []

@@ -25,6 +25,7 @@ the rows h +- e_n.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,19 +69,26 @@ class CovectorBasis:
 
     @cached_property
     def rank(self) -> tuple:
-        """Numerical rank and smallest singular value of the row family.
+        """Numerical rank and a bracket (lo, hi) of the smallest singular value of the rows.
 
-        Rows are norm-equilibrated before the SVD so the rank decision is not
-        distorted by the widely different row magnitudes of the raw products;
-        each row is first scaled by an exact power of two to a largest entry in
-        [1/2, 1), so its norm does not overflow.
+        Rows are norm-equilibrated (after an exact power-of-two scaling, so no norm
+        overflows), so the rank decision is not distorted by the widely different row
+        magnitudes of the raw products. The unit rows B have sigma_max <= sqrt(D) and
+        1 / ||B^-1||_F <= sigma_min <= sqrt(D) / ||B^-1||_F: a lower end above 2 gram
+        sqrt(D) (2 for the inverse's roundoff) certifies full rank. Otherwise the SVD
+        decides, and lo = hi = sigma_min. A zero or non-finite row gives rank 0.
         """
         rows = self.rows * np.exp2(-np.frexp(np.max(np.abs(self.rows), axis=1))[1])[:, None]
         norms = np.linalg.norm(rows, axis=1)
-        if np.any(norms == 0.0):
-            return 0, 0.0
-        svals = np.linalg.svd(rows / norms[:, None], compute_uv=False)
-        return int(np.sum(svals > self.chain.tolerances.gram * svals[0])), float(svals[-1])
+        if not np.all(np.isfinite(norms) & (norms > 0.0)):
+            return 0, (0.0, 0.0)
+        rows, root_d, cut = rows / norms[:, None], np.sqrt(len(rows)), self.chain.tolerances.gram
+        with contextlib.suppress(np.linalg.LinAlgError):
+            lo = 1.0 / np.linalg.norm(np.linalg.inv(rows))
+            if lo > 2.0 * cut * root_d:     # False for NaN
+                return len(rows), (float(lo), float(min(1.0, root_d * lo)))
+        svals = np.linalg.svd(rows, compute_uv=False)
+        return int(np.sum(svals > cut * svals[0])), (float(svals[-1]),) * 2
 
 
 def sklyanin_norm(chain: ChainSpec) -> complex:
@@ -212,7 +220,7 @@ def tensor_generating_covector(chain: ChainSpec) -> np.ndarray:
 
 
 def gram_rank(basis: CovectorBasis):
-    """(rank, smallest singular value) of the basis rows: ``basis.rank``, computed once."""
+    """(rank, bracket of the smallest singular value) of the rows: ``basis.rank``, kept."""
     return basis.rank
 
 

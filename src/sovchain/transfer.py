@@ -12,29 +12,28 @@ batched GEMM per site for every point of a chunk, and ``_probe_residual``
 reports ||(Y - X) V|| / sqrt(k) over max(1, ||X V|| / sqrt(k)): with
 E ||X V||^2 = k ||X||_F^2 it estimates the dense ||Y - X||_F / max(1, ||X||_F).
 Each row draws its probes from ``chain.rng`` with a salt of its own: 601 RTT,
-602 quantum determinant, 603 symmetry, 604 B-eigen, 605 shifts. Over 20 salts
-the estimate of a defect stays within 0.91 to 1.11 of the dense value for the
-three identities here (0.76 to 1.23 when one entry of one site's operator moves
-on one side only), and within 0.67 to 1.48 for the row-wise Sklyanin reports.
+602 quantum determinant, 603 symmetry, 604 B-eigen, 605 shifts, 606 the four
+tower rows of ``cli.suite_fusion`` (the README lists the spreads measured).
 
 ``TransferEvaluator`` interpolates T, a degree-N polynomial with leading
 coefficient tr K Id, from N kernel-built samples; one run has one evaluator.
 The oracle calls ``transfer``, and so does ``polynomiality_residual``, which
 certifies both halves of that premise from one set of N + 2 samples.
 
-The fused transfer matrices are produced by the three-term recursion
+The fused transfer matrices come from the three-term recursion
 
     T^(l+1)(lam) = T(lam + l eta) T^(l)(lam) - detq(lam + l eta) T^(l-1)(lam)
 
-with T^(0) = Id, which is the closed solution of the fusion hierarchy: the
-leading minors of a tridiagonal matrix with commuting operator entries, the
-one recurrence of ``tridiagonal_operator_minors``. Each call builds one
-tower T^(0..top)(lam) whole and keeps nothing. The symmetrized-projector
-construction (trace of the projected product of shifted monodromies over
-the (a+1)-dimensional symmetric auxiliary space) is kept as an independent
-route and used as the test oracle for the recursion.
+with T^(0) = Id, the closed solution of the fusion hierarchy: the leading
+minors of a tridiagonal matrix with commuting operator entries, the one
+recurrence of ``tridiagonal_operator_minors``. ``fused`` builds one dense
+tower T^(0..top)(lam) for the basis builds; the tower rows run the recurrence
+on probe blocks (``_fused_on_probes``), T at one shift for all points of a
+chunk and one batched (P, D, D) @ (P, D, m) product per step, and build no
+D x D tower. The symmetrized-projector construction (trace of the projected
+product of shifted monodromies over the (a+1)-dimensional symmetric auxiliary
+space) is kept as an independent route: the test oracle for the recursion.
 """
-
 from __future__ import annotations
 
 import functools
@@ -161,11 +160,15 @@ class TransferEvaluator:
         self.samples.flags.writeable = False
 
     def transfer(self, lam: complex) -> np.ndarray:
-        lam = complex(lam)
+        return self._at(np.array([complex(lam)]))[0]
+
+    def _at(self, lams) -> np.ndarray:
+        """T at the points ``lams`` (P,) as one (P, D, D) stack, each T bitwise its own call's."""
         flat = self.samples.reshape(len(self.samples), -1)
-        out = np.dot(self._interp.cardinals(lam)[None], flat).reshape(self.samples.shape[1:])
-        out.flat[::self.chain.dim + 1] += self.chain.twist.trace * np.prod(lam - self._interp.nodes)
-        return out
+        out = np.dot(self._interp.cardinals(lams[:, None]), flat)
+        ell = [self.chain.twist.trace * z for z in np.prod(lams[:, None] - self._interp.nodes, 1)]
+        out[:, ::self.chain.dim + 1] += np.array(ell)[:, None]
+        return out.reshape(len(lams), *self.samples.shape[1:])
 
     def fused(self, top: int, lam: complex) -> np.ndarray:
         """T^(0..top)(lam) as one (top + 1, D, D) stack by the fusion recursion, T^(0) = Id.
@@ -181,22 +184,34 @@ class TransferEvaluator:
             map(self.transfer, shifts), [self.chain.det_q(z) for z in shifts[1:]],
             np.empty((top + 1, self.chain.dim, self.chain.dim), dtype=CDTYPE))
 
+    def _tower_images(self, points, offprod, start) -> np.ndarray:
+        """(m + 1, P, D, r): the minors F_0..F_m of point p's tridiagonal matrix (diagonal
+        T(points[i, p]), off-diagonal products offprod[i, p]) on start[p], by chunks of points
+        (``_chunks``) whose one (c, D, D) stack of T at one shift is the only one alive."""
+        out = np.empty((len(points) + 1,) + start.shape, dtype=CDTYPE)
+        for s in _chunks(len(start), self.chain.dim ** 2):
+            tridiagonal_operator_minors((self._at(z) for z in points[:, s]), offprod[:, s],
+                                        out[:, s], start[s])
+        return out
 
-def tridiagonal_operator_minors(diag, offprod, out) -> np.ndarray:
-    """Leading principal minors F_0..F_m of an m x m tridiagonal matrix, written into ``out``.
 
-    The diagonal entries are commuting D x D operators, read one at a time
-    from the iterable ``diag``; ``offprod[j]`` is the scalar product of the
-    off-diagonal pair coupling rows j and j + 1. ``out`` is the (m + 1, D, D)
-    stack: F_0 = Id, F_1 = diag[0], F_(j+1) = diag[j] F_j - offprod[j-1] F_(j-1).
+def tridiagonal_operator_minors(diag, offprod, out, start=None) -> np.ndarray:
+    """Leading principal minors F_0..F_m of an m x m tridiagonal matrix times the start
+    block S = ``start`` (Id when None), written into ``out``.
+
+    The diagonal entries are commuting D x D operators, read one at a time from
+    the iterable ``diag``; ``offprod[j]`` is the scalar product (or one per point of
+    a stack) of the off-diagonal pair coupling rows j and j + 1. ``out`` is the
+    (m + 1, ..., D, r) stack: F_0 = Id, F_1 = diag[0], F_(j+1) = diag[j] F_j -
+    offprod[j-1] F_(j-1).
     """
     diag = iter(diag)
-    out[0] = np.eye(out.shape[1])
+    out[0] = np.eye(out.shape[1]) if start is None else start
     if len(out) > 1:
-        out[1] = next(diag)
+        out[1] = next(diag) if start is None else np.matmul(next(diag), start)
     for j, op in enumerate(diag, start=1):
         np.matmul(op, out[j], out=out[j + 1])
-        out[j + 1] -= offprod[j - 1] * out[j - 1]
+        out[j + 1] -= np.asarray(offprod[j - 1])[..., None, None] * out[j - 1]
     return out
 
 
@@ -279,11 +294,14 @@ def _probe_residual(x, y, *refs) -> np.ndarray:
     Freivalds 1977) this estimates ||Y - X||_F / max(1, ||X||_F, ...), the
     residual convention of the dense identities, from the images XV, YV, ref V.
     """
-    def norm(z):   # no |z|^2 temporary; the probe axis is contiguous in every image
-        f = z.view(np.float64)
-        return np.sqrt(np.einsum("...i,...i", f, f) / _PROBES)
-
+    norm = _probe_norm
     return norm(y - x) / functools.reduce(np.maximum, map(norm, refs), np.maximum(1.0, norm(x)))
+
+
+def _probe_norm(z, axes=1) -> np.ndarray:
+    """||z|| / sqrt(k) over the last ``axes`` axes (2: (D, k) images), no |z|^2 temporary."""
+    f = np.ascontiguousarray(z.reshape(*z.shape[:z.ndim - axes], -1)).view(np.float64)
+    return np.sqrt(np.einsum("...i,...i", f, f) / _PROBES)
 
 
 def _two_sided(ops, starts, twists, probes) -> np.ndarray:
@@ -369,17 +387,56 @@ def _twist_power(key: bytes, m: int) -> np.ndarray:
     return out
 
 
+def _fused_on_probes(evaluator: TransferEvaluator, lams, top: int, start=None) -> np.ndarray:
+    """T^(0..top)(lam) S at the points ``lams`` (P,), (top + 1, P, D, r), for a start block S
+    (D, r) or (P, D, r): by default the fusion rows' k probes from ``chain.rng(606)``."""
+    chain, lams = evaluator.chain, np.atleast_1d(np.asarray(lams, dtype=CDTYPE))
+    start = _probes(chain, 606, 1)[0] if start is None else start
+    points = lams + chain.eta * np.arange(top)[:, None]
+    return evaluator._tower_images(points, chain.det_q(points[1:]),
+                                   np.broadcast_to(start, (len(lams),) + start.shape[-2:]))
+
+
 def central_zero_residual(chain: ChainSpec, evaluator: TransferEvaluator,
                           lam_ref: complex) -> np.ndarray:
     """Per site n, the norm of T^(2s_n + 1) at its bottom node relative to lam_ref.
 
     The fused transfer matrix at level > 2s_n carries the central divisor
-    vanishing at xi_n - eta/2 - s_n eta. One reference tower up to the
-    largest level serves every site.
+    vanishing at xi_n - eta/2 - s_n eta. One tower on the probes up to the
+    largest level, at every bottom node and at lam_ref, serves every site.
     """
-    ref = evaluator.fused(max(chain.dims), lam_ref)
-    return np.array([frob(evaluator.fused(site.dim, chain.node(n, site.two_s))[-1])
-                     / max(1.0, frob(ref[site.dim])) for n, site in enumerate(chain.sites)])
+    lams = [chain.node(n, site.two_s) for n, site in enumerate(chain.sites)] + [lam_ref]
+    norms = _probe_norm(_fused_on_probes(evaluator, lams, max(chain.dims)), 2)
+    return np.array([norms[site.dim, n] / max(1.0, norms[site.dim, -1])
+                     for n, site in enumerate(chain.sites)])
+
+
+def _commuting_residuals(evaluator: TransferEvaluator, lam, mu, top: int) -> np.ndarray:
+    """||[T^(l)(lam), T^(m)(mu)]|| / max(1, ||T^(l)(lam)|| ||T^(m)(mu)||), l and m = 1..top,
+    on the probes V: (top, top). Both towers on V give A_l = T^(l)(lam) V and B_m =
+    T^(m)(mu) V, whose norms estimate the scale's; then the lam tower on [B_1..B_top] and
+    the mu tower on [A_1..A_top], in one call, give both orders of the products."""
+    a, b = np.moveaxis(_fused_on_probes(evaluator, [lam, mu], top)[1:], 1, 0)
+    start = np.stack([np.concatenate(list(x), axis=-1) for x in (b, a)])
+    both = _fused_on_probes(evaluator, [lam, mu], top, start)[1:].reshape(
+        top, 2, -1, top, _PROBES)                  # (l, point, D, m, k) and (m, point, D, l, k)
+    diff = both[:, 0] - both[:, 1].transpose(2, 1, 0, 3)
+    scale = _probe_norm(a, 2)[:, None] * _probe_norm(b, 2)[None]
+    return _probe_norm(diff.transpose(0, 2, 1, 3), 2) / np.maximum(1.0, scale)
+
+
+def _tridiagonal_residuals(evaluator: TransferEvaluator, lams) -> np.ndarray:
+    """Per point, the level-l tridiagonal matrix read bottom-up, diagonal T(lam + (l - 1 - i)
+    eta), i < l, and off-diagonal products k1 a * k2 d taken from its entries (not from
+    det_q), against the tower T^(l)(lam), l = 2, 3, on the probes: (P, 2)."""
+    chain, lams = evaluator.chain, np.asarray(lams, dtype=CDTYPE)
+    tower, out = _fused_on_probes(evaluator, lams, 3), []
+    for l in (2, 3):
+        z = lams + chain.eta * (l - 1 - np.arange(l))[:, None]
+        offprod = chain.twist.k1 * chain.a(z[:-1]) * (chain.twist.k2 * chain.d(z[1:]))
+        det = evaluator._tower_images(z, offprod, tower[0])[-1]
+        out.append(_probe_residual(*(x.reshape(len(lams), -1) for x in (tower[l], det))))
+    return np.stack(out, axis=1)
 
 
 def polynomiality_residual(chain: ChainSpec, rng) -> tuple:

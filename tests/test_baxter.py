@@ -239,7 +239,7 @@ def test_q_operator_identities(chain12, ev12):
     assert q_operator_commutation_residual(qop, ev12, lams, mus) < 1e-9
     assert q_operator_tq_residual(qop, ev12, lams) < 1e-8
     conds = q_operator_invertibility(qop)
-    assert max(conds.values()) < 1e8
+    assert max(hi for _, hi in conds.values()) < 1e8
     # normalized to the identity at the auxiliary point
     assert frob(qop(qop.zeta) - np.eye(chain12.dim)) < 1e-10
 
@@ -441,24 +441,64 @@ def test_non_finite_q_fails_the_root_gap_row(chain12, monkeypatch):
                    "passed": True, "info": {"min_distance": None}}
 
 
+def test_non_finite_q_fails_the_degree_budget_row():
+    # the same NaN Q reads as degree 0 in every row, inside the budget: the row is NaN and
+    # fails, where it passed at 0.0
+    from conftest import TWIST_FULL
+    from sovchain.chain import ChainSpec, Site, normalize_twist
+
+    chain = ChainSpec(eta=1.0, sites=(Site(1, 0.0), Site(1, 1.0)),
+                      twist=normalize_twist(TWIST_FULL))
+    with np.errstate(all="ignore"):
+        row = next(c for c in cli.run("baxter", chain)["checks"]
+                   if c["name"] == "baxter.degree_budget_excess")
+    assert np.isnan(row["value"]) and not row["passed"]
+    assert row["info"]["degree_histogram"] == [4, 0, 0]
+
+
 def test_q_operator_invertibility_reports_every_site(chain12):
-    # every site's cond is returned, none refused; a Q singular at the bottom
-    # nodes fails the qop.bottom_node_condition row (gate 1e8) and no suite errors
+    # every site's cond bracket is returned, none refused; it holds the SVD's cond, and a Q
+    # singular at the bottom nodes fails the qop.bottom_node_condition row (gate 1e8) and
+    # no suite errors
     qop = _q_operator(chain12)
     conds = q_operator_invertibility(qop)
     assert list(conds) == [(n, site.two_s) for n, site in enumerate(chain12.sites)]
-    for (n, two_s), cond in conds.items():
-        assert cond == float(np.linalg.cond(qop(chain12.node(n, two_s))))
-        assert 1.0 <= cond < 1e8
+    for (n, two_s), (lo, hi) in conds.items():
+        cond = np.linalg.cond(qop(chain12.node(n, two_s)))
+        assert 1.0 <= lo <= cond * (1 + 1e-12) and cond <= hi < 1e8
     kill = np.arange(chain12.dim) == 0
     singular = dataclasses.replace(qop, eigenvalues=lambda lam: np.where(
         kill, 0.0, qop.eigenvalues(lam)))
-    assert min(q_operator_invertibility(singular).values()) > 1e8
+    assert list(q_operator_invertibility(singular).values()) == [(np.inf, np.inf)] * 2
     ctx = cli._RunContext(chain12)
     ctx._values["qop"] = singular
     checks = {c["name"]: c for c in cli.suite_qop(chain12, ctx)}
     assert not checks["qop.bottom_node_condition"]["passed"]
     assert not any(name.endswith(".error") for name in checks)
+
+
+@pytest.mark.parametrize("factor, passed", [(1.0, True), (1e3, False)])
+def test_one_large_q_eigenvalue_fails_the_condition_row(factor, passed):
+    # (2,2,2,2) seed 7: cond Q is 2.6e5 at site 0's bottom node; its largest eigenvalue
+    # times 1e3 lifts that past the gate 1e8, and the row fails by its bracket
+    from conftest import TWIST_FULL
+    from sovchain.chain import random_chain
+
+    chain = random_chain((2,) * 4, 1.0, TWIST_FULL, 7)
+    ctx = cli._RunContext(chain)
+    qop, node = ctx.q_operator(), chain.node(0, 2)
+    top = np.argmax(np.abs(qop.eigenvalues(node)))
+
+    def eigenvalues(lam):
+        out = qop.eigenvalues(lam)
+        out[top] *= factor if lam == node else 1.0
+        return out
+
+    ctx._values["qop"] = dataclasses.replace(qop, eigenvalues=eigenvalues)
+    row = next(c for c in cli.suite_qop(chain, ctx) if c["name"] == "qop.bottom_node_condition")
+    assert row["passed"] is passed
+    lo, hi = row["info"]["brackets"][0]
+    assert lo <= np.linalg.cond(ctx.q_operator()(node)) * (1 + 1e-9) <= hi * (1 + 2e-9)
 
 
 def test_q_operator_takes_q_polynomials_from_solver(chain12, monkeypatch):

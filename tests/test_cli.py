@@ -156,6 +156,27 @@ def test_genericity_row_fails_on_a_non_generic_chain():
         "name": "model.genericity", "value": 0.0, "tolerance": 0.0, "passed": True}
 
 
+def test_nan_bases_and_q_fail_their_rows_not_their_suites():
+    # xi_0 - xi_1 = -eta: the Sklyanin, second and Q-generated bases and the Q eigenvalues
+    # are NaN; the rank rows read rank 0 and the condition row inf, where an SVD of the NaN
+    # matrices raised and each suite collapsed into one error row
+    from conftest import SUITE_ROWS, TWIST_FULL
+    from sovchain.chain import ChainSpec, Site, normalize_twist
+
+    chain = ChainSpec(eta=1.0, sites=(Site(1, 0.0), Site(1, 1.0)),
+                      twist=normalize_twist(TWIST_FULL))
+    with np.errstate(all="ignore"):
+        checks = {c["name"]: c for c in run("all", chain)["checks"]}
+    assert not any(name.endswith(".error") for name in checks)
+    for suite in ("basis.sklyanin", "basis.sov1", "basis.sov2", "basis.q", "qop"):
+        assert all(name in checks for name in SUITE_ROWS[suite]), suite
+    for kind in ("sklyanin", "sov2", "q"):
+        assert checks[f"basis.{kind}.rank_deficit"]["value"] == chain.dim
+    row = checks["qop.bottom_node_condition"]
+    assert row["value"] == np.inf and not row["passed"]
+    assert row["info"]["brackets"] == [[np.inf, np.inf]] * 2
+
+
 @pytest.mark.parametrize("spins, seed, command, failing", [
     ((6, 6), 2, "qop", "qop.bottom_node_condition"),
     ((6, 6), 9, "spectrum", "spectrum.eigenvector_residual"),
@@ -178,12 +199,20 @@ def test_gated_quantities_fail_their_row_not_the_suite(spins, seed, command, fai
     assert not checks[failing]["passed"] and not report["passed"]
 
 
+NAN = float("nan")
+
+
 @pytest.mark.parametrize("conds, passed", [
-    ({(0, 1): 5.0, (1, 2): float("nan")}, False), ({(0, 1): float("nan"), (1, 2): 5.0}, False),
-    ({(0, 1): 5.0, (1, 2): 2e8}, False), ({(0, 1): 5.0, (1, 2): 7.0}, True),
+    ({(0, 1): (5.0, 5.0), (1, 2): (NAN, NAN)}, False),
+    ({(0, 1): (NAN, NAN), (1, 2): (5.0, 5.0)}, False),
+    ({(0, 1): (5.0, 5.0), (1, 2): (2e8, 2e8)}, False),
+    ({(0, 1): (5.0, 5.0), (1, 2): (7.0, 7.0)}, True),
+    ({(0, 1): (5.0, 9e7), (1, 2): (7.0, 7.0)}, True),
+    ({(0, 1): (5.0, 5.0), (1, 2): (2e8, 1e12)}, False),
 ])
 def test_bottom_node_condition_row_folds_every_site(monkeypatch, conds, passed):
-    # the row is the worst site's cond against 1e8; a NaN at any site fails it
+    # the row is the worst site's lower bracket end against 1e8, which a bracket that
+    # does not hold the gate decides; a NaN at any site fails it
     monkeypatch.setattr(cli, "q_operator_invertibility", lambda qop: conds)
     report = run("qop", chain_from_config(load_config("n2_mixed")))
     row = next(c for c in report["checks"] if c["name"] == "qop.bottom_node_condition")
@@ -321,11 +350,10 @@ NAN_FOLDS = [
     ("verify-algebra", "quantum_det_residual", "sample", "algebra.quantum_det"),
     ("verify-algebra", "symmetry_residual", "sample", "algebra.twist_symmetry"),
     ("verify-algebra", "frob", ("call", 2), "algebra.spin_relations"),
-    ("verify-fusion", "commutator_residual", ("call", 2), "fusion.commuting_family"),
+    ("verify-fusion", "_commuting_residuals", ("call", 2), "fusion.commuting_family"),
     ("verify-fusion", "fused_transfer_projector", "sample", "fusion.route_equivalence"),
     ("verify-fusion", "central_zero_residual", "sample", "fusion.central_zeros"),
-    ("verify-fusion", "tridiagonal_operator_minors", ("call", 2),
-     "fusion.tridiagonal_determinant"),
+    ("verify-fusion", "_tridiagonal_residuals", "sample", "fusion.tridiagonal_determinant"),
     ("verify-fusion", "_multiset_distance", ("call", 2), "fusion.fused_twist_spectrum"),
     ("spectrum", "match_to_oracle", ("item", 1), "spectrum.oracle_match_distance"),
     ("qop", "_determinant_eigenvalues", ("call", 1), "qop.method_agreement"),
@@ -609,9 +637,9 @@ def test_suite_qop_evaluates_each_operator_once_per_point(monkeypatch):
     monkeypatch.setattr(TransferEvaluator, "transfer", counted_t)
     rows = {c["name"]: c["passed"] for c in cli.suite_qop(chain, ctx)}
     assert all(rows.values())
-    # commutation 3, T-Q 3 x 3, bottom-node condition N; method agreement compares
-    # eigenvalue arrays and assembles no Q
-    assert calls == {"q": 3 + 9 + chain.n_sites, "t": 3 + 3}
+    # commutation 3, T-Q 3 x 3; the bottom-node condition assembles Q only at a site
+    # whose cond bracket holds its gate, and method agreement compares eigenvalue arrays
+    assert calls == {"q": 3 + 9, "t": 3 + 3}
 
 
 @pytest.mark.parametrize("factor, passed", [(1.0, True), (1 + 1e-6, False)])

@@ -101,6 +101,34 @@ def test_all_report_matches_its_golden(name):
     assert report_drifts(json.loads(json.dumps(golden_report(name))), want) == []
 
 
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_rank_and_condition_brackets_hold_the_svd_values(name):
+    # every basis's sigma_min bracket and every site's cond Q bracket holds the SVD's value
+    import numpy as np
+
+    from sovchain import cli
+    from sovchain.baxter import q_operator_invertibility, sov_from_q
+    from sovchain.sov_bases import _tower_bases, gram_rank, tensor_generating_covector
+
+    chain = CHAINS[name]()
+    ctx = cli._RunContext(chain)
+    qop = ctx.q_operator()
+    top = tuple(site.two_s for site in chain.sites)
+    bases = [ctx.sklyanin(), *ctx.sov2_with(ctx.sklyanin().row(top)),
+             sov_from_q(qop, ctx.sklyanin()),
+             *_tower_bases("sov1", chain, ctx.evaluator(),
+                           [None, tensor_generating_covector(chain)])]
+    for basis in bases:
+        rows = basis.rows * np.exp2(-np.frexp(np.max(np.abs(basis.rows), axis=1))[1])[:, None]
+        smallest = np.linalg.svd(rows / np.linalg.norm(rows, axis=1)[:, None],
+                                 compute_uv=False)[-1]
+        lo, hi = gram_rank(basis)[1]
+        assert lo <= smallest * (1 + 1e-9) and smallest <= hi * (1 + 1e-9), basis.kind
+    for (n, two_s), (lo, hi) in q_operator_invertibility(qop).items():
+        cond = np.linalg.cond(qop(chain.node(n, two_s)))
+        assert lo <= cond * (1 + 1e-9) and cond <= hi * (1 + 1e-9), (n, lo, cond, hi)
+
+
 def test_benchmark_rows_are_the_golden_rows(monkeypatch):
     # the benchmark keeps its own copy of the row names; drift from the reports shows here
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"

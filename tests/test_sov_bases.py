@@ -41,7 +41,7 @@ def test_sklyanin_zero_row_is_reference(chain12):
 
 def test_sklyanin_full_rank(chain12, chain12_diag, chain112):
     for chain in (chain12, chain12_diag, chain112):
-        rank, smallest = gram_rank(sklyanin_basis(chain))
+        rank, (smallest, _) = gram_rank(sklyanin_basis(chain))
         assert rank == chain.dim
         assert smallest > 1e-6
 
@@ -134,6 +134,23 @@ def test_rank_survives_a_row_beyond_the_norm_overflow(chain12):
     big = CovectorBasis(rows=rows, kind=basis.kind, chain=chain12, source=basis.source)
     assert gram_rank(big) == gram_rank(basis)
     assert gram_rank(big)[0] == chain12.dim
+
+
+@pytest.mark.parametrize("ratio", [1e-10 * (1 - 0.5), 1e-10 * (1 + 0.5)])
+def test_rank_at_the_gram_cut_is_the_svd_verdict(chain112, ratio):
+    # rows F diag(s) W^H with F the unitary DFT have equal norms, so the equilibrated rows
+    # keep sigma_min / sigma_max = ratio, a factor 1.5 from the gram cut 1e-10: the inverse
+    # bracket cannot decide, and the rank is the SVD's (D - 1 below the cut, D above)
+    dim = chain112.dim
+    fourier = np.fft.fft(np.eye(dim)) / np.sqrt(dim)
+    unitary = np.linalg.qr(random_complex(np.random.default_rng(8), size=(dim, dim)))[0]
+    rows = (fourier * np.geomspace(1.0, ratio, dim)) @ unitary.conj().T * 3.0
+    basis = CovectorBasis(rows=rows, kind="synthetic", chain=chain112, source=rows[0])
+    unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+    svals = np.linalg.svd(unit, compute_uv=False)
+    rank, (lo, hi) = gram_rank(basis)
+    assert rank == int(np.sum(svals > 1e-10 * svals[0])) == dim - (ratio < 1e-10)
+    assert lo == hi == svals[-1]
 
 
 def test_sov_basis_charges_commute_with_transfer(chain12, ev12):

@@ -299,6 +299,46 @@ def test_central_zeros(chain12, ev12, chain112, ev112):
                 assert frob(tower[level]) / max(1.0, frob(ref[level])) < 1e-9
 
 
+@pytest.mark.parametrize("batch_bytes", [2 ** 18, 1])
+def test_probe_tower_is_the_dense_tower_on_the_probes(chain123, monkeypatch, batch_bytes):
+    # levels 0-3 at three points in one call, in one chunk or one point per chunk: the
+    # recursion on the salt-606 probes is the dense tower times the probes
+    monkeypatch.setattr(transfer_module, "_BATCH_BYTES", batch_bytes)
+    lams = [0.4 - 0.3j, -1.1 + 0.8j, 2.2 + 1.7j]
+    for chain in (chain123, chain_from_config(load_config("n2_spin22"))):
+        ev, probes = TransferEvaluator(chain), transfer_module._probes(chain, 606, 1)[0]
+        got = transfer_module._fused_on_probes(ev, lams, 3)
+        assert got.shape == (4, 3, chain.dim, 8)
+        for p, lam in enumerate(lams):
+            for level, dense in enumerate(ev.fused(3, lam)):
+                want = dense @ probes
+                assert frob(got[level, p] - want) <= 1e-13 * frob(want)
+
+
+def test_probe_tower_rows_read_a_noncommuting_sample_as_the_dense_rows():
+    # one sample's entry moved by 1e-8 max|T|: each probe commutator and bottom-up
+    # determinant residual stays within a factor 2 of its dense value
+    chain = chain_from_config(load_config("n3_mixed"))
+    ev = TransferEvaluator(chain)
+    samples = ev.samples.copy()
+    samples[0, 0, 1] += 1e-8 * np.max(np.abs(samples[0]))
+    ev.samples = samples
+    lam, mu = 0.4 - 0.3j, -1.1 + 0.8j
+    at_lam, at_mu = ev.fused(3, lam), ev.fused(3, mu)
+    dense = [[commutator_residual(at_lam[l], at_mu[m]) for m in (1, 2, 3)] for l in (1, 2, 3)]
+    ratios = [transfer_module._commuting_residuals(ev, lam, mu, 3) / dense]
+    for level in (2, 3):
+        shifts = lam + chain.eta * (level - 1 - np.arange(level))
+        det = tridiagonal_operator_minors(
+            map(ev.transfer, shifts), chain.twist.k1 * chain.a(shifts[:-1])
+            * (chain.twist.k2 * chain.d(shifts[1:])),
+            np.empty((level + 1, chain.dim, chain.dim), complex))[-1]
+        want = frob(det - at_lam[level]) / max(1.0, frob(at_lam[level]))
+        ratios.append(transfer_module._tridiagonal_residuals(ev, [lam])[0, level - 2] / want)
+    ratios = np.concatenate([np.ravel(r) for r in ratios])
+    assert np.all((0.5 < ratios) & (ratios < 2.0)), ratios
+
+
 def test_tridiagonal_determinant_matches_fusion(chain12, ev12):
     lam = -0.73 + 0.29j
     chain = chain12
