@@ -38,8 +38,8 @@ from .sov_bases import (_tower_bases, b_eigen_report, gram_rank, separate_action
 from .spectrum import (OracleSpectrum, brute_force_spectrum, closed_form_solutions,
                        eigenvector_from_sov, jacobian_smallest_sv, magnon_sectors,
                        match_to_oracle, solve_discrete_system, wavefunction_action_report)
-from .transfer import (TransferEvaluator, _commuting_residuals, _fused_on_probes,
-                       _probe_residual, _tridiagonal_residuals, central_zero_residual,
+from .transfer import (TransferEvaluator, _commuting_residuals, _probe_residual, _probes,
+                       _tridiagonal_residuals, central_zero_residual,
                        fused_transfer_projector, polynomiality_residual, quantum_det_residual,
                        rtt_residual, symmetry_residual, transfer)
 
@@ -299,7 +299,7 @@ def suite_fusion(chain: ChainSpec, ctx: _RunContext):
 
     # level 1 is left out: its projector route is the same kernel call as the transfer
     lams = [complex(random_complex(rng, box=2.5)) for _ in range(5)]
-    tower = _fused_on_probes(evaluator, lams, max_level)
+    tower = evaluator.fused(max_level, lams, _probes(chain, 606, 1)[0])
     worst = np.max([_probe_residual((fused_transfer_projector(chain, l, lam) @ tower[0, 0]).ravel(),
                                     tower[l, p].ravel())
                     for p, lam in enumerate(lams) for l in range(2, max_level + 1)])

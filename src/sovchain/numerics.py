@@ -127,10 +127,12 @@ def poly_coeffs_from_samples(nodes, values):
 
 
 def poly_eval(coeffs, lam):
-    """Horner evaluation, ``coeffs`` ascending along the last axis; a (D, L) stack
-    gives (D, P) at points (P,), or row d at lam[d] for lam of shape (D, P)."""
+    """Horner evaluation, ``coeffs`` ascending along the last axis; a (D, L) stack gives
+    (D, P) at points (P,), read as (1, P) so that one row rounds as in a taller stack,
+    or row d at lam[d] for lam of shape (D, P)."""
     coeffs, lam = np.asarray(coeffs), np.asarray(lam)
     tail = (1,) if coeffs.ndim > 1 and lam.ndim else ()
+    lam = lam[None] if tail and lam.ndim == 1 else lam
     result = 0.0 + 0.0j
     for c in np.moveaxis(coeffs, -1, 0)[::-1]:
         result = result * lam + c.reshape(c.shape + tail)

@@ -1,9 +1,9 @@
 """Global operators: monodromy, transfer matrix, fused hierarchy.
 
 Every dense operator is grown by one kernel, ``_lax_chain``: one GEMM per site,
-the aux trace at the last site and one transpose to matrix order. It builds the
-transfer matrix, the aux-frame blocks of the monodromy (the full 2D x 2D matrix
-is its four blocks) and the projector route, through one buffer pair per call.
+the aux trace at the last site and one transpose to matrix order, each write a
+fresh array. It builds the transfer matrix, the aux-frame blocks of the
+monodromy (the full 2D x 2D matrix is its four blocks) and the projector route.
 
 The identity residuals (RTT, quantum determinant, twist symmetry, and the
 Sklyanin B-eigen and A/D shift reports of ``sov_bases``) build no operator.
@@ -26,13 +26,13 @@ The fused transfer matrices come from the three-term recursion
 
 with T^(0) = Id, the closed solution of the fusion hierarchy: the leading
 minors of a tridiagonal matrix with commuting operator entries, the one
-recurrence of ``tridiagonal_operator_minors``. ``fused`` builds one dense
-tower T^(0..top)(lam) for the basis builds; the tower rows run the recurrence
-on probe blocks (``_fused_on_probes``), T at one shift for all points of a
-chunk and one batched (P, D, D) @ (P, D, m) product per step, and build no
-D x D tower. The symmetrized-projector construction (trace of the projected
-product of shifted monodromies over the (a+1)-dimensional symmetric auxiliary
-space) is kept as an independent route: the test oracle for the recursion.
+recurrence of ``tridiagonal_operator_minors``. ``fused`` is the one tower
+route: the shifts and the per-point detq products of P points, then T at one
+shift for all points of a chunk and one batched product per step. Without a
+start block it gives the dense towers the bases read; the tower rows pass the
+salt-606 probes and build no D x D tower. The symmetrized-projector route (the
+trace of the projected product of shifted monodromies over the (a+1)-dimensional
+symmetric aux space) is kept independent: the test oracle for the recursion.
 """
 from __future__ import annotations
 
@@ -82,37 +82,29 @@ def _site_laxes(chain: ChainSpec, lam) -> list:
             for site in chain.sites]
 
 
-def _lax_chain(site_ops, start, twist, close, bufs=None) -> np.ndarray:
+def _lax_chain(site_ops, start, twist, close) -> np.ndarray:
     """tr(close . twist . op_N ... op_1 . start) as a D x D matrix, site 1 slowest.
 
     ``site_ops[n]`` has legs (A, d, A, d), ``start`` is A x R, ``twist`` A x A, ``close``
     R x A. The product stays an A x (rest) matrix in leg order (A, j_N, k_N, ..., j_1,
     k_1, R): one GEMM per site, (A d^2, A) @ (A, rest), and the trace at the last site
     after one copy with R slowest; one transpose ends in matrix order. Each write is a
-    fresh array, or alternates between the pair of flat ``bufs`` that each hold the
-    largest write, the last in ``bufs[0]`` (the result when N = 1).
+    fresh array.
     """
     ops = list(site_ops)
     for left in (twist, close):
         op = ops[-1]
         ops[-1] = np.dot(left, op.reshape(left.shape[1], -1)).reshape(-1, *op.shape[1:])
     last, prod = ops.pop(), start
-
-    def dest(k, rows, cols):    # write k of len(ops) + 2; the last one lands in bufs[0]
-        buf = np.empty(rows * cols, dtype=CDTYPE) if bufs is None else bufs[(len(ops) + 1 - k) % 2]
-        return buf[:rows * cols].reshape(rows, cols)
-
-    for k, op in enumerate(ops):
-        lhs = op.transpose(0, 1, 3, 2).reshape(-1, op.shape[2])
-        prod = prod.reshape(op.shape[2], -1)
-        prod = np.matmul(lhs, prod, out=dest(k, lhs.shape[0], prod.shape[1]))
+    for op in ops:
+        prod = np.matmul(op.transpose(0, 1, 3, 2).reshape(-1, op.shape[2]),
+                         prod.reshape(op.shape[2], -1))
     # tr(close . product) = sum over (R, A) of last[r, j, a, k] prod[a, rest, r]
     r_dim, a_dim = last.shape[0], last.shape[2]
-    rhs = dest(len(ops), r_dim * a_dim, prod.size // (r_dim * a_dim))
-    np.copyto(rhs.reshape(r_dim, a_dim, -1), prod.reshape(a_dim, -1, r_dim).transpose(2, 0, 1))
+    rhs = prod.reshape(a_dim, -1, r_dim).transpose(2, 0, 1).reshape(r_dim * a_dim, -1)
     lhs = last.transpose(1, 3, 0, 2).reshape(-1, r_dim * a_dim)
     del prod, last      # two products at most are alive at a time
-    legs = np.dot(lhs, rhs, out=dest(len(ops) + 1, lhs.shape[0], rhs.shape[1]))
+    legs = np.dot(lhs, rhs)
     del lhs, rhs        # only the traced product meets its transposed copy
     n = len(site_ops)    # legs (j_N, k_N, ..., j_1, k_1) to (j_1, ..., j_N, k_1, ..., k_N)
     out = legs.reshape([d for op in reversed(site_ops) for d in op.shape[1::2]])
@@ -170,28 +162,34 @@ class TransferEvaluator:
         out[:, ::self.chain.dim + 1] += np.array(ell)[:, None]
         return out.reshape(len(lams), *self.samples.shape[1:])
 
-    def fused(self, top: int, lam: complex) -> np.ndarray:
-        """T^(0..top)(lam) as one (top + 1, D, D) stack by the fusion recursion, T^(0) = Id.
-
-        These are the leading minors of the tridiagonal matrix with diagonal
-        T(lam + k eta), k = 0..top - 1, each built when the recurrence reads
-        it, and off-diagonal products detq(lam + k eta), k = 1..top - 1.
-        """
+    def fused(self, top: int, lams, start=None) -> np.ndarray:
+        """T^(0..top) at the points ``lams`` by the fusion recursion, T^(0) = Id: the towers
+        (top + 1, *lams.shape, D, D), or with a start block S ((D, r), or (P, D, r) per
+        point) the towers times S, (top + 1, *lams.shape, D, r). They are the leading minors
+        of the tridiagonal matrix with diagonal T(lam + k eta), k < top, and off-diagonal
+        products detq(lam + k eta), 0 < k < top, each at its own point (``det_q`` of an
+        array rounds otherwise); T^(1) = T, with no product by Id."""
         if top < 0:
             raise ValueError(f"top must be >= 0, got {top}")
-        shifts = [lam + k * self.chain.eta for k in range(top)]
-        return tridiagonal_operator_minors(
-            map(self.transfer, shifts), [self.chain.det_q(z) for z in shifts[1:]],
-            np.empty((top + 1, self.chain.dim, self.chain.dim), dtype=CDTYPE))
+        lams = np.asarray(lams, dtype=CDTYPE)
+        points = lams.reshape(-1) + self.chain.eta * np.arange(top)[:, None]
+        offprod = np.array([[self.chain.det_q(complex(z)) for z in row] for row in points[1:]],
+                           dtype=CDTYPE).reshape(-1, lams.size)
+        if start is not None:
+            start = np.broadcast_to(start, (lams.size,) + np.shape(start)[-2:])
+        out = self._tower_images(points, offprod, start)
+        return out.reshape((top + 1,) + lams.shape + out.shape[-2:])
 
     def _tower_images(self, points, offprod, start) -> np.ndarray:
         """(m + 1, P, D, r): the minors F_0..F_m of point p's tridiagonal matrix (diagonal
-        T(points[i, p]), off-diagonal products offprod[i, p]) on start[p], by chunks of points
-        (``_chunks``) whose one (c, D, D) stack of T at one shift is the only one alive."""
-        out = np.empty((len(points) + 1,) + start.shape, dtype=CDTYPE)
-        for s in _chunks(len(start), self.chain.dim ** 2):
+        T(points[i, p]), off-diagonal products offprod[i, p]) on start[p] (Id when None), by
+        chunks of points (``_chunks``) whose one (c, D, D) stack of T at one shift is the
+        only one alive."""
+        shape = (points.shape[1],) + (self.chain.dim,) * 2 if start is None else start.shape
+        out = np.empty((len(points) + 1,) + shape, dtype=CDTYPE)
+        for s in _chunks(shape[0], shape[-2] ** 2):
             tridiagonal_operator_minors((self._at(z) for z in points[:, s]), offprod[:, s],
-                                        out[:, s], start[s])
+                                        out[:, s], None if start is None else start[s])
         return out
 
 
@@ -206,7 +204,7 @@ def tridiagonal_operator_minors(diag, offprod, out, start=None) -> np.ndarray:
     offprod[j-1] F_(j-1).
     """
     diag = iter(diag)
-    out[0] = np.eye(out.shape[1]) if start is None else start
+    out[0] = np.eye(out.shape[-1]) if start is None else start
     if len(out) > 1:
         out[1] = next(diag) if start is None else np.matmul(next(diag), start)
     for j, op in enumerate(diag, start=1):
@@ -222,17 +220,15 @@ def fused_transfer_projector(chain: ChainSpec, level: int, lam: complex) -> np.n
     M_i on aux leg i of (C^2)^{x level} and on H, traced against the orthonormal
     symmetric-subspace basis U. It equals K^{x level} G_N ... G_1 with site
     operators G_n = L_0n(lam + (level-1) eta) ... L_{level-1,n}(lam), grown
-    from U and closed by U^dagger through one buffer pair.
+    from U and closed by U^dagger.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     u = symmetric_basis(level)
     kk = _twist_power(chain.twist.matrix.tobytes(), level)
-    # the largest write: the product of sites 1..N-1 (A R (D / d_N)^2 entries) or D^2
-    size = max(2 ** level * (level + 1) * (chain.dim // chain.dims[-1]) ** 2, chain.dim ** 2)
     laxes = [_site_laxes(chain, complex(lam) + (level - 1 - i) * chain.eta) for i in range(level)]
     ops = [_aux_product(per_leg) for per_leg in zip(*laxes)]
-    return _lax_chain(ops, u, twist=kk, close=u.conj().T, bufs=np.empty((2, size), dtype=CDTYPE))
+    return _lax_chain(ops, u, twist=kk, close=u.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +383,6 @@ def _twist_power(key: bytes, m: int) -> np.ndarray:
     return out
 
 
-def _fused_on_probes(evaluator: TransferEvaluator, lams, top: int, start=None) -> np.ndarray:
-    """T^(0..top)(lam) S at the points ``lams`` (P,), (top + 1, P, D, r), for a start block S
-    (D, r) or (P, D, r): by default the fusion rows' k probes from ``chain.rng(606)``."""
-    chain, lams = evaluator.chain, np.atleast_1d(np.asarray(lams, dtype=CDTYPE))
-    start = _probes(chain, 606, 1)[0] if start is None else start
-    points = lams + chain.eta * np.arange(top)[:, None]
-    return evaluator._tower_images(points, chain.det_q(points[1:]),
-                                   np.broadcast_to(start, (len(lams),) + start.shape[-2:]))
-
-
 def central_zero_residual(chain: ChainSpec, evaluator: TransferEvaluator,
                           lam_ref: complex) -> np.ndarray:
     """Per site n, the norm of T^(2s_n + 1) at its bottom node relative to lam_ref.
@@ -406,7 +392,7 @@ def central_zero_residual(chain: ChainSpec, evaluator: TransferEvaluator,
     largest level, at every bottom node and at lam_ref, serves every site.
     """
     lams = [chain.node(n, site.two_s) for n, site in enumerate(chain.sites)] + [lam_ref]
-    norms = _probe_norm(_fused_on_probes(evaluator, lams, max(chain.dims)), 2)
+    norms = _probe_norm(evaluator.fused(max(chain.dims), lams, _probes(chain, 606, 1)[0]), 2)
     return np.array([norms[site.dim, n] / max(1.0, norms[site.dim, -1])
                      for n, site in enumerate(chain.sites)])
 
@@ -416,9 +402,10 @@ def _commuting_residuals(evaluator: TransferEvaluator, lam, mu, top: int) -> np.
     on the probes V: (top, top). Both towers on V give A_l = T^(l)(lam) V and B_m =
     T^(m)(mu) V, whose norms estimate the scale's; then the lam tower on [B_1..B_top] and
     the mu tower on [A_1..A_top], in one call, give both orders of the products."""
-    a, b = np.moveaxis(_fused_on_probes(evaluator, [lam, mu], top)[1:], 1, 0)
+    probes = _probes(evaluator.chain, 606, 1)[0]
+    a, b = np.moveaxis(evaluator.fused(top, [lam, mu], probes)[1:], 1, 0)
     start = np.stack([np.concatenate(list(x), axis=-1) for x in (b, a)])
-    both = _fused_on_probes(evaluator, [lam, mu], top, start)[1:].reshape(
+    both = evaluator.fused(top, [lam, mu], start)[1:].reshape(
         top, 2, -1, top, _PROBES)                  # (l, point, D, m, k) and (m, point, D, l, k)
     diff = both[:, 0] - both[:, 1].transpose(2, 1, 0, 3)
     scale = _probe_norm(a, 2)[:, None] * _probe_norm(b, 2)[None]
@@ -430,7 +417,7 @@ def _tridiagonal_residuals(evaluator: TransferEvaluator, lams) -> np.ndarray:
     eta), i < l, and off-diagonal products k1 a * k2 d taken from its entries (not from
     det_q), against the tower T^(l)(lam), l = 2, 3, on the probes: (P, 2)."""
     chain, lams = evaluator.chain, np.asarray(lams, dtype=CDTYPE)
-    tower, out = _fused_on_probes(evaluator, lams, 3), []
+    tower, out = evaluator.fused(3, lams, _probes(chain, 606, 1)[0]), []
     for l in (2, 3):
         z = lams + chain.eta * (l - 1 - np.arange(l))[:, None]
         offprod = chain.twist.k1 * chain.a(z[:-1]) * (chain.twist.k2 * chain.d(z[1:]))

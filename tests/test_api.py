@@ -43,6 +43,7 @@ REMOVED_PARAMETERS = {
     "transfer.TransferEvaluator": {"samples"},
     "transfer.central_zero_residual": {"level", "n"},
     "transfer.symmetry_residual": {"k_matrix"},
+    "transfer._lax_chain": {"bufs"},
     "cli.run": {"precision", "tol_override", "samples"},
     "cli.suite_fusion": {"samples"},
     "cli.suite_basis": {"samples", "precision"},
@@ -86,6 +87,8 @@ REMOVED_NAMES = [
     "transfer._lax_slabs", "transfer._slab_residual", "transfer._lax_legs",
     # the closure classes and the function that paired them, folded into baxter._Closure
     "baxter.CZetaSystem", "baxter._Interpolation", "baxter._closure_system",
+    # the second tower builder, folded into TransferEvaluator.fused
+    "transfer._fused_on_probes",
 ]
 
 

@@ -597,7 +597,8 @@ def test_run_makes_one_evaluator_of_n_kernel_builds(monkeypatch):
 def test_fusion_peak_memory_is_a_few_towers(spins, extra):
     # verify-fusion holds the N samples and, besides them, at most two fused towers or one
     # point's projectors and tower: its traced peak stays within N + extra D x D arrays.
-    # At 1,2,1,2,1 the level-3 projector's buffers alone hold 16 (spin-1/2 last site)
+    # At 1,2,1,2,1 the level-3 projector alone peaks at 16.6: the product of sites 1..N-1
+    # and its copy with R slowest hold 8 each (spin-1/2 last site; N + 19.0 in all)
     import tracemalloc
 
     from conftest import TWIST_FULL

@@ -14,7 +14,7 @@ from sovchain.baxter import (_determinant_eigenvalues, build_q_operator, default
                              solve_q_polynomial, sov_q_factorization, tq_residual,
                              wronskian_values)
 from sovchain.chain import random_chain
-from sovchain.numerics import random_complex
+from sovchain.numerics import poly_eval, random_complex
 from sovchain.spectrum import brute_force_spectrum, discrete_residuals, wavefunction_action_report
 
 CHAINS = {
@@ -175,3 +175,14 @@ for name in before:
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_poly_eval_of_one_row_is_that_row_of_a_taller_stack_bitwise():
+    # points (P,) are read as (1, P), so a one-row stack rounds as its row does
+    rng = np.random.default_rng(73)
+    for _ in range(200):
+        coeffs = random_complex(rng, size=(rng.integers(2, 6), rng.integers(1, 9)))
+        lam = random_complex(rng, size=rng.integers(1, 4))
+        want = poly_eval(coeffs, lam)
+        for d in range(len(coeffs)):
+            assert np.array_equal(poly_eval(coeffs[d:d + 1], lam), want[d:d + 1])

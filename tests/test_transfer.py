@@ -245,10 +245,12 @@ def test_fused_tower_is_the_memoized_recursion_bitwise(name):
                          + [nodes for nodes, _, _ in chain.grid])
     for lam in map(complex, pts):
         memo = {}
-        tower = ev.fused(top, lam)
+        tower, listed = ev.fused(top, lam), ev.fused(top, [lam])
         assert tower.shape == (top + 1, chain.dim, chain.dim)
+        assert listed.shape == (top + 1, 1, chain.dim, chain.dim)
         for level in range(top + 1):
             assert np.array_equal(tower[level], _memoized_fused(ev, level, lam, memo))
+            assert np.array_equal(listed[level, 0], tower[level])
 
 
 def test_fused_hand_zero(chain1):
@@ -302,16 +304,16 @@ def test_central_zeros(chain12, ev12, chain112, ev112):
 @pytest.mark.parametrize("batch_bytes", [2 ** 18, 1])
 def test_probe_tower_is_the_dense_tower_on_the_probes(chain123, monkeypatch, batch_bytes):
     # levels 0-3 at three points in one call, in one chunk or one point per chunk: the
-    # recursion on the salt-606 probes is the dense tower times the probes
+    # tower on the salt-606 probes is the dense tower of the same call times the probes
     monkeypatch.setattr(transfer_module, "_BATCH_BYTES", batch_bytes)
     lams = [0.4 - 0.3j, -1.1 + 0.8j, 2.2 + 1.7j]
     for chain in (chain123, chain_from_config(load_config("n2_spin22"))):
         ev, probes = TransferEvaluator(chain), transfer_module._probes(chain, 606, 1)[0]
-        got = transfer_module._fused_on_probes(ev, lams, 3)
-        assert got.shape == (4, 3, chain.dim, 8)
-        for p, lam in enumerate(lams):
-            for level, dense in enumerate(ev.fused(3, lam)):
-                want = dense @ probes
+        got, dense = ev.fused(3, lams, probes), ev.fused(3, lams)
+        assert got.shape == (4, 3, chain.dim, 8) and dense.shape == (4, 3, chain.dim, chain.dim)
+        for level in range(4):
+            for p in range(len(lams)):
+                want = dense[level, p] @ probes
                 assert frob(got[level, p] - want) <= 1e-13 * frob(want)
 
 
@@ -863,16 +865,19 @@ def test_level_one_projector_is_the_transfer_bitwise(name):
                for lam in lams)
 
 
-def test_buffered_kernel_leaves_its_result_in_the_first_buffer(chain123, chain1):
-    # buffered and fresh writes give the same bits, closed by the trace or by one block;
-    # the last write lands in bufs[0], the result itself when the transpose is trivial
-    lam = 0.3 - 0.8j
-    eye = np.eye(2, dtype=complex)
-    for chain in (chain123, chain1):
-        ops = transfer_module._site_laxes(chain, lam)
-        for start, close in ((eye, eye), (eye[:, 1:], eye[:1])):
-            bufs = np.empty((2, 4 * chain.dim ** 2), dtype=complex)
-            want = transfer_module._lax_chain(ops, start, chain.twist.matrix, close)
-            got = transfer_module._lax_chain(ops, start, chain.twist.matrix, close, bufs)
-            assert np.array_equal(got, want)
-            assert np.shares_memory(got, bufs[0]) == (chain.n_sites == 1)
+@pytest.mark.parametrize("level, bound", [(2, 6.5), (3, 16.5)])
+def test_projector_peak_holds_no_buffer_pair(level, bound):
+    # each kernel write is a fresh array, freed once the next one is made: on 1^8 the traced
+    # peak of one projector call stays within `bound` D x D arrays (6.02 and 16.05 measured);
+    # holding a pair of buffers sized for the largest write would add one more
+    import tracemalloc
+
+    chain = random_chain([1] * 8, 1.0, TWIST_FULL, seed=7)
+    fused_transfer_projector(chain, level, 0.3 - 0.4j)     # the cached twist power and basis
+    tracemalloc.start()
+    try:
+        fused_transfer_projector(chain, level, 0.3 - 0.4j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * chain.dim ** 2 * 16
