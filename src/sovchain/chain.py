@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _MIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=CDTYPE) / np.sqrt(2.0)
+_MIX2 = np.array([[2.0, 1.0], [1.0, -2.0]], dtype=CDTYPE) / np.sqrt(5.0)
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,10 @@ class Tolerances:
 class Twist:
     """2x2 boundary twist with a fixed eigenvalue ordering.
 
-    ``k1``, ``k2`` are sorted by (real, imag) descending. When the upper-right
-    entry vanishes, ``w`` holds a conjugator such that w^-1 K w has nonzero
-    off-diagonal entries; otherwise ``w`` is the identity.
+    ``k1``, ``k2`` are sorted by (real, imag) descending. ``w`` is the identity,
+    or, when the upper-right entry vanishes, a fixed orthogonal involution such
+    that w^-1 K w has nonzero off-diagonal entries: _MIX, or _MIX2 at
+    c = +-(d - a), where _MIX K _MIX has a zero off-diagonal.
     """
 
     matrix: np.ndarray
@@ -103,41 +105,17 @@ def _twist(k_matrix) -> Twist:
     scale = max(1.0, float(np.max(np.abs(k))))
     if np.max(np.abs(k - 0.5 * np.trace(k) * np.eye(2))) < 1e-12 * scale:
         raise SimpleSpectrumViolation("twist matrix is proportional to the identity")
-    evals, evecs = np.linalg.eig(k)
+    evals = np.linalg.eigvals(k)
     order = sorted(range(2), key=lambda i: (evals[i].real, evals[i].imag), reverse=True)
     k1, k2 = complex(evals[order[0]]), complex(evals[order[1]])
-    if abs(k[0, 1]) > 1e-14 * scale:
-        w = np.eye(2, dtype=CDTYPE)
-    else:
-        w = _b_zero_conjugator(k, evals[order], evecs[:, order], scale)
+    w = np.eye(2, dtype=CDTYPE)
+    if abs(k[0, 1]) <= 1e-14 * scale:
+        # b = 0: the off-diagonals of _MIX K _MIX are (a - d + c)/2 and (a - d - c)/2, so
+        # _MIX fails only at c = +-(d - a); there _MIX2's are (a - d)/5 and 6(a - d)/5, or
+        # 3(a - d)/5 and 2(d - a)/5, nonzero as K is not proportional to the identity
+        kbar = _MIX @ k @ _MIX
+        w = (_MIX if min(abs(kbar[0, 1]), abs(kbar[1, 0])) > 1e-12 * scale else _MIX2).copy()
     return Twist(matrix=k, k1=k1, k2=k2, w=w)
-
-
-def _b_zero_conjugator(k, evals, evecs, scale):
-    """Conjugator making both off-diagonal entries of w^-1 k w nonzero.
-
-    The fixed rotation _MIX works for diagonal twists (off-diagonals become
-    (k1-k2)/2) and for the non-diagonalizable lower-triangular ones; the
-    eigenvector-mixing fallback covers the remaining lower-triangular cases.
-    """
-    floor = 1e-12 * scale
-    kbar = _MIX @ k @ _MIX  # _MIX is involutive
-    if min(abs(kbar[0, 1]), abs(kbar[1, 0])) > floor:
-        return _MIX.copy()
-    v = evecs.astype(CDTYPE)
-    for col in range(2):
-        j = int(np.argmax(np.abs(v[:, col])))
-        v[:, col] *= np.exp(-1j * np.angle(v[j, col]))
-        v[:, col] /= np.linalg.norm(v[:, col])
-    det = np.linalg.det(v)
-    if abs(det) > 1e-8:
-        w = v @ _MIX
-        w = w / (np.linalg.det(w) + 0j) ** 0.5
-        kbar = np.linalg.solve(w, k @ w)
-        if min(abs(kbar[0, 1]), abs(kbar[1, 0])) > floor:
-            return w
-    raise SimpleSpectrumViolation(
-        "could not build a conjugator with nonzero off-diagonal entries")
 
 
 def fused_twist(twist, level: int) -> np.ndarray:

@@ -232,7 +232,7 @@ class _RunContext:
         """(``sov2()``, the basis from the covector ``source``), the fused towers built once
         for both."""
         bases = _tower_bases("sov2", self.chain, self.evaluator(), [None, source])
-        return self._values.setdefault("sov2", bases[0]), bases[1]
+        return self._get("sov2", lambda: bases[0]), bases[1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Every dense operator is grown by one kernel, ``_lax_chain``: one GEMM per site,
 the aux trace at the last site and one transpose to matrix order, each write a
 fresh array. It builds the transfer matrix, the aux-frame blocks of the
-monodromy (the full 2D x 2D matrix is its four blocks) and the projector route.
+monodromy (the only form of it: no 2D x 2D matrix is built) and the projector route.
 
 The identity residuals (RTT, quantum determinant, twist symmetry, and the
 Sklyanin B-eigen and A/D shift reports of ``sov_bases``) build no operator.
@@ -58,20 +58,13 @@ __all__ = [
 ]
 
 
-def monodromy_matrix(chain: ChainSpec, lam: complex, start=None, close=None) -> np.ndarray:
-    """Monodromy K_0 L_0N(lam - xi_N) ... L_01(lam - xi_1), the auxiliary C^2 slowest.
+def monodromy_matrix(chain: ChainSpec, lam: complex, start, close) -> np.ndarray:
+    """tr_0(close M start) for the monodromy M = K_0 L_0N(lam - xi_N) ... L_01(lam - xi_1).
 
-    With a 2 x R ``start`` and an R x 2 ``close``, the D x D tr_0(close M start):
-    block (i, j) of W^-1 M W from start W e_j and close e_i^T W^-1. With neither,
-    the full 2D x 2D matrix, assembled from its four blocks.
+    ``start`` is 2 x R and ``close`` R x 2, so the result is D x D: block (i, j) of W^-1 M W
+    from start W e_j and close e_i^T W^-1, block (i, j) of M itself with W the identity.
     """
-    if (start is None) != (close is None):
-        raise ValueError("give both start and close, or neither")
-    ops, twist = _site_laxes(chain, lam), chain.twist.matrix
-    if start is not None:
-        return _lax_chain(ops, start, twist, close)
-    e = np.eye(2, dtype=CDTYPE)
-    return np.block([[_lax_chain(ops, e[:, [j]], twist, e[[i]]) for j in (0, 1)] for i in (0, 1)])
+    return _lax_chain(_site_laxes(chain, lam), start, chain.twist.matrix, close)
 
 
 def _site_laxes(chain: ChainSpec, lam) -> list:

@@ -37,10 +37,10 @@ SUITE_ROWS = _suite_rows(json.loads((GOLDEN_DIR / "n2_mixed.json").read_text()))
 
 
 def dense_blocks(chain, lam):
-    """A, B, C, D of the twisted monodromy, sliced from the full 2D x 2D matrix."""
-    m = monodromy_matrix(chain, lam)
-    d = chain.dim
-    return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
+    """A, B, C, D of the twisted monodromy, one block call each."""
+    e = np.eye(2, dtype=complex)
+    return tuple(monodromy_matrix(chain, lam, start=e[:, [j]], close=e[[i]])
+                 for i in (0, 1) for j in (0, 1))
 
 
 def rows(t):

@@ -89,6 +89,8 @@ REMOVED_NAMES = [
     "baxter.CZetaSystem", "baxter._Interpolation", "baxter._closure_system",
     # the second tower builder, folded into TransferEvaluator.fused
     "transfer._fused_on_probes",
+    # the eigenvector fallback of the b = 0 frame, replaced by a second fixed involution
+    "chain._b_zero_conjugator",
 ]
 
 
@@ -141,6 +143,14 @@ def test_q_operator_is_built_from_finished_inputs():
     params = inspect.signature(build_q_operator).parameters
     assert list(params) == ["oracle", "q"]
     assert params["oracle"].default is inspect.Parameter.empty
+
+
+def test_monodromy_is_block_only():
+    # no full 2D x 2D form: a block needs its start and its close
+    from sovchain.transfer import monodromy_matrix
+
+    params = inspect.signature(monodromy_matrix).parameters
+    assert [params[p].default for p in ("start", "close")] == [inspect.Parameter.empty] * 2
 
 
 # one evaluator per run and one Sklyanin basis per run: no routine builds its own

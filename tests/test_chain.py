@@ -4,13 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from sovchain.chain import (ChainSpec, Site, Tolerances, fused_twist, genericity_check, index_of,
-                            make_chain, normalize_twist, random_chain)
+from sovchain.chain import (_MIX, _MIX2, ChainSpec, Site, Tolerances, fused_twist,
+                            genericity_check, index_of, make_chain, normalize_twist, random_chain)
 from sovchain.errors import (GenericityViolation, SimpleSpectrumViolation,
                              SingularTwistWarning)
 from sovchain.local_ops import kron_chain
-from conftest import TWIST_FULL
+from conftest import TWIST_DIAG, TWIST_FULL
+from regen_golden import CHAINS as GOLDEN_CHAINS
 from test_local_ops import _fresh_symmetric_basis
+from test_sov_bases import B_ZERO_TWISTS
 
 
 def test_scalar_functions_hand_case(chain1):
@@ -85,14 +87,61 @@ def test_normalize_twist_antiperiodic():
 
 
 def test_normalize_twist_lower_triangular_paths():
-    # non-diagonalizable b=0 twist: the fixed rotation must serve as conjugator
+    # non-diagonalizable b=0 twist: the fixed rotation _MIX serves as conjugator
     tw = normalize_twist(np.array([[1.0, 0.0], [1.0, 1.0]]))
     kbar = tw.conjugated()
     assert min(abs(kbar[0, 1]), abs(kbar[1, 0])) > 0.1
-    # c = d - a defeats the fixed rotation; the eigenvector mixing takes over
+    # c = d - a defeats _MIX; the second fixed involution _MIX2 takes over
     tw = normalize_twist(np.array([[1.0, 0.0], [1.0, 2.0]]))
     kbar = tw.conjugated()
     assert min(abs(kbar[0, 1]), abs(kbar[1, 0])) > 0.1
+
+
+_A, _D = 1.3 + 0.2j, -0.5 + 0.9j
+# (a, c, d) of the b = 0 twist [[a, 0], [c, d]] of each class; _MIX fails only at c = +-(d - a)
+B_ZERO_CLASSES = {
+    "diagonal": (_A, 0.0, _D),
+    "lower": (_A, 0.7 - 0.4j, _D),
+    "jordan": (1.0, 1.0, 1.0),
+    "c = d - a": (_A, _D - _A, _D),
+    "c = a - d": (_A, _A - _D, _D),
+    "c = 2(d - a)": (_A, 2 * (_D - _A), _D),
+    "c = (a - d)/2": (_A, (_A - _D) / 2, _D),
+}
+
+
+@pytest.mark.parametrize("name", list(B_ZERO_CLASSES))
+def test_b_zero_frame_is_a_fixed_involution(name):
+    a, c, d = B_ZERO_CLASSES[name]
+    tw = normalize_twist(np.array([[a, 0.0], [c, d]]))
+    assert np.array_equal(tw.w, _MIX2 if name in ("c = d - a", "c = a - d") else _MIX)
+    assert np.max(np.abs(tw.w @ tw.w - np.eye(2))) < 1e-12
+    assert abs(np.linalg.cond(tw.w) - 1.0) < 1e-12
+    kbar = tw.conjugated()
+    # at least max(|d - a|, |c|) / 5 on these classes: _MIX2's bound, met at c = d - a
+    assert min(abs(kbar[0, 1]), abs(kbar[1, 0])) >= 0.2 * max(abs(d - a), abs(c)) - 1e-12
+
+
+def test_b_zero_frame_is_mix_wherever_mix_clears_the_floor():
+    chains = [chain() for chain in GOLDEN_CHAINS.values()]
+    twists = [c.twist for c in chains if c.twist.matrix[0, 1] == 0]
+    assert twists     # the diagonal golden config
+    twists += [normalize_twist(k) for name, k in B_ZERO_TWISTS.items() if name != "mixing"]
+    twists.append(normalize_twist(TWIST_DIAG))
+    for tw in twists:
+        assert np.array_equal(tw.w, _MIX)
+    for c in chains:
+        if c.twist.matrix[0, 1] != 0:
+            assert np.array_equal(c.twist.w, np.eye(2))
+
+
+@pytest.mark.parametrize("c_over_gap", [0.0, 1.0, -1.0])
+def test_near_identity_b_zero_twist_gets_a_frame(c_over_gap):
+    # d - a = 3e-12 clears the identity cut (1e-12) by a factor of 1.5 on the diagonal
+    gap = 3e-12
+    tw = normalize_twist(np.array([[1.0, 0.0], [c_over_gap * gap, 1.0 + gap]]))
+    kbar = tw.conjugated()
+    assert min(abs(kbar[0, 1]), abs(kbar[1, 0])) > 0
 
 
 def test_normalize_twist_rejects_identity_multiple():

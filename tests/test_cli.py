@@ -699,7 +699,7 @@ MUTATIONS = {
         ("baxter.tq_equation", "baxter.sov_q_factorization")),
     "sklyanin": (("sklyanin", lambda b: _kicked(b, range(len(b.rows)), diagonal=True)),
                  ("basis.sklyanin.b_eigen",)),
-    "sov2": ("tower", ("basis.sov2.separate_action",)),
+    "sov2": (("sov2", lambda b: _kicked(b, [1])), ("basis.sov2.separate_action",)),
 }
 # rows that compare the oracle with itself (Newton starts on its eigenvalues)
 SELF_ORACLE_ROWS = ("spectrum.count_mismatch", "spectrum.oracle_bijection",
@@ -714,23 +714,17 @@ def test_every_layer_perturbed_by_1e_8_fails_a_row_that_reads_it(monkeypatch, na
     transfer_module = importlib.import_module("sovchain.transfer")
     chain = (random_chain((1,) * 6, 1.0, TWIST_FULL, seed=7) if name == "1^6 seed 7"
              else chain_from_config(load_config("n3_mixed")))
-    real_get, real_lax, real_bases = cli._RunContext._get, transfer_module.lax, cli._tower_bases
+    real_get, real_lax = cli._RunContext._get, transfer_module.lax
 
     def lax(lam, two_s, eta):   # entry (0, 1) of every Lax operator, + eps eta
         out = real_lax(lam, two_s, eta)
         out[..., 0, 1] += MUTATION_EPS * eta
         return out
 
-    def tower_bases(kind, *args):   # row 1 of the default-source second basis
-        bases = real_bases(kind, *args)
-        return [_kicked(bases[0], [1])] + bases[1:] if kind == "sov2" else bases
-
     for layer, (how, catchers) in MUTATIONS.items():
         with monkeypatch.context() as patch:
             if how == "kernel":
                 patch.setattr(transfer_module, "lax", lax)
-            elif how == "tower":
-                patch.setattr(cli, "_tower_bases", tower_bases)
             elif how is not None:
                 key, spoil = how
 

@@ -12,11 +12,12 @@ from sovchain.sov_bases import (CovectorBasis, _acting_blocks,
                                 separate_action_report,
                                 shift_action_report, sklyanin_basis, sklyanin_norm,
                                 sov_basis_1, sov_basis_2, tensor_generating_covector)
-from sovchain.transfer import TransferEvaluator, _lax_chain, _site_laxes, monodromy_matrix
+from sovchain.transfer import TransferEvaluator, _lax_chain, _site_laxes
 from conftest import TWIST_DIAG, TWIST_FULL, XI_N2, dense_blocks
 
-# b = 0 twists: diagonal, lower triangular, lower triangular with equal eigenvalues,
-# and lower triangular with c = d - a, whose conjugator W is not its own inverse
+# b = 0 twists: diagonal, lower triangular and lower triangular with equal eigenvalues,
+# whose frame W is the involution chain._MIX, and lower triangular with c = d - a, where
+# _MIX K _MIX has a zero off-diagonal and W is the second involution chain._MIX2
 B_ZERO_TWISTS = {
     "diag": TWIST_DIAG,
     "lower": np.array([[1.3 + 0.2j, 0.0], [0.7 - 0.4j, -0.5 + 0.9j]]),
@@ -490,7 +491,8 @@ def test_frame_is_the_plain_monodromy_for_b_nonzero(chain12):
 def _summed_monodromy_blocks(chain, lam):
     """Frame blocks as sums of the 2D x 2D monodromy's blocks, (W^-1)_ia W_bj M_ab."""
     w, w_inv = chain.twist.w, np.linalg.inv(chain.twist.w)
-    m = monodromy_matrix(chain, lam).reshape(2, chain.dim, 2, chain.dim)
+    a, b, c, d = dense_blocks(chain, lam)
+    m = np.block([[a, b], [c, d]]).reshape(2, chain.dim, 2, chain.dim)
 
     def block(i, j):
         coeff = np.outer(w_inv[i], w[:, j])

@@ -12,9 +12,9 @@ from sovchain.local_ops import (kron_chain, kron_embed, lax, permutation_4x4, r_
                                 symmetric_basis)
 from sovchain.numerics import commutator_residual, frob, random_complex
 from sovchain.transfer import (TransferEvaluator, central_zero_residual,
-                               fused_transfer_projector, monodromy_matrix,
-                               polynomiality_residual, quantum_det_residual, rtt_residual,
-                               symmetry_residual, transfer, tridiagonal_operator_minors)
+                               fused_transfer_projector, polynomiality_residual,
+                               quantum_det_residual, rtt_residual, symmetry_residual, transfer,
+                               tridiagonal_operator_minors)
 
 # the package re-exports the function ``transfer``, which shadows the module attribute
 transfer_module = importlib.import_module("sovchain.transfer")
@@ -90,18 +90,12 @@ def test_monodromy_matches_dense_product(chain123):
     rng = np.random.default_rng(31)
     for lam in random_complex(rng, size=3, box=3.0):
         want = _dense_monodromy(chain123, lam)
-        assert frob(monodromy_matrix(chain123, lam) - want) <= 1e-13 * frob(want)
+        a, b, c, d = dense_blocks(chain123, lam)
+        assert frob(np.block([[a, b], [c, d]]) - want) <= 1e-13 * frob(want)
         for twist in (np.eye(2), chain123.twist.conjugated()):
             got = np.block(_closed_blocks(transfer_module._site_laxes(chain123, lam), twist))
             want = _dense_monodromy(chain123, lam, twist_matrix=twist)
             assert frob(got - want) <= 1e-13 * frob(want)
-
-
-@pytest.mark.parametrize("given", ["start", "close"])
-def test_monodromy_takes_start_and_close_together(chain12, given):
-    eye = np.eye(2, dtype=complex)
-    with pytest.raises(ValueError, match="both start and close"):
-        monodromy_matrix(chain12, 0.3 - 0.7j, **{given: eye})
 
 
 def test_transfer_matches_dense_trace(chain123):
