@@ -28,11 +28,10 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import SingularCZeta
-from .numerics import (CDTYPE, _Barycentric, commutator_residual, frob,
-                       poly_coeffs_from_samples, poly_eval, random_complex)
+from .numerics import CDTYPE, _Barycentric, poly_coeffs_from_samples, poly_eval, random_complex
 from .sov_bases import CovectorBasis
 from .spectrum import OracleSpectrum, TransferPolynomial, _site_product, _sov2_array
-from .transfer import _probes
+from .transfer import _probe_norm, _probes
 
 __all__ = [
     "QPolynomial",
@@ -222,10 +221,14 @@ class QOperator:
     zeta: complex
     vectors: np.ndarray
     left: np.ndarray
-    eigenvalues: object   # lam -> the D eigenvalues at lam, one array operation
+    eigenvalues: object   # lam -> the D eigenvalues at lam, (P, D) at points (P,)
 
     def __call__(self, lam: complex) -> np.ndarray:
         return (self.vectors * self.eigenvalues(lam)) @ self.left
+
+    def _on(self, q, x) -> np.ndarray:
+        """V (q o V^-1 x): eigenvalues ``q`` (..., D) on blocks ``x`` (..., D, k), no Q built."""
+        return self.vectors @ (q[..., None] * (self.left @ x))
 
 
 def build_q_operator(oracle: OracleSpectrum, q: QPolynomial) -> QOperator:
@@ -241,7 +244,7 @@ def build_q_operator(oracle: OracleSpectrum, q: QPolynomial) -> QOperator:
         raise ValueError("build_q_operator needs one Q-polynomial row per oracle row")
     norm = q(q.zeta)
     return QOperator(chain=chain, zeta=q.zeta, vectors=oracle.vectors, left=oracle.left,
-                     eigenvalues=lambda lam: q(lam) / norm)
+                     eigenvalues=lambda lam: q(lam).T / norm)
 
 
 def _require_q_twist(chain: ChainSpec):
@@ -266,34 +269,29 @@ def _determinant_eigenvalues(system: _Closure, lam: complex) -> np.ndarray:
 
 
 def q_operator_commutation_residual(qop: QOperator, evaluator, lams, mus) -> float:
-    """Worst [Q(lam), T(mu)] residual over the point pairs; a NaN pair makes it NaN."""
-    ts = [evaluator.transfer(mu) for mu in mus]
-    residuals = []
-    for lam in lams:
-        q = qop(lam)
-        residuals += [commutator_residual(q, t) for t in ts]
-    return float(np.max(residuals, initial=0.0))
+    """Worst [Q(lam), T(mu)] residual over the point pairs on the salt-608 probes (NaN kept)."""
+    probes, q = _probes(qop.chain, 608, 1)[0], qop.eigenvalues(np.asarray(lams, dtype=CDTYPE))
+    ts = evaluator._at(np.asarray(mus, dtype=CDTYPE))
+    t_v, q_v = ts @ probes, qop._on(q, probes)
+    diff = qop._on(q[:, None], t_v) - ts @ q_v[:, None]          # (lam, mu, D, k)
+    scale = np.outer(_probe_norm(q_v, 2), _probe_norm(t_v, 2))
+    return float(np.max(_probe_norm(diff, 2) / np.maximum(1.0, scale), initial=0.0))
 
 
 def q_operator_tq_residual(qop: QOperator, evaluator, lams) -> float:
-    """Operator-level spectral-curve residual, worst over the sample points (NaN kept)."""
-    chain = qop.chain
-    eta = chain.eta
-    k1 = chain.twist.k1
-    residuals = []
-    for lam in lams:
-        beta = k1 * chain.a(lam)
-        alpha = beta * k1 * chain.a(lam - eta)
-        # each operator evaluated once, and each Q dropped once its term is added
-        q = qop(lam - 2 * eta)
-        op, scales = alpha * q, [abs(alpha) * frob(q)]
-        t, q = evaluator.transfer(lam - eta), qop(lam - eta)
-        op -= beta * t @ q
-        scales.append(abs(beta) * frob(t) * frob(q))
-        q = qop(lam)
-        op += chain.det_q(lam) * q
-        scales.append(abs(chain.det_q(lam)) * frob(q))
-        residuals.append(frob(op) / max(1.0, *scales))
+    """Operator-level spectral-curve residual on the salt-608 probes, worst over the points
+    (NaN kept); the middle term's scale is |beta| ||T V|| ||Q V||, probing |beta| ||T|| ||Q||."""
+    chain, lams = qop.chain, np.asarray(lams, dtype=CDTYPE)
+    eta, beta = chain.eta, chain.twist.k1 * chain.a(lams)
+    coeffs = np.array([beta * chain.twist.k1 * chain.a(lams - eta), -beta, chain.det_q(lams)])
+    q = qop.eigenvalues((lams - eta * np.arange(3)[::-1, None]).ravel())   # 2 eta, eta, 0
+    probes, ts = _probes(chain, 608, 1)[0], evaluator._at(lams - eta)
+    q_v = qop._on(q.reshape(3, len(lams), -1), probes)           # (term, lam, D, k)
+    scales = np.abs(coeffs) * _probe_norm(q_v, 2)
+    scales[1] *= _probe_norm(ts @ probes, 2)
+    q_v[1] = ts @ q_v[1]
+    residuals = (_probe_norm(np.sum(coeffs[..., None, None] * q_v, axis=0), 2)
+                 / np.maximum(1.0, np.max(scales, axis=0)))
     return float(np.max(residuals, initial=0.0))
 
 
@@ -318,7 +316,7 @@ def q_operator_invertibility(qop: QOperator) -> dict:
 
     def norms(w):   # of V diag(w) V^-1 per row of w (N, D): ||.||_2 from below, ||.||_F
         def op(x):   # on the orthonormalized columns
-            return v @ (w[..., None] * (left @ np.linalg.qr(x)[0]))
+            return qop._on(w, np.linalg.qr(x)[0])
         x = _probes(chain, 607, len(nodes))
         for _ in range(2):
             x = left.conj().T @ (w.conj()[..., None] * (v.conj().T @ op(x)))

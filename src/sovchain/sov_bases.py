@@ -314,34 +314,34 @@ def separate_action_report(basis: CovectorBasis, evaluator: TransferEvaluator) -
     """Residual of the transfer-matrix separate action on the tower basis.
 
     Checks row(h) T(xi_n^(h_n)) = k1 a row(h+e_n) + k2 d row(h-e_n) for every
-    h and n (``_separate_action_residual`` with R = D).
+    h and n on the salt-609 probes (``_separate_action_residual`` with R = D).
     """
     chain = basis.chain
     return _separate_action_residual(chain, basis.rows.reshape(chain.dims + (chain.dim,)),
-                                     lambda nodes: np.stack([evaluator.transfer(z) for z in nodes]))
+                                     evaluator._at, _probes(chain, 609, 1)[0])
 
 
-def _separate_action_residual(chain: ChainSpec, cube, ops_at) -> float:
-    """Worst residual of cube[h] T(xi_n^(h_n)) = k1 a cube[h+e_n] + k2 d cube[h-e_n].
+def _separate_action_residual(chain: ChainSpec, cube, ops_at, probes) -> float:
+    """Worst residual of cube[h] T(xi_n^(h_n)) = k1 a cube[h+e_n] + k2 d cube[h-e_n] on the
+    (R, k) block ``probes``: each side times V, each norm over sqrt(k).
 
     ``cube`` holds R-vectors per multi-index h, shape dims + (..., R); each
     is a residual row. ``ops_at(nodes)`` gives T at the nodes as a stack
     (len(nodes), ..., R, R) that broadcasts against the slabs h_n = k.
     Each site is one batched matmul of the (d_n, dim / d_n, ..., R) slabs
-    with the stack at its nodes. Out-of-range neighbours are the zero padding
+    with T V at its nodes. Out-of-range neighbours are the zero padding
     of the shift; their coefficients a (top node) and d (bottom node) vanish.
     """
-    tail = cube.shape[chain.n_sites:]
-    residuals = []
-    for n in range(chain.n_sites):
-        nodes, a, d = chain.grid[n]
-        slabs = np.moveaxis(cube, n, 0).reshape((len(nodes), -1) + tail)
-        rhs = np.zeros_like(slabs)
+    cube_v, residuals = cube @ probes, []
+    for n, (nodes, a, d) in enumerate(chain.grid):
+        slabs, slabs_v = (np.moveaxis(x, n, 0).reshape((len(nodes), -1) + x.shape[chain.n_sites:])
+                          for x in (cube, cube_v))
+        rhs = np.zeros_like(slabs_v)
         for coeff, step in ((chain.twist.k1 * a, 1), (chain.twist.k2 * d, -1)):
             dst, src = _neighbour_slices(0, step)
-            rhs[dst] += coeff[dst].reshape((-1,) + (1,) * (slabs.ndim - 1)) * slabs[src]
-        residuals.append(_worst_row_residual((slabs @ ops_at(nodes)).reshape(-1, tail[-1]),
-                                             rhs.reshape(-1, tail[-1])))
+            rhs[dst] += coeff[dst].reshape((-1,) + (1,) * (slabs.ndim - 1)) * slabs_v[src]
+        residuals.append(_worst_row_residual((slabs @ (ops_at(nodes) @ probes)).reshape(
+            -1, probes.shape[-1]), rhs.reshape(-1, probes.shape[-1])))
     return float(np.max(residuals))
 
 
@@ -364,7 +364,8 @@ def _neighbour_slices(axis: int, step: int):
 
 
 def _worst_row_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Max over rows of ||lhs_i - rhs_i|| / max(1, ||lhs_i||, ||rhs_i||)."""
-    scale = np.maximum(1.0, np.maximum(np.linalg.norm(lhs, axis=1),
-                                       np.linalg.norm(rhs, axis=1)))
+    """Max over rows of ||lhs_i - rhs_i|| / max(1, ||lhs_i||, ||rhs_i||), each norm over
+    sqrt(columns): on k probe columns it estimates the rows' own residual."""
+    lhs, rhs = (x / np.sqrt(x.shape[1]) for x in (lhs, rhs))
+    scale = np.maximum(1.0, np.maximum(np.linalg.norm(lhs, axis=1), np.linalg.norm(rhs, axis=1)))
     return float(np.max(np.linalg.norm(lhs - rhs, axis=1) / scale))

@@ -415,11 +415,12 @@ def wavefunction_action_report(t: TransferPolynomial) -> float:
     Checks k1 a(node) psi(h+e_n) + k2 d(node) psi(h-e_n) = t(node) psi(h)
     for every h, n and row, with out-of-range entries treated as zero: the
     separate-action stencil of ``sov_bases`` on psi as a (d_1, ..., d_N, D, 1, 1)
-    h-cube: each (h, row) entry is its own residual row, t a 1 x 1 operator.
+    h-cube: each (h, row) entry is its own residual row, t a 1 x 1 operator and V = [[1]].
     """
     return _separate_action_residual(
         t.chain, _sov2_array(t).reshape(t.chain.dims + (-1, 1, 1)),
-        lambda nodes: np.moveaxis(t(nodes), -1, 0).reshape(len(nodes), 1, -1, 1, 1))
+        lambda nodes: np.moveaxis(t(nodes), -1, 0).reshape(len(nodes), 1, -1, 1, 1),
+        np.ones((1, 1)))
 
 
 def eigenvector_from_sov(ts: TransferPolynomial, basis, evaluator: TransferEvaluator):
@@ -434,11 +435,10 @@ def eigenvector_from_sov(ts: TransferPolynomial, basis, evaluator: TransferEvalu
     vectors = np.linalg.solve(basis.rows, _sov2_array(ts).reshape(chain.dim, -1))
     norms = np.linalg.norm(vectors, axis=0)
     rng = chain.rng(17)
+    mus = [complex(random_complex(rng, box=2.0)) for _ in range(3)]
     residuals = np.zeros(vectors.shape[1])
-    for _ in range(3):
-        mu = complex(random_complex(rng, box=2.0))
-        lhs = evaluator.transfer(mu) @ vectors
-        vals = ts(mu)
+    for mu, t in zip(mus, evaluator._at(np.array(mus))):
+        lhs, vals = t @ vectors, ts(mu)
         scale = np.maximum(1.0, np.maximum(np.linalg.norm(lhs, axis=0), np.abs(vals) * norms))
         residuals = np.maximum(residuals, np.linalg.norm(lhs - vectors * vals, axis=0) / scale)
     return vectors, residuals

@@ -11,9 +11,8 @@ Sklyanin B-eigen and A/D shift reports of ``sov_bases``) build no operator.
 batched GEMM per site for every point of a chunk, and ``_probe_residual``
 reports ||(Y - X) V|| / sqrt(k) over max(1, ||X V|| / sqrt(k)): with
 E ||X V||^2 = k ||X||_F^2 it estimates the dense ||Y - X||_F / max(1, ||X||_F).
-Each row draws its probes from ``chain.rng`` with a salt of its own: 601 RTT,
-602 quantum determinant, 603 symmetry, 604 B-eigen, 605 shifts, 606 the four
-tower rows of ``cli.suite_fusion`` (the README lists the spreads measured).
+Each row draws its probes from ``chain.rng`` with a salt of its own (``numerics``
+lists them, the README the spreads measured).
 
 ``TransferEvaluator`` interpolates T, a degree-N polynomial with leading
 coefficient tr K Id, from N kernel-built samples; one run has one evaluator.
@@ -148,9 +147,12 @@ class TransferEvaluator:
         return self._at(np.array([complex(lam)]))[0]
 
     def _at(self, lams) -> np.ndarray:
-        """T at the points ``lams`` (P,) as one (P, D, D) stack, each T bitwise its own call's."""
+        """T at the points ``lams`` (P,) as one (P, D, D) stack, each T bitwise its own call's:
+        one GEMV per point, as one point takes (a GEMM over the points rounds otherwise)."""
         flat = self.samples.reshape(len(self.samples), -1)
-        out = np.dot(self._interp.cardinals(lams[:, None]), flat)
+        out = np.empty((len(lams), flat.shape[1]), dtype=CDTYPE)
+        for card, row in zip(self._interp.cardinals(lams[:, None]), out):
+            np.dot(card, flat, out=row)
         ell = [self.chain.twist.trace * z for z in np.prod(lams[:, None] - self._interp.nodes, 1)]
         out[:, ::self.chain.dim + 1] += np.array(ell)[:, None]
         return out.reshape(len(lams), *self.samples.shape[1:])

@@ -7,6 +7,7 @@ import pytest
 
 from sovchain import make_chain, normalize_twist
 from sovchain.errors import SingularTwistWarning
+from sovchain.numerics import frob
 from sovchain.spectrum import TransferPolynomial
 from sovchain.transfer import TransferEvaluator, monodromy_matrix
 
@@ -34,6 +35,19 @@ def _suite_rows(report):
 # the rows of each suite that runs to its end, in report order: every row of the golden
 # ``all`` report of n2_mixed passes
 SUITE_ROWS = _suite_rows(json.loads((GOLDEN_DIR / "n2_mixed.json").read_text()))
+
+
+def commutator_residual(a, b) -> float:
+    """Dense oracle of the probe commutation rows: ||[a, b]||_F relative to ||a||_F ||b||_F."""
+    return frob(a @ b - b @ a) / max(1.0, frob(a) * frob(b))
+
+
+def sample_defect(ev):
+    """``ev`` with one entry of its first sample moved by 1e-6 of that sample's largest."""
+    samples = ev.samples.copy()
+    samples[0, 0, -1] += 1e-6 * np.max(np.abs(samples[0]))
+    ev.samples = samples
+    return ev
 
 
 def dense_blocks(chain, lam):

@@ -15,7 +15,7 @@ from sovchain.baxter import (_determinant_eigenvalues, build_q_operator, default
                              sov_q_factorization, tq_residual)
 from sovchain.chain import fused_twist
 from sovchain.local_ops import kron_embed, lax, r_matrix
-from sovchain.numerics import commutator_residual, frob, random_complex
+from sovchain.numerics import frob, random_complex
 from sovchain.sov_bases import (b_eigen_report, gram_rank, shift_action_report,
                                 sklyanin_basis, sov_basis_2)
 from sovchain.spectrum import (brute_force_spectrum, closed_form_solutions, discrete_residuals,
@@ -23,7 +23,7 @@ from sovchain.spectrum import (brute_force_spectrum, closed_form_solutions, disc
 from sovchain.transfer import (TransferEvaluator, central_zero_residual,
                                fused_transfer_projector, quantum_det_residual,
                                rtt_residual)
-from conftest import rows
+from conftest import commutator_residual, rows
 from test_baxter import _points
 
 

@@ -370,10 +370,11 @@ def test_algebra_row_fails_on_a_nan_sample(monkeypatch, command, fn, mode, row):
 
 
 def _nan_at(real, bad):
-    """``real``, read as NaN when its last positional argument (the point) is ``bad``."""
-    def spoiled(*args, **kwargs):
-        out = real(*args, **kwargs)
-        return out * np.nan if args[-1] == bad else out
+    """``real``, an evaluator's ``_at``, with T at the point ``bad`` read as NaN."""
+    def spoiled(lams):
+        out = real(lams)
+        out[np.asarray(lams) == bad] = np.nan
+        return out
     return spoiled
 
 
@@ -385,16 +386,16 @@ def test_library_fold_keeps_a_nan_sample(monkeypatch, row):
     from sovchain import baxter, sov_bases
 
     chain = chain_from_config(load_config("n2_mixed"))
-    ctx, ev, spoiled = cli._RunContext(chain), TransferEvaluator(chain), TransferEvaluator(chain)
+    ctx, spoiled = cli._RunContext(chain), TransferEvaluator(chain)
     lams = [0.4 + 0.3j, -1.1 + 0.7j, 0.9 - 1.3j]
     if row == "qop.commutes_with_transfer":
-        spoiled.transfer = _nan_at(ev.transfer, lams[1])
+        spoiled._at = _nan_at(spoiled._at, lams[1])
         value = baxter.q_operator_commutation_residual(ctx.q_operator(), spoiled, lams[:1], lams)
     elif row == "qop.operator_tq_equation":
-        spoiled.transfer = _nan_at(ev.transfer, lams[1] - chain.eta)
+        spoiled._at = _nan_at(spoiled._at, lams[1] - chain.eta)
         value = baxter.q_operator_tq_residual(ctx.q_operator(), spoiled, lams)
     elif row == "basis.sov2.separate_action":
-        spoiled.transfer = _nan_at(ev.transfer, chain.node(1, 0))
+        spoiled._at = _nan_at(spoiled._at, chain.node(1, 0))
         value = sov_bases.separate_action_report(ctx.sov2(), spoiled)
     else:
         skl, real = ctx.sklyanin(), sov_bases._site_laxes
@@ -615,16 +616,17 @@ def test_fusion_peak_memory_is_a_few_towers(spins, extra):
     assert peak <= (chain.n_sites + extra) * chain.dim ** 2 * 16
 
 
-def test_suite_qop_evaluates_each_operator_once_per_point(monkeypatch):
-    # per T-Q point Q(lam - 2 eta), Q(lam - eta), Q(lam) and T(lam - eta) once each, and
-    # T(mu) once per mu for the commutation row
+def test_suite_qop_reads_t_once_per_point_set_and_assembles_no_q(monkeypatch):
+    # the commutation row reads T at its 3 mus and the T-Q row at its 3 points lam - eta,
+    # one evaluator call each; no row assembles Q (the condition row would, at a site whose
+    # cond bracket holds its gate) and none calls the one-point transfer
     from sovchain.baxter import QOperator
 
     chain = chain_from_config(load_config("n2_mixed"))
     ctx = cli._RunContext(chain)
     ctx.q_operator(), ctx.evaluator()
-    calls = {"q": 0, "t": 0}
-    q_call, t_call = QOperator.__call__, TransferEvaluator.transfer
+    calls = {"q": 0, "t": 0, "at": []}
+    q_call, t_call, at_call = QOperator.__call__, TransferEvaluator.transfer, TransferEvaluator._at
 
     def counted_q(self, lam):
         calls["q"] += 1
@@ -634,13 +636,16 @@ def test_suite_qop_evaluates_each_operator_once_per_point(monkeypatch):
         calls["t"] += 1
         return t_call(self, lam)
 
+    def counted_at(self, lams):
+        calls["at"].append(len(lams))
+        return at_call(self, lams)
+
     monkeypatch.setattr(QOperator, "__call__", counted_q)
     monkeypatch.setattr(TransferEvaluator, "transfer", counted_t)
+    monkeypatch.setattr(TransferEvaluator, "_at", counted_at)
     rows = {c["name"]: c["passed"] for c in cli.suite_qop(chain, ctx)}
     assert all(rows.values())
-    # commutation 3, T-Q 3 x 3; the bottom-node condition assembles Q only at a site
-    # whose cond bracket holds its gate, and method agreement compares eigenvalue arrays
-    assert calls == {"q": 3 + 9, "t": 3 + 3}
+    assert calls == {"q": 0, "t": 0, "at": [3, 3]}
 
 
 @pytest.mark.parametrize("factor, passed", [(1.0, True), (1 + 1e-6, False)])

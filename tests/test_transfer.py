@@ -4,14 +4,14 @@ import importlib
 import numpy as np
 import pytest
 
-from conftest import TWIST_FULL, XI_N3, dense_blocks
+from conftest import TWIST_FULL, XI_N3, commutator_residual, dense_blocks
 from sovchain import make_chain
 from sovchain.chain import ChainSpec, fused_twist, random_chain
 from sovchain.cli import chain_from_config, load_config
 from sovchain.local_ops import (kron_chain, kron_embed, lax, permutation_4x4, r_matrix,
                                 symmetric_basis)
-from sovchain.numerics import commutator_residual, frob, random_complex
-from sovchain.transfer import (TransferEvaluator, central_zero_residual,
+from sovchain.numerics import frob, random_complex
+from sovchain.transfer import (TransferEvaluator, _probes, central_zero_residual,
                                fused_transfer_projector, polynomiality_residual,
                                quantum_det_residual, rtt_residual, symmetry_residual, transfer,
                                tridiagonal_operator_minors)
@@ -245,6 +245,24 @@ def test_fused_tower_is_the_memoized_recursion_bitwise(name):
         for level in range(top + 1):
             assert np.array_equal(tower[level], _memoized_fused(ev, level, lam, memo))
             assert np.array_equal(listed[level, 0], tower[level])
+
+
+@pytest.mark.parametrize("name", ["n2_mixed", "n3_mixed", "2,2,2,2", "1^6", "1,2,1,2,1"])
+def test_fused_on_several_points_is_each_point_alone_bitwise(name):
+    # T at P points is P one-point reads (a GEMM over the points would round its rows
+    # otherwise), so the towers of a point set, dense or on probes, are each point's own
+    spins = {"2,2,2,2": [2] * 4, "1^6": [1] * 6, "1,2,1,2,1": [1, 2, 1, 2, 1]}.get(name)
+    chain = (random_chain(spins, 1.0, TWIST_FULL, seed=7) if spins
+             else chain_from_config(load_config(name)))
+    ev, top = TransferEvaluator(chain), max(chain.dims)
+    probes = _probes(chain, 606, 1)[0]
+    for pts in (random_complex(np.random.default_rng(73), size=5, box=3.0),
+                np.concatenate([nodes for nodes, _, _ in chain.grid])):
+        at, dense, on_probes = ev._at(pts), ev.fused(top, pts), ev.fused(top, pts, probes)
+        for p, lam in enumerate(pts):
+            assert np.array_equal(at[p], ev.transfer(lam))
+            assert np.array_equal(dense[:, p], ev.fused(top, lam))
+            assert np.array_equal(on_probes[:, p], ev.fused(top, [lam], probes)[:, 0])
 
 
 def test_fused_hand_zero(chain1):
