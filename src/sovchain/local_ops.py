@@ -59,7 +59,8 @@ def spin_matrices(two_s: int) -> SpinOperators:
 
 
 def r_matrix(lam: complex, eta: complex) -> np.ndarray:
-    """Rational 6-vertex R-matrix on C^2 x C^2: lam*Id + eta*Permutation."""
+    """Rational 6-vertex R-matrix on C^2 x C^2: lam*Id + eta*Permutation, entry by entry: the
+    tests' reference for the R that the checks read from the spin-1/2 Lax parts."""
     r = np.zeros((4, 4), dtype=CDTYPE)
     r[0, 0] = r[3, 3] = lam + eta
     r[1, 1] = r[2, 2] = lam

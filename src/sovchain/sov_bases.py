@@ -20,7 +20,8 @@ Out-of-range shifted multi-indices denote the zero covector throughout.
 Every action identity is checked on the h-cube, the rows arranged as a
 (d_1, ..., d_N, R) array: one node grid holds xi_n^(h_n) for every row, and
 one zero-padded neighbour shift along axis n (``_neighbour_slices``) gives
-the rows h +- e_n.
+the rows h +- e_n. The Sklyanin frame's B-eigen and A/D shift reports are one
+stencil (``_frame_actions``): B's diagonal term, and for A and D the shift on top.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class CovectorBasis:
         norms = np.linalg.norm(rows, axis=1)
         if not np.all(np.isfinite(norms) & (norms > 0.0)):
             return 0, (0.0, 0.0)
-        rows, root_d, cut = rows / norms[:, None], np.sqrt(len(rows)), self.chain.tolerances.gram
+        rows /= norms[:, None]     # the one scaled copy
+        root_d, cut = np.sqrt(len(rows)), self.chain.tolerances.gram
         with contextlib.suppress(np.linalg.LinAlgError):
             lo = 1.0 / np.linalg.norm(np.linalg.inv(rows))
             if lo > 2.0 * cut * root_d:     # False for NaN
@@ -116,31 +118,22 @@ def _site_product_rows(source, per_site):
     source = np.asarray(source, dtype=CDTYPE)
     rows = [s[None, :] for s in np.atleast_2d(source)]
     for ops in per_site:
-        rows = [np.stack([r @ op for op in ops], axis=1).reshape(-1, r.shape[1]) for r in rows]
+        for i in range(len(rows)):   # one source's levels written into one (m, d_n, D) array
+            out = np.empty((len(rows[i]), len(ops), rows[i].shape[1]), dtype=CDTYPE)
+            for k, op in enumerate(ops):
+                np.matmul(rows[i], op, out=out[:, k])
+            rows[i] = out.reshape(-1, out.shape[-1])
     return rows if source.ndim > 1 else rows[0]
 
 
-def _acting_blocks(chain: ChainSpec, lam: complex, w_inv):
-    """Blocks of the aux frame W^-1 M(lam) W, from the caller's ``w_inv`` = W^-1.
-
-    block(i, j) grows block (i, j) directly, as ``monodromy_matrix`` from start W e_j closed
-    by e_i^T W^-1: M_ij itself when W = ``twist.w`` is the identity (b != 0). The Sklyanin
-    rows are eigencovectors of the frame's B, shifted by its A and D with prefactors read
-    off K_bar = W^-1 K W (``twist.conjugated()``).
-    """
-    def block(i, j):
-        return monodromy_matrix(chain, lam, start=chain.twist.w[:, j:j + 1], close=w_inv[i:i + 1])
-
-    return block
-
-
 def sklyanin_basis(chain: ChainSpec) -> CovectorBasis:
-    """Covector eigenbasis of the twisted B-family, in the aux frame of ``_acting_blocks``.
+    """Covector eigenbasis of the twisted B-family, in the aux frame W^-1 M W of ``twist.w``.
 
     Row h is the frame source hit by A(xi_n^(k)) / (k1 a(xi_n^(k))) for
     k = 0..h_n-1 at every site, divided by the global normalization, with A
     the frame's A block. The frame source is the tensor product of row 0 of
-    each site's fused W^-1: the reference covector when W is the identity.
+    each site's fused W^-1: the reference covector when W is the identity. A is grown
+    from start W e_0 and closed by e_0^T W^-1: the plain monodromy's A when b != 0.
     """
     twist = chain.twist
     if not twist.invertible:
@@ -152,7 +145,7 @@ def sklyanin_basis(chain: ChainSpec) -> CovectorBasis:
             ops = [np.eye(chain.dim, dtype=CDTYPE)]
             for k in range(site.two_s):
                 node = chain.node(n, k)
-                block = _acting_blocks(chain, node, w_inv)(0, 0)
+                block = monodromy_matrix(chain, node, start=twist.w[:, :1], close=w_inv[:1])
                 ops.append((ops[-1] @ block if k else block) / (twist.k1 * chain.a(node)))
             yield ops
 
@@ -198,8 +191,9 @@ def _tower_bases(kind: str, chain: ChainSpec, evaluator: TransferEvaluator, sour
                 yield [np.linalg.matrix_power(charge, h) for h in range(site.dim)]
             else:
                 tower = evaluator.fused(site.two_s, chain.node(n, site.two_s))
-                denoms = _tower_denominators(chain, n)
-                yield [tower[site.two_s - hn] / denoms[hn] for hn in range(site.dim)]
+                for hn, denom in enumerate(_tower_denominators(chain, n)):
+                    tower[site.two_s - hn] /= denom
+                yield tower[::-1]
 
     salt = {"sov1": 1, "sov2": 2}[kind]
     sources = [_gaussian_covector(chain, salt) if s is None else np.asarray(s) for s in sources]
@@ -234,11 +228,9 @@ def _gaussian_covector(chain: ChainSpec, salt: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _rows_on_probes(basis: CovectorBasis, lams, blocks, probes) -> np.ndarray:
-    """rows @ block(i, j) V for each (i, j) of ``blocks``, blocks of the aux frame
-    W^-1 M(lam) W (``_acting_blocks``) on ``probes`` (D, k): (len(blocks), P, D, k).
-
-    Every block of every point is one batch of ``_lax_apply``, started from W e_j
-    and closed by e_i^T W^-1 K; the rows then multiply all images in one GEMM.
+    """rows @ block(i, j) V for each (i, j) of ``blocks``, blocks of the aux frame W^-1 M(lam) W,
+    on ``probes`` V (D, k): (len(blocks), P, D, k). Every block of every point is one batch of
+    ``_lax_apply`` from W e_j, closed by e_i^T W^-1 K; the rows multiply all images in one GEMM.
     """
     chain, w = basis.chain, basis.chain.twist.w
     rows, cols = (list(z) for z in zip(*blocks))
@@ -250,63 +242,52 @@ def _rows_on_probes(basis: CovectorBasis, lams, blocks, probes) -> np.ndarray:
     return np.moveaxis(np.tensordot(basis.rows, x, axes=(1, -2)), 0, -2)
 
 
-def b_eigen_report(basis: CovectorBasis, lams) -> float:
-    """Max relative residual of row(h) B(lam) = b prod_n (lam - xi_n^(h_n)) row(h).
+def _frame_actions(basis: CovectorBasis, lams, blocks, salt: int) -> np.ndarray:
+    """Per aux-frame block (i, j) of ``blocks``, the worst residual of its action on the rows.
 
-    Over every row and every lam, with B and b those of the aux frame
-    (``_acting_blocks``), each row's residual taken on k probes (``_probe_residual``).
+    Block (i, j) of W^-1 M(lam) W takes row(h) to K_bar_ij prod_n (lam - xi_n^(h_n)) row(h),
+    plus for i = j the interpolation sum over the neighbours (A raises h_n with k1 a, D lowers
+    it with k2 d; at a grid value only the one shifted row is left). Both sides act on the
+    salt's k probes (``_probe_residual``), the cardinals of a chunk one (P, D, N) array.
     """
     chain, lams = basis.chain, np.atleast_1d(lams)
-    points = _node_grid(chain)[0]
-    probes = _probes(chain, 604, 1)[0]
-    rows_v, kbar = basis.rows @ probes, chain.twist.conjugated()
-
-    def worst(s):   # one chunk's images, freed before the next chunk's
-        lhs = _rows_on_probes(basis, lams[s], [(0, 1)], probes)[0]
-        rhs = (kbar[0, 1] * np.prod(lams[s, None, None] - points, axis=2))[..., None] * rows_v
-        return np.max(_probe_residual(lhs, rhs, rhs))
-
-    return float(np.max([worst(s) for s in _chunks(len(lams), 2 * chain.dim * _PROBES)],
-                        initial=0.0))
-
-
-def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
-    """Residuals of the A/D raising/lowering actions on the Sklyanin rows.
-
-    At a spectral parameter equal to a grid value of site a the action
-    collapses to the single shifted row; at general lam it is the
-    interpolation sum plus the diagonal term carrying the frame twist's own
-    diagonal entry times prod_n (lam - xi_n^(h_n)). Default lams: every grid
-    value. Both sides act on k probes, each row's residual by
-    ``_probe_residual``: the right side is built from the probe images of the
-    rows, with the cardinals of all rows at every lam one (P, D, N) array.
-    """
-    chain = basis.chain
-    if lams is None:
-        lams = [complex(z) for nodes, _, _ in chain.grid for z in nodes]
-    lams = np.atleast_1d(lams)
     points, up_at, down_at = _node_grid(chain)
     rows_interp = _Barycentric(points)   # one node set per row
-    probes = _probes(chain, 605, 1)[0]
+    probes = _probes(chain, salt, 1)[0]
     rows_v = basis.rows @ probes
     cube = rows_v.reshape(chain.dims + (_PROBES,))
     kbar, every = chain.twist.conjugated(), (slice(None),)
 
-    def worst(s):   # one chunk's (A, D) maxima; its images are freed before the next chunk's
-        acted = _rows_on_probes(basis, lams[s], [(0, 0), (1, 1)], probes)
+    def worst(s):   # one chunk's maxima; its images are freed before the next chunk's
+        acted = _rows_on_probes(basis, lams[s], blocks, probes)
         lam = lams[s, None, None]
         diag, cards = np.prod(lam - points, axis=2), rows_interp.cardinals(lam)
-        for i, at, step in ((0, up_at, 1), (1, down_at, -1)):
-            rhs = ((kbar[i, i] * diag)[..., None] * rows_v).reshape((-1,) + cube.shape)
-            coeff = (cards * at).reshape((-1,) + chain.dims + (chain.n_sites,))
-            for n in range(chain.n_sites):
-                dst, src = _neighbour_slices(n, step)
-                rhs[every + dst] += coeff[every + dst][..., n, None] * cube[src]
-            rhs = rhs.reshape(len(lam), chain.dim, -1)
-            yield np.max(_probe_residual(acted[i], rhs, rhs))
+        for (i, j), lhs in zip(blocks, acted):
+            rhs = ((kbar[i, j] * diag)[..., None] * rows_v).reshape((-1,) + cube.shape)
+            if i == j:   # A (i = 0) raises, D lowers
+                coeff = (cards * (up_at, down_at)[i]).reshape(rhs.shape[:-1] + (chain.n_sites,))
+                for n in range(chain.n_sites):
+                    dst, src = _neighbour_slices(n, 1 - 2 * i)
+                    rhs[every + dst] += coeff[every + dst][..., n, None] * cube[src]
+            rhs = rhs.reshape(lhs.shape)
+            yield np.max(_probe_residual(lhs, rhs, rhs))
 
-    chunks = [list(worst(s)) for s in _chunks(len(lams), 4 * chain.dim * _PROBES)]
-    worst_a, worst_d = np.max(np.reshape(chunks, (-1, 2)), axis=0, initial=0.0)
+    chunks = [list(worst(s)) for s in _chunks(len(lams), 2 * len(blocks) * chain.dim * _PROBES)]
+    return np.max(np.reshape(chunks, (-1, len(blocks))), axis=0, initial=0.0)
+
+
+def b_eigen_report(basis: CovectorBasis, lams) -> float:
+    """Max relative residual of row(h) B(lam) = b prod_n (lam - xi_n^(h_n)) row(h), over every
+    row and every lam, with B and b those of the aux frame (``_frame_actions``, salt 604)."""
+    return float(_frame_actions(basis, lams, [(0, 1)], 604)[0])
+
+
+def shift_action_report(basis: CovectorBasis, lams=None) -> dict:
+    """Residuals of the A/D raising/lowering actions on the Sklyanin rows (``_frame_actions``,
+    salt 605). Default lams: every grid value."""
+    if lams is None:
+        lams = [complex(z) for nodes, _, _ in basis.chain.grid for z in nodes]
+    worst_a, worst_d = _frame_actions(basis, lams, [(0, 0), (1, 1)], 605)
     return {"a_action": float(worst_a), "d_action": float(worst_d)}
 
 
@@ -365,7 +346,12 @@ def _neighbour_slices(axis: int, step: int):
 
 def _worst_row_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Max over rows of ||lhs_i - rhs_i|| / max(1, ||lhs_i||, ||rhs_i||), each norm over
-    sqrt(columns): on k probe columns it estimates the rows' own residual."""
-    lhs, rhs = (x / np.sqrt(x.shape[1]) for x in (lhs, rhs))
-    scale = np.maximum(1.0, np.maximum(np.linalg.norm(lhs, axis=1), np.linalg.norm(rhs, axis=1)))
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=1) / scale))
+    sqrt(columns): on k probe columns it estimates the rows' own residual. The rows go by
+    ``_chunks``, so no temporary outgrows a chunk (at k = 1 they are D^2 wavefunction entries)."""
+    def worst(s):
+        part_l, part_r = (x[s] / np.sqrt(x.shape[1]) for x in (lhs, rhs))
+        scale = np.maximum(1.0, np.maximum(np.linalg.norm(part_l, axis=1),
+                                           np.linalg.norm(part_r, axis=1)))
+        return np.max(np.linalg.norm(part_l - part_r, axis=1) / scale)
+
+    return float(np.max([worst(s) for s in _chunks(len(lhs), lhs.shape[1])]))

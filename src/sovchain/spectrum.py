@@ -437,8 +437,9 @@ def eigenvector_from_sov(ts: TransferPolynomial, basis, evaluator: TransferEvalu
     rng = chain.rng(17)
     mus = [complex(random_complex(rng, box=2.0)) for _ in range(3)]
     residuals = np.zeros(vectors.shape[1])
-    for mu, t in zip(mus, evaluator._at(np.array(mus))):
-        lhs, vals = t @ vectors, ts(mu)
+    for mu in mus:   # one T(mu) alive at a time, bitwise the stack's (``_at``)
+        lhs, vals = evaluator._at(np.array([mu]))[0] @ vectors, ts(mu)
         scale = np.maximum(1.0, np.maximum(np.linalg.norm(lhs, axis=0), np.abs(vals) * norms))
-        residuals = np.maximum(residuals, np.linalg.norm(lhs - vectors * vals, axis=0) / scale)
+        lhs -= vectors * vals
+        residuals = np.maximum(residuals, np.linalg.norm(lhs, axis=0) / scale)
     return vectors, residuals

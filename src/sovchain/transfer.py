@@ -6,7 +6,7 @@ fresh array. It builds the transfer matrix, the aux-frame blocks of the
 monodromy (the only form of it: no 2D x 2D matrix is built) and the projector route.
 
 The identity residuals (RTT, quantum determinant, twist symmetry, and the
-Sklyanin B-eigen and A/D shift reports of ``sov_bases``) build no operator.
+Sklyanin frame actions of ``sov_bases``) build no operator.
 ``_lax_apply`` applies op_N ... op_1 to k = 8 complex Gaussian probes V, one
 batched GEMM per site for every point of a chunk, and ``_probe_residual``
 reports ||(Y - X) V|| / sqrt(k) over max(1, ||X V|| / sqrt(k)): with
@@ -15,7 +15,7 @@ Each row draws its probes from ``chain.rng`` with a salt of its own (``numerics`
 lists them, the README the spreads measured).
 
 ``TransferEvaluator`` interpolates T, a degree-N polynomial with leading
-coefficient tr K Id, from N kernel-built samples; one run has one evaluator.
+coefficient tr K Id, from N kernel-built samples in one stack; one run has one evaluator.
 The oracle calls ``transfer``, and so does ``polynomiality_residual``, which
 certifies both halves of that premise from one set of N + 2 samples.
 
@@ -29,9 +29,10 @@ recurrence of ``tridiagonal_operator_minors``. ``fused`` is the one tower
 route: the shifts and the per-point detq products of P points, then T at one
 shift for all points of a chunk and one batched product per step. Without a
 start block it gives the dense towers the bases read; the tower rows pass the
-salt-606 probes and build no D x D tower. The symmetrized-projector route (the
-trace of the projected product of shifted monodromies over the (a+1)-dimensional
-symmetric aux space) is kept independent: the test oracle for the recursion.
+salt-606 probes and build no D x D tower. The symmetrized-projector route is kept
+independent, the oracle of the recursion: the kernel chains each site's fused Lax
+operator, its product of shifted Lax operators on (C^2)^{x a} restricted to the
+(a+1)-dimensional symmetric aux space, closed by the fused twist.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ import functools
 import numpy as np
 
 from .chain import ChainSpec, fused_twist
-from .local_ops import kron_chain, lax, permutation_4x4, r_matrix, symmetric_basis
+from .local_ops import _lax_parts, kron_chain, lax, symmetric_basis
 from .numerics import CDTYPE, _Barycentric, frob, random_complex
 
 __all__ = [
@@ -140,7 +141,9 @@ class TransferEvaluator:
         angles = 2 * np.pi * (np.arange(chain.n_sites) + 0.5) / chain.n_sites
         self.chain = chain
         self._interp = _Barycentric(grid.mean() + radius * np.exp(1j * angles))
-        self.samples = np.stack([transfer(chain, complex(z)) for z in self._interp.nodes])
+        self.samples = np.empty((chain.n_sites,) + (chain.dim,) * 2, dtype=CDTYPE)
+        for sample, z in zip(self.samples, self._interp.nodes):   # one build alive at a time
+            sample[...] = transfer(chain, complex(z))
         self.samples.flags.writeable = False
 
     def transfer(self, lam: complex) -> np.ndarray:
@@ -211,19 +214,23 @@ def tridiagonal_operator_minors(diag, offprod, out, start=None) -> np.ndarray:
 def fused_transfer_projector(chain: ChainSpec, level: int, lam: complex) -> np.ndarray:
     """Fused transfer matrix via the symmetrized auxiliary-space product.
 
-    Independent of the recursion: M_0(lam + (level-1) eta) ... M_{level-1}(lam),
-    M_i on aux leg i of (C^2)^{x level} and on H, traced against the orthonormal
-    symmetric-subspace basis U. It equals K^{x level} G_N ... G_1 with site
-    operators G_n = L_0n(lam + (level-1) eta) ... L_{level-1,n}(lam), grown
-    from U and closed by U^dagger.
+    Independent of the recursion: site n's operator G_n = L_0n(lam + (level-1) eta) ...
+    L_{level-1,n}(lam), on aux leg i of (C^2)^{x level} and on site n, maps the symmetric
+    subspace into itself, so the projected product is the chain of the fused Lax operators
+    U^dagger G_n U (U = ``symmetric_basis(level)``, level + 1 aux states in place of
+    2^level), closed by the fused twist and the aux trace, as ``transfer`` closes the chain.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     u = symmetric_basis(level)
-    kk = _twist_power(chain.twist.matrix.tobytes(), level)
     laxes = [_site_laxes(chain, complex(lam) + (level - 1 - i) * chain.eta) for i in range(level)]
-    ops = [_aux_product(per_leg) for per_leg in zip(*laxes)]
-    return _lax_chain(ops, u, twist=kk, close=u.conj().T)
+    ops = []
+    for per_leg in zip(*laxes):   # U^dagger G_n U: legs (level + 1, d, level + 1, d)
+        g = _aux_product(per_leg)
+        half = (u.conj().T @ g.reshape(len(u), -1)).reshape(level + 1, -1, len(u), g.shape[-1])
+        ops.append(np.matmul(half.swapaxes(2, 3), u).swapaxes(2, 3))
+    eye = np.eye(level + 1, dtype=CDTYPE)
+    return _lax_chain(ops, eye, twist=fused_twist(chain.twist, level), close=eye)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +322,14 @@ def rtt_residual(chain: ChainSpec, lams, mus) -> np.ndarray:
     """Exchange-relation residual of R12 M1(lam) M2(mu) = M2(mu) M1(lam) R12, one per pair.
 
     Both sides act on probes of C^2 x C^2 x H: M1(lam) M2(mu) = (K x K) prod_n
-    L_1n(lam) L_2n(mu), and M2(mu) M1(lam) = P12 M1(mu) M2(lam) P12.
+    L_1n(lam) L_2n(mu), and M2(mu) M1(lam) = P12 M1(mu) M2(lam) P12. R12 = (lam - mu) Id +
+    eta P12 is the spin-1/2 Lax operator, read from its parts as the YBE row reads them.
     """
     lams, mus = np.atleast_1d(lams), np.atleast_1d(mus)
     if lams.shape != mus.shape:
         raise ValueError(f"one mu per lam: got {lams.shape} and {mus.shape}")
-    kk, p12 = _twist_power(chain.twist.matrix.tobytes(), 2), permutation_4x4()
-    r12 = np.array([r_matrix(z, chain.eta) for z in lams - mus]).reshape(-1, 4, 4)
+    kk, (eye, p12) = _twist_power(chain.twist.matrix.tobytes(), 2), _lax_parts(1)
+    r12 = (lams - mus)[:, None, None] * eye + chain.eta * p12
     ops = [np.stack([_aux_product(p), _aux_product(p[::-1])])
            for p in zip(_site_laxes(chain, lams), _site_laxes(chain, mus))]
     starts = np.stack([np.broadcast_to(np.eye(4), r12.shape), p12 @ r12])

@@ -7,12 +7,11 @@ from sovchain.chain import (ChainSpec, Site, fused_twist, make_chain, normalize_
 from sovchain.cli import chain_from_config, load_config
 from sovchain.local_ops import kron_chain
 from sovchain.numerics import frob, random_complex
-from sovchain.sov_bases import (CovectorBasis, _acting_blocks,
-                                _site_product_rows, _tower_bases, b_eigen_report, gram_rank,
-                                separate_action_report,
-                                shift_action_report, sklyanin_basis, sklyanin_norm,
+from sovchain.sov_bases import (CovectorBasis, _site_product_rows, _tower_bases, b_eigen_report,
+                                gram_rank, separate_action_report, shift_action_report,
+                                sklyanin_basis, sklyanin_norm,
                                 sov_basis_1, sov_basis_2, tensor_generating_covector)
-from sovchain.transfer import TransferEvaluator, _lax_chain, _site_laxes
+from sovchain.transfer import TransferEvaluator, _lax_chain, _site_laxes, monodromy_matrix
 from conftest import (TWIST_DIAG, TWIST_FULL, XI_N2, commutator_residual, dense_blocks,
                       sample_defect)
 from regen_golden import CHAINS as GOLDEN_CHAINS
@@ -26,6 +25,13 @@ B_ZERO_TWISTS = {
     "jordan": np.array([[1.0, 0.0], [1.0, 1.0]]),
     "mixing": np.array([[1.3 + 0.2j, 0.0], [-1.8 + 0.7j, -0.5 + 0.9j]]),
 }
+
+
+def _frame_block(chain, lam, i, j):
+    """Block (i, j) of the aux frame W^-1 M(lam) W, grown directly from start W e_j and closed
+    by e_i^T W^-1, as ``sklyanin_basis`` and the action reports grow it."""
+    w = chain.twist.w
+    return monodromy_matrix(chain, lam, start=w[:, j:j + 1], close=np.linalg.inv(w)[i:i + 1])
 
 
 def _row_or_zero(basis, h):
@@ -100,8 +106,7 @@ def test_d_action_lowering_killed_at_zero(chain1):
     basis = sklyanin_basis(chain1)
     assert abs(chain1.d(chain1.node(0, 0))) < 1e-14
     for lam in (0.9, -0.4 + 1.7j):
-        block = _acting_blocks(chain1, lam, np.linalg.inv(chain1.twist.w))
-        acted = basis.row((0,)) @ block(1, 1)
+        acted = basis.row((0,)) @ _frame_block(chain1, lam, 1, 1)
         want = chain1.twist.conjugated()[1, 1] * (lam - chain1.node(0, 0)) * basis.row((0,))
         assert frob(acted - want) < 1e-12 * max(1.0, frob(want))
 
@@ -192,7 +197,7 @@ def _sklyanin_rows_all_sites_held(chain):
         ops = [np.eye(chain.dim, dtype=complex)]
         for k in range(site.two_s):
             node = chain.node(n, k)
-            ops.append(ops[-1] @ _acting_blocks(chain, node, np.linalg.inv(twist.w))(0, 0)
+            ops.append(ops[-1] @ _frame_block(chain, node, 0, 0)
                        / (twist.k1 * chain.a(node)))
         per_site.append(ops)
     norm = sklyanin_norm(chain)
@@ -316,10 +321,9 @@ def _shift_action_loop(basis, lams):
     worst_a = worst_d = 0.0
     kbar = twist.conjugated()
     for lam in lams:
-        block = _acting_blocks(chain, lam, np.linalg.inv(twist.w))
         a_entry, d_entry = kbar[0, 0], kbar[1, 1]
-        acted_a = basis.rows @ block(0, 0)
-        acted_d = basis.rows @ block(1, 1)
+        acted_a = basis.rows @ _frame_block(chain, lam, 0, 0)
+        acted_d = basis.rows @ _frame_block(chain, lam, 1, 1)
         for i, h in enumerate(np.ndindex(chain.dims)):
             hnodes = [chain.node(n, hn) for n, hn in enumerate(h)]
             diag = np.prod([lam - z for z in hnodes])
@@ -365,8 +369,7 @@ def _b_eigen_loop(basis, lams):
     chain = basis.chain
     worst, kbar = 0.0, chain.twist.conjugated()
     for lam in lams:
-        block = _acting_blocks(chain, lam, np.linalg.inv(chain.twist.w))
-        acted = basis.rows @ block(0, 1)
+        acted = basis.rows @ _frame_block(chain, lam, 0, 1)
         for i, h in enumerate(np.ndindex(chain.dims)):
             eig = kbar[0, 1]
             for n, hn in enumerate(h):
@@ -479,7 +482,7 @@ def _w_glob(chain):
 
 
 def _dense_frame_blocks(chain, lam):
-    """Reference route of _acting_blocks: W_glob block(K_bar) W_glob^-1."""
+    """Reference route of the frame blocks: W_glob block(K_bar) W_glob^-1."""
     w_glob = _w_glob(chain)
     w_inv = np.linalg.inv(w_glob)
     return [w_glob @ block @ w_inv for block in _conjugated_twist_blocks(chain, lam)]
@@ -505,9 +508,8 @@ def test_frame_matches_dense_conjugation(name, spins):
     chain = random_chain(spins, 1.0, B_ZERO_TWISTS[name], seed=7)
     assert not np.allclose(chain.twist.w, np.eye(2))
     for lam in (0.3 - 0.7j, chain.node(0, 0)):
-        block = _acting_blocks(chain, lam, np.linalg.inv(chain.twist.w))
         for (i, j), ref in zip(FRAME_BLOCKS, _dense_frame_blocks(chain, lam)):
-            got = block(i, j)
+            got = _frame_block(chain, lam, i, j)
             assert frob(got - ref) <= 1e-13 * frob(ref)
     basis = sklyanin_basis(chain)
     want = _dense_frame_sklyanin_rows(chain)
@@ -520,9 +522,8 @@ def test_frame_matches_dense_conjugation(name, spins):
 
 def test_frame_is_the_plain_monodromy_for_b_nonzero(chain12):
     lam = 0.3 - 0.7j
-    block = _acting_blocks(chain12, lam, np.linalg.inv(chain12.twist.w))
     for (i, j), want in zip(FRAME_BLOCKS, dense_blocks(chain12, lam)):
-        assert np.array_equal(block(i, j), want)
+        assert np.array_equal(_frame_block(chain12, lam, i, j), want)
     assert np.array_equal(chain12.twist.conjugated(), chain12.twist.matrix)
 
 
@@ -548,8 +549,7 @@ def test_direct_frame_blocks_match_summed_monodromy_blocks(name):
     else:
         chain = chain_from_config(load_config(name))
     for lam in (0.3 - 0.7j, -1.4 + 2.2j, chain.node(0, 0), chain.node(chain.n_sites - 1, 1)):
-        block = _acting_blocks(chain, lam, np.linalg.inv(chain.twist.w))
         want = _summed_monodromy_blocks(chain, lam)
         for i, j in FRAME_BLOCKS:
             ref = want(i, j)
-            assert frob(block(i, j) - ref) <= 1e-15 * frob(ref)
+            assert frob(_frame_block(chain, lam, i, j) - ref) <= 1e-15 * frob(ref)

@@ -8,8 +8,8 @@ from conftest import TWIST_FULL, XI_N3, commutator_residual, dense_blocks
 from sovchain import make_chain
 from sovchain.chain import ChainSpec, fused_twist, random_chain
 from sovchain.cli import chain_from_config, load_config
-from sovchain.local_ops import (kron_chain, kron_embed, lax, permutation_4x4, r_matrix,
-                                symmetric_basis)
+from sovchain.local_ops import (_lax_parts, kron_chain, kron_embed, lax, permutation_4x4,
+                                r_matrix, symmetric_basis)
 from sovchain.numerics import frob, random_complex
 from sovchain.transfer import (TransferEvaluator, _probes, central_zero_residual,
                                fused_transfer_projector, polynomiality_residual,
@@ -185,9 +185,11 @@ def test_rtt_matches_dense_product(chain123, monkeypatch):
     r12 = r_matrix(lam - mu, chain123.eta)
     assert rtt_residual(chain123, [lam], [mu])[0] < 1e-13
     assert _dense_rtt_residual(chain123, lam, mu, r12) < 1e-13
-    # an R-matrix with a wrong eta breaks the exchange relation; both routes must see it
-    wrong = r_matrix(lam - mu, chain123.eta * (1 + 1e-6))
-    monkeypatch.setattr(transfer_module, "r_matrix", lambda z, eta: wrong)
+    # an R-matrix at a wrong spectral difference breaks the exchange relation; both routes
+    # must see it. The probe route reads R12 = z Id + eta P12 from the spin-1/2 Lax parts
+    wrong = r_matrix((lam - mu) * (1 + 1e-6), chain123.eta)
+    eye, p12 = _lax_parts(1)
+    monkeypatch.setattr(transfer_module, "_lax_parts", lambda two_s: (eye * (1 + 1e-6), p12))
     got = rtt_residual(chain123, [lam], [mu])[0]
     want = _dense_rtt_residual(chain123, lam, mu, wrong)
     assert got > 1e-8
@@ -787,7 +789,8 @@ def _symmetry_sides(chain, lam):
 
 
 def _per_point_projector(chain, level, lam):
-    """One point's projector-route fused transfer matrix, grown in fresh arrays."""
+    """One point's projector-route fused transfer matrix, grown in fresh arrays over the whole
+    2^level-dimensional aux space: U^dagger K^{x level} G_N ... G_1 U, traced."""
     laxes = [transfer_module._site_laxes(chain, lam + (level - 1 - i) * chain.eta)
              for i in range(level)]
     ops = [transfer_module._aux_product(per_leg) for per_leg in zip(*laxes)]
@@ -805,13 +808,17 @@ BUFFER_CHAINS = ("n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22", "
 
 @pytest.mark.parametrize("name", BUFFER_CHAINS)
 def test_buffered_products_equal_the_per_sample_kernel_bitwise(name):
+    # the route chains the fused Lax operators U^dagger G_n U, the reference the 2^l-aux
+    # product: bitwise the same at level 1 (U = I_2), within roundoff above (7.5e-16 measured)
     chain = _leg_order_chain(name)
     lams = [complex(z) for z in random_complex(np.random.default_rng(62), size=4, box=3.0)]
     for level in (1, 2, 3):
         for lam in lams:
             got = fused_transfer_projector(chain, level, lam)
+            want = _per_point_projector(chain, level, lam)
             assert got.shape == (chain.dim, chain.dim)
-            assert np.array_equal(got, _per_point_projector(chain, level, lam))
+            assert (np.array_equal(got, want) if level == 1
+                    else frob(got - want) <= 1e-14 * frob(want))
 
 
 def _quantum_det_side(chain, lam):
@@ -867,6 +874,23 @@ def test_identity_residuals_peak_within_20_dense_arrays(spins):
         assert peak < max(chain.dim ** 2 * 16, 4 * transfer_module._BATCH_BYTES)
 
 
+def test_evaluator_holds_each_sample_once():
+    # the N samples are written into one preallocated stack, one kernel build alive at a
+    # time: on 1^8 the traced peak of a build is N + 2.0 D x D (a transfer's own kernel
+    # peak is 2.0); a list of N samples stacked at the end would peak at 2N
+    import tracemalloc
+
+    chain = random_chain([1] * 8, 1.0, TWIST_FULL, seed=7)
+    TransferEvaluator(chain)    # the cached Lax parts and twist
+    tracemalloc.start()
+    try:
+        TransferEvaluator(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (chain.n_sites + 2.5) * chain.dim ** 2 * 16
+
+
 @pytest.mark.parametrize("name", BUFFER_CHAINS + ("one_site_spin1",))
 def test_level_one_projector_is_the_transfer_bitwise(name):
     # symmetric_basis(1) is I_2 and K^{x 1} is K, so the level-1 projector route makes the
@@ -877,11 +901,12 @@ def test_level_one_projector_is_the_transfer_bitwise(name):
                for lam in lams)
 
 
-@pytest.mark.parametrize("level, bound", [(2, 6.5), (3, 16.5)])
+@pytest.mark.parametrize("level, bound", [(2, 5.0), (3, 8.5)])
 def test_projector_peak_holds_no_buffer_pair(level, bound):
-    # each kernel write is a fresh array, freed once the next one is made: on 1^8 the traced
-    # peak of one projector call stays within `bound` D x D arrays (6.02 and 16.05 measured);
-    # holding a pair of buffers sized for the largest write would add one more
+    # each kernel write is a fresh array, freed once the next one is made, and the fused Lax
+    # operators carry level + 1 aux states: on 1^8 the traced peak of one projector call
+    # stays within `bound` D x D arrays (4.52 and 8.03 measured; 6.02 and 16.05 over the
+    # 2^level aux space); holding a pair of buffers sized for the largest write would add one
     import tracemalloc
 
     chain = random_chain([1] * 8, 1.0, TWIST_FULL, seed=7)
