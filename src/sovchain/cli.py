@@ -322,7 +322,7 @@ def suite_fusion(chain: ChainSpec, ctx: _RunContext):
         residuals.append(_multiset_distance(got, want) / max(1.0, float(np.max(np.abs(want)))))
     checks.append(_check("fusion.fused_twist_spectrum", np.max(residuals), 1e-10))
 
-    polynomiality, lead = polynomiality_residual(chain, rng)
+    polynomiality, lead = polynomiality_residual(evaluator, rng)
     checks.append(_check("fusion.transfer_polynomiality", polynomiality, 1e-10))
     checks.append(_check("fusion.transfer_leading_coefficient", lead, 1e-9))
     return checks

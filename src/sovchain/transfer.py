@@ -16,8 +16,8 @@ lists them, the README the spreads measured).
 
 ``TransferEvaluator`` interpolates T, a degree-N polynomial with leading
 coefficient tr K Id, from N kernel-built samples in one stack; one run has one evaluator.
-The oracle calls ``transfer``, and so does ``polynomiality_residual``, which
-certifies both halves of that premise from one set of N + 2 samples.
+The oracle calls ``transfer``. ``polynomiality_residual`` certifies both halves of that
+premise on the evaluator's own samples, with the kernel at two more points only.
 
 The fused transfer matrices come from the three-term recursion
 
@@ -417,33 +417,33 @@ def _commuting_residuals(evaluator: TransferEvaluator, lam, mu, top: int) -> np.
 
 def _tridiagonal_residuals(evaluator: TransferEvaluator, lams) -> np.ndarray:
     """Per point, the level-l tridiagonal matrix read bottom-up, diagonal T(lam + (l - 1 - i)
-    eta), i < l, and off-diagonal products k1 a * k2 d taken from its entries (not from
-    det_q), against the tower T^(l)(lam), l = 2, 3, on the probes: (P, 2)."""
+    eta), i < l, and off-diagonal products k1 a * k2 d from its entries (not det_q), each at
+    its own point, against the tower T^(l)(lam), l = 2, 3, on the probes: (P, 2)."""
     chain, lams = evaluator.chain, np.asarray(lams, dtype=CDTYPE)
     tower, out = evaluator.fused(3, lams, _probes(chain, 606, 1)[0]), []
     for l in (2, 3):
         z = lams + chain.eta * (l - 1 - np.arange(l))[:, None]
-        offprod = chain.twist.k1 * chain.a(z[:-1]) * (chain.twist.k2 * chain.d(z[1:]))
+        offprod = np.array([[chain.twist.k1 * chain.a(complex(x)) * (chain.twist.k2 * chain.d(
+            complex(y))) for x, y in zip(*rows)] for rows in zip(z[:-1], z[1:])], dtype=CDTYPE)
         det = evaluator._tower_images(z, offprod, tower[0])[-1]
         out.append(_probe_residual(*(x.reshape(len(lams), -1) for x in (tower[l], det))))
     return np.stack(out, axis=1)
 
 
-def polynomiality_residual(chain: ChainSpec, rng) -> tuple:
-    """Degree-N certificates of T from N + 2 samples, built one at a time into two sums.
-
-    Over the first N + 1 points, the interpolant at the last point against T there,
-    and the top divided difference sum_j w_j T(z_j) (barycentric weights) against tr K Id.
-    """
-    pts = random_complex(rng, size=chain.n_sites + 2, box=2.5)
-    interp = _Barycentric(pts[:-1])
-    held_out = transfer(chain, pts[-1])     # minus the interpolant, once the loop ends
-    scales = max(1.0, frob(held_out)), max(1.0, abs(chain.twist.trace) * np.sqrt(chain.dim))
-    lead = np.zeros_like(held_out)
-    for z, card, weight in zip(pts, interp.cardinals(pts[-1]), interp.weights):
-        sample = transfer(chain, z)
-        held_out -= card * sample
-        lead += weight * sample
-        del sample      # freed before the next build
-    lead.flat[::chain.dim + 1] -= chain.twist.trace
-    return frob(held_out) / scales[0], frob(lead) / scales[1]
+def polynomiality_residual(evaluator: TransferEvaluator, rng) -> tuple:
+    """Degree-N certificates of T from the evaluator's samples and the kernel at p1 and p2,
+    within sqrt 2 of the grid centroid (1.5 at least from every sample node). E(p) = T(p) -
+    evaluator.transfer(p) is ell(p) times the top divided difference over the samples and p,
+    less tr K Id; the interpolant through the samples and p1 misses T(p2) by E(p2) -
+    E(p1) ell(p2) / ell(p1)."""
+    chain, errors, ells = evaluator.chain, [], []
+    centroid = np.concatenate([nodes for nodes, _, _ in chain.grid]).mean()
+    for p in centroid + random_complex(rng, size=2, box=1.0):
+        t = transfer(chain, complex(p))
+        scale = max(1.0, frob(t))     # ||T(p2)|| once the loop ends
+        t -= evaluator.transfer(p)
+        errors.append(t)
+        ells.append(np.prod(p - evaluator._interp.nodes))
+    held_out = frob(errors[1] - errors[0] * (ells[1] / ells[0])) / scale
+    lead = frob(errors[0]) / abs(ells[0])
+    return held_out, lead / max(1.0, abs(chain.twist.trace) * np.sqrt(chain.dim))

@@ -572,7 +572,7 @@ def test_all_diagonalizes_once(monkeypatch):
 
 def test_run_makes_one_evaluator_of_n_kernel_builds(monkeypatch):
     # a run has one evaluator, and it builds T on its chain only for the evaluator's N
-    # samples, the N + 2 points that both fusion premise rows read and the oracle's
+    # samples, the 2 points that both fusion premise rows add to them and the oracle's
     # N + 1 (its probe and the top nodes); each module that binds the kernel is counted
     transfer_module = importlib.import_module("sovchain.transfer")
     spectrum_module = importlib.import_module("sovchain.spectrum")
@@ -589,7 +589,7 @@ def test_run_makes_one_evaluator_of_n_kernel_builds(monkeypatch):
                             lambda on, lam: builds.append(on is chain) or kernel(on, lam))
     assert run("all", chain)["passed"]
     assert len(made) == 1
-    assert builds.count(True) == 3 * chain.n_sites + 3
+    assert builds.count(True) == 2 * chain.n_sites + 3
 
 
 @pytest.mark.parametrize("spins, extra", [([1] * 7, 14), ([2, 2, 2, 2], 14), ([1, 2, 1, 2, 1], 35),
@@ -750,7 +750,8 @@ def test_every_layer_perturbed_by_1e_8_fails_a_row_that_reads_it(monkeypatch, na
 
 def test_route_equivalence_sees_one_corrupted_sample():
     # the recursion reads the interpolant and the projector route the kernel: one sample
-    # off by 1e-6 fails the route row, while the rows that read the kernel still pass
+    # off by 1e-6 fails the route row; the premise rows compare the same samples with the
+    # kernel at two more points, so they fail with it
     chain = chain_from_config(load_config("n2_spin22"))
     for scale, fails in ((1.0, False), (1 + 1e-6, True)):
         ctx = cli._RunContext(chain)
@@ -760,8 +761,8 @@ def test_route_equivalence_sees_one_corrupted_sample():
         evaluator.samples = samples
         rows = {c["name"]: c["passed"] for c in cli.suite_fusion(chain, ctx)}
         assert rows["fusion.route_equivalence"] is not fails
-        assert rows["fusion.transfer_polynomiality"]
-        assert rows["fusion.transfer_leading_coefficient"]
+        assert rows["fusion.transfer_polynomiality"] is not fails
+        assert rows["fusion.transfer_leading_coefficient"] is not fails
 
 
 def test_shared_recurrence_sees_one_noncommuting_sample():

@@ -267,6 +267,20 @@ def test_fused_on_several_points_is_each_point_alone_bitwise(name):
             assert np.array_equal(on_probes[:, p], ev.fused(top, [lam], probes)[:, 0])
 
 
+@pytest.mark.parametrize("name", ["n2_mixed", "n3_mixed", "n2_spin22", "1^6", "2,2,2,2"])
+def test_tridiagonal_residuals_of_a_batch_are_each_point_alone_bitwise(name):
+    # the off-diagonal products k1 a * k2 d are taken per point (chain.a and chain.d round
+    # otherwise on an array), so a batch's rows are its points' one-point rows
+    spins = {"2,2,2,2": [2] * 4, "1^6": [1] * 6}.get(name)
+    chain = (random_chain(spins, 1.0, TWIST_FULL, seed=7) if spins
+             else chain_from_config(load_config(name)))
+    ev = TransferEvaluator(chain)
+    for seed in range(4):
+        lams = random_complex(np.random.default_rng(seed), size=5, box=2.5)
+        alone = [transfer_module._tridiagonal_residuals(ev, [lam])[0] for lam in lams]
+        assert np.array_equal(transfer_module._tridiagonal_residuals(ev, lams), alone)
+
+
 def test_fused_hand_zero(chain1):
     # T(0) T(-1) - detq(0) vanishes identically at the second-level center
     ev = TransferEvaluator(chain1)
@@ -494,26 +508,53 @@ def test_transfer_is_degree_n_polynomial(chain12, chain112):
     # the held-out residual and the leading-coefficient residual, under their row gates
     rng = np.random.default_rng(21)
     for chain in (chain12, chain112):
-        held_out, lead = polynomiality_residual(chain, rng)
+        held_out, lead = polynomiality_residual(TransferEvaluator(chain), rng)
         assert held_out < 1e-10 and lead < 1e-9
 
 
 @pytest.mark.parametrize("name", ["n2_mixed", "n3_mixed"])
 def test_premise_rows_see_one_perturbed_sample(name, monkeypatch):
-    # one sample moved by 1e-8 of itself: at the held-out point the held-out row fails,
-    # at an interpolation node the leading-coefficient row fails
+    # one value moved by 1e-8 of itself: the kernel at the held-out point p2 fails the
+    # held-out row only; the kernel at the interpolation point p1, or one of the evaluator's
+    # samples, fails both rows
     chain = chain_from_config(load_config(name))
-    pts = random_complex(np.random.default_rng(23), size=chain.n_sites + 2, box=2.5)
-    gates = (1e-10, 1e-9)   # fusion.transfer_polynomiality, fusion.transfer_leading_coefficient
-    clean = polynomiality_residual(chain, np.random.default_rng(23))
-    assert all(r < g for r, g in zip(clean, gates))
-    for index, row in ((-1, 0), (0, 1), (chain.n_sites, 1)):
+    ev = TransferEvaluator(chain)
+    centroid = np.concatenate([nodes for nodes, _, _ in chain.grid]).mean()
+    pts = centroid + random_complex(np.random.default_rng(23), size=2, box=1.0)
+    gates = np.array([1e-10, 1e-9])   # transfer_polynomiality, transfer_leading_coefficient
+    clean = polynomiality_residual(ev, np.random.default_rng(23))
+    assert list(clean < gates) == [True, True]
+    for index, fails in ((1, [True, False]), (0, [True, True])):
         def perturbed(chain, lam, at=pts[index]):
             out = transfer(chain, lam)
             return out * (1 + 1e-8) if lam == at else out
 
-        monkeypatch.setattr(transfer_module, "transfer", perturbed)
-        assert polynomiality_residual(chain, np.random.default_rng(23))[row] > gates[row]
+        with monkeypatch.context() as patch:
+            patch.setattr(transfer_module, "transfer", perturbed)
+            rows = polynomiality_residual(ev, np.random.default_rng(23))
+        assert list(rows > gates) == fails
+    clean_samples = ev.samples
+    for a in range(chain.n_sites):
+        samples = clean_samples.copy()
+        samples[a] *= 1 + 1e-8
+        ev.samples = samples
+        assert list(polynomiality_residual(ev, np.random.default_rng(23)) > gates) == [True] * 2
+
+
+@pytest.mark.parametrize("spins", [(1,) * 6, (2,) * 4, (1, 2, 1, 2, 1)],
+                         ids=["1^6", "2^4", "1,2,1,2,1"])
+def test_premise_rows_pass_under_exact_symmetries(spins):
+    # xi and eta scaled, or xi translated, keep T a degree-N polynomial with leading
+    # coefficient tr K Id, so both rows pass every transform of a chain on which they pass
+    # (points in a fixed box of half-side 2.5 read 84 against the 1e-9 gate at 1^6 with
+    # xi + 1e3 (1 + i))
+    base = random_chain(spins, 1.0, TWIST_FULL, seed=7)
+    for scale, shift in ((1, 0), (1e-3, 0), (10, 0), (100, 0), (1, 20), (1, 100),
+                         (1, 1e3 * (1 + 1j))):
+        chain = make_chain(base.eta * scale, [(s.two_s, s.xi * scale + shift) for s in base.sites],
+                           base.twist.matrix, seed=base.seed)
+        held_out, lead = polynomiality_residual(TransferEvaluator(chain), chain.rng(200))
+        assert held_out < 1e-10 and lead < 1e-9, (scale, shift, held_out, lead)
 
 
 def test_transfer_leading_coefficient(chain12):
