@@ -17,7 +17,7 @@ one fit with D right-hand sides); the T-Q, Wronskian and factorization
 checks are array operations over it, with Q evaluated in one Horner pass.
 The one Q-operator has these polynomials as eigenvalues in the oracle's
 eigenbasis; the Cramer route (``_determinant_eigenvalues``) reads the same
-D eigenvalues from determinant ratios of the closure stack, with no solve.
+D eigenvalues by Cramer's rule on the closure stack, with no solve.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class _Closure:
         self.nodes = np.array([chain.node(a, h) for a, site in enumerate(chain.sites)
                                for h in range(1, site.two_s + 1)] + [self.zeta], dtype=CDTYPE)
         self.bary = _Barycentric(self.nodes)
-        self.top_cards = self.bary.cardinals(np.array([g[0, 0] for g in chain.grid])[:, None])
+        self.top_cards = self.bary.ell_cardinals(np.array([[g[0, 0]] for g in chain.grid]))[1]
         self._starts = np.cumsum([0] + [site.two_s for site in chain.sites[:-1]])
         self.q_flat = np.concatenate([r[..., 1:] for r in ratios], axis=-1)
         c, g = self.site_sums(self.top_cards, self.q_flat[..., None, :])
@@ -255,17 +255,13 @@ def _require_q_twist(chain: ChainSpec):
 
 
 def _determinant_eigenvalues(system: _Closure, lam: complex) -> np.ndarray:
-    """The Cramer route to the D Q-operator eigenvalues at lam: per eigenvalue, g(lam) times
-    det[C + Delta(lam)] / det[C] on its closure system C, with Delta the rank-one update
-    spanned by the right-hand side scaled by 1 / g (g the zeta cardinal)."""
-    f, g = system.site_sums(system.bary.cardinals(lam), system.q_flat)
-    if abs(g) > 1e-8:
-        delta = (system.rhs / g)[:, :, None] * f[:, None, :]
-        return np.linalg.det(system.matrix + delta) / system.det * g
-    # lam sits on (or hugs) a grid node: use the rank-one expansion of the
-    # same determinant, which stays finite there
-    adj_r = np.linalg.solve(system.matrix, system.rhs[:, :, None])[:, :, 0]
-    return g + np.sum(f * adj_r, axis=1)
+    """The Cramer route to the D Q-operator eigenvalues at lam: g + sum_i f_i det C_i / det C
+    per closure system C, C_i with column i replaced by the right-hand side (g the zeta
+    cardinal, f the site sums); no solve and no division by g, so exact at a grid node too."""
+    f, g = system.site_sums(system.bary.ell_cardinals(lam)[1], system.q_flat)
+    rhs, col = system.rhs[..., None], np.arange(f.shape[-1])
+    dets = [np.linalg.det(np.where(col == i, rhs, system.matrix)) for i in col]   # one C_i alive
+    return g + np.sum(f * np.stack(dets, axis=-1), axis=-1) / system.det
 
 
 def q_operator_commutation_residual(qop: QOperator, evaluator, lams, mus) -> float:

@@ -232,6 +232,8 @@ def make_chain(eta, sites, twist, seed=0) -> ChainSpec:
     )
     if not site_objs:
         raise ValueError("a chain needs at least one site")
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     twist_obj = twist if isinstance(twist, Twist) else normalize_twist(twist)
     chain = ChainSpec(eta=complex(eta), sites=site_objs, twist=twist_obj, seed=int(seed))
     genericity_check(chain)

@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import importlib.resources
 import json
+import pathlib
 import sys
 import time
 from functools import partial
@@ -118,7 +119,7 @@ def chain_from_config(cfg: dict, seed=None) -> ChainSpec:
     try:
         return make_chain(cfg["eta"], cfg["sites"], cfg["twist"],
                           seed=cfg["seed"] if seed is None else seed)
-    except SovChainError as err:
+    except (SovChainError, ValueError) as err:
         raise ConfigError(f"invalid chain: {err}")
 
 
@@ -133,12 +134,12 @@ def bundled_config_path(name: str):
 
 
 def load_config(path_or_name: str) -> dict:
-    import pathlib
-
-    p = pathlib.Path(path_or_name)
-    if p.is_file():
-        return parse_config(p.read_text())
-    return parse_config(bundled_config_path(path_or_name).read_text())
+    path = pathlib.Path(path_or_name)
+    path = path if path.is_file() else bundled_config_path(path_or_name)
+    try:
+        return parse_config(path.read_text("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config {path_or_name!r} is not UTF-8 text: {err}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ estimates it on k = 8 Gaussian probes (``transfer._probe_residual``) from
 B-eigen, 605 A/D shifts, 606 fusion, 608 Q-operator, 609 separate action. The
 one exception, ``cli._basis_difference``, compares bases up to a fitted global
 scale, which has no absolute unit: it divides by max(1e-300, ||ref row||).
+
+``_Barycentric`` is the one place the interpolant of T and its eigenvalues is written, tr K
+ell(lam) + sum_a c_a(lam) x_a: ``transfer``, ``spectrum`` and ``sov_bases`` read ell and the
+cardinals c_a from it, and the Q closure of ``baxter`` the cardinals alone.
 """
 
 from __future__ import annotations
@@ -64,14 +68,14 @@ def lagrange_cardinal(nodes, j, lam):
 
 
 class _Barycentric:
-    """Lagrange interpolation over fixed nodes in the first barycentric form.
+    """Lagrange interpolation over fixed nodes x_j in the first barycentric form.
 
-    The weights w_j = 1 / prod_{k != j} (x_j - x_k) are computed once per node
-    set, so an evaluation costs O(n). At a node the exact stored value is
-    returned. Berrut & Trefethen, SIAM Rev. 46 (2004) 501; Higham, IMA J.
-    Numer. Anal. 24 (2004) 547 (backward stability of this form). ``nodes``
-    may stack several node sets along leading axes; ``cardinals`` serves
-    them all at once, ``__call__`` takes one set (and stacked values on it).
+    The degree-n polynomial with leading coefficient ``lead`` through v_j at the n nodes
+    is lead ell(lam) + sum_j c_j(lam) v_j, ell(lam) = prod_j (lam - x_j), with the cardinals
+    c_j = ell w_j / (lam - x_j) and the weights w_j = 1 / prod_{k != j} (x_j - x_k), computed
+    once per node set, so an evaluation costs O(n). Berrut & Trefethen, SIAM Rev. 46 (2004)
+    501; Higham, IMA J. Numer. Anal. 24 (2004) 547 (backward stability of this form).
+    ``nodes`` may stack several node sets along leading axes.
     """
 
     def __init__(self, nodes):
@@ -81,32 +85,16 @@ class _Barycentric:
         diff[..., diag, diag] = 1.0
         self.weights = 1.0 / np.prod(diff, axis=-1)
 
-    def cardinals(self, lam) -> np.ndarray:
-        """All cardinal polynomials at ``lam`` per node set; the unit vector e_j at node j."""
+    def ell_cardinals(self, lam):
+        """(ell, cardinals) per node set from one difference array lam - x, ``lam`` carrying a
+        trailing axis against the nodes: at node j, ell is 0 and the cardinals are e_j."""
         diff = lam - self.nodes
         hit = diff == 0
-        out = np.prod(diff, axis=-1, keepdims=True) * self.weights / np.where(hit, 1.0, diff)
+        ell = np.prod(diff, axis=-1)
+        out = ell[..., None] * self.weights / np.where(hit, 1.0, diff)
         on_node = hit.any(axis=-1)
         out[on_node] = hit[on_node]
-        return out
-
-    def __call__(self, values, lam, lead=0.0):
-        """Degree-n polynomials with leading coefficient ``lead`` through ``values`` (D, n).
-
-        That is ell(lam) [lead + sum_j w_j values_j / (lam - x_j)], with
-        ell(lam) = prod_j (lam - x_j); ``values[..., j]`` exactly at node j.
-        A (D, n) stack at points (P,), or at its own points (D, P), gives (D, P).
-        Points (P,) are read as (1, P), so a one-row stack rounds as its row in a
-        taller stack does (numpy can round a (1, 1) * (1,) product otherwise).
-        """
-        lam = np.asarray(lam, dtype=CDTYPE)
-        lam = lam[None] if lam.ndim == 1 else lam
-        values = np.asarray(values)[..., None, :] if lam.ndim else np.asarray(values)
-        diff = lam[..., None] - self.nodes
-        hit = diff == 0
-        out = diff.prod(axis=-1) * (lead + (self.weights * values / np.where(hit, 1.0, diff))
-                                    .sum(axis=-1))
-        return np.where(hit.any(axis=-1), (hit * values).sum(axis=-1), out)
+        return ell, out
 
 
 def poly_coeffs_from_samples(nodes, values):

@@ -261,7 +261,7 @@ def _frame_actions(basis: CovectorBasis, lams, blocks, salt: int) -> np.ndarray:
     def worst(s):   # one chunk's maxima; its images are freed before the next chunk's
         acted = _rows_on_probes(basis, lams[s], blocks, probes)
         lam = lams[s, None, None]
-        diag, cards = np.prod(lam - points, axis=2), rows_interp.cardinals(lam)
+        diag, cards = rows_interp.ell_cardinals(lam)
         for (i, j), lhs in zip(blocks, acted):
             rhs = ((kbar[i, j] * diag)[..., None] * rows_v).reshape((-1,) + cube.shape)
             if i == j:   # A (i = 0) raises, D lowers

@@ -51,9 +51,9 @@ class TransferPolynomial:
     """Degree-N polynomials with leading coefficient tr(K), each stored by its
     values x_a at the top grid nodes z_a: row d of x, of shape (D, N).
 
-    Evaluated in barycentric form, t(lam) = ell(lam) [tr K + sum_a w_a x_a /
-    (lam - z_a)] with ell(lam) = prod_a (lam - z_a); the weights w_a are
-    computed once per polynomial and t(z_a) returns x_a exactly, row by row.
+    Evaluated as t(lam) = tr K ell(lam) + sum_a c_a(lam) x_a, with ell(lam) =
+    prod_a (lam - z_a) and the cardinals c_a from one ``_Barycentric`` over the
+    z_a; t(z_a) returns x_a exactly, row by row.
     """
 
     chain: ChainSpec
@@ -68,7 +68,12 @@ class TransferPolynomial:
         self._interp = _Barycentric([self.chain.node(a, 0) for a in range(self.chain.n_sites)])
 
     def __call__(self, lam):
-        return self._interp(self.x, lam, lead=self.chain.twist.trace)
+        """t at a point (D,); at points (P,), read as (1, P) so that one row rounds as in a
+        taller stack, (D, P); or row d at lam[d] for lam of shape (D, P)."""
+        lam = np.asarray(lam, dtype=CDTYPE)
+        ell, cards = self._interp.ell_cardinals((lam[None] if lam.ndim == 1 else lam)[..., None])
+        x = self.x[:, None] if lam.ndim else self.x
+        return self.chain.twist.trace * ell + np.sum(cards * x, axis=-1)
 
     def __len__(self) -> int:
         return len(self.x)
@@ -234,22 +239,18 @@ def discrete_residuals(t: TransferPolynomial) -> np.ndarray:
 class _DiscreteSystem:
     """Residual and Jacobian of the discrete system in the unknowns x_a.
 
-    Per site: its matrix diagonal t(xi^(j)) as base + coeff . x (the
-    leading term and the top-node cardinals at its nodes), and the
+    Per site: its matrix diagonal t(xi^(j)) as base + coeff . x (tr K ell
+    and the top-node cardinals at its nodes, from one ``_Barycentric``), and the
     off-diagonal products sup[j] * sub[j] = k1 a(xi^(j)) k2 d(xi^(j+1)).
     ``discrete_residuals`` reads the residual of this system.
     """
 
     def __init__(self, chain: ChainSpec):
-        self.chain = chain
-        nodes0 = np.array([g[0, 0] for g in chain.grid])
-        interp = _Barycentric(nodes0)
-        self.sites = []
+        self.chain, self.sites, twist = chain, [], chain.twist
+        interp = _Barycentric([g[0, 0] for g in chain.grid])   # the top nodes
         for nodes, a, d in chain.grid:
-            base = np.array([chain.twist.trace * np.prod([z - w for w in nodes0])
-                             for z in nodes], dtype=CDTYPE)
-            coeff = np.array([interp.cardinals(z) for z in nodes], dtype=CDTYPE)
-            self.sites.append((base, coeff, chain.twist.k1 * a[:-1] * chain.twist.k2 * d[1:]))
+            ell, coeff = interp.ell_cardinals(nodes[:, None])
+            self.sites.append((twist.trace * ell, coeff, twist.k1 * a[:-1] * twist.k2 * d[1:]))
 
     def _diags(self, x):
         """Per site, its matrix diagonal at the unknowns x (..., N), batch axes trailing.

@@ -128,9 +128,10 @@ def transfer(chain: ChainSpec, lam: complex) -> np.ndarray:
 class TransferEvaluator:
     """T(lam) from N kernel-built samples, and the fused tower by the recursion.
 
-    T(lam) = ell(lam) [tr K Id + sum_a w_a T(z_a) / (lam - z_a)], ell(lam) = prod_a (lam - z_a),
-    at z_a = c + r e^{2 pi i (a + 1/2) / N} around the grid-node centroid c, r = max(3,
-    max |xi_n^(h) - c|): unlike the top nodes, these stay apart when two xi_n nearly collide.
+    T(lam) = tr K ell(lam) Id + sum_a c_a(lam) T(z_a), with ell and the cardinals c_a from
+    one ``_Barycentric`` over z_a = c + r e^{2 pi i (a + 1/2) / N} around the grid-node
+    centroid c, r = max(3, max |xi_n^(h) - c|): unlike the top nodes, these stay apart when
+    two xi_n nearly collide.
     ``samples`` is the read-only (N, D, D) stack of T(z_a), the evaluator's only state;
     ``transfer`` and ``fused`` return fresh arrays.
     """
@@ -154,10 +155,10 @@ class TransferEvaluator:
         one GEMV per point, as one point takes (a GEMM over the points rounds otherwise)."""
         flat = self.samples.reshape(len(self.samples), -1)
         out = np.empty((len(lams), flat.shape[1]), dtype=CDTYPE)
-        for card, row in zip(self._interp.cardinals(lams[:, None]), out):
+        ell, cards = self._interp.ell_cardinals(lams[:, None])
+        for card, row in zip(cards, out):
             np.dot(card, flat, out=row)
-        ell = [self.chain.twist.trace * z for z in np.prod(lams[:, None] - self._interp.nodes, 1)]
-        out[:, ::self.chain.dim + 1] += np.array(ell)[:, None]
+        out[:, ::self.chain.dim + 1] += np.array([self.chain.twist.trace * z for z in ell])[:, None]
         return out.reshape(len(lams), *self.samples.shape[1:])
 
     def fused(self, top: int, lams, start=None) -> np.ndarray:
@@ -443,7 +444,7 @@ def polynomiality_residual(evaluator: TransferEvaluator, rng) -> tuple:
         scale = max(1.0, frob(t))     # ||T(p2)|| once the loop ends
         t -= evaluator.transfer(p)
         errors.append(t)
-        ells.append(np.prod(p - evaluator._interp.nodes))
+        ells.append(evaluator._interp.ell_cardinals(p)[0])
     held_out = frob(errors[1] - errors[0] * (ells[1] / ells[0])) / scale
     lead = frob(errors[0]) / abs(ells[0])
     return held_out, lead / max(1.0, abs(chain.twist.trace) * np.sqrt(chain.dim))

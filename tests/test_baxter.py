@@ -211,7 +211,7 @@ def test_closure_rank_one_update(chain12):
     system = _Closure(chain12, default_zeta(chain12), t.grid_ratios)
     rng = np.random.default_rng(4)
     for lam in random_complex(rng, size=3, box=2.0):
-        f, g = system.site_sums(system.bary.cardinals(lam), system.q_flat[0])
+        f, g = system.site_sums(system.bary.ell_cardinals(lam)[1], system.q_flat[0])
         delta = np.outer(system.rhs[0] / g, f)
         sv = np.linalg.svd(delta, compute_uv=False)
         assert sv[0] > 1e-12 and (len(sv) == 1 or sv[1] < 1e-12 * sv[0])
@@ -340,6 +340,35 @@ def test_q_operator_method_agreement(chain12, ev12, chain112):
             worst = max(worst, np.max(np.abs(e_solve - e_cramer))
                         / max(1.0, np.max(np.abs(e_solve))))
         assert worst < 1e-7
+
+
+@pytest.mark.parametrize("config", ["n1_spin_half", "n2_mixed", "n2_mixed_diagonal",
+                                    "n2_spin22", "n3_mixed"])
+def test_cramer_route_makes_no_solve(config, monkeypatch):
+    # g + sum_i f_i det C_i / det C, with no solve: at the suite's points, at a closure node
+    # (where the zeta cardinal g is 0) and 1e-12 from it, against the solved eigenvalues
+    chain = cli.chain_from_config(cli.load_config(config))
+    ctx = cli._RunContext(chain)
+    qop = ctx.q_operator()
+    closure, seen = ctx.q_polynomials(qop.zeta).closure, []
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the Cramer route called np.linalg.solve")
+
+    def cramer(system, lam):
+        seen.append(lam)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", no_solve)
+            return _determinant_eigenvalues(system, lam)
+
+    monkeypatch.setattr(cli, "_determinant_eigenvalues", cramer)
+    rows = {c["name"]: c for c in cli.suite_qop(chain, ctx)}
+    assert len(seen) == 5 and rows["qop.method_agreement"]["value"] < 1e-12
+    node = complex(closure.nodes[0])
+    assert node == chain.node(0, 1)
+    for lam in (node, node + 1e-12):
+        want = qop.eigenvalues(lam)
+        assert np.max(np.abs(cramer(closure, lam) - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_q_operator_rejects_equal_eigenvalues(chain12):

@@ -114,11 +114,29 @@ def test_zero_eta_is_a_config_error():
 
 
 def test_non_finite_config_exits_2(tmp_path, capsys):
-    # a NaN twist entry used to reach the twist's eigendecomposition and crash with exit 1
+    # a NaN twist entry used to reach the twist's eigendecomposition and crash with exit 1,
+    # and a file that is not UTF-8 left main as a UnicodeDecodeError traceback
     path = tmp_path / "nan.json"
     path.write_text(MINIMAL.replace('"a": [2.0, 0.0]', '"a": [NaN, 0.0]'))
     assert main(["verify-algebra", "--config", str(path)]) == 2
     assert "twist.a" in capsys.readouterr().err
+    path = tmp_path / "utf16.json"
+    path.write_bytes(MINIMAL.encode("utf-16"))    # starts with the bytes ff fe
+    assert main(["verify-algebra", "--config", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_exits_2_before_any_suite(tmp_path, monkeypatch, capsys, where):
+    # np.random.default_rng rejects a negative seed, so every suite used to error (exit 1);
+    # make_chain refuses it for both the config's seed and --seed
+    monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("a suite ran"))
+    path = tmp_path / "seed.json"
+    path.write_text(MINIMAL.replace('"seed": 3', '"seed": -3'))
+    argv = (["all", "--config", str(path)] if where == "config"
+            else ["all", "--config", "n2_mixed", "--seed", "-1"])
+    assert main(argv) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_unwritable_out_path_exits_2_before_any_suite(monkeypatch, capsys):

@@ -329,7 +329,7 @@ def _shift_action_loop(basis, lams):
             diag = np.prod([lam - z for z in hnodes])
             rhs_a = a_entry * diag * basis.rows[i]
             rhs_d = d_entry * diag * basis.rows[i]
-            for n, card in enumerate(_Barycentric(hnodes).cardinals(lam)):
+            for n, card in enumerate(_Barycentric(hnodes).ell_cardinals(lam)[1]):
                 up = list(h)
                 up[n] += 1
                 down = list(h)

@@ -430,22 +430,34 @@ def test_closed_form_solutions_leading(chain12_k2zero):
         assert abs(lead - chain12_k2zero.twist.trace) < 1e-6
 
 
-def _lagrange_terms(t, lam):
-    """Terms of t(lam) = tr K prod_a (lam - z_a) + sum_a x_a l_a(lam), cardinal by cardinal."""
-    chain = t.chain
-    nodes0 = [chain.node(a, 0) for a in range(chain.n_sites)]
-    lead = chain.twist.trace * np.prod([lam - z for z in nodes0])
-    return [lead] + [lagrange_cardinal(nodes0, a, lam) * t.x[0, a] for a in range(chain.n_sites)]
+def _lagrange_terms(lead, nodes, values, lam):
+    """Terms of lead prod_a (lam - z_a) + sum_a values[a] l_a(lam), cardinal by cardinal."""
+    return [lead * np.prod([lam - z for z in nodes])] + [
+        lagrange_cardinal(nodes, a, lam) * v for a, v in enumerate(values)]
 
 
 def test_transfer_polynomial_matches_lagrange_sum(chain112):
+    # every reader of the one interpolant against the independent Lagrange sum: the stack,
+    # the discrete system's diagonal at each site's nodes and T from the evaluator's samples
     rng = np.random.default_rng(23)
     t = TransferPolynomial(chain112, random_complex(rng, size=(1, chain112.n_sites)))
-    for lam in random_complex(rng, size=20, box=4.0):
-        terms = _lagrange_terms(t, lam)
+    trace, nodes0 = chain112.twist.trace, [chain112.node(a, 0) for a in range(chain112.n_sites)]
+    lams = random_complex(rng, size=20, box=4.0)
+    for lam in lams:
+        terms = _lagrange_terms(trace, nodes0, t.x[0], lam)
         assert abs(t(lam)[0] - sum(terms)) <= 1e-14 * sum(abs(z) for z in terms)
     for a in range(chain112.n_sites):
         assert t(chain112.node(a, 0))[0] == t.x[0, a]
+    for (nodes, _, _), (diag, _, _) in zip(chain112.grid, _DiscreteSystem(chain112)._diags(t.x)):
+        for z, got in zip(nodes, diag[:, 0]):
+            terms = _lagrange_terms(trace, nodes0, t.x[0], z)
+            assert abs(got - sum(terms)) <= 1e-14 * sum(abs(w) for w in terms)
+        assert diag[0, 0] == t.x[0, list(nodes0).index(nodes[0])]
+    ev = TransferEvaluator(chain112)
+    eye = np.eye(chain112.dim)
+    for lam, got in zip(lams, ev._at(lams)):
+        terms = _lagrange_terms(trace * eye, ev._interp.nodes, ev.samples, lam)
+        assert frob(got - sum(terms)) <= 1e-14 * sum(frob(w) for w in terms)
 
 
 def _action_report_loop(t):
