@@ -254,11 +254,14 @@ def _require_q_twist(chain: ChainSpec):
         raise ValueError("Q-operator requires invertible twist with distinct eigenvalues")
 
 
-def _determinant_eigenvalues(system: _Closure, lam: complex) -> np.ndarray:
+def _determinant_eigenvalues(system: _Closure, lams) -> np.ndarray:
     """The Cramer route to the D Q-operator eigenvalues at lam: g + sum_i f_i det C_i / det C
     per closure system C, C_i with column i replaced by the right-hand side (g the zeta
-    cardinal, f the site sums); no solve and no division by g, so exact at a grid node too."""
-    f, g = system.site_sums(system.bary.ell_cardinals(lam)[1], system.q_flat)
+    cardinal, f the site sums); no solve and no division by g, so exact at a grid node too.
+    The N stacks det C_i do not depend on lam: one pass serves every point of ``lams``, (D,)
+    at one point and (P, D) at points (P,)."""
+    cards = system.bary.ell_cardinals(np.asarray(lams)[..., None])[1]
+    f, g = system.site_sums(cards[..., None, :], system.q_flat)
     rhs, col = system.rhs[..., None], np.arange(f.shape[-1])
     dets = [np.linalg.det(np.where(col == i, rhs, system.matrix)) for i in col]   # one C_i alive
     return g + np.sum(f * np.stack(dets, axis=-1), axis=-1) / system.det
@@ -305,7 +308,7 @@ def q_operator_invertibility(qop: QOperator) -> dict:
     """
     chain, v, left = qop.chain, qop.vectors, qop.left
     nodes = [chain.node(n, site.two_s) for n, site in enumerate(chain.sites)]
-    q = np.array([qop.eigenvalues(z) for z in nodes])
+    q, probes = qop.eigenvalues(np.array(nodes)), _probes(chain, 607, len(nodes))
     ok = np.all(np.isfinite(q) & (q != 0), axis=1)
     q = np.where(ok[:, None], q, 1.0)
     gram = (v.conj().T @ v) * (left @ left.conj().T).T
@@ -313,7 +316,7 @@ def q_operator_invertibility(qop: QOperator) -> dict:
     def norms(w):   # of V diag(w) V^-1 per row of w (N, D): ||.||_2 from below, ||.||_F
         def op(x):   # on the orthonormalized columns
             return qop._on(w, np.linalg.qr(x)[0])
-        x = _probes(chain, 607, len(nodes))
+        x = probes
         for _ in range(2):
             x = left.conj().T @ (w.conj()[..., None] * (v.conj().T @ op(x)))
         return np.array([np.linalg.norm(op(x), ord=2, axis=(1, 2)),
@@ -340,7 +343,7 @@ def sov_from_q(qop: QOperator, sklyanin: CovectorBasis) -> CovectorBasis:
     or inverse of Q is formed.
     """
     chain = qop.chain
-    per_site = [np.array([qop.eigenvalues(z) for z in nodes]) for nodes, _, _ in chain.grid]
+    per_site = [qop.eigenvalues(nodes) for nodes, _, _ in chain.grid]
     top = tuple(site.two_s for site in chain.sites)
     coords = sklyanin.row(top) @ qop.vectors / np.prod([q[-1] for q in per_site], axis=0)
     weights = _site_product([q.T for q in per_site]).reshape(-1, chain.dim)

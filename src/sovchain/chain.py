@@ -165,6 +165,10 @@ class ChainSpec:
     seed: int = 0
     tolerances: ClassVar[Tolerances] = Tolerances()
 
+    def __post_init__(self):
+        if self.seed < 0:   # chain.rng would fail in every suite
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+
     @property
     def n_sites(self) -> int:
         return len(self.sites)
@@ -232,8 +236,6 @@ def make_chain(eta, sites, twist, seed=0) -> ChainSpec:
     )
     if not site_objs:
         raise ValueError("a chain needs at least one site")
-    if int(seed) < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     twist_obj = twist if isinstance(twist, Twist) else normalize_twist(twist)
     chain = ChainSpec(eta=complex(eta), sites=site_objs, twist=twist_obj, seed=int(seed))
     genericity_check(chain)

@@ -294,16 +294,16 @@ def suite_fusion(chain: ChainSpec, ctx: _RunContext):
     evaluator = ctx.evaluator()
     max_level = min(3, max(site.two_s for site in chain.sites) + 1)
 
-    pairs = [random_complex(rng, size=2, box=2.5) for _ in range(3)]
-    worst = np.max([_commuting_residuals(evaluator, lam, mu, max_level) for lam, mu in pairs])
+    lams, mus = np.array([random_complex(rng, size=2, box=2.5) for _ in range(3)]).T
+    worst = np.max(_commuting_residuals(evaluator, lams, mus, max_level))
     checks.append(_check("fusion.commuting_family", worst, 1e-10, max_level=max_level))
 
-    # level 1 is left out: its projector route is the same kernel call as the transfer
-    lams = [complex(random_complex(rng, box=2.5)) for _ in range(5)]
+    # level 1 is left out: there the route is T's own Lax chain (fusion.transfer_polynomiality)
+    lams = np.array([random_complex(rng, box=2.5) for _ in range(5)])
     tower = evaluator.fused(max_level, lams, _probes(chain, 606, 1)[0])
-    worst = np.max([_probe_residual((fused_transfer_projector(chain, l, lam) @ tower[0, 0]).ravel(),
-                                    tower[l, p].ravel())
-                    for p, lam in enumerate(lams) for l in range(2, max_level + 1)])
+    worst = np.max([_probe_residual(
+        fused_transfer_projector(chain, l, lams, tower[0, 0]).reshape(len(lams), -1),
+        tower[l].reshape(len(lams), -1)) for l in range(2, max_level + 1)])
     checks.append(_check("fusion.route_equivalence", worst, 1e-9))
 
     lam_ref = complex(random_complex(rng, box=2.0))
@@ -484,11 +484,10 @@ def suite_qop(chain: ChainSpec, ctx: _RunContext):
                          brackets=np.c_[lo, hi].tolist(), exact=(lo == hi).tolist()))
 
     # the solved eigenvalues against their Cramer reading of the same closure stack
-    residuals = []
-    for lam in [complex(z) for z in random_complex(rng, size=5, box=2.5)]:
-        e_solve = qop.eigenvalues(lam)
-        e_cramer = _determinant_eigenvalues(closure, lam)
-        residuals.append(np.max(np.abs(e_solve - e_cramer)) / max(1.0, np.max(np.abs(e_solve))))
+    lams = random_complex(rng, size=5, box=2.5)
+    e_solve, e_cramer = qop.eigenvalues(lams), _determinant_eigenvalues(closure, lams)
+    residuals = np.max(np.abs(e_solve - e_cramer), axis=1) / np.maximum(
+        1.0, np.max(np.abs(e_solve), axis=1))
     checks.append(_check("qop.method_agreement", np.max(residuals), 1e-7))
     return checks
 

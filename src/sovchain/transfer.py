@@ -2,11 +2,11 @@
 
 Every dense operator is grown by one kernel, ``_lax_chain``: one GEMM per site,
 the aux trace at the last site and one transpose to matrix order, each write a
-fresh array. It builds the transfer matrix, the aux-frame blocks of the
-monodromy (the only form of it: no 2D x 2D matrix is built) and the projector route.
+fresh array. It builds the transfer matrix and the aux-frame blocks of the
+monodromy (the only form of it: no 2D x 2D matrix is built).
 
 The identity residuals (RTT, quantum determinant, twist symmetry, and the
-Sklyanin frame actions of ``sov_bases``) build no operator.
+Sklyanin frame actions of ``sov_bases``) and the projector route build no operator.
 ``_lax_apply`` applies op_N ... op_1 to k = 8 complex Gaussian probes V, one
 batched GEMM per site for every point of a chunk, and ``_probe_residual``
 reports ||(Y - X) V|| / sqrt(k) over max(1, ||X V|| / sqrt(k)): with
@@ -30,9 +30,9 @@ route: the shifts and the per-point detq products of P points, then T at one
 shift for all points of a chunk and one batched product per step. Without a
 start block it gives the dense towers the bases read; the tower rows pass the
 salt-606 probes and build no D x D tower. The symmetrized-projector route is kept
-independent, the oracle of the recursion: the kernel chains each site's fused Lax
+independent, the oracle of the recursion: ``_lax_apply`` chains each site's fused Lax
 operator, its product of shifted Lax operators on (C^2)^{x a} restricted to the
-(a+1)-dimensional symmetric aux space, closed by the fused twist.
+(a+1)-dimensional symmetric aux space, on the same probes, closed by the fused twist.
 """
 from __future__ import annotations
 
@@ -206,32 +206,36 @@ def tridiagonal_operator_minors(diag, offprod, out, start=None) -> np.ndarray:
     out[0] = np.eye(out.shape[-1]) if start is None else start
     if len(out) > 1:
         out[1] = next(diag) if start is None else np.matmul(next(diag), start)
-    for j, op in enumerate(diag, start=1):
-        np.matmul(op, out[j], out=out[j + 1])
+    for j in range(1, len(out) - 1):   # no name (nor enumerate's tuple) holds the last entry
+        np.matmul(next(diag), out[j], out=out[j + 1])
         out[j + 1] -= np.asarray(offprod[j - 1])[..., None, None] * out[j - 1]
     return out
 
 
-def fused_transfer_projector(chain: ChainSpec, level: int, lam: complex) -> np.ndarray:
-    """Fused transfer matrix via the symmetrized auxiliary-space product.
-
-    Independent of the recursion: site n's operator G_n = L_0n(lam + (level-1) eta) ...
-    L_{level-1,n}(lam), on aux leg i of (C^2)^{x level} and on site n, maps the symmetric
-    subspace into itself, so the projected product is the chain of the fused Lax operators
-    U^dagger G_n U (U = ``symmetric_basis(level)``, level + 1 aux states in place of
-    2^level), closed by the fused twist and the aux trace, as ``transfer`` closes the chain.
+def fused_transfer_projector(chain: ChainSpec, level: int, lams, start) -> np.ndarray:
+    """Fused transfer matrices at the points ``lams`` (P,) via the symmetrized auxiliary-space
+    product, on the start block ``start`` (D, k): the images (P, D, k). Independent of the
+    recursion: site n's operator G_n = L_0n(lam + (level-1) eta) ... L_{level-1,n}(lam), on
+    aux leg i of (C^2)^{x level} and on site n, maps the symmetric subspace into itself, so
+    the projected product is the chain of the fused Lax operators U^dagger G_n U (U =
+    ``symmetric_basis(level)``, level + 1 aux states in place of 2^level). ``_lax_apply``
+    grows the chain on the start block from e_r, closed by e_r^T times the fused twist, for
+    every aux state r in one batch (the aux trace), by chunks of points (``_chunks``); no
+    D x D matrix is built.
     """
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    u = symmetric_basis(level)
-    laxes = [_site_laxes(chain, complex(lam) + (level - 1 - i) * chain.eta) for i in range(level)]
+    lams, u = np.atleast_1d(np.asarray(lams, dtype=CDTYPE)), symmetric_basis(level)
+    laxes = [_site_laxes(chain, lams + (level - 1 - i) * chain.eta) for i in range(level)]
     ops = []
-    for per_leg in zip(*laxes):   # U^dagger G_n U: legs (level + 1, d, level + 1, d)
+    for per_leg in zip(*laxes):   # U^dagger G_n U: legs (P, 1, level + 1, d, level + 1, d)
         g = _aux_product(per_leg)
-        half = (u.conj().T @ g.reshape(len(u), -1)).reshape(level + 1, -1, len(u), g.shape[-1])
-        ops.append(np.matmul(half.swapaxes(2, 3), u).swapaxes(2, 3))
-    eye = np.eye(level + 1, dtype=CDTYPE)
-    return _lax_chain(ops, eye, twist=fused_twist(chain.twist, level), close=eye)
+        half = (u.conj().T @ g.reshape(*g.shape[:2], -1)).reshape(len(g), level + 1, *g.shape[2:])
+        ops.append(np.matmul(half.swapaxes(-2, -1), u).swapaxes(-2, -1)[:, None])
+    ops = _closed(ops, np.eye(level + 1)[:, :, None], fused_twist(chain.twist, level)[:, None])
+    x = np.asarray(start, dtype=CDTYPE)[None]   # images (c, r, 1, D, k), summed over r
+    return np.concatenate([_lax_apply([op[s] for op in ops], x).sum(axis=1)[:, 0]
+                           for s in _chunks(len(lams), (level + 1) ** 2 * x.size)])
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +405,21 @@ def central_zero_residual(chain: ChainSpec, evaluator: TransferEvaluator,
                      for n, site in enumerate(chain.sites)])
 
 
-def _commuting_residuals(evaluator: TransferEvaluator, lam, mu, top: int) -> np.ndarray:
-    """||[T^(l)(lam), T^(m)(mu)]|| / max(1, ||T^(l)(lam)|| ||T^(m)(mu)||), l and m = 1..top,
-    on the probes V: (top, top). Both towers on V give A_l = T^(l)(lam) V and B_m =
-    T^(m)(mu) V, whose norms estimate the scale's; then the lam tower on [B_1..B_top] and
-    the mu tower on [A_1..A_top], in one call, give both orders of the products."""
-    probes = _probes(evaluator.chain, 606, 1)[0]
-    a, b = np.moveaxis(evaluator.fused(top, [lam, mu], probes)[1:], 1, 0)
-    start = np.stack([np.concatenate(list(x), axis=-1) for x in (b, a)])
-    both = evaluator.fused(top, [lam, mu], start)[1:].reshape(
-        top, 2, -1, top, _PROBES)                  # (l, point, D, m, k) and (m, point, D, l, k)
-    diff = both[:, 0] - both[:, 1].transpose(2, 1, 0, 3)
-    scale = _probe_norm(a, 2)[:, None] * _probe_norm(b, 2)[None]
-    return _probe_norm(diff.transpose(0, 2, 1, 3), 2) / np.maximum(1.0, scale)
+def _commuting_residuals(evaluator: TransferEvaluator, lams, mus, top: int) -> np.ndarray:
+    """||[T^(l)(lam), T^(m)(mu)]|| / max(1, ||T^(l)(lam)|| ||T^(m)(mu)||), l, m = 1..top, per
+    pair on the probes V: (P, top, top). One fused call gives A_l = T^(l)(lam) V and B_m =
+    T^(m)(mu) V, whose norms estimate the scale's; one more, the lam towers on [B_1..B_top]
+    and the mu towers on [A_1..A_top], gives both orders of the products at every pair."""
+    probes, points = _probes(evaluator.chain, 606, 1)[0], np.array([lams, mus], dtype=CDTYPE)
+    a, b = np.moveaxis(evaluator.fused(top, points, probes)[1:], 1, 0)     # (l, P, D, k)
+    scale = _probe_norm(a, 2).T[:, :, None] * _probe_norm(b, 2).T[:, None]
+    start = np.concatenate([np.concatenate(list(x), axis=-1) for x in (b, a)])
+    del a, b                                  # the towers on V, freed before the next call
+    both = evaluator.fused(top, points, start)[1:].reshape(top, *points.shape, -1, top, _PROBES)
+    del start                     # (l, P, D, m, k) and (m, P, D, l, k), the diff (P, l, m, D, k)
+    diff = np.subtract(both[:, 0].transpose(1, 0, 3, 2, 4), both[:, 1].transpose(1, 3, 0, 2, 4),
+                       order="C")
+    return _probe_norm(diff, 2) / np.maximum(1.0, scale)
 
 
 def _tridiagonal_residuals(evaluator: TransferEvaluator, lams) -> np.ndarray:

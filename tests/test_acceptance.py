@@ -92,9 +92,9 @@ def test_criterion_3_fusion_routes_and_central_zeros(chain12, ev12, chain112, ev
     for chain, ev in ((chain12, ev12), (chain112, ev112)):
         lams = [complex(random_complex(rng, box=2.5)) for _ in range(3)]
         towers = [ev.fused(3, lam) for lam in lams]
-        for level in (1, 2, 3):
-            for tower, lam in zip(towers, lams):
-                proj = fused_transfer_projector(chain, level, lam)
+        for level in (1, 2, 3):   # the route on the identity block: the dense D x D matrices
+            projs = fused_transfer_projector(chain, level, lams, np.eye(chain.dim))
+            for tower, proj in zip(towers, projs):
                 worst_route = max(worst_route, frob(tower[level] - proj) / max(1.0, frob(proj)))
     worst_zero = 0.0
     for chain, ev in ((chain12, ev12), (chain112, ev112)):

@@ -363,7 +363,9 @@ def test_cramer_route_makes_no_solve(config, monkeypatch):
 
     monkeypatch.setattr(cli, "_determinant_eigenvalues", cramer)
     rows = {c["name"]: c for c in cli.suite_qop(chain, ctx)}
-    assert len(seen) == 5 and rows["qop.method_agreement"]["value"] < 1e-12
+    # one call takes the row's 5 points
+    assert [np.shape(lams) for lams in seen] == [(5,)]
+    assert rows["qop.method_agreement"]["value"] < 1e-12
     node = complex(closure.nodes[0])
     assert node == chain.node(0, 1)
     for lam in (node, node + 1e-12):
@@ -574,6 +576,23 @@ def test_one_large_q_eigenvalue_fails_the_condition_row(factor, passed):
     assert row["passed"] is passed
     lo, hi = row["info"]["brackets"][0]
     assert lo <= np.linalg.cond(ctx.q_operator()(node)) * (1 + 1e-9) <= hi * (1 + 2e-9)
+
+
+@pytest.mark.parametrize("config", ["n1_spin_half", "n2_mixed", "n2_mixed_diagonal",
+                                    "n2_spin22", "n3_mixed"])
+def test_cramer_route_of_five_points_is_each_point_alone_bitwise(config, monkeypatch):
+    # the N column-replaced determinant stacks do not depend on lam: a call at five points
+    # takes N np.linalg.det calls (five one-point calls take 5N) and gives their rows bitwise
+    chain = cli.chain_from_config(cli.load_config(config))
+    ctx = cli._RunContext(chain)
+    closure = ctx.q_polynomials(ctx.q_operator().zeta).closure
+    lams = random_complex(np.random.default_rng(94), size=5, box=2.5)
+    dets, det = [], np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(a.shape) or det(a))
+    got = _determinant_eigenvalues(closure, lams)
+    assert dets == [(chain.dim, chain.n_sites, chain.n_sites)] * chain.n_sites
+    assert got.shape == (5, chain.dim)
+    assert np.array_equal(got, [_determinant_eigenvalues(closure, complex(lam)) for lam in lams])
 
 
 def test_q_operator_takes_q_polynomials_from_solver(chain12, monkeypatch):

@@ -242,6 +242,19 @@ def test_non_finite_twist_entry_is_a_value_error(entry):
         random_chain([1, 2], 1.0, twist, seed=3)
 
 
+def test_negative_seed_is_refused_by_chain_spec_itself():
+    # a ChainSpec built directly (as for a deliberately non-generic chain) refuses a
+    # negative seed too: chain.rng would fail in every suite; make_chain reaches this check
+    chain = make_chain(1.0, [(1, 0.0), (1, 2.5 + 1j)], TWIST_FULL, seed=2)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -2"):
+        ChainSpec(eta=chain.eta, sites=chain.sites, twist=chain.twist, seed=-2)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -2"):
+        dataclasses.replace(chain, seed=-2)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        make_chain(1.0, chain.sites, chain.twist, seed=-1)
+    assert ChainSpec(eta=chain.eta, sites=chain.sites, twist=chain.twist).seed == 0
+
+
 def test_random_chain_generic():
     chain = random_chain([1, 2], 1.0, TWIST_FULL, seed=0)
     genericity_check(chain)

@@ -368,7 +368,7 @@ NAN_FOLDS = [
     ("verify-algebra", "quantum_det_residual", "sample", "algebra.quantum_det"),
     ("verify-algebra", "symmetry_residual", "sample", "algebra.twist_symmetry"),
     ("verify-algebra", "frob", ("call", 2), "algebra.spin_relations"),
-    ("verify-fusion", "_commuting_residuals", ("call", 2), "fusion.commuting_family"),
+    ("verify-fusion", "_commuting_residuals", "sample", "fusion.commuting_family"),
     ("verify-fusion", "fused_transfer_projector", "sample", "fusion.route_equivalence"),
     ("verify-fusion", "central_zero_residual", "sample", "fusion.central_zeros"),
     ("verify-fusion", "_tridiagonal_residuals", "sample", "fusion.tridiagonal_determinant"),
@@ -664,6 +664,51 @@ def test_suite_qop_reads_t_once_per_point_set_and_assembles_no_q(monkeypatch):
     rows = {c["name"]: c["passed"] for c in cli.suite_qop(chain, ctx)}
     assert all(rows.values())
     assert calls == {"q": 0, "t": 0, "at": [3, 3]}
+
+
+def test_q_rows_read_the_eigenvalues_once_per_point_set():
+    # suite_qop reads Q's eigenvalues in one call per row (3 lams, 3 x 3 T-Q points, the N
+    # bottom nodes, 5 Cramer points), and sov_from_q in one call per site's grid nodes
+    from sovchain.baxter import sov_from_q
+
+    chain = chain_from_config(load_config("n3_mixed"))
+    ctx, shapes = cli._RunContext(chain), []
+    qop = ctx.q_operator()
+
+    def eigenvalues(lam):
+        shapes.append(np.shape(lam))
+        return qop.eigenvalues(lam)
+
+    ctx._values["qop"] = dataclasses.replace(qop, eigenvalues=eigenvalues)
+    assert all(c["passed"] for c in cli.suite_qop(chain, ctx))
+    assert shapes == [(3,), (9,), (chain.n_sites,), (5,)]
+    shapes.clear()
+    sov_from_q(ctx.q_operator(), ctx.sklyanin())
+    assert shapes == [(site.dim,) for site in chain.sites]
+
+
+@pytest.mark.parametrize("name", ["n1_spin_half", "n2_spin22", "n3_mixed"])
+def test_fusion_rows_make_one_batched_call_each(monkeypatch, name):
+    # five fused calls: two for the commuting family's three pairs (six before they were
+    # batched), one each for the route, central-zero and tridiagonal rows; and one
+    # projector call per level 2..max_level on the route row's 5 points and the probes
+    chain = chain_from_config(load_config(name))
+    calls = {"fused": 0, "projector": []}
+    fused, projector = TransferEvaluator.fused, cli.fused_transfer_projector
+
+    def counted_fused(self, *args):
+        calls["fused"] += 1
+        return fused(self, *args)
+
+    def counted_projector(chain, level, lams, start):
+        calls["projector"].append((level, len(lams), start.shape))
+        return projector(chain, level, lams, start)
+
+    monkeypatch.setattr(TransferEvaluator, "fused", counted_fused)
+    monkeypatch.setattr(cli, "fused_transfer_projector", counted_projector)
+    assert all(c["passed"] for c in cli.suite_fusion(chain, cli._RunContext(chain)))
+    levels = range(2, min(3, max(chain.dims)) + 1)
+    assert calls == {"fused": 5, "projector": [(l, 5, (chain.dim, 8)) for l in levels]}
 
 
 @pytest.mark.parametrize("factor, passed", [(1.0, True), (1 + 1e-6, False)])

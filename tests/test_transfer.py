@@ -110,11 +110,17 @@ def test_transfer_matches_dense_trace(chain123):
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_fused_projector_matches_dense_product(chain123, level):
+    # the route's images of a start block V at two points in one call, against the dense
+    # (2^level D)^2 product times V, on chain123 and on (1,2,1,2,1) (D = 72)
     rng = np.random.default_rng(40 + level)
-    for lam in random_complex(rng, size=2, box=2.5):
-        want = _dense_fused_projector(chain123, level, lam)
-        got = fused_transfer_projector(chain123, level, lam)
-        assert frob(got - want) <= 1e-12 * max(1.0, frob(want))
+    for chain in (chain123, random_chain((1, 2, 1, 2, 1), 1.0, TWIST_FULL, seed=7)):
+        lams = random_complex(rng, size=2, box=2.5)
+        v = random_complex(rng, size=(chain.dim, 8))
+        got = fused_transfer_projector(chain, level, lams, v)
+        assert got.shape == (2, chain.dim, 8)
+        for image, lam in zip(got, lams):
+            want = _dense_fused_projector(chain, level, lam) @ v
+            assert frob(image - want) <= 1e-13 * frob(want)
 
 
 def test_aux_product_matches_embedded_factors():
@@ -137,7 +143,7 @@ def test_projector_route_uses_no_recursion(chain12, monkeypatch):
     monkeypatch.setattr(ChainSpec, "det_q", forbidden)
     monkeypatch.setattr(transfer_module, "tridiagonal_operator_minors", forbidden)
     monkeypatch.setattr(spectrum_module, "_tridiagonal_minors", forbidden)
-    assert frob(fused_transfer_projector(chain12, 3, 0.3 - 0.2j)) > 0
+    assert frob(fused_transfer_projector(chain12, 3, [0.3 - 0.2j], np.eye(chain12.dim))) > 0
 
 
 def test_single_site_monodromy_is_r_matrix(chain1):
@@ -281,6 +287,25 @@ def test_tridiagonal_residuals_of_a_batch_are_each_point_alone_bitwise(name):
         assert np.array_equal(transfer_module._tridiagonal_residuals(ev, lams), alone)
 
 
+@pytest.mark.parametrize("name", ["n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22",
+                                  "n3_mixed"])
+def test_commuting_residuals_of_three_pairs_are_each_pair_alone_bitwise(name, monkeypatch):
+    # the row's three pairs take two fused calls in all (a pair alone takes two too), and
+    # each pair's (top, top) residuals are its one-pair call's: fused is pointwise bitwise
+    chain = chain_from_config(load_config(name))
+    ev, top = TransferEvaluator(chain), min(3, max(chain.dims))
+    lams, mus = np.array([random_complex(np.random.default_rng(s), size=2, box=2.5)
+                          for s in range(3)]).T
+    calls, fused = [], TransferEvaluator.fused
+    monkeypatch.setattr(TransferEvaluator, "fused",
+                        lambda self, *args: calls.append(1) or fused(self, *args))
+    got = transfer_module._commuting_residuals(ev, lams, mus, top)
+    assert got.shape == (3, top, top) and len(calls) == 2
+    alone = [transfer_module._commuting_residuals(ev, [lam], [mu], top)[0]
+             for lam, mu in zip(lams, mus)]
+    assert np.array_equal(got, alone)
+
+
 def test_fused_hand_zero(chain1):
     # T(0) T(-1) - detq(0) vanishes identically at the second-level center
     ev = TransferEvaluator(chain1)
@@ -294,7 +319,7 @@ def test_fusion_route_equivalence(chain12, ev12, level):
     for _ in range(5):
         lam = complex(random_complex(rng, box=2.5))
         rec = ev12.fused(level, lam)[level]
-        proj = fused_transfer_projector(chain12, level, lam)
+        proj = fused_transfer_projector(chain12, level, [lam], np.eye(chain12.dim))[0]
         worst = max(worst, frob(rec - proj) / max(1.0, frob(proj)))
     assert worst < 1e-9
 
@@ -303,7 +328,7 @@ def test_fusion_route_equivalence_n3(chain112, ev112):
     lam = 0.62 + 0.38j
     tower = ev112.fused(2, lam)
     for level in (1, 2):
-        proj = fused_transfer_projector(chain112, level, lam)
+        proj = fused_transfer_projector(chain112, level, [lam], np.eye(chain112.dim))[0]
         assert frob(tower[level] - proj) / max(1.0, frob(proj)) < 1e-9
 
 
@@ -356,7 +381,7 @@ def test_probe_tower_rows_read_a_noncommuting_sample_as_the_dense_rows():
     lam, mu = 0.4 - 0.3j, -1.1 + 0.8j
     at_lam, at_mu = ev.fused(3, lam), ev.fused(3, mu)
     dense = [[commutator_residual(at_lam[l], at_mu[m]) for m in (1, 2, 3)] for l in (1, 2, 3)]
-    ratios = [transfer_module._commuting_residuals(ev, lam, mu, 3) / dense]
+    ratios = [transfer_module._commuting_residuals(ev, [lam], [mu], 3)[0] / dense]
     for level in (2, 3):
         shifts = lam + chain.eta * (level - 1 - np.arange(level))
         det = tridiagonal_operator_minors(
@@ -849,17 +874,18 @@ BUFFER_CHAINS = ("n1_spin_half", "n2_mixed", "n2_mixed_diagonal", "n2_spin22", "
 
 @pytest.mark.parametrize("name", BUFFER_CHAINS)
 def test_buffered_products_equal_the_per_sample_kernel_bitwise(name):
-    # the route chains the fused Lax operators U^dagger G_n U, the reference the 2^l-aux
-    # product: bitwise the same at level 1 (U = I_2), within roundoff above (7.5e-16 measured)
+    # the route chains the fused Lax operators U^dagger G_n U on the probes, the reference
+    # the dense 2^l-aux product: their images agree within roundoff at every level, level 1
+    # (U = I_2) included (8.1e-16 measured)
     chain = _leg_order_chain(name)
     lams = [complex(z) for z in random_complex(np.random.default_rng(62), size=4, box=3.0)]
+    probes = _probes(chain, 606, 1)[0]
     for level in (1, 2, 3):
-        for lam in lams:
-            got = fused_transfer_projector(chain, level, lam)
-            want = _per_point_projector(chain, level, lam)
-            assert got.shape == (chain.dim, chain.dim)
-            assert (np.array_equal(got, want) if level == 1
-                    else frob(got - want) <= 1e-14 * frob(want))
+        got = fused_transfer_projector(chain, level, lams, probes)
+        assert got.shape == (len(lams), chain.dim, 8)
+        for image, lam in zip(got, lams):
+            want = _per_point_projector(chain, level, lam) @ probes
+            assert frob(image - want) <= 1e-14 * frob(want)
 
 
 def _quantum_det_side(chain, lam):
@@ -934,27 +960,31 @@ def test_evaluator_holds_each_sample_once():
 
 @pytest.mark.parametrize("name", BUFFER_CHAINS + ("one_site_spin1",))
 def test_level_one_projector_is_the_transfer_bitwise(name):
-    # symmetric_basis(1) is I_2 and K^{x 1} is K, so the level-1 projector route makes the
-    # transfer's own kernel call: comparing the two at level 1 checks nothing
+    # symmetric_basis(1) is I_2 and K^{x 1} is K, so the level-1 projector route is T's own
+    # Lax chain on the probes: its images are T V within roundoff (2.2e-16 measured)
     chain = _leg_order_chain(name)
     lams = [complex(z) for z in random_complex(np.random.default_rng(63), size=5, box=2.5)]
-    assert all(np.array_equal(fused_transfer_projector(chain, 1, lam), transfer(chain, lam))
-               for lam in lams)
+    probes = _probes(chain, 606, 1)[0]
+    got = fused_transfer_projector(chain, 1, lams, probes)
+    for image, lam in zip(got, lams):
+        want = transfer(chain, lam) @ probes
+        assert frob(image - want) <= 1e-14 * frob(want)
 
 
-@pytest.mark.parametrize("level, bound", [(2, 5.0), (3, 8.5)])
+@pytest.mark.parametrize("level, bound", [(2, 1.0), (3, 1.5)])
 def test_projector_peak_holds_no_buffer_pair(level, bound):
-    # each kernel write is a fresh array, freed once the next one is made, and the fused Lax
-    # operators carry level + 1 aux states: on 1^8 the traced peak of one projector call
-    # stays within `bound` D x D arrays (4.52 and 8.03 measured; 6.02 and 16.05 over the
-    # 2^level aux space); holding a pair of buffers sized for the largest write would add one
+    # the route acts on the probes and builds no D x D matrix: one point's kernel state is
+    # (level + 1)^2 D k entries, two alive at a time. On 1^8 the traced peak of the row's
+    # call, five points on the salt-606 probes, stays within `bound` D x D arrays (0.78 and
+    # 1.27 measured)
     import tracemalloc
 
     chain = random_chain([1] * 8, 1.0, TWIST_FULL, seed=7)
-    fused_transfer_projector(chain, level, 0.3 - 0.4j)     # the cached twist power and basis
+    lams, probes = [0.3 - 0.4j, 1.1 + 0.2j, -0.5 - 1j, 2j, 1.0], _probes(chain, 606, 1)[0]
+    fused_transfer_projector(chain, level, lams, probes)    # the cached fused twist and basis
     tracemalloc.start()
     try:
-        fused_transfer_projector(chain, level, 0.3 - 0.4j)
+        fused_transfer_projector(chain, level, lams, probes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
